@@ -48,7 +48,7 @@ def build_hetero_grid(seed, fast_cpus=2, slow_cpus=2, trace=False):
     for i in range(slow_cpus):
         peer = Peer(
             f"slow-{i}",
-            grid.network,
+            grid.transport,
             profile=NodeProfile(
                 cpu_flops=1e9, up_bps=LAN_PROFILE.up_bps,
                 down_bps=LAN_PROFILE.down_bps, latency_s=LAN_PROFILE.latency_s,
@@ -110,14 +110,14 @@ def run_chunking_ablation(iterations=192, trace=False):
         if traced:
             tracer = grid.sim.tracer
         report = grid.run(tiny_farm_graph(policy), iterations=iterations)
-        kinds = grid.network.stats.by_kind
+        kinds = grid.transport.stats.by_kind
         rows.append(
             {
                 "policy": policy,
                 "makespan_s": report.makespan,
                 "exec_messages": kinds.get("group-exec", 0),
                 "batch_messages": kinds.get("group-exec-batch", 0),
-                "bytes_sent": grid.network.stats.bytes_sent,
+                "bytes_sent": grid.transport.stats.bytes_sent,
             }
         )
     return {"rows": rows, "tracer": tracer}

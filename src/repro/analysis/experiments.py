@@ -688,7 +688,7 @@ def e10_policy_ablation(
             {
                 "group_width": width,
                 "makespan_s": report.makespan,
-                "bytes_sent": grid.network.stats.bytes_sent,
+                "bytes_sent": grid.transport.stats.bytes_sent,
             }
         )
     return {"policies": rows, "granularity": granularity, "tracer": tracer}

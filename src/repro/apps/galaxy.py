@@ -132,12 +132,6 @@ def view_rotation(theta: float, phi: float) -> np.ndarray:
     return rot_x @ rot_z
 
 
-#: Switch between the vectorized scatter and the per-particle reference
-#: loop.  The vectorized path is bit-identical to the loop (the equality
-#: tests pin this down) but ~50-100x faster; flip to False to debug
-#: against the reference implementation.
-VECTORIZED_SCATTER = True
-
 #: Element budget per vectorized chunk (particles x window cells); keeps
 #: the temporary (chunk, span, span) arrays under ~100 MB even for
 #: pathological smoothing lengths.
@@ -161,9 +155,8 @@ def _cubic_spline_kernel(q: np.ndarray) -> np.ndarray:
 def _scatter_loop(xs, ys, masses, smoothing, grid, resolution, cell, extent) -> None:
     """Reference per-particle scatter (pure-python loop over particles).
 
-    Kept as the readable specification of the algorithm and as the
-    fallback when :data:`VECTORIZED_SCATTER` is off; the vectorized path
-    must reproduce its output bit for bit.
+    Test-only: the readable specification of the algorithm, which the
+    vectorized path must reproduce bit for bit.
     """
     for i in range(len(xs)):
         h = max(smoothing[i], cell)
@@ -275,10 +268,9 @@ def sph_column_density(
     standard cubic-spline (M4) kernel truncated at 2h, scattered onto the
     grid per particle.  Returns a (resolution, resolution) array.
 
-    The scatter runs vectorized by default
-    (:func:`_scatter_vectorized`); set
-    :data:`VECTORIZED_SCATTER` to False to use the per-particle
-    reference loop.  Both paths produce bit-identical grids.
+    The scatter runs vectorized (:func:`_scatter_vectorized`); the
+    per-particle :func:`_scatter_loop` is the reference the tests hold
+    it bit-identical to.
     """
     if view not in _VIEW_AXES:
         raise ValueError(f"unknown view {view!r}; valid: {sorted(_VIEW_AXES)}")
@@ -292,8 +284,9 @@ def sph_column_density(
     ys = positions[:, ay]
     grid = np.zeros((resolution, resolution))
     cell = 2.0 * extent / resolution
-    scatter = _scatter_vectorized if VECTORIZED_SCATTER else _scatter_loop
-    scatter(xs, ys, snapshot.masses, snapshot.smoothing, grid, resolution, cell, extent)
+    _scatter_vectorized(
+        xs, ys, snapshot.masses, snapshot.smoothing, grid, resolution, cell, extent
+    )
     return grid
 
 

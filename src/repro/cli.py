@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Optional, Sequence
 
 from .analysis.tables import render_kv, render_table
@@ -104,13 +105,15 @@ def _cmd_policies(args) -> int:
 
 
 def _cmd_transports(args) -> int:
-    from .transport import iter_transports
+    from .transport import TRANSPORTS
 
-    backends = iter_transports()
+    rows = []
+    for name in TRANSPORTS.names():
+        cls = TRANSPORTS.lookup(name)
+        rows.append((name, cls.__name__, cls.__doc__.strip().splitlines()[0]))
     print(render_table(
-        ["transport", "class", "summary"],
-        [(d.name, d.cls.__name__, d.summary) for d in backends],
-        title=f"{len(backends)} transport backends registered",
+        ["transport", "class", "summary"], rows,
+        title=f"{len(rows)} transport backends registered",
     ))
     print("select with: repro run ... --workers N --transport {sim,tcp}")
     return 0
@@ -146,14 +149,14 @@ def _cmd_faults(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    text = open(args.graph).read()
+    text = Path(args.graph).read_text()
     graph = load_graph_text(text, args.from_format)
     print(_WRITERS[args.to](graph))
     return 0
 
 
 def _cmd_validate(args) -> int:
-    text = open(args.graph).read()
+    text = Path(args.graph).read_text()
     graph = load_graph_text(text, args.from_format)
     graph.validate()
     groups = graph.groups()
@@ -171,7 +174,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    text = open(args.graph).read()
+    text = Path(args.graph).read_text()
     graph = load_graph_text(text, args.from_format)
     probes = tuple(args.probe or ())
     if args.workers == 0:
@@ -285,7 +288,7 @@ def _cmd_run(args) -> int:
 def _cmd_top(args) -> int:
     from .observe import render_top
 
-    text = open(args.target).read()
+    text = Path(args.target).read_text()
     if text.lstrip().startswith("<"):
         # A graph file: run it on a telemetered grid, then render the
         # dashboard over the live trace.
@@ -385,10 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--discovery", default="central",
                        choices=("central", "flooding", "rendezvous"))
     from .service.placement import dispatch_policy_names
+    from .transport import transport_names
 
     p_run.add_argument("--dispatch", default="round_robin",
                        choices=dispatch_policy_names())
-    p_run.add_argument("--transport", default="sim", choices=("sim", "tcp"),
+    p_run.add_argument("--transport", default="sim", choices=transport_names(),
                        help="grid substrate: sim = deterministic simulated "
                             "network (default); tcp = real localhost "
                             "sockets, controller in-process + one OS "

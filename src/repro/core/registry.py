@@ -10,8 +10,9 @@ the built-in toolbox.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Type
+from typing import Type
 
+from ..registry import Registry
 from .errors import RegistryError
 from .units import Unit
 
@@ -34,7 +35,7 @@ class UnitDescriptor:
         return f"{self.name}@{self.version}"
 
 
-class UnitRegistry:
+class UnitRegistry(Registry[UnitDescriptor]):
     """Name → unit-class mapping with category search.
 
     A registry instance models one *module repository*: the controller's
@@ -43,60 +44,34 @@ class UnitRegistry:
     """
 
     def __init__(self):
-        self._units: dict[str, UnitDescriptor] = {}
+        super().__init__("unit", RegistryError)
+
+    def _key(self, name: str) -> str:
+        """Accept Java-style dotted prefixes (``triana.tools.FFT``)."""
+        return name.rsplit(".", 1)[-1]
 
     def register(self, cls: Type[Unit], category: str = "misc") -> UnitDescriptor:
         """Register a unit class; duplicate names are an error."""
         if not (isinstance(cls, type) and issubclass(cls, Unit)):
             raise RegistryError(f"{cls!r} is not a Unit subclass")
         name = cls.unit_name()
-        if name in self._units:
-            raise RegistryError(f"unit {name!r} already registered")
-        desc = UnitDescriptor(
+        return self.add(name, UnitDescriptor(
             name=name,
             cls=cls,
             version=cls.VERSION,
             code_size=cls.CODE_SIZE,
             category=category,
-        )
-        self._units[name] = desc
-        return desc
-
-    def unregister(self, name: str) -> None:
-        if name not in self._units:
-            raise RegistryError(f"unit {name!r} not registered")
-        del self._units[name]
-
-    def lookup(self, name: str) -> UnitDescriptor:
-        """Resolve a unit name (accepts Java-style dotted prefixes)."""
-        short = name.rsplit(".", 1)[-1]
-        if short not in self._units:
-            raise RegistryError(
-                f"unknown unit {name!r}; registered: {sorted(self._units)[:10]}..."
-            )
-        return self._units[short]
+        ))
 
     def create(self, name: str, **params) -> Unit:
         """Instantiate a registered unit with parameters."""
         return self.lookup(name).cls(**params)
 
-    def __contains__(self, name: str) -> bool:
-        return name.rsplit(".", 1)[-1] in self._units
-
-    def __len__(self) -> int:
-        return len(self._units)
-
-    def __iter__(self) -> Iterator[UnitDescriptor]:
-        return iter(self._units.values())
-
-    def names(self) -> list[str]:
-        return sorted(self._units)
-
     def search(self, category: str | None = None, text: str = "") -> list[UnitDescriptor]:
         """Find units by category and/or name substring."""
         hits = []
         needle = text.lower()
-        for desc in self._units.values():
+        for desc in self:
             if category is not None and desc.category != category:
                 continue
             if needle and needle not in desc.name.lower():
@@ -117,7 +92,7 @@ def register_unit(category: str = "misc", registry: UnitRegistry | None = None):
     """Class decorator registering a unit in the global (or given) registry."""
 
     def deco(cls: Type[Unit]) -> Type[Unit]:
-        (registry or _GLOBAL).register(cls, category=category)
+        (_GLOBAL if registry is None else registry).register(cls, category=category)
         return cls
 
     return deco

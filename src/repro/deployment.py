@@ -273,34 +273,43 @@ def run_tcp_localhost(
     for worker_id, port in zip(worker_ids, ports[1:]):
         addresses[worker_id] = (host, port)
 
-    procs = [
-        launch_worker(
-            worker_id,
-            addresses[worker_id][1],
-            addresses,
-            efficiency=worker_efficiency,
-            query_window=query_window,
-        )
-        for worker_id in worker_ids
-    ]
-    node = ControllerNode(
-        ports[0],
-        addresses,
-        seed=seed,
-        query_window=query_window,
-        heartbeat_interval=heartbeat_interval,
-        registry=registry,
-    )
+    procs: List[subprocess.Popen] = []
+    node: Optional[ControllerNode] = None
+    asked_to_exit = False
     try:
+        for worker_id in worker_ids:
+            procs.append(launch_worker(
+                worker_id,
+                addresses[worker_id][1],
+                addresses,
+                efficiency=worker_efficiency,
+                query_window=query_window,
+            ))
+        # Inside the try: the reserved port can be taken before the bind,
+        # and a failed controller must not orphan the workers.
+        node = ControllerNode(
+            ports[0],
+            addresses,
+            seed=seed,
+            query_window=query_window,
+            heartbeat_interval=heartbeat_interval,
+            registry=registry,
+        )
         workers = node.wait_for_workers(n_workers, deadline_s=startup_deadline)
         report = node.run(
             graph, iterations, workers,
             dispatch=dispatch, probes=probes, verification=verification,
         )
         node.shutdown_workers(workers)
+        asked_to_exit = True
         return report
     finally:
-        node.close()
+        if node is not None:
+            node.close()
+        if not asked_to_exit:
+            # Nobody told them to leave; they would advertise for ever.
+            for proc in procs:
+                proc.terminate()
         for proc in procs:
             try:
                 proc.wait(timeout=10.0)

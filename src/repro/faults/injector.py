@@ -226,7 +226,7 @@ class FaultInjector:
             "kinds": self.plan.kinds(),
             "log": list(self.log),
         }
-        models = getattr(self.network, "compute_faults", {})
+        models = self.network.compute_faults
         if models:
             out["compute"] = [
                 models[peer].summary() for peer in sorted(models)

@@ -37,30 +37,22 @@ from .p2p.discovery import (
     FloodingDiscovery,
     RendezvousDiscovery,
 )
-from .p2p.network import DSL_PROFILE, NodeProfile, SimNetwork
+from .p2p.network import DSL_PROFILE, NodeProfile, SimNetwork, Transport
 from .p2p.peer import Peer
 from .resources.availability import AvailabilityModel
 from .service.controller import RunReport, TrianaController
 from .service.worker import TrianaService
 from .simkernel import Simulator
-from .transport import (
-    RealtimeSimulator,
-    SimTransport,
-    TcpTransport,
-    transport_names,
-)
+from .transport import TRANSPORTS, RealtimeSimulator, TcpTransport
 
 __all__ = ["ConsumerGrid"]
 
 
-def _make_discovery(kind: str, query_window: float) -> DiscoveryService:
-    if kind == "central":
-        return CentralIndexDiscovery(query_window=query_window)
-    if kind == "flooding":
-        return FloodingDiscovery(query_window=query_window)
-    if kind == "rendezvous":
-        return RendezvousDiscovery(query_window=query_window)
-    raise ValueError(f"unknown discovery kind {kind!r}")
+_DISCOVERY: dict[str, type[DiscoveryService]] = {
+    "central": CentralIndexDiscovery,
+    "flooding": FloodingDiscovery,
+    "rendezvous": RendezvousDiscovery,
+}
 
 
 class ConsumerGrid:
@@ -145,58 +137,42 @@ class ConsumerGrid:
     ):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if transport not in transport_names():
+        fabric = TRANSPORTS.lookup(transport)  # unknown name: ValueError
+        if discovery not in fabric.supported_discovery:
             raise ValueError(
-                f"unknown transport {transport!r}; registered: "
-                f"{', '.join(transport_names())}"
+                f"discovery {discovery!r} is not supported on the "
+                f"{transport!r} transport "
+                f"(supported: {', '.join(fabric.supported_discovery)})"
             )
         if tracer is None and (trace or telemetry):
             tracer = Tracer()
+        chaos = {
+            "jitter_fraction": jitter_fraction,
+            "contention": contention,
+            "loss_fraction": loss_fraction,
+            "corrupt_fraction": corrupt_fraction,
+            "duplicate_fraction": duplicate_fraction,
+            "reorder_fraction": reorder_fraction,
+        }
         if transport == "tcp":
             # Single-process loopback deployment: every peer still lives
             # in this process, but frames cross real sockets through the
             # canonical codec.  For grids spanning OS processes use
             # repro.deployment (which the CLI's --transport tcp drives).
-            chaos = {
-                "jitter_fraction": jitter_fraction,
-                "contention": contention,
-                "loss_fraction": loss_fraction,
-                "corrupt_fraction": corrupt_fraction,
-                "duplicate_fraction": duplicate_fraction,
-                "reorder_fraction": reorder_fraction,
-                "fault_plan": fault_plan,
-            }
-            bad = sorted(k for k, v in chaos.items() if v)
+            bad = sorted(
+                k for k, v in {**chaos, "fault_plan": fault_plan}.items() if v
+            )
             if bad:
                 raise ValueError(
                     "chaos modelling is simulation apparatus; not supported "
                     f"on the tcp transport: {', '.join(bad)}"
                 )
             self.sim = RealtimeSimulator(seed=seed, tracer=tracer)
-            self.transport = TcpTransport(self.sim)
-            self.network = self.transport
+            self.transport: Transport = TcpTransport(self.sim)
         else:
             self.sim = Simulator(seed=seed, tracer=tracer)
-            self.network = SimNetwork(
-                self.sim,
-                jitter_fraction=jitter_fraction,
-                contention=contention,
-                loss_fraction=loss_fraction,
-                corrupt_fraction=corrupt_fraction,
-                duplicate_fraction=duplicate_fraction,
-                reorder_fraction=reorder_fraction,
-            )
-            # Peers speak through the adapter; chaos/telemetry tooling
-            # keeps the raw SimNetwork handle (self.network).  The
-            # adapter delegates, so both views share state.
-            self.transport = SimTransport(self.network)
-        if discovery not in self.transport.supported_discovery():
-            raise ValueError(
-                f"discovery {discovery!r} is not supported on the "
-                f"{transport!r} transport "
-                f"(supported: {', '.join(self.transport.supported_discovery())})"
-            )
-        self.discovery = _make_discovery(discovery, query_window)
+            self.transport = SimNetwork(self.sim, **chaos)
+        self.discovery = _DISCOVERY[discovery](query_window=query_window)
         self.registry = registry if registry is not None else global_registry()
 
         # The portal: hosts the module repository and (for central
@@ -253,7 +229,7 @@ class ConsumerGrid:
             self.worker_peers[peer.peer_id] = peer
 
         if isinstance(self.discovery, FloodingDiscovery):
-            self.network.random_overlay(degree=4)
+            self.transport.random_overlay(degree=4)
         self.sim.run()  # settle publishes
 
         # Chaos layer: scheduled *after* the settle so a plan's t=0 faults
@@ -268,7 +244,7 @@ class ConsumerGrid:
                 **self.worker_peers,
             }
             self.fault_injector = FaultInjector(
-                self.sim, self.network, fault_plan, peers=peers
+                self.sim, self.transport, fault_plan, peers=peers
             ).schedule()
 
         # Live telemetry: installed last so its sources can read every
@@ -294,9 +270,7 @@ class ConsumerGrid:
         """
         if self.telemetry is not None:
             return self.telemetry
-        if not self.sim.tracer.enabled:
-            self.sim.install_tracer(Tracer())
-            self.network.trace_liveness_snapshot()
+        self._ensure_tracing()
         sampler = TelemetrySampler(interval=interval)
         self.sim.install_sampler(sampler)
         recorder = FlightRecorder()
@@ -307,7 +281,7 @@ class ConsumerGrid:
         monitor.attach(self.sim.tracer)
         sampler.attach_monitor(monitor)
 
-        sampler.add_source("net", self.network.telemetry_sample)
+        sampler.add_source("net", self.transport.telemetry_sample)
         workers = self.workers
         def _workers_sample():
             return {
@@ -329,6 +303,16 @@ class ConsumerGrid:
         self.health = monitor
         self.flight_recorder = recorder
         return sampler
+
+    def _ensure_tracing(self) -> None:
+        """Late opt-in: swap a recording tracer in if none is installed.
+
+        Liveness transitions before the install went unrecorded, so they
+        are seeded: already-offline peers must count as unavailable.
+        """
+        if not self.sim.tracer.enabled:
+            self.sim.install_tracer(Tracer())
+            self.transport.trace_liveness_snapshot()
 
     def add_cluster_worker(
         self,
@@ -412,13 +396,10 @@ class ConsumerGrid:
         as JSONL (requires ``telemetry=True`` at construction, or a
         prior :meth:`enable_telemetry` call).
         """
-        if (trace_out is not None or metrics_out is not None) and not self.sim.tracer.enabled:
-            # Late opt-in: swap the recording tracer in before discovery
-            # so the run's p2p/mobility/service spans are all captured.
-            self.sim.install_tracer(Tracer())
-            # Liveness transitions before the install were unrecorded;
-            # seed them so already-offline peers count as unavailable.
-            self.network.trace_liveness_snapshot()
+        if trace_out is not None or metrics_out is not None:
+            # Before discovery, so the run's p2p/mobility/service spans
+            # are all captured.
+            self._ensure_tracing()
         if workers is None:
             workers = self.discover_workers()
         done = self.controller.run_distributed(

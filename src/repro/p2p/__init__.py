@@ -2,7 +2,8 @@
 
 Layering, bottom-up::
 
-    SimNetwork          raw message passing with DSL/LAN link models
+    Transport           the fabric interface every layer above is written to
+    SimNetwork          its simulated implementation: DSL/LAN link models
     Peer / PeerGroup    endpoints with advertisement caches and handlers
     Discovery           central-index | flooding | rendezvous strategies
     Pipes               named, advertised, bind-by-discovery channels
@@ -26,7 +27,15 @@ from .discovery import (
 )
 from .errors import DiscoveryError, NetworkError, P2PError, PeerOfflineError, PipeError
 from .jxtaserve import JxtaServe, JxtaService, input_pipe_name
-from .network import DSL_PROFILE, LAN_PROFILE, Message, NetStats, NodeProfile, SimNetwork
+from .network import (
+    DSL_PROFILE,
+    LAN_PROFILE,
+    Message,
+    NetStats,
+    NodeProfile,
+    SimNetwork,
+    Transport,
+)
 from .peer import Peer, PeerGroup
 from .pipes import InputPipe, OutputPipe, PipeManager
 from .webservice import WebClient, WebServiceEndpoint, service_to_wsdl
@@ -61,6 +70,7 @@ __all__ = [
     "PipeManager",
     "RendezvousDiscovery",
     "SimNetwork",
+    "Transport",
     "WebClient",
     "WebServiceEndpoint",
     "input_pipe_name",

@@ -20,20 +20,27 @@ This module models exactly that on top of the discrete-event kernel:
   reordering, and per-node CPU speed factors for straggler injection.
 
 All behaviour is deterministic for a given simulator seed.
+
+:class:`Transport` — the narrow surface peers, discovery, pipes and the
+service protocol actually use of a fabric — is defined here too, beside
+the message types it is written in, and :class:`SimNetwork` is its
+simulated implementation (the socket one is
+:class:`repro.transport.tcp.TcpTransport`).
 """
 
 from __future__ import annotations
 
+import abc
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 import networkx as nx
 
-from ..simkernel import Simulator
+from ..simkernel import Resource, Simulator
 from .errors import NetworkError
 
 __all__ = [
-    "NodeProfile", "Message", "NetStats", "SimNetwork",
+    "NodeProfile", "Message", "NetStats", "Transport", "SimNetwork",
     "DSL_PROFILE", "LAN_PROFILE", "chunk_sizes",
 ]
 
@@ -121,8 +128,128 @@ class NetStats:
     by_kind: dict[str, int] = field(default_factory=dict)
 
 
-class SimNetwork:
-    """Message-passing fabric connecting simulated nodes.
+class Transport(abc.ABC):
+    """What a peer needs from its network: the fabric interface.
+
+    Everything above — :class:`~repro.p2p.peer.Peer`, discovery, pipes,
+    the controller/worker protocol, the module cache and repository,
+    :class:`~repro.grid.ConsumerGrid` — talks to the fabric through this
+    surface only, which is what lets the same protocol run on simulated
+    time and on real sockets.  Chaos and overlay construction
+    (partitions, loss, speed factors, ``random_overlay``) are *not*
+    here: they are simulation apparatus on :class:`SimNetwork`.
+
+    Attributes
+    ----------
+    sim:
+        The event kernel the fabric schedules against — a
+        :class:`~repro.simkernel.Simulator`, or the wall-clock
+        :class:`~repro.transport.runtime.RealtimeSimulator`.  Peers read
+        their clock and timeout primitives from here.
+    stats:
+        A :class:`NetStats` traffic counter.
+    compute_faults:
+        Mutable mapping consulted by workers before executing units —
+        the sabotage seam used by the integrity experiments.  Empty on
+        healthy fabrics.
+    """
+
+    sim: Simulator
+    stats: NetStats
+    compute_faults: dict[str, Any]
+    #: Discovery backends the fabric can carry.  Flooding and rendezvous
+    #: walk a modelled overlay, which only the simulated fabric has;
+    #: socket fabrics get the central index (the paper's portal).
+    supported_discovery: tuple[str, ...] = ("central",)
+
+    # -- membership ---------------------------------------------------------
+    @abc.abstractmethod
+    def add_node(
+        self,
+        node_id: str,
+        handler: Callable[[Message], None],
+        profile: Optional[NodeProfile] = None,
+    ) -> None:
+        """Register a local node and its inbound-message handler."""
+
+    @abc.abstractmethod
+    def nodes(self) -> list[str]:
+        """Ids of locally hosted nodes."""
+
+    # -- liveness & profiles ------------------------------------------------
+    @abc.abstractmethod
+    def is_online(self, node_id: str) -> bool:
+        """Whether ``node_id`` is believed reachable."""
+
+    @abc.abstractmethod
+    def set_online(self, node_id: str, online: bool) -> None:
+        """Flip a local node's liveness (churn modelling / drain)."""
+
+    @abc.abstractmethod
+    def profile(self, node_id: str) -> NodeProfile:
+        """Link/CPU profile for ``node_id`` (a default for remote peers)."""
+
+    def speed_factor(self, node_id: str) -> float:
+        """Multiplier on a node's compute speed; 1.0 unless modelled."""
+        return 1.0
+
+    # -- traffic ------------------------------------------------------------
+    @abc.abstractmethod
+    def send(self, message: Message) -> float:
+        """Dispatch ``message``; returns the modelled one-way delay."""
+
+    def transfer_time(self, src: str, dst: str, size_bytes: int) -> float:
+        """Modelled one-way delivery time for ``size_bytes``."""
+        p_src, p_dst = self.profile(src), self.profile(dst)
+        wire = size_bytes / min(p_src.up_bps, p_dst.down_bps)
+        return p_src.latency_s + p_dst.latency_s + wire
+
+    def neighbours(self, node_id: str) -> list[str]:
+        """Overlay neighbours, for flooding discovery; empty if no overlay."""
+        return []
+
+    # -- observability ------------------------------------------------------
+    def telemetry_sample(self) -> dict[str, int]:
+        """Traffic counters for the live telemetry sampler."""
+        stats = self.stats
+        return {
+            "sent": stats.sent,
+            "delivered": stats.delivered,
+            "bytes_sent": stats.bytes_sent,
+            "in_flight": stats.in_flight,
+            "in_flight_bytes": stats.in_flight_bytes,
+            "dropped": (
+                stats.dropped_offline
+                + stats.dropped_loss
+                + stats.dropped_partition
+            ),
+            "offline": sum(1 for n in self.nodes() if not self.is_online(n)),
+        }
+
+    def trace_liveness_snapshot(self) -> None:
+        """Record a ``peer.offline`` instant for every offline local node.
+
+        :meth:`set_online` only traces *transitions*, so when a tracer
+        is installed late (the ``trace_out`` opt-in in
+        :meth:`ConsumerGrid.run <repro.grid.ConsumerGrid.run>`), peers
+        already offline would otherwise look idle — not unavailable —
+        to the analyzer's utilization accounting.  Call this right
+        after installing a tracer to seed initial liveness.
+        """
+        tracer = self.sim.tracer
+        if not tracer.enabled:
+            return
+        for node_id in sorted(self.nodes()):
+            if not self.is_online(node_id):
+                tracer.instant("peer.offline", category="p2p", track=node_id)
+
+    # -- lifecycle ----------------------------------------------------------
+    def close(self) -> None:
+        """Release sockets/threads; idempotent.  No-op for the simulator."""
+
+
+class SimNetwork(Transport):
+    """Deterministic simulated message fabric (the default; bit-identical per seed).
 
     With ``contention=False`` (default) transfers are independent: each
     message takes its own :meth:`transfer_time` regardless of concurrent
@@ -131,6 +258,8 @@ class SimNetwork:
     consumer DSL line actually behaves when a controller blasts frames
     at a farm.
     """
+
+    supported_discovery = ("central", "flooding", "rendezvous")
 
     def __init__(
         self,
@@ -224,40 +353,6 @@ class SimNetwork:
         self._require(node_id)
         return self._online[node_id]
 
-    def trace_liveness_snapshot(self) -> None:
-        """Record a ``peer.offline`` instant for every offline node.
-
-        :meth:`set_online` only traces *transitions*, so when a tracer
-        is installed late (the ``trace_out`` opt-in in
-        :meth:`ConsumerGrid.run <repro.grid.ConsumerGrid.run>`), peers
-        already offline would otherwise look idle — not unavailable —
-        to the analyzer's utilization accounting.  Call this right
-        after installing a tracer to seed initial liveness.
-        """
-        tracer = self.sim.tracer
-        if not tracer.enabled:
-            return
-        for node_id in sorted(self._online):
-            if not self._online[node_id]:
-                tracer.instant("peer.offline", category="p2p", track=node_id)
-
-    def telemetry_sample(self) -> dict[str, int]:
-        """Traffic counters for the live telemetry sampler."""
-        stats = self.stats
-        return {
-            "sent": stats.sent,
-            "delivered": stats.delivered,
-            "bytes_sent": stats.bytes_sent,
-            "in_flight": stats.in_flight,
-            "in_flight_bytes": stats.in_flight_bytes,
-            "dropped": (
-                stats.dropped_offline
-                + stats.dropped_loss
-                + stats.dropped_partition
-            ),
-            "offline": sum(1 for up in self._online.values() if not up),
-        }
-
     # -- straggler injection ---------------------------------------------------
     def set_speed_factor(self, node_id: str, factor: float) -> None:
         """Scale a node's effective CPU speed (straggler slowdown).
@@ -336,12 +431,6 @@ class SimNetwork:
             self.overlay.add_edge(ids[a], ids[b])
 
     # -- transfer model -----------------------------------------------------------
-    def transfer_time(self, src: str, dst: str, size_bytes: int) -> float:
-        """Modelled one-way delivery time for ``size_bytes``."""
-        p_src, p_dst = self.profile(src), self.profile(dst)
-        wire = size_bytes / min(p_src.up_bps, p_dst.down_bps)
-        return p_src.latency_s + p_dst.latency_s + wire
-
     def send(self, message: Message) -> float:
         """Schedule delivery of ``message``; returns the modelled delay.
 
@@ -482,9 +571,7 @@ class SimNetwork:
             attrs["chaos"] = True
         tracer.instant("net.drop", category="p2p", track=message.dst, **attrs)
 
-    def _link(self, table: dict, node_id: str) -> "Resource":
-        from ..simkernel import Resource
-
+    def _link(self, table: dict, node_id: str) -> Resource:
         if node_id not in table:
             table[node_id] = Resource(self.sim, capacity=1)
         return table[node_id]

@@ -18,7 +18,7 @@ from typing import Any, Callable, Optional
 from ..simkernel import Simulator
 from .advertisement import ADV_PEER, AdvCache, Advertisement
 from .errors import NetworkError, PeerOfflineError
-from .network import Message, NodeProfile, SimNetwork
+from .network import Message, NodeProfile, Transport
 
 __all__ = ["Peer", "PeerGroup"]
 
@@ -26,13 +26,10 @@ __all__ = ["Peer", "PeerGroup"]
 class Peer:
     """One Consumer Grid participant.
 
-    ``network`` is anything satisfying the
-    :class:`~repro.transport.base.Transport` surface — the raw
-    :class:`SimNetwork` (still accepted, and what most unit tests
-    build on), its :class:`~repro.transport.sim.SimTransport` adapter,
-    or a socket transport such as
-    :class:`~repro.transport.tcp.TcpTransport`.  The peer reads its
-    clock (``self.sim``) from the transport, which is how the same
+    ``network`` is the :class:`~repro.p2p.network.Transport` the peer
+    is seated on — a :class:`~repro.p2p.network.SimNetwork`, or a socket
+    fabric such as :class:`~repro.transport.tcp.TcpTransport`.  The peer
+    reads its clock (``self.sim``) from it, which is how the same
     protocol code runs on simulated time and wall time.
 
     ``__slots__`` keeps 100k-peer swarms cheap; ``_pipe_manager`` is
@@ -45,7 +42,7 @@ class Peer:
     def __init__(
         self,
         peer_id: str,
-        network: "SimNetwork | Any",
+        network: Transport,
         profile: Optional[NodeProfile] = None,
         groups: tuple[str, ...] = (),
     ):

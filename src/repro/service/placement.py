@@ -17,9 +17,10 @@ Two layers:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Sequence
 
 from ..p2p.advertisement import Advertisement
+from ..registry import Registry
 from .errors import SchedulingError
 
 __all__ = [
@@ -204,7 +205,7 @@ class ReputationWeighted(WeightedBySpeed):
 
 
 #: name → zero-arg DispatchPolicy factory (see register_dispatch_policy)
-_DISPATCH_POLICIES: dict[str, Any] = {}
+_DISPATCH_POLICIES: Registry = Registry("dispatch policy", SchedulingError)
 
 
 def register_dispatch_policy(name: str, factory) -> None:
@@ -214,27 +215,17 @@ def register_dispatch_policy(name: str, factory) -> None:
     :class:`DispatchPolicy`.  Registered names show up in the CLI's
     ``--dispatch`` choices.
     """
-    if not name or not isinstance(name, str):
-        raise SchedulingError("dispatch policy name must be a non-empty string")
-    if name in _DISPATCH_POLICIES:
-        raise SchedulingError(f"dispatch policy {name!r} already registered")
-    _DISPATCH_POLICIES[name] = factory
+    _DISPATCH_POLICIES.add(name, factory)
 
 
 def dispatch_policy_names() -> tuple[str, ...]:
     """Every registered dealing-policy name, sorted."""
-    return tuple(sorted(_DISPATCH_POLICIES))
+    return tuple(_DISPATCH_POLICIES.names())
 
 
 def make_dispatch_policy(name: str) -> DispatchPolicy:
     """Instantiate a registered dealing policy (``round_robin`` | ...)."""
-    try:
-        factory = _DISPATCH_POLICIES[name]
-    except KeyError:
-        raise SchedulingError(
-            f"unknown dispatch policy {name!r}; valid: {sorted(_DISPATCH_POLICIES)}"
-        ) from None
-    return factory()
+    return _DISPATCH_POLICIES.lookup(name)()
 
 
 register_dispatch_policy("round_robin", RoundRobin)

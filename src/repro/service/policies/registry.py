@@ -11,9 +11,10 @@ the loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Type
+from typing import Optional, Type
 
 from ...core.taskgraph import register_policy_name
+from ...registry import Registry
 from ..errors import SchedulingError
 from .base import DistributionPolicy
 
@@ -34,7 +35,7 @@ class PolicyDescriptor:
     summary: str
 
 
-class PolicyRegistry:
+class PolicyRegistry(Registry[PolicyDescriptor]):
     """Name → distribution-policy-class mapping.
 
     The controller resolves a group's policy name against its registry
@@ -43,49 +44,21 @@ class PolicyRegistry:
     """
 
     def __init__(self):
-        self._policies: dict[str, PolicyDescriptor] = {}
+        super().__init__("distribution policy", SchedulingError)
 
     def register(self, cls: Type[DistributionPolicy]) -> PolicyDescriptor:
         """Register a policy class; duplicate names are an error."""
         if not (isinstance(cls, type) and issubclass(cls, DistributionPolicy)):
             raise SchedulingError(f"{cls!r} is not a DistributionPolicy subclass")
-        name = cls.name
-        if not name:
-            raise SchedulingError(f"{cls.__name__} must set a policy name")
-        if name in self._policies:
-            raise SchedulingError(f"policy {name!r} already registered")
-        desc = PolicyDescriptor(name=name, cls=cls, summary=cls.summary())
-        self._policies[name] = desc
-        register_policy_name(name)
+        desc = self.add(
+            cls.name, PolicyDescriptor(name=cls.name, cls=cls, summary=cls.summary())
+        )
+        register_policy_name(cls.name)
         return desc
-
-    def unregister(self, name: str) -> None:
-        if name not in self._policies:
-            raise SchedulingError(f"policy {name!r} not registered")
-        del self._policies[name]
-
-    def lookup(self, name: str) -> PolicyDescriptor:
-        if name not in self._policies:
-            raise SchedulingError(
-                f"unknown distribution policy {name!r}; registered: {self.names()}"
-            )
-        return self._policies[name]
 
     def create(self, name: str, **params) -> DistributionPolicy:
         """Instantiate a registered policy (one instance per group run)."""
         return self.lookup(name).cls(**params)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._policies
-
-    def __len__(self) -> int:
-        return len(self._policies)
-
-    def __iter__(self) -> Iterator[PolicyDescriptor]:
-        return iter(self._policies.values())
-
-    def names(self) -> list[str]:
-        return sorted(self._policies)
 
 
 _GLOBAL = PolicyRegistry()
@@ -111,7 +84,7 @@ def register_policy(
     """
 
     def deco(c: Type[DistributionPolicy]) -> Type[DistributionPolicy]:
-        (registry or _GLOBAL).register(c)
+        (_GLOBAL if registry is None else registry).register(c)
         return c
 
     return deco(cls) if cls is not None else deco

@@ -451,15 +451,14 @@ class TrianaService:
         """Apply any installed compute-fault model to this execution.
 
         The chaos layer plants :class:`~repro.faults.compute.ComputeFaultModel`
-        instances in the fabric's ``compute_faults`` registry (every
-        ``repro.transport`` backend exposes one; only the simulated
-        fabric ever populates it); a clean fleet pays one dict lookup.  Tampering is invisible to the worker's own
-        bookkeeping on purpose — a saboteur believes (or pretends) its
-        answer is fine, so the result ships through the normal path.
+        instances in the fabric's ``compute_faults`` mapping (part of the
+        :class:`~repro.p2p.network.Transport` interface; only the simulated
+        fabric ever populates it); a clean fleet pays one dict lookup.
+        Tampering is invisible to the worker's own bookkeeping on purpose —
+        a saboteur believes (or pretends) its answer is fine, so the result
+        ships through the normal path.
         """
-        model = getattr(self.peer.network, "compute_faults", {}).get(
-            self.peer.peer_id
-        )
+        model = self.peer.network.compute_faults.get(self.peer.peer_id)
         if model is None:
             return outputs
         tampered, kind = model.apply(

@@ -1,35 +1,26 @@
-"""Transport layer: one protocol, pluggable substrates.
+"""The real-socket side of the fabric seam.
 
 The consumer-grid protocol (discovery, deployment, execution,
 heartbeats, module distribution, integrity voting) is written against
-the :class:`~repro.transport.base.Transport` interface.  Two backends
-are registered:
+:class:`repro.p2p.network.Transport`.  The simulated implementation,
+:class:`~repro.p2p.network.SimNetwork`, lives with the interface in
+``repro.p2p``; this package holds what a real deployment adds:
 
-``sim``
-    :class:`~repro.transport.sim.SimTransport` — the deterministic
-    default; a zero-cost adapter over the modelled
-    :class:`~repro.p2p.network.SimNetwork`.
-``tcp``
-    :class:`~repro.transport.tcp.TcpTransport` — asyncio TCP with
-    length-prefixed canonical frames, pooled per-peer connections and
-    reconnect-with-backoff, driven by the wall-clock
-    :class:`~repro.transport.runtime.RealtimeSimulator`.
+* :class:`~repro.transport.tcp.TcpTransport` — asyncio TCP with
+  length-prefixed canonical frames, pooled per-peer connections and
+  reconnect-with-backoff;
+* :mod:`~repro.transport.wire` — the canonical frame codec;
+* :class:`~repro.transport.runtime.RealtimeSimulator` — the wall-clock
+  kernel that pumps the sockets.
 
-``repro transports`` lists this registry from the CLI;
-:mod:`repro.deployment` assembles multi-process grids on the TCP
-backend.
+:data:`TRANSPORTS` names the two backends; ``repro transports`` lists
+it and ``ConsumerGrid(transport=...)`` validates against it.
+:mod:`repro.deployment` assembles multi-process grids on the TCP one.
 """
 
-from .base import (
-    Transport,
-    TransportInfo,
-    iter_transports,
-    register_transport,
-    transport_info,
-    transport_names,
-)
+from ..p2p.network import SimNetwork, Transport
+from ..registry import Registry
 from .runtime import RealtimeSimulator
-from .sim import SimTransport
 from .tcp import TcpTransport
 from .wire import (
     WIRE_VERSION,
@@ -41,27 +32,23 @@ from .wire import (
     result_checksum,
 )
 
-register_transport(
-    "sim",
-    SimTransport,
-    "Deterministic simulated fabric (default; bit-identical benches)",
-)
-register_transport(
-    "tcp",
-    TcpTransport,
-    "Asyncio TCP: length-prefixed canonical frames, pooled connections",
-)
+#: backend name → fabric class (summary = first docstring line)
+TRANSPORTS: Registry[type] = Registry("transport", ValueError)
+TRANSPORTS.add("sim", SimNetwork)
+TRANSPORTS.add("tcp", TcpTransport)
+
+
+def transport_names() -> list[str]:
+    """Sorted names of the transport backends."""
+    return TRANSPORTS.names()
+
 
 __all__ = [
     "Transport",
-    "TransportInfo",
-    "SimTransport",
     "TcpTransport",
     "RealtimeSimulator",
-    "register_transport",
+    "TRANSPORTS",
     "transport_names",
-    "transport_info",
-    "iter_transports",
     "WireError",
     "WIRE_VERSION",
     "encode",

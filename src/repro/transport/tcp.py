@@ -38,8 +38,7 @@ import struct
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..p2p.errors import NetworkError
-from ..p2p.network import LAN_PROFILE, Message, NetStats, NodeProfile
-from .base import Transport
+from ..p2p.network import LAN_PROFILE, Message, NetStats, NodeProfile, Transport
 from .wire import WireError, decode_message, encode_message
 
 __all__ = ["TcpTransport"]
@@ -97,13 +96,17 @@ class TcpTransport(Transport):
         self._server = None
         self.port = port
         if listen:
-            self._server = self._loop.run_until_complete(
-                asyncio.start_server(self._on_client, host, port)
-            )
+            try:
+                self._server = self._loop.run_until_complete(
+                    asyncio.start_server(self._on_client, host, port)
+                )
+            except OSError:
+                # Bind failed: nothing owns the loop (and its self-pipe
+                # sockets) yet, so release it before the error escapes.
+                self._loop.close()
+                raise
             self.port = self._server.sockets[0].getsockname()[1]
-        pump_hook = getattr(sim, "add_pump", None)
-        if pump_hook is not None:
-            pump_hook(self.pump)
+        sim.add_pump(self.pump)
 
     # -- membership ---------------------------------------------------------
     def add_node(
@@ -121,11 +124,6 @@ class TcpTransport(Transport):
             # Local nodes are reachable at our own listening address, so
             # even same-process traffic crosses the real socket path.
             self._addresses.setdefault(node_id, (self.host, self.port))
-
-    def remove_node(self, node_id: str) -> None:
-        self._handlers.pop(node_id, None)
-        self._profiles.pop(node_id, None)
-        self._online.pop(node_id, None)
 
     def nodes(self) -> List[str]:
         return sorted(self._handlers)
@@ -268,33 +266,6 @@ class TcpTransport(Transport):
             handler(message)
         except Exception:  # noqa: BLE001 - a bad handler must not kill I/O
             self.stats.corrupted += 1
-
-    # -- observability ------------------------------------------------------
-    def telemetry_sample(self) -> Dict[str, int]:
-        """Traffic counters, same shape as the simulated fabric's."""
-        stats = self.stats
-        return {
-            "sent": stats.sent,
-            "delivered": stats.delivered,
-            "bytes_sent": stats.bytes_sent,
-            "in_flight": stats.in_flight,
-            "in_flight_bytes": stats.in_flight_bytes,
-            "dropped": (
-                stats.dropped_offline
-                + stats.dropped_loss
-                + stats.dropped_partition
-            ),
-            "offline": sum(1 for up in self._online.values() if not up),
-        }
-
-    def trace_liveness_snapshot(self) -> None:
-        """Record ``peer.offline`` instants for locally hosted nodes."""
-        tracer = self.sim.tracer
-        if not tracer.enabled:
-            return
-        for node_id, up in sorted(self._online.items()):
-            if not up:
-                tracer.instant("peer.offline", category="p2p", track=node_id)
 
     # -- kernel integration -------------------------------------------------
     def pump(self, max_wait: float) -> None:

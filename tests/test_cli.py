@@ -62,7 +62,8 @@ class TestCommands:
     def test_transports_listing(self, capsys):
         assert main(["transports"]) == 0
         out = capsys.readouterr().out
-        assert "sim" in out and "tcp" in out
+        rows = {r[0]: r[1] for r in map(str.split, out.splitlines()) if len(r) > 1}
+        assert rows["sim"] == "SimNetwork" and rows["tcp"] == "TcpTransport"
         assert "bit-identical" in out  # the sim summary line
         assert "--transport" in out  # the selection hint
 

@@ -348,7 +348,7 @@ class TestIdempotency:
         grid = recovery_grid(seed=78, heartbeat_interval=5.0)
 
         def fake_result():
-            grid.network.send(
+            grid.transport.send(
                 Message(
                     kind="group-result",
                     src="worker-0",

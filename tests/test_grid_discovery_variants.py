@@ -68,7 +68,7 @@ class TestStrategyWiring:
         import networkx as nx
 
         grid = ConsumerGrid(n_workers=6, seed=114, discovery="flooding")
-        assert nx.is_connected(grid.network.overlay)
+        assert nx.is_connected(grid.transport.overlay)
 
     def test_rendezvous_uses_portal(self):
         grid = ConsumerGrid(n_workers=2, seed=115, discovery="rendezvous")

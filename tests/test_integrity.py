@@ -70,7 +70,7 @@ def sabotage(grid, targets, fraction=1.0, seed=11):
         plan.add(Fault(kind="saboteur", at=grid.sim.now, duration=100_000.0,
                        targets=(target,), fraction=fraction, seed=seed))
     grid.fault_injector = FaultInjector(
-        grid.sim, grid.network, plan, peers=grid.worker_peers
+        grid.sim, grid.transport, plan, peers=grid.worker_peers
     ).schedule()
     return grid
 

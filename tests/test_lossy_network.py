@@ -67,7 +67,7 @@ class TestEndToEndUnderLoss:
         )
         report = grid.run(stateless_pipeline(), iterations=12, run_until=3_000.0)
         assert len(report.group_results) == 12
-        assert grid.network.stats.dropped_loss > 0  # loss actually occurred
+        assert grid.transport.stats.dropped_loss > 0  # loss actually occurred
 
     def test_heavy_loss_still_completes(self):
         grid = ConsumerGrid(

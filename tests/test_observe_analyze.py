@@ -170,7 +170,7 @@ class TestUtilization:
 
     def test_network_set_online_emits_liveness_instants(self):
         grid, _ = _traced_run(n_workers=2)
-        net = grid.network
+        net = grid.transport
         net.set_online("worker-0", False)
         net.set_online("worker-0", False)  # no-op: no duplicate instant
         net.set_online("worker-0", True)
@@ -193,7 +193,7 @@ class TestUtilization:
             controller_profile=LAN_PROFILE,
             worker_efficiency=1e-5,
         )
-        grid.network.set_online("worker-1", False)  # before tracing starts
+        grid.transport.set_online("worker-1", False)  # before tracing starts
         grid.run(
             pipeline_graph(2),
             iterations=2,

@@ -83,7 +83,7 @@ class TestBrowserProgressPage:
         grid.controller.attach_monitor(view)
         endpoint = WebServiceEndpoint(grid.controller_peer)
         endpoint.route("/progress", lambda m, p, b: (200, view.page()))
-        browser_peer = Peer("browser", grid.network)
+        browser_peer = Peer("browser", grid.transport)
         browser = WebClient(browser_peer)
 
         grid.run(fig1_grouped(), iterations=4)

@@ -112,7 +112,7 @@ def hetero_grid(seed):
 
     slow_peer = Peer(
         "worker-slow",
-        grid.network,
+        grid.transport,
         profile=NodeProfile(
             cpu_flops=1e9,
             up_bps=LAN_PROFILE.up_bps,

@@ -139,7 +139,7 @@ class TestThirdPartyPolicy:
             report = grid.run(graph, iterations=12)
             assert report.policy == "quadbatch"
             assert len(report.group_results) == 12
-            kinds = grid.network.stats.by_kind
+            kinds = grid.transport.stats.by_kind
             assert kinds.get("group-exec-batch", 0) > 0
         finally:
             global_policy_registry().unregister("quadbatch")
@@ -166,7 +166,7 @@ class TestChunkedPolicy:
         for policy in ("parallel", "chunked"):
             grid = ConsumerGrid(n_workers=4, seed=11)
             reports[policy] = grid.run(farm_graph(policy), iterations=12)
-            kinds[policy] = dict(grid.network.stats.by_kind)
+            kinds[policy] = dict(grid.transport.stats.by_kind)
         par, chk = reports["parallel"], reports["chunked"]
         assert len(chk.group_results) == len(par.group_results) == 12
         for a, b in zip(par.group_results, chk.group_results):

@@ -1,0 +1,77 @@
+"""tools/check_layering.py: every import the gate forbade stays forbidden.
+
+Probes are synthetic one-line modules under a scratch source root, run
+through the tool's own ``check()``: one per pairwise rule of the
+13-rule set this one replaced, plus the imports that set let through
+(``simkernel -> repro.mobility``) and the ones that must stay legal.
+"""
+
+import importlib.util
+import pathlib
+import sys
+
+import pytest
+
+_TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "check_layering.py"
+_spec = importlib.util.spec_from_file_location("check_layering_under_test", _TOOL)
+layering = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = layering  # dataclasses resolves annotations through it
+_spec.loader.exec_module(layering)
+
+FORBIDDEN = [
+    # the thirteen pairwise rules of the parent commit
+    ("repro.core.engine", "import repro.service.worker"),
+    ("repro.core.engine", "from ..p2p import peer"),
+    ("repro.core.engine", "from repro.transport import wire"),
+    ("repro.simkernel.sim", "from ..core import errors"),
+    ("repro.simkernel.sim", "from repro.p2p.network import Message"),
+    ("repro.simkernel.sim", "import repro.service"),
+    ("repro.simkernel.sim", "from ..transport.runtime import RealtimeSimulator"),
+    ("repro.service.policies.mine", "from ..controller import TrianaController"),
+    ("repro.service.policies.mine", "from repro.service import controller"),
+    ("repro.faults.injector", "from ..service.worker import TrianaService"),
+    ("repro.mobility.cache", "from ..service import placement"),
+    ("repro.transport.tcp", "from ..service.errors import SchedulingError"),
+    ("repro.transport.tcp", "from ..mobility.cache import ModuleCache"),
+    ("repro.p2p.peer", "from ..transport.tcp import TcpTransport"),
+    # what the pairwise spelling of "simkernel imports nothing" missed
+    ("repro.simkernel.sim", "from ..mobility import cache"),
+    ("repro.simkernel.sim", "from ..observe import metrics"),
+    ("repro.simkernel.sim", "import repro"),
+    ("repro.registry", "from .core.errors import RegistryError"),
+]
+
+ALLOWED = [
+    ("repro.simkernel.sim", "from ..observe.tracer import NullTracer"),
+    ("repro.simkernel.sim", "from .queues import CalendarQueue"),
+    ("repro.simkernel.sim", "import numpy"),
+    ("repro.transport.tcp", "from ..p2p.network import Transport"),
+    ("repro.core.registry", "from ..registry import Registry"),
+    ("repro.service.policies.mine", "from ..errors import SchedulingError"),
+    ("repro.registry", "from typing import Generic"),
+]
+
+
+def _violations(tmp_path, module, line):
+    src = tmp_path / "src"
+    path = src.joinpath(*module.split(".")).with_suffix(".py")
+    path.parent.mkdir(parents=True)
+    path.write_text(line + "\n")
+    return layering.check([path], src=src)
+
+
+@pytest.mark.parametrize("module,line", FORBIDDEN)
+def test_forbidden_import_is_rejected(tmp_path, module, line):
+    found = _violations(tmp_path, module, line)
+    assert found and all(module in v for v in found), (module, line)
+
+
+@pytest.mark.parametrize("module,line", ALLOWED)
+def test_legal_import_passes(tmp_path, module, line):
+    assert _violations(tmp_path, module, line) == []
+
+
+def test_rule_count_and_real_tree():
+    assert len(layering.RULES) <= 10
+    files = list((layering.SRC / "repro").rglob("*.py"))
+    assert layering.check(files) == []

@@ -1,24 +1,22 @@
-"""SimTransport + transport registry: the sim fabric behind the seam.
+"""The sim side of the fabric seam: ``SimNetwork`` *is* the transport.
 
-The refactor's contract is that re-seating every peer on
-:class:`~repro.transport.sim.SimTransport` changes *nothing*: the
-adapter shares the network's stats objects, delegates the hot paths
-by binding bound methods, and the grid's committed behaviour (results,
-traffic counters, chaos models) is bit-identical.
+There is no adapter: peers sit on the :class:`SimNetwork` itself, the
+grid holds it once (``grid.transport``), and the two-entry backend
+table names it beside :class:`TcpTransport`.
 """
 
 import pytest
 
 from repro import ConsumerGrid
 from repro.apps.galaxy import build_galaxy_graph, generate_snapshots
-from repro.p2p.network import Message, SimNetwork
+from repro.p2p import Transport as P2PTransport
+from repro.p2p.network import SimNetwork
 from repro.simkernel import Simulator
 from repro.transport import (
-    SimTransport,
-    Transport,
+    TRANSPORTS,
+    RealtimeSimulator,
     TcpTransport,
-    iter_transports,
-    transport_info,
+    Transport,
     transport_names,
 )
 from repro.transport.wire import result_checksum
@@ -26,74 +24,49 @@ from repro.transport.wire import result_checksum
 
 class TestRegistry:
     def test_both_backends_registered(self):
-        assert set(transport_names()) >= {"sim", "tcp"}
-        assert transport_info("sim").cls is SimTransport
-        assert transport_info("tcp").cls is TcpTransport
+        assert transport_names() == ["sim", "tcp"]
+        assert TRANSPORTS.lookup("sim") is SimNetwork
+        assert TRANSPORTS.lookup("tcp") is TcpTransport
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown transport"):
-            transport_info("carrier-pigeon")
+            TRANSPORTS.lookup("carrier-pigeon")
 
     def test_summaries_present(self):
-        for info in iter_transports():
-            assert info.summary, f"transport {info.name} has no summary"
-            assert issubclass(info.cls, Transport)
+        for cls in TRANSPORTS:
+            assert cls.__doc__.strip(), f"{cls.__name__} has no summary line"
+            assert issubclass(cls, Transport)
 
 
-class TestSimTransportAdapter:
-    def make(self):
-        sim = Simulator(seed=1)
-        net = SimNetwork(sim)
-        return sim, net, SimTransport(net)
+class TestOneInterface:
+    def test_transport_is_defined_once_in_p2p(self):
+        assert Transport is P2PTransport
+        assert Transport.__module__ == "repro.p2p.network"
 
-    def test_shares_network_state(self):
-        _, net, transport = self.make()
-        assert transport.stats is net.stats
-        assert transport.compute_faults is net.compute_faults
-        assert transport.sim is net.sim
-
-    def test_send_is_the_network_send(self):
-        sim, net, transport = self.make()
-        got = []
-        transport.add_node("a", lambda m: None)
-        transport.add_node("b", got.append)
-        transport.send(Message("ping", "a", "b", payload=42, size_bytes=64))
-        sim.run()
-        assert [m.payload for m in got] == [42]
-        assert net.stats.sent == 1 and net.stats.delivered == 1
-
-    def test_liveness_and_profiles_delegate(self):
-        _, net, transport = self.make()
-        transport.add_node("a", lambda m: None)
-        assert transport.is_online("a")
-        transport.set_online("a", False)
-        assert not net.is_online("a")
-        assert transport.profile("a") is net.profile("a")
-        assert transport.nodes() == net.nodes()
-
-    def test_chaos_apparatus_reachable(self):
-        sim, net, transport = self.make()
-        for node in ("a", "b", "c", "d"):
-            transport.add_node(node, lambda m: None)
-        cut = transport.partition({"a", "b"}, {"c", "d"})
-        assert net.partitioned("a", "c")
-        transport.heal(cut)
-        assert not net.partitioned("a", "c")
+    def test_both_fabrics_implement_it(self):
+        assert isinstance(SimNetwork(Simulator(seed=1)), Transport)
+        tcp = TcpTransport(RealtimeSimulator(seed=1), listen=False)
+        try:
+            assert isinstance(tcp, Transport)
+        finally:
+            tcp.close()
 
     def test_supports_all_discovery_backends(self):
-        _, _, transport = self.make()
-        assert set(transport.supported_discovery()) == {
+        assert set(SimNetwork.supported_discovery) == {
             "central", "flooding", "rendezvous",
         }
+        assert TcpTransport.supported_discovery == ("central",)
 
 
 class TestGridWiring:
-    def test_sim_grid_exposes_both_views(self):
+    def test_grid_holds_one_fabric_and_every_peer_sits_on_it(self):
         grid = ConsumerGrid(n_workers=2, seed=0)
-        assert isinstance(grid.transport, SimTransport)
-        assert isinstance(grid.network, SimNetwork)
-        assert grid.transport.network is grid.network
-        assert grid.transport.stats is grid.network.stats
+        assert isinstance(grid.transport, SimNetwork)
+        fabrics = [k for k, v in vars(grid).items() if isinstance(v, Transport)]
+        assert fabrics == ["transport"]
+        peers = [grid.portal, grid.controller_peer, *grid.worker_peers.values()]
+        assert len(peers) == 4
+        assert all(peer.network is grid.transport for peer in peers)
 
     def test_unknown_transport_rejected(self):
         with pytest.raises(ValueError, match="transport"):

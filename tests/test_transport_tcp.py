@@ -9,12 +9,15 @@ Every blocking test arms a SIGALRM hard timeout so a wedged socket
 path fails the suite instead of hanging it.
 """
 
+import asyncio
 import signal
+import socket
 import time
 
 import pytest
 
-from repro import ConsumerGrid
+import repro.deployment as deployment
+from repro import ConsumerGrid, TaskGraph
 from repro.apps.galaxy import build_galaxy_graph, generate_snapshots
 from repro.deployment import run_tcp_localhost
 from repro.p2p.network import Message
@@ -128,8 +131,6 @@ class TestLoopback:
             tb.close()
 
     def test_drop_after_max_retries_counts_offline(self):
-        import socket
-
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
@@ -173,6 +174,27 @@ class TestLoopback:
         finally:
             ta.close()
 
+    def test_bind_failure_closes_the_event_loop(self, monkeypatch):
+        # A half-built transport owns an asyncio loop (and its self-pipe
+        # sockets) that nobody can close() once __init__ has raised.
+        loops = []
+        new_loop = asyncio.new_event_loop
+
+        def recording_loop():
+            loops.append(new_loop())
+            return loops[-1]
+
+        monkeypatch.setattr(asyncio, "new_event_loop", recording_loop)
+        busy = socket.socket()
+        busy.bind(("127.0.0.1", 0))
+        busy.listen()
+        try:
+            with pytest.raises(OSError):
+                make_transport(port=busy.getsockname()[1])
+        finally:
+            busy.close()
+        assert len(loops) == 1 and loops[0].is_closed()
+
 
 class TestGridOverTcp:
     def test_single_process_grid_matches_sim_checksum(self):
@@ -195,6 +217,38 @@ class TestGridOverTcp:
             tcp_grid.transport.close()
         assert result_checksum(tcp_report.group_results) == want
         assert tcp_report.placements == sim_report.placements
+
+
+class TestLauncherHygiene:
+    def test_failed_controller_leaves_no_worker_processes(self, monkeypatch):
+        # The workers are spawned first; if the controller then cannot
+        # bind, they must be reaped before the error escapes — nobody
+        # is left to send them node-shutdown.
+        procs = []
+        launch = deployment.launch_worker
+
+        def recording_launch(*args, **kwargs):
+            procs.append(launch(*args, **kwargs))
+            return procs[-1]
+
+        def refuse(*args, **kwargs):
+            raise OSError("address already in use")
+
+        monkeypatch.setattr(deployment, "launch_worker", recording_launch)
+        monkeypatch.setattr(deployment, "ControllerNode", refuse)
+        started = time.monotonic()
+        try:
+            with pytest.raises(OSError, match="already in use"):
+                run_tcp_localhost(TaskGraph("never-runs"), iterations=1, n_workers=2)
+            elapsed = time.monotonic() - started
+            assert len(procs) == 2
+            assert all(proc.poll() is not None for proc in procs)
+            assert elapsed < 5.0
+        finally:
+            for proc in procs:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait(timeout=10.0)
 
 
 class TestMultiProcessE2E:

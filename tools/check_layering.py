@@ -5,18 +5,24 @@ The architecture (docs/architecture.md) stacks the systems so that lower
 layers never know about higher ones, and the policy plug-in surface
 stays decoupled from the controller that hosts it:
 
+* ``repro.registry`` is a leaf: it imports nothing from ``repro``;
+* ``repro.simkernel`` is the foundation: of ``repro`` it may import only
+  itself and ``repro.observe.tracer`` (the null tracer the kernel calls);
 * ``repro.core`` (workflow model, engine, toolbox) must not import
-  ``repro.service`` or ``repro.p2p`` — graphs and units must stay
-  runnable without any grid;
-* ``repro.simkernel`` is the foundation: no imports from any other
-  ``repro`` subpackage;
+  ``repro.service``, ``repro.p2p`` or ``repro.transport`` — graphs and
+  units must stay runnable without any grid;
+* ``repro.p2p`` must not import ``repro.transport`` — the fabric
+  interface and its simulated implementation live in ``p2p``; the socket
+  backend sits above and imports downwards;
+* ``repro.transport`` must not import ``repro.service`` or
+  ``repro.mobility`` — it carries their frames without knowing them;
 * ``repro.service.policies`` must not import
   ``repro.service.controller`` — policies talk to the controller only
   through the :class:`DispatchContext` services handed to them, never
   by reaching into controller internals;
 * ``repro.faults`` must not import ``repro.service`` — compute-fault
-  models are planted in the neutral ``SimNetwork.compute_faults``
-  registry and polled duck-typed by the worker, so the integrity hooks
+  models are planted in the neutral ``Transport.compute_faults``
+  mapping and polled duck-typed by the worker, so the integrity hooks
   flow one way (service reads faults' artefacts, never vice versa);
 * ``repro.mobility`` must not import ``repro.service`` — the module
   cache/repository are pure transport; replica *placement* (who gets
@@ -38,44 +44,58 @@ from __future__ import annotations
 import ast
 import pathlib
 import sys
+from dataclasses import dataclass
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 
-# (package prefix the rule applies to, forbidden import prefix, why)
-RULES: tuple[tuple[str, str, str], ...] = (
-    ("repro.core", "repro.service",
-     "core must stay grid-free (no service imports)"),
-    ("repro.core", "repro.p2p",
-     "core must stay grid-free (no p2p imports)"),
-    ("repro.simkernel", "repro.core",
-     "simkernel is the foundation layer"),
-    ("repro.simkernel", "repro.p2p",
-     "simkernel is the foundation layer"),
-    ("repro.simkernel", "repro.service",
-     "simkernel is the foundation layer"),
-    ("repro.service.policies", "repro.service.controller",
-     "policies must use DispatchContext, not controller internals"),
-    ("repro.faults", "repro.service",
-     "faults must not import service (integrity hooks flow one way)"),
-    ("repro.mobility", "repro.service",
-     "placement logic stays in the service layer (mobility is transport)"),
-    ("repro.transport", "repro.service",
-     "transport is the substrate beneath the service protocol"),
-    ("repro.transport", "repro.mobility",
-     "transport carries module frames; it must not know the cache layer"),
-    ("repro.core", "repro.transport",
-     "core must stay grid-free (no transport imports)"),
-    ("repro.simkernel", "repro.transport",
-     "simkernel is the foundation layer"),
-    ("repro.p2p", "repro.transport",
-     "peers depend on the transport *interface* duck-typed, not the package"),
+@dataclass(frozen=True)
+class Rule:
+    """``scope`` may not import ``forbid``; or, of ``repro``, only ``allow``."""
+
+    scope: str
+    why: str
+    forbid: tuple[str, ...] = ()
+    allow: tuple[str, ...] | None = None
+
+    def rejects(self, module: str, target: str) -> bool:
+        if not _within(module, (self.scope,)):
+            return False
+        if self.allow is not None:
+            return _within(target, ("repro",)) and not _within(target, self.allow)
+        return _within(target, self.forbid)
+
+
+def _within(name: str, prefixes: tuple[str, ...]) -> bool:
+    return any(name == p or name.startswith(p + ".") for p in prefixes)
+
+
+RULES: tuple[Rule, ...] = (
+    Rule("repro.registry", "the registry base is a leaf module", allow=()),
+    Rule("repro.simkernel", "simkernel is the foundation layer",
+         allow=("repro.simkernel", "repro.observe.tracer")),
+    Rule("repro.core", "core must stay grid-free",
+         forbid=("repro.service", "repro.p2p", "repro.transport")),
+    Rule("repro.p2p", "the socket backend sits above p2p and imports downwards",
+         forbid=("repro.transport",)),
+    Rule("repro.transport",
+         "transport carries service and module frames without knowing them",
+         forbid=("repro.service", "repro.mobility")),
+    Rule("repro.service.policies",
+         "policies must use DispatchContext, not controller internals",
+         forbid=("repro.service.controller",)),
+    Rule("repro.faults",
+         "faults must not import service (integrity hooks flow one way)",
+         forbid=("repro.service",)),
+    Rule("repro.mobility",
+         "placement logic stays in the service layer (mobility is transport)",
+         forbid=("repro.service",)),
 )
 
 
-def module_name(path: pathlib.Path) -> str:
-    """Dotted module name for a file under ``src/``."""
-    rel = path.relative_to(SRC).with_suffix("")
+def module_name(path: pathlib.Path, src: pathlib.Path = SRC) -> str:
+    """Dotted module name for a file under ``src``."""
+    rel = path.relative_to(src).with_suffix("")
     parts = list(rel.parts)
     if parts[-1] == "__init__":
         parts.pop()
@@ -97,10 +117,10 @@ def resolve_relative(module: str, node: ast.ImportFrom, is_package: bool) -> str
     return ".".join(anchor)
 
 
-def imported_targets(path: pathlib.Path) -> list[tuple[int, str]]:
+def imported_targets(path: pathlib.Path, src: pathlib.Path = SRC) -> list[tuple[int, str]]:
     """Every (lineno, absolute dotted target) imported by the file."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    module = module_name(path)
+    module = module_name(path, src)
     is_package = path.name == "__init__.py"
     targets: list[tuple[int, str]] = []
     for node in ast.walk(tree):
@@ -117,18 +137,17 @@ def imported_targets(path: pathlib.Path) -> list[tuple[int, str]]:
     return targets
 
 
-def check(paths: list[pathlib.Path]) -> list[str]:
+def check(paths: list[pathlib.Path], src: pathlib.Path = SRC) -> list[str]:
+    """Violation lines for ``paths``, which live under the source root ``src``."""
     violations = []
     for path in sorted(paths):
-        module = module_name(path)
-        for lineno, target in imported_targets(path):
-            for scope, forbidden, why in RULES:
-                in_scope = module == scope or module.startswith(scope + ".")
-                hits = target == forbidden or target.startswith(forbidden + ".")
-                if in_scope and hits:
-                    rel = path.relative_to(REPO)
+        module = module_name(path, src)
+        for lineno, target in imported_targets(path, src):
+            for rule in RULES:
+                if rule.rejects(module, target):
                     violations.append(
-                        f"{rel}:{lineno}: {module} imports {target} — {why}"
+                        f"{path.relative_to(src.parent)}:{lineno}: "
+                        f"{module} imports {target} — {rule.why}"
                     )
     return violations
 
