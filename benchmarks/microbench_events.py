@@ -32,10 +32,18 @@ depth sweep and the honest caveats about shallow queues).
 
 Results are printed as a table and written as JSON (default
 ``benchmarks/results/MICROBENCH_events.json``) for the CI artifact
-upload.  Everything here is wall-clock and therefore **ungated** —
-``tools/bench_gate.py`` only reads ``BENCH_*.json`` files, and machine
-speed must never fail CI.  The numbers exist so the events/sec trend is
-visible per PR; ``docs/performance.md`` records the reference points.
+upload.  Every throughput number here is wall-clock and therefore
+**ungated** — ``tools/bench_gate.py`` only reads ``BENCH_*.json`` files,
+and machine speed must never fail CI.  The numbers exist so the
+events/sec trend is visible per PR; ``docs/performance.md`` records the
+reference points.
+
+The one thing that *is* gated is a count: GC-tracked objects kept alive
+per pending ``Simulator.call_at`` and per in-flight ``Peer.send``
+(``allocs_per_call_at`` / ``allocs_per_message``).  Those do not depend
+on the runner, so the script exits non-zero when either exceeds
+:data:`ALLOC_BUDGET` (``tests/test_alloc_budget.py`` asserts the same
+budget in tier-1).
 
 Usage::
 
@@ -46,6 +54,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import pathlib
 import sys
@@ -54,9 +63,16 @@ from heapq import heappop, heappush
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from repro.p2p.network import SimNetwork  # noqa: E402
+from repro.p2p.peer import Peer  # noqa: E402
 from repro.simkernel import CalendarQueue, Simulator  # noqa: E402
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+#: Upper bounds on GC-tracked objects per operation (see
+#: ``docs/performance.md``, "The message path").  Bounds, not equalities:
+#: interpreter versions differ in what they track.
+ALLOC_BUDGET = {"allocs_per_call_at": 2.0, "allocs_per_message": 5.0}
 
 
 class _ReferenceHeap:
@@ -176,6 +192,57 @@ def bench_kernel(regime: str, n: int) -> float:
     return sim.events_executed / dt
 
 
+def live_objects_per_op(op, n: int = 500, warmup: int = 100) -> float:
+    """GC-tracked objects each ``op()`` leaves alive, averaged over ``n``.
+
+    With the collector off, ``gc.get_count()[0]`` is tracked-object
+    allocations minus deallocations since the last collection, so its
+    growth over ``n`` calls is what the calls left on the heap for the
+    collector to traverse.  The warm-up absorbs one-time allocations
+    (lazily created RNG streams, dict entries); the result is rounded to
+    one decimal because the measuring loop and amortised container
+    growth (a tie bucket in the queue) add a handful of objects per run.
+    """
+    for _ in range(warmup):
+        op()
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        for _ in range(n):
+            op()
+        after = gc.get_count()[0]
+    finally:
+        if was_enabled:
+            gc.enable()
+    return round((after - before) / n, 1)
+
+
+def allocs_per_call_at() -> float:
+    """Objects per pending ``call_at(when, fn, arg)``: event + args."""
+    sim = Simulator()
+    when = [0.0]
+
+    def noop(_arg):
+        pass
+
+    def op():
+        when[0] += 1.0
+        sim.call_at(when[0], noop, 7)
+
+    return live_objects_per_op(op)
+
+
+def allocs_per_message() -> float:
+    """Objects per in-flight ``Peer.send``: message + scheduled delivery."""
+    sim = Simulator()
+    net = SimNetwork(sim)
+    a, b = Peer("a", net), Peer("b", net)
+    b.on("m", lambda msg: None)
+    return live_objects_per_op(lambda: a.send("b", "m"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--events", type=int, default=200_000,
@@ -217,11 +284,20 @@ def main(argv=None) -> int:
     print(f"{'deep':10s} {ref/1e3:>10.0f}k {cal/1e3:>10.0f}k "
           f"{cal/ref:>6.1f}x {'-':>11s}  ({args.deep_events} pending)")
 
+    for name, measure in (("allocs_per_call_at", allocs_per_call_at),
+                          ("allocs_per_message", allocs_per_message)):
+        result[name] = measure()
+        print(f"{name:20s} {result[name]:>6.1f} GC-tracked objects "
+              f"(budget {ALLOC_BUDGET[name]:.0f})")
+    over_budget = [n for n, cap in ALLOC_BUDGET.items() if result[n] > cap]
+    if over_budget:
+        print(f"OVER ALLOCATION BUDGET: {', '.join(over_budget)}")
+
     out = pathlib.Path(args.out)
     out.parent.mkdir(exist_ok=True)
     out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     print(f"[saved to {out}]")
-    return 0
+    return 1 if over_budget else 0
 
 
 if __name__ == "__main__":

@@ -83,30 +83,23 @@ class FaultInjector:
                     )
                 continue
             if fault.kind == "partition":
-                self.sim.call_at(fault.at, lambda f=fault, i=index: self._cut(i, f))
+                self.sim.call_at(fault.at, self._cut, index, fault)
                 if fault.duration > 0:
-                    self.sim.call_at(
-                        fault.ends_at, lambda f=fault, i=index: self._heal(i, f)
-                    )
+                    self.sim.call_at(fault.ends_at, self._heal, index, fault)
             elif fault.kind in ("corrupt", "duplicate", "reorder"):
                 attr = f"{fault.kind}_fraction"
                 baseline = getattr(self.network, attr)
+                self.sim.call_at(fault.at, self._set_fraction, attr, fault)
                 self.sim.call_at(
-                    fault.at, lambda f=fault, a=attr: self._set_fraction(a, f)
-                )
-                self.sim.call_at(
-                    fault.ends_at,
-                    lambda f=fault, a=attr, b=baseline: self._restore_fraction(a, b, f),
+                    fault.ends_at, self._restore_fraction, attr, baseline, fault
                 )
             elif fault.kind == "slowdown":
-                self.sim.call_at(fault.at, lambda f=fault: self._slow(f))
-                self.sim.call_at(fault.ends_at, lambda f=fault: self._unslow(f))
+                self.sim.call_at(fault.at, self._slow, fault)
+                self.sim.call_at(fault.ends_at, self._unslow, fault)
             elif fault.kind in COMPUTE_FAULT_KINDS:
-                self.sim.call_at(fault.at, lambda f=fault: self._corrupt_compute(f))
+                self.sim.call_at(fault.at, self._corrupt_compute, fault)
                 if fault.duration > 0:
-                    self.sim.call_at(
-                        fault.ends_at, lambda f=fault: self._heal_compute(f)
-                    )
+                    self.sim.call_at(fault.ends_at, self._heal_compute, fault)
             else:  # pragma: no cover - FAULT_KINDS is closed
                 raise FaultError(f"unhandled fault kind {fault.kind!r}")
 
@@ -123,9 +116,9 @@ class FaultInjector:
             else:
                 # No Peer object — drive the network's liveness directly.
                 for at, duration in windows:
-                    self.sim.call_at(at, lambda t=target: self._down(t))
+                    self.sim.call_at(at, self._down, target)
                     if duration > 0:
-                        self.sim.call_at(at + duration, lambda t=target: self._up(t))
+                        self.sim.call_at(at + duration, self._up, target)
         return self
 
     # -- fault actions --------------------------------------------------------

@@ -253,19 +253,22 @@ class ModuleCache:
         else:
             self._send_repo_fetch(request_id, unit_name)
 
-        def expire() -> None:
-            if not pending.done:
-                self._fail(
-                    pending,
-                    RepositoryUnreachable(
-                        f"no reply for module {unit_name!r} within "
-                        f"{self.fetch_timeout}s"
-                    ),
-                    outcome="timeout",
-                )
-
-        self.peer.sim.call_at(self.peer.sim.now + self.fetch_timeout, expire)
+        self.peer.sim.call_at(
+            self.peer.sim.now + self.fetch_timeout, self._expire, pending
+        )
         return pending.waiters[0]
+
+    def _expire(self, pending: _Pending) -> None:
+        """Fetch timeout: fail the fetch unless a reply settled it."""
+        if not pending.done:
+            self._fail(
+                pending,
+                RepositoryUnreachable(
+                    f"no reply for module {pending.unit_name!r} within "
+                    f"{self.fetch_timeout}s"
+                ),
+                outcome="timeout",
+            )
 
     def _send_repo_fetch(self, request_id: int, unit_name: str) -> None:
         cached = self._cached.get(unit_name)

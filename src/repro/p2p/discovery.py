@@ -154,16 +154,15 @@ class DiscoveryService:
         # Local cache contributes immediately.
         pending.add(peer.cache.query(peer.sim.now, adv_type, name, predicate))
         self._send_query(peer, req, spec, pending)
-        key = (peer.peer_id, req)
-
-        def close() -> None:
-            entry = self._pending.get(key)
-            if entry is not None:
-                self._complete(key, entry)
-
         horizon = self.query_window if window is None else window
-        peer.sim.call_at(peer.sim.now + horizon, close)
+        peer.sim.call_at(peer.sim.now + horizon, self._close, (peer.peer_id, req))
         return pending.event
+
+    def _close(self, key: tuple[str, int]) -> None:
+        """Window close: finish the query unless it completed early."""
+        entry = self._pending.get(key)
+        if entry is not None:
+            self._complete(key, entry)
 
     def _complete(self, key: tuple[str, int], entry: _PendingQuery) -> None:
         """Finish a query (early or at window close) exactly once."""

@@ -300,6 +300,9 @@ class SimNetwork(Transport):
         #: layer installs entries, the service layer polls them — this
         #: neutral dict is the only coupling point between the two.
         self.compute_faults: dict[str, Any] = {}
+        # Bound once: send() schedules this per message, and a fresh
+        # bound-method object each time is one more thing for the GC.
+        self._on_arrival = self._deliver
 
     # -- membership ---------------------------------------------------------
     def add_node(
@@ -446,12 +449,13 @@ class SimNetwork(Transport):
             raise NetworkError(f"unknown node {src!r}")
         if dst not in profiles:
             raise NetworkError(f"unknown node {dst!r}")
+        sim = self.sim
         stats = self.stats
         stats.sent += 1
         stats.bytes_sent += size
         by_kind = stats.by_kind
         by_kind[message.kind] = by_kind.get(message.kind, 0) + 1
-        tracer = self.sim.tracer
+        tracer = sim.tracer
         traced = tracer.enabled
         if traced:
             tracer.metrics.counter("p2p.messages_sent").inc()
@@ -465,7 +469,7 @@ class SimNetwork(Transport):
         p_src, p_dst = profiles[src], profiles[dst]
         delay = p_src.latency_s + p_dst.latency_s + size / min(p_src.up_bps, p_dst.down_bps)
         if self.jitter_fraction > 0:
-            jitter = self.sim.rng("net-jitter").uniform(0, self.jitter_fraction)
+            jitter = sim.rng("net-jitter").uniform(0, self.jitter_fraction)
             delay *= 1.0 + jitter
         online = self._online
         if not online[src] or not online[dst]:
@@ -480,62 +484,37 @@ class SimNetwork(Transport):
             return delay
         if (
             self.loss_fraction > 0.0
-            and self.sim.rng("net-loss").random() < self.loss_fraction
+            and sim.rng("net-loss").random() < self.loss_fraction
         ):
-            self.stats.dropped_loss += 1
+            stats.dropped_loss += 1
             if traced:
                 self._trace_drop(tracer, message, "loss")
             return delay
         if (
             self.corrupt_fraction > 0.0
-            and self.sim.rng("net-corrupt").random() < self.corrupt_fraction
+            and sim.rng("net-corrupt").random() < self.corrupt_fraction
         ):
             # Garbled in flight; the receiver's checksum catches it and the
             # frame is discarded — recovery is the job of higher layers.
-            self.stats.corrupted += 1
+            stats.corrupted += 1
             if traced:
                 # The chaos-corruption tag: checksum failure at the receiver.
                 self._trace_drop(tracer, message, "corrupt", chaos=True)
             return delay
         if (
             self.reorder_fraction > 0.0
-            and self.sim.rng("net-reorder").random() < self.reorder_fraction
+            and sim.rng("net-reorder").random() < self.reorder_fraction
         ):
             # Held back long enough to arrive behind later traffic.
-            self.stats.reordered += 1
-            delay *= 1.0 + float(self.sim.rng("net-reorder").uniform(1.0, 3.0))
-
-        def deliver() -> None:
-            # The destination may have gone offline (or been partitioned
-            # away) while in flight.
-            tracer = self.sim.tracer
-            self.stats.in_flight -= 1
-            self.stats.in_flight_bytes -= message.size_bytes
-            if not self._online.get(message.dst, False):
-                self.stats.dropped_offline += 1
-                if tracer.enabled:
-                    self._trace_drop(tracer, message, "offline")
-                return
-            if self._cuts and self.partitioned(message.src, message.dst):
-                self.stats.dropped_partition += 1
-                if tracer.enabled:
-                    self._trace_drop(tracer, message, "partition")
-                return
-            self.stats.delivered += 1
-            if tracer.enabled:
-                tracer.metrics.counter("p2p.messages_delivered").inc()
-                tracer.instant(
-                    "net.recv", category="p2p", track=message.dst,
-                    kind=message.kind, src=message.src, size=message.size_bytes,
-                )
-            self._handlers[message.dst](message)
+            stats.reordered += 1
+            delay *= 1.0 + float(sim.rng("net-reorder").uniform(1.0, 3.0))
 
         duplicated = (
             self.duplicate_fraction > 0.0
-            and self.sim.rng("net-dup").random() < self.duplicate_fraction
+            and sim.rng("net-dup").random() < self.duplicate_fraction
         )
         if duplicated:
-            self.stats.duplicated += 1
+            stats.duplicated += 1
             if traced:
                 tracer.metrics.counter("p2p.duplicated").inc()
                 tracer.instant(
@@ -543,25 +522,49 @@ class SimNetwork(Transport):
                     kind=message.kind, dst=message.dst, chaos=True,
                 )
         # In-flight accounting (read by the telemetry sampler): one copy
-        # per scheduled delivery; deliver() balances each on arrival.
+        # per scheduled delivery; _deliver() balances each on arrival.
         copies = 2 if duplicated else 1
         stats.in_flight += copies
         stats.in_flight_bytes += size * copies
         if self.contention:
-            self.sim.process(
-                self._contended_delivery(message, deliver),
-                name="net-transfer",
-            )
+            sim.process(self._contended_delivery(message), name="net-transfer")
             if duplicated:
-                self.sim.process(
-                    self._contended_delivery(message, deliver),
-                    name="net-transfer-dup",
+                sim.process(
+                    self._contended_delivery(message), name="net-transfer-dup"
                 )
         else:
-            self.sim.call_at(self.sim.now + delay, deliver)
+            sim.call_at(sim.now + delay, self._on_arrival, message)
             if duplicated:
-                self.sim.call_at(self.sim.now + delay * 1.5, deliver)
+                sim.call_at(sim.now + delay * 1.5, self._on_arrival, message)
         return delay
+
+    def _deliver(self, message: Message) -> None:
+        """Arrival of one in-flight copy of ``message``: hand it to the
+        destination's handler, unless the destination went offline (or
+        was partitioned away) while it was in flight."""
+        stats = self.stats
+        tracer = self.sim.tracer
+        dst = message.dst
+        stats.in_flight -= 1
+        stats.in_flight_bytes -= message.size_bytes
+        if not self._online.get(dst, False):
+            stats.dropped_offline += 1
+            if tracer.enabled:
+                self._trace_drop(tracer, message, "offline")
+            return
+        if self._cuts and self.partitioned(message.src, dst):
+            stats.dropped_partition += 1
+            if tracer.enabled:
+                self._trace_drop(tracer, message, "partition")
+            return
+        stats.delivered += 1
+        if tracer.enabled:
+            tracer.metrics.counter("p2p.messages_delivered").inc()
+            tracer.instant(
+                "net.recv", category="p2p", track=dst,
+                kind=message.kind, src=message.src, size=message.size_bytes,
+            )
+        self._handlers[dst](message)
 
     def _trace_drop(self, tracer, message: Message, reason: str, chaos: bool = False) -> None:
         """Record a dropped/discarded frame, tagged with why it died."""
@@ -576,7 +579,7 @@ class SimNetwork(Transport):
             table[node_id] = Resource(self.sim, capacity=1)
         return table[node_id]
 
-    def _contended_delivery(self, message: Message, deliver: Callable[[], None]):
+    def _contended_delivery(self, message: Message):
         """Serialise the wire time on the sender's uplink, then the
         receiver's downlink, with access latency in between."""
         p_src = self.profile(message.src)
@@ -596,7 +599,7 @@ class SimNetwork(Transport):
             yield self.sim.timeout(message.size_bytes / p_dst.down_bps)
         finally:
             down.release(req)
-        deliver()
+        self._deliver(message)
 
     def broadcast(self, src: str, kind: str, payload: Any, size_bytes: int = 256) -> int:
         """Send to every overlay neighbour; returns number of sends."""

@@ -91,7 +91,7 @@ class Peer:
     # -- messaging ---------------------------------------------------------------
     def send(self, dst: str, kind: str, payload: Any = None, size_bytes: int = 256) -> float:
         """Send a message; offline senders cannot transmit."""
-        if not self.online:
+        if not self.network.is_online(self.peer_id):
             raise PeerOfflineError(f"peer {self.peer_id!r} is offline")
         return self.network.send(
             Message(kind=kind, src=self.peer_id, dst=dst, payload=payload, size_bytes=size_bytes)

@@ -156,6 +156,45 @@ class Timeout(Event):
         sim._queue.push(sim.now + self.delay, self)
 
 
+class _Call(Event):
+    """A scheduled plain call: what :meth:`Simulator.call_at` enqueues.
+
+    Born triggered and pushed once; processing it runs ``fn(*args)``.
+    The callbacks list is only materialised if somebody asks for it —
+    almost nobody waits on a ``call_at`` event, and a swarm keeps one of
+    these in flight per message.
+    """
+
+    __slots__ = ("_fn", "_args", "_callbacks")
+
+    def __init__(self, sim: "Simulator", when: float, fn: Callable[..., Any], args: tuple):
+        self.sim = sim
+        self._state = _TRIGGERED
+        self._value = None
+        self._exc = None
+        self._fn = fn
+        self._args = args
+        self._callbacks: Optional[list[Callable[[Event], None]]] = None
+        sim._queue.push(when, self)
+
+    @property
+    def callbacks(self) -> list[Callable[[Event], None]]:
+        # Shadows the (unused) Event.callbacks slot with a lazy list.
+        callbacks = self._callbacks
+        if callbacks is None:
+            callbacks = self._callbacks = []
+        return callbacks
+
+    def _run_callbacks(self) -> None:
+        self._state = _PROCESSED
+        self._fn(*self._args)
+        callbacks = self._callbacks
+        if callbacks:
+            self._callbacks = None
+            for cb in callbacks:
+                cb(self)
+
+
 class _Initialize(Event):
     """Internal event used to start a process on the next step."""
 
@@ -393,13 +432,27 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    def call_at(self, when: float, fn: Callable[[], Any]) -> Event:
-        """Run a plain callable at absolute simulated time ``when``."""
-        if when < self.now:
-            raise SimTimeError(f"call_at({when}) is in the past (now={self.now})")
-        ev = Timeout(self, when - self.now)
-        ev.callbacks.append(lambda _ev: fn())
-        return ev
+    def call_at(self, when: float, fn: Callable[..., Any], *args: Any) -> Event:
+        """Run ``fn(*args)`` at absolute simulated time ``when``.
+
+        Prefer the ``*args`` form to a ``lambda`` or nested function on
+        hot paths: ``call_at(t, self._deliver, message)`` allocates one
+        event and one tuple, where a closure adds a function object and
+        a cell per captured variable for the GC to track.
+
+        The returned event is processed when ``fn`` has run; callbacks
+        appended to it run after ``fn``, in order.  Raises
+        :class:`~repro.simkernel.errors.SimTimeError` when ``when`` is
+        in the past or NaN.
+        """
+        now = self.now
+        delay = when - now
+        if not delay >= 0:
+            # ``not >=`` also catches NaN, which compares False both ways.
+            raise SimTimeError(f"call_at({when!r}) is in the past or NaN (now={now})")
+        # now + (when - now), not ``when``: the float a Timeout of that
+        # delay lands on, so timestamps and tie order match process code.
+        return _Call(self, now + float(delay), fn, args)
 
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:

@@ -176,7 +176,7 @@ class TcpTransport(Transport):
         if address is None:
             if dst in self._handlers:
                 # Socketless instance (listen=False): loop back directly.
-                self.sim.call_at(self.sim.now, lambda: self._dispatch(message))
+                self.sim.call_at(self.sim.now, self._dispatch, message)
                 return delay
             stats.dropped_offline += 1
             return delay

@@ -227,7 +227,11 @@ def _enc(obj: Any, out: bytearray) -> None:
 
 
 def decode(data: bytes) -> Any:
-    """Decode wire bytes produced by :func:`encode`."""
+    """Decode wire bytes produced by :func:`encode`.
+
+    Raises :class:`WireError` — and nothing else — for a bad header and
+    for truncated or corrupt buffers.
+    """
     if len(data) < 4 or data[:3] != MAGIC:
         raise WireError("bad wire header (not a repro wire frame)")
     if data[3] != WIRE_VERSION:
@@ -235,7 +239,15 @@ def decode(data: bytes) -> Any:
             f"wire version mismatch: frame v{data[3]}, this peer speaks "
             f"v{WIRE_VERSION}"
         )
-    obj, pos = _dec(data, 4)
+    try:
+        obj, pos = _dec(data, 4)
+    except WireError:
+        raise
+    except Exception as exc:
+        # The bytes come off the network: a truncated or garbled frame
+        # surfaces as whatever struct, utf-8, numpy or an allowlisted
+        # constructor raises.  Callers (the TCP reader) handle one type.
+        raise WireError(f"corrupt wire buffer: {exc!r}") from exc
     if pos != len(data):
         raise WireError(f"{len(data) - pos} trailing bytes after payload")
     return obj

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event simulation kernel."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simkernel import (
     EventStateError,
@@ -320,6 +322,127 @@ def test_call_at_in_past_rejected():
     sim.run()
     with pytest.raises(SimTimeError):
         sim.call_at(1.0, lambda: None)
+
+
+def test_rejected_call_at_leaves_queue_untouched():
+    sim = Simulator()
+    sim.timeout(5.0)
+    sim.run()
+    sim.timeout(1.0)
+    for when in (1.0, float("nan")):
+        with pytest.raises(SimTimeError):
+            sim.call_at(when, lambda: None)
+    assert sim.peek() == 6.0
+    sim.run()
+    assert sim.events_executed == 2  # the two timeouts, nothing else
+
+
+def test_call_at_passes_args():
+    sim = Simulator()
+    got = []
+    sim.call_at(2.0, lambda *a: got.append((sim.now, a)), "x", 3)
+    sim.call_at(1.0, got.append, "bare")
+    sim.run()
+    assert got == ["bare", (2.0, ("x", 3))]
+
+
+def test_call_at_keeps_fifo_order_among_same_time_events():
+    sim = Simulator()
+    order = []
+    ev = sim.event()
+    ev.callbacks.append(lambda _e: order.append("succeed"))
+    sim.call_at(0.0, order.append, "call-1")
+    sim.timeout(0.0).callbacks.append(lambda _e: order.append("timeout-1"))
+    ev.succeed()
+    sim.call_at(0.0, order.append, "call-2")
+    sim.timeout(0.0).callbacks.append(lambda _e: order.append("timeout-2"))
+    sim.call_at(1.0, order.append, "later")
+    sim.run()
+    assert order == ["call-1", "timeout-1", "succeed", "call-2", "timeout-2", "later"]
+
+
+def test_call_at_event_callbacks_run_after_fn_in_order():
+    sim = Simulator()
+    order = []
+    ev = sim.call_at(1.0, order.append, "fn")
+    ev.callbacks.append(lambda e: order.append(("cb-1", e is ev, e.processed)))
+    ev.callbacks.append(lambda e: order.append(("cb-2", e is ev, e.processed)))
+    assert ev.triggered and not ev.processed
+    sim.run()
+    assert order == ["fn", ("cb-1", True, True), ("cb-2", True, True)]
+
+
+def test_run_until_call_at_event_returns():
+    sim = Simulator()
+    got = []
+    ev = sim.call_at(3.0, got.append, "ran")
+    sim.timeout(10.0)
+    assert sim.run(until=ev) is None
+    assert got == ["ran"] and sim.now == 3.0
+
+
+def test_process_can_wait_on_call_at_event():
+    sim = Simulator()
+    got = []
+
+    def waiter(sim):
+        yield sim.call_at(2.0, got.append, "fn")
+        got.append(sim.now)
+
+    sim.process(waiter(sim))
+    sim.run()
+    assert got == ["fn", 2.0]
+
+
+def test_call_at_exception_propagates_out_of_run():
+    sim = Simulator()
+    got = []
+
+    def boom(tag):
+        raise RuntimeError(tag)
+
+    sim.call_at(1.0, boom, "bad call")
+    sim.call_at(2.0, got.append, "after")
+    with pytest.raises(RuntimeError, match="bad call"):
+        sim.run()
+    # The failing event was consumed; the rest of the schedule survives.
+    assert sim.now == 1.0 and sim.events_executed == 1
+    sim.run()
+    assert got == ["after"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 30.0]),  # tie-heavy
+            st.booleans(),  # reschedule a follow-up from inside the call
+        ),
+        max_size=40,
+    )
+)
+def test_call_at_args_form_replays_like_the_lambda_form(schedule):
+    def replay(args_form: bool):
+        sim = Simulator()
+        log = []
+
+        def fn(i):
+            log.append((sim.now, i))
+            if i < len(schedule) and schedule[i][1]:
+                plan(sim.now + schedule[i][0], i + len(schedule))
+
+        def plan(when, i):
+            if args_form:
+                sim.call_at(when, fn, i)
+            else:
+                sim.call_at(when, lambda i=i: fn(i))
+
+        for i, (when, _again) in enumerate(schedule):
+            plan(when, i)
+        sim.run()
+        return log, sim.events_executed
+
+    assert replay(True) == replay(False)
 
 
 def test_events_executed_counter():

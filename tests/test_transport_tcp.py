@@ -22,7 +22,7 @@ from repro.apps.galaxy import build_galaxy_graph, generate_snapshots
 from repro.deployment import run_tcp_localhost
 from repro.p2p.network import Message
 from repro.transport import RealtimeSimulator, TcpTransport
-from repro.transport.wire import result_checksum
+from repro.transport.wire import encode_message, result_checksum
 
 
 @pytest.fixture(autouse=True)
@@ -172,6 +172,26 @@ class TestLoopback:
             pump_until([sim_a], lambda: got)
             assert got[0].payload == 1
         finally:
+            ta.close()
+
+    def test_garbled_frame_does_not_kill_the_connection(self):
+        # A body cut inside a length prefix used to escape decode() as
+        # struct.error: the reader task died uncounted and took every
+        # later frame on the connection with it.
+        sim_a, ta = make_transport()
+        got = []
+        ta.add_node("a", got.append)
+        good = encode_message(Message("ok", "b", "a", payload=7))
+        garbled = good[:10]
+        client = socket.create_connection(("127.0.0.1", ta.port))
+        try:
+            for frame in (garbled, good):
+                client.sendall(len(frame).to_bytes(4, "big") + frame)
+            pump_until([sim_a], lambda: got)
+            assert ta.stats.corrupted == 1
+            assert [m.payload for m in got] == [7]
+        finally:
+            client.close()
             ta.close()
 
     def test_bind_failure_closes_the_event_loop(self, monkeypatch):
