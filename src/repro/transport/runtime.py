@@ -14,10 +14,14 @@ That is what this subclass does:
   roughly five *real* seconds later, and detector ``now`` values,
   traces, and telemetry all carry meaningful wall-clock stamps.
 * Between due events the kernel calls registered **pumps** — callables
-  provided by socket transports that block (up to a bound) until
-  network activity arrives.  A TCP frame delivered by a pump succeeds
-  kernel events exactly like a simulated delivery would, and the drain
-  loop picks them up on the next tick.
+  provided by socket transports.  The contract: ``pump(max_wait)``
+  returns once a frame has been dispatched or ``max_wait`` seconds have
+  passed, whichever is first; ``pump(0)`` polls the sockets once and
+  never blocks; a frame dispatched by a non-blocking pump makes the
+  next blocking one return at once.  A TCP frame delivered by a pump
+  succeeds kernel events exactly like a simulated delivery would, and
+  the drain loop picks them up on the next tick.  Sending needs no
+  pump: ``TcpTransport.send`` writes through to the socket.
 * ``run(until=None)`` cannot mean "drain the queue" any more (heartbeat
   loops keep the queue eternally non-empty); it means *settle*: process
   everything already due, then return once no new work arrives within a
@@ -79,8 +83,9 @@ class RealtimeSimulator(Simulator):
         return time.monotonic() - self._epoch
 
     def add_pump(self, pump: Callable[[float], None]) -> None:
-        """Register a network pump: ``pump(max_wait)`` blocks up to
-        ``max_wait`` seconds for I/O and dispatches whatever arrived."""
+        """Register a network pump: ``pump(max_wait)`` dispatches what
+        arrived, blocking until the first frame or ``max_wait`` seconds
+        (``max_wait <= 0``: one poll, no blocking)."""
         self._pumps.append(pump)
 
     def _pump(self, max_wait: float) -> None:

@@ -72,6 +72,12 @@ class WireError(Exception):
 # encoding
 # ---------------------------------------------------------------------------
 
+#: Per-class encode plans, compiled on first use: the pre-encoded
+#: ``D`` + reference + field-count head and, per field, the pre-encoded
+#: name and the attribute to read.  Everything here is constant per
+#: class; only classes that passed :func:`_type_ref` are entered.
+_ENC_PLANS: dict[type, tuple[bytes, tuple[tuple[bytes, str], ...]]] = {}
+
 
 def encode(obj: Any) -> bytes:
     """Encode ``obj`` into canonical, versioned wire bytes."""
@@ -80,10 +86,9 @@ def encode(obj: Any) -> bytes:
     return bytes(out)
 
 
-def _enc_str(text: str, out: bytearray) -> None:
+def _str_bytes(text: str) -> bytes:
     raw = text.encode("utf-8")
-    out += _U32.pack(len(raw))
-    out += raw
+    return _U32.pack(len(raw)) + raw
 
 
 def _type_ref(cls: type) -> str:
@@ -99,17 +104,23 @@ def _type_ref(cls: type) -> str:
     return f"{module}:{qualname}"
 
 
+def _compile_enc_plan(cls: type) -> tuple[bytes, tuple[tuple[bytes, str], ...]]:
+    flds = dataclasses.fields(cls)
+    head = b"D" + _str_bytes(_type_ref(cls)) + _U32.pack(len(flds))
+    plan = _ENC_PLANS[cls] = (head, tuple((_str_bytes(f.name), f.name) for f in flds))
+    return plan
+
+
 def _enc(obj: Any, out: bytearray) -> None:
-    if obj is None:
-        out += b"N"
-        return
-    if obj is True:
-        out += b"T"
-        return
-    if obj is False:
-        out += b"F"
-        return
+    # Exact-type tests first, most frequent first; everything below the
+    # plan lookup is rare on the protocol's frames.
     t = type(obj)
+    if t is str:
+        raw = obj.encode("utf-8")
+        out += b"s"
+        out += _U32.pack(len(raw))
+        out += raw
+        return
     if t is int:
         raw = obj.to_bytes((obj.bit_length() + 8) // 8 or 1, "big", signed=True)
         out += b"i"
@@ -120,9 +131,27 @@ def _enc(obj: Any, out: bytearray) -> None:
         out += b"f"
         out += _F64.pack(obj)
         return
-    if t is str:
-        out += b"s"
-        _enc_str(obj, out)
+    plan = _ENC_PLANS.get(t)
+    if plan is not None:
+        out += plan[0]
+        for name, attr in plan[1]:
+            out += name
+            _enc(getattr(obj, attr), out)
+        return
+    if obj is None:
+        out += b"N"
+        return
+    if obj is True:
+        out += b"T"
+        return
+    if obj is False:
+        out += b"F"
+        return
+    if t is list or t is tuple:
+        out += b"l" if t is list else b"t"
+        out += _U32.pack(len(obj))
+        for item in obj:
+            _enc(item, out)
         return
     if t is bytes:
         out += b"b"
@@ -133,12 +162,6 @@ def _enc(obj: Any, out: bytearray) -> None:
         out += b"c"
         out += _F64.pack(obj.real)
         out += _F64.pack(obj.imag)
-        return
-    if t is list or t is tuple:
-        out += b"l" if t is list else b"t"
-        out += _U32.pack(len(obj))
-        for item in obj:
-            _enc(item, out)
         return
     if t is dict:
         pairs = []
@@ -172,33 +195,33 @@ def _enc(obj: Any, out: bytearray) -> None:
             raise WireError("object-dtype ndarrays are not wire-encodable")
         arr = np.ascontiguousarray(obj)
         out += b"a"
-        _enc_str(arr.dtype.str, out)
-        out += struct.pack(">B", arr.ndim)
+        out += _str_bytes(arr.dtype.str)
+        out.append(arr.ndim)
         for dim in arr.shape:
             out += _U64.pack(dim)
-        raw = arr.tobytes()
-        out += _U64.pack(len(raw))
-        out += raw
+        out += _U64.pack(arr.nbytes)
+        # Buffer protocol: the body is copied once, straight out of the
+        # array's memory (``tobytes()`` would build a throwaway copy;
+        # ``out += arr`` would be numpy's broadcasting add).
+        out.extend(arr)
         return
     if isinstance(obj, np.generic):
         out += b"y"
-        _enc_str(obj.dtype.str, out)
+        out += _str_bytes(obj.dtype.str)
         raw = obj.tobytes()
         out += _U32.pack(len(raw))
         out += raw
         return
     if isinstance(obj, type):
         out += b"C"
-        _enc_str(_type_ref(obj), out)
+        out += _str_bytes(_type_ref(obj))
         return
     if dataclasses.is_dataclass(obj):
-        flds = dataclasses.fields(obj)
-        out += b"D"
-        _enc_str(_type_ref(type(obj)), out)
-        out += _U32.pack(len(flds))
-        for f in flds:
-            _enc_str(f.name, out)
-            _enc(getattr(obj, f.name), out)
+        # First instance of this class: compile its plan, then take the
+        # planned branch above (a class that fails the allow-list raises
+        # here on every attempt — failures are never cached).
+        _compile_enc_plan(t)
+        _enc(obj, out)
         return
     if callable(obj):
         raise WireError(
@@ -211,11 +234,11 @@ def _enc(obj: Any, out: bytearray) -> None:
         # the encoding stays canonical.  The allowlist check inside
         # ``_type_ref`` is the gate.
         out += b"O"
-        _enc_str(_type_ref(t), out)
+        out += _str_bytes(_type_ref(t))
         attrs = sorted(vars(obj).items())
         out += _U32.pack(len(attrs))
         for name, value in attrs:
-            _enc_str(name, out)
+            out += _str_bytes(name)
             _enc(value, out)
         return
     raise WireError(f"type {t.__module__}.{t.__qualname__} is not wire-encodable")
@@ -225,10 +248,26 @@ def _enc(obj: Any, out: bytearray) -> None:
 # decoding
 # ---------------------------------------------------------------------------
 
+#: ``module:qualname`` -> resolved object.  Only successful resolutions
+#: are kept, so a reference outside the allow-list raises every time.
+_REFS: dict[str, Any] = {}
+
+#: Decode plans keyed by the raw reference bytes of a ``D`` value: the
+#: class (resolved, allow-listed and checked once) and its field table
+#: keyed by raw name bytes -> (name, takes part in ``__init__``).
+_DEC_PLANS: dict[bytes, tuple[type, dict[bytes, tuple[str, bool]]]] = {}
+
+# Tags as the integers indexing a frame yields.
+(_T_NONE, _T_TRUE, _T_FALSE, _T_INT, _T_FLOAT, _T_STR, _T_BYTES, _T_COMPLEX,
+ _T_LIST, _T_TUPLE, _T_DICT, _T_SET, _T_FROZENSET, _T_ARRAY, _T_SCALAR,
+ _T_CLASS, _T_DATACLASS, _T_OBJECT) = b"NTFifsbcltdxXayCDO"
+
 
 def decode(data: bytes) -> Any:
     """Decode wire bytes produced by :func:`encode`.
 
+    ``data`` is ``bytes`` or a ``bytearray`` (the TCP reader hands over a
+    frame that spanned socket chunks as the buffer it was gathered in).
     Raises :class:`WireError` — and nothing else — for a bad header and
     for truncated or corrupt buffers.
     """
@@ -260,6 +299,9 @@ def _dec_str(data: bytes, pos: int) -> tuple[str, int]:
 
 
 def _resolve_ref(ref: str) -> Any:
+    target = _REFS.get(ref)
+    if target is not None:
+        return target
     module_name, _, qualname = ref.partition(":")
     root = module_name.split(".", 1)[0]
     if root not in ALLOWED_REF_ROOTS:
@@ -268,71 +310,81 @@ def _resolve_ref(ref: str) -> Any:
         module = importlib.import_module(module_name)
     except ImportError as exc:  # pragma: no cover - env-dependent
         raise WireError(f"cannot import module for reference {ref!r}: {exc}")
-    target: Any = module
+    target = module
     for part in qualname.split("."):
         try:
             target = getattr(target, part)
         except AttributeError:
             raise WireError(f"reference {ref!r} does not resolve")
+    _REFS[ref] = target
     return target
 
 
+def _compile_dec_plan(raw_ref: bytes) -> tuple[type, dict[bytes, tuple[str, bool]]]:
+    ref = raw_ref.decode("utf-8")
+    cls = _resolve_ref(ref)
+    if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)):
+        raise WireError(f"reference {ref!r} is not a dataclass")
+    table = {f.name.encode("utf-8"): (f.name, f.init) for f in dataclasses.fields(cls)}
+    plan = _DEC_PLANS[raw_ref] = (cls, table)
+    return plan
+
+
 def _dec(data: bytes, pos: int) -> tuple[Any, int]:
-    try:
-        tag = data[pos : pos + 1]
-    except IndexError:  # pragma: no cover - defensive
-        raise WireError("truncated buffer")
+    tag = data[pos]
     pos += 1
-    if tag == b"N":
-        return None, pos
-    if tag == b"T":
-        return True, pos
-    if tag == b"F":
-        return False, pos
-    if tag == b"i":
+    if tag == _T_STR:
+        (n,) = _U32.unpack_from(data, pos)
+        pos += 4
+        return data[pos : pos + n].decode("utf-8"), pos + n
+    if tag == _T_INT:
         (n,) = _U32.unpack_from(data, pos)
         pos += 4
         return int.from_bytes(data[pos : pos + n], "big", signed=True), pos + n
-    if tag == b"f":
+    if tag == _T_FLOAT:
         (value,) = _F64.unpack_from(data, pos)
         return value, pos + 8
-    if tag == b"s":
-        return _dec_str(data, pos)
-    if tag == b"b":
+    if tag == _T_DATACLASS:
         (n,) = _U32.unpack_from(data, pos)
         pos += 4
-        return bytes(data[pos : pos + n]), pos + n
-    if tag == b"c":
-        (real,) = _F64.unpack_from(data, pos)
-        (imag,) = _F64.unpack_from(data, pos + 8)
-        return complex(real, imag), pos + 16
-    if tag in (b"l", b"t"):
+        # bytes(): a slice of a bytearray frame is unhashable.
+        raw_ref = bytes(data[pos : pos + n])
+        pos += n
+        (count,) = _U32.unpack_from(data, pos)
+        pos += 4
+        cls, table = _DEC_PLANS.get(raw_ref) or _compile_dec_plan(raw_ref)
+        kwargs = {}
+        deferred = None
+        for _ in range(count):
+            (n,) = _U32.unpack_from(data, pos)
+            pos += 4
+            raw_name = bytes(data[pos : pos + n])
+            value, pos = _dec(data, pos + n)
+            entry = table.get(raw_name)
+            if entry is None:
+                raw_name.decode("utf-8")  # still has to be a name
+                continue  # field removed on this side; tolerate
+            if entry[1]:
+                kwargs[entry[0]] = value
+            else:
+                if deferred is None:
+                    deferred = []
+                deferred.append((entry[0], value))
+        instance = cls(**kwargs)
+        if deferred is not None:
+            for name, value in deferred:
+                object.__setattr__(instance, name, value)
+        return instance, pos
+    if tag == _T_TUPLE or tag == _T_LIST:
         (n,) = _U32.unpack_from(data, pos)
         pos += 4
         items = []
         for _ in range(n):
             item, pos = _dec(data, pos)
             items.append(item)
-        return (items if tag == b"l" else tuple(items)), pos
-    if tag == b"d":
-        (n,) = _U32.unpack_from(data, pos)
-        pos += 4
-        result = {}
-        for _ in range(n):
-            key, pos = _dec(data, pos)
-            value, pos = _dec(data, pos)
-            result[key] = value
-        return result, pos
-    if tag in (b"x", b"X"):
-        (n,) = _U32.unpack_from(data, pos)
-        pos += 4
-        items = []
-        for _ in range(n):
-            item, pos = _dec(data, pos)
-            items.append(item)
-        return (set(items) if tag == b"x" else frozenset(items)), pos
-    if tag == b"a":
-        dtype, pos = _dec_str(data, pos)
+        return (items if tag == _T_LIST else tuple(items)), pos
+    if tag == _T_ARRAY:
+        dtype_str, pos = _dec_str(data, pos)
         ndim = data[pos]
         pos += 1
         shape = []
@@ -342,48 +394,60 @@ def _dec(data: bytes, pos: int) -> tuple[Any, int]:
             shape.append(dim)
         (nbytes,) = _U64.unpack_from(data, pos)
         pos += 8
-        arr = np.frombuffer(data[pos : pos + nbytes], dtype=np.dtype(dtype))
+        dtype = np.dtype(dtype_str)
+        count, ragged = divmod(nbytes, dtype.itemsize)
+        if ragged:
+            raise WireError(
+                f"array body of {nbytes} bytes is not whole {dtype_str!r} items"
+            )
+        # A view into the frame, then the one copy that makes the array
+        # writable and independent of the receive buffer.
+        arr = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
         return arr.reshape(shape).copy(), pos + nbytes
-    if tag == b"y":
-        dtype, pos = _dec_str(data, pos)
+    if tag == _T_NONE:
+        return None, pos
+    if tag == _T_TRUE:
+        return True, pos
+    if tag == _T_FALSE:
+        return False, pos
+    if tag == _T_BYTES:
+        (n,) = _U32.unpack_from(data, pos)
+        pos += 4
+        return bytes(data[pos : pos + n]), pos + n
+    if tag == _T_COMPLEX:
+        (real,) = _F64.unpack_from(data, pos)
+        (imag,) = _F64.unpack_from(data, pos + 8)
+        return complex(real, imag), pos + 16
+    if tag == _T_DICT:
+        (n,) = _U32.unpack_from(data, pos)
+        pos += 4
+        result = {}
+        for _ in range(n):
+            key, pos = _dec(data, pos)
+            value, pos = _dec(data, pos)
+            result[key] = value
+        return result, pos
+    if tag == _T_SET or tag == _T_FROZENSET:
+        (n,) = _U32.unpack_from(data, pos)
+        pos += 4
+        items = []
+        for _ in range(n):
+            item, pos = _dec(data, pos)
+            items.append(item)
+        return (set(items) if tag == _T_SET else frozenset(items)), pos
+    if tag == _T_SCALAR:
+        dtype_str, pos = _dec_str(data, pos)
         (nbytes,) = _U32.unpack_from(data, pos)
         pos += 4
-        value = np.frombuffer(data[pos : pos + nbytes], dtype=np.dtype(dtype))[0]
+        value = np.frombuffer(data[pos : pos + nbytes], dtype=np.dtype(dtype_str))[0]
         return value, pos + nbytes
-    if tag == b"C":
+    if tag == _T_CLASS:
         ref, pos = _dec_str(data, pos)
         target = _resolve_ref(ref)
         if not isinstance(target, type):
             raise WireError(f"reference {ref!r} is not a class")
         return target, pos
-    if tag == b"D":
-        ref, pos = _dec_str(data, pos)
-        (n,) = _U32.unpack_from(data, pos)
-        pos += 4
-        pairs = []
-        for _ in range(n):
-            name, pos = _dec_str(data, pos)
-            value, pos = _dec(data, pos)
-            pairs.append((name, value))
-        cls = _resolve_ref(ref)
-        if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)):
-            raise WireError(f"reference {ref!r} is not a dataclass")
-        field_map = {f.name: f for f in dataclasses.fields(cls)}
-        kwargs = {}
-        deferred = []
-        for name, value in pairs:
-            f = field_map.get(name)
-            if f is None:
-                continue  # field removed on this side; tolerate
-            if f.init:
-                kwargs[f.name] = value
-            else:
-                deferred.append((f.name, value))
-        instance = cls(**kwargs)
-        for name, value in deferred:
-            object.__setattr__(instance, name, value)
-        return instance, pos
-    if tag == b"O":
+    if tag == _T_OBJECT:
         ref, pos = _dec_str(data, pos)
         (n,) = _U32.unpack_from(data, pos)
         pos += 4
@@ -398,7 +462,7 @@ def _dec(data: bytes, pos: int) -> tuple[Any, int]:
             value, pos = _dec(data, pos)
             object.__setattr__(instance, name, value)
         return instance, pos
-    raise WireError(f"unknown wire tag {tag!r} at offset {pos - 1}")
+    raise WireError(f"unknown wire tag {bytes([tag])!r} at offset {pos - 1}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import signal
 import socket
 import time
 
+import numpy as np
 import pytest
 
 import repro.deployment as deployment
@@ -22,6 +23,7 @@ from repro.apps.galaxy import build_galaxy_graph, generate_snapshots
 from repro.deployment import run_tcp_localhost
 from repro.p2p.network import Message
 from repro.transport import RealtimeSimulator, TcpTransport
+from repro.transport.tcp import _FrameReader
 from repro.transport.wire import encode_message, result_checksum
 
 
@@ -214,6 +216,213 @@ class TestLoopback:
         finally:
             busy.close()
         assert len(loops) == 1 and loops[0].is_closed()
+
+
+    def test_oversized_length_prefix_is_counted_and_costs_one_connection(self):
+        # A bogus prefix used to close the connection silently: nothing
+        # counted it.  It must be counted, allocate nothing, and leave
+        # the listener accepting.
+        sim_a, ta = make_transport()
+        got = []
+        ta.add_node("a", got.append)
+        good = encode_message(Message("ok", "b", "a", payload=7))
+        bogus = socket.create_connection(("127.0.0.1", ta.port))
+        client = None
+        try:
+            bogus.sendall(b"\xff\xff\xff\xff")
+            pump_until([sim_a], lambda: ta.stats.corrupted == 1)
+            assert not ta._connections  # that connection is gone
+            client = socket.create_connection(("127.0.0.1", ta.port))
+            client.sendall(len(good).to_bytes(4, "big") + good)
+            pump_until([sim_a], lambda: got)
+            assert [m.payload for m in got] == [7]
+            assert ta.stats.corrupted == 1
+        finally:
+            bogus.close()
+            if client is not None:
+                client.close()
+            ta.close()
+
+    def test_pending_frames_go_before_write_through_ones(self):
+        # 200 frames queue up for a peer that is not listening yet; once
+        # it appears, 200 more are sent write-through.  One FIFO.
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+
+        sim_a, ta = make_transport(
+            peers={"b": ("127.0.0.1", port)}, backoff_base=0.01, backoff_max=0.05,
+            max_retries=1000,
+        )
+        ta.add_node("a", lambda m: None)
+        for i in range(200):
+            ta.send(Message("tick", "a", "b", payload=i))
+        sim_a.run(until=sim_a.wall_now + 0.1)  # a few refused dials
+
+        sim_b, tb = make_transport(port=port)
+        got = []
+        tb.add_node("b", got.append)
+        try:
+            pump_until([sim_a, sim_b], lambda: got)
+            for i in range(200, 400):
+                ta.send(Message("tick", "a", "b", payload=i))
+            pump_until([sim_a, sim_b], lambda: len(got) == 400)
+            assert [m.payload for m in got] == list(range(400))
+            assert ta.stats.dropped_offline == 0
+        finally:
+            ta.close()
+            tb.close()
+
+
+class TestFrameReader:
+    """The inbound protocol, fed chunks the way a socket may cut them."""
+
+    @staticmethod
+    def reader():
+        sim, transport = make_transport(listen=False)
+        got = []
+        transport.add_node("a", got.append)
+        return transport, _FrameReader(transport), got
+
+    @staticmethod
+    def stream(payloads):
+        out = bytearray()
+        for payload in payloads:
+            frame = encode_message(Message("tick", "b", "a", payload=payload))
+            out += len(frame).to_bytes(4, "big") + frame
+        return bytes(out)
+
+    def test_one_byte_chunks(self):
+        transport, reader, got = self.reader()
+        try:
+            for byte in self.stream(range(5)):
+                reader.data_received(bytes([byte]))
+            assert [m.payload for m in got] == list(range(5))
+            assert transport.stats.corrupted == 0
+        finally:
+            transport.close()
+
+    def test_one_chunk_of_three_and_a_half_frames(self):
+        transport, reader, got = self.reader()
+        try:
+            stream = self.stream(["a" * 40, "b" * 40, "c" * 40, "d" * 40])
+            cut = len(stream) - (len(stream) // 4) // 2
+            reader.data_received(stream[:cut])
+            assert [m.payload[0] for m in got] == ["a", "b", "c"]
+            reader.data_received(stream[cut:])
+            assert [m.payload for m in got] == [c * 40 for c in "abcd"]
+        finally:
+            transport.close()
+
+    def test_one_big_frame_across_many_chunks(self):
+        transport, reader, got = self.reader()
+        try:
+            samples = np.arange(300_000 // 8, dtype=np.float64)
+            stream = self.stream([1, samples, 2])
+            assert len(stream) > 300_000
+            for at in range(0, len(stream), 7001):
+                reader.data_received(stream[at:at + 7001])
+            assert got[0].payload == 1 and got[2].payload == 2
+            np.testing.assert_array_equal(got[1].payload, samples)
+            # gathered in a bytearray, decoded out of it: the array owns
+            # its memory and is writable
+            assert got[1].payload.flags.writeable and got[1].payload.base is None
+            assert reader.body is None
+        finally:
+            transport.close()
+
+    def test_a_split_prefix_then_an_empty_frame(self):
+        transport, reader, got = self.reader()
+        try:
+            stream = self.stream([1]) + (0).to_bytes(4, "big") + self.stream([2])
+            first = len(self.stream([1])) + 2  # two bytes into the zero prefix
+            for chunk in (stream[:first], stream[first:]):
+                reader.data_received(chunk)
+            assert [m.payload for m in got] == [1, 2]
+            assert transport.stats.corrupted == 1  # the empty frame
+        finally:
+            transport.close()
+
+
+class TestClose:
+    """``close()`` is bounded by construction: it waits on no future."""
+
+    @staticmethod
+    def dialling(connect_factory):
+        """A transport whose one link is dialling through ``connect``."""
+        sim_b, tb = make_transport()
+        tb.add_node("b", lambda m: None)
+        sim_a, ta = make_transport(peers={"b": ("127.0.0.1", tb.port)})
+        ta.add_node("a", lambda m: None)
+        loop = ta._loop
+        seen = {}
+        loop.create_connection = connect_factory(loop.create_connection)
+        close_loop = loop.close
+
+        def recording_close():
+            seen["tasks"] = asyncio.all_tasks(loop)
+            close_loop()
+
+        loop.close = recording_close
+        ta.send(Message("x", "a", "b"))
+        for _ in range(10):
+            ta.pump(0.005)
+        loop.run_until_complete = lambda *a, **kw: pytest.fail(
+            "close() waited on a future"
+        )
+        return ta, tb, seen
+
+    def test_connect_that_completes_as_it_is_cancelled(self):
+        # asyncio.wait_for before 3.12 does this to its caller: the
+        # cancellation is swallowed and the connection handed over.
+        def factory(real):
+            async def connect(*args, **kwargs):
+                made = await real(*args, **kwargs)
+                try:
+                    await asyncio.sleep(3600)
+                except asyncio.CancelledError:
+                    pass
+                return made
+            return connect
+
+        ta, tb, seen = self.dialling(factory)
+        try:
+            started = time.monotonic()
+            ta.close()
+            assert time.monotonic() - started < 1.0
+            assert seen["tasks"] == set() and ta._loop.is_closed()
+            assert not ta._connections
+        finally:
+            tb.close()
+
+    def test_connect_that_never_wakes_up(self):
+        # A KeyboardInterrupt landing in the loop's own code can drop a
+        # task's wake-up; gathering such a task waits for ever.
+        def factory(real):
+            async def connect(*args, **kwargs):
+                while True:
+                    try:
+                        await asyncio.sleep(3600)
+                    except asyncio.CancelledError:
+                        pass
+            return connect
+
+        ta, tb, seen = self.dialling(factory)
+        try:
+            started = time.monotonic()
+            ta.close()
+            assert time.monotonic() - started < 1.0
+            assert ta._loop.is_closed()
+        finally:
+            tb.close()
+
+    def test_close_twice_and_pump_after_close_are_no_ops(self):
+        sim_a, ta = make_transport()
+        ta.close()
+        ta.close()
+        ta.pump(0.0)
+        ta.pump(0.01)
 
 
 class TestGridOverTcp:

@@ -9,6 +9,7 @@ query), heartbeats, and numpy-bearing result payloads.
 """
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -16,12 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.galaxy import ColumnDensity, generate_snapshots
-from repro.core.types import ImageData, ParticleSnapshot, TableData
+from repro.core.types import ImageData, ParticleSnapshot, SampleSet, TableData
 from repro.mobility.repository import ModulePackage
 from repro.p2p.advertisement import Advertisement, AttrPredicate
 from repro.p2p.discovery import QuerySpec
 from repro.p2p.network import Message
 from repro.service.worker import DeploymentSpec
+from repro.transport import wire
 from repro.transport.wire import (
     MAGIC,
     WIRE_VERSION,
@@ -149,27 +151,71 @@ def test_checksum_insertion_order_independent(mapping):
 # -- protocol message kinds ---------------------------------------------------------
 
 
+def deploy_spec():
+    return DeploymentSpec(
+        deployment_id="dep-1",
+        controller="controller",
+        xml="<taskgraph/>",
+        external_inputs=(("density", "in"),),
+        output_spec=(("density", "out"),),
+        forward=None,
+    )
+
+
+def particle_snapshot():
+    return ParticleSnapshot(
+        positions=np.random.default_rng(0).normal(size=(5, 3)),
+        masses=np.ones(5),
+        smoothing=np.full(5, 0.1),
+        time=1.5,
+    )
+
+
+def exec_batch():
+    frames = generate_snapshots(n_frames=3, n_particles=8, seed=1)
+    return frames, ("dep-2", [(i, [frame]) for i, frame in enumerate(frames)])
+
+
+def module_package():
+    return ModulePackage(
+        name="galaxy.ColumnDensity",
+        version="1.0",
+        code_size=4096,
+        cls=ColumnDensity,
+    )
+
+
+def service_advert(**kw):
+    return Advertisement(
+        adv_type="service",
+        name="triana",
+        publisher="worker-0",
+        attrs={"kind": "triana", "cpu_flops": 2e9, "host": "worker-0"},
+        expires_at=float("inf"),
+        **kw,
+    )
+
+
+def query_spec():
+    pred = AttrPredicate.make(
+        equals={"kind": "triana"}, at_least={"cpu_flops": 1e9}
+    )
+    return QuerySpec(adv_type="service", name=None, predicate=pred)
+
+
+def sample_table():
+    return TableData(["id", "v"], [(1, 2.5), (2, -1.0)])
+
+
 class TestMessageKinds:
     def test_triana_deploy(self):
-        spec = DeploymentSpec(
-            deployment_id="dep-1",
-            controller="controller",
-            xml="<taskgraph/>",
-            external_inputs=(("density", "in"),),
-            output_spec=(("density", "out"),),
-            forward=None,
-        )
+        spec = deploy_spec()
         out = msg_roundtrip("triana-deploy", spec)
         assert isinstance(out.payload, DeploymentSpec)
         assert out.payload == spec
 
     def test_group_exec(self):
-        snap = ParticleSnapshot(
-            positions=np.random.default_rng(0).normal(size=(5, 3)),
-            masses=np.ones(5),
-            smoothing=np.full(5, 0.1),
-            time=1.5,
-        )
+        snap = particle_snapshot()
         out = msg_roundtrip("group-exec", ("dep-1", 3, [snap]))
         dep_id, iteration, inputs = out.payload
         assert (dep_id, iteration) == ("dep-1", 3)
@@ -177,8 +223,7 @@ class TestMessageKinds:
         assert inputs[0].time == snap.time
 
     def test_group_exec_batch(self):
-        frames = generate_snapshots(n_frames=3, n_particles=8, seed=1)
-        batch = ("dep-2", [(i, [frame]) for i, frame in enumerate(frames)])
+        frames, batch = exec_batch()
         out = msg_roundtrip("group-exec-batch", batch)
         dep_id, items = out.payload
         assert dep_id == "dep-2"
@@ -192,12 +237,7 @@ class TestMessageKinds:
         np.testing.assert_array_equal(out.payload[2][0].pixels, img.pixels)
 
     def test_module_package_and_chunk(self):
-        pkg = ModulePackage(
-            name="galaxy.ColumnDensity",
-            version="1.0",
-            code_size=4096,
-            cls=ColumnDensity,
-        )
+        pkg = module_package()
         out = msg_roundtrip("module-package", ("req-1", "galaxy.ColumnDensity", pkg))
         got = out.payload[2]
         assert got.cls is ColumnDensity
@@ -219,24 +259,14 @@ class TestMessageKinds:
         assert out.payload[2] == "sha:abc"
 
     def test_central_publish_preserves_adv_id(self):
-        adv = Advertisement(
-            adv_type="service",
-            name="triana",
-            publisher="worker-0",
-            attrs={"kind": "triana", "cpu_flops": 2e9, "host": "worker-0"},
-            expires_at=float("inf"),
-        )
+        adv = service_advert()
         out = msg_roundtrip("central-publish", adv)
         assert out.payload.adv_id == adv.adv_id
         assert out.payload.attrs == adv.attrs
         assert out.payload.expires_at == float("inf")
 
     def test_central_query_ships_predicate(self):
-        pred = AttrPredicate.make(
-            equals={"kind": "triana"}, at_least={"cpu_flops": 1e9}
-        )
-        spec = QuerySpec(adv_type="service", name=None, predicate=pred)
-        out = msg_roundtrip("central-query", (7, spec))
+        out = msg_roundtrip("central-query", (7, query_spec()))
         req, got = out.payload
         assert req == 7
         assert got.predicate({"kind": "triana", "cpu_flops": 2e9})
@@ -247,11 +277,213 @@ class TestMessageKinds:
         assert out.payload == ("worker-0", {"dep-1": 4})
 
     def test_table_payload(self):
-        table = TableData(["id", "v"], [(1, 2.5), (2, -1.0)])
+        table = sample_table()
         out = msg_roundtrip("group-result", ("dep-3", 1, [table]))
         got = out.payload[2][0]
         assert got.columns == table.columns
         assert [tuple(r) for r in got.rows] == [tuple(r) for r in table.rows]
+
+
+# -- golden bytes: the encoding is pinned, not just self-consistent -----------------
+
+
+def exec_message(samples=280):
+    """The frame ``tcp_pipeline`` ships: ``(str, int, [SampleSet])``."""
+    payload = SampleSet(data=np.linspace(0.0, 1.0, samples), sampling_rate=1024.0)
+    return Message(
+        "group-exec", "controller", "worker-0",
+        payload=("dep-1", 7, [payload]), size_bytes=payload.payload_nbytes() + 64,
+    )
+
+
+def golden_values():
+    """Every ``TestMessageKinds`` fixture as the message it rides in,
+    plus the value shapes plan compilation could get wrong."""
+    pkg = module_package()
+
+    def msg(kind, payload):
+        return Message(kind, "a", "b", payload=payload, size_bytes=512)
+
+    return {
+        "triana-deploy": msg("triana-deploy", deploy_spec()),
+        "group-exec": msg("group-exec", ("dep-1", 3, [particle_snapshot()])),
+        "group-exec-batch": msg("group-exec-batch", exec_batch()[1]),
+        "group-result-image": msg(
+            "group-result",
+            ("dep-1", 0, [ImageData(pixels=np.arange(16.0).reshape(4, 4))]),
+        ),
+        "module-package": msg(
+            "module-package", ("req-1", "galaxy.ColumnDensity", pkg)
+        ),
+        "module-chunk-mid": msg(
+            "module-chunk", ("req-1", "galaxy.ColumnDensity", None, 2, 5)
+        ),
+        "module-chunk-last": msg(
+            "module-chunk", ("req-1", "galaxy.ColumnDensity", pkg, 4, 5)
+        ),
+        "module-head-reply": msg(
+            "module-head-reply", ("req-2", "galaxy.ColumnDensity", "sha:abc", 4096)
+        ),
+        "central-publish": msg("central-publish", service_advert(adv_id=41)),
+        "central-query": msg("central-query", (7, query_spec())),
+        "triana-heartbeat": msg("triana-heartbeat", ("worker-0", {"dep-1": 4})),
+        "table-payload": msg("group-result", ("dep-3", 1, [sample_table()])),
+        "exec-sampleset": exec_message(),
+        "mixed-key-dict": {1: "int", "1": "str", 1.5: None, (1, "t"): [True], b"k": 2},
+        "set": {3, "three", 3.5, (3,)},
+        "frozenset": frozenset({"b", "a"}),
+        "ndarray-0d": np.array(2.5),
+        "ndarray-strided": np.arange(24, dtype=np.int32).reshape(4, 6)[::2, ::3],
+        "ndarray-fortran": np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+        "numpy-scalar": np.float32(1.25),
+        "class-ref": ColumnDensity,
+    }
+
+
+#: sha256 of ``encode(value)``, computed at the commit *before* the codec
+#: ran on per-class plans.  A change here changes what ``result_checksum``
+#: means across backends and versions: bump ``WIRE_VERSION`` with it.
+GOLDEN_SHA256 = {
+    "triana-deploy": "4dc06f7500d6b0de69431da9d27e21f9210ec78216f457fb063fa3121a032b28",
+    "group-exec": "af522ab53560b8b2f2191cdcf0b1f04e35e28425ff3797c321535c3795633e61",
+    "group-exec-batch": "625c1ff8adc7d6fcb4acd7546e7aef5dd57ce366afa22fd6bbfa091a137806b0",
+    "group-result-image": "b85636d578ec1309f7840a0185b92468cea886f4c7896777ac23b117c5eedca4",
+    "module-package": "057c93b98c9bfaf5c5c9e76e6622c94f4c30b838c88c215f09cafed24fe83c77",
+    "module-chunk-mid": "52beacf9a71f320858d6e1c4e8240a6c0ffc923cf47abd6cb10ee3e6f5eed793",
+    "module-chunk-last": "5a12b9e12fb7298d6702f2b2b55775302ef134b954f84968019585e6eb710610",
+    "module-head-reply": "1d541f6edbb3eb421e74e1a436db6237d7e67caac80d79d5c898e2ac36c95eba",
+    "central-publish": "d215c023701d4941358711cce85ade81a87bafa708ea8acc9d5dc985d1caf009",
+    "central-query": "c81a2c5ba6bf6bcc5828a176482b53bd8f82b104f422476ae873c1e733261540",
+    "triana-heartbeat": "d62f0dde2ff9fe3ef70793908e0136b752ffe5867e409755debb5eaa67e71926",
+    "table-payload": "9576ff48c7dc72663ca7e4a478e23aee454ce215004a06b32ccf0b3c5ab6461f",
+    "exec-sampleset": "e33b6d2addee6fee8fc915edc3a79e8b7f838ef7eb43eac148d625e27b5589de",
+    "mixed-key-dict": "00c07b73b06e83e3bda7996e3ce37c03bf3ab0e908f5a587ec3603c8623314c3",
+    "set": "842fae02b86d923d5223987144958d0dc9403cd1066b7dcd332eff1290430b2c",
+    "frozenset": "968837bd6edd06bb19477d68c09b167f175f08ecadbad38d45f1017245fd0242",
+    "ndarray-0d": "8c52e48515e56e1d0c6d4c95011d41e7a75a67dfe12dd64b769ecac7bad4c178",
+    "ndarray-strided": "6985580ccfe18d9292d42d99b7fd28a1f1fa6cf0d4c25ceca5f0efebfb3c5854",
+    "ndarray-fortran": "34085ac5d06e32691e890b83a72b391f5cb92c57de14459f1f324eb9bd169892",
+    "numpy-scalar": "5193d2225bd9d02bcc1b8a83a48c04b5b2d24e30fa38070ad5b57cb2115b4ba8",
+    "class-ref": "d494e209e6a9b05f73b895a26ecc7f858878fc1293e1be5c288b5d03cf0c425b",
+}
+
+
+class TestGoldenBytes:
+    def test_every_fixture_is_pinned(self):
+        assert sorted(golden_values()) == sorted(GOLDEN_SHA256)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+    def test_encoding_matches_the_pinned_digest(self, name):
+        frame = encode(golden_values()[name])
+        assert hashlib.sha256(frame).hexdigest() == GOLDEN_SHA256[name]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+    def test_bytes_and_bytearray_frames_decode_alike(self, name):
+        # The TCP reader hands over a frame that spanned socket chunks
+        # as a bytearray; plan lookups must not care.
+        frame = encode(golden_values()[name])
+        assert encode(decode(bytearray(frame))) == frame == encode(decode(frame))
+
+
+# -- codec plans: caches change the cost of a frame, never its meaning ---------------
+
+
+def forget_plans():
+    for cache in (wire._ENC_PLANS, wire._DEC_PLANS, wire._REFS):
+        cache.clear()
+
+
+plan_values = st.one_of(
+    nested,
+    st.builds(
+        SampleSet,
+        data=st.lists(st.floats(allow_nan=False), max_size=6).map(np.array),
+        sampling_rate=st.floats(min_value=0.5, max_value=1e6),
+        t0=st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    st.builds(Message, st.text(max_size=8), st.just("a"), st.just("b"), nested),
+    st.builds(service_advert, adv_id=st.integers(0, 2**40)),
+    st.sampled_from([ColumnDensity, sample_table(), module_package(), query_spec()]),
+).flatmap(lambda v: st.sampled_from([v, [v, v], ("dep", 1, [v])]))
+
+
+@given(plan_values)
+@settings(max_examples=100)
+def test_cold_and_warm_plans_agree(value):
+    forget_plans()
+    frame = encode(value)  # compiles the encode plans
+    cold = decode(frame)  # compiles the decode plans
+    assert encode(value) == frame
+    warm = decode(frame)
+    assert type(cold) is type(warm)
+    assert encode(cold) == encode(warm) == frame
+
+
+@dataclasses.dataclass
+class _PlanProbe:
+    """Module-level and allow-listed (``tests``), so it may travel."""
+
+    x: int = 0
+
+
+class TestPlanCaches:
+    def test_rejected_class_is_rejected_again(self):
+        # Failures are not cached: the allow-list runs on every attempt.
+        import argparse
+
+        @dataclasses.dataclass
+        class Local:
+            x: int = 0
+
+        for bad, match in ((Local(), "locally-defined"),
+                           (argparse.Namespace(x=1), "allowlist")):
+            errors = []
+            for _ in range(2):
+                with pytest.raises(WireError, match=match) as info:
+                    encode(bad)
+                errors.append(str(info.value))
+            assert errors[0] == errors[1]
+            assert type(bad) not in wire._ENC_PLANS
+
+    def test_rejected_reference_is_rejected_again(self):
+        def forged(tag, ref):
+            frame = bytearray(MAGIC + bytes([WIRE_VERSION]) + tag)
+            frame += len(ref).to_bytes(4, "big") + ref
+            return bytes(frame + (0).to_bytes(4, "big")) if tag != b"C" else bytes(frame)
+
+        for tag in (b"C", b"D", b"O"):
+            errors = []
+            for _ in range(2):
+                with pytest.raises(WireError, match="allowlist") as info:
+                    decode(forged(tag, b"os:system"))
+                errors.append(str(info.value))
+            assert errors[0] == errors[1]
+        assert "os:system" not in wire._REFS
+        assert b"os:system" not in wire._DEC_PLANS
+
+    def test_non_dataclass_reference_never_gets_a_plan(self):
+        ref = b"repro.core.types:TableData"  # a class, but not a dataclass
+        frame = bytearray(MAGIC + bytes([WIRE_VERSION]) + b"D")
+        frame += len(ref).to_bytes(4, "big") + ref + (0).to_bytes(4, "big")
+        for _ in range(2):
+            with pytest.raises(WireError, match="not a dataclass"):
+                decode(bytes(frame))
+        assert ref not in wire._DEC_PLANS
+
+    def test_plans_fill_on_first_use(self):
+        forget_plans()
+        value = _PlanProbe(3)
+        assert decode(encode(value)) == value
+        assert _PlanProbe in wire._ENC_PLANS
+        ref = f"{__name__}:_PlanProbe"
+        assert ref.encode() in wire._DEC_PLANS and wire._REFS[ref] is type(value)
+
+    def test_array_body_must_hold_whole_items(self):
+        frame = bytearray(encode(np.arange(2.0)))
+        # the 8-byte body length sits right before the 16-byte body
+        frame[-24:-16] = (15).to_bytes(8, "big")
+        with pytest.raises(WireError, match="whole"):
+            decode(bytes(frame[:-1]))
 
 
 # -- error paths --------------------------------------------------------------------
