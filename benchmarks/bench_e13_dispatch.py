@@ -13,13 +13,14 @@ policy (k iterations per message) beats the one-message-per-iteration
 ``parallel`` farm on makespan with identical dealing.
 """
 
+import dataclasses
+
 from benchlib import timed
 
-from repro.analysis import render_table
+from repro.analysis import LAN_GRID, render_table
 from repro.core import TaskGraph
 from repro.grid import ConsumerGrid
-from repro.p2p import LAN_PROFILE, NodeProfile, Peer
-from repro.service import TrianaService
+from repro.p2p import LAN_PROFILE
 
 
 def heavy_graph():
@@ -33,32 +34,17 @@ def heavy_graph():
     return g
 
 
+def _cpu(flops):
+    return dataclasses.replace(LAN_PROFILE, cpu_flops=flops)
+
+
 def build_hetero_grid(seed, fast_cpus=2, slow_cpus=2, trace=False):
     grid = ConsumerGrid(
-        n_workers=fast_cpus,
-        seed=seed,
-        worker_profile=NodeProfile(
-            cpu_flops=4e9, up_bps=LAN_PROFILE.up_bps,
-            down_bps=LAN_PROFILE.down_bps, latency_s=LAN_PROFILE.latency_s,
-        ),
-        controller_profile=LAN_PROFILE,
-        worker_efficiency=1e-5,
+        LAN_GRID, n_workers=fast_cpus, seed=seed, worker_profile=_cpu(4e9),
         trace=trace,
     )
     for i in range(slow_cpus):
-        peer = Peer(
-            f"slow-{i}",
-            grid.transport,
-            profile=NodeProfile(
-                cpu_flops=1e9, up_bps=LAN_PROFILE.up_bps,
-                down_bps=LAN_PROFILE.down_bps, latency_s=LAN_PROFILE.latency_s,
-            ),
-        )
-        grid.discovery.attach(peer)
-        svc = TrianaService(peer, repository_host="portal", efficiency=1e-5)
-        grid.discovery.publish(peer, svc.advertisement())
-        grid.workers[peer.peer_id] = svc
-        grid.worker_peers[peer.peer_id] = peer
+        grid.add_worker(f"slow-{i}", profile=_cpu(1e9))
     grid.sim.run()
     return grid
 

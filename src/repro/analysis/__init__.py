@@ -22,9 +22,10 @@ from .metrics import (
     speedup,
 )
 from .tables import fmt, render_kv, render_table
-from .workloads import fig1_graph, fig1_grouped, pipeline_graph
+from .workloads import LAN_GRID, fig1_graph, fig1_grouped, pipeline_graph
 
 __all__ = [
+    "LAN_GRID",
     "SECONDS_PER_YEAR",
     "cpu_years",
     "e10_policy_ablation",

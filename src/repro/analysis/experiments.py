@@ -27,7 +27,7 @@ from ..p2p.peer import Peer
 from ..resources.availability import AvailabilityModel, PoissonChurn, ScreensaverCycle
 from ..simkernel import Interrupt, Simulator, Store
 from .metrics import SECONDS_PER_YEAR, parallel_efficiency, spectrum_snr, speedup
-from .workloads import fig1_graph, fig1_grouped, pipeline_graph
+from .workloads import LAN_GRID, fig1_graph, fig1_grouped, pipeline_graph
 
 __all__ = [
     "e1_workflow_roundtrip",
@@ -120,13 +120,7 @@ def e3_pipeline_throughput(
     for n_stages in stage_counts:
         traced = trace and n_stages == stage_counts[-1]
         grid = ConsumerGrid(
-            n_workers=n_stages,
-            seed=seed,
-            worker_profile=LAN_PROFILE,
-            controller_profile=LAN_PROFILE,
-            worker_efficiency=1e-5,
-            trace=traced,
-            telemetry=telemetry,
+            LAN_GRID, n_workers=n_stages, seed=seed, trace=traced, telemetry=telemetry
         )
         if traced:
             tracer = grid.sim.tracer
@@ -179,13 +173,7 @@ def e4_galaxy_speedup(
         generate_snapshots(n_frames, n_particles, seed=seed, register_as=key)
         traced = trace and k == worker_counts[-1]
         grid = ConsumerGrid(
-            n_workers=k,
-            seed=seed,
-            worker_profile=LAN_PROFILE,
-            controller_profile=LAN_PROFILE,
-            worker_efficiency=1e-5,
-            trace=traced,
-            telemetry=telemetry,
+            LAN_GRID, n_workers=k, seed=seed, trace=traced, telemetry=telemetry
         )
         if traced:
             tracer = grid.sim.tracer
@@ -651,13 +639,7 @@ def e10_policy_ablation(
         g.task("Chain").policy = policy
         traced = trace and policy == "chunked"
         grid = ConsumerGrid(
-            n_workers=4,
-            seed=seed,
-            worker_profile=LAN_PROFILE,
-            controller_profile=LAN_PROFILE,
-            worker_efficiency=1e-5,
-            trace=traced,
-            telemetry=telemetry,
+            LAN_GRID, n_workers=4, seed=seed, trace=traced, telemetry=telemetry
         )
         if traced:
             tracer = grid.sim.tracer
@@ -675,14 +657,7 @@ def e10_policy_ablation(
     for width in (1, 2, 4):
         g = pipeline_graph(width)
         g.task("Chain").policy = "parallel"
-        grid = ConsumerGrid(
-            n_workers=4,
-            seed=seed,
-            worker_profile=LAN_PROFILE,
-            controller_profile=LAN_PROFILE,
-            worker_efficiency=1e-5,
-            telemetry=telemetry,
-        )
+        grid = ConsumerGrid(LAN_GRID, n_workers=4, seed=seed, telemetry=telemetry)
         report = grid.run(g, iterations=iterations)
         granularity.append(
             {

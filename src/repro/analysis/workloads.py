@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+from ..config import GridConfig
 from ..core.taskgraph import TaskGraph
+from ..p2p.network import LAN_PROFILE
 
-__all__ = ["fig1_graph", "fig1_grouped", "pipeline_graph"]
+__all__ = ["LAN_GRID", "fig1_graph", "fig1_grouped", "pipeline_graph"]
+
+#: The compute-bound grid the experiments share: LAN links, so transfers
+#: cost next to nothing, and workers slowed until unit compute dominates
+#: (mid-run faults and churn then actually interrupt work).
+LAN_GRID = GridConfig().replace(
+    worker_profile=LAN_PROFILE, controller_profile=LAN_PROFILE,
+    worker_efficiency=1e-5,
+)
 
 
 def fig1_graph() -> TaskGraph:

@@ -202,56 +202,35 @@ def _cmd_run(args) -> int:
                   f"last = {type(probe.last).__name__}")
         return 0
 
+    settings = dict(
+        n_workers=args.workers, seed=args.seed, discovery=args.discovery
+    )
+    run_args = dict(
+        iterations=args.iterations, probes=probes, dispatch=args.dispatch,
+        verification=args.verification,
+    )
     if args.transport == "tcp":
         if args.trace_out or args.metrics_out or args.telemetry_out:
             print("error: --trace-out/--metrics-out/--telemetry-out need the "
                   "sim transport (observability files describe one process)",
                   file=sys.stderr)
             return 1
-        if args.discovery != "central":
-            print("error: --transport tcp supports central discovery only",
-                  file=sys.stderr)
-            return 1
         from .deployment import run_tcp_localhost
 
-        report = run_tcp_localhost(
-            graph,
-            iterations=args.iterations,
-            n_workers=args.workers,
-            dispatch=args.dispatch,
-            probes=probes,
-            verification=args.verification,
-            seed=args.seed,
+        report = run_tcp_localhost(graph, **run_args, **settings)
+        mode = f"tcp localhost ({args.workers} worker processes + controller)"
+        clock = "wall s"
+    else:
+        from .grid import ConsumerGrid
+
+        grid = ConsumerGrid(telemetry=bool(args.telemetry_out), **settings)
+        report = grid.run(
+            graph, **run_args, trace_out=args.trace_out,
+            metrics_out=args.metrics_out, telemetry_out=args.telemetry_out,
         )
-        rows = [
-            ("mode", f"tcp localhost ({args.workers} worker processes + "
-                     "controller)"),
-            ("policy", report.policy),
-            ("iterations", report.iterations),
-            ("deploy time (wall s)", round(report.deploy_time, 3)),
-            ("makespan (wall s)", round(report.makespan, 3)),
-            ("re-dispatches", report.redispatches),
-            ("placements", dict(report.placements)),
-        ]
-        print(render_kv(rows, title=f"ran {graph.name}"))
-        for name, values in report.probe_values.items():
-            print(f"probe {name}: {len(values)} values")
-        return 0
-
-    from .grid import ConsumerGrid
-
-    grid = ConsumerGrid(
-        n_workers=args.workers,
-        seed=args.seed,
-        discovery=args.discovery,
-        telemetry=bool(args.telemetry_out),
-    )
-    report = grid.run(
-        graph, iterations=args.iterations, probes=probes, dispatch=args.dispatch,
-        verification=args.verification,
-        trace_out=args.trace_out, metrics_out=args.metrics_out,
-        telemetry_out=args.telemetry_out,
-    )
+        mode = (f"simulated grid ({args.workers} workers, "
+                f"{args.discovery} discovery)")
+        clock = "sim s"
     if args.trace_out:
         summary = report.tracing
         print(f"trace written to {args.trace_out} "
@@ -263,12 +242,11 @@ def _cmd_run(args) -> int:
               f"({report.health.get('sampler', {}).get('samples', 0)} samples, "
               f"{report.health.get('incidents', 0)} incident(s))")
     rows = [
-        ("mode", f"simulated grid ({args.workers} workers, "
-                 f"{args.discovery} discovery)"),
+        ("mode", mode),
         ("policy", report.policy),
         ("iterations", report.iterations),
-        ("deploy time (sim s)", report.deploy_time),
-        ("makespan (sim s)", report.makespan),
+        (f"deploy time ({clock})", report.deploy_time),
+        (f"makespan ({clock})", report.makespan),
         ("re-dispatches", report.redispatches),
         ("placements", dict(report.placements)),
     ]
@@ -332,6 +310,27 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _grid_args(workers: int) -> argparse.ArgumentParser:
+    """What a grid is and how it deals: the flags ``run`` and ``top`` share.
+
+    A fresh parent per sub-command — argparse shares a parent's actions
+    by reference, so the one default that differs needs its own copy.
+    """
+    from .grid import DISCOVERY
+    from .service.placement import dispatch_policy_names
+
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--workers", type=int, default=workers,
+                        help="fleet size of the Consumer Grid "
+                             f"(default {workers}; run: 0 = local engine)")
+    parent.add_argument("--seed", type=int, default=0)
+    parent.add_argument("--discovery", default="central",
+                        choices=tuple(DISCOVERY))
+    parent.add_argument("--dispatch", default="round_robin",
+                        choices=dispatch_policy_names())
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Consumer Grid reproduction CLI"
@@ -379,19 +378,12 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=("auto", *FORMATS))
     p_convert.set_defaults(fn=_cmd_convert)
 
-    p_run = sub.add_parser("run", help="execute a task graph")
-    p_run.add_argument("graph")
-    p_run.add_argument("-n", "--iterations", type=int, default=1)
-    p_run.add_argument("--workers", type=int, default=0,
-                       help="0 = local engine; >0 = simulated Consumer Grid")
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--discovery", default="central",
-                       choices=("central", "flooding", "rendezvous"))
-    from .service.placement import dispatch_policy_names
     from .transport import transport_names
 
-    p_run.add_argument("--dispatch", default="round_robin",
-                       choices=dispatch_policy_names())
+    p_run = sub.add_parser("run", parents=[_grid_args(workers=0)],
+                           help="execute a task graph")
+    p_run.add_argument("graph")
+    p_run.add_argument("-n", "--iterations", type=int, default=1)
     p_run.add_argument("--transport", default="sim", choices=transport_names(),
                        help="grid substrate: sim = deterministic simulated "
                             "network (default); tcp = real localhost "
@@ -419,6 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_top = sub.add_parser(
         "top",
+        parents=[_grid_args(workers=4)],
         help="live-grid dashboard: per-peer utilization bars, incident "
              "timeline, worst offenders",
     )
@@ -427,13 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "to run on a telemetered grid")
     p_top.add_argument("-n", "--iterations", type=int, default=1,
                        help="iterations when target is a graph file")
-    p_top.add_argument("--workers", type=int, default=4,
-                       help="fleet size when target is a graph file")
-    p_top.add_argument("--seed", type=int, default=0)
-    p_top.add_argument("--discovery", default="central",
-                       choices=("central", "flooding", "rendezvous"))
-    p_top.add_argument("--dispatch", default="round_robin",
-                       choices=dispatch_policy_names())
     p_top.add_argument("--interval", type=float, default=5.0,
                        help="telemetry sample interval in sim seconds")
     p_top.set_defaults(fn=_cmd_top)

@@ -1,7 +1,8 @@
 """Multi-process Consumer Grid deployment over the TCP transport.
 
 This is the "real" counterpart of :class:`~repro.grid.ConsumerGrid`:
-the same portal / controller / worker assembly, but spread across OS
+the same :class:`~repro.grid.GridNode` assembly from the same
+:class:`~repro.config.GridConfig`, with the roles spread across OS
 processes connected by :class:`~repro.transport.tcp.TcpTransport`.
 
 * :class:`ControllerNode` — runs in the launching process and co-hosts
@@ -9,8 +10,9 @@ processes connected by :class:`~repro.transport.tcp.TcpTransport`.
   machine: ``portal`` (module repository + central discovery index) and
   ``controller`` (the Triana controller service).
 * :class:`WorkerNode` — one volunteer process hosting a single worker
-  peer with a :class:`~repro.service.worker.TrianaService`.  Launched
-  via ``python -m repro.deployment`` (see :func:`worker_main`).
+  peer.  Launched via ``python -m repro.deployment`` (see
+  :func:`worker_main`), which receives the config as its bootstrap
+  payload — a worker is built from exactly what the controller is.
 * :func:`run_tcp_localhost` — the one-call launcher: spawns N worker
   subprocesses, waits for their advertisements to reach the index, runs
   a task graph through the unchanged controller/policy/recovery stack,
@@ -27,6 +29,8 @@ Quickstart (two terminals) is documented in ``docs/deployment.md``.
 from __future__ import annotations
 
 import argparse
+import base64
+import functools
 import json
 import os
 import socket
@@ -36,17 +40,16 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from .core.registry import UnitRegistry, global_registry
+from .config import GridConfig
+from .core.registry import UnitRegistry
 from .core.taskgraph import TaskGraph
-from .mobility.repository import ModuleRepository
-from .p2p.discovery import CentralIndexDiscovery
-from .p2p.network import LAN_PROFILE, NodeProfile
-from .p2p.peer import Peer
-from .service.controller import RunReport, TrianaController
-from .service.worker import TrianaService
-from .transport import RealtimeSimulator, TcpTransport
+from .grid import CONTROLLER_ID, PORTAL_ID, GridNode
+from .p2p.network import LAN_PROFILE
+from .service.controller import RunReport
+from .transport import decode, encode
 
 __all__ = [
+    "DEPLOYMENT_DEFAULTS",
     "WorkerNode",
     "ControllerNode",
     "run_tcp_localhost",
@@ -55,52 +58,57 @@ __all__ = [
 
 Address = Tuple[str, int]
 
-#: Discovery index + module repository live on this co-hosted peer.
-PORTAL_ID = "portal"
-CONTROLLER_ID = "controller"
 #: Protocol kind asking a worker process to exit its serve loop.
 SHUTDOWN_KIND = "node-shutdown"
 
+#: What a deployment is built from unless told otherwise: the socket
+#: fabric, LAN peers, two workers, and wall-clock timings — the config's
+#: own defaults model consumer DSL in simulated time and would have a
+#: real run wait minutes (query window 2 s, heartbeat 60 s, retry
+#: 900 / 300 s).
+DEPLOYMENT_DEFAULTS = GridConfig().replace(
+    transport="tcp",
+    n_workers=2,
+    worker_profile=LAN_PROFILE,
+    controller_profile=LAN_PROFILE,
+    query_window=0.5,
+    heartbeat_interval=10.0,
+    retry_timeout=120.0,
+    retry_interval=30.0,
+)
 
-class WorkerNode:
+
+class WorkerNode(GridNode):
     """One volunteer OS process: a worker peer + Triana service daemon."""
+
+    #: seconds between advertisement keep-alives
+    ADVERT_INTERVAL = 2.0
 
     def __init__(
         self,
         peer_id: str,
         port: int,
         peers: Dict[str, Address],
-        seed: int = 0,
-        efficiency: float = 1.0,
-        query_window: float = 0.5,
+        config: GridConfig = DEPLOYMENT_DEFAULTS,
         host: str = "127.0.0.1",
-        profile: Optional[NodeProfile] = None,
-        advert_interval: float = 2.0,
     ):
-        self.sim = RealtimeSimulator(seed=seed)
-        self.transport = TcpTransport(self.sim, host=host, port=port, peers=peers)
-        self.peer = Peer(peer_id, self.transport, profile=profile or LAN_PROFILE)
-        self.discovery = CentralIndexDiscovery(query_window=query_window)
-        self.discovery.attach(self.peer)
-        self.discovery.set_index_id(PORTAL_ID)
-        self.service = TrianaService(
-            self.peer, repository_host=PORTAL_ID, efficiency=efficiency
-        )
-        self.advert_interval = advert_interval
+        super().__init__(config, (peer_id,), host=host, port=port, peers=peers)
+        self.peer = self.worker_peers[peer_id]
+        self.service = self.workers[peer_id]
         self._shutdown = self.sim.event()
         self.peer.on(SHUTDOWN_KIND, lambda _msg: self._shutdown.succeed(None))
 
     def _advertise_loop(self):
-        # Re-publish until shutdown: the first publish may race the
-        # portal process binding its socket, and the index replaces
+        # Re-publish until shutdown: the assembly's first publish may race
+        # the portal process binding its socket, and the index replaces
         # records keyed by (type, name, publisher), so this is an
         # idempotent keep-alive rather than duplicate registration.
         while not self._shutdown.triggered:
+            yield self.sim.timeout(self.ADVERT_INTERVAL)
             self.discovery.publish(self.peer, self.service.advertisement())
-            yield self.sim.timeout(self.advert_interval)
 
     def serve(self) -> None:
-        """Publish, then process protocol traffic until told to exit."""
+        """Process protocol traffic (and keep advertising) until told to exit."""
         self.sim.process(self._advertise_loop(), name=f"advertise/{self.peer.peer_id}")
         try:
             self.sim.run(until=self._shutdown)
@@ -108,41 +116,25 @@ class WorkerNode:
             self.transport.close()
 
 
-class ControllerNode:
-    """The launching process: portal peer + controller peer, one port."""
+class ControllerNode(GridNode):
+    """The launching process: portal peer + controller peer, one port.
+
+    Keyword settings are changes to ``config``, as on
+    :class:`~repro.grid.ConsumerGrid` (``ControllerNode(port, peers, seed=7)``).
+    """
 
     def __init__(
         self,
         port: int,
         peers: Dict[str, Address],
-        seed: int = 0,
-        query_window: float = 0.5,
-        heartbeat_interval: float = 10.0,
-        retry_timeout: float = 120.0,
-        retry_interval: float = 30.0,
+        config: GridConfig = DEPLOYMENT_DEFAULTS,
         host: str = "127.0.0.1",
         registry: Optional[UnitRegistry] = None,
+        **changes,
     ):
-        self.sim = RealtimeSimulator(seed=seed)
-        self.transport = TcpTransport(self.sim, host=host, port=port, peers=peers)
-        self.discovery = CentralIndexDiscovery(query_window=query_window)
-
-        self.portal = Peer(PORTAL_ID, self.transport, profile=LAN_PROFILE)
-        self.discovery.attach(self.portal)
-        self.repository = ModuleRepository(
-            self.portal, registry if registry is not None else global_registry()
-        )
-
-        self.controller_peer = Peer(CONTROLLER_ID, self.transport, profile=LAN_PROFILE)
-        self.discovery.attach(self.controller_peer)
-        self.discovery.set_index(self.portal)
-
-        self.controller = TrianaController(
-            self.controller_peer,
-            self.discovery,
-            retry_timeout=retry_timeout,
-            retry_interval=retry_interval,
-            heartbeat_interval=heartbeat_interval,
+        super().__init__(
+            config.replace(**changes), (PORTAL_ID, CONTROLLER_ID), registry,
+            host=host, port=port, peers=peers,
         )
 
     def wait_for_workers(self, expect: int, deadline_s: float = 30.0) -> List[str]:
@@ -150,30 +142,13 @@ class ControllerNode:
         deadline = time.monotonic() + deadline_s
         found: List[str] = []
         while time.monotonic() < deadline:
-            ev = self.controller.discover_workers()
-            found = self.sim.run(until=ev)
+            found = self.discover_workers()
             if len(found) >= expect:
                 return found
         raise TimeoutError(
             f"only {len(found)}/{expect} workers discovered within "
             f"{deadline_s:.0f}s: {found}"
         )
-
-    def run(
-        self,
-        graph: TaskGraph,
-        iterations: int,
-        workers: List[str],
-        dispatch: str = "round_robin",
-        probes: Tuple[str, ...] = (),
-        verification: str = "none",
-    ) -> RunReport:
-        """Run ``graph`` over the discovered workers; blocks until done."""
-        done = self.controller.run_distributed(
-            graph, iterations, workers, probes,
-            dispatch=dispatch, verification=verification,
-        )
-        return self.sim.run(until=done)
 
     def shutdown_workers(self, workers: List[str]) -> None:
         """Ask every worker process to exit, then flush the frames out."""
@@ -217,15 +192,30 @@ def _worker_env() -> Dict[str, str]:
     return env
 
 
+@functools.lru_cache(maxsize=8)
+def config_payload(config: GridConfig) -> str:
+    """``config`` as the ``--config`` argument of ``python -m repro.deployment``.
+
+    The canonical wire encoding, base64 for the command line.  Cached on
+    the (hashable) config, so a fleet's payload is produced once.
+    """
+    return base64.b64encode(encode(config)).decode("ascii")
+
+
 def launch_worker(
     peer_id: str,
     port: int,
     peers: Dict[str, Address],
-    efficiency: float = 1.0,
-    query_window: float = 0.5,
+    efficiency: Optional[float] = None,
+    config: GridConfig = DEPLOYMENT_DEFAULTS,
     python: str = sys.executable,
 ) -> subprocess.Popen:
-    """Spawn one :class:`WorkerNode` OS process."""
+    """Spawn one :class:`WorkerNode` OS process built from ``config``.
+
+    ``efficiency`` is shorthand for ``config.replace(worker_efficiency=...)``.
+    """
+    if efficiency is not None:
+        config = config.replace(worker_efficiency=efficiency)
     argv = [
         python,
         "-m",
@@ -233,8 +223,7 @@ def launch_worker(
         "--peer-id", peer_id,
         "--port", str(port),
         "--peers", json.dumps({k: list(v) for k, v in peers.items()}),
-        "--efficiency", repr(efficiency),
-        "--query-window", repr(query_window),
+        "--config", config_payload(config),
     ]
     return subprocess.Popen(argv, env=_worker_env())
 
@@ -242,34 +231,32 @@ def launch_worker(
 def run_tcp_localhost(
     graph: TaskGraph,
     iterations: int,
-    n_workers: int = 2,
+    config: GridConfig = DEPLOYMENT_DEFAULTS,
     dispatch: str = "round_robin",
     probes: Tuple[str, ...] = (),
     verification: str = "none",
-    seed: int = 0,
-    query_window: float = 0.5,
-    heartbeat_interval: float = 10.0,
-    worker_efficiency: float = 1.0,
     startup_deadline: float = 30.0,
     registry: Optional[UnitRegistry] = None,
+    **changes,
 ) -> RunReport:
-    """Run ``graph`` across ``1 + n_workers`` OS processes on localhost.
+    """Run ``graph`` across ``1 + config.n_workers`` OS processes on localhost.
 
     The calling process hosts the portal and controller peers; each
-    worker is a separate Python subprocess.  Module code reaches the
-    workers through the ordinary repository protocol (fetch → cache →
-    sandbox → local engine), so nothing about the graph needs to be
-    pre-installed on the worker side beyond the package itself.
+    worker is a separate Python subprocess built from the same
+    ``config`` (keyword settings are changes to it:
+    ``run_tcp_localhost(graph, 4, n_workers=3, seed=7)``).  Module code
+    reaches the workers through the ordinary repository protocol (fetch
+    → cache → sandbox → local engine), so nothing about the graph needs
+    to be pre-installed on the worker side beyond the package itself.
     """
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
+    config = config.replace(**changes)
     host = "127.0.0.1"
-    ports = _free_ports(1 + n_workers, host)
+    ports = _free_ports(1 + config.n_workers, host)
     addresses: Dict[str, Address] = {
         PORTAL_ID: (host, ports[0]),
         CONTROLLER_ID: (host, ports[0]),
     }
-    worker_ids = [f"worker-{i}" for i in range(n_workers)]
+    worker_ids = [f"worker-{i}" for i in range(config.n_workers)]
     for worker_id, port in zip(worker_ids, ports[1:]):
         addresses[worker_id] = (host, port)
 
@@ -279,23 +266,12 @@ def run_tcp_localhost(
     try:
         for worker_id in worker_ids:
             procs.append(launch_worker(
-                worker_id,
-                addresses[worker_id][1],
-                addresses,
-                efficiency=worker_efficiency,
-                query_window=query_window,
+                worker_id, addresses[worker_id][1], addresses, config=config
             ))
         # Inside the try: the reserved port can be taken before the bind,
         # and a failed controller must not orphan the workers.
-        node = ControllerNode(
-            ports[0],
-            addresses,
-            seed=seed,
-            query_window=query_window,
-            heartbeat_interval=heartbeat_interval,
-            registry=registry,
-        )
-        workers = node.wait_for_workers(n_workers, deadline_s=startup_deadline)
+        node = ControllerNode(ports[0], addresses, config, registry=registry)
+        workers = node.wait_for_workers(config.n_workers, deadline_s=startup_deadline)
         report = node.run(
             graph, iterations, workers,
             dispatch=dispatch, probes=probes, verification=verification,
@@ -336,24 +312,24 @@ def worker_main(argv: Optional[List[str]] = None) -> int:
         required=True,
         help='JSON address map, e.g. {"portal": ["127.0.0.1", 9000], ...}',
     )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--efficiency", type=float, default=1.0)
-    parser.add_argument("--query-window", type=float, default=0.5)
+    parser.add_argument(
+        "--config",
+        default=None,
+        help="the grid's GridConfig as printed by repro.deployment."
+             "config_payload (default: DEPLOYMENT_DEFAULTS)",
+    )
     args = parser.parse_args(argv)
 
     peers = {
         peer_id: (str(entry[0]), int(entry[1]))
         for peer_id, entry in json.loads(args.peers).items()
     }
-    node = WorkerNode(
-        args.peer_id,
-        args.port,
-        peers,
-        seed=args.seed,
-        efficiency=args.efficiency,
-        query_window=args.query_window,
-    )
-    node.serve()
+    config = DEPLOYMENT_DEFAULTS
+    if args.config is not None:
+        config = decode(base64.b64decode(args.config))
+        if not isinstance(config, GridConfig):
+            parser.error(f"--config decodes to {type(config).__name__}, not GridConfig")
+    WorkerNode(args.peer_id, args.port, peers, config).serve()
     return 0
 
 

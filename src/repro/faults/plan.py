@@ -167,6 +167,11 @@ class FaultPlan:
         self.faults.extend(faults)
         return self
 
+    def __hash__(self) -> int:
+        # By content, so a plan can sit in a (hashable) GridConfig, which
+        # keeps its own copy with ``faults`` as a tuple.
+        return hash((tuple(self.faults), self.name))
+
     def __iter__(self) -> Iterator[Fault]:
         return iter(sorted(self.faults, key=lambda f: (f.at, f.kind)))
 

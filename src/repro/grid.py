@@ -1,10 +1,13 @@
 """One-call Consumer Grid assembly — the library's front door.
 
 "To deploy the Consumer Grid, a user would need to have the Triana peer
-installed locally."  :class:`ConsumerGrid` builds the full simulated
-deployment in one line: the network, a discovery strategy, a module
-repository ("downloaded from a pre-defined portal"), a controller, and a
-fleet of volunteer workers running Triana service daemons.
+installed locally."  One peer, one assembly: :class:`GridNode` turns a
+:class:`~repro.config.GridConfig` and the roles a process hosts into
+peers and services on one fabric.  :class:`ConsumerGrid` hosts every
+role — the network, a discovery strategy, a module repository
+("downloaded from a pre-defined portal"), a controller and a fleet of
+volunteer workers running Triana service daemons — in one line;
+:mod:`repro.deployment` spreads the same roles over OS processes.
 
 Example
 -------
@@ -16,12 +19,15 @@ Example
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import dataclasses
+from typing import Callable, Iterable, Optional
 
+from .config import GridConfig
 from .core.registry import UnitRegistry, global_registry
 from .core.taskgraph import TaskGraph
+from .faults import FaultInjector
 from .mobility.repository import ModuleRepository
-from .mobility.sandbox import SandboxPolicy
+from .mobility.sandbox import SandboxStats
 from .observe import (
     FlightRecorder,
     HealthMonitor,
@@ -37,272 +43,138 @@ from .p2p.discovery import (
     FloodingDiscovery,
     RendezvousDiscovery,
 )
-from .p2p.network import DSL_PROFILE, NodeProfile, SimNetwork, Transport
+from .p2p.network import NodeProfile, SimNetwork, Transport
 from .p2p.peer import Peer
 from .resources.availability import AvailabilityModel
+from .resources.gram import BatchQueue
+from .service.cluster import ClusterTrianaService
 from .service.controller import RunReport, TrianaController
 from .service.worker import TrianaService
 from .simkernel import Simulator
-from .transport import TRANSPORTS, RealtimeSimulator, TcpTransport
+from .transport import RealtimeSimulator, TcpTransport
 
-__all__ = ["ConsumerGrid"]
+__all__ = ["ConsumerGrid", "GridNode", "DISCOVERY", "PORTAL_ID", "CONTROLLER_ID"]
 
+#: Role (and peer id) hosting the module repository and the discovery
+#: index / rendezvous — the paper's portal machine.
+PORTAL_ID = "portal"
+#: Role (and peer id) of the Triana controller.
+CONTROLLER_ID = "controller"
 
-_DISCOVERY: dict[str, type[DiscoveryService]] = {
+#: discovery name → strategy class (``GridConfig.discovery``, ``--discovery``)
+DISCOVERY: dict[str, type[DiscoveryService]] = {
     "central": CentralIndexDiscovery,
     "flooding": FloodingDiscovery,
     "rendezvous": RendezvousDiscovery,
 }
 
 
-class ConsumerGrid:
-    """A complete simulated Consumer Grid deployment.
+class GridNode:
+    """The share of a Consumer Grid one process hosts, on one fabric.
 
-    Parameters
-    ----------
-    n_workers:
-        Number of volunteer worker peers.
-    seed:
-        Simulation seed (full determinism).
-    discovery:
-        ``central`` | ``flooding`` | ``rendezvous``.
-    worker_profile:
-        Link/CPU profile for volunteers (default: 2003 DSL consumer).
-    sandbox / cache_policy / worker_efficiency:
-        Forwarded to each worker's :class:`TrianaService`.
-    trace:
-        Record spans/events/metrics from construction on (see
-        :mod:`repro.observe` and docs/observability.md).
-    tracer:
-        Use a specific (caller-owned) tracer instead; implies ``trace``.
-    telemetry:
-        Enable the live telemetry sampler and health monitor (implies
-        ``trace``): periodic grid snapshots every ``telemetry_interval``
-        sim seconds, online anomaly detection, a ``health`` section on
-        the run report, and a flight recorder for post-mortems.  Like
-        tracing it is strictly passive — results are bit-identical.
-    telemetry_interval / health_config:
-        Sampler tick spacing and keyword overrides for
-        :func:`~repro.observe.health.default_detectors`.
-    module_replicas:
-        Pre-seed each group's modules onto this many workers before
-        deploying and let every worker cache serve as a cooperative
-        replica (discovery-routed fetches, digest revalidation).  0 (the
-        default) keeps the seed's repository-only protocol.
-    module_chunk_bytes:
-        Split package transfers larger than this into pipelined chunks;
-        ``None`` ships each package as one message.
-    cache_fetch_timeout:
-        Per-fetch timeout of the worker module caches — raise it for
-        experiments shipping multi-megabyte packages over consumer DSL.
+    ``roles`` names the peers to host, in order: :data:`PORTAL_ID`,
+    :data:`CONTROLLER_ID`, and any other name is a worker.  The fabric is
+    the one ``config.transport`` names (``endpoint`` = the socket
+    fabric's ``host`` / ``port`` / ``peers``); it is closed again if the
+    assembly fails.  ``registry`` (the portal's unit registry) and
+    ``tracer`` (a caller-owned tracer; implies tracing) are runtime
+    objects and so not part of the config.
     """
+
+    #: installed by :class:`ConsumerGrid` only (chaos layer, live telemetry)
+    fault_injector: Optional[FaultInjector] = None
+    telemetry: Optional[TelemetrySampler] = None
+    health: Optional[HealthMonitor] = None
 
     def __init__(
         self,
-        n_workers: int = 4,
-        seed: int = 0,
-        discovery: str = "central",
-        worker_profile: Optional[NodeProfile] = None,
-        controller_profile: Optional[NodeProfile] = None,
+        config: GridConfig,
+        roles: Iterable[str],
         registry: Optional[UnitRegistry] = None,
-        sandbox_factory: Optional[Callable[[], SandboxPolicy]] = None,
-        cache_policy: str = "on_demand",
-        worker_efficiency: float = 1.0,
-        query_window: float = 2.0,
-        retry_timeout: float = 900.0,
-        retry_interval: float = 300.0,
-        jitter_fraction: float = 0.0,
-        contention: bool = False,
-        loss_fraction: float = 0.0,
-        corrupt_fraction: float = 0.0,
-        duplicate_fraction: float = 0.0,
-        reorder_fraction: float = 0.0,
-        heartbeat_interval: float = 60.0,
-        suspect_after_missed: int = 3,
-        backoff_base: Optional[float] = None,
-        backoff_max: float = 120.0,
-        speculation_threshold: float = 0.9,
-        speculation_age: Optional[float] = None,
-        fault_plan=None,
-        trace: bool = False,
         tracer: Optional[Tracer] = None,
-        telemetry: bool = False,
-        telemetry_interval: float = 5.0,
-        health_config: Optional[dict] = None,
-        policy_registry=None,
-        module_replicas: int = 0,
-        module_chunk_bytes: Optional[int] = None,
-        cache_fetch_timeout: float = 30.0,
-        transport: str = "sim",
+        **endpoint,
     ):
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        fabric = TRANSPORTS.lookup(transport)  # unknown name: ValueError
-        if discovery not in fabric.supported_discovery:
-            raise ValueError(
-                f"discovery {discovery!r} is not supported on the "
-                f"{transport!r} transport "
-                f"(supported: {', '.join(fabric.supported_discovery)})"
-            )
-        if tracer is None and (trace or telemetry):
+        if tracer is None and (config.trace or config.telemetry):
             tracer = Tracer()
-        chaos = {
-            "jitter_fraction": jitter_fraction,
-            "contention": contention,
-            "loss_fraction": loss_fraction,
-            "corrupt_fraction": corrupt_fraction,
-            "duplicate_fraction": duplicate_fraction,
-            "reorder_fraction": reorder_fraction,
-        }
-        if transport == "tcp":
-            # Single-process loopback deployment: every peer still lives
-            # in this process, but frames cross real sockets through the
-            # canonical codec.  For grids spanning OS processes use
-            # repro.deployment (which the CLI's --transport tcp drives).
-            bad = sorted(
-                k for k, v in {**chaos, "fault_plan": fault_plan}.items() if v
-            )
-            if bad:
-                raise ValueError(
-                    "chaos modelling is simulation apparatus; not supported "
-                    f"on the tcp transport: {', '.join(bad)}"
-                )
-            self.sim = RealtimeSimulator(seed=seed, tracer=tracer)
-            self.transport: Transport = TcpTransport(self.sim)
+        self.config = config
+        if config.transport == "tcp":
+            self.sim = RealtimeSimulator(seed=config.seed, tracer=tracer)
+            self.transport: Transport = TcpTransport(self.sim, **endpoint)
         else:
-            self.sim = Simulator(seed=seed, tracer=tracer)
-            self.transport = SimNetwork(self.sim, **chaos)
-        self.discovery = _DISCOVERY[discovery](query_window=query_window)
-        self.registry = registry if registry is not None else global_registry()
+            self.sim = Simulator(seed=config.seed, tracer=tracer)
+            # (an endpoint here is SimNetwork's TypeError: sockets need "tcp")
+            self.transport = SimNetwork(self.sim, **vars(config.chaos), **endpoint)
+        try:
+            self._assemble(roles, registry)
+        except BaseException:
+            self.transport.close()
+            raise
 
-        # The portal: hosts the module repository and (for central
-        # discovery) the advertisement index.
-        self.portal = Peer("portal", self.transport, profile=controller_profile)
-        self.discovery.attach(self.portal)
-        self.repository = ModuleRepository(
-            self.portal, self.registry, chunk_bytes=module_chunk_bytes
-        )
-
-        self.controller_peer = Peer(
-            "controller", self.transport, profile=controller_profile
-        )
-        self.discovery.attach(self.controller_peer)
-        self.controller = TrianaController(
-            self.controller_peer,
-            self.discovery,
-            retry_timeout=retry_timeout,
-            retry_interval=retry_interval,
-            heartbeat_interval=heartbeat_interval,
-            suspect_after_missed=suspect_after_missed,
-            backoff_base=backoff_base,
-            backoff_max=backoff_max,
-            speculation_threshold=speculation_threshold,
-            speculation_age=speculation_age,
-            policy_registry=policy_registry,
-            preseed_replicas=module_replicas,
-        )
-
+    def _assemble(self, roles: Iterable[str], registry: Optional[UnitRegistry]) -> None:
+        cfg = self.config
+        self.discovery = DISCOVERY[cfg.discovery](query_window=cfg.query_window)
         if isinstance(self.discovery, CentralIndexDiscovery):
-            self.discovery.set_index(self.portal)
-        elif isinstance(self.discovery, RendezvousDiscovery):
-            self.discovery.add_rendezvous(self.portal)
-
+            # The index is the portal, in whichever process that lives.
+            self.discovery.set_index_id(PORTAL_ID)
         self.workers: dict[str, TrianaService] = {}
         self.worker_peers: dict[str, Peer] = {}
-        self.availability: dict[str, AvailabilityModel] = {}
-        for i in range(n_workers):
-            peer = Peer(f"worker-{i}", self.transport, profile=worker_profile or DSL_PROFILE)
-            self.discovery.attach(peer)
-            service = TrianaService(
-                peer,
-                repository_host="portal",
-                sandbox=sandbox_factory() if sandbox_factory else SandboxPolicy(),
-                cache_policy=cache_policy,
-                efficiency=worker_efficiency,
-                module_discovery=self.discovery if module_replicas > 0 else None,
-                cache_revalidate="digest" if module_replicas > 0 else "full",
-                cache_chunk_bytes=module_chunk_bytes,
-                cache_fetch_timeout=cache_fetch_timeout,
-            )
-            self.discovery.publish(peer, service.advertisement())
-            self.workers[peer.peer_id] = service
-            self.worker_peers[peer.peer_id] = peer
+        for role in roles:
+            if role == PORTAL_ID:
+                self.registry = registry if registry is not None else global_registry()
+                self.portal = self._peer(PORTAL_ID, cfg.controller_profile)
+                self.repository = ModuleRepository(
+                    self.portal, self.registry,
+                    chunk_bytes=cfg.modules.module_chunk_bytes,
+                )
+                if isinstance(self.discovery, RendezvousDiscovery):
+                    self.discovery.add_rendezvous(self.portal)
+            elif role == CONTROLLER_ID:
+                self.controller_peer = self._peer(CONTROLLER_ID, cfg.controller_profile)
+                self.controller = TrianaController(
+                    self.controller_peer,
+                    self.discovery,
+                    recovery=cfg.recovery,
+                    preseed_replicas=cfg.modules.module_replicas,
+                )
+            else:
+                self.add_worker(role)
 
-        if isinstance(self.discovery, FloodingDiscovery):
-            self.transport.random_overlay(degree=4)
-        self.sim.run()  # settle publishes
+    def _peer(self, peer_id: str, profile: NodeProfile) -> Peer:
+        peer = Peer(peer_id, self.transport, profile=profile)
+        self.discovery.attach(peer)
+        return peer
 
-        # Chaos layer: scheduled *after* the settle so a plan's t=0 faults
-        # cannot fire during assembly, before any run is in flight.
-        self.fault_injector = None
-        if fault_plan is not None:
-            from .faults import FaultInjector
-
-            peers = {
-                "portal": self.portal,
-                "controller": self.controller_peer,
-                **self.worker_peers,
-            }
-            self.fault_injector = FaultInjector(
-                self.sim, self.transport, fault_plan, peers=peers
-            ).schedule()
-
-        # Live telemetry: installed last so its sources can read every
-        # subsystem (including the fault injector) already in place.
-        self.telemetry: Optional[TelemetrySampler] = None
-        self.health: Optional[HealthMonitor] = None
-        self.flight_recorder: Optional[FlightRecorder] = None
-        if telemetry:
-            self.enable_telemetry(
-                interval=telemetry_interval, health_config=health_config
-            )
-
-    def enable_telemetry(
+    def add_worker(
         self,
-        interval: float = 5.0,
-        health_config: Optional[dict] = None,
-    ) -> TelemetrySampler:
-        """Install the telemetry sampler, health monitor and flight recorder.
+        name: str,
+        profile: Optional[NodeProfile] = None,
+        queue: Optional[BatchQueue] = None,
+    ) -> TrianaService:
+        """The per-worker step: peer, service daemon, advertisement.
 
-        Idempotent; callable post-construction too (e.g. from tooling
-        that builds a grid first).  Enables tracing if it was off —
-        liveness is snapshotted so utilization accounting stays right.
+        Every worker of every grid is made here.  ``profile`` overrides
+        ``config.worker_profile`` (a heterogeneous fleet); ``queue``
+        makes the peer front a batch-managed cluster.  Added to a grid
+        that is already built, the advertisement still has to land:
+        settle with ``grid.sim.run()``.
         """
-        if self.telemetry is not None:
-            return self.telemetry
-        self._ensure_tracing()
-        sampler = TelemetrySampler(interval=interval)
-        self.sim.install_sampler(sampler)
-        recorder = FlightRecorder()
-        recorder.attach(self.sim.tracer)
-        monitor = HealthMonitor(
-            detectors=default_detectors(**(health_config or {}))
+        cfg = self.config
+        peer = self._peer(name, profile or cfg.worker_profile)
+        hosting = dict(
+            repository_host=PORTAL_ID,
+            sandbox=dataclasses.replace(cfg.sandbox, stats=SandboxStats()),
+            efficiency=cfg.worker_efficiency,
+            modules=cfg.modules,
+            discovery=self.discovery,
         )
-        monitor.attach(self.sim.tracer)
-        sampler.attach_monitor(monitor)
-
-        sampler.add_source("net", self.transport.telemetry_sample)
-        workers = self.workers
-        def _workers_sample():
-            return {
-                wid: svc.telemetry_sample()
-                for wid, svc in sorted(workers.items())
-            }
-        sampler.add_source("workers", _workers_sample)
-        controller = self.controller
-        sampler.add_source(
-            "detector",
-            lambda: controller.detector.telemetry_sample(self.sim.now),
-        )
-        sampler.add_source(
-            "reputation", lambda: controller.reputation.summary()
-        )
-        if self.fault_injector is not None:
-            sampler.add_source("faults", self.fault_injector.telemetry_sample)
-        self.telemetry = sampler
-        self.health = monitor
-        self.flight_recorder = recorder
-        return sampler
+        if queue is None:
+            service = TrianaService(peer, **hosting)
+        else:
+            service = ClusterTrianaService(peer, queue=queue, **hosting)
+        self.discovery.publish(peer, service.advertisement())
+        self.workers[name] = service
+        self.worker_peers[name] = peer
+        return service
 
     def _ensure_tracing(self) -> None:
         """Late opt-in: swap a recording tracer in if none is installed.
@@ -314,46 +186,6 @@ class ConsumerGrid:
             self.sim.install_tracer(Tracer())
             self.transport.trace_liveness_snapshot()
 
-    def add_cluster_worker(
-        self,
-        name: str,
-        nodes: int = 4,
-        cores_per_node: int = 2,
-        profile: Optional[NodeProfile] = None,
-        efficiency: float = 1.0,
-    ):
-        """Add a peer that fronts a GRAM-managed cluster (§3.1).
-
-        Returns the :class:`~repro.service.cluster.ClusterTrianaService`.
-        """
-        from .resources.gram import BatchQueue
-        from .service.cluster import ClusterTrianaService
-
-        peer = Peer(name, self.transport, profile=profile or DSL_PROFILE)
-        self.discovery.attach(peer)
-        queue = BatchQueue(
-            self.sim,
-            nodes=nodes,
-            cores_per_node=cores_per_node,
-            cpu_flops=peer.profile.cpu_flops * efficiency,
-        )
-        service = ClusterTrianaService(peer, repository_host="portal", queue=queue)
-        self.discovery.publish(peer, service.advertisement())
-        self.workers[name] = service
-        self.worker_peers[name] = peer
-        self.sim.run()
-        return service
-
-    # -- volunteer dynamics -----------------------------------------------------
-    def install_availability(
-        self, factory: Callable[[str], AvailabilityModel]
-    ) -> None:
-        """Give every worker an availability model (churn, screensaver...)."""
-        for peer_id, peer in self.worker_peers.items():
-            model = factory(peer_id)
-            model.install(peer)
-            self.availability[peer_id] = model
-
     # -- running applications ------------------------------------------------------
     def discover_workers(self, min_cpu_flops: float = 0.0) -> list[str]:
         """Synchronous worker discovery (runs the sim until the reply)."""
@@ -364,8 +196,8 @@ class ConsumerGrid:
         self,
         graph: TaskGraph,
         iterations: int,
-        probes: tuple[str, ...] = (),
         workers: Optional[list[str]] = None,
+        probes: tuple[str, ...] = (),
         run_until: Optional[float] = None,
         dispatch: str = "round_robin",
         verification: str = "none",
@@ -380,9 +212,8 @@ class ConsumerGrid:
         :func:`~repro.service.placement.dispatch_policy_names`, e.g.
         ``round_robin`` | ``weighted``).  Group *distribution* policies
         come from the graph's ``<group policy="...">`` attributes and
-        resolve against the controller's
-        :class:`~repro.service.policies.PolicyRegistry` — pass
-        ``policy_registry`` at construction to inject custom ones.
+        resolve against the global policy registry
+        (:func:`~repro.service.policies.register_policy` adds one).
         ``verification`` turns on result-integrity checking (``none`` |
         ``replicate-<k>`` | ``spot-<p>``, see
         :mod:`repro.service.integrity`) — the defence against the chaos
@@ -394,7 +225,7 @@ class ConsumerGrid:
         as JSON.  Either switches tracing on for the run if it wasn't
         already.  ``telemetry_out`` writes the sampler's buffered rows
         as JSONL (requires ``telemetry=True`` at construction, or a
-        prior :meth:`enable_telemetry` call).
+        prior :meth:`ConsumerGrid.enable_telemetry` call).
         """
         if trace_out is not None or metrics_out is not None:
             # Before discovery, so the run's p2p/mobility/service spans
@@ -435,3 +266,132 @@ class ConsumerGrid:
                 )
             self.telemetry.export_jsonl(telemetry_out)
         return report
+
+
+class ConsumerGrid(GridNode):
+    """A complete Consumer Grid in one process: every role on one fabric.
+
+    ``ConsumerGrid(n_workers=4, seed=42, trace=True)`` is
+    ``ConsumerGrid(GridConfig().replace(n_workers=4, seed=42, trace=True))``:
+    keyword settings are changes to ``config`` (see
+    :class:`~repro.config.GridConfig` and the table in
+    docs/architecture.md for what can be set).  With
+    ``transport="tcp"`` every peer still lives in this process, but
+    frames cross real sockets through the canonical codec; for grids
+    spanning OS processes use :mod:`repro.deployment`.
+    """
+
+    def __init__(
+        self,
+        config: GridConfig = GridConfig(),
+        *,
+        registry: Optional[UnitRegistry] = None,
+        tracer: Optional[Tracer] = None,
+        **changes,
+    ):
+        config = config.replace(**changes)
+        workers = (f"worker-{i}" for i in range(config.n_workers))
+        super().__init__(
+            config, (PORTAL_ID, CONTROLLER_ID, *workers), registry, tracer
+        )
+
+    def _assemble(self, roles, registry) -> None:
+        super()._assemble(roles, registry)
+        self.availability: dict[str, AvailabilityModel] = {}
+        if isinstance(self.discovery, FloodingDiscovery):
+            self.transport.random_overlay(degree=4)
+        self.sim.run()  # settle publishes
+
+        # Chaos layer: scheduled *after* the settle so a plan's t=0 faults
+        # cannot fire during assembly, before any run is in flight.
+        if self.config.fault_plan is not None:
+            peers = {
+                PORTAL_ID: self.portal,
+                CONTROLLER_ID: self.controller_peer,
+                **self.worker_peers,
+            }
+            self.fault_injector = FaultInjector(
+                self.sim, self.transport, self.config.fault_plan, peers=peers
+            ).schedule()
+
+        # Live telemetry: installed last so its sources can read every
+        # subsystem (including the fault injector) already in place.
+        self.flight_recorder: Optional[FlightRecorder] = None
+        if self.config.telemetry:
+            self.enable_telemetry()
+
+    def enable_telemetry(self, interval: Optional[float] = None) -> TelemetrySampler:
+        """Install the telemetry sampler, health monitor and flight recorder.
+
+        Idempotent; callable post-construction too (e.g. from tooling
+        that builds a grid first).  Enables tracing if it was off —
+        liveness is snapshotted so utilization accounting stays right.
+        ``interval`` defaults to ``config.telemetry_interval``.
+        """
+        if self.telemetry is not None:
+            return self.telemetry
+        self._ensure_tracing()
+        if interval is None:
+            interval = self.config.telemetry_interval
+        sampler = TelemetrySampler(interval=interval)
+        self.sim.install_sampler(sampler)
+        recorder = FlightRecorder()
+        recorder.attach(self.sim.tracer)
+        monitor = HealthMonitor(
+            detectors=default_detectors(**dict(self.config.health_config))
+        )
+        monitor.attach(self.sim.tracer)
+        sampler.attach_monitor(monitor)
+
+        sampler.add_source("net", self.transport.telemetry_sample)
+        workers = self.workers
+        def _workers_sample():
+            return {
+                wid: svc.telemetry_sample()
+                for wid, svc in sorted(workers.items())
+            }
+        sampler.add_source("workers", _workers_sample)
+        controller = self.controller
+        sampler.add_source(
+            "detector",
+            lambda: controller.detector.telemetry_sample(self.sim.now),
+        )
+        sampler.add_source(
+            "reputation", lambda: controller.reputation.summary()
+        )
+        if self.fault_injector is not None:
+            sampler.add_source("faults", self.fault_injector.telemetry_sample)
+        self.telemetry = sampler
+        self.health = monitor
+        self.flight_recorder = recorder
+        return sampler
+
+    def add_cluster_worker(
+        self,
+        name: str,
+        nodes: int = 4,
+        cores_per_node: int = 2,
+        profile: Optional[NodeProfile] = None,
+        efficiency: float = 1.0,
+    ) -> ClusterTrianaService:
+        """Add a peer that fronts a GRAM-managed cluster (§3.1)."""
+        profile = profile or self.config.worker_profile
+        queue = BatchQueue(
+            self.sim,
+            nodes=nodes,
+            cores_per_node=cores_per_node,
+            cpu_flops=profile.cpu_flops * efficiency,
+        )
+        service = self.add_worker(name, profile, queue)
+        self.sim.run()
+        return service
+
+    # -- volunteer dynamics -----------------------------------------------------
+    def install_availability(
+        self, factory: Callable[[str], AvailabilityModel]
+    ) -> None:
+        """Give every worker an availability model (churn, screensaver...)."""
+        for peer_id, peer in self.worker_peers.items():
+            model = factory(peer_id)
+            model.install(peer)
+            self.availability[peer_id] = model

@@ -9,7 +9,7 @@ peer "only host[s] code that is necessary" and versions stay consistent.
 * :class:`SandboxPolicy` — host permission + certified-library checks
 """
 
-from .cache import CacheStats, ModuleCache
+from .cache import CacheStats, ModuleCache, ModuleSettings
 from .errors import (
     MobilityError,
     ModuleNotFoundInRepo,
@@ -24,6 +24,7 @@ __all__ = [
     "DEFAULT_PERMISSIONS",
     "MobilityError",
     "ModuleCache",
+    "ModuleSettings",
     "ModuleNotFoundInRepo",
     "ModulePackage",
     "ModuleRepository",

@@ -13,16 +13,16 @@ The cache supports two policies:
   in messages but can run stale code (the problem the paper says the
   on-demand model "overcomes").  Experiment E8 measures the trade.
 
-On top of the policies sit three distribution mechanisms (E18):
+On top of the policies sit three distribution mechanisms (E18); the
+last two switch on together with ``ModuleSettings.module_replicas > 0``:
 
 * **coalescing** (always on) — concurrent ``ensure`` calls for the same
   unit share one in-flight fetch: one request, one download, every
   waiter woken with the same package;
-* **digest revalidation** (``revalidate="digest"``) — an ``on_demand``
-  re-check sends the cached content digest with the fetch; a matching
-  repository answers with a tiny ``not-modified`` reply instead of the
-  full bytes;
-* **cooperative replicas** (``discovery=`` set) — a cache that stores a
+* **digest revalidation** — an ``on_demand`` re-check sends the cached
+  content digest with the fetch; a matching repository answers with a
+  tiny ``not-modified`` reply instead of the full bytes;
+* **cooperative replicas** (given a ``discovery``) — a cache that stores a
   package publishes an ``ADV_MODULE`` replica advertisement and serves
   ``module-peer-fetch`` requests from other caches.  A miss then costs a
   cheap ``module-head`` to the authority plus a transfer from the
@@ -50,9 +50,28 @@ from ..simkernel import Event
 from .errors import MobilityError, ModuleNotFoundInRepo, RepositoryUnreachable
 from .repository import NOT_MODIFIED, PACKAGE_OVERHEAD, ModulePackage, send_package
 
-__all__ = ["CacheStats", "ModuleCache"]
+__all__ = ["CacheStats", "ModuleCache", "ModuleSettings"]
 
 _fetch_ids = itertools.count(1)
+
+#: seconds a replica-lookup query collects answers before the fetch goes out
+RESOLVE_WINDOW = 0.5
+
+
+@dataclass(frozen=True)
+class ModuleSettings:
+    """How a grid moves module code: one value for repository, caches, controller."""
+
+    #: pre-seed each group's modules onto this many workers before
+    #: deploying, and let every cache serve as a cooperative replica
+    #: (discovery-routed fetches, digest revalidation); 0 = repository only
+    module_replicas: int = 0
+    #: split package transfers larger than this into pipelined chunks;
+    #: ``None`` ships each package as one message
+    module_chunk_bytes: Optional[int] = None
+    #: per-fetch timeout of a cache — raise it for multi-megabyte
+    #: packages over consumer DSL
+    cache_fetch_timeout: float = 30.0
 
 
 @dataclass
@@ -109,11 +128,12 @@ class _Pending:
 class ModuleCache:
     """LRU module cache on one peer, fed by a remote repository.
 
-    With ``discovery`` attached the cache is also a *replica*: it
-    advertises what it holds and serves other caches.  ``revalidate``
-    selects how an ``on_demand`` re-check travels: ``"full"`` (the
-    seed protocol — always a full reply) or ``"digest"`` (content
-    digest in the request, ``not-modified`` answer on a match).
+    ``modules`` carries the grid-wide transfer settings.  With
+    ``module_replicas > 0`` the cache is also a *replica*: it advertises
+    what it holds through ``discovery``, serves other caches, and an
+    ``on_demand`` re-check sends the cached content digest
+    (``not-modified`` answer on a match) instead of always pulling a
+    full reply (the seed protocol).
     """
 
     def __init__(
@@ -122,27 +142,22 @@ class ModuleCache:
         repository_host: str,
         capacity_bytes: int = 10_000_000,
         policy: str = "on_demand",
-        fetch_timeout: float = 30.0,
+        modules: ModuleSettings = ModuleSettings(),
         discovery: Optional[Any] = None,
-        revalidate: str = "full",
-        chunk_bytes: Optional[int] = None,
-        resolve_window: float = 0.5,
     ):
         if policy not in ("on_demand", "sticky"):
             raise MobilityError(f"unknown cache policy {policy!r}")
-        if revalidate not in ("full", "digest"):
-            raise MobilityError(f"unknown revalidate mode {revalidate!r}")
         if capacity_bytes <= 0:
             raise MobilityError("capacity_bytes must be positive")
+        cooperative = modules.module_replicas > 0
         self.peer = peer
         self.repository_host = repository_host
         self.capacity_bytes = capacity_bytes
         self.policy = policy
-        self.fetch_timeout = fetch_timeout
-        self.discovery = discovery
-        self.revalidate = revalidate
-        self.chunk_bytes = chunk_bytes
-        self.resolve_window = resolve_window
+        self.fetch_timeout = modules.cache_fetch_timeout
+        self.discovery = discovery if cooperative else None
+        self.revalidate = "digest" if cooperative else "full"
+        self.chunk_bytes = modules.module_chunk_bytes
         self.stats = CacheStats()
         self._cached: OrderedDict[str, ModulePackage] = OrderedDict()
         self._pending: dict[int, _Pending] = {}
@@ -321,7 +336,7 @@ class ModuleCache:
             predicate=AttrPredicate.make(
                 equals={"digest": want}, not_equals={"host": me}
             ),
-            window=self.resolve_window,
+            window=RESOLVE_WINDOW,
         )
         advs = yield query
         if pending.done:

@@ -40,9 +40,13 @@ class SandboxStats:
     uncertified_rejections: int = 0
 
 
-@dataclass
+@dataclass(unsafe_hash=True)
 class SandboxPolicy:
     """Per-peer execution policy.
+
+    The policy fields are a value (set once, compared and hashed — a
+    :class:`~repro.config.GridConfig` carries one); ``stats`` is the
+    per-peer tally beside it and takes no part in equality.
 
     Parameters
     ----------
@@ -63,7 +67,7 @@ class SandboxPolicy:
     certified_only: bool = False
     certified_library: frozenset[str] = frozenset()
     max_module_ram: Optional[int] = None
-    stats: SandboxStats = field(default_factory=SandboxStats)
+    stats: SandboxStats = field(default_factory=SandboxStats, compare=False)
 
     def __post_init__(self):
         self.granted = frozenset(self.granted)

@@ -31,6 +31,7 @@ from .network import (
     DSL_PROFILE,
     LAN_PROFILE,
     Message,
+    NetChaos,
     NetStats,
     NodeProfile,
     SimNetwork,
@@ -58,6 +59,7 @@ __all__ = [
     "JxtaService",
     "LAN_PROFILE",
     "Message",
+    "NetChaos",
     "NetStats",
     "NetworkError",
     "NodeProfile",

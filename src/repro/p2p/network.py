@@ -40,7 +40,7 @@ from ..simkernel import Resource, Simulator
 from .errors import NetworkError
 
 __all__ = [
-    "NodeProfile", "Message", "NetStats", "Transport", "SimNetwork",
+    "NodeProfile", "Message", "NetStats", "NetChaos", "Transport", "SimNetwork",
     "DSL_PROFILE", "LAN_PROFILE", "chunk_sizes",
 ]
 
@@ -87,6 +87,29 @@ DSL_PROFILE = NodeProfile()
 LAN_PROFILE = NodeProfile(
     up_bps=100e6 / 8, down_bps=100e6 / 8, latency_s=0.0005, cpu_flops=2.0e9
 )
+
+
+@dataclass(frozen=True)
+class NetChaos:
+    """How a :class:`SimNetwork` misbehaves — its keyword arguments, as a value.
+
+    Simulation apparatus: a socket fabric has real jitter and loss and
+    takes none of these.  ``SimNetwork(sim, **vars(chaos))`` applies one.
+    """
+
+    jitter_fraction: float = 0.0
+    contention: bool = False
+    loss_fraction: float = 0.0
+    corrupt_fraction: float = 0.0
+    duplicate_fraction: float = 0.0
+    reorder_fraction: float = 0.0
+
+    def __post_init__(self):
+        for name in (
+            "loss_fraction", "corrupt_fraction", "duplicate_fraction", "reorder_fraction",
+        ):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise NetworkError(f"{name} must be in [0, 1)")
 
 
 @dataclass(slots=True)
@@ -271,14 +294,11 @@ class SimNetwork(Transport):
         duplicate_fraction: float = 0.0,
         reorder_fraction: float = 0.0,
     ):
-        for name, frac in (
-            ("loss_fraction", loss_fraction),
-            ("corrupt_fraction", corrupt_fraction),
-            ("duplicate_fraction", duplicate_fraction),
-            ("reorder_fraction", reorder_fraction),
-        ):
-            if not 0.0 <= frac < 1.0:
-                raise NetworkError(f"{name} must be in [0, 1)")
+        # The ranges are the value's to check; direct construction gets them too.
+        NetChaos(
+            jitter_fraction, contention, loss_fraction, corrupt_fraction,
+            duplicate_fraction, reorder_fraction,
+        )
         self.sim = sim
         self.jitter_fraction = jitter_fraction
         self.contention = contention

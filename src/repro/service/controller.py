@@ -39,12 +39,7 @@ from .detector import HeartbeatFailureDetector
 from .errors import SchedulingError
 from .integrity import ReputationLedger, make_verifier
 from .partition import StageRouter, partition_stages
-from .policies import (
-    DispatchContext,
-    PolicyRegistry,
-    RecoverySettings,
-    global_policy_registry,
-)
+from .policies import DispatchContext, RecoverySettings, global_policy_registry
 from .worker import WORKER_SERVICE_KIND, DeploymentSpec
 
 __all__ = ["RunReport", "TrianaController"]
@@ -87,48 +82,23 @@ class TrianaController:
         self,
         peer: Peer,
         discovery: DiscoveryService,
-        retry_timeout: float = 900.0,
-        retry_interval: float = 300.0,
-        deploy_timeout: float = 600.0,
-        heartbeat_interval: float = 60.0,
-        suspect_after_missed: int = 3,
-        backoff_base: Optional[float] = None,
-        backoff_max: float = 120.0,
-        speculation_threshold: float = 0.9,
-        speculation_age: Optional[float] = None,
-        policy_registry: Optional[PolicyRegistry] = None,
+        recovery: RecoverySettings = RecoverySettings(),
         preseed_replicas: int = 0,
     ):
         self.peer = peer
         self.sim: Simulator = peer.sim
         self.discovery = discovery
-        self.deployer = DeploymentManager(peer, deploy_timeout)
+        self.deployer = DeploymentManager(peer)
         #: pre-place each group's modules on this many workers before
         #: deploying (0 = off, the seed behaviour); see docs/performance.md
         self.preseed_replicas = preseed_replicas
-        self.recovery_settings = RecoverySettings(
-            retry_timeout=retry_timeout,
-            retry_interval=retry_interval,
-            # first-retry backoff defaults to retry_interval when unset
-            backoff_base=retry_interval if backoff_base is None else backoff_base,
-            backoff_max=backoff_max,
-            # speculate once this fraction of the batch is done (>=1 disables)
-            speculation_threshold=speculation_threshold,
-            # minimum age of an outstanding iteration before speculation
-            speculation_age=(
-                2.0 * heartbeat_interval if speculation_age is None else speculation_age
-            ),
-        )
+        self.recovery_settings = recovery
         self.detector = HeartbeatFailureDetector(
-            heartbeat_interval=heartbeat_interval,
-            suspect_after_missed=suspect_after_missed,
+            heartbeat_interval=recovery.heartbeat_interval,
+            suspect_after_missed=recovery.suspect_after_missed,
         )
         #: integrity convictions accumulate across runs, like the detector
         self.reputation = ReputationLedger(self.detector)
-        #: distribution-policy registry this controller schedules against
-        self.policies = (
-            policy_registry if policy_registry is not None else global_policy_registry()
-        )
         #: per-controller deployment ids — two grids in one process must
         #: produce identical reports, so no module-global counter here
         self._dep_ids = itertools.count(1)
@@ -315,7 +285,7 @@ class TrianaController:
         ``dispatch`` names the farm dealing policy (see
         :func:`~repro.service.placement.dispatch_policy_names`); group
         distribution policies come from the graph itself and are resolved
-        against :attr:`policies`.  ``verification`` selects a result-
+        against the global policy registry (``@register_policy``).  ``verification`` selects a result-
         integrity strategy (``none`` | ``replicate-<k>`` | ``spot-<p>``,
         see :mod:`repro.service.integrity`).  Returns a process event
         yielding a :class:`RunReport`.
@@ -366,7 +336,7 @@ class TrianaController:
             next_deployment_id=self._next_deployment_id,
             notify=self._notify,
         )
-        ctx.policy = self.policies.create(group.policy)
+        ctx.policy = global_policy_registry().create(group.policy)
         ctx.iterations = iterations
         ctx.group = group
         ctx.verifier = make_verifier(verification, ledger=self.reputation)

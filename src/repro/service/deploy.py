@@ -50,7 +50,7 @@ def merge_preseed_plans(
 class DeploymentManager:
     """Sends deployment specs and waits for acks, retrying lost ones."""
 
-    def __init__(self, peer: Peer, deploy_timeout: float):
+    def __init__(self, peer: Peer, deploy_timeout: float = 600.0):
         self.peer = peer
         self.sim = peer.sim
         self.deploy_timeout = deploy_timeout

@@ -31,14 +31,26 @@ __all__ = ["RecoverySettings", "DispatchContext", "DistributionPolicy"]
 
 @dataclass(frozen=True)
 class RecoverySettings:
-    """Controller-level knobs a policy's recovery machinery honours."""
+    """How a controller notices lost work and how long it waits to re-send it.
 
-    retry_timeout: float
-    retry_interval: float
-    backoff_base: float
-    backoff_max: float
-    speculation_threshold: float
-    speculation_age: float
+    The defaults suit simulated consumer DSL; a wall-clock deployment
+    uses seconds, not minutes (``repro.deployment.DEPLOYMENT_DEFAULTS``).
+    """
+
+    #: an unanswered iteration older than this is re-dispatched
+    retry_timeout: float = 900.0
+    #: recovery-loop tick, and the first re-dispatch back-off
+    retry_interval: float = 300.0
+    #: worker heartbeat period the failure detector expects
+    heartbeat_interval: float = 60.0
+    #: silent beats before a worker is suspected
+    suspect_after_missed: int = 3
+
+    def __post_init__(self):
+        if self.heartbeat_interval <= 0:
+            raise ValueError("heartbeat_interval must be positive")
+        if self.suspect_after_missed < 1:
+            raise ValueError("suspect_after_missed must be >= 1")
 
 
 class DispatchContext:

@@ -24,6 +24,13 @@ from .base import DispatchContext, DistributionPolicy
 
 __all__ = ["Outstanding", "ParallelFarmPolicy"]
 
+#: cap on the exponential re-dispatch back-off (seconds); the first
+#: back-off is one ``retry_interval``
+BACKOFF_MAX = 120.0
+#: duplicate stragglers once this fraction of the batch is done and an
+#: iteration has been outstanding for two heartbeat intervals
+SPECULATION_THRESHOLD = 0.9
+
 
 @dataclass
 class Outstanding:
@@ -167,10 +174,9 @@ class ParallelFarmPolicy(DistributionPolicy):
                     reason = "suspicion" if suspected else "timeout"
                     self._redispatch(ctx, rec, it, now, rng, reason)
                 elif (
-                    cfg.speculation_threshold < 1.0
-                    and done >= cfg.speculation_threshold * ctx.iterations
+                    done >= SPECULATION_THRESHOLD * ctx.iterations
                     and not rec.speculated
-                    and now - rec.dispatched_at >= cfg.speculation_age
+                    and now - rec.dispatched_at >= 2.0 * cfg.heartbeat_interval
                 ):
                     self._speculate(ctx, rec, it, now)
 
@@ -187,7 +193,7 @@ class ParallelFarmPolicy(DistributionPolicy):
         idx = self._pick_replica(ctx, rec, now)
         rec.replica = idx
         rec.dispatched_at = now
-        backoff = min(cfg.backoff_base * 2 ** (rec.attempts - 1), cfg.backoff_max)
+        backoff = min(cfg.retry_interval * 2 ** (rec.attempts - 1), BACKOFF_MAX)
         rec.retry_at = now + backoff * (1.0 + 0.25 * float(rng.random()))
         ctx.counters["n"] += 1
         ctx.counters[reason] += 1

@@ -20,7 +20,7 @@ from typing import Any, Optional  # noqa: F401
 from ..core.engine import LocalEngine
 from ..core.registry import UnitRegistry
 from ..core.xml_io import graph_from_string, unit_names_in_xml
-from ..mobility.cache import ModuleCache
+from ..mobility.cache import ModuleCache, ModuleSettings
 from ..mobility.errors import MobilityError, SandboxViolation
 from ..mobility.sandbox import SandboxPolicy
 from ..p2p.advertisement import ADV_SERVICE, Advertisement
@@ -114,26 +114,15 @@ class TrianaService:
         peer: Peer,
         repository_host: str,
         sandbox: Optional[SandboxPolicy] = None,
-        cache_capacity: int = 10_000_000,
-        cache_policy: str = "on_demand",
         efficiency: float = 1.0,
-        module_discovery: Optional[Any] = None,
-        cache_revalidate: str = "full",
-        cache_chunk_bytes: Optional[int] = None,
-        cache_fetch_timeout: float = 30.0,
+        modules: ModuleSettings = ModuleSettings(),
+        discovery: Optional[Any] = None,
     ):
         self.peer = peer
         self.sim: Simulator = peer.sim
         self.sandbox = sandbox or SandboxPolicy()
         self.cache = ModuleCache(
-            peer,
-            repository_host,
-            capacity_bytes=cache_capacity,
-            policy=cache_policy,
-            fetch_timeout=cache_fetch_timeout,
-            discovery=module_discovery,
-            revalidate=cache_revalidate,
-            chunk_bytes=cache_chunk_bytes,
+            peer, repository_host, modules=modules, discovery=discovery
         )
         self.efficiency = efficiency
         self.local_registry = UnitRegistry()

@@ -75,7 +75,7 @@ class TestDeployRamCap:
         grid = ConsumerGrid(
             n_workers=2,
             seed=121,
-            sandbox_factory=lambda: SandboxPolicy(max_module_ram=1_000_000),
+            sandbox=SandboxPolicy(max_module_ram=1_000_000),
         )
         done = grid.controller.run_distributed(
             fig1_grouped(), 2, grid.discover_workers(), ()
@@ -87,7 +87,7 @@ class TestDeployRamCap:
         grid = ConsumerGrid(
             n_workers=2,
             seed=122,
-            sandbox_factory=lambda: SandboxPolicy(max_module_ram=256_000_000),
+            sandbox=SandboxPolicy(max_module_ram=256_000_000),
         )
         report = grid.run(fig1_grouped(), iterations=2)
         assert len(report.group_results) == 2

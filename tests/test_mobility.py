@@ -9,6 +9,7 @@ from repro.mobility import (
     ModuleCache,
     ModuleNotFoundInRepo,
     ModuleRepository,
+    ModuleSettings,
     RepositoryUnreachable,
     SandboxPolicy,
     SandboxViolation,
@@ -90,7 +91,7 @@ class TestCacheOnDemand:
         assert cache.stats.failures == 1
 
     def test_unreachable_repository_times_out(self):
-        sim, net, repo, cache, device = build({"fetch_timeout": 5.0})
+        sim, net, repo, cache, device = build({"modules": ModuleSettings(cache_fetch_timeout=5.0)})
         net.set_online("portal", False)
         ev = cache.ensure("Wave")
         with pytest.raises(RepositoryUnreachable):

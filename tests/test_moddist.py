@@ -13,7 +13,7 @@ import pytest
 from repro import ConsumerGrid
 from repro.analysis import fig1_grouped
 from repro.core import global_registry
-from repro.mobility import ModuleCache, ModulePackage, ModuleRepository
+from repro.mobility import ModuleCache, ModulePackage, ModuleRepository, ModuleSettings
 from repro.mobility.repository import content_digest
 from repro.p2p import CentralIndexDiscovery, Peer, SimNetwork
 from repro.p2p.network import chunk_sizes
@@ -47,7 +47,8 @@ def replica_grid(n_devices=2, cache_kwargs=None):
         disc.attach(peer)
         caches.append(
             ModuleCache(
-                peer, "portal", discovery=disc, revalidate="digest",
+                peer, "portal", discovery=disc,
+                modules=ModuleSettings(module_replicas=1),
                 **(cache_kwargs or {}),
             )
         )
@@ -100,7 +101,7 @@ class TestChunkedTransfer:
 
 class TestDigestRevalidation:
     def test_second_fetch_revalidates_instead_of_redownloading(self):
-        sim, net, repo, cache = repo_pair(cache_kwargs={"revalidate": "digest"})
+        sim, net, repo, cache = repo_pair(cache_kwargs={"modules": ModuleSettings(module_replicas=1)})
         pkg = sim.run(until=cache.ensure("Wave"))
         sim.run(until=cache.ensure("Wave"))
         assert cache.stats.revalidations == 1
@@ -109,7 +110,7 @@ class TestDigestRevalidation:
         assert cache.stats.bytes_downloaded == pkg.code_size  # paid once
 
     def test_version_bump_defeats_revalidation(self):
-        sim, net, repo, cache = repo_pair(cache_kwargs={"revalidate": "digest"})
+        sim, net, repo, cache = repo_pair(cache_kwargs={"modules": ModuleSettings(module_replicas=1)})
         sim.run(until=cache.ensure("Wave"))
         repo.publish_new_version("Wave", "2.0")
         pkg = sim.run(until=cache.ensure("Wave"))

@@ -107,12 +107,8 @@ def hetero_grid(seed):
         controller_profile=LAN_PROFILE,
         worker_efficiency=1e-5,
     )
-    from repro.p2p import Peer
-    from repro.service import TrianaService
-
-    slow_peer = Peer(
+    grid.add_worker(
         "worker-slow",
-        grid.transport,
         profile=NodeProfile(
             cpu_flops=1e9,
             up_bps=LAN_PROFILE.up_bps,
@@ -120,11 +116,6 @@ def hetero_grid(seed):
             latency_s=LAN_PROFILE.latency_s,
         ),
     )
-    grid.discovery.attach(slow_peer)
-    service = TrianaService(slow_peer, repository_host="portal", efficiency=1e-5)
-    grid.discovery.publish(slow_peer, service.advertisement())
-    grid.workers["worker-slow"] = service
-    grid.worker_peers["worker-slow"] = slow_peer
     grid.sim.run()
     return grid
 

@@ -256,7 +256,7 @@ class TestSandboxIntegration:
         grid = ConsumerGrid(
             n_workers=2,
             seed=17,
-            sandbox_factory=lambda: SandboxPolicy(
+            sandbox=SandboxPolicy(
                 certified_only=True, certified_library=frozenset()
             ),
         )
@@ -270,7 +270,7 @@ class TestSandboxIntegration:
         grid = ConsumerGrid(
             n_workers=2,
             seed=18,
-            sandbox_factory=lambda: SandboxPolicy(
+            sandbox=SandboxPolicy(
                 certified_only=True,
                 certified_library=frozenset({"GaussianNoise@1.0", "FFT@1.0"}),
             ),

@@ -21,6 +21,7 @@ import repro.deployment as deployment
 from repro import ConsumerGrid, TaskGraph
 from repro.apps.galaxy import build_galaxy_graph, generate_snapshots
 from repro.deployment import run_tcp_localhost
+from repro.p2p.advertisement import ADV_MODULE
 from repro.p2p.network import Message
 from repro.transport import RealtimeSimulator, TcpTransport
 from repro.transport.tcp import _FrameReader
@@ -499,3 +500,33 @@ class TestMultiProcessE2E:
         assert result_checksum(report.group_results) == want
         assert report.placements == sim_report.placements
         assert len(report.group_results) == 4
+
+    def test_workers_are_built_from_the_controllers_config(self, monkeypatch):
+        # Before the config was the bootstrap payload a worker process
+        # could be told 3 things; module replicas and chunking were not
+        # among them.  A cache only advertises what it holds when *its*
+        # process was given module_replicas > 0.
+        nodes = []
+
+        class Recording(deployment.ControllerNode):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                nodes.append(self)
+
+        monkeypatch.setattr(deployment, "ControllerNode", Recording)
+        generate_snapshots(
+            n_frames=4, n_particles=200, seed=7, register_as="tcp-e2e-modules"
+        )
+        graph = build_galaxy_graph("tcp-e2e-modules", resolution=16)
+        sim_report = ConsumerGrid(n_workers=2, seed=0).run(graph, iterations=4)
+
+        report = run_tcp_localhost(
+            graph, iterations=4, module_replicas=1, module_chunk_bytes=4096,
+        )
+        assert result_checksum(report.group_results) == result_checksum(
+            sim_report.group_results
+        )
+        (node,) = nodes
+        assert node.repository.stats.chunks_sent > 0
+        replicas = node.portal.cache.query(node.sim.now, ADV_MODULE)
+        assert {adv.attributes["host"] for adv in replicas} & {"worker-0", "worker-1"}

@@ -17,20 +17,13 @@ compares the deterministic trace analytics:
 Scenarios whose baseline or fresh file carries no trace analytics
 (``critical_path_s: null`` — analytic benches) are skipped.
 
-Separately from the gate, ``--record-trend`` appends each scenario's
-*ungated* wall clock to ``benchmarks/results/WALL_TREND.jsonl`` keyed by
-the current HEAD commit — one JSON line per (commit, scenario).  Wall
-clock can never gate (it is machine- and load-dependent), but a
-committed trend series makes speedups and slow creep visible across PRs
-without re-running history; ``docs/performance.md`` explains how to read
-it.
+Wall clock is measured by gridbench (calibrated medians), not here.
 
 Usage::
 
     python tools/bench_gate.py                       # gate all fresh files
     python tools/bench_gate.py e10_policies e13_dispatch
     python tools/bench_gate.py --tolerance 25
-    python tools/bench_gate.py --record-trend        # gate + append trend
 
 Exit status 0 = gate passed.
 """
@@ -45,7 +38,6 @@ import sys
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 RESULTS = REPO / "benchmarks" / "results"
-TREND = RESULTS / "WALL_TREND.jsonl"
 
 
 def committed_payload(scenario: str) -> dict | None:
@@ -91,49 +83,6 @@ def gate_scenario(scenario: str, tolerance_pct: float) -> tuple[bool, str]:
     return True, detail
 
 
-def head_commit() -> str:
-    """Short hash of HEAD (``unknown`` outside a git checkout)."""
-    proc = subprocess.run(
-        ["git", "rev-parse", "--short", "HEAD"],
-        cwd=REPO, capture_output=True, text=True,
-    )
-    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
-
-
-def record_trend(scenarios: list[str]) -> int:
-    """Append one wall-clock line per scenario to ``WALL_TREND.jsonl``.
-
-    Entries are keyed by (commit, scenario); re-running on the same
-    commit replaces that commit's entries instead of duplicating them,
-    so iterating locally does not inflate the series.  The series is
-    informational only — it never gates.
-    """
-    commit = head_commit()
-    existing: list[dict] = []
-    if TREND.exists():
-        for line in TREND.read_text().splitlines():
-            if line.strip():
-                existing.append(json.loads(line))
-    kept = [e for e in existing if e.get("commit") != commit]
-    added = 0
-    for scenario in scenarios:
-        fresh = fresh_payload(scenario)
-        if fresh is None or fresh.get("wall_clock_s") is None:
-            continue
-        kept.append({
-            "commit": commit,
-            "scenario": scenario,
-            "wall_clock_s": round(float(fresh["wall_clock_s"]), 4),
-            "critical_path_s": fresh.get("critical_path_s"),
-            "sim_time_s": fresh.get("sim_time_s"),
-            "module_fetch_s": fresh.get("module_fetch_s"),
-        })
-        added += 1
-    TREND.write_text("".join(json.dumps(e, sort_keys=True) + "\n" for e in kept))
-    print(f"  trend: recorded {added} scenario(s) at {commit} -> {TREND.relative_to(REPO)}")
-    return added
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("scenarios", nargs="*",
@@ -141,9 +90,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--tolerance", type=float, default=25.0,
                         help="max allowed critical-path increase in %% "
                              "(default 25)")
-    parser.add_argument("--record-trend", action="store_true",
-                        help="append ungated wall-clock entries for this "
-                             "commit to benchmarks/results/WALL_TREND.jsonl")
     args = parser.parse_args(argv)
 
     scenarios = args.scenarios or sorted(
@@ -159,8 +105,6 @@ def main(argv: list[str] | None = None) -> int:
         passed, message = gate_scenario(scenario, args.tolerance)
         print(("  ok   " if passed else "  FAIL ") + message)
         failures += 0 if passed else 1
-    if args.record_trend:
-        record_trend(scenarios)
     if failures:
         print(f"bench gate FAILED: {failures} scenario(s) over budget",
               file=sys.stderr)

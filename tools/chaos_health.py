@@ -35,10 +35,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import ConsumerGrid  # noqa: E402
+from repro.analysis import LAN_GRID  # noqa: E402
 from repro.apps.inspiral import build_inspiral_graph  # noqa: E402
 from repro.faults import Fault, FaultPlan  # noqa: E402
 from repro.observe import score_against_faults  # noqa: E402
-from repro.p2p import LAN_PROFILE  # noqa: E402
 
 RECALL_FLOOR = 0.8
 SEED = 903
@@ -47,10 +47,9 @@ ITERATIONS = 18
 
 def make_grid(plan=None) -> ConsumerGrid:
     return ConsumerGrid(
+        LAN_GRID,
         n_workers=6,
         seed=SEED,
-        worker_profile=LAN_PROFILE,
-        controller_profile=LAN_PROFILE,
         worker_efficiency=5e-3,
         heartbeat_interval=1.0,
         suspect_after_missed=2,
