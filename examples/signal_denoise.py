@@ -18,11 +18,7 @@ Run with::
 import numpy as np
 
 from repro import graph_to_string
-from repro.analysis import (
-    e2_accumstat_snr,
-    fig1_grouped,
-    render_table,
-)
+from repro.analysis import EXPERIMENTS, fig1_grouped, run_batch
 
 
 def ascii_spectrum(spectrum, width: int = 64, height: int = 8) -> str:
@@ -40,14 +36,11 @@ def ascii_spectrum(spectrum, width: int = 64, height: int = 8) -> str:
 
 
 def main() -> None:
-    result = e2_accumstat_snr(max_iterations=20)
-    print(render_table(
-        ["iterations", "SNR", "64 Hz is the tallest peak"],
-        [(n, s, peak) for n, s, peak in result["series"]],
-        title="AccumStat averaging: SNR of the 64 Hz line vs iterations",
-    ))
-    print(f"\nSNR gain after 20 iterations: {result['gain']:.2f}x "
-          f"(√20 = {result['sqrt_n']:.2f} is the ideal white-noise gain)")
+    result = run_batch(EXPERIMENTS.lookup("e2_accumstat"))
+    print(result["table"])
+    last = result["rows"][-1]
+    print(f"\nSNR gain after 20 iterations: {last['gain']:.2f}x "
+          f"(√20 = {last['sqrt_n']:.2f} is the ideal white-noise gain)")
 
     # Recreate the two panels of Fig. 2.
     from repro.core import LocalEngine

@@ -17,32 +17,17 @@ Run with::
 """
 
 from repro import ConsumerGrid
-from repro.analysis import (
-    cpu_years,
-    e9_volunteer_throughput,
-    fig1_grouped,
-    render_kv,
-    render_table,
-)
+from repro.analysis import EXPERIMENTS, fig1_grouped, render_kv, run_batch
 from repro.p2p import LAN_PROFILE
 from repro.resources import PoissonChurn, ScreensaverCycle
 
 
 def part_harvest() -> None:
     print("== harvested CPU time, screensaver volunteering ==\n")
-    result = e9_volunteer_throughput(fleet_sizes=(100, 500), days=7.0,
-                                     idle_fraction=0.6)
-    print(render_table(
-        ["volunteers", "days", "cpu-years harvested", "ceiling", "fraction"],
-        [
-            (r["volunteers"], r["days"], r["harvested_cpu_years"],
-             r["ceiling_cpu_years"], r["harvest_fraction"])
-            for r in result["rows"]
-        ],
-    ))
+    print(run_batch(EXPERIMENTS.lookup("e9_volunteer"))["table"])
     print("\n(SETI@home reported 668,852 CPU-years from ~3.1M volunteers — "
           "the same linear arithmetic at planetary scale.)")
-    admin = result["admin"]
+    admin = run_batch(EXPERIMENTS.lookup("e9_admin"))["rows"][0]
     print("\n" + render_kv(
         [
             ("users", admin["users"]),

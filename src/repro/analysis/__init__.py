@@ -1,19 +1,6 @@
-"""Analysis harness (system S10): metrics, tables, experiment runners."""
+"""Analysis harness (system S10): metrics, tables, the run table and its runner."""
 
-from .experiments import (
-    e1_workflow_roundtrip,
-    e2_accumstat_snr,
-    e3_pipeline_throughput,
-    e4_galaxy_speedup,
-    e5_inspiral_sizing,
-    e7_discovery_scaling,
-    e8_mobility,
-    e9_volunteer_throughput,
-    e10_policy_ablation,
-    e14_split_axis,
-    e18_moddist,
-    simulate_volunteer_fleet,
-)
+from .experiments import EXPERIMENTS, simulate_volunteer_fleet
 from .metrics import (
     SECONDS_PER_YEAR,
     cpu_years,
@@ -21,24 +8,19 @@ from .metrics import (
     spectrum_snr,
     speedup,
 )
+from .runtable import REL_TOL, Experiment, diff, result_path, run_batch, run_one, store
 from .tables import fmt, render_kv, render_table
-from .workloads import LAN_GRID, fig1_graph, fig1_grouped, pipeline_graph
+from .workloads import HOSTILE_LAN, LAN_GRID, fig1_graph, fig1_grouped, pipeline_graph
 
 __all__ = [
+    "EXPERIMENTS",
+    "Experiment",
+    "HOSTILE_LAN",
     "LAN_GRID",
+    "REL_TOL",
     "SECONDS_PER_YEAR",
     "cpu_years",
-    "e10_policy_ablation",
-    "e14_split_axis",
-    "e18_moddist",
-    "e1_workflow_roundtrip",
-    "e2_accumstat_snr",
-    "e3_pipeline_throughput",
-    "e4_galaxy_speedup",
-    "e5_inspiral_sizing",
-    "e7_discovery_scaling",
-    "e8_mobility",
-    "e9_volunteer_throughput",
+    "diff",
     "fig1_graph",
     "fig1_grouped",
     "fmt",
@@ -46,7 +28,11 @@ __all__ = [
     "pipeline_graph",
     "render_kv",
     "render_table",
+    "result_path",
+    "run_batch",
+    "run_one",
     "simulate_volunteer_fleet",
     "spectrum_snr",
     "speedup",
+    "store",
 ]

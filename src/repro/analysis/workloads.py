@@ -6,7 +6,7 @@ from ..config import GridConfig
 from ..core.taskgraph import TaskGraph
 from ..p2p.network import LAN_PROFILE
 
-__all__ = ["LAN_GRID", "fig1_graph", "fig1_grouped", "pipeline_graph"]
+__all__ = ["HOSTILE_LAN", "LAN_GRID", "fig1_graph", "fig1_grouped", "pipeline_graph"]
 
 #: The compute-bound grid the experiments share: LAN links, so transfers
 #: cost next to nothing, and workers slowed until unit compute dominates
@@ -14,6 +14,14 @@ __all__ = ["LAN_GRID", "fig1_graph", "fig1_grouped", "pipeline_graph"]
 LAN_GRID = GridConfig().replace(
     worker_profile=LAN_PROFILE, controller_profile=LAN_PROFILE,
     worker_efficiency=1e-5,
+)
+
+#: The same grid braced for volunteers that misbehave mid-run (E15's churn,
+#: E17's saboteurs): six workers under a 1 s heartbeat, suspected after two
+#: misses, undelivered work retried every 2 s for up to 30 s.
+HOSTILE_LAN = LAN_GRID.replace(
+    n_workers=6, seed=900, heartbeat_interval=1.0, suspect_after_missed=2,
+    retry_timeout=30.0, retry_interval=2.0,
 )
 
 

@@ -8,6 +8,7 @@ The headless counterpart of the Triana GUI::
     python -m repro run fig1.xml -n 20 --workers 4    # simulated grid
     python -m repro convert fig1.xml --to wsfl        # format bridge
     python -m repro analyze run.jsonl                 # why was it slow?
+    python -m repro sweep e4_galaxy                   # regenerate an experiment
 
 Graph files may be in any of the three §3.1 formats (native taskgraph
 XML, WSFL, Petri net); the format is sniffed from the root element.
@@ -310,6 +311,37 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _cmd_sweep(args) -> int:
+    import json
+
+    from .analysis.experiments import EXPERIMENTS
+    from .analysis.runtable import diff, result_path, run_batch, store
+
+    names = args.names or [exp.name for exp in EXPERIMENTS]
+    failed = []
+    for exp in [EXPERIMENTS.lookup(name) for name in names]:
+        payload = run_batch(exp)
+        print(payload["table"])
+        problems = []
+        for claim in payload["claims"]:
+            print(f"  [{'ok' if claim['holds'] else 'FAILED'}] {claim['claim']}")
+            if not claim["holds"]:
+                problems.append(f"claim does not hold: {claim['claim']}")
+        if args.check:
+            committed = json.loads(result_path(args.out, exp.name).read_text())
+            problems += diff(payload, committed)
+        else:
+            print(f"[saved to {store(payload, args.out)}]")
+        for problem in problems:
+            print(f"FAIL {exp.name}: {problem}", file=sys.stderr)
+        if problems:
+            failed.append(exp.name)
+        print()
+    print(f"sweep of {len(names)} experiment(s): "
+          + (f"failed: {', '.join(failed)}" if failed else "ok"))
+    return 1 if failed else 0
+
+
 def _grid_args(workers: int) -> argparse.ArgumentParser:
     """What a grid is and how it deals: the flags ``run`` and ``top`` share.
 
@@ -444,6 +476,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--json", action="store_true",
                            help="emit the analysis as JSON instead of text")
     p_analyze.set_defaults(fn=_cmd_analyze)
+
+    p_sweep = sub.add_parser(
+        "sweep",
+        help="run experiments from the run table (EXPERIMENTS.md): print each "
+             "table and its paper claims, write BENCH_<name>.json",
+    )
+    p_sweep.add_argument("names", nargs="*", metavar="NAME",
+                         help="experiments to run (default: all of them)")
+    p_sweep.add_argument("--check", action="store_true",
+                         help="write nothing; compare every field of every "
+                              "cell with the stored files and exit 1 on a "
+                              "difference")
+    p_sweep.add_argument("--out", default="benchmarks/results", metavar="DIR",
+                         help="directory of the BENCH_<name>.json files "
+                              "(default benchmarks/results)")
+    p_sweep.set_defaults(fn=_cmd_sweep)
     return parser
 
 

@@ -24,8 +24,7 @@ simulation events and never draws randomness.  The sampler piggybacks
 on ``Tracer.on_step`` — it reads the clock when an event executes and
 emits a row per crossed tick boundary, stamped with the deterministic
 boundary time.  A telemetered run is therefore bit-identical to a bare
-one (the passivity gate in ``benchmarks/trace_overhead.py`` pins this
-down).
+one (the passivity tests in ``tests/test_runtable.py`` pin this down).
 """
 
 from __future__ import annotations

@@ -1,26 +1,34 @@
-"""Tests for metrics, tables and the experiment runners."""
+"""Tests for metrics, tables and the experiment cells."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.analysis import (
+    EXPERIMENTS,
     cpu_years,
-    e1_workflow_roundtrip,
-    e2_accumstat_snr,
-    e7_discovery_scaling,
-    e8_mobility,
-    e9_volunteer_throughput,
     fig1_grouped,
     parallel_efficiency,
     pipeline_graph,
     render_kv,
     render_table,
+    run_batch,
     simulate_volunteer_fleet,
     spectrum_snr,
     speedup,
 )
 from repro.core import Spectrum
 from repro.resources import PoissonChurn
+
+
+def sweep(name, **factors):
+    """``name``'s rows with some factors shrunk (the claims name full-size levels)."""
+    exp = EXPERIMENTS.lookup(name)
+    small = dataclasses.replace(
+        exp, factors={**exp.factors, **factors}, claims=lambda by: []
+    )
+    return run_batch(small)["rows"]
 
 
 class TestMetrics:
@@ -93,16 +101,16 @@ class TestWorkloads:
 
 class TestExperimentRunners:
     def test_e1(self):
-        r = e1_workflow_roundtrip()
+        (r,) = sweep("e1_workflow")
         assert r["roundtrip_stable"]
         assert r["peak_hz"] == pytest.approx(64.0)
         assert r["xml_bytes"] < 5000
 
     def test_e2_snr_grows(self):
-        r = e2_accumstat_snr(max_iterations=20)
-        assert len(r["series"]) == 20
-        assert r["gain"] > 1.5
-        assert r["snr_n"] > r["snr_1"]
+        rows = sweep("e2_accumstat")
+        assert len(rows) == 20
+        assert rows[-1]["gain"] > 1.5
+        assert rows[-1]["snr"] > rows[0]["snr"]
 
     def test_e5_dedicated_20_keeps_up_but_10_does_not(self):
         """The paper's sizing: 20 dedicated 2 GHz PCs suffice, fewer lag."""
@@ -138,8 +146,8 @@ class TestExperimentRunners:
         assert with_cp["mean_lag_s"] <= without_cp["mean_lag_s"]
 
     def test_e7_flooding_grows_but_rendezvous_constant(self):
-        r = e7_discovery_scaling(sizes=(16, 64))
-        by = {(row["peers"], row["strategy"]): row for row in r["rows"]}
+        rows = sweep("e7_discovery", peers=(16, 64))
+        by = {(row["peers"], row["strategy"]): row for row in rows}
         assert by[(64, "flooding")]["messages_per_query"] > 3 * by[(16, "flooding")][
             "messages_per_query"
         ]
@@ -148,31 +156,31 @@ class TestExperimentRunners:
             == by[(16, "rendezvous")]["messages_per_query"]
         )
         assert by[(64, "central")]["messages_per_query"] == 2
-        for row in r["rows"]:
+        for row in rows:
             assert row["recall"] == pytest.approx(1.0)
 
     def test_e8_on_demand_never_stale(self):
-        r = e8_mobility(n_modules=20, n_requests=120, capacities=(8, 20))
-        for row in r["rows"]:
+        rows = sweep("e8_mobility", cache_slots=(64,))
+        for row in rows:
             if row["policy"] == "on_demand":
                 assert row["stale_executions"] == 0
         sticky_large = [
             row
-            for row in r["rows"]
-            if row["policy"] == "sticky" and row["cache_slots"] == 20
+            for row in rows
+            if row["policy"] == "sticky" and row["cache_slots"] == 64
         ][0]
         assert sticky_large["stale_executions"] > 0
         # Sticky saves traffic — the trade the paper's design rejects.
         on_demand_large = [
             row
-            for row in r["rows"]
-            if row["policy"] == "on_demand" and row["cache_slots"] == 20
+            for row in rows
+            if row["policy"] == "on_demand" and row["cache_slots"] == 64
         ][0]
         assert sticky_large["bytes_downloaded"] < on_demand_large["bytes_downloaded"]
 
     def test_e9_harvest_tracks_idle_fraction(self):
-        r = e9_volunteer_throughput(fleet_sizes=(60,), days=5.0, idle_fraction=0.5)
-        row = r["rows"][0]
-        assert row["harvest_fraction"] == pytest.approx(0.5, abs=0.12)
-        assert r["admin"]["globus_admin_operations"] == 60
-        assert r["admin"]["virtual_admin_operations"] == 1
+        (row,) = sweep("e9_volunteer", volunteers=(60,))
+        assert row["harvest_fraction"] == pytest.approx(0.6, abs=0.12)
+        (admin,) = sweep("e9_admin", users=(60,))
+        assert admin["globus_admin_operations"] == 60
+        assert admin["virtual_admin_operations"] == 1

@@ -14,7 +14,6 @@ Two contracts from the observability layer:
 import pytest
 
 from repro import ConsumerGrid
-from repro.analysis import e3_pipeline_throughput
 from repro.apps.inspiral import build_inspiral_graph
 from repro.faults import Fault, FaultPlan
 from repro.observe import score_against_faults
@@ -62,13 +61,6 @@ class TestTelemetryPassivity:
         # ... and the telemetered run actually sampled something.
         assert telemetered.health["sampler"]["samples"] > 0
         assert telemetered.health["incidents"] == 0
-
-    def test_experiment_runner_parity(self):
-        plain = e3_pipeline_throughput(stage_counts=(2, 3), iterations=6)
-        telemetered = e3_pipeline_throughput(
-            stage_counts=(2, 3), iterations=6, telemetry=True
-        )
-        assert telemetered == plain
 
     def test_telemetry_out_requires_telemetry(self, tmp_path):
         grid = make_grid(701)

@@ -35,7 +35,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import ConsumerGrid  # noqa: E402
-from repro.analysis import LAN_GRID  # noqa: E402
+from repro.analysis import HOSTILE_LAN  # noqa: E402
 from repro.apps.inspiral import build_inspiral_graph  # noqa: E402
 from repro.faults import Fault, FaultPlan  # noqa: E402
 from repro.observe import score_against_faults  # noqa: E402
@@ -47,14 +47,9 @@ ITERATIONS = 18
 
 def make_grid(plan=None) -> ConsumerGrid:
     return ConsumerGrid(
-        LAN_GRID,
-        n_workers=6,
+        HOSTILE_LAN,
         seed=SEED,
         worker_efficiency=5e-3,
-        heartbeat_interval=1.0,
-        suspect_after_missed=2,
-        retry_timeout=30.0,
-        retry_interval=2.0,
         fault_plan=plan,
         telemetry=True,
         telemetry_interval=1.0,
