@@ -13,7 +13,7 @@ Subsystems (see DESIGN.md):
 ``repro.p2p``        consumer network, peers, discovery, pipes, JXTAServe
 ``repro.core``       workflow engine: types, units, task graphs, XML, toolbox
 ``repro.mobility``   module repository, on-demand download, sandbox
-``repro.resources``  hosts, volunteer availability, GRAM gateway, accounts
+``repro.resources``  volunteer availability, GRAM gateway, accounts
 ``repro.service``    Triana worker services + controller (distribution)
 ``repro.faults``     chaos layer: declarative fault plans + injector
 ``repro.observe``    tracing + metrics + trace exporters (observability)

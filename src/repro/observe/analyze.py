@@ -39,8 +39,10 @@ analysed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Union
+
+from .tracer import SpanRecord, TraceEvent
 
 __all__ = [
     "TraceView",
@@ -75,45 +77,12 @@ _MODULE_BUCKETS = ("repo_fetch", "peer_fetch", "revalidate")
 _RESIDUAL_BUCKET = "network_transfer"
 
 
-@dataclass(frozen=True)
-class VSpan:
-    """One span normalised out of a tracer or a trace file."""
-
-    span_id: int
-    parent_id: Optional[int]
-    name: str
-    category: str
-    track: str
-    start: float
-    end: Optional[float]
-    attrs: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def finished(self) -> bool:
-        return self.end is not None
-
-    @property
-    def duration(self) -> float:
-        return (self.end - self.start) if self.end is not None else 0.0
-
-
-@dataclass(frozen=True)
-class VEvent:
-    """One point event normalised out of a tracer or a trace file."""
-
-    name: str
-    category: str
-    track: str
-    time: float
-    attrs: dict[str, Any] = field(default_factory=dict)
-
-
 @dataclass
 class TraceView:
-    """A normalised, source-agnostic view of one run's trace."""
+    """One run's trace records — a live tracer's own lists, or a file's."""
 
-    spans: list[VSpan]
-    events: list[VEvent]
+    spans: list[SpanRecord]
+    events: list[TraceEvent]
 
     @property
     def tracks(self) -> list[str]:
@@ -125,36 +94,9 @@ class TraceView:
 # -- loading -----------------------------------------------------------------------
 
 
-def _view_from_tracer(tracer) -> TraceView:
-    spans = [
-        VSpan(
-            span_id=s.span_id,
-            parent_id=s.parent_id,
-            name=s.name,
-            category=s.category,
-            track=s.track,
-            start=s.start,
-            end=s.end,
-            attrs=dict(s.attrs),
-        )
-        for s in tracer.spans
-    ]
-    events = [
-        VEvent(
-            name=e.name,
-            category=e.category,
-            track=e.track,
-            time=e.time,
-            attrs=e.info,
-        )
-        for e in tracer.events
-    ]
-    return TraceView(spans=spans, events=events)
-
-
 def _view_from_jsonl(lines: list[str]) -> TraceView:
-    spans: list[VSpan] = []
-    events: list[VEvent] = []
+    spans: list[SpanRecord] = []
+    events: list[TraceEvent] = []
     for line in lines:
         line = line.strip()
         if not line:
@@ -162,7 +104,7 @@ def _view_from_jsonl(lines: list[str]) -> TraceView:
         rec = json.loads(line)
         if rec.get("type") == "span":
             spans.append(
-                VSpan(
+                SpanRecord(
                     span_id=int(rec["id"]),
                     parent_id=rec.get("parent"),
                     name=rec["name"],
@@ -175,12 +117,12 @@ def _view_from_jsonl(lines: list[str]) -> TraceView:
             )
         elif rec.get("type") == "event":
             events.append(
-                VEvent(
+                TraceEvent(
                     name=rec["name"],
                     category=rec.get("category", "app"),
                     track=rec.get("track", "main"),
                     time=float(rec["time"]),
-                    attrs=rec.get("attrs", {}),
+                    attrs=tuple(rec.get("attrs", {}).items()),
                 )
             )
     return TraceView(spans=spans, events=events)
@@ -191,8 +133,8 @@ def _view_from_chrome(doc: dict[str, Any]) -> TraceView:
     for ev in doc.get("traceEvents", []):
         if ev.get("ph") == "M" and ev.get("name") == "thread_name":
             track_of[ev["tid"]] = ev["args"]["name"]
-    spans: list[VSpan] = []
-    events: list[VEvent] = []
+    spans: list[SpanRecord] = []
+    events: list[TraceEvent] = []
     for ev in doc.get("traceEvents", []):
         ph = ev.get("ph")
         track = track_of.get(ev.get("tid"), str(ev.get("tid")))
@@ -202,7 +144,7 @@ def _view_from_chrome(doc: dict[str, Any]) -> TraceView:
             parent = args.pop("parent_span", None)
             start = ev["ts"] / 1e6
             spans.append(
-                VSpan(
+                SpanRecord(
                     span_id=int(ev.get("id", len(spans) + 1)),
                     parent_id=parent,
                     name=ev["name"],
@@ -215,22 +157,23 @@ def _view_from_chrome(doc: dict[str, Any]) -> TraceView:
             )
         elif ph == "i":
             events.append(
-                VEvent(
+                TraceEvent(
                     name=ev["name"],
                     category=ev.get("cat", "app"),
                     track=track,
                     time=ev["ts"] / 1e6,
-                    attrs=args,
+                    attrs=tuple(args.items()),
                 )
             )
     return TraceView(spans=spans, events=events)
 
 
 def load_trace(source: Union[str, "TraceView", Any]) -> TraceView:
-    """Normalise ``source`` into a :class:`TraceView`.
+    """``source`` as a :class:`TraceView`.
 
     ``source`` may be a live tracer (anything with ``spans``/``events``
-    record lists), an already-built :class:`TraceView`, or a path to a
+    record lists — the view holds those lists themselves, no copy), an
+    already-built :class:`TraceView`, or a path to a
     trace file written by :func:`~repro.observe.export.write_trace` —
     ``.jsonl`` event logs and ``.json`` Chrome/Perfetto documents are
     both understood (sniffed from content, not just extension).
@@ -238,7 +181,7 @@ def load_trace(source: Union[str, "TraceView", Any]) -> TraceView:
     if isinstance(source, TraceView):
         return source
     if hasattr(source, "spans") and hasattr(source, "events"):
-        return _view_from_tracer(source)
+        return TraceView(source.spans, source.events)
     with open(source) as fh:
         text = fh.read()
     try:
@@ -290,7 +233,7 @@ def _run_window(view: TraceView) -> dict[str, Any]:
             "end": end, "duration_s": end - start}
 
 
-def _leaf_spans(view: TraceView, window: dict[str, Any]) -> list[VSpan]:
+def _leaf_spans(view: TraceView, window: dict[str, Any]) -> list[SpanRecord]:
     """Finished work segments inside the window: spans with no child
     spans, excluding the scheduling containers."""
     parents = {s.parent_id for s in view.spans if s.parent_id is not None}
@@ -345,11 +288,11 @@ def critical_path(source) -> dict[str, Any]:
     if not leaves:
         return empty
 
-    def _rank(span: VSpan) -> tuple[float, float, int]:
+    def _rank(span: SpanRecord) -> tuple[float, float, int]:
         return (span.end, span.start, -span.span_id)
 
     cur = max(leaves, key=_rank)
-    chain: list[VSpan] = []
+    chain: list[SpanRecord] = []
     visited: set[int] = set()
     while cur is not None:
         chain.append(cur)
@@ -466,7 +409,7 @@ def utilization(source) -> dict[str, Any]:
     duration = window["duration_s"]
     leaves = _leaf_spans(view, window)
 
-    by_track: dict[str, list[VSpan]] = {}
+    by_track: dict[str, list[SpanRecord]] = {}
     for span in leaves:
         by_track.setdefault(span.track, []).append(span)
 
@@ -513,7 +456,7 @@ def utilization(source) -> dict[str, Any]:
 # -- bottleneck attribution --------------------------------------------------------
 
 
-def _bucket_of(span: VSpan) -> Optional[str]:
+def _bucket_of(span: SpanRecord) -> Optional[str]:
     if span.name == "worker.exec":
         return "compute"
     if span.category == "mobility":
@@ -595,10 +538,11 @@ def bottlenecks(source) -> dict[str, Any]:
     drops: dict[str, int] = {}
     chaos_events = 0
     for event in view.events:
+        info = event.info
         if event.name == "net.drop":
-            reason = event.attrs.get("reason", "unknown")
+            reason = info.get("reason", "unknown")
             drops[reason] = drops.get(reason, 0) + 1
-        if event.attrs.get("chaos"):
+        if info.get("chaos"):
             chaos_events += 1
     return {
         "window": window,

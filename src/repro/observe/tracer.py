@@ -14,10 +14,17 @@ Two implementations share one interface:
 
 * :class:`Tracer` — records everything; ``enabled`` is True;
 * :class:`NullTracer` — records nothing, ``enabled`` is False, and every
-  method is a near-empty body.  Hot call sites guard with
-  ``if tracer.enabled:`` so a disabled simulation pays one attribute
-  load and a branch.  Every :class:`~repro.simkernel.sim.Simulator`
-  carries its own ``NullTracer`` by default.
+  method is a near-empty body: ``begin`` returns one shared no-op
+  handle, ``metrics`` hands out one shared null instrument.  Every
+  :class:`~repro.simkernel.sim.Simulator` carries its own by default.
+
+One rule decides where a call site guards with ``if tracer.enabled:``.
+It does when it runs per message, kernel event, iteration, vote, query,
+frame, liveness flip or module request — the paths a gridbench rung or
+workload times, where a disabled simulation should pay one attribute
+load and a branch — or when the guarded block does more than call the
+tracer.  Per-run, per-deploy, per-bind and per-fault sites call the
+tracer unconditionally; that is what the null objects are for.
 
 Tracing is passive by contract: no simulation events are scheduled, no
 RNG streams are consumed, and time is only ever *read* from the

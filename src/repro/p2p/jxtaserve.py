@@ -8,9 +8,11 @@ between pipes using the virtual communication paradigm."
 
 A :class:`JxtaService` lives on one peer, owns named input pipes
 (``<service>.in<k>``), and output endpoints that bind to other services'
-input pipes.  The Triana service layer (:mod:`repro.service`) runs its
-units as JXTAServe services — "There is almost a one to one correlation
-with the Triana implementation and the functionality of JXTAServe."
+input pipes.  "There is almost a one to one correlation with the Triana
+implementation and the functionality of JXTAServe": here the database
+scenario (:mod:`repro.apps.database`, E6) runs its services on this
+facade; the Triana service layer (:mod:`repro.service`) addresses its
+workers directly with ``Peer.send`` / ``Peer.on``.
 """
 
 from __future__ import annotations

@@ -82,26 +82,19 @@ class OutputPipe:
         discovery window.
         """
         done = self.peer.sim.event()
-        tracer = self.peer.sim.tracer
-        span = (
-            tracer.begin(
-                "pipe.bind", category="p2p", track=self.peer.peer_id, pipe=self.name
-            )
-            if tracer.enabled
-            else None
+        span = self.peer.sim.tracer.begin(
+            "pipe.bind", category="p2p", track=self.peer.peer_id, pipe=self.name
         )
         query = self.manager.discovery.query(self.peer, adv_type=ADV_PIPE, name=self.name)
 
         def on_result(ev: Event) -> None:
             advs = ev.value
             if not advs:
-                if span is not None:
-                    span.end(outcome="unresolved")
+                span.end(outcome="unresolved")
                 done.fail(PipeError(f"no advertisement for pipe {self.name!r}"))
                 return
             self.target = advs[0].attributes["host"]
-            if span is not None:
-                span.end(outcome="bound", host=self.target)
+            span.end(outcome="bound", host=self.target)
             done.succeed(self.target)
 
         query.callbacks.append(on_result)

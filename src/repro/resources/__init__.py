@@ -1,6 +1,5 @@
-"""Resource substrate (system S8): hosts, volunteers, batch gateways, accounts.
+"""Resource substrate (system S8): volunteers, batch gateways, accounts.
 
-* :class:`ComputeHost` — flops → simulated seconds on a host profile
 * availability models — :class:`AlwaysOn`, :class:`PoissonChurn`,
   :class:`ScreensaverCycle` (the volunteer dynamics of §3.7)
 * :class:`BatchQueue` / :class:`GramGateway` — the Globus-GRAM cluster path
@@ -26,7 +25,6 @@ from .availability import (
 )
 from .errors import AuthenticationError, QueueError, ResourceError
 from .gram import BatchQueue, GramGateway, JobSpec
-from .host import ComputeHost, HostStats
 
 __all__ = [
     "AlwaysOn",
@@ -35,11 +33,9 @@ __all__ = [
     "AvailabilityStats",
     "BatchQueue",
     "CertificateAuthority",
-    "ComputeHost",
     "Credential",
     "GlobusAccountManager",
     "GramGateway",
-    "HostStats",
     "JobSpec",
     "PoissonChurn",
     "QueueError",

@@ -76,13 +76,18 @@ class ClusterTrianaService(TrianaService):
 
         Payload computation happens immediately (it is cheap host work);
         the *modelled* cluster time is charged through the queue, and the
-        result ships when the job completes.
+        volunteer's own completion tail runs when the job ends.  The span
+        opens at submission, so it includes the wait for a slot.
         """
         while True:
             iteration, inputs = yield dep.queue.get()
             external = {
                 key: value for key, value in zip(dep.spec.external_inputs, inputs)
             }
+            span = self.sim.tracer.begin(
+                "worker.exec", category="service", track=self.peer.peer_id,
+                deployment=dep.spec.deployment_id, iteration=iteration,
+            )
             flops_before = dep.engine.stats.modelled_flops
             outputs_map = dep.engine.step(external)
             flops = dep.engine.stats.modelled_flops - flops_before
@@ -92,11 +97,8 @@ class ClusterTrianaService(TrianaService):
                 self.credential,
             )
 
-            def on_done(ev, iteration=iteration, outputs=outputs, dep=dep):
+            def on_done(ev, iteration=iteration, outputs=outputs, span=span):
                 if ev.ok:
-                    self.stats.iterations += 1
-                    self.stats.busy_seconds += ev.value
-                    dep.iterations_done += 1
-                    self._ship(dep, iteration, outputs)
+                    self._complete(dep, iteration, outputs, ev.value, span)
 
             job.callbacks.append(on_done)

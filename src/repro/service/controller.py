@@ -306,21 +306,16 @@ class TrianaController:
         verification="none",
     ):
         tracer = self.sim.tracer
-        run_span = (
-            tracer.begin(
-                "controller.run", category="service", track=self.peer.peer_id,
-                graph=graph.name, iterations=iterations, dispatch=dispatch,
-            )
-            if tracer.enabled
-            else None
+        run_span = tracer.begin(
+            "controller.run", category="service", track=self.peer.peer_id,
+            graph=graph.name, iterations=iterations, dispatch=dispatch,
         )
         try:
             report = yield from self._run_proc_inner(
                 graph, iterations, workers, probes, dispatch, run_span, verification
             )
         finally:
-            if run_span is not None:
-                run_span.end()  # idempotent; closes the span on error paths
+            run_span.end()  # idempotent; closes the span on error paths
         report.tracing = self.sim.tracer.summary()
         return report
 
@@ -386,13 +381,9 @@ class TrianaController:
         )
         deploy_start = self.sim.now
         tracer = self.sim.tracer
-        deploy_span = (
-            tracer.begin(
-                "controller.deploy", category="service", track=self.peer.peer_id,
-                policy=policy_label, workers=len(workers),
-            )
-            if tracer.enabled
-            else None
+        deploy_span = tracer.begin(
+            "controller.deploy", category="service", track=self.peer.peer_id,
+            policy=policy_label, workers=len(workers),
         )
         contexts: list[DispatchContext] = [
             self._make_context(group, dispatch, iterations, verification)
@@ -409,19 +400,17 @@ class TrianaController:
             confirmed = yield from self.deployer.preseed(
                 assignments, timeout=self.deploy_timeout
             )
-            if deploy_span is not None:
-                deploy_span.set(
-                    preseed_workers=len(confirmed),
-                    preseed_units=sum(len(u) for u in confirmed.values()),
-                )
+            deploy_span.set(
+                preseed_workers=len(confirmed),
+                preseed_units=sum(len(u) for u in confirmed.values()),
+            )
         for ctx, group in zip(contexts, plan.groups):
             yield from ctx.policy.deploy(ctx, group, workers)
         deploy_time = self.sim.now - deploy_start
         placements = {
             dep: worker for c in contexts for dep, worker in c.placements.items()
         }
-        if deploy_span is not None:
-            deploy_span.end(deployments=len(placements))
+        deploy_span.end(deployments=len(placements))
         for dep_id, worker in placements.items():
             self._notify("deployed", deployment=dep_id, worker=worker)
             self.detector.watch(worker, self.sim.now)
@@ -478,8 +467,7 @@ class TrianaController:
             key: sum(c.counters[key] for c in contexts)
             for key in ("n", "suspicion", "timeout", "speculative")
         }
-        if run_span is not None:
-            run_span.set(policy=policy_label, redispatches=redispatches["n"])
+        run_span.set(policy=policy_label, redispatches=redispatches["n"])
 
         integrity: dict[str, Any] = {}
         verifiers = [c.verifier for c in contexts if c.verifier is not None]

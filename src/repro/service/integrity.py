@@ -145,13 +145,12 @@ class ReputationLedger:
             reason=f"integrity:{reason}",
         )
         tracer = ctx.sim.tracer
-        if tracer.enabled:
-            tracer.metrics.counter("service.convictions").inc()
-            tracer.instant(
-                "integrity.convict", category="service", track=ctx.peer.peer_id,
-                worker=worker, iteration=iteration, reason=reason,
-                convictions=self.convictions[worker],
-            )
+        tracer.metrics.counter("service.convictions").inc()
+        tracer.instant(
+            "integrity.convict", category="service", track=ctx.peer.peer_id,
+            worker=worker, iteration=iteration, reason=reason,
+            convictions=self.convictions[worker],
+        )
         ctx.notify("convict", worker=worker, iteration=iteration, reason=reason)
 
     def summary(self) -> dict[str, Any]:
@@ -485,12 +484,11 @@ class ReplicationVoting(VerificationStrategy):
         ctx.raw_send_exec(host, self._dep_of_host[host], iteration, inputs)
         ctx.notify("tie-break", iteration=iteration, worker=host)
         tracer = ctx.sim.tracer
-        if tracer.enabled:
-            tracer.metrics.counter("service.tie_breaks").inc()
-            tracer.instant(
-                "verify.tie_break", category="service", track=ctx.peer.peer_id,
-                worker=host, iteration=iteration,
-            )
+        tracer.metrics.counter("service.tie_breaks").inc()
+        tracer.instant(
+            "verify.tie_break", category="service", track=ctx.peer.peer_id,
+            worker=host, iteration=iteration,
+        )
         return True
 
     def _accept(
@@ -582,13 +580,9 @@ class SpotCheck(VerificationStrategy):
 
     def _quiz_proc(self, ctx, iteration: int, worker: str, outputs):
         tracer = ctx.sim.tracer
-        span = (
-            tracer.begin(
-                "verify.recompute", category="service", track=ctx.peer.peer_id,
-                iteration=iteration, worker=worker,
-            )
-            if tracer.enabled
-            else None
+        span = tracer.begin(
+            "verify.recompute", category="service", track=ctx.peer.peer_id,
+            iteration=iteration, worker=worker,
         )
         local_digest, flops, local_outputs = self._ensure(iteration)
         speed = ctx.profile(ctx.peer.peer_id).cpu_flops
@@ -596,14 +590,12 @@ class SpotCheck(VerificationStrategy):
         self.stats["spot_checks"] += 1
         remote_digest = canonical_digest(outputs)
         ok = remote_digest == local_digest
-        if span is not None:
-            span.end(outcome="match" if ok else "mismatch")
-        if tracer.enabled:
-            tracer.instant(
-                "verify.vote", category="service", track=ctx.peer.peer_id,
-                worker=worker, iteration=iteration, digest=remote_digest[:12],
-                quiz=True, match=ok,
-            )
+        span.end(outcome="match" if ok else "mismatch")
+        tracer.instant(
+            "verify.vote", category="service", track=ctx.peer.peer_id,
+            worker=worker, iteration=iteration, digest=remote_digest[:12],
+            quiz=True, match=ok,
+        )
         self.accepted[iteration] = local_digest
         if ok:
             ctx.settle(iteration, outputs, worker)

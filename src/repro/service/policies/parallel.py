@@ -151,13 +151,12 @@ class ParallelFarmPolicy(DistributionPolicy):
             fresh_suspects = ctx.detector.check(now)
             if fresh_suspects:
                 tracer = ctx.sim.tracer
-                if tracer.enabled:
-                    for worker in fresh_suspects:
-                        tracer.metrics.counter("service.suspicions").inc()
-                        tracer.instant(
-                            "detector.suspect", category="service",
-                            track=ctx.peer.peer_id, worker=worker,
-                        )
+                for worker in fresh_suspects:
+                    tracer.metrics.counter("service.suspicions").inc()
+                    tracer.instant(
+                        "detector.suspect", category="service",
+                        track=ctx.peer.peer_id, worker=worker,
+                    )
                 self._on_suspects(ctx, fresh_suspects)
             done = ctx.iterations - len(outstanding)
             for it, rec in sorted(outstanding.items()):
@@ -250,8 +249,6 @@ class ParallelFarmPolicy(DistributionPolicy):
             return  # no second replica worth speculating on
         rec.speculated = True
         ctx.counters["speculative"] += 1
-        tracer = ctx.sim.tracer
-        if tracer.enabled:
-            tracer.metrics.counter("service.speculations").inc()
+        ctx.sim.tracer.metrics.counter("service.speculations").inc()
         ctx.notify("speculate", iteration=it, worker=ctx.replica_hosts[idx])
         self.redispatch_exec(ctx, idx, it, rec.inputs)

@@ -281,13 +281,9 @@ class TrianaService:
     def _deploy_proc(self, spec: DeploymentSpec):
         """Fetch modules (with retry), authorise, build the engine, ack."""
         tracer = self.sim.tracer
-        span = (
-            tracer.begin(
-                "worker.deploy", category="service", track=self.peer.peer_id,
-                deployment=spec.deployment_id, controller=spec.controller,
-            )
-            if tracer.enabled
-            else None
+        span = tracer.begin(
+            "worker.deploy", category="service", track=self.peer.peer_id,
+            deployment=spec.deployment_id, controller=spec.controller,
         )
         try:
             required = sorted(unit_names_in_xml(spec.xml))
@@ -303,11 +299,10 @@ class TrianaService:
                 if unit_name not in self.local_registry:
                     self.local_registry.register(pkg.cls)
                 self.sandbox.authorise(pkg.cls, version=pkg.version)
-                if span is not None:
-                    tracer.instant(
-                        "sandbox.authorise", category="mobility",
-                        track=self.peer.peer_id, unit=unit_name, version=pkg.version,
-                    )
+                tracer.instant(
+                    "sandbox.authorise", category="mobility",
+                    track=self.peer.peer_id, unit=unit_name, version=pkg.version,
+                )
             graph = graph_from_string(spec.xml, registry=self.local_registry)
             engine = LocalEngine(graph, external_inputs=spec.external_inputs)
             # "Users also would have the option to specify how much RAM the
@@ -317,8 +312,7 @@ class TrianaService:
             )
         except (MobilityError, SandboxViolation, Exception) as exc:
             self.stats.deploy_failures += 1
-            if span is not None:
-                span.end(outcome="failed", error=type(exc).__name__)
+            span.end(outcome="failed", error=type(exc).__name__)
             self.peer.send(
                 spec.controller,
                 "deploy-ack",
@@ -331,8 +325,7 @@ class TrianaService:
         )
         self.deployments[spec.deployment_id] = dep
         self.stats.deployments += 1
-        if span is not None:
-            span.end(outcome="deployed", units=len(required))
+        span.end(outcome="deployed", units=len(required))
         self.sim.process(self._exec_loop(dep), name=f"exec/{spec.deployment_id}")
         self.peer.send(
             spec.controller, "deploy-ack", payload=(spec.deployment_id, None), size_bytes=64
@@ -424,15 +417,23 @@ class TrianaService:
             outputs_map = dep.engine.step(external)
             duration = (dep.engine.stats.modelled_flops - flops_before) / speed
             yield self.sim.timeout(duration)
-            if span is not None:
-                span.end(modelled_seconds=duration)
-            self.stats.busy_seconds += duration
-            self.stats.iterations += 1
-            dep.iterations_done += 1
             outputs = [outputs_map[t][n] for t, n in dep.spec.output_spec]
-            outputs = self._maybe_tamper(dep, iteration, outputs)
-            dep.pending.discard(iteration)
-            self._ship(dep, iteration, outputs)
+            self._complete(dep, iteration, outputs, duration, span)
+
+    def _complete(
+        self, dep: _Deployment, iteration: int, outputs: list[Any],
+        duration: float, span,
+    ) -> None:
+        """The tail of one execution, whatever engine ran it (the volunteer
+        loop after its timeout, the cluster worker when its batch job ends)."""
+        if span is not None:
+            span.end(modelled_seconds=duration)
+        self.stats.busy_seconds += duration
+        self.stats.iterations += 1
+        dep.iterations_done += 1
+        outputs = self._maybe_tamper(dep, iteration, outputs)
+        dep.pending.discard(iteration)
+        self._ship(dep, iteration, outputs)
 
     def _maybe_tamper(
         self, dep: _Deployment, iteration: int, outputs: list[Any]
@@ -455,13 +456,11 @@ class TrianaService:
         )
         if kind:
             self.stats.results_corrupted += 1
-            tracer = self.sim.tracer
-            if tracer.enabled:
-                tracer.instant(
-                    "fault.tamper", category="faults", track=self.peer.peer_id,
-                    kind=kind, deployment=dep.spec.deployment_id,
-                    iteration=iteration,
-                )
+            self.sim.tracer.instant(
+                "fault.tamper", category="faults", track=self.peer.peer_id,
+                kind=kind, deployment=dep.spec.deployment_id,
+                iteration=iteration,
+            )
         return tampered
 
     def _ship(self, dep: _Deployment, iteration: int, outputs: list[Any]) -> None:

@@ -17,6 +17,7 @@ from repro.apps.galaxy import build_galaxy_graph, generate_snapshots
 from repro.apps.inspiral import build_inspiral_graph
 from repro.faults import Fault, FaultInjector, FaultPlan
 from repro.faults.compute import ComputeFaultModel, ComputeFaultWindow
+from repro.observe import NullTracer
 from repro.p2p import LAN_PROFILE
 from repro.service import SchedulingError
 from repro.service.detector import HeartbeatFailureDetector
@@ -210,9 +211,7 @@ class _Ctx:
     def __init__(self, sim_now=10.0):
         class _Sim:
             now = sim_now
-
-            class tracer:
-                enabled = False
+            tracer = NullTracer()
 
         self.sim = _Sim()
 

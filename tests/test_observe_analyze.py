@@ -15,6 +15,8 @@ import pytest
 from repro import ConsumerGrid
 from repro.analysis import pipeline_graph
 from repro.observe import (
+    SpanRecord,
+    TraceEvent,
     Tracer,
     analyze,
     bottlenecks,
@@ -207,12 +209,21 @@ class TestUtilization:
         assert offline, "install-time snapshot must record the offline peer"
 
 
+def _assert_tracer_records(view):
+    """A loaded file holds the tracer's own record types, one model."""
+    assert view.spans and view.events
+    assert all(type(s) is SpanRecord for s in view.spans)
+    assert all(type(e) is TraceEvent for e in view.events)
+    assert all(isinstance(e.attrs, tuple) for e in view.events)
+
+
 class TestLoadTrace:
     def test_jsonl_round_trip_exact(self, tmp_path):
         grid, _ = _traced_run()
         path = tmp_path / "run.jsonl"
         write_trace(grid.sim.tracer, str(path))
         assert analyze(str(path)) == analyze(grid.sim.tracer)
+        _assert_tracer_records(load_trace(str(path)))
 
     def test_chrome_round_trip_close(self, tmp_path):
         grid, _ = _traced_run()
@@ -225,6 +236,7 @@ class TestLoadTrace:
         assert loaded["path_s"] + loaded["slack_s"] == pytest.approx(
             loaded["window"]["duration_s"], abs=1e-9
         )
+        _assert_tracer_records(load_trace(str(path)))
 
     def test_single_record_jsonl(self, tmp_path):
         # One line parses as a single JSON dict; it must still be
@@ -256,6 +268,13 @@ class TestLoadTrace:
         grid, _ = _traced_run()
         view = load_trace(grid.sim.tracer)
         assert load_trace(view) is view
+
+    def test_live_tracer_is_viewed_not_copied(self):
+        grid, _ = _traced_run()
+        tracer = grid.sim.tracer
+        view = load_trace(tracer)
+        assert view.spans[0] is tracer.spans[0]
+        assert view.events[0] is tracer.events[0]
 
 
 class TestReadOnly:

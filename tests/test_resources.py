@@ -1,4 +1,4 @@
-"""Tests for hosts, availability models, batch queue and accounts."""
+"""Tests for availability models, batch queue and accounts."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.resources import (
     AuthenticationError,
     BatchQueue,
     CertificateAuthority,
-    ComputeHost,
     Credential,
     GlobusAccountManager,
     GramGateway,
@@ -21,61 +20,6 @@ from repro.resources import (
     fleet_availability,
 )
 from repro.simkernel import Simulator
-
-
-class TestComputeHost:
-    def test_duration_matches_cpu_speed(self):
-        sim = Simulator()
-        host = ComputeHost(sim, NodeProfile(cpu_flops=2e9))
-        assert host.duration_of(2e9) == pytest.approx(1.0)
-        assert host.duration_of(1e9) == pytest.approx(0.5)
-
-    def test_run_advances_clock(self):
-        sim = Simulator()
-        host = ComputeHost(sim, NodeProfile(cpu_flops=1e9))
-        done = host.run(3e9)
-        runtime = sim.run(until=done)
-        assert runtime == pytest.approx(3.0)
-        assert sim.now == pytest.approx(3.0)
-        assert host.stats.jobs_run == 1
-
-    def test_single_core_serialises(self):
-        sim = Simulator()
-        host = ComputeHost(sim, NodeProfile(cpu_flops=1e9), cores=1)
-        host.run(1e9)
-        done = host.run(1e9)
-        sim.run(until=done)
-        assert sim.now == pytest.approx(2.0)
-
-    def test_multi_core_overlaps(self):
-        sim = Simulator()
-        host = ComputeHost(sim, NodeProfile(cpu_flops=1e9), cores=2)
-        host.run(1e9)
-        done = host.run(1e9)
-        sim.run(until=done)
-        assert sim.now == pytest.approx(1.0)
-
-    def test_efficiency_slows_execution(self):
-        sim = Simulator()
-        host = ComputeHost(sim, NodeProfile(cpu_flops=1e9), efficiency=0.5)
-        assert host.duration_of(1e9) == pytest.approx(2.0)
-
-    def test_validation(self):
-        sim = Simulator()
-        with pytest.raises(ResourceError):
-            ComputeHost(sim, cores=0)
-        with pytest.raises(ResourceError):
-            ComputeHost(sim, efficiency=0.0)
-        with pytest.raises(ResourceError):
-            ComputeHost(sim).duration_of(-1)
-
-    def test_utilisation(self):
-        sim = Simulator()
-        host = ComputeHost(sim, NodeProfile(cpu_flops=1e9))
-        assert host.utilisation_possible == 0.0
-        done = host.run(1e9)
-        sim.run(until=done)
-        assert host.utilisation_possible == pytest.approx(1.0)
 
 
 def make_peer():

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro import ConsumerGrid, TaskGraph
+from repro.analysis import fig1_grouped
 from repro.core import LocalEngine
+from repro.faults.compute import ComputeFaultModel, ComputeFaultWindow
+from repro.observe import analyze
 from repro.p2p import LAN_PROFILE
 from repro.service import MigrationError
 
@@ -189,3 +192,42 @@ class TestClusterWorker:
         local.run(4)
         for dist, loc in zip(report.group_results, probe.values):
             np.testing.assert_allclose(dist[0].data, loc.data)
+
+
+class TestClusterSharesTheCompletionTail:
+    """The batch job's done-callback runs ``TrianaService._complete`` —
+    the volunteer loop's own tail — so a cluster peer is not a special
+    case for telemetry, the chaos layer or the analyser."""
+
+    def run_on_cluster(self, iterations, **grid_kw):
+        grid = ConsumerGrid(n_workers=1, seed=3, **grid_kw)
+        cluster = grid.add_cluster_worker("cluster-0")
+        model = ComputeFaultModel(
+            "cluster-0", [ComputeFaultWindow("saboteur", seed=1, fraction=1.0)]
+        )
+        grid.transport.compute_faults["cluster-0"] = model
+        grid.run(fig1_grouped(), iterations=iterations, workers=["cluster-0"])
+        return grid, cluster, model
+
+    def test_finished_iterations_leave_the_pending_set(self):
+        _, cluster, _ = self.run_on_cluster(8)
+        sample = cluster.telemetry_sample()
+        assert sample["iterations"] == 8
+        # what StarvationDetector reads to call a peer idle
+        assert (sample["queued"], sample["inflight"]) == (0, 0)
+
+    def test_planted_saboteur_tampers_on_a_cluster_peer(self):
+        _, cluster, model = self.run_on_cluster(6)
+        assert model.summary()["executions"] == 6
+        assert model.summary()["tampered"] == {"saboteur": 6}
+        assert cluster.stats.results_corrupted == 6
+
+    def test_cluster_track_shows_its_compute(self):
+        grid, _, _ = self.run_on_cluster(6, trace=True)
+        execs = [
+            s for s in grid.sim.tracer.spans
+            if s.name == "worker.exec" and s.track == "cluster-0"
+        ]
+        assert sorted(s.attrs["iteration"] for s in execs) == list(range(6))
+        assert all(s.finished and s.attrs["modelled_seconds"] > 0 for s in execs)
+        assert analyze(grid.sim.tracer)["bottlenecks"]["seconds"]["compute"] > 0

@@ -4,6 +4,7 @@ Probes are synthetic one-line modules under a scratch source root, run
 through the tool's own ``check()``: one per pairwise rule of the
 13-rule set this one replaced, plus the imports that set let through
 (``simkernel -> repro.mobility``) and the ones that must stay legal.
+``orphans()`` gets three synthetic trees of its own.
 """
 
 import importlib.util
@@ -75,3 +76,43 @@ def test_rule_count_and_real_tree():
     assert len(layering.RULES) <= 10
     files = list((layering.SRC / "repro").rglob("*.py"))
     assert layering.check(files) == []
+    # the waiting list can only shrink: nothing new, nothing stale
+    assert layering.orphans(files) == sorted(layering.AWAITING_DELETION)
+
+
+def _orphans(tmp_path, files):
+    """``orphans()`` of a synthetic tree: {module path: source}."""
+    src = tmp_path / "src"
+    paths = []
+    for rel, text in files.items():
+        path = src / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+        paths.append(path)
+    return layering.orphans(paths, src=src)
+
+
+_PKG = {
+    "repro/__init__.py": "",
+    "repro/cli.py": "from .p2p import Peer\n",
+    "repro/p2p/__init__.py": "from .peer import Peer\nfrom .web import WebClient\n",
+    "repro/p2p/peer.py": "class Peer: pass\n",
+    "repro/p2p/web.py": "class WebClient: pass\n",
+}
+
+
+def test_module_nobody_imports_is_an_orphan(tmp_path):
+    files = {**_PKG, "repro/p2p/__init__.py": "from .peer import Peer\n"}
+    # cli is the tree's entry point here: nothing imports it either
+    assert _orphans(tmp_path, files) == ["repro.cli", "repro.p2p.web"]
+
+
+def test_package_reexport_alone_does_not_save_a_module(tmp_path):
+    assert "repro.p2p.web" in _orphans(tmp_path, _PKG)
+
+
+def test_import_through_the_package_counts_for_the_submodule(tmp_path):
+    # only cli's ``from .p2p import Peer`` reaches peer.py
+    assert "repro.p2p.peer" not in _orphans(tmp_path, _PKG)
+    files = {**_PKG, "repro/cli.py": "from .p2p import Peer, WebClient\n"}
+    assert _orphans(tmp_path / "b", files) == ["repro.cli"]

@@ -37,6 +37,11 @@ imports) with :mod:`ast`, no code is executed.  Run it directly::
 
 Exit status 0 = layering clean; each violation prints as
 ``path:line: <rule>``.
+
+The same pass keeps deleted code deleted: :func:`orphans` lists every
+module no other module imports (a package ``__init__``'s re-export does
+not count), and ``main()`` fails on any that is not already on the
+``AWAITING_DELETION`` list.
 """
 
 from __future__ import annotations
@@ -152,19 +157,75 @@ def check(paths: list[pathlib.Path], src: pathlib.Path = SRC) -> list[str]:
     return violations
 
 
+#: packs whose import *is* their use: importing them registers units /
+#: policies, nothing needs a name from them
+SELF_REGISTERING = ("repro.core.toolbox", "repro.service.policies")
+
+#: orphans ISSUE 18 names whose tests exceed one PR's removed-test
+#: allowance (CHANGES.md, PR 18); an entry leaves with its module
+AWAITING_DELETION = ("repro.core.introspect", "repro.p2p.webservice")
+
+
+def orphans(paths: list[pathlib.Path], src: pathlib.Path = SRC) -> list[str]:
+    """Modules among ``paths`` that no *other* module imports.
+
+    A name imported through a package (``from .observe import
+    write_trace``) counts for the submodule the package's ``__init__``
+    took it from; the ``__init__``'s own re-export does not count, so a
+    module only its package and its test know is an orphan.
+    """
+    modules = {module_name(path, src): path for path in paths}
+    imports = {
+        module: {target for _, target in imported_targets(path, src)}
+        for module, path in modules.items()
+    }
+    reexports = {}  # (package, name) -> the ``package.submodule.name`` behind it
+    for package, targets in imports.items():
+        if modules[package].name != "__init__.py":
+            continue
+        for target in targets:
+            base, _, name = target.rpartition(".")
+            if target not in modules and base != package and _within(base, (package,)):
+                reexports[package, name] = target
+
+    def origin(target: str) -> str:
+        """The module an import target really reaches ("" = none of ours)."""
+        while target and target not in modules:
+            base, _, name = target.rpartition(".")
+            target = reexports.get((base, name), base)
+        return target
+
+    used = set()
+    for module, targets in imports.items():
+        reached = {origin(target) for target in targets}
+        # a package importing its own submodules is the re-export
+        used |= {m for m in reached if not _within(m, (module,))}
+    exempt = ("repro.__main__",) + SELF_REGISTERING
+    return sorted(
+        m for m, path in modules.items()
+        if path.name != "__init__.py" and m not in used and not _within(m, exempt)
+    )
+
+
 def main() -> int:
     files = list((SRC / "repro").rglob("*.py"))
     if not files:
         print("check_layering: no sources found under src/repro", file=sys.stderr)
         return 1
     violations = check(files)
+    found = orphans(files)
+    violations += [f"{m}: orphan module — no other module imports it"
+                   for m in found if m not in AWAITING_DELETION]
+    violations += [f"{m}: listed in AWAITING_DELETION but not an orphan"
+                   for m in AWAITING_DELETION if m not in found]
     for line in violations:
         print(line)
     if violations:
         print(f"layering check FAILED: {len(violations)} violation(s)",
               file=sys.stderr)
         return 1
-    print(f"layering check passed ({len(files)} modules, {len(RULES)} rules)")
+    print(f"layering check passed ({len(files)} modules, {len(RULES)} rules, "
+          f"{len(found)} orphan(s) awaiting deletion)")
     return 0
 
 
