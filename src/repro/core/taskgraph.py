@@ -15,10 +15,9 @@ used by :mod:`repro.core.distribution`.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional, Type
-
-import networkx as nx
 
 from .errors import GraphError, TypeMismatchError
 from .registry import UnitRegistry, global_registry
@@ -375,19 +374,15 @@ class TaskGraph:
         return [n for n in self.tasks if n not in feeding]
 
     # -- validation & ordering -----------------------------------------------------
-    def _digraph(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        g.add_nodes_from(self.tasks)
+    def _successors(self) -> dict[str, set[str]]:
+        succ: dict[str, set[str]] = {name: set() for name in self.tasks}
         for c in self.connections:
-            g.add_edge(c.src, c.dst)
-        return g
+            succ[c.src].add(c.dst)
+        return succ
 
     def validate(self) -> None:
         """Raise :class:`GraphError` on cycles or under-fed input nodes."""
-        g = self._digraph()
-        if not nx.is_directed_acyclic_graph(g):
-            cycle = nx.find_cycle(g)
-            raise GraphError(f"task graph contains a cycle: {cycle}")
+        self.topological_order()
         for name, task in self.tasks.items():
             fed = {c.dst_node for c in self.in_connections(name)}
             missing = set(range(task.num_inputs)) - fed
@@ -400,11 +395,45 @@ class TaskGraph:
             t.graph.validate()
 
     def topological_order(self) -> list[str]:
-        """Deterministic topological ordering of task names."""
-        g = self._digraph()
-        if not nx.is_directed_acyclic_graph(g):
-            raise GraphError("task graph contains a cycle")
-        return list(nx.lexicographical_topological_sort(g))
+        """Deterministic topological ordering of task names.
+
+        Kahn's algorithm over a heap of ready names: among the tasks whose
+        predecessors are all placed, the smallest name goes next.
+        """
+        succ = self._successors()
+        waiting = dict.fromkeys(succ, 0)
+        for dsts in succ.values():
+            for dst in dsts:
+                waiting[dst] += 1
+        ready = [name for name, n in waiting.items() if not n]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            name = heapq.heappop(ready)
+            order.append(name)
+            for dst in succ[name]:
+                waiting[dst] -= 1
+                if not waiting[dst]:
+                    heapq.heappush(ready, dst)
+        stuck = sorted(name for name, n in waiting.items() if n)
+        if stuck:
+            raise GraphError(
+                f"task graph contains a cycle; tasks on or fed by it: {stuck}"
+            )
+        return order
+
+    def descendants(self, name: str) -> set[str]:
+        """Every task reachable from ``name`` (``name`` itself excluded)."""
+        self.task(name)
+        succ = self._successors()
+        seen: set[str] = set()
+        frontier = [name]
+        while frontier:
+            for dst in succ[frontier.pop()] - seen:
+                seen.add(dst)
+                frontier.append(dst)
+        seen.discard(name)
+        return seen
 
     # -- flattening ------------------------------------------------------------------
     def flattened(self) -> "TaskGraph":

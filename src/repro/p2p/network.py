@@ -34,8 +34,6 @@ import abc
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-import networkx as nx
-
 from ..simkernel import Resource, Simulator
 from .errors import NetworkError
 
@@ -314,7 +312,8 @@ class SimNetwork(Transport):
         self._downlinks: dict[str, "object"] = {}
         self._cuts: dict[int, tuple[frozenset[str], frozenset[str]]] = {}
         self._next_cut_id = 1
-        self.overlay = nx.Graph()
+        #: node id → overlay neighbours (undirected: both ends list the other)
+        self.overlay: dict[str, set[str]] = {}
         self.stats = NetStats()
         #: per-peer compute-fault models, keyed by peer id.  The faults
         #: layer installs entries, the service layer polls them — this
@@ -337,14 +336,15 @@ class SimNetwork(Transport):
         self._profiles[node_id] = profile or DSL_PROFILE
         self._handlers[node_id] = handler
         self._online[node_id] = True
-        self.overlay.add_node(node_id)
+        self.overlay[node_id] = set()
 
     def remove_node(self, node_id: str) -> None:
         self._require(node_id)
         del self._profiles[node_id]
         del self._handlers[node_id]
         del self._online[node_id]
-        self.overlay.remove_node(node_id)
+        for nb in self.overlay.pop(node_id) - {node_id}:
+            self.overlay[nb].discard(node_id)
 
     def nodes(self) -> list[str]:
         return list(self._profiles)
@@ -433,11 +433,12 @@ class SimNetwork(Transport):
         """Declare two nodes overlay neighbours (for flooding)."""
         self._require(a)
         self._require(b)
-        self.overlay.add_edge(a, b)
+        self.overlay[a].add(b)
+        self.overlay[b].add(a)
 
     def neighbours(self, node_id: str) -> list[str]:
         self._require(node_id)
-        return sorted(self.overlay.neighbors(node_id))
+        return sorted(self.overlay[node_id])
 
     def random_overlay(self, degree: int = 4, stream: str = "overlay") -> None:
         """Wire a random connected overlay of roughly the given degree."""
@@ -447,11 +448,11 @@ class SimNetwork(Transport):
         rng = self.sim.rng(stream)
         # Ring ensures connectivity; extra random edges approximate degree.
         for i, node in enumerate(ids):
-            self.overlay.add_edge(node, ids[(i + 1) % len(ids)])
+            self.add_edge(node, ids[(i + 1) % len(ids)])
         extra = max(0, (degree - 2)) * len(ids) // 2
         for _ in range(extra):
             a, b = rng.choice(len(ids), size=2, replace=False)
-            self.overlay.add_edge(ids[a], ids[b])
+            self.add_edge(ids[a], ids[b])
 
     # -- transfer model -----------------------------------------------------------
     def send(self, message: Message) -> float:

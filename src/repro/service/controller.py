@@ -424,7 +424,7 @@ class TrianaController:
                 ctx.verifier.start(ctx)
 
         # -- staged dispatch & collection -------------------------------------
-        router = StageRouter(plan, iterations)
+        router = StageRouter(plan)
 
         def dispatch_stage_groups(stage: int, it: int) -> None:
             for gi in plan.groups_at_stage(stage):

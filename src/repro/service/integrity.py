@@ -83,7 +83,7 @@ def _feed(h, value: Any) -> None:
         h.update(b"A")
         h.update(str(value.dtype).encode())
         h.update(str(value.shape).encode())
-        h.update(np.ascontiguousarray(value).tobytes())
+        h.update(np.ascontiguousarray(value))
     elif isinstance(value, (list, tuple)):
         h.update(b"L" if isinstance(value, list) else b"T")
         h.update(str(len(value)).encode())

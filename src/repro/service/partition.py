@@ -23,9 +23,8 @@ is what keeps refactored runs bit-identical to the seed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 from ..core.taskgraph import Connection, GroupTask, TaskGraph
 from .errors import SchedulingError
@@ -144,14 +143,8 @@ def partition_for_group(graph: TaskGraph, group_name: str) -> GroupPartition:
     if not isinstance(group, GroupTask):
         raise SchedulingError(f"{group_name!r} is not a group")
 
-    digraph = nx.DiGraph()
-    digraph.add_nodes_from(graph.tasks)
-    for c in graph.connections:
-        digraph.add_edge(c.src, c.dst)
-    descendants = nx.descendants(digraph, group_name)
-
-    upstream_names = set(graph.tasks) - descendants - {group_name}
-    downstream_names = set(descendants)
+    downstream_names = graph.descendants(group_name)
+    upstream_names = set(graph.tasks) - downstream_names - {group_name}
 
     upstream = TaskGraph(name=f"{graph.name}/upstream", registry=graph.registry)
     downstream = TaskGraph(name=f"{graph.name}/downstream", registry=graph.registry)
@@ -217,11 +210,7 @@ def partition_stages(graph: TaskGraph) -> StagedPartition:
     groups = find_distributable_groups(graph)
     index = {g.name: i for i, g in enumerate(groups)}
 
-    digraph = nx.DiGraph()
-    digraph.add_nodes_from(graph.tasks)
-    for c in graph.connections:
-        digraph.add_edge(c.src, c.dst)
-    descendants = {g.name: nx.descendants(digraph, g.name) for g in groups}
+    descendants = {g.name: graph.descendants(g.name) for g in groups}
 
     zone_of: dict[str, int] = {}
     for name in graph.tasks:
@@ -269,61 +258,75 @@ def partition_stages(graph: TaskGraph) -> StagedPartition:
         )
     return part
 
+
 class StageRouter:
     """Routes boundary values between local zones and groups during a run.
 
     Every boundary value an iteration produces — a local output feeding a
     group or a later zone, or a group's output node — is stashed keyed by
-    its *source* endpoint, then read back when the consuming group is
-    dispatched or the consuming zone is stepped.
+    its *source* endpoint, then handed over when the consuming group is
+    dispatched or the consuming zone is stepped.  The plan says how many
+    connections read each endpoint, so the last reader takes the value
+    out: the router holds what is still owed to someone, not the run.
     """
 
-    def __init__(self, plan: StagedPartition, iterations: int):
+    def __init__(self, plan: StagedPartition):
         self.plan = plan
-        self._vals: dict[int, dict[tuple[str, int], object]] = {
-            it: {} for it in range(iterations)
-        }
-        #: local source endpoints whose values anyone downstream consumes
-        self._boundary = {
+        #: iteration → source endpoint → [value, reads still owed]
+        self._vals: dict[int, dict[tuple[str, int], list]] = {}
+        #: source endpoint → how many connections consume it
+        self._readers = Counter(
             (c.src, c.src_node)
-            for conns in plan.to_group.values()
+            for conns in (*plan.to_group.values(), *plan.from_group.values(), plan.cross)
             for c in conns
-            if c.src in plan.zone_of
-        } | {(c.src, c.src_node) for c in plan.cross}
+        )
         #: per zone: externally-fed (dst, dst_node) → producing endpoint
         self._feeds: list[dict[tuple[str, int], tuple[str, int]]] = [
             {} for _ in plan.zones
         ]
-        for c in plan.cross:
-            self._feeds[plan.zone_of[c.dst]][(c.dst, c.dst_node)] = (c.src, c.src_node)
-        for conns in plan.from_group.values():
+        for conns in (plan.cross, *plan.from_group.values()):
             for c in conns:
                 self._feeds[plan.zone_of[c.dst]][(c.dst, c.dst_node)] = (
                     c.src,
                     c.src_node,
                 )
 
+    def _stash(self, iteration: int, src: tuple[str, int], value) -> None:
+        readers = self._readers[src]
+        if readers:
+            self._vals.setdefault(iteration, {})[src] = [value, readers]
+
+    def _take(self, iteration: int, src: tuple[str, int]):
+        vals = self._vals[iteration]
+        slot = vals[src]
+        slot[1] -= 1
+        if not slot[1]:
+            del vals[src]
+            if not vals:
+                del self._vals[iteration]
+        return slot[0]
+
     def stash_zone(self, zone: int, iteration: int, outputs) -> None:
         """Record one zone step's boundary outputs for ``iteration``."""
-        for t, n in self._boundary:
-            if self.plan.zone_of[t] == zone:
-                self._vals[iteration][(t, n)] = outputs[t][n]
+        for t, n in self._readers:
+            if self.plan.zone_of.get(t) == zone:
+                self._stash(iteration, (t, n), outputs[t][n])
 
     def stash_group(self, group_name: str, iteration: int, outputs) -> None:
         """Record a collected group result's output nodes."""
         for n, value in enumerate(outputs):
-            self._vals[iteration][(group_name, n)] = value
+            self._stash(iteration, (group_name, n), value)
 
     def group_inputs(self, group: GroupTask, iteration: int) -> list:
-        """The ordered input payloads to dispatch into ``group``."""
+        """Take the ordered input payloads to dispatch into ``group``."""
         return [
-            self._vals[iteration][(c.src, c.src_node)]
+            self._take(iteration, (c.src, c.src_node))
             for c in self.plan.to_group[group.name]
         ]
 
     def zone_externals(self, zone: int, iteration: int) -> dict:
-        """The external-input dict for stepping one zone's engine."""
+        """Take the external-input dict for stepping one zone's engine."""
         return {
-            dst: self._vals[iteration][src]
+            dst: self._take(iteration, src)
             for dst, src in self._feeds[zone].items()
         }

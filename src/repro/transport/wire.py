@@ -113,7 +113,8 @@ def _compile_enc_plan(cls: type) -> tuple[bytes, tuple[tuple[bytes, str], ...]]:
 
 def _enc(obj: Any, out: bytearray) -> None:
     # Exact-type tests first, most frequent first; everything below the
-    # plan lookup is rare on the protocol's frames.
+    # plan lookup is rare on the protocol's frames.  ``out`` may be a
+    # :class:`_HashSink`: only ``+=``, ``extend`` and ``append`` touch it.
     t = type(obj)
     if t is str:
         raw = obj.encode("utf-8")
@@ -483,6 +484,24 @@ def decode_message(data: bytes) -> Message:
     return obj
 
 
+class _HashSink:
+    """The three things :func:`_enc` does to its ``bytearray``, done to a
+    hash instead: the encoding is digested piece by piece, never built."""
+
+    __slots__ = ("extend",)
+
+    def __init__(self, h):
+        # ``extend(arr)`` hands the hash the array's own memory.
+        self.extend = h.update
+
+    def __iadd__(self, data):
+        self.extend(data)
+        return self
+
+    def append(self, byte: int) -> None:
+        self.extend(bytes((byte,)))
+
+
 def result_checksum(obj: Any) -> str:
     """SHA-256 over the canonical encoding of ``obj``.
 
@@ -491,4 +510,6 @@ def result_checksum(obj: Any) -> str:
     test for the TCP backend asserts a localhost multi-process run
     produces the same digest as the deterministic simulation.
     """
-    return hashlib.sha256(encode(obj)).hexdigest()
+    h = hashlib.sha256(_HEADER)
+    _enc(obj, _HashSink(h))
+    return h.hexdigest()

@@ -9,6 +9,7 @@ on the machine and can gate on every Python the CI matrix runs.
 
 import asyncio
 import dataclasses
+import hashlib
 import importlib
 import time
 import tracemalloc
@@ -19,7 +20,9 @@ import pytest
 from repro.core.types import SampleSet
 from repro.p2p.network import Message
 from repro.transport import RealtimeSimulator, TcpTransport
-from repro.transport.wire import decode_message, encode_message
+from repro.transport.wire import (
+    decode_message, encode, encode_message, result_checksum,
+)
 
 
 def exec_message(samples: int) -> Message:
@@ -59,6 +62,14 @@ class TestCodecCopies:
         frame = encode_message(message)
         # The growing buffer and the bytes returned; no tobytes() third.
         assert traced_peak(lambda: encode_message(message)) <= 2.2 * len(frame)
+
+    def test_checksumming_a_run_copies_none_of_it(self):
+        results = [[np.full(self.MIB_OF_FLOAT64, float(i))] for i in range(32)]
+        digest = result_checksum(results)  # hashlib and the sink warmed
+        # 32 MiB of results, hashed out of the arrays' own memory: the
+        # encoding is never built, so the transient is below one leaf.
+        assert traced_peak(lambda: result_checksum(results)) <= 1.1 * (1 << 20)
+        assert digest == hashlib.sha256(encode(results)).hexdigest()
 
 
 def test_warm_frames_repeat_no_per_class_work(monkeypatch):

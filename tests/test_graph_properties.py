@@ -7,10 +7,13 @@ and semantics, and both XML formats round-tripping losslessly.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    Connection,
+    GraphError,
     LocalEngine,
     TaskGraph,
     graph_from_string,
@@ -66,6 +69,56 @@ def test_random_graph_validates_and_orders(g):
         assert index[c.src] < index[c.dst]
     # Determinism.
     assert g.topological_order() == order
+
+
+@st.composite
+def named_dags(draw):
+    """≤ 12 tasks, random forward edges along a hidden order.
+
+    The names are a shuffle of that order, so several tasks are usually
+    ready at once and only the name decides which goes first.  Only the
+    ordering code is under test: the edges bypass ``connect``'s one-feed-
+    per-input rule (parallel edges included, which must count once).
+    """
+    names = draw(st.permutations("abcdefghijkl"[: draw(st.integers(1, 12))]))
+    g = TaskGraph("dag")
+    for name in names:
+        g.add_task(name, "Gain")
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    for src, dst in draw(st.lists(st.sampled_from(pairs), max_size=30)) if pairs else []:
+        g.connections.append(Connection(src, 0, dst, 0))
+    return g
+
+
+@given(named_dags())
+@settings(max_examples=200, deadline=None)
+def test_order_and_descendants_match_the_networkx_reference(g):
+    nx = pytest.importorskip("networkx")
+    ref = nx.DiGraph()
+    ref.add_nodes_from(g.tasks)
+    ref.add_edges_from((c.src, c.dst) for c in g.connections)
+    assert g.topological_order() == list(nx.lexicographical_topological_sort(ref))
+    for name in g.tasks:
+        assert g.descendants(name) == nx.descendants(ref, name)
+
+
+@given(named_dags(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_back_edge_is_a_graph_error_naming_the_cycle(g, data):
+    """Close any forward path (or a self-loop) and both entry points raise,
+    naming every task on the cycle."""
+    dst = data.draw(st.sampled_from(sorted(g.tasks)))
+    src = data.draw(st.sampled_from(sorted(g.descendants(dst) | {dst})))
+    on_cycle = {dst, src} | {
+        n for n in g.descendants(dst) if src in g.descendants(n)
+    }
+    g.connections.append(Connection(src, 0, dst, 0))
+    for check in (g.validate, g.topological_order):
+        with pytest.raises(GraphError, match="cycle") as err:
+            check()
+        assert all(repr(n) in str(err.value) for n in on_cycle)
+    with pytest.raises(GraphError):
+        g.descendants("no-such-task")
 
 
 @given(random_graphs())

@@ -11,6 +11,7 @@ from repro.p2p import (
     FloodingDiscovery,
     RendezvousDiscovery,
 )
+from tests.test_p2p_network import overlay_connected
 
 
 @pytest.mark.parametrize("strategy", ["central", "flooding", "rendezvous"])
@@ -65,10 +66,8 @@ class TestStrategyWiring:
             ConsumerGrid(n_workers=0)
 
     def test_flooding_grid_has_overlay(self):
-        import networkx as nx
-
         grid = ConsumerGrid(n_workers=6, seed=114, discovery="flooding")
-        assert nx.is_connected(grid.transport.overlay)
+        assert overlay_connected(grid.transport)
 
     def test_rendezvous_uses_portal(self):
         grid = ConsumerGrid(n_workers=2, seed=115, discovery="rendezvous")

@@ -24,6 +24,25 @@ def make_net(n=2, jitter=0.0):
     return sim, net, boxes
 
 
+def overlay_edges(net):
+    """Each undirected overlay edge once, from the public surface."""
+    return sorted(
+        (a, b) for a in net.nodes() for b in net.neighbours(a) if a <= b
+    )
+
+
+def overlay_connected(net):
+    """One BFS over ``neighbours()`` reaches every node."""
+    nodes = net.nodes()
+    seen, frontier = {nodes[0]}, [nodes[0]]
+    while frontier:
+        for nb in net.neighbours(frontier.pop()):
+            if nb not in seen:
+                seen.add(nb)
+                frontier.append(nb)
+    return seen == set(nodes)
+
+
 class TestMembership:
     def test_add_and_list(self):
         _, net, _ = make_net(3)
@@ -159,19 +178,30 @@ class TestOverlay:
         assert net.neighbours("peer-1") == ["peer-0"]
 
     def test_random_overlay_connected(self):
-        import networkx as nx
-
         _, net, _ = make_net(20)
         net.random_overlay(degree=4)
-        assert nx.is_connected(net.overlay)
+        assert overlay_connected(net)
 
     def test_random_overlay_deterministic(self):
         def edges():
             _, net, _ = make_net(16)
             net.random_overlay(degree=4)
-            return sorted(net.overlay.edges())
+            return overlay_edges(net)
 
         assert edges() == edges()
+        assert len(edges()) >= 16  # the ring alone
+
+    def test_remove_node_leaves_no_dangling_neighbour(self):
+        _, net, _ = make_net(3)
+        net.add_edge("peer-0", "peer-1")
+        net.add_edge("peer-0", "peer-2")
+        net.add_edge("peer-0", "peer-0")  # a self-loop is its own neighbour
+        assert net.neighbours("peer-0") == ["peer-0", "peer-1", "peer-2"]
+        net.remove_node("peer-0")
+        assert net.neighbours("peer-1") == [] and net.neighbours("peer-2") == []
+        assert overlay_edges(net) == []
+        with pytest.raises(NetworkError):
+            net.neighbours("peer-0")
 
     def test_broadcast_counts(self):
         sim, net, boxes = make_net(4)

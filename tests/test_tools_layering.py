@@ -4,11 +4,15 @@ Probes are synthetic one-line modules under a scratch source root, run
 through the tool's own ``check()``: one per pairwise rule of the
 13-rule set this one replaced, plus the imports that set let through
 (``simkernel -> repro.mobility``) and the ones that must stay legal.
-``orphans()`` gets three synthetic trees of its own.
+``orphans()`` gets three synthetic trees of its own, and the third-party
+allow-list its probes in the same two tables.
 """
 
 import importlib.util
+import os
 import pathlib
+import re
+import subprocess
 import sys
 
 import pytest
@@ -40,6 +44,10 @@ FORBIDDEN = [
     ("repro.simkernel.sim", "from ..observe import metrics"),
     ("repro.simkernel.sim", "import repro"),
     ("repro.registry", "from .core.errors import RegistryError"),
+    # third-party packages off the one-entry allow-list (THIRD_PARTY)
+    ("repro.core.taskgraph", "import networkx as nx"),
+    ("repro.service.partition", "from networkx.algorithms import dag"),
+    ("repro.apps.inspiral", "from scipy import signal"),
 ]
 
 ALLOWED = [
@@ -50,6 +58,8 @@ ALLOWED = [
     ("repro.core.registry", "from ..registry import Registry"),
     ("repro.service.policies.mine", "from ..errors import SchedulingError"),
     ("repro.registry", "from typing import Generic"),
+    ("repro.core.taskgraph", "import heapq"),
+    ("repro.transport.wire", "from numpy.lib import stride_tricks"),
 ]
 
 
@@ -74,10 +84,36 @@ def test_legal_import_passes(tmp_path, module, line):
 
 def test_rule_count_and_real_tree():
     assert len(layering.RULES) <= 10
+    declared = re.search(
+        r'^dependencies = \[(.*)\]$', (layering.REPO / "pyproject.toml").read_text(), re.M
+    ).group(1)
+    assert layering.THIRD_PARTY == tuple(re.findall(r'"([A-Za-z0-9_.-]+)', declared))
     files = list((layering.SRC / "repro").rglob("*.py"))
     assert layering.check(files) == []
     # the waiting list can only shrink: nothing new, nothing stale
     assert layering.orphans(files) == sorted(layering.AWAITING_DELETION)
+
+
+#: ``sys.modules`` after ``import repro.deployment`` — what every process
+#: of a deployment loads before it does anything.  348 on CPython 3.11 +
+#: numpy 2.4 (numpy itself is 140 of them); with networkx it was 684.
+MODULE_BUDGET = 450
+
+
+def test_a_fresh_process_loads_numpy_and_nothing_else_third_party():
+    probe = (
+        "import repro.deployment, sys; "
+        "print(len(sys.modules), *sorted({m.partition('.')[0] for m in sys.modules}))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(layering.SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, check=True, timeout=120,
+        capture_output=True, text=True,
+    ).stdout.split()
+    count, loaded = int(out[0]), set(out[1:])
+    assert not loaded & {"networkx", "scipy"}
+    assert {"numpy", "repro"} <= loaded
+    assert count <= MODULE_BUDGET, f"{count} modules loaded, budget {MODULE_BUDGET}"
 
 
 def _orphans(tmp_path, files):

@@ -376,6 +376,8 @@ class TestGoldenBytes:
     def test_encoding_matches_the_pinned_digest(self, name):
         frame = encode(golden_values()[name])
         assert hashlib.sha256(frame).hexdigest() == GOLDEN_SHA256[name]
+        # ... and the streamed digest is the digest of those bytes.
+        assert result_checksum(golden_values()[name]) == GOLDEN_SHA256[name]
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
     def test_bytes_and_bytearray_frames_decode_alike(self, name):
@@ -417,6 +419,14 @@ def test_cold_and_warm_plans_agree(value):
     warm = decode(frame)
     assert type(cold) is type(warm)
     assert encode(cold) == encode(warm) == frame
+
+
+@given(plan_values)
+@settings(max_examples=200)
+def test_checksum_is_the_sha256_of_the_encoding(value):
+    """``result_checksum`` feeds the hash piece by piece and never builds
+    the frame; what it hashes is still ``encode(value)``, byte for byte."""
+    assert result_checksum(value) == hashlib.sha256(encode(value)).hexdigest()
 
 
 @dataclasses.dataclass

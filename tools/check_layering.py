@@ -41,7 +41,11 @@ Exit status 0 = layering clean; each violation prints as
 The same pass keeps deleted code deleted: :func:`orphans` lists every
 module no other module imports (a package ``__init__``'s re-export does
 not count), and ``main()`` fails on any that is not already on the
-``AWAITING_DELETION`` list.
+``AWAITING_DELETION`` list.  And it keeps dropped dependencies dropped:
+an import whose top-level package is neither the standard library nor
+``repro`` must be on ``THIRD_PARTY`` — the runtime dependencies
+``pyproject.toml`` declares (every process pays for each at start-up:
+``networkx`` was 285 modules and 20 MiB for 14 lines of use).
 """
 
 from __future__ import annotations
@@ -98,6 +102,11 @@ RULES: tuple[Rule, ...] = (
 )
 
 
+#: the third-party packages ``src/repro`` may import = pyproject's
+#: ``dependencies``
+THIRD_PARTY = ("numpy",)
+
+
 def module_name(path: pathlib.Path, src: pathlib.Path = SRC) -> str:
     """Dotted module name for a file under ``src``."""
     rel = path.relative_to(src).with_suffix("")
@@ -148,6 +157,13 @@ def check(paths: list[pathlib.Path], src: pathlib.Path = SRC) -> list[str]:
     for path in sorted(paths):
         module = module_name(path, src)
         for lineno, target in imported_targets(path, src):
+            top = target.partition(".")[0]
+            if top not in sys.stdlib_module_names and top not in ("repro", *THIRD_PARTY):
+                violations.append(
+                    f"{path.relative_to(src.parent)}:{lineno}: "
+                    f"{module} imports {target} — {top} is not a declared "
+                    f"runtime dependency {THIRD_PARTY}"
+                )
             for rule in RULES:
                 if rule.rejects(module, target):
                     violations.append(
@@ -225,6 +241,7 @@ def main() -> int:
               file=sys.stderr)
         return 1
     print(f"layering check passed ({len(files)} modules, {len(RULES)} rules, "
+          f"third-party imports within {THIRD_PARTY}, "
           f"{len(found)} orphan(s) awaiting deletion)")
     return 0
 
