@@ -132,10 +132,12 @@ def view_rotation(theta: float, phi: float) -> np.ndarray:
     return rot_x @ rot_z
 
 
-#: Element budget per vectorized chunk (particles x window cells); keeps
-#: the temporary (chunk, span, span) arrays under ~100 MB even for
-#: pathological smoothing lengths.
-_SCATTER_CHUNK_ELEMENTS = 4_000_000
+#: Window cells one pass of the vectorized scatter works on.  Its dozen
+#: 8-byte-per-cell temporaries then stay in cache and below malloc's mmap
+#: threshold (a 2 000-particle 64x64 render has 180 k cells and is ~1.6x
+#: faster in passes of this size than in one), and a pathological
+#: smoothing length costs one particle's window of memory, not a chunk's.
+_SCATTER_CHUNK_ELEMENTS = 1 << 15
 
 
 def _cubic_spline_kernel(q: np.ndarray) -> np.ndarray:
@@ -179,78 +181,78 @@ def _scatter_loop(xs, ys, masses, smoothing, grid, resolution, cell, extent) -> 
         grid[x_lo:x_hi, y_lo:y_hi] += masses[i] * w
 
 
+def _ragged(counts: np.ndarray, firsts: np.ndarray) -> np.ndarray:
+    """The runs ``firsts[k], firsts[k] + 1, ...`` of ``counts[k]`` entries
+    each, concatenated; ``np.repeat(values, counts)`` lines values up."""
+    shift = firsts - (np.cumsum(counts) - counts)
+    return np.repeat(shift, counts) + np.arange(int(counts.sum()))
+
+
 def _scatter_vectorized(xs, ys, masses, smoothing, grid, resolution, cell, extent) -> None:
     """Vectorized SPH scatter, bit-identical to :func:`_scatter_loop`.
 
+    Ragged: each particle contributes exactly the cells of its own
+    clipped window ``[x_lo, x_hi) x [y_lo, y_hi)`` — one entry per
+    (particle, row), one per (particle, column), one per (particle, row,
+    column) — so no cell is evaluated that the loop does not evaluate.
     Why the output is *exactly* equal, not just close:
 
+    * the windows are the loop's: its integer bounds computed on
+      integer-valued floats (exact below 2**53) and clipped to the grid
+      *before* the cast, so a particle flung to 1e30 has an empty window
+      here as it has there, where casting first would wrap;
     * every per-cell contribution is the same elementwise float
       expression the loop evaluates (``(idx + 0.5) * cell - extent``,
-      ``sqrt(dx**2 + dy**2) / h``, the shared kernel, ``/ (h * h)``,
-      ``masses * w``), so each scalar is bit-identical;
-    * each particle's window is the loop's own clipped
-      ``[x_lo, x_hi) x [y_lo, y_hi)`` rectangle, padded out to the
-      chunk's widest window.  Padded cells beyond a particle's own
-      rectangle are masked to contribution 0.0 at index 0, and adding
-      0.0 leaves every (never ``-0.0``) grid cell bitwise unchanged —
-      so the set of effective (cell, contribution) pairs matches the
-      loop exactly;
-    * ``np.add.at`` accumulates unbuffered in index order, and the index
-      array is built particle-major — so each grid cell receives its
+      ``(g - x) ** 2``, ``sqrt(dx2 + dy2) / h``, the shared kernel,
+      ``/ (h * h)``, ``masses * w``) on 1-D arrays, so each scalar is
+      bit-identical;
+    * ``np.add.at`` accumulates unbuffered in index order, and the
+      entries are particle-major — so each grid cell receives its
       contributions in particle order, exactly like the loop.  Chunking
       splits the particle range in order, preserving that property.
 
-    Temporaries are (chunk, span_x, span_y) with spans capped at
-    ``resolution``; the chunk size adapts to keep them under
-    :data:`_SCATTER_CHUNK_ELEMENTS` elements.
+    A chunk is a particle range of at most
+    :data:`_SCATTER_CHUNK_ELEMENTS` window cells (one particle over the
+    budget gets a range to itself).  Inputs must be finite
+    (:func:`sph_column_density` checks).
     """
     n = len(xs)
-    if n == 0:
-        return
     h = np.maximum(smoothing, cell)
-    cx = np.floor((xs + extent) / cell).astype(np.int64)
-    cy = np.floor((ys + extent) / cell).astype(np.int64)
-    radius = np.ceil(2.0 * h / cell).astype(np.int64)
-    x_lo = np.maximum(cx - radius, 0)
-    x_hi = np.minimum(cx + radius + 1, resolution)
-    y_lo = np.maximum(cy - radius, 0)
-    y_hi = np.minimum(cy + radius + 1, resolution)
+    cx = np.floor((xs + extent) / cell)
+    cy = np.floor((ys + extent) / cell)
+    radius = np.ceil(2.0 * h / cell)
+    x_lo = np.clip(cx - radius, 0, resolution).astype(np.int64)
+    x_hi = np.clip(cx + radius + 1, 0, resolution).astype(np.int64)
+    y_lo = np.clip(cy - radius, 0, resolution).astype(np.int64)
+    y_hi = np.clip(cy + radius + 1, 0, resolution).astype(np.int64)
     wx = np.maximum(x_hi - x_lo, 0)
     wy = np.maximum(y_hi - y_lo, 0)
     flat = grid.reshape(-1)
+    ends = np.cumsum(wx * wy)
     start = 0
     while start < n:
-        # Grow the chunk until the padded-window element budget is hit.
-        end = start + 1
-        sx = int(wx[start])
-        sy = int(wy[start])
-        while end < n:
-            nsx = max(sx, int(wx[end]))
-            nsy = max(sy, int(wy[end]))
-            if (end + 1 - start) * nsx * nsy > _SCATTER_CHUNK_ELEMENTS:
-                break
-            sx, sy = nsx, nsy
-            end += 1
-        if sx == 0 or sy == 0:
-            start = end
-            continue
-        sl = slice(start, end)
-        ix = x_lo[sl, None] + np.arange(sx, dtype=np.int64)[None, :]
-        iy = y_lo[sl, None] + np.arange(sy, dtype=np.int64)[None, :]
-        gx = (ix + 0.5) * cell - extent
-        gy = (iy + 0.5) * cell - extent
-        dx = gx - xs[sl, None]
-        dy = gy - ys[sl, None]
-        hc = h[sl, None, None]
-        q = np.sqrt(dx[:, :, None] ** 2 + dy[:, None, :] ** 2) / hc
+        base = int(ends[start - 1]) if start else 0
+        end = int(np.searchsorted(ends, base + _SCATTER_CHUNK_ELEMENTS, "right"))
+        sl = slice(start, max(end, start + 1))
+        start = sl.stop
+        cwx, cwy = wx[sl], wy[sl]
+        ix = _ragged(cwx, x_lo[sl])
+        iy = _ragged(cwy, y_lo[sl])
+        dx2 = ((ix + 0.5) * cell - extent - np.repeat(xs[sl], cwx)) ** 2
+        dy2 = ((iy + 0.5) * cell - extent - np.repeat(ys[sl], cwy)) ** 2
+        # Every row of a particle meets every column of that particle:
+        # ``per_row`` columns each, found from where its columns start.
+        per_row = np.repeat(cwy, cwx)
+        col = _ragged(per_row, np.repeat(np.cumsum(cwy) - cwy, cwx))
+        per_particle = cwx * cwy
+        hc = np.repeat(h[sl], per_particle)
+        q = np.sqrt(np.repeat(dx2, per_row) + dy2[col]) / hc
         w = _cubic_spline_kernel(q) / (hc * hc)
-        contrib = masses[sl, None, None] * w
-        ok = (ix < x_hi[sl, None])[:, :, None] & (iy < y_hi[sl, None])[:, None, :]
-        idx = np.minimum(ix, resolution - 1)[:, :, None] * resolution + np.minimum(
-            iy, resolution - 1
-        )[:, None, :]
-        np.add.at(flat, np.where(ok, idx, 0).ravel(), np.where(ok, contrib, 0.0).ravel())
-        start = end
+        np.add.at(
+            flat,
+            np.repeat(ix * resolution, per_row) + iy[col],
+            np.repeat(masses[sl], per_particle) * w,
+        )
 
 
 def sph_column_density(
@@ -267,6 +269,9 @@ def sph_column_density(
     rotate the frame first, giving arbitrary perspectives.  Uses the
     standard cubic-spline (M4) kernel truncated at 2h, scattered onto the
     grid per particle.  Returns a (resolution, resolution) array.
+    A NaN or infinite position, mass or smoothing length is a
+    ``ValueError``: no window can be given to such a particle, and
+    leaving it out silently would be a wrong image.
 
     The scatter runs vectorized (:func:`_scatter_vectorized`); the
     per-particle :func:`_scatter_loop` is the reference the tests hold
@@ -276,6 +281,10 @@ def sph_column_density(
         raise ValueError(f"unknown view {view!r}; valid: {sorted(_VIEW_AXES)}")
     if resolution < 4:
         raise ValueError("resolution must be >= 4")
+    for name in ("positions", "masses", "smoothing"):
+        bad = np.count_nonzero(~np.isfinite(getattr(snapshot, name)))
+        if bad:
+            raise ValueError(f"snapshot {name} has {bad} non-finite entries")
     positions = snapshot.positions
     if theta != 0.0 or phi != 0.0:
         positions = positions @ view_rotation(theta, phi).T

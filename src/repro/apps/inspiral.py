@@ -14,6 +14,7 @@ the paper's numbers so grid-scale sizing simulates honestly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Sequence
 
 import numpy as np
@@ -100,11 +101,21 @@ def chirp_waveform(
     return h[:cut]
 
 
+#: Bytes of conjugate spectra one bank keeps (:meth:`TemplateBank.
+#: conj_spectrum`).  Past it a spectrum is recomputed on every use — never
+#: evicted, so a sweep larger than the budget does not thrash it.  8
+#: templates against a 4 s chunk are 1 MiB; against a 900 s chunk, 134 MB.
+_SPECTRA_BYTES = 64 << 20
+
+
 class TemplateBank:
     """A grid of chirp templates spanning a chirp-mass range.
 
     "it performs fast correlation on the data set with each template in a
     library of between 5,000 and 10,000 templates."
+
+    Templates and their spectra are built on first use, kept, and handed
+    out read-only: units with equal parameters share one bank.
     """
 
     def __init__(
@@ -124,6 +135,8 @@ class TemplateBank:
         self.masses = np.linspace(mass_low, mass_high, n_templates)
         self.f_low = f_low
         self._cache: dict[int, np.ndarray] = {}
+        self._spectra: dict[tuple[int, int], np.ndarray] = {}
+        self._spectra_bytes = 0
 
     def template(self, index: int) -> np.ndarray:
         """Normalised template waveform by bank index (lazily built)."""
@@ -136,8 +149,23 @@ class TemplateBank:
                 f_low=self.f_low,
             )
             norm = np.sqrt(np.sum(h**2))
-            self._cache[index] = h / norm if norm > 0 else h
+            h = h / norm if norm > 0 else h
+            h.setflags(write=False)
+            self._cache[index] = h
         return self._cache[index]
+
+    def conj_spectrum(self, index: int, nfft: int) -> np.ndarray:
+        """``conj(rfft(template(index), nfft))`` — what a matched filter
+        multiplies the chunk spectrum by, the same array for every chunk
+        of one length ("generates its templates", once per node)."""
+        cft = self._spectra.get((index, nfft))
+        if cft is None:
+            cft = np.conj(np.fft.rfft(self.template(index), nfft))
+            if self._spectra_bytes + cft.nbytes <= _SPECTRA_BYTES:
+                cft.setflags(write=False)
+                self._spectra[index, nfft] = cft
+                self._spectra_bytes += cft.nbytes
+        return cft
 
     def __len__(self) -> int:
         return self.n_templates
@@ -254,21 +282,22 @@ def matched_filter_snr(
     template: np.ndarray,
     noise_sigma: float = 1.0,
     _chunk_fd: np.ndarray | None = None,
+    _template_cfd: np.ndarray | None = None,
 ) -> np.ndarray:
     """SNR time series of one normalised template against a chunk.
 
-    ``_chunk_fd`` optionally supplies a precomputed ``rfft(chunk, nfft)``
-    for this template's ``nfft`` — :func:`search_chunk` caches the chunk
-    spectrum per FFT length so a bank sweep does not redo the (large)
-    chunk transform for every template.  The transform of the same input
-    at the same length is deterministic, so reuse is bit-identical to
-    recomputation.
+    :func:`search_chunk` supplies both spectra for this template's
+    ``nfft``: ``_chunk_fd = rfft(chunk, nfft)``, transformed once per
+    sweep, and ``_template_cfd = conj(rfft(template, nfft))``, transformed
+    once per bank.  The transform of the same input at the same length is
+    deterministic and ``conj`` is exact, so the product below has the
+    same two operands either way: reuse is bit-identical to recomputation.
     """
     n = len(chunk)
     nfft = _matched_filter_nfft(n, len(template))
     fd = np.fft.rfft(chunk, nfft) if _chunk_fd is None else _chunk_fd
-    ft = np.fft.rfft(template, nfft)
-    corr = np.fft.irfft(fd * np.conj(ft), nfft)[:n]
+    cft = np.conj(np.fft.rfft(template, nfft)) if _template_cfd is None else _template_cfd
+    corr = np.fft.irfft(fd * cft, nfft)[:n]
     return corr / noise_sigma
 
 
@@ -291,10 +320,12 @@ def search_chunk(
 ) -> SearchResult:
     """Correlate a chunk against every template; report the loudest peak.
 
-    The chunk's spectrum is cached per FFT length (templates of similar
-    duration share one ``nfft``), cutting the per-template work to one
-    small-template forward transform plus the inverse — typically a ~2x
-    sweep speedup with bit-identical results.
+    Per template the work is one product and one inverse transform: the
+    chunk's spectrum is computed once per FFT length (templates of
+    similar duration share one ``nfft``) and each template's comes from
+    the bank, which transforms it once for all chunks of this length.
+    Bit-identical to calling :func:`matched_filter_snr` bare — it *is*
+    that call, handed the operands it would compute.
     """
     best = (-1, -1, -np.inf)
     data = chunk.data
@@ -306,7 +337,10 @@ def search_chunk(
         fd = fd_by_nfft.get(nfft)
         if fd is None:
             fd = fd_by_nfft[nfft] = np.fft.rfft(data, nfft)
-        snr = matched_filter_snr(data, template, noise_sigma, _chunk_fd=fd)
+        snr = matched_filter_snr(
+            data, template, noise_sigma,
+            _chunk_fd=fd, _template_cfd=bank.conj_spectrum(idx, nfft),
+        )
         peak = int(np.argmax(snr))
         if snr[peak] > best[2]:
             best = (idx, peak, float(snr[peak]))
@@ -322,6 +356,19 @@ def search_chunk(
 def chunk_search_flops(n_samples: int, n_templates: int) -> float:
     """Modelled cost of searching one chunk (paper-calibrated)."""
     return FLOPS_PER_TEMPLATE_SAMPLE * n_samples * n_templates
+
+
+@lru_cache(maxsize=2)
+def _shared_bank(
+    n_templates: int, mass_low: float, mass_high: float, sampling_rate: float
+) -> TemplateBank:
+    """The process's bank for these parameters — the paper's "the node
+    initialises i.e. generates its templates", done once per node rather
+    than once per unit.  Retains at most two banks: their templates plus
+    ``2 * _SPECTRA_BYTES`` of spectra."""
+    return TemplateBank(
+        n_templates, mass_low=mass_low, mass_high=mass_high, sampling_rate=sampling_rate
+    )
 
 
 @register_unit(category="inspiral")
@@ -347,26 +394,21 @@ class InspiralSearch(Unit):
         ParamSpec("threshold", 8.0, "detection SNR threshold"),
     )
 
-    def reset(self) -> None:
-        self._bank: TemplateBank | None = None
-
-    def _get_bank(self, sampling_rate: float) -> TemplateBank:
-        if self._bank is None:
-            self._bank = TemplateBank(
-                int(self.get_param("n_templates")),
-                mass_low=float(self.get_param("mass_low")),
-                mass_high=float(self.get_param("mass_high")),
-                sampling_rate=sampling_rate,
-            )
-        return self._bank
-
     def process(self, inputs: Sequence[Any]) -> list[Any]:
         (chunk,) = inputs
         if len(chunk.data) == 0:
             raise UnitError("InspiralSearch: empty chunk")
+        # Looked up per call: a re-parameterised unit, or a chunk at
+        # another sampling rate, is searched with the bank it asks for.
+        bank = _shared_bank(
+            int(self.get_param("n_templates")),
+            float(self.get_param("mass_low")),
+            float(self.get_param("mass_high")),
+            float(chunk.sampling_rate),
+        )
         result = search_chunk(
             chunk,
-            self._get_bank(chunk.sampling_rate),
+            bank,
             noise_sigma=float(self.get_param("noise_sigma")),
             threshold=float(self.get_param("threshold")),
         )

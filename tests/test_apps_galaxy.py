@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.apps.galaxy as galaxy_mod
 from repro.apps.galaxy import (
@@ -13,7 +15,29 @@ from repro.apps.galaxy import (
     register_dataset,
     sph_column_density,
 )
-from repro.core import LocalEngine, UnitError
+from repro.core import LocalEngine, ParticleSnapshot, UnitError
+
+
+def scatter_both(xs, ys, masses, smoothing, resolution, extent):
+    """(reference loop image, vectorized image) of the same particles."""
+    cell = 2 * extent / resolution
+    grids = []
+    for scatter in (galaxy_mod._scatter_loop, galaxy_mod._scatter_vectorized):
+        grid = np.zeros((resolution, resolution))
+        scatter(xs, ys, masses, smoothing, grid, resolution, cell, extent)
+        grids.append(grid)
+    return grids
+
+
+# One particle: on the grid, off it, straddling an edge (coordinates in
+# units of the half-width ``extent``), or flung far away; a smoothing
+# length from far below a cell to larger than the whole grid.
+particle = st.tuples(
+    st.one_of(st.floats(-1.6, 1.6), st.sampled_from([-1.0, 1.0, 0.0, 1e30, -1e30])),
+    st.one_of(st.floats(-1.6, 1.6), st.sampled_from([-1.0, 1.0, 0.0, 1e30, -1e30])),
+    st.floats(0.01, 3.0),
+    st.one_of(st.floats(0.0, 0.6), st.sampled_from([0.0, 1e-9, 1.0, 2.5])),
+)
 
 
 class TestSnapshots:
@@ -130,17 +154,60 @@ class TestUnits:
         ys = rng.uniform(-3.0, 3.0, n)
         masses = rng.uniform(0.1, 2.0, n)
         smoothing = rng.uniform(0.0, 0.4, n)  # below-cell values clamp
-        extent = 2.5
-        cell = 2 * extent / resolution
-        grid_loop = np.zeros((resolution, resolution))
-        grid_vec = np.zeros((resolution, resolution))
-        galaxy_mod._scatter_loop(
-            xs, ys, masses, smoothing, grid_loop, resolution, cell, extent
-        )
-        galaxy_mod._scatter_vectorized(
-            xs, ys, masses, smoothing, grid_vec, resolution, cell, extent
-        )
+        grid_loop, grid_vec = scatter_both(xs, ys, masses, smoothing, resolution, 2.5)
         assert np.array_equal(grid_loop, grid_vec)
+
+    @given(
+        particles=st.lists(particle, max_size=40),
+        resolution=st.sampled_from([4, 7, 24, 33, 64]),
+        extent=st.sampled_from([2.5, 1.0, 3.3]),
+        budget=st.one_of(st.integers(1, 400), st.just(1 << 15)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_scatter_vectorized_bit_identical_on_generated_inputs(
+        self, particles, resolution, extent, budget
+    ):
+        """The same contract for drawn particles, grids and chunk budgets
+        (a budget of 1 gives every particle, each over it, its own range)."""
+        columns = np.array(particles, dtype=float).reshape(-1, 4)
+        xs, ys = columns[:, 0] * extent, columns[:, 1] * extent
+        masses, smoothing = columns[:, 2], columns[:, 3] * extent
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(galaxy_mod, "_SCATTER_CHUNK_ELEMENTS", budget)
+            loop, vec = scatter_both(xs, ys, masses, smoothing, resolution, extent)
+        assert np.array_equal(loop, vec)
+
+    def test_far_flung_particle_has_an_empty_window(self):
+        """1e30 / cell is past int64: clipped before the cast it is simply
+        off the grid, as in the loop (cast first, the bounds would wrap)."""
+        xs = np.array([0.1, 1e30, -1e30, 0.2])
+        ys = np.array([0.0, 0.3, 1e30, -1e30])
+        ones = np.ones(4)
+        loop, vec = scatter_both(xs, ys, ones, 0.2 * ones, 32, 2.5)
+        assert np.array_equal(loop, vec)
+        alone, _ = scatter_both(xs[:1], ys[:1], ones[:1], 0.2 * ones[:1], 32, 2.5)
+        assert np.array_equal(vec, alone)
+
+    @pytest.mark.parametrize("field, index, value", [
+        ("positions", (3, 0), np.nan),
+        ("positions", (3, 1), np.inf),
+        ("smoothing", 5, np.nan),
+        ("smoothing", 5, np.inf),
+        ("masses", 0, np.nan),
+    ])
+    def test_non_finite_particle_is_rejected_by_name(self, field, index, value):
+        """A particle that cannot be placed is an error, not a frame
+        silently rendered without it."""
+        (frame,) = generate_snapshots(n_frames=1, n_particles=20, seed=12)
+        getattr(frame, field)[index] = value
+        with pytest.raises(ValueError, match=f"{field} has 1 non-finite"):
+            sph_column_density(frame, resolution=16)
+        with pytest.raises(UnitError, match=field):
+            ColumnDensity(resolution=16).process([frame])
+
+    def test_empty_snapshot_renders_an_empty_image(self):
+        grid = sph_column_density(ParticleSnapshot(), resolution=8)
+        assert grid.shape == (8, 8) and not grid.any()
 
     def test_scatter_chunking_is_bit_neutral(self):
         """A tiny chunk budget (forcing many chunks) changes nothing."""

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.apps.inspiral as inspiral_mod
 from repro.apps.inspiral import (
     FLOPS_PER_TEMPLATE_SAMPLE,
     PAPER_CHUNK_BYTES,
@@ -118,6 +119,99 @@ class TestMatchedFilter:
         bank = TemplateBank(1)
         with pytest.raises(ValueError):
             make_strain_chunk(0.1, injection=bank.template(0), injection_offset=0)
+
+
+class TestBankSpectra:
+    """The bank's kept spectra change how often a template is
+    transformed, never a bit of any SNR series."""
+
+    N_TEMPLATES = 6
+    ONE_SPECTRUM = (16384 // 2 + 1) * 16  # complex128, the larger nfft
+
+    def snr_series(self, chunk, bank):
+        """Every SNR series ``search_chunk`` computes, as bytes."""
+        seen = []
+        real = inspiral_mod.matched_filter_snr
+
+        def spy(*args, **kwargs):
+            assert kwargs["_template_cfd"] is not None
+            seen.append(real(*args, **kwargs).tobytes())
+            return np.frombuffer(seen[-1])
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inspiral_mod, "matched_filter_snr", spy)
+            result = search_chunk(chunk, bank)
+        return seen, result
+
+    @pytest.mark.parametrize("budget", [None, 0, ONE_SPECTRUM])
+    def test_search_is_bit_identical_to_bare_matched_filter(self, monkeypatch, budget):
+        chunk = make_strain_chunk(2.0, seed=5)  # 4 000 samples: two nfft
+        bank = TemplateBank(self.N_TEMPLATES)
+        bare = [
+            matched_filter_snr(chunk.data, bank.template(i)).tobytes()
+            for i in range(len(bank))
+        ]
+        if budget is not None:
+            monkeypatch.setattr(inspiral_mod, "_SPECTRA_BYTES", budget)
+        cold, first = self.snr_series(chunk, bank)
+        warm, again = self.snr_series(chunk, bank)
+        assert cold == bare and warm == bare and first == again
+        kept = {None: self.N_TEMPLATES, 0: 0, self.ONE_SPECTRUM: 1}[budget]
+        assert len(bank._spectra) == kept
+        if budget is None:
+            assert {nfft for _, nfft in bank._spectra} == {8192, 16384}
+        assert bank._spectra_bytes <= inspiral_mod._SPECTRA_BYTES
+
+    def test_cached_arrays_are_read_only(self):
+        bank = TemplateBank(2)
+        with pytest.raises(ValueError, match="read-only"):
+            bank.template(0)[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            bank.conj_spectrum(0, 16384)[0] = 1.0
+
+    def test_equal_units_share_one_bank(self):
+        chunk = make_strain_chunk(1.0, seed=2)
+        banks = []
+        real = inspiral_mod.search_chunk
+
+        def spy(chunk, bank, **kwargs):
+            banks.append(bank)
+            return real(chunk, bank, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inspiral_mod, "search_chunk", spy)
+            InspiralSearch(n_templates=4).process([chunk])
+            InspiralSearch(n_templates=4, threshold=5.0).process([chunk])
+            InspiralSearch(n_templates=4, mass_high=1.9).process([chunk])
+        assert banks[0] is banks[1]
+        assert banks[2] is not banks[0]
+
+
+class TestReparameterisedSearch:
+    """The bank is looked up per call, so a live unit follows its
+    parameters and its input (it used to keep its first bank for ever)."""
+
+    def test_set_param_changes_the_bank(self):
+        chunk = make_strain_chunk(2.0, seed=3)
+        unit = InspiralSearch(n_templates=4)
+        (before,) = unit.process([chunk])
+        unit.set_param("n_templates", 16)
+        (after,) = unit.process([chunk])
+        (fresh,) = InspiralSearch(n_templates=16).process([chunk])
+        assert after.rows == fresh.rows
+        assert after.rows != before.rows
+
+    def test_chunk_at_another_rate_gets_templates_at_that_rate(self):
+        unit = InspiralSearch(n_templates=4)
+        unit.process([make_strain_chunk(2.0, sampling_rate=2000.0, seed=1)])
+        slow = make_strain_chunk(4.0, sampling_rate=1000.0, seed=1)
+        (row,) = unit.process([slow])
+        (fresh,) = InspiralSearch(n_templates=4).process([slow])
+        assert row.rows == fresh.rows
+        expected = search_chunk(slow, TemplateBank(4, sampling_rate=1000.0))
+        assert row.rows[0][1:4] == (
+            expected.best_template, expected.best_offset, expected.best_snr,
+        )
 
 
 class TestCostCalibration:

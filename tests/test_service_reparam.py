@@ -5,6 +5,7 @@ import pytest
 
 from repro import ConsumerGrid
 from repro.apps.galaxy import build_galaxy_graph, generate_snapshots, sph_column_density
+from repro.apps.inspiral import InspiralSearch, build_inspiral_graph, make_strain_chunk
 from repro.p2p import LAN_PROFILE
 from repro.service import SchedulingError
 
@@ -20,6 +21,26 @@ def farm_grid(seed, dataset_key, n_frames=4):
     )
     graph = build_galaxy_graph(dataset_key, resolution=24, policy="parallel")
     return grid, graph
+
+
+def exec_on_live_deployment(grid, worker, inputs):
+    """One iteration sent straight to ``worker``'s single live deployment;
+    returns its outputs."""
+    (dep_id,) = list(grid.workers[worker].deployments)
+    grid.controller.peer.send(
+        worker, "group-exec", payload=(dep_id, 99, inputs), size_bytes=1024,
+    )
+    result = {}
+    original = grid.controller._on_result
+
+    def capture(message):
+        if message.payload[1] == 99:
+            result["outputs"] = message.payload[2]
+        original(message)
+
+    grid.controller.peer.replace_handler("group-result", capture)
+    grid.sim.run()
+    return result["outputs"]
 
 
 class TestReparam:
@@ -50,25 +71,30 @@ class TestReparam:
         # Drive one iteration through a live deployment directly and check
         # it renders the xz projection of the next frame.
         frames = generate_snapshots(4, 150, seed=7)
-        svc = grid.workers["worker-0"]
-        (dep_id,) = list(svc.deployments)
-        grid.controller.peer.send(
-            "worker-0", "group-exec", payload=(dep_id, 99, [frames[0]]),
-            size_bytes=1024,
-        )
-        result = {}
-        original = grid.controller._on_result
-
-        def capture(message):
-            if message.payload[1] == 99:
-                result["outputs"] = message.payload[2]
-            original(message)
-
-        grid.controller.peer.replace_handler("group-result", capture)
-        grid.sim.run()
+        (image,) = exec_on_live_deployment(grid, "worker-0", [frames[0]])
         expected = sph_column_density(frames[0], resolution=24, view="xz")
-        np.testing.assert_allclose(result["outputs"][0].pixels, expected)
+        np.testing.assert_allclose(image.pixels, expected)
         del report1
+
+    def test_bank_size_change_without_redeploy(self):
+        """A live search unit told to use a larger template bank searches
+        its next chunk with that bank (it used to keep its first one)."""
+        grid = ConsumerGrid(n_workers=2, seed=146)
+        graph = build_inspiral_graph(n_templates=4, chunk_seconds=2.0)
+        grid.run(graph, iterations=4)
+        acks = [
+            grid.controller.update_params(worker, dep_id, "Search", n_templates=16)
+            for worker, svc in grid.workers.items()
+            for dep_id in svc.deployments
+        ]
+        for ack in acks:
+            grid.sim.run(until=ack)
+
+        chunk = make_strain_chunk(2.0, seed=3)
+        (row,) = exec_on_live_deployment(grid, "worker-0", [chunk])
+        (small,) = InspiralSearch(n_templates=4).process([chunk])
+        (large,) = InspiralSearch(n_templates=16).process([chunk])
+        assert row.rows == large.rows != small.rows
 
     def test_reparam_unknown_deployment_fails(self):
         grid, graph = farm_grid(142, "reparam-ds-2")
