@@ -1094,7 +1094,6 @@ def _e13_chunking_cell(tracer, policy: str) -> dict[str, Any]:
     return {
         "makespan_s": report.makespan,
         "exec_messages": kinds.get("group-exec", 0),
-        "batch_messages": kinds.get("group-exec-batch", 0),
         "bytes_sent": grid.transport.stats.bytes_sent,
     }
 
@@ -1111,7 +1110,6 @@ _declare(Experiment(
         "policy": "policy",
         "makespan_s": "makespan (s)",
         "exec_messages": "exec msgs",
-        "batch_messages": "batch msgs",
         "bytes_sent": "bytes on the wire",
     },
     claims=lambda by: [
@@ -1120,9 +1118,10 @@ _declare(Experiment(
          by["chunked"]["makespan_s"] < 0.95 * by["parallel"]["makespan_s"]),
         ("batching ships fewer bytes",
          by["chunked"]["bytes_sent"] < by["parallel"]["bytes_sent"]),
-        ("the parallel farm sends no batches", by["parallel"]["batch_messages"] == 0),
-        ("the chunked farm replaces exec singles with batches",
-         by["chunked"]["exec_messages"] == 0 and by["chunked"]["batch_messages"] > 0),
+        ("the parallel farm sends one exec message per frame",
+         by["parallel"]["exec_messages"] == E13B_FRAMES),
+        ("the chunked farm ships the same frames in an eighth of the messages",
+         by["chunked"]["exec_messages"] == E13B_FRAMES // 8),
     ],
 ))
 

@@ -70,7 +70,7 @@ class GridConfig:
     modules: ModuleSettings = ModuleSettings()
     #: record spans/events/metrics from construction on (docs/observability.md)
     trace: bool = _owned(False, "observe")
-    #: live sampler + health monitor + flight recorder; implies ``trace``
+    #: live sampler + health monitor; implies ``trace``
     telemetry: bool = _owned(False, "observe")
     #: sampler tick spacing, in kernel seconds
     telemetry_interval: float = _owned(5.0, "observe")

@@ -29,7 +29,6 @@ from .faults import FaultInjector
 from .mobility.repository import ModuleRepository
 from .mobility.sandbox import SandboxStats
 from .observe import (
-    FlightRecorder,
     HealthMonitor,
     TelemetrySampler,
     Tracer,
@@ -316,12 +315,11 @@ class ConsumerGrid(GridNode):
 
         # Live telemetry: installed last so its sources can read every
         # subsystem (including the fault injector) already in place.
-        self.flight_recorder: Optional[FlightRecorder] = None
         if self.config.telemetry:
             self.enable_telemetry()
 
     def enable_telemetry(self, interval: Optional[float] = None) -> TelemetrySampler:
-        """Install the telemetry sampler, health monitor and flight recorder.
+        """Install the telemetry sampler and health monitor.
 
         Idempotent; callable post-construction too (e.g. from tooling
         that builds a grid first).  Enables tracing if it was off —
@@ -335,8 +333,6 @@ class ConsumerGrid(GridNode):
             interval = self.config.telemetry_interval
         sampler = TelemetrySampler(interval=interval)
         self.sim.install_sampler(sampler)
-        recorder = FlightRecorder()
-        recorder.attach(self.sim.tracer)
         monitor = HealthMonitor(
             detectors=default_detectors(**dict(self.config.health_config))
         )
@@ -363,7 +359,6 @@ class ConsumerGrid(GridNode):
             sampler.add_source("faults", self.fault_injector.telemetry_sample)
         self.telemetry = sampler
         self.health = monitor
-        self.flight_recorder = recorder
         return sampler
 
     def add_cluster_worker(

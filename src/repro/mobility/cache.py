@@ -33,7 +33,6 @@ last two switch on together with ``ModuleSettings.module_replicas > 0``:
 
 from __future__ import annotations
 
-import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -51,8 +50,6 @@ from .errors import MobilityError, ModuleNotFoundInRepo, RepositoryUnreachable
 from .repository import NOT_MODIFIED, PACKAGE_OVERHEAD, ModulePackage, send_package
 
 __all__ = ["CacheStats", "ModuleCache", "ModuleSettings"]
-
-_fetch_ids = itertools.count(1)
 
 #: seconds a replica-lookup query collects answers before the fetch goes out
 RESOLVE_WINDOW = 0.5
@@ -243,7 +240,7 @@ class ModuleCache:
 
     # -- fetch state machine ------------------------------------------------------
     def _fetch(self, unit_name: str) -> Event:
-        request_id = next(_fetch_ids)
+        request_id = self.peer.sim.next_id()
         pending = _Pending(unit_name=unit_name, waiters=[self.peer.sim.event()])
         self._pending[request_id] = pending
         self._inflight[unit_name] = pending

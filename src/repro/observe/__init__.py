@@ -18,8 +18,7 @@ the minimal progress stream into a first-class observability layer:
   bottleneck attribution, run diffing, and the ``doctor()`` report
   behind ``repro analyze``;
 * :mod:`repro.observe.telemetry` — *live* telemetry: the sim-clock
-  :class:`TelemetrySampler` ring buffer and the per-peer
-  :class:`FlightRecorder` post-mortem buffers;
+  :class:`TelemetrySampler` ring buffer;
 * :mod:`repro.observe.health` — online anomaly detectors over sampler
   rows emitting severity-ranked :class:`Incident` records, scored
   against fault-injection ground truth, plus the ``repro top``
@@ -67,12 +66,11 @@ from .metrics import (
     NullMetricsRegistry,
     geometric_bounds,
 )
-from .telemetry import FlightRecorder, TelemetrySampler
+from .telemetry import TelemetrySampler
 from .tracer import NullTracer, SpanHandle, SpanRecord, TraceEvent, Tracer
 
 __all__ = [
     "Counter",
-    "FlightRecorder",
     "Gauge",
     "HealthMonitor",
     "Histogram",

@@ -1,23 +1,18 @@
-"""Live telemetry: periodic sampling and flight recording over sim time.
+"""Live telemetry: periodic sampling over sim time.
 
 The tracer (:mod:`repro.observe.tracer`) only speaks after the run ends;
 the paper's consumer-grid premise is a volunteer pool whose health —
 churn, stragglers, saboteurs, fetch storms — changes *while* a workflow
 executes.  This module adds the streaming half of the observability
-layer:
-
-* :class:`TelemetrySampler` — captures a snapshot row at fixed
-  sim-clock intervals into a bounded ring buffer.  Rows always carry the
-  kernel's own state (event-queue depth, events executed); grids
-  register additional *sources* — plain callables returning dicts — for
-  per-peer inflight/queued work, module-cache hit and peer-fetch rates,
-  in-flight network bytes, failure-detector health and reputation
-  scores.  A :class:`~repro.observe.health.HealthMonitor` attached to
-  the sampler sees every row as it is taken, so anomaly detection runs
-  *online*, not post-hoc.
-* :class:`FlightRecorder` — keeps the last N spans and instants per
-  track (peer), so a failed run can dump a short per-peer timeline of
-  what each worker was doing just before things went wrong.
+layer: :class:`TelemetrySampler` captures a snapshot row at fixed
+sim-clock intervals into a bounded ring buffer.  Rows always carry the
+kernel's own state (event-queue depth, events executed); grids
+register additional *sources* — plain callables returning dicts — for
+per-peer inflight/queued work, module-cache hit and peer-fetch rates,
+in-flight network bytes, failure-detector health and reputation
+scores.  A :class:`~repro.observe.health.HealthMonitor` attached to
+the sampler sees every row as it is taken, so anomaly detection runs
+*online*, not post-hoc.
 
 Sampling is strictly passive, like tracing: it never schedules
 simulation events and never draws randomness.  The sampler piggybacks
@@ -33,7 +28,7 @@ import json
 from collections import deque
 from typing import Any, Callable, Optional
 
-__all__ = ["TelemetrySampler", "FlightRecorder"]
+__all__ = ["TelemetrySampler"]
 
 
 class TelemetrySampler:
@@ -163,89 +158,3 @@ class TelemetrySampler:
                 fh.write("\n")
                 count += 1
         return count
-
-
-def _span_row(record) -> dict[str, Any]:
-    return {
-        "name": record.name,
-        "category": record.category,
-        "start": record.start,
-        "end": record.end,
-        "attrs": dict(record.attrs),
-    }
-
-
-def _event_row(event) -> dict[str, Any]:
-    return {
-        "name": event.name,
-        "category": event.category,
-        "time": event.time,
-        "attrs": event.info,
-    }
-
-
-class FlightRecorder:
-    """Last-N spans and instants per track, for post-mortem dumps.
-
-    The recorder subscribes to the tracer's point-event stream (which
-    works even on a :class:`~repro.observe.tracer.NullTracer`) and, on a
-    recording :class:`~repro.observe.tracer.Tracer`, is notified of
-    every span *close*.  Each track keeps a bounded deque, so memory
-    stays flat no matter how long the run is.
-    """
-
-    def __init__(self, per_track: int = 64):
-        if per_track < 1:
-            raise ValueError(f"per_track must be >= 1, got {per_track!r}")
-        self.per_track = int(per_track)
-        self._spans: dict[str, deque] = {}
-        self._events: dict[str, deque] = {}
-
-    def attach(self, tracer) -> None:
-        """Wire into a tracer: instants via subscription, spans on close."""
-        tracer.subscribe(self.on_instant)
-        tracer.attach_recorder(self)
-
-    # -- hooks ---------------------------------------------------------------
-    def on_instant(self, event) -> None:
-        ring = self._events.get(event.track)
-        if ring is None:
-            ring = self._events[event.track] = deque(maxlen=self.per_track)
-        ring.append(event)
-
-    def on_span(self, record) -> None:
-        """Called by ``Tracer._end`` when a span closes."""
-        ring = self._spans.get(record.track)
-        if ring is None:
-            ring = self._spans[record.track] = deque(maxlen=self.per_track)
-        ring.append(record)
-
-    # -- post-mortem ---------------------------------------------------------
-    def tracks(self) -> list[str]:
-        return sorted(set(self._spans) | set(self._events))
-
-    def dump(self, track: Optional[str] = None) -> dict[str, Any]:
-        """Plain-dict snapshot of the retained history (one or all tracks)."""
-        tracks = [track] if track is not None else self.tracks()
-        out: dict[str, Any] = {}
-        for name in tracks:
-            out[name] = {
-                "spans": [_span_row(r) for r in self._spans.get(name, ())],
-                "events": [_event_row(e) for e in self._events.get(name, ())],
-            }
-        return out
-
-    def render(self, track: str, limit: int = 20) -> str:
-        """A short text timeline of a track's final moments."""
-        rows: list[tuple[float, str]] = []
-        for record in self._spans.get(track, ()):
-            end = "…" if record.end is None else f"{record.end:.2f}"
-            rows.append(
-                (record.start, f"[{record.start:9.2f} → {end:>8}] {record.name}")
-            )
-        for event in self._events.get(track, ()):
-            rows.append((event.time, f"[{event.time:9.2f}           ] {event.name}"))
-        rows.sort(key=lambda pair: pair[0])
-        lines = [f"flight recorder — {track} (last {len(rows)} records)"]
-        lines.extend(text for _, text in rows[-limit:])
-        return "\n".join(lines)

@@ -134,9 +134,8 @@ class _TracerBase:
         self._clock: Callable[[], float] = lambda: 0.0
         #: (category-filter-or-None, callback) pairs, dispatch order = subscribe order
         self._subs: list[tuple[Optional[str], Callable[[TraceEvent], None]]] = []
-        #: optional live-telemetry hooks (see repro.observe.telemetry)
+        #: optional live-telemetry hook (see repro.observe.telemetry)
         self._sampler = None
-        self._recorder = None
 
     def attach_clock(self, clock: Callable[[], float]) -> None:
         """Bind the time source (the simulator does this on construction)."""
@@ -152,14 +151,6 @@ class _TracerBase:
         ``Simulator.install_sampler``.
         """
         self._sampler = sampler
-
-    def attach_recorder(self, recorder) -> None:
-        """Wire a :class:`~repro.observe.telemetry.FlightRecorder` in.
-
-        The recorder is notified of every span *close* (instants reach
-        it through the ordinary subscription stream).
-        """
-        self._recorder = recorder
 
     def now(self) -> float:
         return self._clock()
@@ -248,9 +239,6 @@ class Tracer(_TracerBase):
             # Usually LIFO; remove-by-identity tolerates overlapping
             # async spans on one track (e.g. concurrent module fetches).
             stack.remove(record)
-        recorder = self._recorder
-        if recorder is not None:
-            recorder.on_span(record)
 
     # -- point events --------------------------------------------------------
     def instant(

@@ -111,6 +111,9 @@ class AttrPredicate:
         return True
 
 
+#: Process-wide on purpose: an ``adv_id`` is only ever a sort key (creation
+#: order), so the count a grid starts from cannot reach a result — unlike a
+#: request id, which breaks ties by ``id % n`` and is counted per grid.
 _adv_counter = itertools.count()
 
 

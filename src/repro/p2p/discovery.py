@@ -39,8 +39,6 @@ __all__ = [
     "RendezvousDiscovery",
 ]
 
-_request_ids = itertools.count(1)
-
 
 @dataclass
 class QuerySpec:
@@ -101,6 +99,7 @@ class DiscoveryService:
         self.query_window = query_window
         self.stats = DiscoveryStats()
         self._pending: dict[tuple[str, int], _PendingQuery] = {}
+        self._request_ids = itertools.count(1)
         self._peers: dict[str, Peer] = {}
 
     # -- wiring ------------------------------------------------------------------
@@ -140,7 +139,7 @@ class DiscoveryService:
         discovery horizon.
         """
         spec = QuerySpec(adv_type, name, predicate)
-        req = next(_request_ids)
+        req = next(self._request_ids)
         pending = _PendingQuery(event=peer.sim.event())
         tracer = peer.sim.tracer
         if tracer.enabled:

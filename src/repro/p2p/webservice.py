@@ -29,8 +29,6 @@ from .peer import Peer
 
 __all__ = ["WebServiceEndpoint", "WebClient", "service_to_wsdl"]
 
-_request_ids = itertools.count(1)
-
 
 class WebServiceEndpoint:
     """A servlet container on one peer: routes paths to handlers.
@@ -75,13 +73,14 @@ class WebClient:
     def __init__(self, peer: Peer):
         self.peer = peer
         self._pending: dict[int, Event] = {}
+        self._request_ids = itertools.count(1)
         peer.on("http-response", self._on_response)
 
     def request(
         self, server: str, path: str, method: str = "GET", body: str = ""
     ) -> Event:
         """Send a request; the event yields ``(status, body)``."""
-        request_id = next(_request_ids)
+        request_id = next(self._request_ids)
         ev = self.peer.sim.event()
         self._pending[request_id] = ev
         self.peer.send(

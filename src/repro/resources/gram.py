@@ -13,7 +13,6 @@ per §2).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -22,8 +21,6 @@ from .accounts import CertificateAuthority, Credential, GlobusAccountManager
 from .errors import AuthenticationError, QueueError
 
 __all__ = ["JobSpec", "BatchQueue", "GramGateway"]
-
-_job_ids = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -90,7 +87,7 @@ class BatchQueue:
             self.stats.total_run += runtime
             return runtime
 
-        return self.sim.process(job(self.sim), name=f"batch-job-{next(_job_ids)}")
+        return self.sim.process(job(self.sim), name=f"batch-job-{self.stats.submitted}")
 
 
 class GramGateway:

@@ -81,17 +81,7 @@ class ClusterTrianaService(TrianaService):
         """
         while True:
             iteration, inputs = yield dep.queue.get()
-            external = {
-                key: value for key, value in zip(dep.spec.external_inputs, inputs)
-            }
-            span = self.sim.tracer.begin(
-                "worker.exec", category="service", track=self.peer.peer_id,
-                deployment=dep.spec.deployment_id, iteration=iteration,
-            )
-            flops_before = dep.engine.stats.modelled_flops
-            outputs_map = dep.engine.step(external)
-            flops = dep.engine.stats.modelled_flops - flops_before
-            outputs = [outputs_map[t][n] for t, n in dep.spec.output_spec]
+            outputs, flops, span = self._step(dep, iteration, inputs)
             job = self.gateway.submit(
                 JobSpec(flops=max(flops, 1.0), user=self.grid_user),
                 self.credential,

@@ -197,8 +197,7 @@ class TrianaController:
             # result is trusted (quorum, quiz pass, or no check due).
             ctx.verifier.on_result(ctx, iteration, message.src, outputs)
             return
-        ctx.policy.on_result(ctx, iteration, worker=message.src)
-        ev.succeed(outputs)
+        ctx.settle(iteration, outputs, message.src)
 
     def _on_checkpoint_reply(self, message: Message) -> None:
         deployment_id, state = message.payload

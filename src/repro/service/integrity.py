@@ -196,13 +196,9 @@ class VerificationStrategy:
         """The group's iterations are all settled; close open state."""
 
     # -- dispatch-side hooks -----------------------------------------------
-    def on_dispatch(self, ctx, worker, deployment_id, iteration, inputs) -> None:
-        """One iteration was shipped to ``worker`` (first send or re-send)."""
-
-    def on_dispatch_batch(self, ctx, worker, deployment_id, items) -> None:
-        """A batch of iterations was shipped to ``worker`` in one envelope."""
-        for iteration, inputs in items:
-            self.on_dispatch(ctx, worker, deployment_id, iteration, inputs)
+    def on_dispatch(self, ctx, worker, deployment_id, items) -> None:
+        """``(iteration, inputs)`` items were shipped to ``worker`` in one
+        message (first send or re-send)."""
 
     # -- result-side hooks --------------------------------------------------
     def on_result(self, ctx, iteration, worker, outputs) -> None:
@@ -307,52 +303,27 @@ class ReplicationVoting(VerificationStrategy):
                 ballot.span = None
 
     # -- dispatch side ------------------------------------------------------
-    def on_dispatch(self, ctx, worker, deployment_id, iteration, inputs) -> None:
+    def on_dispatch(self, ctx, worker, deployment_id, items) -> None:
         if self._delegate is not None:
-            self._delegate.on_dispatch(ctx, worker, deployment_id, iteration, inputs)
-            return
-        ballot = self.ballots.get(iteration)
-        if ballot is not None:
-            # Recovery redispatch or speculation: one more eligible voter.
-            ballot.targets.add(worker)
-            return
-        ballot = _Ballot()
-        ballot.targets.add(worker)
-        self.ballots[iteration] = ballot
-        for host in self._extra_hosts(ctx, worker, self.k - 1):
-            ballot.targets.add(host)
-            self._replicate_send(ctx, host, iteration, inputs)
-
-    def on_dispatch_batch(self, ctx, worker, deployment_id, items) -> None:
-        if self._delegate is not None:
-            self._delegate.on_dispatch_batch(ctx, worker, deployment_id, items)
+            self._delegate.on_dispatch(ctx, worker, deployment_id, items)
             return
         fresh: list[tuple[int, list]] = []
         for iteration, inputs in items:
             ballot = self.ballots.get(iteration)
-            if ballot is not None:
-                ballot.targets.add(worker)
-                continue
-            ballot = _Ballot()
+            if ballot is None:
+                ballot = self.ballots[iteration] = _Ballot()
+                fresh.append((iteration, inputs))
+            # A ballot already open means a recovery redispatch or a
+            # speculation: one more eligible voter.
             ballot.targets.add(worker)
-            self.ballots[iteration] = ballot
-            fresh.append((iteration, inputs))
         if not fresh:
             return
-        # Replicate the batch as a batch: the whole point of ``chunked``
-        # is envelope amortisation, and its replicas deserve it too.
+        # The fresh items replicate as one message: a single stays a
+        # single, and ``chunked`` keeps its envelope amortisation.
         for host in self._extra_hosts(ctx, worker, self.k - 1):
             for iteration, _inputs in fresh:
                 self.ballots[iteration].targets.add(host)
-            self.stats["replicas_issued"] += len(fresh)
-            ctx.raw_send_exec_batch(host, self._dep_of_host[host], fresh)
-            tracer = ctx.sim.tracer
-            if tracer.enabled:
-                tracer.instant(
-                    "verify.replicate", category="service",
-                    track=ctx.peer.peer_id, worker=host,
-                    iteration=fresh[0][0], batched=len(fresh),
-                )
+            self._replicate_send(ctx, host, fresh)
 
     def _extra_hosts(self, ctx, primary: str, count: int) -> list[str]:
         """Up to ``count`` distinct replica hosts, primary excluded.
@@ -382,14 +353,15 @@ class ReplicationVoting(VerificationStrategy):
                 break
         return chosen
 
-    def _replicate_send(self, ctx, host: str, iteration: int, inputs) -> None:
-        self.stats["replicas_issued"] += 1
-        ctx.raw_send_exec(host, self._dep_of_host[host], iteration, inputs)
+    def _replicate_send(self, ctx, host: str, items) -> None:
+        self.stats["replicas_issued"] += len(items)
+        ctx.send_exec(host, self._dep_of_host[host], items, verify=False)
         tracer = ctx.sim.tracer
         if tracer.enabled:
+            batched = {"batched": len(items)} if len(items) > 1 else {}
             tracer.instant(
                 "verify.replicate", category="service", track=ctx.peer.peer_id,
-                worker=host, iteration=iteration,
+                worker=host, iteration=items[0][0], **batched,
             )
 
     # -- result side --------------------------------------------------------
@@ -481,7 +453,9 @@ class ReplicationVoting(VerificationStrategy):
         inputs = ctx.iteration_inputs.get(iteration)
         if inputs is None:
             return False
-        ctx.raw_send_exec(host, self._dep_of_host[host], iteration, inputs)
+        ctx.send_exec(
+            host, self._dep_of_host[host], [(iteration, inputs)], verify=False
+        )
         ctx.notify("tie-break", iteration=iteration, worker=host)
         tracer = ctx.sim.tracer
         tracer.metrics.counter("service.tie_breaks").inc()
@@ -564,9 +538,10 @@ class SpotCheck(VerificationStrategy):
         )
 
     # -- dispatch side ------------------------------------------------------
-    def on_dispatch(self, ctx, worker, deployment_id, iteration, inputs) -> None:
+    def on_dispatch(self, ctx, worker, deployment_id, items) -> None:
         # First dispatch wins: re-dispatches carry identical inputs.
-        self._inputs.setdefault(iteration, list(inputs))
+        for iteration, inputs in items:
+            self._inputs.setdefault(iteration, list(inputs))
 
     # -- result side --------------------------------------------------------
     def on_result(self, ctx, iteration, worker, outputs) -> None:

@@ -16,8 +16,7 @@ See ``docs/extending.md`` for the "write your own policy" walkthrough.
 """
 
 from .base import DispatchContext, DistributionPolicy, RecoverySettings
-from .chunked import ChunkedFarmPolicy
-from .parallel import Outstanding, ParallelFarmPolicy
+from .parallel import ChunkedFarmPolicy, Outstanding, ParallelFarmPolicy
 from .pipeline import PipelinePolicy
 from .registry import (
     PolicyDescriptor,

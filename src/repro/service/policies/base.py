@@ -24,7 +24,7 @@ from typing import Any, Callable, Optional
 from ...p2p.peer import Peer
 from ...simkernel import Event, Simulator
 from ..detector import HeartbeatFailureDetector
-from ..worker import DeploymentSpec
+from ..worker import DeploymentSpec, payload_nbytes
 
 __all__ = ["RecoverySettings", "DispatchContext", "DistributionPolicy"]
 
@@ -125,66 +125,36 @@ class DispatchContext:
     def send(self, dst: str, kind: str, payload: Any, size_bytes: int) -> None:
         self.peer.send(dst, kind, payload=payload, size_bytes=size_bytes)
 
-    def send_exec(self, worker: str, deployment_id: str, iteration: int, inputs) -> None:
-        """Ship one iteration's inputs to a deployment (``group-exec``).
+    def send_exec(
+        self, worker: str, deployment_id: str, items: list, verify: bool = True
+    ) -> None:
+        """Ship ``(iteration, inputs)`` items to a deployment in one
+        ``group-exec`` — one item for the paper's farm, several when a
+        policy batches (the 64-byte envelope is then paid once).
 
         When a verifier is attached it observes every send (replication
         fans out from here) and the inputs are retained for tie-break
-        re-executions; the unverified path is untouched.
+        re-executions; its own replica sends pass ``verify=False``.
         """
-        self.raw_send_exec(worker, deployment_id, iteration, inputs)
-        if self.verifier is not None:
-            self.iteration_inputs[iteration] = inputs
-            self.verifier.on_dispatch(self, worker, deployment_id, iteration, inputs)
-
-    def raw_send_exec(
-        self, worker: str, deployment_id: str, iteration: int, inputs
-    ) -> None:
-        """``send_exec`` without the verification hook (verifier fan-out)."""
-        size = _payload_size(inputs) + 64
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.metrics.counter("service.dispatches").inc()
-            tracer.instant(
-                "controller.dispatch", category="service", track=self.peer.peer_id,
-                worker=worker, deployment=deployment_id, iteration=iteration,
-            )
-        self.peer.send(
-            worker, "group-exec", payload=(deployment_id, iteration, inputs),
-            size_bytes=size,
-        )
-
-    def send_exec_batch(
-        self, worker: str, deployment_id: str, items: list[tuple[int, list]]
-    ) -> None:
-        """Ship several iterations in one ``group-exec-batch`` envelope.
-
-        The batch pays the 64-byte message envelope once instead of once
-        per iteration — the ``chunked`` policy's whole reason to exist.
-        """
-        self.raw_send_exec_batch(worker, deployment_id, items)
-        if self.verifier is not None:
-            for iteration, inputs in items:
-                self.iteration_inputs[iteration] = inputs
-            self.verifier.on_dispatch_batch(self, worker, deployment_id, items)
-
-    def raw_send_exec_batch(
-        self, worker: str, deployment_id: str, items: list[tuple[int, list]]
-    ) -> None:
-        """``send_exec_batch`` without the verification hook."""
-        size = sum(_payload_size(inputs) for _it, inputs in items) + 64
+        size = 64  # the envelope, paid once per message
+        for _it, inputs in items:
+            size += payload_nbytes(inputs)
         tracer = self.sim.tracer
         if tracer.enabled:
             tracer.metrics.counter("service.dispatches").inc(len(items))
+            batched = {"batched": len(items)} if len(items) > 1 else {}
             tracer.instant(
                 "controller.dispatch", category="service", track=self.peer.peer_id,
                 worker=worker, deployment=deployment_id,
-                iteration=items[0][0], batched=len(items),
+                iteration=items[0][0], **batched,
             )
         self.peer.send(
-            worker, "group-exec-batch", payload=(deployment_id, list(items)),
-            size_bytes=size,
+            worker, "group-exec", payload=(deployment_id, items), size_bytes=size
         )
+        if verify and self.verifier is not None:
+            for iteration, inputs in items:
+                self.iteration_inputs[iteration] = inputs
+            self.verifier.on_dispatch(self, worker, deployment_id, items)
 
     def settle(self, iteration: int, outputs, worker: str) -> bool:
         """Finish one iteration: policy bookkeeping, then the result event.
@@ -214,12 +184,6 @@ class DispatchContext:
 
     def is_online(self, host: str) -> bool:
         return self.peer.network.is_online(host)
-
-
-def _payload_size(values) -> int:
-    return sum(
-        v.payload_nbytes() if hasattr(v, "payload_nbytes") else 64 for v in values
-    )
 
 
 class DistributionPolicy:

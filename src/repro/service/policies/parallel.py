@@ -10,6 +10,12 @@ The farm owns the two-tier churn recovery documented in
 beat, a ``retry_timeout`` aging fallback, exponential backoff with
 deterministic jitter from the ``recovery-backoff`` stream, and
 speculative duplication of stragglers once most of the batch is done.
+
+``chunked`` is the same farm shipping ``chunk_size`` iterations per
+message: every ``group-exec`` pays a fixed 64-byte envelope on the
+controller's DSL uplink.  Dealing and recovery are the farm's own, so a
+makespan difference against ``parallel`` is pure envelope economics; a
+recovered or speculated iteration travels alone whatever the farm batches.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from ..placement import DispatchPolicy, make_dispatch_policy
 from ..worker import DeploymentSpec
 from .base import DispatchContext, DistributionPolicy
 
-__all__ = ["Outstanding", "ParallelFarmPolicy"]
+__all__ = ["ChunkedFarmPolicy", "Outstanding", "ParallelFarmPolicy"]
 
 #: cap on the exponential re-dispatch back-off (seconds); the first
 #: back-off is one ``retry_interval``
@@ -51,6 +57,8 @@ class ParallelFarmPolicy(DistributionPolicy):
     """Farm the group onto every worker; deal iterations, recover churn."""
 
     name = "parallel"
+    #: iterations per ``group-exec``; 1 is the paper's farm
+    chunk_size = 1
 
     def deploy(self, ctx: DispatchContext, group, workers: list[str]):
         """Replicate the whole group on every worker."""
@@ -86,6 +94,8 @@ class ParallelFarmPolicy(DistributionPolicy):
         )
         #: iteration → replica awaiting completion credit
         self.replica_of: dict[int, int] = {}
+        #: per replica: dealt (iteration, inputs) awaiting one send
+        self._buffers: list[list[tuple[int, list]]] = [[] for _ in ctx.dep_ids]
         self._stop = {"done": False}
 
     def dispatch(self, ctx: DispatchContext, iteration: int, inputs: list) -> None:
@@ -97,9 +107,19 @@ class ParallelFarmPolicy(DistributionPolicy):
             dispatched_at=ctx.sim.now,
             replica=replica,
         )
-        ctx.send_exec(
-            ctx.replica_hosts[replica], ctx.dep_ids[replica], iteration, inputs
-        )
+        buffer = self._buffers[replica]
+        buffer.append((iteration, inputs))
+        if len(buffer) >= self.chunk_size:
+            self._flush_replica(ctx, replica)
+
+    def flush(self, ctx: DispatchContext) -> None:
+        for replica, buffer in enumerate(self._buffers):
+            if buffer:
+                self._flush_replica(ctx, replica)
+
+    def _flush_replica(self, ctx: DispatchContext, replica: int) -> None:
+        items, self._buffers[replica] = self._buffers[replica], []
+        ctx.send_exec(ctx.replica_hosts[replica], ctx.dep_ids[replica], items)
 
     def begin_collect(self, ctx: DispatchContext) -> None:
         ctx.spawn(self._recovery_loop(ctx), name="recovery-monitor")
@@ -210,11 +230,7 @@ class ParallelFarmPolicy(DistributionPolicy):
         ctx.notify(
             "redispatch", iteration=it, worker=ctx.replica_hosts[idx], reason=reason
         )
-        self.redispatch_exec(ctx, idx, it, rec.inputs)
-
-    def redispatch_exec(self, ctx: DispatchContext, idx: int, it: int, inputs) -> None:
-        """How a recovered iteration is re-sent (subclasses may batch)."""
-        ctx.send_exec(ctx.replica_hosts[idx], ctx.dep_ids[idx], it, inputs)
+        ctx.send_exec(ctx.replica_hosts[idx], ctx.dep_ids[idx], [(it, rec.inputs)])
 
     def _pick_replica(self, ctx: DispatchContext, rec, now) -> int:
         """Next target: prefer online + healthy, then merely online."""
@@ -251,4 +267,15 @@ class ParallelFarmPolicy(DistributionPolicy):
         ctx.counters["speculative"] += 1
         ctx.sim.tracer.metrics.counter("service.speculations").inc()
         ctx.notify("speculate", iteration=it, worker=ctx.replica_hosts[idx])
-        self.redispatch_exec(ctx, idx, it, rec.inputs)
+        ctx.send_exec(ctx.replica_hosts[idx], ctx.dep_ids[idx], [(it, rec.inputs)])
+
+
+class ChunkedFarmPolicy(ParallelFarmPolicy):
+    """Farm like ``parallel`` but batch k iterations per message."""
+
+    name = "chunked"
+
+    def __init__(self, chunk_size: int = 8):
+        if chunk_size < 1:
+            raise ValueError("chunk_size must be >= 1")
+        self.chunk_size = chunk_size

@@ -67,7 +67,7 @@ class PipelinePolicy(DistributionPolicy):
 
     def dispatch(self, ctx: DispatchContext, iteration: int, inputs: list) -> None:
         # Everything enters at stage 0 and flows peer-to-peer.
-        ctx.send_exec(ctx.replica_hosts[0], ctx.dep_ids[0], iteration, inputs)
+        ctx.send_exec(ctx.replica_hosts[0], ctx.dep_ids[0], [(iteration, inputs)])
 
     def preseed_units(
         self, group, workers: list[str], replicas: int

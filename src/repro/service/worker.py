@@ -28,9 +28,16 @@ from ..p2p.network import Message
 from ..p2p.peer import Peer
 from ..simkernel import Simulator, Store
 
-__all__ = ["DeploymentSpec", "TrianaService", "WORKER_SERVICE_KIND"]
+__all__ = ["DeploymentSpec", "TrianaService", "WORKER_SERVICE_KIND", "payload_nbytes"]
 
 WORKER_SERVICE_KIND = "triana-worker"
+
+
+def payload_nbytes(values) -> int:
+    """Modelled wire size of one iteration's values (64 B for a bare scalar)."""
+    return sum(
+        v.payload_nbytes() if hasattr(v, "payload_nbytes") else 64 for v in values
+    )
 
 
 @dataclass(frozen=True)
@@ -127,6 +134,8 @@ class TrianaService:
         self.efficiency = efficiency
         self.local_registry = UnitRegistry()
         self.deployments: dict[str, _Deployment] = {}
+        #: ids whose ``_deploy_proc`` is still fetching modules
+        self._deploying: set[str] = set()
         self.stats = ServiceStats()
         self._tombstones: dict[str, tuple[str, str]] = {}
         #: bounded per-deployment result cache (idempotent re-ship)
@@ -137,7 +146,6 @@ class TrianaService:
         self._hb_running = False
         peer.on("triana-deploy", self._on_deploy)
         peer.on("group-exec", self._on_exec)
-        peer.on("group-exec-batch", self._on_exec_batch)
         peer.on("triana-checkpoint", self._on_checkpoint)
         peer.on("triana-rewire", self._on_rewire)
         peer.on("triana-drain", self._on_drain)
@@ -276,7 +284,16 @@ class TrianaService:
                 size_bytes=64,
             )
             return
-        self.sim.process(self._deploy_proc(spec), name=f"deploy/{spec.deployment_id}")
+        if spec.deployment_id in self._deploying:
+            # A retry that overtook a slow module fetch: the ack the first
+            # attempt sends answers both; a second engine would split the
+            # deployment's dedup sets and unit state across two objects.
+            return
+        self._deploying.add(spec.deployment_id)
+        proc = self.sim.process(
+            self._deploy_proc(spec), name=f"deploy/{spec.deployment_id}"
+        )
+        proc.callbacks.append(lambda _ev: self._deploying.discard(spec.deployment_id))
 
     def _deploy_proc(self, spec: DeploymentSpec):
         """Fetch modules (with retry), authorise, build the engine, ack."""
@@ -333,7 +350,10 @@ class TrianaService:
 
     # -- execution ------------------------------------------------------------------
     def _on_exec(self, message: Message) -> None:
-        deployment_id, iteration, inputs = message.payload
+        """Accept the iterations of one ``group-exec``; a single is a batch
+        of one.  Each item takes the same dedup / idempotence path and its
+        result ships on its own."""
+        deployment_id, items = message.payload
         dep = self.deployments.get(deployment_id)
         if dep is None:
             # Migrated away?  A tombstone forwards stragglers to the new home.
@@ -343,27 +363,6 @@ class TrianaService:
                 self.peer.send(
                     new_peer,
                     "group-exec",
-                    payload=(new_dep, iteration, inputs),
-                    size_bytes=message.size_bytes,
-                )
-            return
-        self._accept(dep, iteration, inputs)
-
-    def _on_exec_batch(self, message: Message) -> None:
-        """Unpack a ``group-exec-batch`` (chunked farm) into iterations.
-
-        Each item goes through the same dedup/idempotence path as a
-        single ``group-exec``; results still ship individually.
-        """
-        deployment_id, items = message.payload
-        dep = self.deployments.get(deployment_id)
-        if dep is None:
-            target = self._tombstones.get(deployment_id)
-            if target is not None and self.peer.online:
-                new_peer, new_dep = target
-                self.peer.send(
-                    new_peer,
-                    "group-exec-batch",
                     payload=(new_dep, items),
                     size_bytes=message.size_bytes,
                 )
@@ -388,6 +387,25 @@ class TrianaService:
         else:
             dep.queue.put((iteration, inputs))
 
+    def _step(self, dep: _Deployment, iteration: int, inputs):
+        """The head of one execution: open its ``worker.exec`` span, step
+        the engine on the boundary inputs and measure the modelled flops.
+        Returns ``(outputs, flops, span)``; how the flops are charged is
+        the caller's (a timeout here, a batch job on a cluster)."""
+        tracer = self.sim.tracer
+        span = (
+            tracer.begin(
+                "worker.exec", category="service", track=self.peer.peer_id,
+                deployment=dep.spec.deployment_id, iteration=iteration,
+            )
+            if tracer.enabled
+            else None
+        )
+        flops_before = dep.engine.stats.modelled_flops
+        outputs_map = dep.engine.step(dict(zip(dep.spec.external_inputs, inputs)))
+        flops = dep.engine.stats.modelled_flops - flops_before
+        return [outputs_map[t][n] for t, n in dep.spec.output_spec], flops, span
+
     def _exec_loop(self, dep: _Deployment):
         """Serial execution of queued iterations at modelled CPU speed."""
         while True:
@@ -400,24 +418,9 @@ class TrianaService:
                 * self.efficiency
                 * self.peer.network.speed_factor(self.peer.peer_id)
             )
-            external = {
-                key: value
-                for key, value in zip(dep.spec.external_inputs, inputs)
-            }
-            tracer = self.sim.tracer
-            span = (
-                tracer.begin(
-                    "worker.exec", category="service", track=self.peer.peer_id,
-                    deployment=dep.spec.deployment_id, iteration=iteration,
-                )
-                if tracer.enabled
-                else None
-            )
-            flops_before = dep.engine.stats.modelled_flops
-            outputs_map = dep.engine.step(external)
-            duration = (dep.engine.stats.modelled_flops - flops_before) / speed
+            outputs, flops, span = self._step(dep, iteration, inputs)
+            duration = flops / speed
             yield self.sim.timeout(duration)
-            outputs = [outputs_map[t][n] for t, n in dep.spec.output_spec]
             self._complete(dep, iteration, outputs, duration, span)
 
     def _complete(
@@ -469,9 +472,7 @@ class TrianaService:
         dep.shipped[iteration] = outputs
         if len(dep.shipped) > self.result_cache_size:
             del dep.shipped[min(dep.shipped)]
-        size = sum(
-            v.payload_nbytes() if hasattr(v, "payload_nbytes") else 64 for v in outputs
-        )
+        size = payload_nbytes(outputs)
         if not self.peer.online:
             return  # churned away mid-compute; controller recovers
         self.stats.results_sent += 1
@@ -488,7 +489,7 @@ class TrianaService:
             self.peer.send(
                 next_peer,
                 "group-exec",
-                payload=(next_dep, iteration, outputs),
+                payload=(next_dep, [(iteration, outputs)]),
                 size_bytes=size,
             )
 
@@ -562,10 +563,7 @@ class TrianaService:
         dep.queue.items.clear()
         dep.backlog.clear()
         state = dep.engine.checkpoint()
-        size = 1024 + sum(
-            sum(v.payload_nbytes() if hasattr(v, "payload_nbytes") else 64 for v in item[1])
-            for item in leftovers
-        )
+        size = 1024 + sum(payload_nbytes(inputs) for _it, inputs in leftovers)
         self.peer.send(
             requester,
             "drain-reply",

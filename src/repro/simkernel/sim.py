@@ -375,6 +375,7 @@ class Simulator:
         self._queue = CalendarQueue()
         self._rngs = RngRegistry(seed)
         self.events_executed = 0
+        self._last_id = 0
         self.tracer = tracer if tracer is not None else NullTracer()
         self.tracer.attach_clock(lambda: self.now)
 
@@ -384,8 +385,6 @@ class Simulator:
         tracer._subs.extend(self.tracer._subs)
         if tracer._sampler is None:
             tracer._sampler = self.tracer._sampler
-        if tracer._recorder is None:
-            tracer._recorder = self.tracer._recorder
         self.tracer = tracer
 
     def install_sampler(self, sampler) -> None:
@@ -412,6 +411,13 @@ class Simulator:
     @property
     def seed(self) -> int:
         return self._rngs.seed
+
+    def next_id(self) -> int:
+        """An id unique within this simulator: 1, 2, ...  An id that can
+        steer a run (a tie broken by ``id % n``) is counted per grid, not
+        per process, so same-seed grids in one process trace identically."""
+        self._last_id += 1
+        return self._last_id
 
     # -- event construction --------------------------------------------------
     def event(self) -> Event:

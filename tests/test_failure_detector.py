@@ -336,7 +336,7 @@ class TestIdempotency:
         )
         iterations_before = service.stats.iterations
         grid.controller_peer.send(
-            worker_id, "group-exec", payload=(dep_id, iteration, [])
+            worker_id, "group-exec", payload=(dep_id, [(iteration, [])])
         )
         grid.sim.run()
         assert service.stats.cached_reships == 1

@@ -87,7 +87,7 @@ class TestLateAndDuplicateTraffic:
         grid = ConsumerGrid(n_workers=1, seed=77)
         worker = grid.worker_peers["worker-0"]
         grid.controller_peer.send(
-            "worker-0", "group-exec", payload=("dep-bogus", 0, []), size_bytes=64
+            "worker-0", "group-exec", payload=("dep-bogus", [(0, [])]), size_bytes=64
         )
         grid.sim.run()  # must not raise
         assert grid.workers["worker-0"].stats.iterations == 0

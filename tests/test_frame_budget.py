@@ -30,7 +30,7 @@ def exec_message(samples: int) -> Message:
     payload = SampleSet(data=np.linspace(0.0, 1.0, samples), sampling_rate=1024.0)
     return Message(
         "group-exec", "controller", "worker-0",
-        payload=("dep-1", 7, [payload]), size_bytes=payload.payload_nbytes() + 64,
+        payload=("dep-1", [(7, [payload])]), size_bytes=payload.payload_nbytes() + 64,
     )
 
 
@@ -89,7 +89,7 @@ def test_warm_frames_repeat_no_per_class_work(monkeypatch):
     )
     for _ in range(100):
         out = decode_message(encode_message(message))
-    assert out.payload[2][0].sampling_rate == 1024.0
+    assert out.payload[1][0][1][0].sampling_rate == 1024.0
     assert calls == {"fields": 0, "import_module": 0}
 
 

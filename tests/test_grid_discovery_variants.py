@@ -6,6 +6,7 @@ import pytest
 from repro import ConsumerGrid
 from repro.analysis import fig1_grouped
 from repro.core import LocalEngine
+from repro.observe import jsonl_lines
 from repro.p2p import (
     CentralIndexDiscovery,
     FloodingDiscovery,
@@ -72,3 +73,24 @@ class TestStrategyWiring:
     def test_rendezvous_uses_portal(self):
         grid = ConsumerGrid(n_workers=2, seed=115, discovery="rendezvous")
         assert grid.discovery.rendezvous_ids == ["portal"]
+
+
+@pytest.mark.parametrize("strategy", ["central", "rendezvous"])
+@pytest.mark.parametrize("module_replicas", [0, 3])
+def test_two_same_seed_grids_in_one_process_trace_identically(
+    strategy, module_replicas
+):
+    """A run is a pure function of config and seed: request ids that steer
+    it (a replica tie broken by ``id % n``) are counted per grid, not per
+    process."""
+
+    def trace_of_one_run():
+        grid = ConsumerGrid(
+            n_workers=7, seed=5, contention=True, discovery=strategy,
+            module_replicas=module_replicas, module_chunk_bytes=65536,
+            trace=True,
+        )
+        grid.run(fig1_grouped(), iterations=14)
+        return jsonl_lines(grid.sim.tracer)
+
+    assert trace_of_one_run() == trace_of_one_run()

@@ -1,11 +1,10 @@
-"""Live telemetry: sampler ring buffer, flight recorder, online detectors."""
+"""Live telemetry: sampler ring buffer, online detectors."""
 
 import json
 
 import pytest
 
 from repro.observe import (
-    FlightRecorder,
     HealthMonitor,
     Incident,
     TelemetrySampler,
@@ -160,52 +159,6 @@ class TestInstallSampler:
         replacement = Tracer()
         sim.install_tracer(replacement)
         assert replacement._sampler is sampler
-
-
-class TestFlightRecorder:
-    def _tracer(self):
-        t = Tracer()
-        clock = {"now": 0.0}
-        t.attach_clock(lambda: clock["now"])
-        return t, clock
-
-    def test_keeps_last_n_per_track(self):
-        t, clock = self._tracer()
-        rec = FlightRecorder(per_track=2)
-        rec.attach(t)
-        for i in range(4):
-            clock["now"] = float(i)
-            t.begin("worker.exec", category="service", track="w0", i=i).end()
-        dump = rec.dump("w0")
-        spans = dump["w0"]["spans"]
-        assert len(spans) == 2
-        assert [s["attrs"]["i"] for s in spans] == [2, 3]
-
-    def test_instants_recorded_per_track(self):
-        t, clock = self._tracer()
-        rec = FlightRecorder(per_track=8)
-        rec.attach(t)
-        clock["now"] = 1.0
-        t.instant("net.send", category="p2p", track="w0")
-        t.instant("net.send", category="p2p", track="w1")
-        assert rec.tracks() == ["w0", "w1"]
-        assert rec.dump()["w1"]["events"][0]["name"] == "net.send"
-
-    def test_render_timeline(self):
-        t, clock = self._tracer()
-        rec = FlightRecorder()
-        rec.attach(t)
-        span = t.begin("worker.deploy", category="service", track="w0")
-        clock["now"] = 2.0
-        span.end()
-        t.instant("worker.heartbeat", category="service", track="w0")
-        text = rec.render("w0")
-        assert "flight recorder — w0" in text
-        assert "worker.deploy" in text and "worker.heartbeat" in text
-
-    def test_bad_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(per_track=0)
 
 
 def _row(t, **sections):

@@ -140,7 +140,7 @@ class TestThirdPartyPolicy:
             assert report.policy == "quadbatch"
             assert len(report.group_results) == 12
             kinds = grid.transport.stats.by_kind
-            assert kinds.get("group-exec-batch", 0) > 0
+            assert 0 < kinds["group-exec"] < 12
         finally:
             global_policy_registry().unregister("quadbatch")
 
@@ -172,11 +172,9 @@ class TestChunkedPolicy:
         for a, b in zip(par.group_results, chk.group_results):
             np.testing.assert_allclose(a[0].data, b[0].data)
         # parallel ships one exec envelope per iteration; chunked ships
-        # only batch messages, and fewer of them.
+        # the same iterations in fewer messages of the same kind.
         assert kinds["parallel"]["group-exec"] == 12
-        assert "group-exec-batch" not in kinds["parallel"]
-        assert kinds["chunked"].get("group-exec", 0) == 0
-        assert 0 < kinds["chunked"]["group-exec-batch"] < 12
+        assert 0 < kinds["chunked"]["group-exec"] < 12
 
     def test_chunked_completes_under_churn(self):
         """Recovery re-dispatches batched work as singles and finishes."""

@@ -28,7 +28,7 @@ def exec_on_live_deployment(grid, worker, inputs):
     returns its outputs."""
     (dep_id,) = list(grid.workers[worker].deployments)
     grid.controller.peer.send(
-        worker, "group-exec", payload=(dep_id, 99, inputs), size_bytes=1024,
+        worker, "group-exec", payload=(dep_id, [(99, inputs)]), size_bytes=1024,
     )
     result = {}
     original = grid.controller._on_result

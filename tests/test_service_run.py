@@ -5,6 +5,11 @@ import pytest
 
 from repro import ConsumerGrid, TaskGraph
 from repro.core import LocalEngine
+from repro.core.registry import UnitRegistry
+from repro.core.toolbox.display import Grapher
+from repro.core.toolbox.signal import Wave
+from repro.core.types import SampleSet
+from repro.core.units import Unit
 from repro.mobility import SandboxPolicy
 from repro.service import DeploymentError, SchedulingError
 
@@ -289,6 +294,66 @@ class TestDeployTimeout:
         done = grid.controller.run_distributed(fig1_grouped(), 2, workers, ())
         with pytest.raises(DeploymentError):
             grid.sim.run(until=done)
+
+
+class HeavyAccum(Unit):
+    """Running sum of its inputs, shipped as a 256 KiB package."""
+
+    CODE_SIZE = 256 * 1024
+
+    def reset(self):
+        self._sum = None
+
+    def process(self, inputs):
+        (frame,) = inputs
+        self._sum = frame.data.copy() if self._sum is None else self._sum + frame.data
+        return [SampleSet(data=self._sum.copy(), sampling_rate=frame.sampling_rate)]
+
+
+def heavy_accum_chain():
+    """Wave → [Acc0 → … → Acc3]@p2p → Grapher; every stage pulls the same
+    256 KiB package, so four fetches queue ~32 s on the portal's DSL uplink."""
+    registry = UnitRegistry()
+    registry.register(Wave, category="signal")
+    registry.register(Grapher, category="output")
+    registry.register(HeavyAccum, category="heavy")
+    g = TaskGraph("slow-fetch", registry=registry)
+    g.add_task("Wave", "Wave", frequency=32.0, samples=64)
+    stages = [f"Acc{i}" for i in range(4)]
+    for prev, name in zip(["Wave"] + stages, stages):
+        g.add_task(name, "HeavyAccum")
+        g.connect(prev, 0, name, 0)
+    g.add_task("Grapher", "Grapher")
+    g.connect(stages[-1], 0, "Grapher", 0)
+    g.group_tasks("Chain", stages, policy="p2p")
+    return g, registry
+
+
+class TestDeployRetryDuringSlowFetch:
+    def test_a_retry_that_overtakes_the_fetch_does_not_deploy_twice(self):
+        """The controller re-sends a deploy after ``deploy_timeout / 3``;
+        a worker still fetching modules must not start a second engine."""
+        graph, registry = heavy_accum_chain()
+        grid = ConsumerGrid(
+            n_workers=4, seed=3, contention=True, registry=registry, trace=True
+        )
+        grid.controller.deploy_timeout = 60.0
+        report = grid.run(graph, iterations=6)
+        assert report.deploy_time > 20.0  # the retry did overtake a fetch
+        assert {w: s.stats.deployments for w, s in grid.workers.items()} == {
+            f"worker-{i}": 1 for i in range(4)
+        }
+        deploy_spans = [
+            s.attrs["deployment"] for s in grid.sim.tracer.spans
+            if s.name == "worker.deploy"
+        ]
+        assert sorted(deploy_spans) == sorted(report.placements)
+        assert not any(s._deploying for s in grid.workers.values())
+        local = LocalEngine(heavy_accum_chain()[0])
+        probe = local.attach_probe("Acc3")
+        local.run(6)
+        for (dist,), loc in zip(report.group_results, probe.values):
+            np.testing.assert_array_equal(dist.data, loc.data)
 
 
 class TestCheckpointProtocol:

@@ -216,15 +216,15 @@ class TestMessageKinds:
 
     def test_group_exec(self):
         snap = particle_snapshot()
-        out = msg_roundtrip("group-exec", ("dep-1", 3, [snap]))
-        dep_id, iteration, inputs = out.payload
+        out = msg_roundtrip("group-exec", ("dep-1", [(3, [snap])]))
+        dep_id, [(iteration, inputs)] = out.payload
         assert (dep_id, iteration) == ("dep-1", 3)
         np.testing.assert_array_equal(inputs[0].positions, snap.positions)
         assert inputs[0].time == snap.time
 
-    def test_group_exec_batch(self):
+    def test_group_exec_items(self):
         frames, batch = exec_batch()
-        out = msg_roundtrip("group-exec-batch", batch)
+        out = msg_roundtrip("group-exec", batch)
         dep_id, items = out.payload
         assert dep_id == "dep-2"
         assert [i for i, _ in items] == [0, 1, 2]
@@ -287,12 +287,15 @@ class TestMessageKinds:
 # -- golden bytes: the encoding is pinned, not just self-consistent -----------------
 
 
-def exec_message(samples=280):
-    """The frame ``tcp_pipeline`` ships: ``(str, int, [SampleSet])``."""
+def exec_message(samples=280, items=True):
+    """The frame ``tcp_pipeline`` ships: ``(str, [(int, [SampleSet])])``;
+    ``items=False`` is the three-field shape it shipped before, which the
+    ``exec-sampleset`` golden keeps pinned."""
     payload = SampleSet(data=np.linspace(0.0, 1.0, samples), sampling_rate=1024.0)
     return Message(
         "group-exec", "controller", "worker-0",
-        payload=("dep-1", 7, [payload]), size_bytes=payload.payload_nbytes() + 64,
+        payload=("dep-1", [(7, [payload])]) if items else ("dep-1", 7, [payload]),
+        size_bytes=payload.payload_nbytes() + 64,
     )
 
 
@@ -328,7 +331,8 @@ def golden_values():
         "central-query": msg("central-query", (7, query_spec())),
         "triana-heartbeat": msg("triana-heartbeat", ("worker-0", {"dep-1": 4})),
         "table-payload": msg("group-result", ("dep-3", 1, [sample_table()])),
-        "exec-sampleset": exec_message(),
+        "exec-sampleset": exec_message(items=False),
+        "exec-items-sampleset": exec_message(),
         "mixed-key-dict": {1: "int", "1": "str", 1.5: None, (1, "t"): [True], b"k": 2},
         "set": {3, "three", 3.5, (3,)},
         "frozenset": frozenset({"b", "a"}),
@@ -357,6 +361,8 @@ GOLDEN_SHA256 = {
     "triana-heartbeat": "d62f0dde2ff9fe3ef70793908e0136b752ffe5867e409755debb5eaa67e71926",
     "table-payload": "9576ff48c7dc72663ca7e4a478e23aee454ce215004a06b32ccf0b3c5ab6461f",
     "exec-sampleset": "e33b6d2addee6fee8fc915edc3a79e8b7f838ef7eb43eac148d625e27b5589de",
+    # added with the one-kind exec path (the codec did not move; the frame did)
+    "exec-items-sampleset": "6edeb5f6c82bf4d1871b5264f79a97d490c57c7641d2c7b45e672a5060c7eaa0",
     "mixed-key-dict": "00c07b73b06e83e3bda7996e3ce37c03bf3ab0e908f5a587ec3603c8623314c3",
     "set": "842fae02b86d923d5223987144958d0dc9403cd1066b7dcd332eff1290430b2c",
     "frozenset": "968837bd6edd06bb19477d68c09b167f175f08ecadbad38d45f1017245fd0242",
@@ -575,10 +581,10 @@ class TestErrors:
 
 
 def group_exec_frame() -> bytes:
-    """A group-exec-shaped frame: ``(str, int, [ndarray])`` payload."""
+    """A group-exec-shaped frame: ``(str, [(int, [ndarray])])`` payload."""
     msg = Message(
         "group-exec", "controller", "worker-0",
-        payload=("dep-1", 3, [np.arange(4.0)]), size_bytes=512,
+        payload=("dep-1", [(3, [np.arange(4.0)])]), size_bytes=512,
     )
     return encode_message(msg)
 

@@ -11,11 +11,17 @@ path only.
 Also enforces the docs-reachability contract: every ``docs/*.md`` page
 must be linked from ``docs/index.md`` *and* from ``README.md``.
 
+And checks the protocol table of ``docs/architecture.md`` against the
+code: every message kind a handler is registered for under ``src/repro``
+(``peer.on("kind", ...)``) has a row, and every kind in a row is
+registered somewhere.
+
 Usage: ``python tools/check_doc_links.py [repo_root]``
 """
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -32,9 +38,98 @@ def iter_links(path: Path):
             yield lineno, match.group(1)
 
 
+def registered_kinds(src: Path) -> dict[str, str]:
+    """``{kind: "file:line"}`` for every ``<peer>.on(kind, handler)`` under ``src``.
+
+    ``kind`` is a string literal, a module-level string constant, or
+    ``f"{self.KIND_PREFIX}-suffix"`` — expanded with the ``KIND_PREFIX``
+    of every class in the module but the one that registers it (the
+    abstract base, whose placeholder prefix never reaches the wire).
+    """
+    kinds: dict[str, str] = {}
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        constants = {
+            node.targets[0].id: node.value.value
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str)
+        }
+        classes = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+        prefixes = {
+            cls.name: stmt.value.value
+            for cls in classes
+            for stmt in cls.body
+            if isinstance(stmt, ast.Assign)
+            and getattr(stmt.targets[0], "id", None) == "KIND_PREFIX"
+        }
+        owner = {id(node): cls.name for cls in classes for node in ast.walk(cls)}
+        for call in ast.walk(tree):
+            if not (
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "on"
+                and len(call.args) == 2
+            ):
+                continue
+            arg = call.args[0]
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                found = [arg.value]
+            elif isinstance(arg, ast.Name) and arg.id in constants:
+                found = [constants[arg.id]]
+            elif isinstance(arg, ast.JoinedStr):
+                suffix = "".join(
+                    part.value for part in arg.values
+                    if isinstance(part, ast.Constant)
+                )
+                found = [
+                    prefix + suffix for cls, prefix in prefixes.items()
+                    if cls != owner.get(id(call))
+                ]
+            else:
+                continue
+            for kind in found:
+                kinds.setdefault(kind, f"{path.name}:{call.lineno}")
+    return kinds
+
+
+def documented_kinds(page: Path) -> set[str]:
+    """Kinds named in the first column of the ``## Message protocol`` table;
+    ``central-publish/-query`` is shorthand for two kinds with one stem."""
+    kinds: set[str] = set()
+    section = page.read_text().split("## Message protocol", 1)[-1].split("\n## ", 1)[0]
+    for line in section.splitlines():
+        cells = line.split("|")
+        if len(cells) < 3:
+            continue  # not a table row (header and rule rows carry no backticks)
+        for token in re.findall(r"`([^`]+)`", cells[1]):
+            first, *rest = token.split("/")
+            kinds.add(first)
+            kinds.update(first.rsplit("-", 1)[0] + suffix for suffix in rest)
+    return kinds
+
+
+def check_message_table(root: Path) -> list[str]:
+    page = root / "docs" / "architecture.md"
+    if not page.exists() or not (root / "src" / "repro").is_dir():
+        return []
+    registered = registered_kinds(root / "src" / "repro")
+    documented = documented_kinds(page)
+    where = "docs/architecture.md: protocol table"
+    return [
+        f"{where} has no row for {kind!r} (registered at {registered[kind]})"
+        for kind in sorted(set(registered) - documented)
+    ] + [
+        f"{where} lists {kind!r}, which no handler is registered for"
+        for kind in sorted(documented - set(registered))
+    ]
+
+
 def check(root: Path) -> list[str]:
     """Return a list of human-readable problems (empty = all good)."""
-    problems: list[str] = []
+    problems: list[str] = check_message_table(root)
     docs_dir = root / "docs"
     sources = [root / "README.md"] + sorted(docs_dir.glob("*.md"))
     links_from: dict[Path, set[Path]] = {}
