@@ -91,6 +91,20 @@ class LocalEngine:
         self.probes: list[Probe] = []
         self.stats = RunStats()
         self._sink_outputs: dict[str, list[Any]] = {}
+        # The firing schedule, compiled once: nothing edits the graph or
+        # the units after construction, so ``step`` never asks it again.
+        self._task_probes: dict[str, list[Probe]] = {name: [] for name in self.order}
+        self._plan = []
+        for name in self.order:
+            task = self.graph.task(name)
+            wiring = [
+                (c.src_node, (c.dst, c.dst_node)) for c in self.graph.out_connections(name)
+            ]
+            self._plan.append((
+                name, self.units[name], task.unit_name,
+                [(name, node) for node in range(task.num_inputs)], task.num_outputs,
+                wiring, not wiring and task.num_inputs > 0, self._task_probes[name],
+            ))
 
     def _check_fedness(self) -> None:
         for t, n in self.external:
@@ -129,6 +143,7 @@ class LocalEngine:
             raise GraphError(f"{task!r} has no output node {node}")
         probe = Probe(task, node)
         self.probes.append(probe)
+        self._task_probes[task].append(probe)
         return probe
 
     # -- execution ------------------------------------------------------------
@@ -153,25 +168,25 @@ class LocalEngine:
         ``external`` must supply a value for each declared external input.
         """
         external = external or {}
-        missing = self.external - set(external)
-        if missing:
-            raise GraphError(f"missing external inputs: {sorted(missing)}")
-        unknown = set(external) - self.external
-        if unknown:
+        if external.keys() != self.external:
+            missing = self.external - set(external)
+            if missing:
+                raise GraphError(f"missing external inputs: {sorted(missing)}")
+            unknown = set(external) - self.external
             raise GraphError(f"undeclared external inputs supplied: {sorted(unknown)}")
 
         pending: dict[tuple[str, int], Any] = dict(external)
         outputs_map: dict[str, list[Any]] = {}
-        self._sink_outputs = {}
-        for name in self.order:
-            task = self.graph.task(name)
-            unit = self.units[name]
+        sink_outputs: dict[str, list[Any]] = {}
+        self._sink_outputs = sink_outputs
+        stats = self.stats
+        per_task_flops = stats.per_task_flops
+        for name, unit, unit_name, in_keys, num_outputs, wiring, is_sink, probes in self._plan:
             inputs = []
-            for node in range(task.num_inputs):
-                key = (name, node)
+            for key in in_keys:
                 if key not in pending:
                     raise GraphError(
-                        f"task {name!r} fired before input {node} arrived; "
+                        f"task {name!r} fired before input {key[1]} arrived; "
                         "graph is under-connected"
                     )
                 inputs.append(pending.pop(key))
@@ -179,29 +194,25 @@ class LocalEngine:
             outputs = unit.process(inputs)
             if outputs is None:
                 outputs = []
-            if len(outputs) != task.num_outputs:
+            if len(outputs) != num_outputs:
                 raise UnitError(
-                    f"unit {task.unit_name} returned {len(outputs)} outputs, "
-                    f"declared {task.num_outputs}"
+                    f"unit {unit_name} returned {len(outputs)} outputs, "
+                    f"declared {num_outputs}"
                 )
             outputs_map[name] = list(outputs)
-            self.stats.firings += 1
+            stats.firings += 1
             flops = unit.estimated_flops(in_bytes)
-            self.stats.modelled_flops += flops
-            self.stats.per_task_flops[name] = (
-                self.stats.per_task_flops.get(name, 0.0) + flops
-            )
-            for probe in self.probes:
-                if probe.task == name:
-                    probe(outputs[probe.node])
-            outgoing = self.graph.out_connections(name)
-            for conn in outgoing:
-                value = outputs[conn.src_node]
-                pending[(conn.dst, conn.dst_node)] = value
-                self.stats.bytes_moved += _payload_bytes(value)
-            if not outgoing and task.num_inputs:
-                self._sink_outputs.setdefault(name, []).extend(inputs)
-        self.stats.iterations += 1
+            stats.modelled_flops += flops
+            per_task_flops[name] = per_task_flops.get(name, 0.0) + flops
+            for probe in probes:
+                probe(outputs[probe.node])
+            for src_node, dst_key in wiring:
+                value = outputs[src_node]
+                pending[dst_key] = value
+                stats.bytes_moved += _payload_bytes(value)
+            if is_sink:
+                sink_outputs.setdefault(name, []).extend(inputs)
+        stats.iterations += 1
         return outputs_map
 
     # -- migration support -----------------------------------------------------

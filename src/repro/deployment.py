@@ -136,19 +136,31 @@ class ControllerNode(GridNode):
             config.replace(**changes), (PORTAL_ID, CONTROLLER_ID), registry,
             host=host, port=port, peers=peers,
         )
+        #: everyone else in the address map (who a timed-out wait names)
+        self.worker_ids = sorted(set(peers) - {PORTAL_ID, CONTROLLER_ID})
 
     def wait_for_workers(self, expect: int, deadline_s: float = 30.0) -> List[str]:
-        """Query discovery until ``expect`` workers advertise, or raise."""
+        """Sleep until ``expect`` workers have advertised, or raise.
+
+        One discovery query per advertisement the index hears, not a
+        poll: a worker's first publish or its keep-alive wakes this.
+        """
         deadline = time.monotonic() + deadline_s
-        found: List[str] = []
-        while time.monotonic() < deadline:
+        while True:
+            # Listen before asking: a publish that lands while the query
+            # is in flight has already fired ``heard``.
+            heard = self.discovery.next_publish(self.portal)
             found = self.discover_workers()
             if len(found) >= expect:
                 return found
-        raise TimeoutError(
-            f"only {len(found)}/{expect} workers discovered within "
-            f"{deadline_s:.0f}s: {found}"
-        )
+            left = deadline - time.monotonic()
+            if left <= 0:
+                missing = [w for w in self.worker_ids if w not in found]
+                raise TimeoutError(
+                    f"only {len(found)}/{expect} workers discovered within "
+                    f"{deadline_s:g}s: found {found}, never heard from {missing}"
+                )
+            self.sim.run(until=self.sim.any_of([heard, self.sim.timeout(left)]))
 
     def shutdown_workers(self, workers: List[str]) -> None:
         """Ask every worker process to exit, then flush the frames out."""

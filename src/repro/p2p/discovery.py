@@ -101,6 +101,8 @@ class DiscoveryService:
         self._pending: dict[tuple[str, int], _PendingQuery] = {}
         self._request_ids = itertools.count(1)
         self._peers: dict[str, Peer] = {}
+        #: peer id → events waiting for the next publish delivered there
+        self._heard: dict[str, list[Event]] = {}
 
     # -- wiring ------------------------------------------------------------------
     def attach(self, peer: Peer) -> None:
@@ -122,6 +124,23 @@ class DiscoveryService:
     # -- public API ------------------------------------------------------------------
     def publish(self, peer: Peer, adv: Advertisement) -> None:
         raise NotImplementedError
+
+    def next_publish(self, peer: Peer) -> Event:
+        """An event that succeeds when a publish is next delivered to ``peer``.
+
+        ``peer`` is an index or a rendezvous; this is how to wait for an
+        advertisement instead of asking again.  Flooding has no publish
+        message (adverts stay local), so there it never fires.
+        """
+        heard = peer.sim.event()
+        self._heard.setdefault(peer.peer_id, []).append(heard)
+        return heard
+
+    def _on_publish(self, message: Message) -> None:
+        self._peers[message.dst].cache.put(message.payload)
+        if self._heard:
+            for heard in self._heard.pop(message.dst, ()):
+                heard.succeed()
 
     def query(
         self,
@@ -242,9 +261,6 @@ class CentralIndexDiscovery(DiscoveryService):
             return
         peer.send(self.index_id, "central-publish", payload=adv, size_bytes=adv.wire_size())
 
-    def _on_publish(self, message: Message) -> None:
-        self._peers[message.dst].cache.put(message.payload)
-
     def _send_query(self, peer: Peer, req: int, spec: QuerySpec, pending: _PendingQuery) -> None:
         if self.index_id is None:
             raise DiscoveryError("central index not designated")
@@ -360,9 +376,6 @@ class RendezvousDiscovery(DiscoveryService):
         rdv = self.rendezvous_for(peer.peer_id)
         if rdv != peer.peer_id:
             peer.send(rdv, "rdv-publish", payload=adv, size_bytes=adv.wire_size())
-
-    def _on_publish(self, message: Message) -> None:
-        self._peers[message.dst].cache.put(message.payload)
 
     def _send_query(self, peer: Peer, req: int, spec: QuerySpec, pending: _PendingQuery) -> None:
         rdv_id = self.rendezvous_for(peer.peer_id)
