@@ -75,7 +75,8 @@ class AttrPredicate:
     * ``not_equals`` — every ``(key, value)`` must differ;
     * ``at_least``   — every ``(key, threshold)`` must satisfy
       ``attrs.get(key, 0.0) >= threshold`` (the paper's "minimum CPU
-      capability" style constraint).
+      capability" style constraint); a value the threshold cannot be
+      compared against does not satisfy it.
 
     Instances are callable with the same signature as the old closures,
     so every discovery backend accepts either form unchanged.
@@ -106,7 +107,12 @@ class AttrPredicate:
             if attrs.get(key) == value:
                 return False
         for key, threshold in self.at_least:
-            if attrs.get(key, 0.0) < threshold:
+            try:
+                if attrs.get(key, 0.0) < threshold:
+                    return False
+            except TypeError:
+                # The clause came off the wire and the record from another
+                # peer: a value it cannot be compared against does not match.
                 return False
         return True
 
@@ -183,23 +189,64 @@ class AdvCache:
     """A peer-local advertisement cache with expiry.
 
     Duplicate publishes of the same (type, name, publisher) replace the
-    old record — re-publishing refreshes the expiry.
+    old record — re-publishing refreshes the expiry.  A query by name
+    costs its answer, not the cache: the first one builds a name index
+    that every later change keeps up to date.
     """
+
+    #: name -> the one record called that, or ``{key: record}`` from the
+    #: second record on (every replica of a module advertises one name, so
+    #: ``put`` may not search a bucket; a container per name is +1.6 MiB on
+    #: 10 000 peers).  Class-level until the first named query: most caches
+    #: hold their owner's one advert and are never asked anything by name.
+    _by_name: Optional[dict[str, Any]] = None
+    #: Lower bound on the earliest ``expires_at`` held.  A re-publish or a
+    #: removal may leave it too low (one pass that drops nothing), never
+    #: too high.  An instance gains it with its first finite expiry.
+    _expiry_bound: float = float("inf")
 
     def __init__(self):
         self._records: dict[tuple[str, str, str], Advertisement] = {}
 
     def put(self, adv: Advertisement) -> None:
-        self._records[(adv.adv_type, adv.name, adv.publisher)] = adv
+        key = (adv.adv_type, adv.name, adv.publisher)
+        self._records[key] = adv
+        if adv.expires_at < self._expiry_bound:
+            self._expiry_bound = adv.expires_at
+        if self._by_name is not None:
+            self._index(self._by_name, key, adv)
+
+    @staticmethod
+    def _index(index: dict[str, Any], key: tuple[str, str, str], adv: Advertisement) -> None:
+        held = index.get(adv.name)
+        if type(held) is dict:
+            held[key] = adv
+        elif held is None or (held.publisher == key[2] and held.adv_type == key[0]):
+            index[adv.name] = adv
+        else:
+            index[adv.name] = {(held.adv_type, held.name, held.publisher): held, key: adv}
+
+    def _drop(self, key: tuple[str, str, str]) -> None:
+        """Delete a record that is held, from the index too."""
+        del self._records[key]
+        index = self._by_name
+        if index is not None:
+            held = index[key[1]]
+            if type(held) is dict and len(held) > 1:
+                del held[key]
+            else:
+                del index[key[1]]
 
     def remove(self, adv: Advertisement) -> None:
-        self._records.pop((adv.adv_type, adv.name, adv.publisher), None)
+        key = (adv.adv_type, adv.name, adv.publisher)
+        if key in self._records:
+            self._drop(key)
 
     def remove_publisher(self, publisher: str) -> int:
         """Drop every record from one publisher; returns how many."""
         doomed = [k for k in self._records if k[2] == publisher]
         for k in doomed:
-            del self._records[k]
+            self._drop(k)
         return len(doomed)
 
     def query(
@@ -211,18 +258,33 @@ class AdvCache:
     ) -> list[Advertisement]:
         """Matching, unexpired records (deterministic order)."""
         self.expire(now)
-        hits = [
-            adv
-            for adv in self._records.values()
-            if adv.matches(adv_type, name, predicate)
-        ]
+        if isinstance(name, str):  # anything else, None included, scans
+            index = self._by_name
+            if index is None:
+                index = self._by_name = {}
+                for key, adv in self._records.items():
+                    self._index(index, key, adv)
+            held = index.get(name)
+            pool = () if held is None else held.values() if type(held) is dict else (held,)
+        else:
+            pool = self._records.values()
+        hits = [adv for adv in pool if adv.matches(adv_type, name, predicate)]
         return sorted(hits, key=lambda a: a.adv_id)
 
     def expire(self, now: float) -> int:
         """Remove stale records; returns how many were dropped."""
-        doomed = [k for k, adv in self._records.items() if adv.expires_at <= now]
+        if now < self._expiry_bound:
+            return 0
+        doomed = []
+        bound = float("inf")
+        for k, adv in self._records.items():
+            if adv.expires_at <= now:
+                doomed.append(k)
+            elif adv.expires_at < bound:
+                bound = adv.expires_at
         for k in doomed:
-            del self._records[k]
+            self._drop(k)
+        self._expiry_bound = bound
         return len(doomed)
 
     def __len__(self) -> int:

@@ -265,8 +265,7 @@ class CentralIndexDiscovery(DiscoveryService):
         if self.index_id is None:
             raise DiscoveryError("central index not designated")
         if peer.peer_id == self.index_id:
-            pending.add(peer.cache.query(peer.sim.now, spec.adv_type, spec.name, spec.predicate))
-            return
+            return  # the index's own cache is the whole answer; query() read it
         pending.expected_replies = 1
         peer.send(self.index_id, "central-query", payload=(req, spec), size_bytes=128)
         self.stats.query_messages += 1
@@ -381,9 +380,9 @@ class RendezvousDiscovery(DiscoveryService):
         rdv_id = self.rendezvous_for(peer.peer_id)
         pending.expected_replies = len(self.rendezvous_ids)
         if rdv_id == peer.peer_id:
-            # A rendezvous queries itself locally and forwards to the others.
+            # A rendezvous has read its own cache (query() did) and
+            # forwards to the others.
             pending.expected_replies = len(self.rendezvous_ids) - 1
-            pending.add(peer.cache.query(peer.sim.now, spec.adv_type, spec.name, spec.predicate))
             if pending.expected_replies == 0:
                 self._complete((peer.peer_id, req), pending)
                 return

@@ -211,6 +211,31 @@ class TestDiscoveryCommon:
         with pytest.raises(DiscoveryError):
             disc.peer("ghost")
 
+    @pytest.mark.parametrize("make", [CentralIndexDiscovery, RendezvousDiscovery])
+    def test_an_index_asking_reads_its_own_cache_once(self, make):
+        # query() adds the asker's own cache to the answer; when the
+        # asker *is* the index (or a rendezvous) the strategy must not
+        # run the identical lookup a second time.
+        disc = make()
+        sim, net, peers = build(4, disc)
+        if make is CentralIndexDiscovery:
+            disc.set_index(peers[0])
+        else:
+            disc.add_rendezvous(peers[0])
+            disc.add_rendezvous(peers[1])
+        for p in peers[1:]:
+            disc.publish(p, service_adv(p))
+        sim.run()
+        lookups = []
+        cache_query = peers[0].cache.query
+        peers[0].cache.query = lambda *a, **kw: lookups.append(a) or cache_query(*a, **kw)
+        ev = disc.query(peers[0], adv_type=ADV_SERVICE)
+        results = sim.run(until=ev)
+        assert len(lookups) == 1
+        assert [a.publisher for a in results] == ["peer-1", "peer-2", "peer-3"]
+        forwarded = make is RendezvousDiscovery
+        assert disc.stats.query_messages == disc.stats.reply_messages == int(forwarded)
+
     def test_query_learns_into_local_cache(self):
         disc = CentralIndexDiscovery()
         sim, net, peers = build(3, disc)

@@ -21,7 +21,7 @@ import repro.deployment as deployment
 from repro import ConsumerGrid, TaskGraph
 from repro.apps.galaxy import build_galaxy_graph, generate_snapshots
 from repro.deployment import run_tcp_localhost
-from repro.p2p.advertisement import ADV_MODULE
+from repro.p2p.advertisement import ADV_MODULE, ADV_SERVICE, AttrPredicate
 from repro.p2p.network import Message
 from repro.transport import RealtimeSimulator, TcpTransport
 from repro.transport.tcp import _FrameReader
@@ -447,6 +447,30 @@ class TestGridOverTcp:
             tcp_grid.transport.close()
         assert result_checksum(tcp_report.group_results) == want
         assert tcp_report.placements == sim_report.placements
+
+    @pytest.mark.parametrize("transport", ["sim", "tcp"])
+    def test_a_clause_no_record_can_be_compared_with_matches_nothing(self, transport):
+        # `host` is a string on every record; a numeric threshold on it is
+        # a well-formed frame that no record satisfies.  The index must
+        # answer it — with nothing — and stay up for the next question:
+        # on the simulator the TypeError used to end `sim.run`, over TCP
+        # the dispatcher swallowed it as a corrupt frame and the asker
+        # waited out its window for a reply that never came.
+        settings = dict(query_window=0.4, heartbeat_interval=5.0) if transport == "tcp" else {}
+        grid = ConsumerGrid(n_workers=2, seed=0, transport=transport, **settings)
+        try:
+            replies = grid.discovery.stats.reply_messages
+            unanswerable = grid.discovery.query(
+                grid.controller_peer, adv_type=ADV_SERVICE,
+                predicate=AttrPredicate.make(at_least={"host": 1.0}),
+            )
+            assert grid.sim.run(until=unanswerable) == []
+            assert grid.discovery.stats.reply_messages == replies + 1
+            if transport == "tcp":
+                assert grid.transport.stats.corrupted == 0
+            assert grid.discover_workers() == ["worker-0", "worker-1"]
+        finally:
+            grid.transport.close()
 
 
 class TestLauncherHygiene:
