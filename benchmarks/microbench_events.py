@@ -4,11 +4,12 @@
 Every simulated message and timer crosses ``Simulator.call_at`` and
 ``SimNetwork.send``; on a 10k-peer heap what they *allocate* decides how
 often the collector runs.  This script counts GC-tracked objects kept
-alive per pending ``Simulator.call_at`` and per in-flight ``Peer.send``
-(``allocs_per_call_at`` / ``allocs_per_message``).  A count does not
-depend on the runner, so it gates: the script exits non-zero when either
-exceeds :data:`ALLOC_BUDGET` (``tests/test_alloc_budget.py`` asserts the
-same budget in tier-1), and the numbers are written as JSON (default
+alive per pending ``Simulator.call_at``, per in-flight ``Peer.send`` and
+per joined, idle peer under each discovery strategy
+(``allocs_per_call_at`` / ``allocs_per_message`` / ``allocs_per_peer``).
+A count does not depend on the runner, so it gates: the script exits
+non-zero when any exceeds :data:`ALLOC_BUDGET` (``tests/test_alloc_budget.py``
+asserts the same budget in tier-1), and the numbers are written as JSON (default
 ``benchmarks/results/MICROBENCH_events.json``) for the CI artifact.
 
 Wall clock — queue ops/sec, kernel events/sec — is gridbench's job: the
@@ -24,12 +25,16 @@ from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import json
 import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from repro.p2p.discovery import (  # noqa: E402
+    CentralIndexDiscovery, FloodingDiscovery, RendezvousDiscovery,
+)
 from repro.p2p.network import SimNetwork  # noqa: E402
 from repro.p2p.peer import Peer  # noqa: E402
 from repro.simkernel import Simulator  # noqa: E402
@@ -37,9 +42,13 @@ from repro.simkernel import Simulator  # noqa: E402
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 #: Upper bounds on GC-tracked objects per operation (see
-#: ``docs/performance.md``, "The message path").  Bounds, not equalities:
-#: interpreter versions differ in what they track.
-ALLOC_BUDGET = {"allocs_per_call_at": 2.0, "allocs_per_message": 5.0}
+#: ``docs/performance.md``, "The message path" and "What a peer costs the
+#: collector").  Bounds, not equalities: interpreter versions differ in
+#: what they track.
+ALLOC_BUDGET = {"allocs_per_call_at": 2.0, "allocs_per_message": 5.0, "allocs_per_peer": 5.0}
+
+#: The discovery strategies ``allocs_per_peer`` is counted under.
+STRATEGIES = (CentralIndexDiscovery, FloodingDiscovery, RendezvousDiscovery)
 
 
 def live_objects_per_op(op, n: int = 500, warmup: int = 100) -> float:
@@ -93,15 +102,34 @@ def allocs_per_message() -> float:
     return live_objects_per_op(lambda: a.send("b", "m"))
 
 
+def allocs_per_peer(strategy) -> float:
+    """Objects per joined, idle peer: a ``Peer`` attached to ``strategy``.
+
+    The peer, its handler table, its advert cache and that cache's record
+    dict, and the bound ``_dispatch`` the network holds; the discovery
+    handlers are the service's, shared by every peer.
+    """
+    net = SimNetwork(Simulator())
+    disc = strategy()
+    ids = itertools.count()
+    return live_objects_per_op(lambda: disc.attach(Peer(f"p{next(ids)}", net)))
+
+
+def allocs_per_peer_worst() -> float:
+    """:func:`allocs_per_peer` under the strategy that keeps the most alive."""
+    return max(allocs_per_peer(strategy) for strategy in STRATEGIES)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(RESULTS_DIR / "MICROBENCH_events.json"),
                         help="output JSON path")
     args = parser.parse_args(argv)
 
-    result = {"schema": 2}
+    result = {"schema": 3}
     for name, measure in (("allocs_per_call_at", allocs_per_call_at),
-                          ("allocs_per_message", allocs_per_message)):
+                          ("allocs_per_message", allocs_per_message),
+                          ("allocs_per_peer", allocs_per_peer_worst)):
         result[name] = measure()
         print(f"{name:20s} {result[name]:>6.1f} GC-tracked objects "
               f"(budget {ALLOC_BUDGET[name]:.0f})")

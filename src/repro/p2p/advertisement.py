@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable, Optional
 
 __all__ = [
@@ -121,6 +122,11 @@ class AttrPredicate:
 #: order), so the count a grid starts from cannot reach a result — unlike a
 #: request id, which breaks ties by ``id % n`` and is counted per grid.
 _adv_counter = itertools.count()
+
+#: The order every answer is returned in: creation order, ties broken by
+#: the cache key.  Two processes mint their own ``adv_id`` sequences, so on
+#: a real transport one answer can hold two records with the same id.
+adv_order = attrgetter("adv_id", "adv_type", "name", "publisher")
 
 
 @dataclass(frozen=True)
@@ -269,7 +275,7 @@ class AdvCache:
         else:
             pool = self._records.values()
         hits = [adv for adv in pool if adv.matches(adv_type, name, predicate)]
-        return sorted(hits, key=lambda a: a.adv_id)
+        return sorted(hits, key=adv_order)
 
     def expire(self, now: float) -> int:
         """Remove stale records; returns how many were dropped."""
@@ -291,4 +297,4 @@ class AdvCache:
         return len(self._records)
 
     def __iter__(self):
-        return iter(sorted(self._records.values(), key=lambda a: a.adv_id))
+        return iter(sorted(self._records.values(), key=adv_order))

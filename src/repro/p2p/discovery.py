@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from ..simkernel import Event
-from .advertisement import Advertisement
+from .advertisement import Advertisement, adv_order
 from .errors import DiscoveryError
 from .network import Message
 from .peer import Peer
@@ -83,7 +83,7 @@ class _PendingQuery:
     def finish(self) -> list[Advertisement]:
         if not self.done:
             self.done = True
-            ordered = sorted(self.results.values(), key=lambda a: a.adv_id)
+            ordered = sorted(self.results.values(), key=adv_order)
             self.event.succeed(ordered)
             return ordered
         return []
@@ -103,6 +103,11 @@ class DiscoveryService:
         self._peers: dict[str, Peer] = {}
         #: peer id → events waiting for the next publish delivered there
         self._heard: dict[str, list[Event]] = {}
+        # Bound once, like ``SimNetwork._on_arrival``: attach installs the
+        # same handler objects on every peer instead of fresh bound
+        # methods that an idle peer would keep alive for the collector.
+        self._on_reply = self._on_reply
+        self._on_publish = self._on_publish
 
     # -- wiring ------------------------------------------------------------------
     def attach(self, peer: Peer) -> None:
@@ -233,6 +238,7 @@ class CentralIndexDiscovery(DiscoveryService):
     def __init__(self, query_window: float = 2.0):
         super().__init__(query_window)
         self.index_id: Optional[str] = None
+        self._on_query = self._on_query
 
     def set_index(self, peer: Peer) -> None:
         """Designate the index node (must already be attached)."""
@@ -287,11 +293,18 @@ class FloodingDiscovery(DiscoveryService):
         if ttl < 1:
             raise DiscoveryError("flood TTL must be >= 1")
         self.ttl = ttl
+        #: peer id → queries it has handled; created by its first query
         self._seen: dict[str, set[tuple[str, int]]] = {}
+        self._on_query = self._on_query
 
     def _attach_extra(self, peer: Peer) -> None:
         peer.on("flood-query", self._on_query)
-        self._seen[peer.peer_id] = set()
+
+    def _seen_by(self, peer_id: str) -> set[tuple[str, int]]:
+        seen = self._seen.get(peer_id)
+        if seen is None:
+            seen = self._seen[peer_id] = set()
+        return seen
 
     def publish(self, peer: Peer, adv: Advertisement) -> None:
         # Flooding networks publish only locally; queries do the walking.
@@ -299,7 +312,7 @@ class FloodingDiscovery(DiscoveryService):
         peer.cache.put(adv)
 
     def _send_query(self, peer: Peer, req: int, spec: QuerySpec, pending: _PendingQuery) -> None:
-        self._seen[peer.peer_id].add((peer.peer_id, req))
+        self._seen_by(peer.peer_id).add((peer.peer_id, req))
         for nb in peer.network.neighbours(peer.peer_id):
             peer.send(
                 nb,
@@ -313,9 +326,10 @@ class FloodingDiscovery(DiscoveryService):
         origin, req, spec, ttl = message.payload
         me = self._peers[message.dst]
         key = (origin, req)
-        if key in self._seen[me.peer_id]:
+        seen = self._seen_by(me.peer_id)
+        if key in seen:
             return
-        self._seen[me.peer_id].add(key)
+        seen.add(key)
         hits = me.cache.query(me.sim.now, spec.adv_type, spec.name, spec.predicate)
         if hits and me.peer_id != origin:
             self._reply(me, origin, req, hits)
@@ -347,6 +361,8 @@ class RendezvousDiscovery(DiscoveryService):
         super().__init__(query_window)
         self.rendezvous_ids: list[str] = []
         self._assigned: dict[str, str] = {}
+        self._on_query = self._on_query
+        self._on_forward = self._on_forward
 
     def add_rendezvous(self, peer: Peer) -> None:
         self.peer(peer.peer_id)

@@ -312,7 +312,9 @@ class SimNetwork(Transport):
         self._downlinks: dict[str, "object"] = {}
         self._cuts: dict[int, tuple[frozenset[str], frozenset[str]]] = {}
         self._next_cut_id = 1
-        #: node id → overlay neighbours (undirected: both ends list the other)
+        #: node id → overlay neighbours (undirected: both ends list the
+        #: other).  A node gets its set from its first edge: only flooding
+        #: walks an overlay, and an empty set per peer is garbage to scan.
         self.overlay: dict[str, set[str]] = {}
         self.stats = NetStats()
         #: per-peer compute-fault models, keyed by peer id.  The faults
@@ -336,14 +338,13 @@ class SimNetwork(Transport):
         self._profiles[node_id] = profile or DSL_PROFILE
         self._handlers[node_id] = handler
         self._online[node_id] = True
-        self.overlay[node_id] = set()
 
     def remove_node(self, node_id: str) -> None:
         self._require(node_id)
         del self._profiles[node_id]
         del self._handlers[node_id]
         del self._online[node_id]
-        for nb in self.overlay.pop(node_id) - {node_id}:
+        for nb in self.overlay.pop(node_id, set()) - {node_id}:
             self.overlay[nb].discard(node_id)
 
     def nodes(self) -> list[str]:
@@ -433,12 +434,13 @@ class SimNetwork(Transport):
         """Declare two nodes overlay neighbours (for flooding)."""
         self._require(a)
         self._require(b)
-        self.overlay[a].add(b)
-        self.overlay[b].add(a)
+        overlay = self.overlay
+        overlay.setdefault(a, set()).add(b)
+        overlay.setdefault(b, set()).add(a)
 
     def neighbours(self, node_id: str) -> list[str]:
         self._require(node_id)
-        return sorted(self.overlay[node_id])
+        return sorted(self.overlay.get(node_id, ()))
 
     def random_overlay(self, degree: int = 4, stream: str = "overlay") -> None:
         """Wire a random connected overlay of roughly the given degree."""

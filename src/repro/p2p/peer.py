@@ -22,6 +22,10 @@ from .network import Message, NodeProfile, Transport
 
 __all__ = ["Peer", "PeerGroup"]
 
+#: Every peer outside all groups holds this one value: each ``frozenset()``
+#: call is a new object the collector tracks, and most peers join nothing.
+_NO_GROUPS: frozenset[str] = frozenset()
+
 
 class Peer:
     """One Consumer Grid participant.
@@ -50,7 +54,8 @@ class Peer:
         self.network = network
         self.sim: Simulator = network.sim
         self.cache = AdvCache()
-        self.groups: set[str] = set(groups)
+        #: a value, rebound (never mutated) by :class:`PeerGroup`
+        self.groups: frozenset[str] = frozenset(groups) if groups else _NO_GROUPS
         self._handlers: dict[str, Callable[[Message], None]] = {}
         network.add_node(peer_id, self._dispatch, profile)
 
@@ -135,11 +140,11 @@ class PeerGroup:
         self.members: set[str] = set()
 
     def join(self, peer: Peer) -> None:
-        peer.groups.add(self.name)
+        peer.groups = peer.groups | {self.name}
         self.members.add(peer.peer_id)
 
     def leave(self, peer: Peer) -> None:
-        peer.groups.discard(self.name)
+        peer.groups = (peer.groups - {self.name}) or _NO_GROUPS
         self.members.discard(peer.peer_id)
 
     def __contains__(self, peer_id: str) -> bool:

@@ -1,4 +1,4 @@
-"""Deterministic allocation budget for the message path.
+"""Deterministic allocation budget for the message path and an idle peer.
 
 Every simulated message and timer crosses ``Simulator.call_at`` and
 ``SimNetwork.send``; on a 10k-peer heap what they *allocate* decides how
@@ -13,6 +13,8 @@ import importlib.util
 import pathlib
 
 import pytest
+
+from repro.p2p import CentralIndexDiscovery, FloodingDiscovery, RendezvousDiscovery
 
 _BENCH = (
     pathlib.Path(__file__).resolve().parent.parent
@@ -43,3 +45,12 @@ def test_pending_call_at_stays_within_budget(microbench):
 def test_in_flight_message_stays_within_budget(microbench):
     # The Message, the scheduled delivery and its args tuple.
     assert microbench.allocs_per_message() <= microbench.ALLOC_BUDGET["allocs_per_message"]
+
+
+@pytest.mark.parametrize(
+    "strategy", [CentralIndexDiscovery, FloodingDiscovery, RendezvousDiscovery]
+)
+def test_idle_peer_stays_within_budget(microbench, strategy):
+    # The peer, its handler table, its cache and the cache's records dict,
+    # and the network's bound _dispatch; discovery handlers are shared.
+    assert microbench.allocs_per_peer(strategy) <= microbench.ALLOC_BUDGET["allocs_per_peer"]

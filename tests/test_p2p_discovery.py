@@ -9,6 +9,7 @@ from repro.p2p import (
     CentralIndexDiscovery,
     DiscoveryError,
     FloodingDiscovery,
+    AdvCache,
     Peer,
     PeerGroup,
     RendezvousDiscovery,
@@ -206,6 +207,17 @@ class TestDiscoveryCommon:
         with pytest.raises(DiscoveryError):
             disc.attach(peers[0])
 
+    @pytest.mark.parametrize(
+        "make", [CentralIndexDiscovery, FloodingDiscovery, RendezvousDiscovery]
+    )
+    def test_every_peer_shares_the_services_handlers(self, make):
+        disc = make()
+        _sim, _net, peers = build(2, disc)
+        kinds = [k for k in peers[0]._handlers if k.startswith(disc.KIND_PREFIX)]
+        assert len(kinds) >= 2
+        for kind in kinds:
+            assert peers[0]._handlers[kind] is peers[1]._handlers[kind]
+
     def test_unattached_peer_lookup(self):
         disc = CentralIndexDiscovery()
         with pytest.raises(DiscoveryError):
@@ -280,3 +292,44 @@ class TestDiscoveryCommon:
         assert len(group) == 2
         group.leave(peers[1])
         assert "peer-1" not in group
+
+
+def twin(publisher):
+    """A record as two worker processes may mint it: the same ``adv_id``."""
+    return Advertisement(ADV_SERVICE, "svc", publisher, adv_id=5)
+
+
+class TestSameAdvIdOrder:
+    def test_replies_in_either_arrival_order_give_one_answer(self):
+        def answer(first, second):
+            disc = RendezvousDiscovery()
+            sim = Simulator(seed=7)
+            net = SimNetwork(sim, jitter_fraction=0.0)
+            rdv = {pid: Peer(pid, net) for pid in ("rdv-a", "rdv-b")}
+            asker = Peer("edge", net)
+            for p in (*rdv.values(), asker):
+                disc.attach(p)
+            rdv["rdv-a"].cache.put(twin("worker-b"))
+            rdv["rdv-b"].cache.put(twin("worker-a"))
+            # The asker's own rendezvous answers a hop before the other.
+            disc.add_rendezvous(rdv[first])
+            disc.add_rendezvous(rdv[second])
+            ev = disc.query(asker, adv_type=ADV_SERVICE)
+            return [a.publisher for a in sim.run(until=ev)]
+
+        assert answer("rdv-a", "rdv-b") == answer("rdv-b", "rdv-a") == [
+            "worker-a", "worker-b",
+        ]
+
+    def test_cache_lists_same_adv_id_records_in_one_order(self):
+        orders = []
+        for publishers in (("worker-a", "worker-b"), ("worker-b", "worker-a")):
+            cache = AdvCache()
+            for pub in publishers:
+                cache.put(twin(pub))
+            orders.append((
+                [a.publisher for a in cache],
+                [a.publisher for a in cache.query(0.0, adv_type=ADV_SERVICE)],
+                [a.publisher for a in cache.query(0.0, name="svc")],
+            ))
+        assert orders[0] == orders[1] == (["worker-a", "worker-b"],) * 3

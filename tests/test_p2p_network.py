@@ -1,5 +1,7 @@
 """Tests for the simulated consumer network."""
 
+import hashlib
+
 import pytest
 
 from repro.p2p import (
@@ -190,6 +192,16 @@ class TestOverlay:
 
         assert edges() == edges()
         assert len(edges()) >= 16  # the ring alone
+        # The seed-1 draw itself: E7's flooding cells walk these edges.
+        assert hashlib.sha256(repr(edges()).encode()).hexdigest()[:16] == "22e3bd6ee5199ee4"
+
+    def test_node_without_edges(self):
+        _, net, _ = make_net(3)
+        net.add_edge("peer-0", "peer-1")
+        assert net.neighbours("peer-2") == []
+        net.remove_node("peer-2")
+        assert overlay_edges(net) == [("peer-0", "peer-1")]
+        assert net.neighbours("peer-0") == ["peer-1"]
 
     def test_remove_node_leaves_no_dangling_neighbour(self):
         _, net, _ = make_net(3)
