@@ -1,15 +1,17 @@
 #!/usr/bin/env python
-"""Allocation-count gate for the simulated message path.
+"""Allocation- and event-count gate for the simulated message path.
 
 Every simulated message and timer crosses ``Simulator.call_at`` and
 ``SimNetwork.send``; on a 10k-peer heap what they *allocate* decides how
 often the collector runs.  This script counts GC-tracked objects kept
 alive per pending ``Simulator.call_at``, per in-flight ``Peer.send`` and
 per joined, idle peer under each discovery strategy
-(``allocs_per_call_at`` / ``allocs_per_message`` / ``allocs_per_peer``).
-A count does not depend on the runner, so it gates: the script exits
-non-zero when any exceeds :data:`ALLOC_BUDGET` (``tests/test_alloc_budget.py``
-asserts the same budget in tier-1), and the numbers are written as JSON (default
+(``allocs_per_call_at`` / ``allocs_per_message`` / ``allocs_per_peer``),
+and the kernel events one stage hop of a p2p pipeline schedules
+(``events_per_hop``).  A count does not depend on the runner, so it
+gates: the script exits non-zero when any exceeds :data:`ALLOC_BUDGET`
+(``tests/test_alloc_budget.py`` asserts the same budget in tier-1), and
+the numbers are written as JSON (default
 ``benchmarks/results/MICROBENCH_events.json``) for the CI artifact.
 
 Wall clock — queue ops/sec, kernel events/sec — is gridbench's job: the
@@ -32,6 +34,8 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from repro import ConsumerGrid  # noqa: E402
+from repro.analysis.workloads import pipeline_graph  # noqa: E402
 from repro.p2p.discovery import (  # noqa: E402
     CentralIndexDiscovery, FloodingDiscovery, RendezvousDiscovery,
 )
@@ -44,8 +48,12 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 #: Upper bounds on GC-tracked objects per operation (see
 #: ``docs/performance.md``, "The message path" and "What a peer costs the
 #: collector").  Bounds, not equalities: interpreter versions differ in
-#: what they track.
-ALLOC_BUDGET = {"allocs_per_call_at": 2.0, "allocs_per_message": 5.0, "allocs_per_peer": 5.0}
+#: what they track.  ``events_per_hop`` is kernel events, exact on any
+#: interpreter ("A stage hop: what one execution schedules").
+ALLOC_BUDGET = {
+    "allocs_per_call_at": 2.0, "allocs_per_message": 5.0, "allocs_per_peer": 5.0,
+    "events_per_hop": 3.0,
+}
 
 #: The discovery strategies ``allocs_per_peer`` is counted under.
 STRATEGIES = (CentralIndexDiscovery, FloodingDiscovery, RendezvousDiscovery)
@@ -120,18 +128,41 @@ def allocs_per_peer_worst() -> float:
     return max(allocs_per_peer(strategy) for strategy in STRATEGIES)
 
 
+def pipeline_events(stages: int, iterations: int) -> int:
+    """Kernel events one p2p pipeline run executes, set-up excluded."""
+    grid = ConsumerGrid(n_workers=8, seed=1)
+    before = grid.sim.events_executed
+    grid.run(pipeline_graph(stages, samples=64), iterations)
+    return grid.sim.events_executed - before
+
+
+def events_per_hop(n: int = 10) -> float:
+    """Kernel events per stage-iteration of a p2p chain: arrival, start,
+    finish.
+
+    Per-run, per-stage (deployment) and per-iteration (controller) costs
+    cancel in the double difference of 8 vs 4 stages × ``2n`` vs ``n``
+    iterations, which leaves ``4n`` stage-iterations.
+    """
+    e = {(s, k): pipeline_events(s, k) for s in (4, 8) for k in (n, 2 * n)}
+    return (e[8, 2 * n] - e[8, n] - e[4, 2 * n] + e[4, n]) / (4 * n)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(RESULTS_DIR / "MICROBENCH_events.json"),
                         help="output JSON path")
     args = parser.parse_args(argv)
 
-    result = {"schema": 3}
-    for name, measure in (("allocs_per_call_at", allocs_per_call_at),
-                          ("allocs_per_message", allocs_per_message),
-                          ("allocs_per_peer", allocs_per_peer_worst)):
+    result = {"schema": 4}
+    for name, measure, unit in (
+        ("allocs_per_call_at", allocs_per_call_at, "GC-tracked objects"),
+        ("allocs_per_message", allocs_per_message, "GC-tracked objects"),
+        ("allocs_per_peer", allocs_per_peer_worst, "GC-tracked objects"),
+        ("events_per_hop", events_per_hop, "kernel events"),
+    ):
         result[name] = measure()
-        print(f"{name:20s} {result[name]:>6.1f} GC-tracked objects "
+        print(f"{name:20s} {result[name]:>6.1f} {unit} "
               f"(budget {ALLOC_BUDGET[name]:.0f})")
     over_budget = [n for n, cap in ALLOC_BUDGET.items() if result[n] > cap]
     if over_budget:

@@ -402,22 +402,36 @@ class WindowFn(Unit):
 
 
 class _FFTFilter(Unit):
-    """Zero out FFT bins outside the pass region."""
+    """Zero out FFT bins outside the pass region.
+
+    The stop band depends only on the frame length, the sampling rate and
+    the cutoff, so it is kept and rebuilt when any of them changes.
+    """
 
     NUM_INPUTS = 1
     NUM_OUTPUTS = 1
     INPUT_TYPES = (SampleSet,)
     OUTPUT_TYPES = (SampleSet,)
 
+    #: the kept stop-band mask and the key it was built for
+    _stop: np.ndarray | None = None
+    _stop_key: tuple | None = None
+
     def _mask(self, freqs: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
 
     def process(self, inputs: Sequence[Any]) -> list[Any]:
         (sig,) = inputs
+        n = len(sig.data)
+        rate = sig.sampling_rate
+        # The rate's type is in the key: an equal float32 rate gives other bins.
+        key = (n, rate, type(rate), self.get_param("cutoff"))
+        if key != self._stop_key:
+            freqs = np.fft.rfftfreq(n, d=1.0 / rate)
+            self._stop, self._stop_key = ~self._mask(freqs), key
         spec = np.fft.rfft(sig.data)
-        freqs = np.fft.rfftfreq(len(sig.data), d=1.0 / sig.sampling_rate)
-        spec[~self._mask(freqs)] = 0.0
-        data = np.fft.irfft(spec, n=len(sig.data))
+        spec[self._stop] = 0.0
+        data = np.fft.irfft(spec, n=n)
         return [SampleSet(data=data, sampling_rate=sig.sampling_rate, t0=sig.t0)]
 
     def estimated_flops(self, input_nbytes: int) -> float:

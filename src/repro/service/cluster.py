@@ -80,7 +80,7 @@ class ClusterTrianaService(TrianaService):
         opens at submission, so it includes the wait for a slot.
         """
         while True:
-            iteration, inputs = yield dep.queue.get()
+            iteration, inputs = yield None
             outputs, flops, span = self._step(dep, iteration, inputs)
             job = self.gateway.submit(
                 JobSpec(flops=max(flops, 1.0), user=self.grid_user),

@@ -14,6 +14,7 @@ while the payloads themselves are computed for real.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional  # noqa: F401
 
@@ -26,7 +27,7 @@ from ..mobility.sandbox import SandboxPolicy
 from ..p2p.advertisement import ADV_SERVICE, Advertisement
 from ..p2p.network import Message
 from ..p2p.peer import Peer
-from ..simkernel import Simulator, Store
+from ..simkernel import Simulator
 
 __all__ = ["DeploymentSpec", "TrianaService", "WORKER_SERVICE_KIND", "payload_nbytes"]
 
@@ -86,7 +87,8 @@ class DeploymentSpec:
 class _Deployment:
     spec: DeploymentSpec
     engine: LocalEngine
-    queue: Store
+    #: iterations waiting for the exec loop, oldest first
+    queue: deque = field(default_factory=deque)
     iterations_done: int = 0
     paused: bool = False
     backlog: list = field(default_factory=list)
@@ -95,6 +97,11 @@ class _Deployment:
     pending: set = field(default_factory=set)
     #: recently shipped outputs by iteration, for idempotent re-ship
     shipped: dict = field(default_factory=dict)
+    #: the ``_exec_loop`` generator :meth:`TrianaService._drive` resumes
+    loop: Any = None
+    #: the loop waits for an iteration and nothing will resume it until one
+    #: is accepted (a loop that raised is neither idle nor resumed again)
+    idle: bool = False
 
 
 @dataclass
@@ -158,11 +165,14 @@ class TrianaService:
     def telemetry_sample(self) -> dict[str, Any]:
         """Per-worker snapshot for the live telemetry sampler.
 
-        ``queued`` counts iterations sitting in deployment queues;
-        ``inflight`` is the remainder of the pending sets — iterations
-        handed to an engine but not yet completed.
+        ``queued`` counts iterations waiting in deployment queues or held
+        by a paused deployment; ``inflight`` is the remainder of the
+        pending sets — iterations handed to an engine but not yet
+        completed.
         """
-        queued = sum(len(d.queue.items) for d in self.deployments.values())
+        queued = sum(
+            len(d.queue) + len(d.backlog) for d in self.deployments.values()
+        )
         pending = sum(len(d.pending) for d in self.deployments.values())
         return {
             "deployments": len(self.deployments),
@@ -337,13 +347,12 @@ class TrianaService:
                 size_bytes=128,
             )
             return
-        dep = _Deployment(
-            spec=spec, engine=engine, queue=Store(self.sim), paused=spec.paused
-        )
+        dep = _Deployment(spec=spec, engine=engine, paused=spec.paused)
         self.deployments[spec.deployment_id] = dep
         self.stats.deployments += 1
         span.end(outcome="deployed", units=len(required))
-        self.sim.process(self._exec_loop(dep), name=f"exec/{spec.deployment_id}")
+        dep.loop = self._exec_loop(dep)
+        self._drive(dep)  # runs it to its first ask: an idle loop
         self.peer.send(
             spec.controller, "deploy-ack", payload=(spec.deployment_id, None), size_bytes=64
         )
@@ -385,13 +394,46 @@ class TrianaService:
         if dep.paused:
             dep.backlog.append((iteration, inputs))
         else:
-            dep.queue.put((iteration, inputs))
+            self._enqueue(dep, (iteration, inputs))
+
+    def _enqueue(self, dep: _Deployment, item) -> None:
+        """Hand ``item`` to an idle exec loop at the current time, or queue
+        it behind the execution in progress."""
+        if dep.idle:
+            dep.idle = False
+            self.sim.call_at(self.sim.now, self._drive, dep, item)
+        else:
+            dep.queue.append(item)
+
+    def _drive(self, dep: _Deployment, item=None) -> None:
+        """Resume ``dep``'s exec loop with ``item`` and schedule what it asks.
+
+        The loop yields ``None`` for the next iteration and a float to
+        sleep that many modelled seconds.  A sleep resumes it at
+        ``now + duration``, the instant ``sim.timeout(duration)`` fires
+        at; a queued iteration resumes it at the current time; with the
+        queue empty it idles until :meth:`_enqueue` wakes it.  A loop
+        that raises (a unit failing on this host) stops this deployment
+        only: its later iterations queue and never execute, and the
+        simulation runs on.
+        """
+        try:
+            ask = dep.loop.send(item)
+        except Exception:
+            return
+        sim = self.sim
+        if ask is not None:
+            sim.call_at(sim.now + ask, self._drive, dep)
+        elif dep.queue:
+            sim.call_at(sim.now, self._drive, dep, dep.queue.popleft())
+        else:
+            dep.idle = True
 
     def _step(self, dep: _Deployment, iteration: int, inputs):
         """The head of one execution: open its ``worker.exec`` span, step
         the engine on the boundary inputs and measure the modelled flops.
         Returns ``(outputs, flops, span)``; how the flops are charged is
-        the caller's (a timeout here, a batch job on a cluster)."""
+        the caller's (a modelled sleep here, a batch job on a cluster)."""
         tracer = self.sim.tracer
         span = (
             tracer.begin(
@@ -407,9 +449,13 @@ class TrianaService:
         return [outputs_map[t][n] for t, n in dep.spec.output_spec], flops, span
 
     def _exec_loop(self, dep: _Deployment):
-        """Serial execution of queued iterations at modelled CPU speed."""
+        """Serial execution of queued iterations at modelled CPU speed.
+
+        :meth:`_drive` runs it, not a kernel process: it yields ``None``
+        for the next iteration and the modelled duration to sleep.
+        """
         while True:
-            iteration, inputs = yield dep.queue.get()
+            iteration, inputs = yield None
             # Speed is re-read per iteration: the chaos layer's straggler
             # fault scales it mid-run via the fabric's set_speed_factor
             # (a no-op 1.0 on chaos-free transports like TCP).
@@ -420,7 +466,7 @@ class TrianaService:
             )
             outputs, flops, span = self._step(dep, iteration, inputs)
             duration = flops / speed
-            yield self.sim.timeout(duration)
+            yield duration
             self._complete(dep, iteration, outputs, duration, span)
 
     def _complete(
@@ -428,7 +474,7 @@ class TrianaService:
         duration: float, span,
     ) -> None:
         """The tail of one execution, whatever engine ran it (the volunteer
-        loop after its timeout, the cluster worker when its batch job ends)."""
+        loop after its modelled sleep, the cluster worker when its batch job ends)."""
         if span is not None:
             span.end(modelled_seconds=duration)
         self.stats.busy_seconds += duration
@@ -547,8 +593,9 @@ class TrianaService:
     def _on_drain(self, message: Message) -> None:
         """Hand over a deployment: checkpoint + queued work, leave a tombstone.
 
-        The exec process may be left suspended on the emptied queue; it is
-        unreachable afterwards and carries no simulation events.
+        An execution already started finishes and ships; the exec loop is
+        then left idle on the emptied queue, unreachable and scheduling
+        nothing.
         """
         requester, deployment_id, new_home = message.payload
         dep = self.deployments.pop(deployment_id, None)
@@ -559,8 +606,8 @@ class TrianaService:
             return
         if new_home is not None:
             self._tombstones[deployment_id] = tuple(new_home)
-        leftovers = list(dep.queue.items) + list(dep.backlog)
-        dep.queue.items.clear()
+        leftovers = list(dep.queue) + dep.backlog
+        dep.queue.clear()
         dep.backlog.clear()
         state = dep.engine.checkpoint()
         size = 1024 + sum(payload_nbytes(inputs) for _it, inputs in leftovers)
@@ -583,4 +630,4 @@ class TrianaService:
         dep.backlog.clear()
         dep.paused = False
         for item in merged:
-            dep.queue.put(item)
+            self._enqueue(dep, item)

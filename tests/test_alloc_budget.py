@@ -1,11 +1,12 @@
-"""Deterministic allocation budget for the message path and an idle peer.
+"""Deterministic budgets for the message path, an idle peer and a stage hop.
 
 Every simulated message and timer crosses ``Simulator.call_at`` and
 ``SimNetwork.send``; on a 10k-peer heap what they *allocate* decides how
 often the collector runs.  Unlike wall clock, a count of GC-tracked
-objects does not depend on the machine, so it can gate: the budget and
-the counting live in ``benchmarks/microbench_events.py`` (which also
-writes the numbers into the CI artifact) and are asserted here.
+objects or of kernel events does not depend on the machine, so it can
+gate: the budget and the counting live in
+``benchmarks/microbench_events.py`` (which also writes the numbers into
+the CI artifact) and are asserted here.
 """
 
 import gc
@@ -54,3 +55,8 @@ def test_idle_peer_stays_within_budget(microbench, strategy):
     # The peer, its handler table, its cache and the cache's records dict,
     # and the network's bound _dispatch; discovery handlers are shared.
     assert microbench.allocs_per_peer(strategy) <= microbench.ALLOC_BUDGET["allocs_per_peer"]
+
+
+def test_stage_hop_schedules_three_events(microbench):
+    # The group-exec arrival, the exec loop's start and its finish.
+    assert microbench.events_per_hop() <= microbench.ALLOC_BUDGET["events_per_hop"]

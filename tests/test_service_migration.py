@@ -113,6 +113,35 @@ class TestChainMigration:
         report = grid.sim.run(until=done)
         assert len(report.group_results) == 8
 
+    def test_telemetry_counts_a_paused_backlog_as_queued(self):
+        """While the new home waits for the drained state, the iterations
+        it buffers are queued work, not work in an engine."""
+        grid = slow_grid(n_workers=3, seed=51)
+        workers = grid.discover_workers()
+        done = grid.controller.run_distributed(
+            stateful_chain_graph(), 12, workers[:2]
+        )
+        new_home = grid.workers["worker-2"]
+        samples = []
+
+        def sample():
+            deps = list(new_home.deployments.values())
+            if any(d.paused for d in deps):
+                backlog = sum(len(d.backlog) for d in deps)
+                samples.append((new_home.telemetry_sample(), backlog, len(deps)))
+            if not done.processed:
+                grid.sim.call_at(grid.sim.now + 0.002, sample)
+
+        grid.sim.call_at(
+            0.05, lambda: grid.controller.migrate_stage(1, "worker-2", settle=0.05)
+        )
+        grid.sim.call_at(0.05, sample)
+        grid.sim.run(until=done)
+        assert max(backlog for _, backlog, _ in samples) > 0
+        for row, backlog, n_deps in samples:
+            assert row["queued"] == backlog
+            assert row["inflight"] <= n_deps
+
     def test_migrate_without_chain_rejected(self):
         grid = slow_grid(n_workers=2, seed=54)
         with pytest.raises(MigrationError):

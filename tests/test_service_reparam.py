@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro import ConsumerGrid
+from repro import ConsumerGrid, TaskGraph
 from repro.apps.galaxy import build_galaxy_graph, generate_snapshots, sph_column_density
 from repro.apps.inspiral import InspiralSearch, build_inspiral_graph, make_strain_chunk
+from repro.core import LocalEngine
+from repro.core.toolbox import LowPass
 from repro.p2p import LAN_PROFILE
 from repro.service import SchedulingError
 
@@ -141,3 +143,50 @@ class TestReparam:
             assert svc.cache.stats.refreshes == 0
             assert svc.cache.stats.hits >= 1
         del bytes_after_first
+
+
+def lowpass_farm(cutoff):
+    g = TaskGraph("lowpass-farm")
+    g.add_task("Wave", "Wave", frequency=32.0)
+    g.add_task("Filter", "LowPass", cutoff=cutoff)
+    g.add_task("Grapher", "Grapher")
+    g.connect("Wave", 0, "Filter", 0)
+    g.connect("Filter", 0, "Grapher", 0)
+    g.group_tasks("G", ["Filter"], policy="parallel")
+    return g
+
+
+def test_cutoff_reparam_mid_run_filters_as_a_fresh_unit():
+    """The filter keeps its stop band between frames; a new cutoff on the
+    live unit must not leave the old band in place."""
+    iterations, old, new = 12, 100.0, 20.0
+    grid = ConsumerGrid(
+        n_workers=1, seed=147, worker_profile=LAN_PROFILE,
+        controller_profile=LAN_PROFILE, worker_efficiency=1e-5,
+    )
+    workers = grid.discover_workers()
+    done = grid.controller.run_distributed(lowpass_farm(old), iterations, workers)
+    acked = []
+
+    def reparam():
+        (dep_id,) = grid.workers["worker-0"].deployments
+        ack = grid.controller.update_params("worker-0", dep_id, "Filter", cutoff=new)
+        ack.callbacks.append(acked.append)
+
+    grid.sim.call_at(grid.sim.now + 4.0, reparam)
+    report = grid.sim.run(until=done)
+    assert acked and acked[0].ok
+
+    local = LocalEngine(lowpass_farm(old))
+    probe = local.attach_probe("Wave")
+    local.run(iterations)
+    cutoffs = []
+    for (out,), frame in zip(report.group_results, probe.values):
+        by_cutoff = {
+            c: LowPass(cutoff=c).process([frame])[0].data.tobytes() for c in (old, new)
+        }
+        (cutoff,) = [c for c, data in by_cutoff.items() if data == out.data.tobytes()]
+        cutoffs.append(cutoff)
+    # Old band until the update lands, the new one from then on.
+    switch = cutoffs.index(new)
+    assert 0 < switch and cutoffs == [old] * switch + [new] * (iterations - switch)

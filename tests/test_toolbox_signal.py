@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ComplexSpectrum, SampleSet, Spectrum, UnitError
@@ -326,3 +326,40 @@ def test_accumstat_mean_property(values):
         seen.append(v)
         (m,) = acc.process([Spectrum(data=np.array([v]))])
         np.testing.assert_allclose(m.data[0], np.mean(seen), rtol=1e-9, atol=1e-9)
+
+
+# -- the FFT filters keep their stop band -----------------------------------------------
+
+
+def filtered_per_call(unit, sig):
+    """The filter as it computed before it kept its mask: frequencies and
+    stop band rebuilt on every call.  Kept as the reference."""
+    spec = np.fft.rfft(sig.data)
+    freqs = np.fft.rfftfreq(len(sig.data), d=1.0 / sig.sampling_rate)
+    spec[~unit._mask(freqs)] = 0.0
+    return np.fft.irfft(spec, n=len(sig.data))
+
+
+@given(
+    st.sampled_from([LowPass, HighPass]),
+    st.lists(
+        st.tuples(
+            st.sampled_from([8, 63, 64, 256]),
+            st.sampled_from([64.0, 100.0, np.float32(100.0), 1000.1, 44100]),
+            st.sampled_from([100.0 / 63, 5.0, 100, 100.0, 400.0, 1e4]),
+        ),
+        min_size=1, max_size=12,
+    ),
+)
+# An equal float32 rate puts bin 1 of 63 samples on the other side of the cutoff.
+@example(LowPass, [(63, 100.0, 100.0 / 63), (63, np.float32(100.0), 100.0 / 63)])
+@settings(max_examples=60, deadline=None)
+def test_kept_stop_band_is_the_per_call_mask_bit_for_bit(filter_cls, frames):
+    unit = filter_cls()
+    rng = np.random.default_rng(len(frames))
+    for n, rate, cutoff in frames:
+        unit.set_param("cutoff", cutoff)
+        sig = SampleSet(data=rng.normal(size=n), sampling_rate=rate)
+        (out,) = unit.process([sig])
+        assert out.data.tobytes() == filtered_per_call(unit, sig).tobytes()
+        assert (out.sampling_rate, out.t0) == (sig.sampling_rate, sig.t0)
