@@ -25,6 +25,7 @@ This module provides the full workload:
 
 from __future__ import annotations
 
+import math
 from typing import Any, Sequence
 
 import numpy as np
@@ -132,26 +133,36 @@ def view_rotation(theta: float, phi: float) -> np.ndarray:
     return rot_x @ rot_z
 
 
-#: Window cells one pass of the vectorized scatter works on.  Its dozen
-#: 8-byte-per-cell temporaries then stay in cache and below malloc's mmap
-#: threshold (a 2 000-particle 64x64 render has 180 k cells and is ~1.6x
-#: faster in passes of this size than in one), and a pathological
+#: Window cells one pass of the vectorized scatter works on.  Each of the
+#: pass's dozen 8-byte-per-cell temporaries is then at most 128 KiB,
+#: glibc's default mmap threshold.  At 32 Ki cells each is 256 KiB, and
+#: malloc maps or trims them so the next pass faults the pages back in:
+#: one ``sim_galaxy_farm`` rep (ten 2 000-particle 64x64 renders, ~180 k
+#: cells each) takes ~5 900 page faults at 32 Ki, ~2 100 at 16 Ki, and
+#: 16 Ki is its fastest pass of 8, 16 and 32 Ki.  A pathological
 #: smoothing length costs one particle's window of memory, not a chunk's.
-_SCATTER_CHUNK_ELEMENTS = 1 << 15
+_SCATTER_CHUNK_ELEMENTS = 1 << 14
 
 
 def _cubic_spline_kernel(q: np.ndarray) -> np.ndarray:
     """2-D-normalised cubic spline (M4), support ``q`` in [0, 2).
 
-    Shared by the reference loop and the vectorized scatter so both paths
-    evaluate the exact same float expressions.
+    Shared by the reference loop (2-D ``q``) and the vectorized scatter
+    (1-D) so both paths evaluate the exact same float expressions.  Each
+    branch gathers its cells once through integer indices; a cell outside
+    both (``q >= 2``, NaN) stays ``0.0``, which the normalisation would
+    not have moved either.
     """
-    w = np.zeros_like(q)
-    m1 = q < 1.0
-    m2 = (q >= 1.0) & (q < 2.0)
-    w[m1] = 1.0 - 1.5 * q[m1] ** 2 + 0.75 * q[m1] ** 3
-    w[m2] = 0.25 * (2.0 - q[m2]) ** 3
-    return w * (10.0 / (7.0 * np.pi))
+    flat = q.reshape(-1)
+    near = np.flatnonzero(flat < 1.0)
+    far = np.flatnonzero((flat >= 1.0) & (flat < 2.0))
+    norm = 10.0 / (7.0 * np.pi)
+    w = np.zeros_like(flat)
+    qn = flat[near]
+    w[near] = (1.0 - 1.5 * qn ** 2 + 0.75 * qn ** 3) * norm
+    qf = flat[far]
+    w[far] = (0.25 * (2.0 - qf) ** 3) * norm
+    return w.reshape(q.shape)
 
 
 def _scatter_loop(xs, ys, masses, smoothing, grid, resolution, cell, extent) -> None:
@@ -243,14 +254,18 @@ def _scatter_vectorized(xs, ys, masses, smoothing, grid, resolution, cell, exten
         # Every row of a particle meets every column of that particle:
         # ``per_row`` columns each, found from where its columns start.
         per_row = np.repeat(cwy, cwx)
-        col = _ragged(per_row, np.repeat(np.cumsum(cwy) - cwy, cwx))
+        col_first = np.cumsum(cwy) - cwy
+        col = _ragged(per_row, np.repeat(col_first, cwx))
         per_particle = cwx * cwy
         hc = np.repeat(h[sl], per_particle)
         q = np.sqrt(np.repeat(dx2, per_row) + dy2[col]) / hc
         w = _cubic_spline_kernel(q) / (hc * hc)
+        # ``iy[col] == col + y_lo - col_first`` of the column's particle,
+        # so the cell index needs no second full-size gather.
+        row_base = ix * resolution + np.repeat(y_lo[sl] - col_first, cwx)
         np.add.at(
             flat,
-            np.repeat(ix * resolution, per_row) + iy[col],
+            np.repeat(row_base, per_row) + col,
             np.repeat(masses[sl], per_particle) * w,
         )
 
@@ -271,7 +286,9 @@ def sph_column_density(
     grid per particle.  Returns a (resolution, resolution) array.
     A NaN or infinite position, mass or smoothing length is a
     ``ValueError``: no window can be given to such a particle, and
-    leaving it out silently would be a wrong image.
+    leaving it out silently would be a wrong image.  So is a view no
+    image can be drawn in: an ``extent`` that is not finite and positive,
+    or a non-finite ``theta`` / ``phi``.
 
     The scatter runs vectorized (:func:`_scatter_vectorized`); the
     per-particle :func:`_scatter_loop` is the reference the tests hold
@@ -281,6 +298,10 @@ def sph_column_density(
         raise ValueError(f"unknown view {view!r}; valid: {sorted(_VIEW_AXES)}")
     if resolution < 4:
         raise ValueError("resolution must be >= 4")
+    if not (math.isfinite(extent) and extent > 0):
+        raise ValueError(f"extent must be finite and positive, got {extent!r}")
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise ValueError(f"view angles must be finite, got theta={theta!r}, phi={phi!r}")
     for name in ("positions", "masses", "smoothing"):
         bad = np.count_nonzero(~np.isfinite(getattr(snapshot, name)))
         if bad:
@@ -300,8 +321,8 @@ def sph_column_density(
 
 
 def _positive(x) -> None:
-    if not x > 0:
-        raise ValueError(f"must be positive, got {x!r}")
+    if not (x > 0 and math.isfinite(x)):
+        raise ValueError(f"must be finite and positive, got {x!r}")
 
 
 @register_unit(category="galaxy")

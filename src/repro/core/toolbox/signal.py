@@ -51,6 +51,11 @@ def _positive(x) -> None:
         raise ValueError(f"must be positive, got {x!r}")
 
 
+def _positive_int(x) -> None:
+    if not isinstance(x, (int, np.integer)) or x < 1:
+        raise ValueError(f"must be a positive integer, got {x!r}")
+
+
 def _non_negative(x) -> None:
     if x < 0:
         raise ValueError(f"must be >= 0, got {x!r}")
@@ -467,7 +472,7 @@ class Decimate(Unit):
     NUM_OUTPUTS = 1
     INPUT_TYPES = (SampleSet,)
     OUTPUT_TYPES = (SampleSet,)
-    PARAMETERS = (ParamSpec("factor", 2, "decimation factor", _positive),)
+    PARAMETERS = (ParamSpec("factor", 2, "decimation factor", _positive_int),)
 
     def process(self, inputs: Sequence[Any]) -> list[Any]:
         (sig,) = inputs

@@ -15,7 +15,7 @@ from repro.apps.galaxy import (
     register_dataset,
     sph_column_density,
 )
-from repro.core import LocalEngine, ParticleSnapshot, UnitError
+from repro.core import LocalEngine, ParameterError, ParticleSnapshot, UnitError
 
 
 def scatter_both(xs, ys, masses, smoothing, resolution, extent):
@@ -161,7 +161,7 @@ class TestUnits:
         particles=st.lists(particle, max_size=40),
         resolution=st.sampled_from([4, 7, 24, 33, 64]),
         extent=st.sampled_from([2.5, 1.0, 3.3]),
-        budget=st.one_of(st.integers(1, 400), st.just(1 << 15)),
+        budget=st.one_of(st.integers(1, 400), st.just(galaxy_mod._SCATTER_CHUNK_ELEMENTS)),
     )
     @settings(max_examples=150, deadline=None)
     def test_scatter_vectorized_bit_identical_on_generated_inputs(
@@ -204,6 +204,31 @@ class TestUnits:
             sph_column_density(frame, resolution=16)
         with pytest.raises(UnitError, match=field):
             ColumnDensity(resolution=16).process([frame])
+
+    @pytest.mark.parametrize("view", [
+        {"extent": 0.0},
+        {"extent": np.inf},
+        {"extent": np.nan},
+        {"extent": -2.5},
+        {"theta": np.nan},
+        {"phi": np.inf},
+        {"theta": -np.inf, "phi": 0.3},
+    ])
+    def test_bad_view_is_rejected(self, view):
+        """No image can be drawn in such a view.  It used to come back
+        all zero with RuntimeWarnings, or (a negative extent) as a
+        nonzero image with none."""
+        (frame,) = generate_snapshots(n_frames=1, n_particles=200, seed=12)
+        with pytest.raises(ValueError, match="extent|angles"):
+            sph_column_density(frame, resolution=16, **view)
+        with pytest.raises(UnitError):
+            ColumnDensity(resolution=16, **view).process([frame])
+
+    @pytest.mark.parametrize("param", ["extent", "resolution"])
+    def test_column_density_rejects_an_infinite_size_when_set(self, param):
+        """Caught by the setter, not by a render that casts ``inf``."""
+        with pytest.raises(ParameterError, match="finite"):
+            ColumnDensity(**{param: np.inf})
 
     def test_empty_snapshot_renders_an_empty_image(self):
         grid = sph_column_density(ParticleSnapshot(), resolution=8)

@@ -24,10 +24,18 @@ def ladder_snapshot():
 class TestRenderBudget:
     def test_render_peak_memory(self):
         """A padded (chunk, span, span) scatter peaked at 28.8 MiB here,
-        all 179 k window cells in one pass at 12.1; a pass of
-        ``_SCATTER_CHUNK_ELEMENTS`` cells stays near 2."""
+        all 179 k window cells in one pass at 12.1, 32 Ki-cell passes
+        with a boolean-mask kernel at 2.1; 16 Ki-cell passes with an
+        indexed kernel stay near 1.2."""
         snapshot = ladder_snapshot()
-        assert traced_peak(lambda: sph_column_density(snapshot, resolution=64)) <= 4 << 20
+        assert traced_peak(lambda: sph_column_density(snapshot, resolution=64)) <= 2 << 20
+
+    def test_pass_temporaries_fit_under_the_mmap_threshold(self):
+        """One float64 per window cell of a pass is at most glibc's
+        default ``M_MMAP_THRESHOLD`` (128 KiB), so malloc serves a pass's
+        temporaries from the heap instead of mapping and faulting them
+        in again on every pass."""
+        assert galaxy_mod._SCATTER_CHUNK_ELEMENTS * 8 <= 128 << 10
 
     def test_scatter_touches_only_window_cells(self, monkeypatch):
         """Entries handed to ``np.add.at`` == cells of the particles' own

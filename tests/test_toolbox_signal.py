@@ -264,6 +264,19 @@ class TestFiltersAndTransforms:
         assert len(d) == 64
         assert d.sampling_rate == pytest.approx(256.0)
         np.testing.assert_array_equal(d.data, sig.data[::4])
+        (d,) = Decimate(factor=np.int64(2)).process([sig])
+        np.testing.assert_array_equal(d.data, sig.data[::2])
+
+    @pytest.mark.parametrize("factor", [0.5, 2.7, 2.0, 0, -2])
+    def test_decimate_factor_must_be_a_positive_integer(self, factor):
+        """0.5 used to reach ``data[::0]`` as a bare ``ValueError``, and
+        2.7 decimated by 2 while claiming 2.7; both stop at the setter."""
+        with pytest.raises(UnitError, match="positive integer"):
+            Decimate(factor=factor)
+        unit = Decimate()
+        with pytest.raises(UnitError, match="positive integer"):
+            unit.set_param("factor", factor)
+        assert unit.get_param("factor") == 2
 
     def test_correlate_peak_at_lag(self):
         rng = np.random.default_rng(0)
