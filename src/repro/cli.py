@@ -1,4 +1,4 @@
-"""Command-line interface: run, convert and inspect task graphs.
+"""Command-line interface: run and inspect task graphs.
 
 The headless counterpart of the Triana GUI::
 
@@ -6,12 +6,11 @@ The headless counterpart of the Triana GUI::
     python -m repro policies                    # distribution policies
     python -m repro run fig1.xml -n 20 --probe Accum
     python -m repro run fig1.xml -n 20 --workers 4    # simulated grid
-    python -m repro convert fig1.xml --to wsfl        # format bridge
     python -m repro analyze run.jsonl                 # why was it slow?
     python -m repro sweep e4_galaxy                   # regenerate an experiment
 
-Graph files may be in any of the three §3.1 formats (native taskgraph
-XML, WSFL, Petri net); the format is sniffed from the root element.
+A graph file is the XML task graph of Code Segment 1, the one format
+every worker parses (:mod:`repro.core.xml_io`).
 """
 
 from __future__ import annotations
@@ -22,55 +21,10 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .analysis.tables import render_kv, render_table
-from .core import (
-    LocalEngine,
-    TaskGraph,
-    global_registry,
-    graph_from_petrinet,
-    graph_from_string,
-    graph_from_wsfl,
-    graph_to_petrinet,
-    graph_to_string,
-    graph_to_wsfl,
-)
-from .core.errors import SerializationError, WorkflowError
+from .core import LocalEngine, global_registry, graph_from_string
+from .core.errors import WorkflowError
 
-__all__ = ["main", "load_graph_text", "FORMATS"]
-
-FORMATS = ("native", "wsfl", "petrinet")
-
-_PARSERS = {
-    "native": graph_from_string,
-    "wsfl": graph_from_wsfl,
-    "petrinet": graph_from_petrinet,
-}
-_WRITERS = {
-    "native": graph_to_string,
-    "wsfl": graph_to_wsfl,
-    "petrinet": graph_to_petrinet,
-}
-_ROOTS = {"taskgraph": "native", "flowModel": "wsfl", "net": "petrinet"}
-
-
-def sniff_format(text: str) -> str:
-    """Guess the wire format from the XML root element."""
-    stripped = text.lstrip()
-    for root, fmt in _ROOTS.items():
-        if stripped.startswith(f"<{root}"):
-            return fmt
-    raise SerializationError(
-        "unrecognised graph format; expected a <taskgraph>, <flowModel> or "
-        "<net> document"
-    )
-
-
-def load_graph_text(text: str, fmt: str = "auto") -> TaskGraph:
-    """Parse graph text in the given (or sniffed) format."""
-    if fmt == "auto":
-        fmt = sniff_format(text)
-    if fmt not in _PARSERS:
-        raise SerializationError(f"unknown format {fmt!r}; valid: {FORMATS}")
-    return _PARSERS[fmt](text)
+__all__ = ["main"]
 
 
 def _cmd_units(args) -> int:
@@ -149,16 +103,8 @@ def _cmd_faults(args) -> int:
     return 0
 
 
-def _cmd_convert(args) -> int:
-    text = Path(args.graph).read_text()
-    graph = load_graph_text(text, args.from_format)
-    print(_WRITERS[args.to](graph))
-    return 0
-
-
 def _cmd_validate(args) -> int:
-    text = Path(args.graph).read_text()
-    graph = load_graph_text(text, args.from_format)
+    graph = graph_from_string(Path(args.graph).read_text())
     graph.validate()
     groups = graph.groups()
     print(render_kv(
@@ -175,16 +121,21 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    text = Path(args.graph).read_text()
-    graph = load_graph_text(text, args.from_format)
+    graph = graph_from_string(Path(args.graph).read_text())
     probes = tuple(args.probe or ())
     if args.workers == 0:
-        if args.trace_out or args.metrics_out or args.telemetry_out:
-            flag = ("--trace-out" if args.trace_out
-                    else "--metrics-out" if args.metrics_out
-                    else "--telemetry-out")
-            print(f"error: {flag} needs a simulated grid (--workers > 0)",
-                  file=sys.stderr)
+        grid_only = {
+            "--transport": args.transport != "sim",
+            "--verification": args.verification != "none",
+            "--dispatch": args.dispatch != "round_robin",
+            "--trace-out": args.trace_out,
+            "--metrics-out": args.metrics_out,
+            "--telemetry-out": args.telemetry_out,
+        }
+        flags = [flag for flag, given in grid_only.items() if given]
+        if flags:
+            print(f"error: {', '.join(flags)}: grid mode only, and --workers 0 "
+                  "runs the local engine", file=sys.stderr)
             return 1
         engine = LocalEngine(graph)
         attached = [engine.attach_probe(p) for p in probes]
@@ -273,7 +224,7 @@ def _cmd_top(args) -> int:
         # dashboard over the live trace.
         from .grid import ConsumerGrid
 
-        graph = load_graph_text(text, "auto")
+        graph = graph_from_string(text)
         grid = ConsumerGrid(
             n_workers=args.workers,
             seed=args.seed,
@@ -342,6 +293,19 @@ def _cmd_sweep(args) -> int:
     return 1 if failed else 0
 
 
+def _verification_spec(spec: str) -> str:
+    """``--verification``'s type: a bad spec is a usage error, raised
+    before any fabric or worker process exists."""
+    from .service.errors import SchedulingError
+    from .service.integrity import make_verifier
+
+    try:
+        make_verifier(spec)
+    except SchedulingError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return spec
+
+
 def _grid_args(workers: int) -> argparse.ArgumentParser:
     """What a grid is and how it deals: the flags ``run`` and ``top`` share.
 
@@ -399,16 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_validate = sub.add_parser("validate", help="type-check a task graph file")
     p_validate.add_argument("graph")
-    p_validate.add_argument("--from-format", default="auto",
-                            choices=("auto", *FORMATS))
     p_validate.set_defaults(fn=_cmd_validate)
-
-    p_convert = sub.add_parser("convert", help="convert between wire formats")
-    p_convert.add_argument("graph")
-    p_convert.add_argument("--to", required=True, choices=FORMATS)
-    p_convert.add_argument("--from-format", default="auto",
-                           choices=("auto", *FORMATS))
-    p_convert.set_defaults(fn=_cmd_convert)
 
     from .transport import transport_names
 
@@ -422,6 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "sockets, controller in-process + one OS "
                             "process per worker")
     p_run.add_argument("--verification", default="none", metavar="SPEC",
+                       type=_verification_spec,
                        help="result-integrity strategy: none, replicate-<k> "
                             "(vote over k peers), or spot-<p> (recompute a "
                             "fraction p locally); grid mode only")
@@ -437,8 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--telemetry-out", default=None, metavar="PATH",
                        help="enable live telemetry and write the sampled "
                             "timeseries as JSONL; grid mode only")
-    p_run.add_argument("--from-format", default="auto",
-                       choices=("auto", *FORMATS))
     p_run.set_defaults(fn=_cmd_run)
 
     p_top = sub.add_parser(

@@ -56,8 +56,6 @@ from .types import (
 )
 from .units import ParamSpec, Unit
 from .introspect import describe_unit, graph_to_dot
-from .petrinet import PetriNet, graph_from_petrinet, graph_to_petrinet, petri_structure
-from .wsfl import graph_from_wsfl, graph_to_wsfl
 from .xml_io import (
     graph_from_string,
     graph_from_xml,
@@ -100,20 +98,14 @@ __all__ = [
     "VectorType",
     "WorkflowError",
     "global_registry",
-    "PetriNet",
     "describe_unit",
-    "graph_from_petrinet",
     "graph_from_string",
-    "graph_from_wsfl",
     "graph_from_xml",
     "graph_to_dot",
-    "graph_to_petrinet",
     "graph_to_string",
-    "graph_to_wsfl",
     "graph_to_xml",
     "is_compatible",
     "known_policy_names",
-    "petri_structure",
     "register_policy_name",
     "unit_names_in_xml",
     "register_unit",

@@ -119,6 +119,28 @@ def _parse_endpoint(text: str) -> tuple[str, int]:
         raise SerializationError(f"bad connection endpoint {text!r}") from exc
 
 
+def _int_attr(el: ET.Element, attr: str) -> int:
+    value = el.get(attr)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise SerializationError(
+            f"<{el.tag}> attribute {attr!r} must be an integer, got {value!r}"
+        ) from None
+
+
+def _parse_params(el: ET.Element, task: str) -> dict:
+    params = {}
+    for p in el.findall("param"):
+        pname = p.get("name")
+        if not pname:
+            raise SerializationError(
+                f"<param> of task {task!r} requires a 'name' attribute"
+            )
+        params[pname] = _decode_value(p.get("value", "null"))
+    return params
+
+
 def _parse_graph(
     el: ET.Element, registry: UnitRegistry
 ) -> TaskGraph:
@@ -129,11 +151,7 @@ def _parse_graph(
             unit = child.get("unit")
             if not name or not unit:
                 raise SerializationError("<task> requires name and unit attributes")
-            params = {
-                p.get("name"): _decode_value(p.get("value", "null"))
-                for p in child.findall("param")
-            }
-            task = graph.add_task(name, unit, **params)
+            task = graph.add_task(name, unit, **_parse_params(child, name))
             declared = child.get("version")
             if declared and declared != task.descriptor.version:
                 raise SerializationError(
@@ -147,18 +165,26 @@ def _parse_graph(
             if name is None or sub_el is None:
                 raise SerializationError("<group> requires a name and a <subgraph>")
             sub = _parse_graph(sub_el, registry)
-            in_map: list[tuple[int, str, int]] = []
-            out_map: list[tuple[int, str, int]] = []
+            maps: dict[str, list[tuple[int, str, int]]] = {"in": [], "out": []}
             for m in child.findall("nodemapping"):
-                entry = (int(m.get("external")), m.get("task"), int(m.get("node")))
-                (in_map if m.get("direction") == "in" else out_map).append(entry)
-            in_map.sort()
-            out_map.sort()
+                direction, tname = m.get("direction"), m.get("task")
+                if direction not in maps:
+                    raise SerializationError(
+                        f"<nodemapping> attribute 'direction' must be 'in' or "
+                        f"'out', got {direction!r}"
+                    )
+                if not tname:
+                    raise SerializationError(
+                        "<nodemapping> requires a 'task' attribute"
+                    )
+                maps[direction].append(
+                    (_int_attr(m, "external"), tname, _int_attr(m, "node"))
+                )
             graph.add_group(
                 name,
                 sub,
-                [(t, n) for _i, t, n in in_map],
-                [(t, n) for _i, t, n in out_map],
+                [(t, n) for _i, t, n in sorted(maps["in"])],
+                [(t, n) for _i, t, n in sorted(maps["out"])],
                 policy=policy,
             )
         elif child.tag == "connection":

@@ -3,8 +3,12 @@
 import pytest
 
 from repro.analysis import fig1_grouped
-from repro.cli import FORMATS, load_graph_text, main, sniff_format
-from repro.core import graph_to_petrinet, graph_to_string, graph_to_wsfl
+from repro.cli import main
+from repro.core import graph_to_string
+from tests.test_core_xml import MALFORMED
+
+VERBS = ["units", "policies", "transports", "faults", "validate", "run",
+         "top", "analyze", "sweep"]
 
 
 @pytest.fixture
@@ -14,30 +18,84 @@ def graph_file(tmp_path):
     return str(path)
 
 
-class TestSniffing:
-    def test_sniff_all_formats(self):
-        g = fig1_grouped()
-        assert sniff_format(graph_to_string(g)) == "native"
-        assert sniff_format(graph_to_wsfl(g)) == "wsfl"
-        assert sniff_format(graph_to_petrinet(g)) == "petrinet"
+def usage_error(argv) -> None:
+    """``argv`` is refused by the parser: exit 2, nothing run."""
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
 
-    def test_sniff_unknown(self):
-        from repro.core import SerializationError
 
-        with pytest.raises(SerializationError):
-            sniff_format("<mystery/>")
+class TestSurface:
+    def test_help_lists_exactly_the_nine_verbs(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        listed = out[out.index("{") + 1: out.index("}")]
+        assert listed.split(",") == VERBS
 
-    def test_load_auto_round_trips(self):
-        g = fig1_grouped()
-        for writer in (graph_to_string, graph_to_wsfl, graph_to_petrinet):
-            g2 = load_graph_text(writer(g))
-            assert sorted(g2.tasks) == sorted(g.tasks)
+    def test_convert_is_gone(self, graph_file, capsys):
+        usage_error(["convert", graph_file, "--to", "native"])
+        assert "invalid choice: 'convert'" in capsys.readouterr().err
 
-    def test_load_bad_format_name(self):
-        from repro.core import SerializationError
+    def test_from_format_is_gone(self, graph_file, capsys):
+        usage_error(["run", graph_file, "--from-format", "wsfl"])
+        assert "--from-format" in capsys.readouterr().err
 
-        with pytest.raises(SerializationError):
-            load_graph_text("<taskgraph/>", fmt="yaml")
+    @pytest.mark.parametrize("transport", ["sim", "tcp"])
+    def test_bad_verification_is_a_usage_error(
+        self, graph_file, transport, monkeypatch, capsys
+    ):
+        # Refused while parsing: no fabric is built and, on tcp, no
+        # worker process is spawned for a run that cannot start.
+        import repro.deployment
+        import repro.grid
+
+        def started(*args, **kwargs):
+            raise AssertionError("a run started on a bad --verification")
+
+        monkeypatch.setattr(repro.grid, "ConsumerGrid", started)
+        monkeypatch.setattr(repro.deployment, "run_tcp_localhost", started)
+        for spec in ("bogus", "replicate-1", "spot-2"):
+            usage_error(["run", graph_file, "--workers", "2",
+                         "--transport", transport, "--verification", spec])
+            err = capsys.readouterr().err
+            assert "argument --verification" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--transport", "tcp"],
+        ["--verification", "replicate-3"],
+        ["--dispatch", "weighted"],
+        ["--trace-out", "t.json"],
+        ["--metrics-out", "m.json"],
+        ["--telemetry-out", "t.jsonl"],
+        ["--transport", "tcp", "--verification", "replicate-3",
+         "--dispatch", "weighted"],
+    ], ids=lambda flags: "+".join(flag.lstrip("-") for flag in flags[::2]))
+    def test_grid_only_flag_without_a_grid_is_error_1(
+        self, graph_file, flags, capsys
+    ):
+        assert main(["run", graph_file, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        for flag in flags[::2]:
+            assert flag in err
+
+    def test_validate_unknown_root_is_error_1(self, tmp_path, capsys):
+        mystery = tmp_path / "mystery.xml"
+        mystery.write_text("<mystery/>")
+        assert main(["validate", str(mystery)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_validate_malformed_graph_is_error_1(self, case, tmp_path, capsys):
+        text, names = MALFORMED[case]
+        path = tmp_path / "bad.xml"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and names in err
+        assert "Traceback" not in err
 
 
 class TestCommands:
@@ -79,15 +137,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "valid" in out and "GroupTask(parallel)" in out
 
-    def test_convert_to_wsfl_and_back(self, graph_file, capsys, tmp_path):
-        assert main(["convert", graph_file, "--to", "wsfl"]) == 0
-        wsfl_text = capsys.readouterr().out
-        assert "flowModel" in wsfl_text
-        wsfl_path = tmp_path / "fig1.wsfl"
-        wsfl_path.write_text(wsfl_text)
-        assert main(["convert", str(wsfl_path), "--to", "petrinet"]) == 0
-        assert "<net" in capsys.readouterr().out
-
     def test_run_local(self, graph_file, capsys):
         assert main(["run", graph_file, "-n", "5", "--probe", "Accum"]) == 0
         out = capsys.readouterr().out
@@ -115,9 +164,6 @@ class TestCommands:
         bad.write_text('<taskgraph name="x"><task name="a" unit="Nope"/></taskgraph>')
         assert main(["validate", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
-
-    def test_formats_constant(self):
-        assert FORMATS == ("native", "wsfl", "petrinet")
 
 
 class TestObservabilityFlags:

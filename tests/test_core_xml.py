@@ -12,6 +12,51 @@ from repro.core import (
 from tests.test_core_taskgraph import fig1_graph
 
 
+def _group_with(mapping: str) -> str:
+    return (
+        '<taskgraph><group name="g"><subgraph><task name="a" unit="Gain"/>'
+        f"</subgraph>{mapping}</group></taskgraph>"
+    )
+
+
+#: (graph text, what the SerializationError names): a graph file comes
+#: from outside the program, so none of these may escape as another type
+MALFORMED = {
+    "mapping-without-external": (
+        _group_with('<nodemapping direction="in" task="a" node="0"/>'),
+        "<nodemapping> attribute 'external'",
+    ),
+    "mapping-without-node": (
+        _group_with('<nodemapping direction="in" external="0" task="a"/>'),
+        "<nodemapping> attribute 'node'",
+    ),
+    "mapping-non-integer-external": (
+        _group_with('<nodemapping direction="in" external="x" task="a" node="0"/>'),
+        "<nodemapping> attribute 'external' must be an integer, got 'x'",
+    ),
+    "mapping-non-integer-node": (
+        _group_with('<nodemapping direction="in" external="0" task="a" node="1.5"/>'),
+        "<nodemapping> attribute 'node' must be an integer, got '1.5'",
+    ),
+    "mapping-bad-direction": (
+        _group_with('<nodemapping direction="sideways" external="0" task="a" node="0"/>'),
+        "<nodemapping> attribute 'direction' must be 'in' or 'out', got 'sideways'",
+    ),
+    "mapping-without-direction": (
+        _group_with('<nodemapping external="0" task="a" node="0"/>'),
+        "<nodemapping> attribute 'direction'",
+    ),
+    "mapping-without-task": (
+        _group_with('<nodemapping direction="in" external="0" node="0"/>'),
+        "<nodemapping> requires a 'task' attribute",
+    ),
+    "param-without-name": (
+        '<taskgraph><task name="a" unit="Gain"><param value="1"/></task></taskgraph>',
+        "<param> of task 'a' requires a 'name' attribute",
+    ),
+}
+
+
 def grouped_fig1() -> TaskGraph:
     g = fig1_graph()
     g.group_tasks("GroupTask", ["Gaussian", "FFT"], policy="parallel")
@@ -131,6 +176,13 @@ class TestErrors:
         task.params["frequency"] = object()  # sneak in a bad value
         with pytest.raises(SerializationError):
             graph_to_string(g)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_attribute_is_a_serialization_error(self, case):
+        text, names = MALFORMED[case]
+        with pytest.raises(SerializationError) as err:
+            graph_from_string(text)
+        assert names in str(err.value)
 
     def test_parse_against_empty_registry_fails(self):
         xml = graph_to_string(fig1_graph())

@@ -1,9 +1,9 @@
-"""Property-based tests: random task graphs, both wire formats, engine.
+"""Property-based tests: random task graphs, the XML wire format, engine.
 
 A hypothesis strategy builds random layered DAGs out of a small unit
 palette; the properties assert the invariants the rest of the system
 relies on: deterministic topological order, flatten preserving structure
-and semantics, and both XML formats round-tripping losslessly.
+and semantics, and the XML wire format round-tripping losslessly.
 """
 
 import numpy as np
@@ -17,9 +17,7 @@ from repro.core import (
     LocalEngine,
     TaskGraph,
     graph_from_string,
-    graph_from_wsfl,
     graph_to_string,
-    graph_to_wsfl,
 )
 
 # Palette: (unit, n_in, n_out) — all SampleSet→SampleSet so any wiring
@@ -131,31 +129,6 @@ def test_random_graph_native_xml_round_trip(g):
     assert graph_to_string(g2) == xml
 
 
-@given(random_graphs())
-@settings(max_examples=40, deadline=None)
-def test_random_graph_wsfl_round_trip(g):
-    wsfl = graph_to_wsfl(g)
-    g2 = graph_from_wsfl(wsfl)
-    assert sorted(g2.tasks) == sorted(g.tasks)
-    assert {c.label() for c in g2.connections} == {c.label() for c in g.connections}
-    assert graph_to_wsfl(g2) == wsfl
-
-
-@given(random_graphs())
-@settings(max_examples=20, deadline=None)
-def test_formats_agree_on_execution(g):
-    """Native and WSFL encodings execute to identical payloads."""
-    g_native = graph_from_string(graph_to_string(g))
-    g_wsfl = graph_from_wsfl(graph_to_wsfl(g))
-    e1, e2 = LocalEngine(g_native), LocalEngine(g_wsfl)
-    e1.run(2)
-    e2.run(2)
-    for name, unit in e1.units.items():
-        if hasattr(unit, "frames") and unit.frames:
-            other = e2.units[name]
-            np.testing.assert_allclose(unit.last_frame.y, other.last_frame.y)
-
-
 @given(random_graphs(), st.integers(1, 4))
 @settings(max_examples=20, deadline=None)
 def test_engine_deterministic_property(g, iterations):
@@ -188,39 +161,3 @@ def test_grouping_preserves_execution_property(g):
         if hasattr(unit, "frames") and unit.frames:
             mirror = e2.units.get(name) or e2.units.get(f"G/{name}")
             np.testing.assert_allclose(unit.last_frame.y, mirror.last_frame.y)
-
-
-class TestWsflSpecifics:
-    def test_grouped_graph_round_trip(self):
-        from repro.analysis import fig1_grouped
-
-        g = fig1_grouped()
-        g2 = graph_from_wsfl(graph_to_wsfl(g))
-        group = g2.task("GroupTask")
-        assert group.policy == "parallel"
-        assert sorted(group.graph.tasks) == ["FFT", "Gaussian"]
-        g2.validate()
-
-    def test_wsfl_vocabulary(self):
-        from repro.analysis import fig1_grouped
-
-        text = graph_to_wsfl(fig1_grouped())
-        for token in ("flowModel", "activity", "dataLink", "export", "composite"):
-            assert token in text, token
-
-    def test_wsfl_errors(self):
-        import pytest
-
-        from repro.core import SerializationError
-
-        with pytest.raises(SerializationError):
-            graph_from_wsfl("<notflow/>")
-        with pytest.raises(SerializationError):
-            graph_from_wsfl("<flowModel><activity/></flowModel>")
-        with pytest.raises(SerializationError):
-            graph_from_wsfl(
-                '<flowModel><activity name="a" operation="Wave" version="9.9"/>'
-                "</flowModel>"
-            )
-        with pytest.raises(SerializationError):
-            graph_from_wsfl("<flowModel><widget/></flowModel>")

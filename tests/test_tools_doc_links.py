@@ -1,4 +1,5 @@
-"""tools/check_doc_links.py: the protocol table is checked against the code."""
+"""tools/check_doc_links.py: the protocol table and the CLI verbs the docs
+name are checked against the code."""
 
 import importlib.util
 import pathlib
@@ -69,4 +70,60 @@ def test_a_missing_and_a_stale_row_are_reported(tmp_path):
         "which no handler is registered for",
         "docs/architecture.md: protocol table lists 'group-exec-bulk', "
         "which no handler is registered for",
+    ]
+
+
+CLI = '''
+def build_parser():
+    sub = parser.add_subparsers(dest="command")
+    sub.add_parser("run", help="execute a task graph")
+    p_top = sub.add_parser(
+        "top", parents=[grid_args()], help="dashboard"
+    )
+    parser.add_argument("--workers")
+'''
+
+README = """# demo
+
+Run one with `repro run g.xml`, or convert it with `repro convert g.xml`.
+`from repro import ConsumerGrid`, `repro.core` and `repro --help` name no
+verb; a span may wrap: `python -m repro
+top run.jsonl`.
+
+```bash
+python -m repro top run.jsonl
+PYTHONPATH=src python -m repro convert g.xml --to native
+```
+"""
+
+SKILL = """# verify
+
+1. **CLI** — `python -m repro {run,convert, top}`:
+
+   ```bash
+   $ repro run g.xml
+   ```
+"""
+
+
+def test_the_repo_docs_name_only_real_verbs():
+    assert doc_links.check_cli_verbs(_ROOT) == []
+    verbs = doc_links.cli_verbs(_ROOT / "src" / "repro" / "cli.py")
+    assert verbs == {"units", "policies", "transports", "faults", "validate",
+                     "run", "top", "analyze", "sweep"}
+
+
+def test_a_stale_verb_and_a_stale_verb_set_are_reported(tmp_path):
+    (tmp_path / "src" / "repro").mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "cli.py").write_text(CLI)
+    (tmp_path / "README.md").write_text(README)
+    skill = tmp_path / ".claude" / "skills" / "verify" / "SKILL.md"
+    skill.parent.mkdir(parents=True)
+    skill.write_text(SKILL)
+    assert doc_links.cli_verbs(tmp_path / "src" / "repro" / "cli.py") == {"run", "top"}
+    assert doc_links.check_cli_verbs(tmp_path) == [
+        "README.md:3: names CLI verb 'convert', which src/repro/cli.py does not add",
+        "README.md:10: names CLI verb 'convert', which src/repro/cli.py does not add",
+        ".claude/skills/verify/SKILL.md:3: names CLI verb 'convert', which "
+        "src/repro/cli.py does not add",
     ]

@@ -19,10 +19,12 @@ import pytest
 
 import repro.deployment as deployment
 from repro import ConsumerGrid, TaskGraph
+from repro.analysis import fig1_grouped
 from repro.apps.galaxy import build_galaxy_graph, generate_snapshots
 from repro.deployment import run_tcp_localhost
 from repro.p2p.advertisement import ADV_MODULE, ADV_SERVICE, AttrPredicate
 from repro.p2p.network import Message
+from repro.service import SchedulingError
 from repro.transport import RealtimeSimulator, TcpTransport
 from repro.transport.tcp import _FrameReader
 from repro.transport.wire import encode_message, result_checksum
@@ -474,10 +476,11 @@ class TestGridOverTcp:
 
 
 class TestLauncherHygiene:
-    def test_failed_controller_leaves_no_worker_processes(self, monkeypatch):
-        # The workers are spawned first; if the controller then cannot
-        # bind, they must be reaped before the error escapes — nobody
-        # is left to send them node-shutdown.
+    """No exit path of ``run_tcp_localhost`` leaves a worker process."""
+
+    @pytest.fixture
+    def procs(self, monkeypatch):
+        """Every worker ``Popen`` the launcher starts (killed if one is left)."""
         procs = []
         launch = deployment.launch_worker
 
@@ -485,24 +488,60 @@ class TestLauncherHygiene:
             procs.append(launch(*args, **kwargs))
             return procs[-1]
 
+        monkeypatch.setattr(deployment, "launch_worker", recording_launch)
+        yield procs
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10.0)
+
+    @staticmethod
+    def assert_reaped(procs, within_s=5.0):
+        deadline = time.monotonic() + within_s
+        while any(proc.poll() is None for proc in procs):
+            assert time.monotonic() < deadline, "a worker process outlived its run"
+            time.sleep(0.05)
+
+    def test_failed_controller_leaves_no_worker_processes(self, procs, monkeypatch):
+        # The workers are spawned first; if the controller then cannot
+        # bind, they must be reaped before the error escapes — nobody
+        # is left to send them node-shutdown.
         def refuse(*args, **kwargs):
             raise OSError("address already in use")
 
-        monkeypatch.setattr(deployment, "launch_worker", recording_launch)
         monkeypatch.setattr(deployment, "ControllerNode", refuse)
         started = time.monotonic()
-        try:
-            with pytest.raises(OSError, match="already in use"):
-                run_tcp_localhost(TaskGraph("never-runs"), iterations=1, n_workers=2)
-            elapsed = time.monotonic() - started
-            assert len(procs) == 2
-            assert all(proc.poll() is not None for proc in procs)
-            assert elapsed < 5.0
-        finally:
-            for proc in procs:
-                if proc.poll() is None:
-                    proc.kill()
-                    proc.wait(timeout=10.0)
+        with pytest.raises(OSError, match="already in use"):
+            run_tcp_localhost(TaskGraph("never-runs"), iterations=1, n_workers=2)
+        elapsed = time.monotonic() - started
+        assert len(procs) == 2
+        assert all(proc.poll() is not None for proc in procs)
+        assert elapsed < 5.0
+
+    def test_normal_return_workers_exit_on_node_shutdown(self, procs):
+        report = run_tcp_localhost(fig1_grouped(), iterations=2, n_workers=2)
+        assert report.iterations == 2
+        assert len(procs) == 2
+        # Each left on its own when told to (0), not by SIGTERM (-15).
+        assert [proc.returncode for proc in procs] == [0, 0]
+
+    def test_failure_after_admission_reaps_every_worker(self, procs):
+        # Both workers have advertised and been admitted when the
+        # controller refuses the spec; nobody sends them node-shutdown.
+        with pytest.raises(SchedulingError, match="bogus"):
+            run_tcp_localhost(
+                fig1_grouped(), iterations=1, n_workers=2, verification="bogus"
+            )
+        assert len(procs) == 2
+        self.assert_reaped(procs)
+
+    def test_startup_deadline_reaps_every_worker(self, procs):
+        with pytest.raises(TimeoutError, match="never heard from"):
+            run_tcp_localhost(
+                fig1_grouped(), iterations=1, n_workers=2, startup_deadline=0.0
+            )
+        assert len(procs) == 2
+        self.assert_reaped(procs)
 
 
 class TestMultiProcessE2E:

@@ -16,6 +16,12 @@ code: every message kind a handler is registered for under ``src/repro``
 (``peer.on("kind", ...)``) has a row, and every kind in a row is
 registered somewhere.
 
+And checks the CLI verbs the docs name against ``src/repro/cli.py``:
+every ``repro <verb>``, ``python -m repro <verb>`` or ``python -m repro
+{a,b,...}`` in a code span or fenced block of the pages in
+``VERB_PAGES`` must be a sub-command the parser adds
+(``sub.add_parser("verb", ...)``).
+
 Usage: ``python tools/check_doc_links.py [repo_root]``
 """
 
@@ -127,9 +133,70 @@ def check_message_table(root: Path) -> list[str]:
     ]
 
 
+#: pages whose code may name CLI verbs (globs, relative to the repo root)
+VERB_PAGES = ("README.md", "docs/*.md", "DESIGN.md", "EXPERIMENTS.md",
+              ".claude/skills/verify/SKILL.md")
+_FENCE = re.compile(r"^[ \t]*(```|~~~).*?^[ \t]*\1", re.M | re.S)
+_SPAN = re.compile(r"`([^`]+)`")
+#: ``repro`` in command position — first word (after an optional ``$``
+#: prompt) or the module of ``-m`` — then a verb or a ``{a,b}`` set;
+#: ``from repro import`` and dotted ``repro.core`` are not commands
+_COMMAND = re.compile(
+    r"(?:^[ \t]*(?:\$[ \t]+)?|-m[ \t]+)repro[ \t]+(\{[^}\n]*\}|[a-z][\w-]*)", re.M
+)
+
+
+def cli_verbs(cli: Path) -> set[str]:
+    """The names ``cli`` passes to ``<subparsers>.add_parser("name", ...)``."""
+    return {
+        call.args[0].value
+        for call in ast.walk(ast.parse(cli.read_text()))
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "add_parser"
+        and call.args
+        and isinstance(call.args[0], ast.Constant)
+    }
+
+
+def named_verbs(text: str):
+    """Yield (line_number, verb) for every CLI verb a code span or fenced
+    block of the markdown ``text`` names."""
+    snippets = [(fence.start(), fence.group()) for fence in _FENCE.finditer(text)]
+    # Blank the fences (keeping offsets) so their backticks pair with nothing.
+    prose = _FENCE.sub(lambda m: re.sub(r"[^\n]", " ", m.group()), text)
+    # A span may wrap a line; it renders, and reads, as one line.
+    snippets += [
+        (span.start(1), span.group(1).replace("\n", " "))
+        for span in _SPAN.finditer(prose)
+    ]
+    for offset, snippet in snippets:
+        for match in _COMMAND.finditer(snippet):
+            lineno = text.count("\n", 0, offset + match.start(1)) + 1
+            for verb in match.group(1).strip("{}").split(","):
+                yield lineno, verb.strip()
+
+
+def check_cli_verbs(root: Path) -> list[str]:
+    cli = root / "src" / "repro" / "cli.py"
+    if not cli.exists():
+        return []
+    verbs = cli_verbs(cli)
+    problems = []
+    for pattern in VERB_PAGES:
+        for page in sorted(root.glob(pattern)):
+            for lineno, verb in sorted(named_verbs(page.read_text())):
+                if verb not in verbs:
+                    problems.append(
+                        f"{page.relative_to(root)}:{lineno}: names CLI verb "
+                        f"{verb!r}, which src/repro/cli.py does not add"
+                    )
+    return problems
+
+
 def check(root: Path) -> list[str]:
     """Return a list of human-readable problems (empty = all good)."""
-    problems: list[str] = check_message_table(root)
+    problems: list[str] = check_message_table(root) + check_cli_verbs(root)
     docs_dir = root / "docs"
     sources = [root / "README.md"] + sorted(docs_dir.glob("*.md"))
     links_from: dict[Path, set[Path]] = {}
