@@ -24,6 +24,7 @@ not values and stay constructor keywords of the grid classes.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -81,6 +82,10 @@ class GridConfig:
     def __post_init__(self):
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
+        for name in ("query_window", "worker_efficiency", "telemetry_interval"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # NaN fails both comparisons
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         fabric = TRANSPORTS.lookup(self.transport)  # unknown name: ValueError
         if self.discovery not in fabric.supported_discovery:
             raise ValueError(

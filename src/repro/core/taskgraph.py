@@ -10,7 +10,7 @@ is a text file").
 Grouping: "Tools have to be grouped in order to be distributed" — a
 :class:`GroupTask` embeds a whole sub-graph behind external input/output
 nodes, carries a distribution policy name, and is the unit of distribution
-used by :mod:`repro.core.distribution`.
+used by :mod:`repro.service.partition`.
 """
 
 from __future__ import annotations

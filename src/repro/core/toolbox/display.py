@@ -104,7 +104,7 @@ class ScopeProbe(Unit):
 
 @register_unit(category="display")
 class TextConsole(Unit):
-    """Sink collecting text lines (the WAP/browser progress view stand-in)."""
+    """Sink collecting text lines."""
 
     NUM_INPUTS = 1
     NUM_OUTPUTS = 0

@@ -4,9 +4,10 @@
 §3.2.  The tracer is how every layer of the reproduction answers that:
 instrumented call sites open **spans** (named intervals with a start and
 end in *simulated* seconds, a parent span, a track — usually the peer id
-— and structured attributes) or record **point events**.  Progress
-views (:mod:`repro.service.monitor`) subscribe to the same event stream
-rather than maintaining a parallel one, and exporters
+— and structured attributes) or record **point events**.  A run's
+progress is one such stream: the controller emits ``progress`` instants
+and any view subscribes to them with
+``tracer.subscribe(callback, category="progress")``.  Exporters
 (:mod:`repro.observe.export`) turn the record into Chrome/Perfetto
 traces, JSONL logs and per-peer timelines.
 
@@ -162,8 +163,8 @@ class _TracerBase:
     ) -> None:
         """Deliver every point event (optionally of one category) to ``callback``.
 
-        Subscription works on both tracer flavours — progress views stay
-        live even when nothing is being recorded.
+        Subscription works on both tracer flavours — the ``progress``
+        stream stays live even when nothing is being recorded.
         """
         self._subs.append((category, callback))
 
@@ -323,8 +324,9 @@ class Tracer(_TracerBase):
 class NullTracer(_TracerBase):
     """The default tracer: records nothing, still routes subscriptions.
 
-    Point events are dispatched to subscribers (progress views must work
-    without tracing) but never stored; spans are the shared no-op handle.
+    Point events are dispatched to subscribers (the ``progress`` stream
+    must work without tracing) but never stored; spans are the shared
+    no-op handle.
     """
 
     enabled = False

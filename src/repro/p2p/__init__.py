@@ -39,7 +39,6 @@ from .network import (
 )
 from .peer import Peer, PeerGroup
 from .pipes import InputPipe, OutputPipe, PipeManager
-from .webservice import WebClient, WebServiceEndpoint, service_to_wsdl
 
 __all__ = [
     "ADV_MODULE",
@@ -73,8 +72,5 @@ __all__ = [
     "RendezvousDiscovery",
     "SimNetwork",
     "Transport",
-    "WebClient",
-    "WebServiceEndpoint",
     "input_pipe_name",
-    "service_to_wsdl",
 ]

@@ -19,7 +19,6 @@ from .cluster import ClusterTrianaService
 from .controller import RunReport, TrianaController
 from .detector import HeartbeatFailureDetector, WorkerHealth
 from .errors import DeploymentError, MigrationError, SchedulingError, ServiceError
-from .monitor import ProgressEvent, ProgressMonitor, TextProgressView, WapProgressView
 from .partition import (
     GroupPartition,
     StagedPartition,
@@ -54,17 +53,13 @@ __all__ = [
     "ParallelFarmPolicy",
     "PipelinePolicy",
     "PolicyRegistry",
-    "ProgressEvent",
-    "ProgressMonitor",
     "RunReport",
     "SchedulingError",
     "StagedPartition",
     "ServiceError",
-    "TextProgressView",
     "TrianaController",
     "TrianaService",
     "WORKER_SERVICE_KIND",
-    "WapProgressView",
     "WorkerHealth",
     "dispatch_policy_names",
     "find_distributable_group",

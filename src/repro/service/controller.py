@@ -113,8 +113,6 @@ class TrianaController:
         self.last_downstream: Optional[LocalEngine] = None
         #: (worker, spec) per stage of the most recent p2p chain
         self._last_chain: list[tuple[str, DeploymentSpec]] = []
-        #: subscribed progress views (§3.2 disconnected UI)
-        self.monitors: list = []
         self._reparam_events: dict[tuple[str, str], Event] = {}
         peer.on("group-result", self._on_result)
         peer.on("triana-heartbeat", self._on_heartbeat)
@@ -132,36 +130,6 @@ class TrianaController:
 
     def _next_deployment_id(self) -> str:
         return f"dep-{next(self._dep_ids)}"
-
-    # -- progress views --------------------------------------------------------
-    def attach_monitor(self, monitor) -> None:
-        """Subscribe a progress view (browser page, WAP status, ...).
-
-        Views ride the tracer's ``progress`` event stream rather than a
-        parallel one: :meth:`_notify` emits a trace instant, and an
-        adapter subscribed here converts instants on this controller's
-        track back into :class:`~repro.service.monitor.ProgressEvent`
-        objects.  Works on traced and untraced simulations alike — the
-        :class:`~repro.observe.tracer.NullTracer` still dispatches to
-        subscribers.
-        """
-        from .monitor import ProgressEvent
-
-        track = self.peer.peer_id
-
-        def adapter(event) -> None:
-            if event.track != track:
-                return  # another controller's progress on a shared sim
-            monitor.notify(
-                ProgressEvent(
-                    time=event.time,
-                    kind=event.name,
-                    data=tuple(sorted(event.info.items())),
-                )
-            )
-
-        self.monitors.append(monitor)
-        self.sim.tracer.subscribe(adapter, category="progress")
 
     def _notify(self, kind: str, **data) -> None:
         """Emit a progress instant (recorded when tracing, always fanned out)."""

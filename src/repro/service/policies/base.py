@@ -18,6 +18,7 @@ Policies receive controller *services*, never the controller object —
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -47,8 +48,10 @@ class RecoverySettings:
     suspect_after_missed: int = 3
 
     def __post_init__(self):
-        if self.heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be positive")
+        for name in ("retry_timeout", "retry_interval", "heartbeat_interval"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # NaN fails both comparisons
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.suspect_after_missed < 1:
             raise ValueError("suspect_after_missed must be >= 1")
 

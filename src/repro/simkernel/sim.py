@@ -365,7 +365,7 @@ class Simulator:
     tracer:
         Optional :class:`~repro.observe.tracer.Tracer`.  Defaults to a
         fresh :class:`~repro.observe.tracer.NullTracer`, which records
-        nothing but still routes progress-view subscriptions.  Tracing
+        nothing but still routes ``progress`` subscriptions.  Tracing
         is passive: it never schedules events or consumes randomness, so
         traced and untraced runs are bit-identical.
     """
@@ -380,7 +380,12 @@ class Simulator:
         self.tracer.attach_clock(lambda: self.now)
 
     def install_tracer(self, tracer) -> None:
-        """Swap the tracer in, keeping existing progress subscriptions."""
+        """Swap the tracer in, keeping existing progress subscriptions.
+
+        Installing the current tracer again changes nothing.
+        """
+        if tracer is self.tracer:
+            return
         tracer.attach_clock(lambda: self.now)
         tracer._subs.extend(self.tracer._subs)
         if tracer._sampler is None:

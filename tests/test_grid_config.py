@@ -138,6 +138,15 @@ class TestValue:
         with pytest.raises(error):
             GridConfig().replace(**bad)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", [
+        "query_window", "worker_efficiency", "telemetry_interval",
+        "retry_timeout", "retry_interval", "heartbeat_interval",
+    ])
+    def test_times_and_rates_are_positive_and_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            GridConfig().replace(**{name: value})
+
     def test_deployment_defaults_pin_the_wall_clock_numbers(self):
         d = DEPLOYMENT_DEFAULTS
         assert (d.recovery.heartbeat_interval, d.recovery.retry_timeout,
@@ -192,6 +201,13 @@ class TestNoFabricLeaks:
         def build():
             with pytest.raises(ValueError, match="heartbeat_interval must be positive"):
                 ConsumerGrid(n_workers=1, transport="tcp", heartbeat_interval=0.0)
+
+        assert _resource_warnings(build) == []
+
+    def test_nan_query_window_over_tcp_opens_nothing(self):
+        def build():
+            with pytest.raises(ValueError, match="query_window must be positive"):
+                ConsumerGrid(n_workers=1, transport="tcp", query_window=float("nan"))
 
         assert _resource_warnings(build) == []
 

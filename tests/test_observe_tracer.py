@@ -284,6 +284,18 @@ class TestInstallTracer:
         assert [e.name for e in seen] == ["go"]
         assert len(tracer.events) == 1
 
+    @pytest.mark.parametrize("make", [lambda: None, Tracer], ids=["null", "recording"])
+    def test_reinstalling_the_current_tracer_changes_nothing(self, make):
+        sim = Simulator(seed=0, tracer=make())
+        seen = []
+        sim.tracer.subscribe(seen.append, category="progress")
+        tracer, clock = sim.tracer, sim.tracer._clock
+        sim.install_tracer(tracer)
+        assert sim.tracer is tracer and tracer._clock is clock
+        assert len(tracer._subs) == 1
+        tracer.instant("go", category="progress")
+        assert [e.name for e in seen] == ["go"]
+
     def test_on_step_metrics_accumulate(self):
         sim = Simulator(seed=0, tracer=Tracer())
         sim.call_at(1.0, lambda: None)

@@ -1,5 +1,5 @@
-"""tools/check_doc_links.py: the protocol table and the CLI verbs the docs
-name are checked against the code."""
+"""tools/check_doc_links.py: the protocol table, the CLI verbs the docs
+name and the dotted ``repro.…`` references are checked against the code."""
 
 import importlib.util
 import pathlib
@@ -126,4 +126,44 @@ def test_a_stale_verb_and_a_stale_verb_set_are_reported(tmp_path):
         "README.md:10: names CLI verb 'convert', which src/repro/cli.py does not add",
         ".claude/skills/verify/SKILL.md:3: names CLI verb 'convert', which "
         "src/repro/cli.py does not add",
+    ]
+
+
+PKG_INIT = "from .peer import Peer\n"
+PEER = '''"""A peer; see :class:`~repro.p2p.peer.Peer`, not :class:`repro.p2p.peer.Gone`."""
+import heapq
+LIMIT: int = 3
+class Peer:
+    """Sent by :meth:`repro.p2p.peer.Peer.send`, a role that wraps:
+    :func:`repro.p2p.
+    Peer`."""
+'''
+DOCS = """# p2p
+
+`repro.p2p.Peer`, `repro.p2p.peer.LIMIT` and `repro.p2p.peer.heapq`
+resolve; `src/repro/p2p` and `myrepro.x` are not references.
+
+```bash
+python -m repro.p2p.relay --port 0
+```
+"""
+
+
+def test_the_repo_references_resolve():
+    assert doc_links.check_references(_ROOT) == []
+
+
+def test_a_stale_module_and_a_stale_name_are_reported(tmp_path):
+    pkg = tmp_path / "src" / "repro" / "p2p"
+    pkg.mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "__init__.py").write_text("")
+    (pkg / "__init__.py").write_text(PKG_INIT)
+    (pkg / "peer.py").write_text(PEER)
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "p2p.md").write_text(DOCS)
+    assert doc_links.check_references(tmp_path) == [
+        "docs/p2p.md:7: repro.p2p.relay does not resolve: "
+        "repro.p2p has no submodule or top-level name 'relay'",
+        "src/repro/p2p/peer.py:1: repro.p2p.peer.Gone does not resolve: "
+        "repro.p2p.peer has no submodule or top-level name 'Gone'",
     ]

@@ -22,6 +22,13 @@ every ``repro <verb>``, ``python -m repro <verb>`` or ``python -m repro
 ``VERB_PAGES`` must be a sub-command the parser adds
 (``sub.add_parser("verb", ...)``).
 
+And checks that every dotted ``repro.…`` reference resolves: in a code
+span or fenced block of the same pages, and in a Sphinx role
+(``:mod:``, ``:class:``, ``:func:``, ``:meth:``, ``:attr:``, ``:data:``,
+``:exc:``) under ``src/repro``.  The longest prefix that is a package or
+module is found; the next component, if any, must be a name that module
+binds at top level (def, class, assignment or import).
+
 Usage: ``python tools/check_doc_links.py [repo_root]``
 """
 
@@ -31,6 +38,7 @@ import ast
 import re
 import sys
 from pathlib import Path
+from typing import Optional
 
 #: inline links, ignoring images; the target is group 1
 _LINK = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
@@ -159,9 +167,8 @@ def cli_verbs(cli: Path) -> set[str]:
     }
 
 
-def named_verbs(text: str):
-    """Yield (line_number, verb) for every CLI verb a code span or fenced
-    block of the markdown ``text`` names."""
+def code_snippets(text: str) -> list[tuple[int, str]]:
+    """(offset, text) of every fenced block and code span of markdown ``text``."""
     snippets = [(fence.start(), fence.group()) for fence in _FENCE.finditer(text)]
     # Blank the fences (keeping offsets) so their backticks pair with nothing.
     prose = _FENCE.sub(lambda m: re.sub(r"[^\n]", " ", m.group()), text)
@@ -170,7 +177,13 @@ def named_verbs(text: str):
         (span.start(1), span.group(1).replace("\n", " "))
         for span in _SPAN.finditer(prose)
     ]
-    for offset, snippet in snippets:
+    return snippets
+
+
+def named_verbs(text: str):
+    """Yield (line_number, verb) for every CLI verb a code span or fenced
+    block of the markdown ``text`` names."""
+    for offset, snippet in code_snippets(text):
         for match in _COMMAND.finditer(snippet):
             lineno = text.count("\n", 0, offset + match.start(1)) + 1
             for verb in match.group(1).strip("{}").split(","):
@@ -194,9 +207,90 @@ def check_cli_verbs(root: Path) -> list[str]:
     return problems
 
 
+#: a dotted ``repro.a.b`` reference, not the tail of a longer name or path
+_DOTTED = re.compile(r"(?<![\w./-])repro(?:\.[A-Za-z_]\w*)+")
+#: a Sphinx cross-reference role; its target may wrap a line
+_ROLE = re.compile(r":(?:mod|class|func|meth|attr|data|exc):`[~!]?([^`]+)`")
+
+
+def top_level_names(module: Path) -> set[str]:
+    """The names a def, class, assignment or import binds at module level."""
+    names: set[str] = set()
+    for node in ast.parse(module.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(
+                n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+            )
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+    return names
+
+
+def unresolved(ref: str, src: Path) -> Optional[str]:
+    """Why the dotted ``ref`` names nothing under ``src``; None if it resolves.
+
+    The longest prefix of ``ref`` that is a package or module is looked
+    up; the next component, if any, must be one of its top-level names.
+    """
+    parts = ref.split(".")
+    module, depth = None, 0
+    for depth in range(1, len(parts) + 1):
+        base = src.joinpath(*parts[:depth])
+        if (base / "__init__.py").is_file():
+            module = base / "__init__.py"
+        elif base.with_suffix(".py").is_file():
+            module = base.with_suffix(".py")
+            break
+        else:
+            depth -= 1
+            break
+    if module is None:
+        return f"no package {parts[0]!r}"
+    if depth == len(parts) or parts[depth] in top_level_names(module):
+        return None
+    return (f"{'.'.join(parts[:depth])} has no submodule or top-level name "
+            f"{parts[depth]!r}")
+
+
+def check_references(root: Path) -> list[str]:
+    """Every ``repro.…`` in a code span or fenced block of the ``VERB_PAGES``,
+    and in a Sphinx role under ``src/repro``, must name a module or a
+    module's top-level name."""
+    src = root / "src"
+    if not (src / "repro").is_dir():
+        return []
+    found: list[tuple[Path, int, str]] = []
+    for pattern in VERB_PAGES:
+        for page in sorted(root.glob(pattern)):
+            text = page.read_text()
+            for offset, snippet in code_snippets(text):
+                for match in _DOTTED.finditer(snippet):
+                    lineno = text.count("\n", 0, offset + match.start()) + 1
+                    found.append((page, lineno, match.group()))
+    for path in sorted((src / "repro").rglob("*.py")):
+        text = path.read_text()
+        for role in _ROLE.finditer(text):
+            match = _DOTTED.match(re.sub(r"\s+", "", role.group(1)))
+            if match:
+                lineno = text.count("\n", 0, role.start(1)) + 1
+                found.append((path, lineno, match.group()))
+    problems = []
+    for path, lineno, ref in found:
+        why = unresolved(ref, src)
+        if why:
+            problems.append(f"{path.relative_to(root)}:{lineno}: {ref} does not "
+                            f"resolve: {why}")
+    return problems
+
+
 def check(root: Path) -> list[str]:
     """Return a list of human-readable problems (empty = all good)."""
-    problems: list[str] = check_message_table(root) + check_cli_verbs(root)
+    problems: list[str] = (
+        check_message_table(root) + check_cli_verbs(root) + check_references(root)
+    )
     docs_dir = root / "docs"
     sources = [root / "README.md"] + sorted(docs_dir.glob("*.md"))
     links_from: dict[Path, set[Path]] = {}

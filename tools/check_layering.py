@@ -179,7 +179,7 @@ SELF_REGISTERING = ("repro.core.toolbox", "repro.service.policies")
 
 #: orphans ISSUE 18 names whose tests exceed one PR's removed-test
 #: allowance (CHANGES.md, PR 18); an entry leaves with its module
-AWAITING_DELETION = ("repro.core.introspect", "repro.p2p.webservice")
+AWAITING_DELETION = ("repro.core.introspect",)
 
 
 def orphans(paths: list[pathlib.Path], src: pathlib.Path = SRC) -> list[str]:
