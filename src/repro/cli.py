@@ -306,6 +306,18 @@ def _verification_spec(spec: str) -> str:
     return spec
 
 
+def _fleet_size(text: str) -> int:
+    """``faults --workers``'s type: a plan is drawn over at least one
+    worker, so zero or a negative count is a usage error."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _grid_args(workers: int) -> argparse.ArgumentParser:
     """What a grid is and how it deals: the flags ``run`` and ``top`` share.
 
@@ -334,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_units = sub.add_parser("units", help="list the unit toolbox")
-    p_units.add_argument("--category", default=None)
+    p_units.add_argument("--category", default=None,
+                         choices=sorted({d.category for d in global_registry()}))
     p_units.add_argument("--search", default=None)
     p_units.set_defaults(fn=_cmd_units)
 
@@ -351,12 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_faults = sub.add_parser(
         "faults", help="list fault kinds and chaos() preset contents"
     )
-    p_faults.add_argument("--level", default=None,
-                          help="expand one preset into its concrete plan "
-                               "(mild | moderate | heavy | hostile)")
+    from .faults import CHAOS_LEVELS
+
+    p_faults.add_argument("--level", default=None, choices=tuple(CHAOS_LEVELS),
+                          help="expand one preset into its concrete plan")
     p_faults.add_argument("--seed", type=int, default=0,
                           help="seed for the expanded plan (with --level)")
-    p_faults.add_argument("--workers", type=int, default=6,
+    p_faults.add_argument("--workers", type=_fleet_size, default=6,
                           help="fleet size for the expanded plan "
                                "(with --level)")
     p_faults.set_defaults(fn=_cmd_faults)

@@ -55,7 +55,6 @@ from .types import (
     type_by_name,
 )
 from .units import ParamSpec, Unit
-from .introspect import describe_unit, graph_to_dot
 from .xml_io import (
     graph_from_string,
     graph_from_xml,
@@ -98,10 +97,8 @@ __all__ = [
     "VectorType",
     "WorkflowError",
     "global_registry",
-    "describe_unit",
     "graph_from_string",
     "graph_from_xml",
-    "graph_to_dot",
     "graph_to_string",
     "graph_to_xml",
     "is_compatible",

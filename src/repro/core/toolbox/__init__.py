@@ -4,7 +4,6 @@ Importing this package registers every built-in unit in the global
 registry — mirroring Triana's palette of ready-made tools.  Families:
 
 * :mod:`.signal`     — waveform sources, FFTs, spectra, AccumStat, filters
-* :mod:`.generators` — impulse/step/noise/PRBS sources
 * :mod:`.mathpack`   — scalar/vector arithmetic, reductions, histograms
 * :mod:`.statistics` — running/windowed estimators, peak detection
 * :mod:`.vectorpack` — shaping, resampling, multi-output splitters
@@ -17,7 +16,6 @@ registry — mirroring Triana's palette of ready-made tools.  Families:
 from . import (  # noqa: F401
     conversion,
     display,
-    generators,
     imagepack,
     mathpack,
     signal,

@@ -7,6 +7,7 @@ units a signal-analysis toolbox needs.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Sequence
 
 import numpy as np
@@ -47,8 +48,8 @@ __all__ = [
 
 
 def _positive(x) -> None:
-    if not x > 0:
-        raise ValueError(f"must be positive, got {x!r}")
+    if not (x > 0 and math.isfinite(x)):
+        raise ValueError(f"must be finite and positive, got {x!r}")
 
 
 def _positive_int(x) -> None:
@@ -57,8 +58,8 @@ def _positive_int(x) -> None:
 
 
 def _non_negative(x) -> None:
-    if x < 0:
-        raise ValueError(f"must be >= 0, got {x!r}")
+    if not (x >= 0 and math.isfinite(x)):
+        raise ValueError(f"must be finite and >= 0, got {x!r}")
 
 
 @register_unit(category="signal")

@@ -81,6 +81,19 @@ class TestSurface:
         for flag in flags[::2]:
             assert flag in err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["units", "--category", "nosuch"], "--category"),
+        (["units", "--category", "generators"], "--category"),
+        (["faults", "--level", "nosuch"], "--level"),
+        (["faults", "--level", "hostile", "--workers", "0"], "--workers"),
+        (["faults", "--level", "hostile", "--workers", "-2"], "--workers"),
+    ], ids=["unknown-category", "deleted-category", "unknown-level",
+            "no-workers", "negative-workers"])
+    def test_bad_listing_argument_is_a_usage_error(self, argv, flag, capsys):
+        usage_error(argv)
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and "Traceback" not in err
+
     def test_validate_unknown_root_is_error_1(self, tmp_path, capsys):
         mystery = tmp_path / "mystery.xml"
         mystery.write_text("<mystery/>")

@@ -188,3 +188,26 @@ class TestRegistry:
         reg.register(Doubler)
         descs = list(reg)
         assert len(descs) == 1 and descs[0].cls is Doubler
+
+    def test_toolbox_categories(self):
+        """``repro units`` offers exactly the categories DESIGN S5 states:
+        the toolbox's eight and the three the case-study apps register."""
+        categories = {d.category for d in global_registry()}
+        assert categories == {
+            "signal", "math", "statistics", "vector", "conversion", "text",
+            "image", "display", "database", "galaxy", "inspiral",
+        }
+
+    def test_all_units_instantiable_with_defaults(self):
+        reg = global_registry()
+        for desc in reg:
+            unit = desc.cls()
+            assert unit.params is not None
+
+    def test_all_units_declare_consistent_nodes(self):
+        reg = global_registry()
+        for desc in reg:
+            for node in range(desc.cls.NUM_INPUTS):
+                assert desc.cls.input_types_at(node)
+            for node in range(desc.cls.NUM_OUTPUTS):
+                assert desc.cls.output_types_at(node)

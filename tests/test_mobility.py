@@ -54,7 +54,7 @@ class TestRepository:
         sim, net, repo, cache, _ = build()
         adv = repo.advertisement()
         assert adv.attributes["host"] == "portal"
-        assert adv.attributes["units"] > 50
+        assert adv.attributes["units"] == len(repo.registry)
 
 
 class TestCacheOnDemand:

@@ -1,4 +1,4 @@
-"""Tests for the extended toolbox: statistics, generators, vector, conversion."""
+"""Tests for the extended toolbox: statistics, vector, conversion."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from repro.core import (
     TableData,
     UnitError,
     VectorType,
-    global_registry,
 )
 from repro.core.toolbox.conversion import (
     ConstToVector,
@@ -23,14 +22,6 @@ from repro.core.toolbox.conversion import (
     TableToText,
     VectorToSampleSet,
     VectorToTable,
-)
-from repro.core.toolbox.generators import (
-    DCSource,
-    ImpulseTrain,
-    PinkNoiseSource,
-    PRBSSource,
-    StepSource,
-    WhiteNoiseSource,
 )
 from repro.core.toolbox.statistics import (
     RMS,
@@ -163,65 +154,6 @@ class TestStatistics:
         assert t2.column("mean") == [pytest.approx(4.0)]
 
 
-class TestGenerators:
-    def test_dc_source(self):
-        (out,) = DCSource(level=2.5, samples=16).process([])
-        np.testing.assert_allclose(out.data, 2.5)
-
-    def test_impulse_train_phase_continuous(self):
-        gen = ImpulseTrain(period=10, samples=16)
-        (f1,) = gen.process([])
-        (f2,) = gen.process([])
-        glued = np.concatenate([f1.data, f2.data])
-        np.testing.assert_array_equal(np.nonzero(glued)[0], [0, 10, 20, 30])
-
-    def test_step_source_crosses_frames(self):
-        gen = StepSource(step_at=0.5, samples=256, sampling_rate=256.0)
-        (f1,) = gen.process([])
-        (f2,) = gen.process([])
-        assert f1.data[:128].sum() == 0
-        assert f1.data[128:].sum() == 128
-        np.testing.assert_allclose(f2.data, 1.0)
-
-    def test_white_noise_reproducible_and_checkpointable(self):
-        a = WhiteNoiseSource(seed=3).process([])[0]
-        b = WhiteNoiseSource(seed=3).process([])[0]
-        np.testing.assert_array_equal(a.data, b.data)
-        gen = WhiteNoiseSource(seed=3)
-        gen.process([])
-        state = gen.checkpoint()
-        nxt = gen.process([])[0]
-        gen2 = WhiteNoiseSource(seed=3)
-        gen2.restore(state)
-        np.testing.assert_array_equal(gen2.process([])[0].data, nxt.data)
-
-    def test_pink_noise_low_frequency_heavy(self):
-        (out,) = PinkNoiseSource(seed=1, samples=4096).process([])
-        spec = np.abs(np.fft.rfft(out.data)) ** 2
-        low = spec[1:50].mean()
-        high = spec[-200:].mean()
-        assert low > 5 * high
-
-    def test_prbs_deterministic_pm1(self):
-        a = PRBSSource(seed=0xBEEF).process([])[0]
-        b = PRBSSource(seed=0xBEEF).process([])[0]
-        np.testing.assert_array_equal(a.data, b.data)
-        assert set(np.unique(a.data)) == {-1.0, 1.0}
-
-    def test_prbs_zero_seed_rejected(self):
-        with pytest.raises(UnitError):
-            PRBSSource(seed=0)
-
-    def test_prbs_checkpoint(self):
-        gen = PRBSSource()
-        gen.process([])
-        state = gen.checkpoint()
-        nxt = gen.process([])[0]
-        gen2 = PRBSSource()
-        gen2.restore(state)
-        np.testing.assert_array_equal(gen2.process([])[0].data, nxt.data)
-
-
 class TestVectorPack:
     def test_concatenate(self):
         (out,) = Concatenate().process([sig([1, 2]), sig([3, 4])])
@@ -346,28 +278,3 @@ class TestConversion:
         db = Database()
         db.load_csv("galaxies", text.text)
         assert db.table("galaxies").column("mass") == [12.1, 9.5]
-
-
-class TestRegistryGrowth:
-    def test_toolbox_is_large(self):
-        """The paper speaks of 'several hundred units'; our reproduction
-        ships a representative palette across every category."""
-        reg = global_registry()
-        assert len(reg) >= 100
-        categories = {d.category for d in reg}
-        assert {"signal", "math", "text", "image", "display", "statistics",
-                "generators", "vector", "conversion"} <= categories
-
-    def test_all_units_instantiable_with_defaults(self):
-        reg = global_registry()
-        for desc in reg:
-            unit = desc.cls()
-            assert unit.params is not None
-
-    def test_all_units_declare_consistent_nodes(self):
-        reg = global_registry()
-        for desc in reg:
-            for node in range(desc.cls.NUM_INPUTS):
-                assert desc.cls.input_types_at(node)
-            for node in range(desc.cls.NUM_OUTPUTS):
-                assert desc.cls.output_types_at(node)

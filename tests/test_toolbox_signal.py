@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import ComplexSpectrum, SampleSet, Spectrum, UnitError
+from repro.core import ComplexSpectrum, ParameterError, SampleSet, Spectrum, UnitError
 from repro.core.toolbox.signal import (
     FFT,
     AccumStat,
@@ -124,6 +124,23 @@ class TestNoise:
         sig = sine()
         (out,) = g.process([sig])
         np.testing.assert_array_equal(out.data, sig.data)
+
+
+@pytest.mark.parametrize("unit_cls,param,value", [
+    (Wave, "frequency", np.inf),
+    (Wave, "frequency", np.nan),
+    (Wave, "sampling_rate", np.inf),
+    (GaussianNoise, "sigma", np.nan),
+    (GaussianNoise, "sigma", np.inf),
+    (LowPass, "cutoff", np.inf),
+    (HighPass, "cutoff", np.inf),
+    (HighPass, "cutoff", np.nan),
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_non_finite_parameter_rejected_by_name(unit_cls, param, value):
+    # A NaN or infinite frequency, sigma or cutoff can only make a NaN
+    # frame; the unit refuses it before it runs.
+    with pytest.raises(ParameterError, match=f"parameter '{param}': must be finite"):
+        unit_cls(**{param: value})
 
 
 class TestFFTChain:

@@ -177,9 +177,9 @@ def check(paths: list[pathlib.Path], src: pathlib.Path = SRC) -> list[str]:
 #: policies, nothing needs a name from them
 SELF_REGISTERING = ("repro.core.toolbox", "repro.service.policies")
 
-#: orphans ISSUE 18 names whose tests exceed one PR's removed-test
-#: allowance (CHANGES.md, PR 18); an entry leaves with its module
-AWAITING_DELETION = ("repro.core.introspect",)
+#: orphans already sized for deletion whose tests do not fit in the
+#: change that found them; an entry leaves with its module
+AWAITING_DELETION = ()
 
 
 def orphans(paths: list[pathlib.Path], src: pathlib.Path = SRC) -> list[str]:
