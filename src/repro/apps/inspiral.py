@@ -13,6 +13,7 @@ the paper's numbers so grid-scale sizing simulates honestly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Sequence
@@ -22,7 +23,7 @@ import numpy as np
 from ..core.errors import UnitError
 from ..core.registry import register_unit
 from ..core.types import SampleSet, TableData
-from ..core.units import ParamSpec, Unit
+from ..core.units import ParamSpec, Unit, _finite, _non_negative, _positive, _positive_int
 from ..core.taskgraph import TaskGraph
 
 __all__ = [
@@ -66,6 +67,13 @@ FLOPS_PER_TEMPLATE_SAMPLE = (
 )  # = 4.0 flops per template-sample
 
 
+def _check_sampling_rate(sampling_rate: float) -> None:
+    if not (sampling_rate > 0 and math.isfinite(sampling_rate)):
+        raise ValueError(
+            f"sampling_rate must be finite and positive, got {sampling_rate!r}"
+        )
+
+
 def chirp_waveform(
     chirp_mass: float,
     sampling_rate: float = PAPER_SAMPLING_RATE,
@@ -84,6 +92,7 @@ def chirp_waveform(
         raise ValueError("chirp_mass must be positive")
     if not 0 < f_low < f_high:
         raise ValueError("need 0 < f_low < f_high")
+    _check_sampling_rate(sampling_rate)
     # Newtonian coalescence-time coefficient (geometric units folded into
     # a single constant chosen to give second-scale signals for ~1 M☉
     # chirp masses in the 40 Hz–900 Hz band, like the real search).
@@ -102,10 +111,17 @@ def chirp_waveform(
 
 
 #: Bytes of conjugate spectra one bank keeps (:meth:`TemplateBank.
-#: conj_spectrum`).  Past it a spectrum is recomputed on every use — never
-#: evicted, so a sweep larger than the budget does not thrash it.  8
-#: templates against a 4 s chunk are 1 MiB; against a 900 s chunk, 134 MB.
+#: conj_spectra`): one ``(n_templates, nfft // 2 + 1)`` array per FFT
+#: length while it fits.  Past it a block's spectra are recomputed on every
+#: use — never evicted, so a sweep larger than the budget does not thrash
+#: it.  8 templates against a 4 s chunk are 1 MiB; against a 900 s chunk,
+#: 134 MB.
 _SPECTRA_BYTES = 64 << 20
+
+#: Bytes of one block's inverse-transform output: a search sends
+#: ``_BLOCK_BYTES // (8 * nfft)`` templates (at least one) through each
+#: ``irfft`` call — 8 at ``nfft`` 16 384, 1 for the paper's 900 s chunk.
+_BLOCK_BYTES = 1 << 20
 
 
 class TemplateBank:
@@ -115,7 +131,9 @@ class TemplateBank:
     library of between 5,000 and 10,000 templates."
 
     Templates and their spectra are built on first use, kept, and handed
-    out read-only: units with equal parameters share one bank.
+    out read-only: units with equal parameters share one bank.  The bank
+    also keeps one search's scratch (:meth:`scratch`), so it serves one
+    search at a time.
     """
 
     def __init__(
@@ -130,13 +148,16 @@ class TemplateBank:
             raise ValueError("n_templates must be >= 1")
         if not 0 < mass_low < mass_high:
             raise ValueError("need 0 < mass_low < mass_high")
+        _check_sampling_rate(sampling_rate)
         self.n_templates = n_templates
         self.sampling_rate = sampling_rate
         self.masses = np.linspace(mass_low, mass_high, n_templates)
         self.f_low = f_low
         self._cache: dict[int, np.ndarray] = {}
-        self._spectra: dict[tuple[int, int], np.ndarray] = {}
+        #: nfft -> (conjugate spectra, one row per template; rows filled)
+        self._spectra: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._spectra_bytes = 0
+        self._scratch = np.empty(0, np.uint8)
 
     def template(self, index: int) -> np.ndarray:
         """Normalised template waveform by bank index (lazily built)."""
@@ -154,18 +175,79 @@ class TemplateBank:
             self._cache[index] = h
         return self._cache[index]
 
+    def conj_spectra(
+        self, lo: int, hi: int, nfft: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Rows ``conj(rfft(template(i), nfft))`` for ``lo <= i < hi`` —
+        what a matched filter multiplies the chunk spectrum by, the same
+        rows for every chunk of one length ("generates its templates",
+        once per node).
+
+        A read-only slice of the bank's array for ``nfft``, each row
+        transformed on first use.  Past ``_SPECTRA_BYTES`` the rows are
+        transformed into ``out[:hi - lo]`` (fresh if ``None``) on every
+        call instead.
+        """
+        kept = self._spectra.get(nfft)
+        if kept is None:
+            shape = (self.n_templates, nfft // 2 + 1)
+            nbytes = shape[0] * shape[1] * 16
+            if self._spectra_bytes + nbytes > _SPECTRA_BYTES:
+                if out is None:
+                    out = np.empty((hi - lo, shape[1]), complex)
+                for row, i in enumerate(range(lo, hi)):
+                    self._conj_rfft(i, nfft, out[row])
+                return out[: hi - lo]
+            kept = np.empty(shape, complex), np.zeros(shape[0], bool)
+            self._spectra[nfft] = kept
+            self._spectra_bytes += nbytes
+        spectra, filled = kept
+        for i in range(lo, hi):
+            if not filled[i]:
+                self._conj_rfft(i, nfft, spectra[i])
+                filled[i] = True
+        rows = spectra[lo:hi]
+        rows.setflags(write=False)
+        return rows
+
     def conj_spectrum(self, index: int, nfft: int) -> np.ndarray:
-        """``conj(rfft(template(index), nfft))`` — what a matched filter
-        multiplies the chunk spectrum by, the same array for every chunk
-        of one length ("generates its templates", once per node)."""
-        cft = self._spectra.get((index, nfft))
-        if cft is None:
-            cft = np.conj(np.fft.rfft(self.template(index), nfft))
-            if self._spectra_bytes + cft.nbytes <= _SPECTRA_BYTES:
-                cft.setflags(write=False)
-                self._spectra[index, nfft] = cft
-                self._spectra_bytes += cft.nbytes
-        return cft
+        """``conj(rfft(template(index), nfft))``: one row of
+        :meth:`conj_spectra`."""
+        return self.conj_spectra(index, index + 1, nfft)[0]
+
+    def _conj_rfft(self, index: int, nfft: int, out: np.ndarray) -> None:
+        np.fft.rfft(self.template(index), nfft, out=out)
+        np.conjugate(out, out=out)
+
+    def scratch(self, rows: int, nfft: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(fd, prod, corr)`` for a search of ``rows`` templates per
+        block at ``nfft``: the chunk's spectrum, a block's products and a
+        block's correlations.
+
+        Views of one buffer the bank keeps, grown to the largest block it
+        has served, while one output row fits ``_BLOCK_BYTES`` (2.1 MiB
+        for 8 templates at ``nfft`` 16 384, at most about
+        ``3 * _BLOCK_BYTES``); fresh arrays past it, so a 900 s chunk's
+        48 MiB is not retained.
+        """
+        half = nfft // 2 + 1
+        if 8 * nfft > _BLOCK_BYTES:
+            return (
+                np.empty(half, complex),
+                np.empty((rows, half), complex),
+                np.empty((rows, nfft)),
+            )
+        a = half * 16
+        b = a + rows * a
+        end = b + rows * nfft * 8
+        if self._scratch.nbytes < end:
+            self._scratch = np.empty(end, np.uint8)
+        buf = self._scratch
+        return (
+            buf[:a].view(complex),
+            buf[a:b].view(complex).reshape(rows, half),
+            buf[b:end].view(np.float64).reshape(rows, nfft),
+        )
 
     def __len__(self) -> int:
         return self.n_templates
@@ -281,22 +363,13 @@ def matched_filter_snr(
     chunk: np.ndarray,
     template: np.ndarray,
     noise_sigma: float = 1.0,
-    _chunk_fd: np.ndarray | None = None,
-    _template_cfd: np.ndarray | None = None,
 ) -> np.ndarray:
-    """SNR time series of one normalised template against a chunk.
-
-    :func:`search_chunk` supplies both spectra for this template's
-    ``nfft``: ``_chunk_fd = rfft(chunk, nfft)``, transformed once per
-    sweep, and ``_template_cfd = conj(rfft(template, nfft))``, transformed
-    once per bank.  The transform of the same input at the same length is
-    deterministic and ``conj`` is exact, so the product below has the
-    same two operands either way: reuse is bit-identical to recomputation.
-    """
+    """SNR time series of one normalised template against a chunk — the
+    one-template form of :func:`search_chunk`, bit for bit."""
     n = len(chunk)
     nfft = _matched_filter_nfft(n, len(template))
-    fd = np.fft.rfft(chunk, nfft) if _chunk_fd is None else _chunk_fd
-    cft = np.conj(np.fft.rfft(template, nfft)) if _template_cfd is None else _template_cfd
+    fd = np.fft.rfft(chunk, nfft)
+    cft = np.conj(np.fft.rfft(template, nfft))
     corr = np.fft.irfft(fd * cft, nfft)[:n]
     return corr / noise_sigma
 
@@ -312,6 +385,20 @@ class SearchResult:
     detected: bool
 
 
+def _nfft_runs(bank: TemplateBank, n_chunk: int) -> list[list[int]]:
+    """``[nfft, lo, hi]`` per run of consecutive templates that share an
+    FFT length.  Templates shorten as the mass index rises, so each length
+    is one run."""
+    runs: list[list[int]] = []
+    for idx in range(len(bank)):
+        nfft = _matched_filter_nfft(n_chunk, len(bank.template(idx)))
+        if runs and runs[-1][0] == nfft:
+            runs[-1][2] = idx + 1
+        else:
+            runs.append([nfft, idx, idx + 1])
+    return runs
+
+
 def search_chunk(
     chunk: SampleSet,
     bank: TemplateBank,
@@ -320,30 +407,32 @@ def search_chunk(
 ) -> SearchResult:
     """Correlate a chunk against every template; report the loudest peak.
 
-    Per template the work is one product and one inverse transform: the
-    chunk's spectrum is computed once per FFT length (templates of
-    similar duration share one ``nfft``) and each template's comes from
-    the bank, which transforms it once for all chunks of this length.
-    Bit-identical to calling :func:`matched_filter_snr` bare — it *is*
-    that call, handed the operands it would compute.
+    Per FFT length the chunk is transformed once; then, per block of up to
+    ``_BLOCK_BYTES // (8 * nfft)`` templates, one product with the bank's
+    spectra and one inverse transform, into the bank's scratch.  numpy
+    runs a 2-D transform row by row with one plan, so each row is the 1-D
+    transform: bit-identical to :func:`matched_filter_snr` per template,
+    with ties to the lowest template index and offset.
     """
     best = (-1, -1, -np.inf)
     data = chunk.data
     n = len(data)
-    fd_by_nfft: dict[int, np.ndarray] = {}
-    for idx in range(len(bank)):
-        template = bank.template(idx)
-        nfft = _matched_filter_nfft(n, len(template))
-        fd = fd_by_nfft.get(nfft)
-        if fd is None:
-            fd = fd_by_nfft[nfft] = np.fft.rfft(data, nfft)
-        snr = matched_filter_snr(
-            data, template, noise_sigma,
-            _chunk_fd=fd, _template_cfd=bank.conj_spectrum(idx, nfft),
-        )
-        peak = int(np.argmax(snr))
-        if snr[peak] > best[2]:
-            best = (idx, peak, float(snr[peak]))
+    for nfft, lo, hi in _nfft_runs(bank, n):
+        rows = max(1, min(hi - lo, _BLOCK_BYTES // (8 * nfft)))
+        fd, prod, corr = bank.scratch(rows, nfft)
+        np.fft.rfft(data, nfft, out=fd)
+        for start in range(lo, hi, rows):
+            k = min(rows, hi - start)
+            spectra = bank.conj_spectra(start, start + k, nfft, out=prod)
+            np.multiply(fd, spectra, out=prod[:k])
+            np.fft.irfft(prod[:k], nfft, axis=-1, out=corr[:k])
+            for row in range(k):
+                # Per row: a 2-D argmax over the strided [:, :n] view copies it.
+                snr = corr[row, :n]
+                np.divide(snr, noise_sigma, out=snr)
+                peak = int(np.argmax(snr))
+                if snr[peak] > best[2]:
+                    best = (start + row, peak, float(snr[peak]))
     return SearchResult(
         best_template=best[0],
         best_offset=best[1],
@@ -364,8 +453,9 @@ def _shared_bank(
 ) -> TemplateBank:
     """The process's bank for these parameters — the paper's "the node
     initialises i.e. generates its templates", done once per node rather
-    than once per unit.  Retains at most two banks: their templates plus
-    ``2 * _SPECTRA_BYTES`` of spectra."""
+    than once per unit.  Retains at most two banks, each its templates,
+    up to ``_SPECTRA_BYTES`` of spectra and one block of search scratch
+    (about ``2 * _BLOCK_BYTES``)."""
     return TemplateBank(
         n_templates, mass_low=mass_low, mass_high=mass_high, sampling_rate=sampling_rate
     )
@@ -387,11 +477,11 @@ class InspiralSearch(Unit):
     OUTPUT_TYPES = (TableData,)
     CODE_SIZE = 80_000
     PARAMETERS = (
-        ParamSpec("n_templates", 64, "template library size"),
-        ParamSpec("mass_low", 0.8, "lowest chirp mass"),
-        ParamSpec("mass_high", 2.0, "highest chirp mass"),
-        ParamSpec("noise_sigma", 1.0, "detector noise level"),
-        ParamSpec("threshold", 8.0, "detection SNR threshold"),
+        ParamSpec("n_templates", 64, "template library size", _positive_int),
+        ParamSpec("mass_low", 0.8, "lowest chirp mass", _positive),
+        ParamSpec("mass_high", 2.0, "highest chirp mass", _positive),
+        ParamSpec("noise_sigma", 1.0, "detector noise level", _positive),
+        ParamSpec("threshold", 8.0, "detection SNR threshold", _finite),
     )
 
     def process(self, inputs: Sequence[Any]) -> list[Any]:
@@ -439,18 +529,22 @@ class StrainSource(Unit):
     NUM_OUTPUTS = 1
     OUTPUT_TYPES = (SampleSet,)
     PARAMETERS = (
-        ParamSpec("duration", 4.0, "chunk length, seconds"),
-        ParamSpec("sampling_rate", PAPER_SAMPLING_RATE, "samples per second"),
-        ParamSpec("noise_sigma", 1.0, "noise level"),
-        ParamSpec("inject_every", 3, "inject a chirp into every k-th chunk (0=never)"),
-        ParamSpec("injection_snr", 12.0, "optimal SNR of injections"),
-        ParamSpec("injection_mass", 1.4, "chirp mass of injections"),
+        ParamSpec("duration", 4.0, "chunk length, seconds", _positive),
+        ParamSpec("sampling_rate", PAPER_SAMPLING_RATE, "samples per second", _positive),
+        ParamSpec("noise_sigma", 1.0, "noise level", _non_negative),
+        ParamSpec(
+            "inject_every", 3, "inject a chirp into every k-th chunk (0=never)",
+            _non_negative,
+        ),
+        ParamSpec("injection_snr", 12.0, "optimal SNR of injections", _non_negative),
+        ParamSpec("injection_mass", 1.4, "chirp mass of injections", _positive),
         ParamSpec(
             "bank_templates",
             0,
             "if > 0, snap the injection mass to the nearest point of a "
             "linspace(mass_low, mass_high, bank_templates) grid — software "
             "injections at template points, as search validation does",
+            _non_negative,
         ),
         ParamSpec("mass_low", 0.8, "bank grid lower bound (for snapping)"),
         ParamSpec("mass_high", 2.0, "bank grid upper bound (for snapping)"),

@@ -7,7 +7,6 @@ units a signal-analysis toolbox needs.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Sequence
 
 import numpy as np
@@ -21,7 +20,7 @@ from ..types import (
     Spectrum,
     TimeFrequency,
 )
-from ..units import ParamSpec, Unit
+from ..units import ParamSpec, Unit, _non_negative, _positive, _positive_int
 
 __all__ = [
     "Wave",
@@ -45,21 +44,6 @@ __all__ = [
     "SpectrumToGraph",
     "SampleSetToGraph",
 ]
-
-
-def _positive(x) -> None:
-    if not (x > 0 and math.isfinite(x)):
-        raise ValueError(f"must be finite and positive, got {x!r}")
-
-
-def _positive_int(x) -> None:
-    if not isinstance(x, (int, np.integer)) or x < 1:
-        raise ValueError(f"must be a positive integer, got {x!r}")
-
-
-def _non_negative(x) -> None:
-    if not (x >= 0 and math.isfinite(x)):
-        raise ValueError(f"must be finite and >= 0, got {x!r}")
 
 
 @register_unit(category="signal")

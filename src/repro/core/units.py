@@ -17,13 +17,37 @@ Units also carry the metadata the Consumer Grid needs:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence, Type
+
+import numpy as np
 
 from .errors import ParameterError, UnitError
 from .types import AnyType, TrianaType
 
 __all__ = ["ParamSpec", "Unit"]
+
+
+# -- validators a ParamSpec can carry (shared by the toolbox and the apps) ----------
+def _positive(x) -> None:
+    if not (x > 0 and math.isfinite(x)):
+        raise ValueError(f"must be finite and positive, got {x!r}")
+
+
+def _positive_int(x) -> None:
+    if not isinstance(x, (int, np.integer)) or x < 1:
+        raise ValueError(f"must be a positive integer, got {x!r}")
+
+
+def _non_negative(x) -> None:
+    if not (x >= 0 and math.isfinite(x)):
+        raise ValueError(f"must be finite and >= 0, got {x!r}")
+
+
+def _finite(x) -> None:
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {x!r}")
 
 
 @dataclass(frozen=True)

@@ -74,20 +74,44 @@ class TestRenderBudget:
 
 
 class TestSearchBudget:
-    def test_templates_are_transformed_once_per_bank(self, monkeypatch):
-        """``k`` searches of one bank: the chunk once each, every template
-        once in all (it was once per search), one inverse per pair."""
-        k, n_templates = 5, 8
+    @staticmethod
+    def count_transforms(monkeypatch):
         calls = {"rfft": 0, "irfft": 0}
         for name in calls:
             real = getattr(np.fft, name)
 
-            def counted(*args, _name=name, _real=real):
+            def counted(*args, _name=name, _real=real, **kwargs):
                 calls[_name] += 1
-                return _real(*args)
+                return _real(*args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
+        return calls
+
+    def test_templates_are_transformed_once_per_bank(self, monkeypatch):
+        """``k`` searches of one bank: the chunk once each, every template
+        once in all (it was once per search), and one inverse transform
+        per search for the whole block of 8 (it was one per template)."""
+        k, n_templates = 5, 8
+        calls = self.count_transforms(monkeypatch)
         bank = TemplateBank(n_templates)
         for seed in range(k):
             search_chunk(make_strain_chunk(4.0, seed=seed), bank)
-        assert calls == {"rfft": k + n_templates, "irfft": k * n_templates}
+        assert calls == {"rfft": k + n_templates, "irfft": k}
+
+    def test_one_inverse_transform_per_fft_length(self, monkeypatch):
+        """A 2 s chunk puts 8 templates on two FFT lengths: two blocks."""
+        bank = TemplateBank(8)
+        chunk = make_strain_chunk(2.0, seed=1)
+        search_chunk(chunk, bank)
+        calls = self.count_transforms(monkeypatch)
+        search_chunk(chunk, bank)
+        assert calls == {"rfft": 2, "irfft": 2}
+
+    def test_warm_search_peak_memory(self):
+        """A warm search writes into the bank's spectra and scratch: no
+        product, correlation or SNR series of its own (449 KiB per
+        search when each template had fresh ones)."""
+        bank = TemplateBank(8)
+        chunk = make_strain_chunk(4.0, seed=0)
+        search_chunk(chunk, bank)
+        assert traced_peak(lambda: search_chunk(chunk, bank)) <= 16 << 10
