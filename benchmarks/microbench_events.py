@@ -7,9 +7,12 @@ often the collector runs.  This script counts GC-tracked objects kept
 alive per pending ``Simulator.call_at``, per in-flight ``Peer.send`` and
 per joined, idle peer under each discovery strategy
 (``allocs_per_call_at`` / ``allocs_per_message`` / ``allocs_per_peer``),
-and the kernel events one stage hop of a p2p pipeline schedules
-(``events_per_hop``).  A count does not depend on the runner, so it
-gates: the script exits non-zero when any exceeds :data:`ALLOC_BUDGET`
+the kernel events one stage hop of a p2p pipeline schedules
+(``events_per_hop``), the host computations one replicated iteration
+costs (``computes_per_replicated_iteration``) and what the replica
+sharing tables still hold after such a run (``shared_entries_after_run``).
+A count does not depend on the runner, so it gates: the script exits
+non-zero when any exceeds :data:`ALLOC_BUDGET`
 (``tests/test_alloc_budget.py`` asserts the same budget in tier-1), and
 the numbers are written as JSON (default
 ``benchmarks/results/MICROBENCH_events.json``) for the CI artifact.
@@ -34,8 +37,10 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from repro import ConsumerGrid  # noqa: E402
+from repro import ConsumerGrid, TaskGraph  # noqa: E402
 from repro.analysis.workloads import pipeline_graph  # noqa: E402
+from repro.core import engine  # noqa: E402
+from repro.core.toolbox.signal import LowPass  # noqa: E402
 from repro.p2p.discovery import (  # noqa: E402
     CentralIndexDiscovery, FloodingDiscovery, RendezvousDiscovery,
 )
@@ -49,10 +54,12 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 #: ``docs/performance.md``, "The message path" and "What a peer costs the
 #: collector").  Bounds, not equalities: interpreter versions differ in
 #: what they track.  ``events_per_hop`` is kernel events, exact on any
-#: interpreter ("A stage hop: what one execution schedules").
+#: interpreter ("A stage hop: what one execution schedules").  The last
+#: two are exact counts too ("A replicated execution is computed once").
 ALLOC_BUDGET = {
     "allocs_per_call_at": 2.0, "allocs_per_message": 5.0, "allocs_per_peer": 5.0,
-    "events_per_hop": 3.0,
+    "events_per_hop": 3.0, "computes_per_replicated_iteration": 1.0,
+    "shared_entries_after_run": 0.0,
 }
 
 #: The discovery strategies ``allocs_per_peer`` is counted under.
@@ -148,21 +155,66 @@ def events_per_hop(n: int = 10) -> float:
     return (e[8, 2 * n] - e[8, n] - e[4, 2 * n] + e[4, n]) / (4 * n)
 
 
+def replicated_farm(iterations: int) -> None:
+    """Wave → a parallel group of one ``LowPass`` → Grapher, replicate-3 on
+    three workers: every iteration executes on every worker."""
+    g = TaskGraph("replicated-farm")
+    g.add_task("Src", "Wave", samples=64)
+    g.add_task("Filter", "LowPass")
+    g.add_task("Sink", "Grapher")
+    g.connect("Src", 0, "Filter", 0)
+    g.connect("Filter", 0, "Sink", 0)
+    g.group_tasks("G", ["Filter"], policy="parallel")
+    ConsumerGrid(n_workers=3, seed=1).run(g, iterations, verification="replicate-3")
+
+
+def computes_per_replicated_iteration(n: int = 10) -> float:
+    """Host ``LowPass.process`` calls per iteration of :func:`replicated_farm`:
+    three executions, one computation."""
+    calls = 0
+    process = LowPass.process
+
+    def counted(self, inputs):
+        nonlocal calls
+        calls += 1
+        return process(self, inputs)
+
+    LowPass.process = counted
+    try:
+        replicated_farm(n)
+    finally:
+        LowPass.process = process
+    return calls / n
+
+
+def shared_entries_after_run() -> float:
+    """Entries a replicated run leaves in the sharing tables once it and
+    its grid are gone: every entry dies with its input."""
+    gc.collect()
+    shared, memo = set(engine._shared), set(engine._memo)
+    replicated_farm(10)
+    gc.collect()
+    return float(len(set(engine._shared) - shared) + len(set(engine._memo) - memo))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(RESULTS_DIR / "MICROBENCH_events.json"),
                         help="output JSON path")
     args = parser.parse_args(argv)
 
-    result = {"schema": 4}
+    result = {"schema": 5}
     for name, measure, unit in (
         ("allocs_per_call_at", allocs_per_call_at, "GC-tracked objects"),
         ("allocs_per_message", allocs_per_message, "GC-tracked objects"),
         ("allocs_per_peer", allocs_per_peer_worst, "GC-tracked objects"),
         ("events_per_hop", events_per_hop, "kernel events"),
+        ("computes_per_replicated_iteration", computes_per_replicated_iteration,
+         "host computations"),
+        ("shared_entries_after_run", shared_entries_after_run, "table entries"),
     ):
         result[name] = measure()
-        print(f"{name:20s} {result[name]:>6.1f} {unit} "
+        print(f"{name:34s} {result[name]:>6.1f} {unit} "
               f"(budget {ALLOC_BUDGET[name]:.0f})")
     over_budget = [n for n, cap in ALLOC_BUDGET.items() if result[n] > cap]
     if over_budget:

@@ -16,11 +16,17 @@ It also provides:
   grapher output is captured programmatically);
 * **checkpoint/restore** of all stateful units (migration support);
 * **cost accounting** — modelled flops and bytes per task, reused by the
-  simulated execution plane.
+  simulated execution plane;
+* **shared replicas** — an input the controller dealt to several workers
+  in this process (replicated verification on the simulator) is marked
+  with :func:`share`; a unit that keeps no per-run state computes it
+  once and every other engine reuses the outputs.  Only host work is
+  saved: every firing is still counted and charged its modelled flops.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
@@ -28,7 +34,7 @@ from .errors import GraphError, UnitError
 from .taskgraph import TaskGraph
 from .units import Unit
 
-__all__ = ["Probe", "RunStats", "LocalEngine", "run_graph"]
+__all__ = ["Probe", "RunStats", "LocalEngine", "run_graph", "share"]
 
 
 @dataclass
@@ -64,6 +70,80 @@ def _payload_bytes(value: Any) -> int:
     return value.payload_nbytes() if hasattr(value, "payload_nbytes") else 8
 
 
+# -- replicas computed once ------------------------------------------------------
+#: ``id(value)`` -> weak reference to a value dealt to more than one worker
+#: in this process; an entry dies with its value.
+_shared: dict[int, weakref.ref] = {}
+#: ``(unit class, input ids)`` -> ``(params, input refs, outputs)`` of a
+#: stateless firing on shared inputs; an entry dies with its first input.
+_memo: dict[tuple, tuple] = {}
+
+
+def _drop_shared(key: int, ref: weakref.ref) -> None:
+    if _shared.get(key) is ref:  # else a newer value took the id
+        del _shared[key]
+
+
+def _drop_memo(key: tuple, ref: weakref.ref) -> None:
+    entry = _memo.get(key)
+    if entry is not None and any(r is ref for r in entry[1]):
+        del _memo[key]
+
+
+def share(values: Iterable[Any]) -> None:
+    """Mark ``values`` as dealt to more than one worker in this process.
+
+    Replicated verification sends one input object to several engines;
+    a stateless unit (see :class:`~repro.core.units.Unit`) then computes
+    it once and the other replicas reuse the outputs, which are shared in
+    turn.  A value that cannot be weakly referenced is never shared.
+    Over a real transport each worker decodes its own copy, so nothing
+    it computes is ever found here.
+    """
+    for value in values:
+        if _is_shared(value):
+            continue
+        key = id(value)
+        try:
+            _shared[key] = weakref.ref(value, lambda r, key=key: _drop_shared(key, r))
+        except TypeError:
+            pass
+
+
+def _is_shared(value: Any) -> bool:
+    ref = _shared.get(id(value))
+    return ref is not None and ref() is value
+
+
+def _process_shared(unit: Unit, inputs: list) -> Any:
+    """``unit.process(inputs)``, computed once per live set of shared inputs."""
+    key = (type(unit), tuple(map(id, inputs)))
+    entry = _memo.get(key)
+    if entry is not None:
+        params, refs, outputs = entry
+        if params == unit.params and all(r() is v for r, v in zip(refs, inputs)):
+            return outputs
+    outputs = unit.process(inputs)
+    if outputs is None:
+        return outputs
+    outputs = tuple(outputs)
+    if any(o is v for o in outputs for v in inputs):
+        # An entry holding its own input would never die.
+        return outputs
+    refs = tuple(
+        weakref.ref(v, lambda r, key=key: _drop_memo(key, r)) for v in inputs
+    )
+    _memo[key] = (unit.params, refs, outputs)
+    share(outputs)
+    return outputs
+
+
+def _memoizable(cls: type[Unit], num_inputs: int) -> bool:
+    """A unit with inputs, no per-run state (``reset`` not overridden) and
+    no sandbox permission is a pure function of its inputs and params."""
+    return num_inputs > 0 and cls.reset is Unit.reset and not cls.REQUIRED_PERMISSIONS
+
+
 class LocalEngine:
     """Executes a task graph in-process.
 
@@ -93,6 +173,8 @@ class LocalEngine:
         self._sink_outputs: dict[str, list[Any]] = {}
         # The firing schedule, compiled once: nothing edits the graph or
         # the units after construction, so ``step`` never asks it again.
+        # The last field says whether a firing on shared inputs may reuse
+        # another replica's outputs.
         self._task_probes: dict[str, list[Probe]] = {name: [] for name in self.order}
         self._plan = []
         for name in self.order:
@@ -104,6 +186,7 @@ class LocalEngine:
                 name, self.units[name], task.unit_name,
                 [(name, node) for node in range(task.num_inputs)], task.num_outputs,
                 wiring, not wiring and task.num_inputs > 0, self._task_probes[name],
+                _memoizable(type(self.units[name]), task.num_inputs),
             ))
 
     def _check_fedness(self) -> None:
@@ -181,7 +264,9 @@ class LocalEngine:
         self._sink_outputs = sink_outputs
         stats = self.stats
         per_task_flops = stats.per_task_flops
-        for name, unit, unit_name, in_keys, num_outputs, wiring, is_sink, probes in self._plan:
+        for (
+            name, unit, unit_name, in_keys, num_outputs, wiring, is_sink, probes, memo,
+        ) in self._plan:
             inputs = []
             for key in in_keys:
                 if key not in pending:
@@ -191,7 +276,10 @@ class LocalEngine:
                     )
                 inputs.append(pending.pop(key))
             in_bytes = sum(_payload_bytes(v) for v in inputs)
-            outputs = unit.process(inputs)
+            if _shared and memo and all(map(_is_shared, inputs)):
+                outputs = _process_shared(unit, inputs)
+            else:
+                outputs = unit.process(inputs)
             if outputs is None:
                 outputs = []
             if len(outputs) != num_outputs:

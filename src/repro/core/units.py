@@ -192,13 +192,24 @@ class Unit:
 
     # -- lifecycle --------------------------------------------------------------
     def reset(self) -> None:
-        """Clear any per-run state.  Stateful subclasses override."""
+        """Clear any per-run state.
+
+        A unit that keeps state across firings or draws randomness
+        overrides this method; overriding it is what marks the unit as
+        stateful.  A unit that overrides neither this nor
+        :attr:`REQUIRED_PERMISSIONS` may be computed once for all the
+        replicas of an input (see :func:`repro.core.engine.share`).
+        """
 
     def process(self, inputs: Sequence[Any]) -> list[Any]:
         """Consume one payload per input node, return one per output node.
 
-        Must be overridden; stateless units should be pure functions of
-        ``inputs`` and parameters.
+        Must be overridden, and must not modify ``inputs``.  A unit that
+        keeps state, draws randomness or reads anything outside its
+        inputs and parameters overrides :meth:`reset` or declares a
+        :attr:`REQUIRED_PERMISSIONS` entry.  A unit that does neither is
+        a pure function of its inputs and parameters, and may be
+        computed once for all replicas of an input.
         """
         raise NotImplementedError(f"{self.unit_name()}.process")
 

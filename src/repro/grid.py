@@ -49,7 +49,7 @@ from .resources.gram import BatchQueue
 from .service.cluster import ClusterTrianaService
 from .service.controller import RunReport, TrianaController
 from .service.worker import TrianaService
-from .simkernel import Simulator
+from .simkernel import Simulator, check_horizon
 from .transport import RealtimeSimulator, TcpTransport
 
 __all__ = ["ConsumerGrid", "GridNode", "DISCOVERY", "PORTAL_ID", "CONTROLLER_ID"]
@@ -230,6 +230,9 @@ class GridNode:
             # Before discovery, so the run's p2p/mobility/service spans
             # are all captured.
             self._ensure_tracing()
+        if run_until is not None:
+            # Before anything is dealt, so a bad horizon leaves the grid usable.
+            check_horizon(run_until)
         if workers is None:
             workers = self.discover_workers()
         done = self.controller.run_distributed(

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
+from ...core import engine
 from ...p2p.peer import Peer
 from ...simkernel import Event, Simulator
 from ..detector import HeartbeatFailureDetector
@@ -137,11 +138,15 @@ class DispatchContext:
 
         When a verifier is attached it observes every send (replication
         fans out from here) and the inputs are retained for tie-break
-        re-executions; its own replica sends pass ``verify=False``.
+        re-executions; its own replica sends pass ``verify=False`` and
+        :func:`~repro.core.engine.share` their inputs, so replicas in this
+        process compute a stateless unit once.
         """
         size = 64  # the envelope, paid once per message
         for _it, inputs in items:
             size += payload_nbytes(inputs)
+            if not verify:
+                engine.share(inputs)
         tracer = self.sim.tracer
         if tracer.enabled:
             tracer.metrics.counter("service.dispatches").inc(len(items))

@@ -18,7 +18,7 @@ from .errors import (
 )
 from .queues import CalendarQueue, Resource, Store
 from .rng import RngRegistry, stable_hash
-from .sim import AllOf, AnyOf, Event, Process, Simulator, Timeout
+from .sim import AllOf, AnyOf, Event, Process, Simulator, Timeout, check_horizon
 
 __all__ = [
     "AllOf",
@@ -36,5 +36,6 @@ __all__ = [
     "Simulator",
     "Store",
     "Timeout",
+    "check_horizon",
     "stable_hash",
 ]

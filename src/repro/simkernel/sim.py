@@ -38,6 +38,7 @@ Example
 
 from __future__ import annotations
 
+import math
 from collections.abc import Generator, Iterable
 from typing import Any, Callable, Optional
 
@@ -52,6 +53,7 @@ __all__ = [
     "AnyOf",
     "AllOf",
     "Simulator",
+    "check_horizon",
 ]
 
 # Event lifecycle states.
@@ -354,6 +356,13 @@ class AllOf(_Condition):
         return len(self._done) == len(self.events)
 
 
+def check_horizon(until: float) -> None:
+    """Raise :class:`SimTimeError` naming ``until`` unless it is a finite
+    time: a NaN horizon would stop a run at once, an infinite one never."""
+    if not math.isfinite(until):
+        raise SimTimeError(f"run(until={until!r}) is not a finite time")
+
+
 class Simulator:
     """The discrete-event loop: a clock plus an ordered event queue.
 
@@ -501,8 +510,11 @@ class Simulator:
 
         ``until`` may be ``None`` (drain), a number (absolute sim time), or
         an :class:`Event` — in the last case the event's value is returned
-        (its failure re-raised).
+        (its failure re-raised).  A number that is NaN, infinite or in the
+        past raises :class:`SimTimeError`.
         """
+        if until is not None and not isinstance(until, Event):
+            check_horizon(until)
         tracer = self.tracer
         if not tracer.enabled:
             return self._run(until)

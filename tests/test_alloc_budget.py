@@ -60,3 +60,19 @@ def test_idle_peer_stays_within_budget(microbench, strategy):
 def test_stage_hop_schedules_three_events(microbench):
     # The group-exec arrival, the exec loop's start and its finish.
     assert microbench.events_per_hop() <= microbench.ALLOC_BUDGET["events_per_hop"]
+
+
+def test_a_replicated_iteration_is_computed_once(microbench):
+    # replicate-3 executes each iteration on three workers; the host runs
+    # the stateless filter once and the other two replicas reuse it.
+    assert (
+        microbench.computes_per_replicated_iteration()
+        <= microbench.ALLOC_BUDGET["computes_per_replicated_iteration"]
+    )
+
+
+def test_nothing_shared_outlives_a_replicated_run(microbench):
+    assert (
+        microbench.shared_entries_after_run()
+        <= microbench.ALLOC_BUDGET["shared_entries_after_run"]
+    )

@@ -197,10 +197,10 @@ class TestStageRouterHandsValuesOver:
         assert not router._vals
 
 
-def test_a_dealt_input_dies_when_its_result_settles():
-    """End to end on the simulated grid: by the last ``iteration-complete``
-    (the run still in flight) only what a worker's engine last touched is
-    alive.  The router used to keep every iteration's inputs to the end."""
+def _alive_at_last_settle(verification: str, n_workers: int, iterations: int) -> list[bool]:
+    """Run Src → {Gain, FFT} (parallel) → Grapher on the simulated grid
+    and report, at the last ``iteration-complete`` (the run still in
+    flight), which of the source's outputs are alive."""
     emitted = []
 
     class WatchedSource(Unit):
@@ -226,7 +226,6 @@ def test_a_dealt_input_dies_when_its_result_settles():
         g.connect(a, 0, b, 0)
     g.group_tasks("G", ["Gain", "FFT"], policy="parallel")
 
-    n_workers, iterations = 3, 12
     grid = ConsumerGrid(n_workers=n_workers, seed=1)
     alive_at = {}
 
@@ -236,8 +235,26 @@ def test_a_dealt_input_dies_when_its_result_settles():
             alive_at[dict(event.attrs)["iteration"]] = [r() is not None for r in emitted]
 
     grid.sim.tracer.subscribe(on_progress, category="progress")
-    report = grid.run(g, iterations=iterations)
+    report = grid.run(g, iterations=iterations, verification=verification)
     assert len(report.group_results) == iterations
     at_last = alive_at[iterations - 1]
     assert len(at_last) == iterations
+    return at_last
+
+
+def test_a_dealt_input_dies_when_its_result_settles():
+    """End to end on the simulated grid: by the last ``iteration-complete``
+    only what a worker's engine last touched is alive.  The router used
+    to keep every iteration's inputs to the end."""
+    n_workers, iterations = 3, 12
+    at_last = _alive_at_last_settle("none", n_workers, iterations)
+    assert sum(at_last) <= n_workers and not any(at_last[: iterations - n_workers])
+
+
+def test_a_replicated_input_dies_when_its_result_settles():
+    """The same under replicate-3, where every worker gets every input and
+    the replicas share one computation: the shared tables hold inputs
+    weakly, so a settled input still dies."""
+    n_workers, iterations = 3, 12
+    at_last = _alive_at_last_settle("replicate-3", n_workers, iterations)
     assert sum(at_last) <= n_workers and not any(at_last[: iterations - n_workers])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import ConsumerGrid, TaskGraph
+from repro.analysis.workloads import pipeline_graph
 from repro.core import LocalEngine
 from repro.core.registry import UnitRegistry
 from repro.core.toolbox.display import Grapher
@@ -12,6 +13,7 @@ from repro.core.types import SampleSet
 from repro.core.units import Unit
 from repro.mobility import SandboxPolicy
 from repro.service import DeploymentError, SchedulingError
+from repro.simkernel import SimTimeError
 
 
 def fig1_grouped(policy="parallel", members=("Gaussian", "FFT")):
@@ -59,6 +61,20 @@ def stateless_pipeline(policy="parallel"):
         g.connect(a, 0, b, 0)
     g.group_tasks("GroupTask", ["Gain", "FFT"], policy=policy)
     return g
+
+
+class TestRunHorizon:
+    @pytest.mark.parametrize("until", [float("nan"), float("inf")])
+    def test_a_horizon_that_is_not_a_finite_time_is_refused_before_dealing(self, until):
+        # NaN used to raise a misleading "did not finish by t=nan"; inf
+        # finished but left the clock at inf, so the next run failed.
+        grid = ConsumerGrid(n_workers=2, seed=1)
+        graph = pipeline_graph(2, samples=16)
+        with pytest.raises(SimTimeError, match=repr(until)):
+            grid.run(graph, 2, run_until=until)
+        assert grid.sim.now < 1.0
+        report = grid.run(graph, 2, run_until=grid.sim.now + 1e5)
+        assert len(report.group_results) == 2
 
 
 class TestParallelPolicy:

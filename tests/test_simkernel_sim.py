@@ -11,6 +11,7 @@ from repro.simkernel import (
     SimTimeError,
     Simulator,
 )
+from repro.transport import RealtimeSimulator
 
 
 def test_clock_starts_at_zero():
@@ -72,6 +73,18 @@ def test_run_until_past_raises():
     sim.run()
     with pytest.raises(SimTimeError):
         sim.run(until=1.0)
+
+
+@pytest.mark.parametrize("until", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("kernel", ["sim", "realtime"])
+def test_run_until_a_horizon_that_is_not_a_finite_time_raises(kernel, until):
+    # NaN used to return at once with the clock unmoved; inf drained the
+    # queue and left now == inf (the realtime kernel spun forever).
+    sim = Simulator() if kernel == "sim" else RealtimeSimulator()
+    sim.timeout(1.0)
+    with pytest.raises(SimTimeError, match=repr(until)):
+        sim.run(until=until)
+    assert sim.now == 0.0 and sim.events_executed == 0
 
 
 def test_simultaneous_events_fire_in_schedule_order():
