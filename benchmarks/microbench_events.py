@@ -9,8 +9,11 @@ per joined, idle peer under each discovery strategy
 (``allocs_per_call_at`` / ``allocs_per_message`` / ``allocs_per_peer``),
 the kernel events one stage hop of a p2p pipeline schedules
 (``events_per_hop``), the host computations one replicated iteration
-costs (``computes_per_replicated_iteration``) and what the replica
-sharing tables still hold after such a run (``shared_entries_after_run``).
+costs (``computes_per_replicated_iteration``), what the replica
+sharing tables still hold after such a run (``shared_entries_after_run``),
+the ``Timeout`` events one worker heartbeat allocates
+(``timeouts_per_beat``) and the named-stream lookups one send makes with
+every chaos fraction above zero (``rng_lookups_per_chaos_send``).
 A count does not depend on the runner, so it gates: the script exits
 non-zero when any exceeds :data:`ALLOC_BUDGET`
 (``tests/test_alloc_budget.py`` asserts the same budget in tier-1), and
@@ -46,7 +49,7 @@ from repro.p2p.discovery import (  # noqa: E402
 )
 from repro.p2p.network import SimNetwork  # noqa: E402
 from repro.p2p.peer import Peer  # noqa: E402
-from repro.simkernel import Simulator  # noqa: E402
+from repro.simkernel import Simulator, Timeout  # noqa: E402
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -54,12 +57,14 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 #: ``docs/performance.md``, "The message path" and "What a peer costs the
 #: collector").  Bounds, not equalities: interpreter versions differ in
 #: what they track.  ``events_per_hop`` is kernel events, exact on any
-#: interpreter ("A stage hop: what one execution schedules").  The last
-#: two are exact counts too ("A replicated execution is computed once").
+#: interpreter ("A stage hop: what one execution schedules").  The rest
+#: are exact counts too ("A replicated execution is computed once", "A
+#: heartbeat is one scheduled call").
 ALLOC_BUDGET = {
     "allocs_per_call_at": 2.0, "allocs_per_message": 5.0, "allocs_per_peer": 5.0,
     "events_per_hop": 3.0, "computes_per_replicated_iteration": 1.0,
-    "shared_entries_after_run": 0.0,
+    "shared_entries_after_run": 0.0, "timeouts_per_beat": 0.0,
+    "rng_lookups_per_chaos_send": 0.0,
 }
 
 #: The discovery strategies ``allocs_per_peer`` is counted under.
@@ -197,13 +202,68 @@ def shared_entries_after_run() -> float:
     return float(len(set(engine._shared) - shared) + len(set(engine._memo) - memo))
 
 
+def timeouts_per_beat(seconds: int = 400) -> float:
+    """``Timeout`` events per heartbeat of one worker that beats every
+    second toward its controller for ``seconds``, its lease renewed
+    every 4 s: the heartbeat loop waits by scheduled calls."""
+    grid = ConsumerGrid(n_workers=1, seed=1)
+    (worker,) = grid.workers.values()
+    controller = grid.controller.peer.peer_id
+    sim = grid.sim
+    start = sim.now
+    for at in range(0, seconds, 4):
+        sim.call_at(start + at, worker._ensure_heartbeat, controller, 1.0)
+    made = 0
+    init = Timeout.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal made
+        made += 1
+        init(self, *args, **kwargs)
+
+    Timeout.__init__ = counted
+    try:
+        sim.run(until=start + seconds + 20)
+    finally:
+        Timeout.__init__ = init
+    return round(made / worker.stats.heartbeats_sent, 1)
+
+
+def rng_lookups_per_chaos_send(n: int = 1000) -> float:
+    """``Simulator.rng`` calls per ``Peer.send`` on a network with all five
+    chaos fractions above zero: its draws come from block-drawn streams
+    claimed once, at construction."""
+    sim = Simulator(seed=1)
+    net = SimNetwork(
+        sim, jitter_fraction=0.1, loss_fraction=0.001, corrupt_fraction=0.001,
+        duplicate_fraction=0.001, reorder_fraction=0.001,
+    )
+    a, b = Peer("a", net), Peer("b", net)
+    b.on("m", lambda msg: None)
+    lookups = 0
+    rng = Simulator.rng
+
+    def counted(self, name):
+        nonlocal lookups
+        lookups += 1
+        return rng(self, name)
+
+    Simulator.rng = counted
+    try:
+        for _ in range(n):
+            a.send("b", "m")
+    finally:
+        Simulator.rng = rng
+    return round(lookups / n, 1)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(RESULTS_DIR / "MICROBENCH_events.json"),
                         help="output JSON path")
     args = parser.parse_args(argv)
 
-    result = {"schema": 5}
+    result = {"schema": 6}
     for name, measure, unit in (
         ("allocs_per_call_at", allocs_per_call_at, "GC-tracked objects"),
         ("allocs_per_message", allocs_per_message, "GC-tracked objects"),
@@ -212,6 +272,8 @@ def main(argv=None) -> int:
         ("computes_per_replicated_iteration", computes_per_replicated_iteration,
          "host computations"),
         ("shared_entries_after_run", shared_entries_after_run, "table entries"),
+        ("timeouts_per_beat", timeouts_per_beat, "Timeout events"),
+        ("rng_lookups_per_chaos_send", rng_lookups_per_chaos_send, "stream lookups"),
     ):
         result[name] = measure()
         print(f"{name:34s} {result[name]:>6.1f} {unit} "

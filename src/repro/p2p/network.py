@@ -31,6 +31,7 @@ simulated implementation (the socket one is
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -103,6 +104,10 @@ class NetChaos:
     reorder_fraction: float = 0.0
 
     def __post_init__(self):
+        if not 0.0 <= self.jitter_fraction < math.inf:  # NaN fails both
+            raise NetworkError(
+                f"jitter_fraction must be finite and >= 0, got {self.jitter_fraction!r}"
+            )
         for name in (
             "loss_fraction", "corrupt_fraction", "duplicate_fraction", "reorder_fraction",
         ):
@@ -324,6 +329,13 @@ class SimNetwork(Transport):
         # Bound once: send() schedules this per message, and a fresh
         # bound-method object each time is one more thing for the GC.
         self._on_arrival = self._deliver
+        # One block-drawn stream per chaos decision, with send() its only
+        # consumer: a draw is a generator resumption, not a numpy call.
+        self._jitter_u = sim.draws("net-jitter")
+        self._loss_u = sim.draws("net-loss")
+        self._corrupt_u = sim.draws("net-corrupt")
+        self._reorder_u = sim.draws("net-reorder")
+        self._dup_u = sim.draws("net-dup")
 
     # -- membership ---------------------------------------------------------
     def add_node(
@@ -491,9 +503,11 @@ class SimNetwork(Transport):
         # fetched).
         p_src, p_dst = profiles[src], profiles[dst]
         delay = p_src.latency_s + p_dst.latency_s + size / min(p_src.up_bps, p_dst.down_bps)
-        if self.jitter_fraction > 0:
-            jitter = sim.rng("net-jitter").uniform(0, self.jitter_fraction)
-            delay *= 1.0 + jitter
+        # Each chaos draw is ``u < fraction``, or ``lo + (hi - lo) * u`` in
+        # place of ``uniform(lo, hi)``: numpy's own formula, so bit-equal.
+        jitter = self.jitter_fraction
+        if jitter > 0:
+            delay *= 1.0 + jitter * self._jitter_u()
         online = self._online
         if not online[src] or not online[dst]:
             stats.dropped_offline += 1
@@ -507,7 +521,7 @@ class SimNetwork(Transport):
             return delay
         if (
             self.loss_fraction > 0.0
-            and sim.rng("net-loss").random() < self.loss_fraction
+            and self._loss_u() < self.loss_fraction
         ):
             stats.dropped_loss += 1
             if traced:
@@ -515,7 +529,7 @@ class SimNetwork(Transport):
             return delay
         if (
             self.corrupt_fraction > 0.0
-            and sim.rng("net-corrupt").random() < self.corrupt_fraction
+            and self._corrupt_u() < self.corrupt_fraction
         ):
             # Garbled in flight; the receiver's checksum catches it and the
             # frame is discarded — recovery is the job of higher layers.
@@ -526,15 +540,15 @@ class SimNetwork(Transport):
             return delay
         if (
             self.reorder_fraction > 0.0
-            and sim.rng("net-reorder").random() < self.reorder_fraction
+            and self._reorder_u() < self.reorder_fraction
         ):
             # Held back long enough to arrive behind later traffic.
             stats.reordered += 1
-            delay *= 1.0 + float(sim.rng("net-reorder").uniform(1.0, 3.0))
+            delay *= 1.0 + (1.0 + 2.0 * self._reorder_u())
 
         duplicated = (
             self.duplicate_fraction > 0.0
-            and sim.rng("net-dup").random() < self.duplicate_fraction
+            and self._dup_u() < self.duplicate_fraction
         )
         if duplicated:
             stats.duplicated += 1

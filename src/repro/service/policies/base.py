@@ -180,7 +180,7 @@ class DispatchContext:
         return True
 
     def spawn(self, generator, name: str):
-        """Run a policy-owned process (e.g. a recovery loop)."""
+        """Run a policy-owned process (e.g. the spot-check quiz)."""
         return self.sim.process(generator, name=name)
 
     def rng(self, name: str):

@@ -122,7 +122,7 @@ class ParallelFarmPolicy(DistributionPolicy):
         ctx.send_exec(ctx.replica_hosts[replica], ctx.dep_ids[replica], items)
 
     def begin_collect(self, ctx: DispatchContext) -> None:
-        ctx.spawn(self._recovery_loop(ctx), name="recovery-monitor")
+        ctx.sim.drive(self._recovery_loop(ctx))
 
     def on_result(self, ctx: DispatchContext, iteration: int, worker: str) -> None:
         if iteration in self.replica_of:
@@ -145,7 +145,8 @@ class ParallelFarmPolicy(DistributionPolicy):
         Ticks at ``min(retry_interval, heartbeat_interval)`` so a heartbeat
         suspicion is acted on within one beat of the detector deadline —
         the seed's retry loop could leave a dead iteration waiting up to
-        ``retry_timeout + retry_interval``.
+        ``retry_timeout + retry_interval``.  ``sim.drive`` runs it: it
+        yields the tick to wait.
         """
         cfg = ctx.settings
         stop = self._stop
@@ -157,7 +158,7 @@ class ParallelFarmPolicy(DistributionPolicy):
         rng = ctx.rng("recovery-backoff")
         ticks = 0
         while not stop["done"]:
-            yield ctx.sim.timeout(tick)
+            yield tick
             if stop["done"]:
                 return
             now = ctx.sim.now

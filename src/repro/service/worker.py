@@ -14,6 +14,7 @@ while the payloads themselves are computed for real.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional  # noqa: F401
@@ -210,9 +211,11 @@ class TrianaService:
         The loop is *leased*, not perpetual: it stops ``HB_LEASE_BEATS``
         intervals after the last deploy or ``triana-hb-renew``, so an idle
         grid's event queue still drains.  Controllers renew the lease for
-        as long as a run is in flight.
+        as long as a run is in flight.  An interval that is not positive
+        and finite arrives off the wire and is ignored: a NaN would stop
+        the loop for good, and an infinite one park it.
         """
-        if interval <= 0:
+        if not 0.0 < interval < math.inf:  # NaN fails both comparisons
             return
         self._hb_interval = interval
         self._hb_controllers.add(controller)
@@ -221,18 +224,20 @@ class TrianaService:
         )
         if not self._hb_running:
             self._hb_running = True
-            self.sim.process(
-                self._heartbeat_loop(), name=f"heartbeat/{self.peer.peer_id}"
-            )
+            self.sim.drive(self._heartbeat_loop())
 
     def _on_hb_renew(self, message: Message) -> None:
         controller, interval = message.payload
         self._ensure_heartbeat(controller, float(interval))
 
     def _heartbeat_loop(self):
-        # First beat one interval in: deploys get a quiet network, and the
-        # detector's watch() grace covers the gap.
-        yield self.sim.timeout(self._hb_interval)
+        """Beat toward every controller until the lease runs out.
+
+        ``sim.drive`` runs it: it yields the interval to wait.  The first
+        beat is one interval in: deploys get a quiet network, and the
+        detector's watch() grace covers the gap.
+        """
+        yield self._hb_interval
         while self.sim.now < self._hb_lease_until:
             if self.peer.online:
                 tracer = self.sim.tracer
@@ -246,7 +251,7 @@ class TrianaService:
                         payload=(self.peer.peer_id, self.stats.iterations),
                         size_bytes=48,
                     )
-            yield self.sim.timeout(self._hb_interval)
+            yield self._hb_interval
         self._hb_running = False
 
     # -- replica preseed -----------------------------------------------------------

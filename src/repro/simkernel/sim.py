@@ -7,6 +7,8 @@ volunteer churn, batch queues) is built on.  It provides:
 * :class:`Event` — one-shot triggerable events carrying a value or error,
 * :class:`Timeout` — an event that fires after a simulated delay,
 * :class:`Process` — generator-based coroutines that ``yield`` events,
+* :meth:`Simulator.drive` — a loop that only ever waits for a delay,
+  run with no process: it yields delays, not events,
 * :class:`AnyOf` / :class:`AllOf` — composite wait conditions.
 
 The design follows the classic SimPy shape but is self-contained (no
@@ -422,6 +424,11 @@ class Simulator:
         """Named deterministic random stream (see :class:`RngRegistry`)."""
         return self._rngs.stream(name)
 
+    def draws(self, name: str) -> Callable[[], float]:
+        """The stream ``name``'s doubles in ``[0, 1)``, one per call, drawn
+        in blocks (see :meth:`RngRegistry.draws`)."""
+        return self._rngs.draws(name)
+
     @property
     def seed(self) -> int:
         return self._rngs.seed
@@ -473,6 +480,34 @@ class Simulator:
         # now + (when - now), not ``when``: the float a Timeout of that
         # delay lands on, so timestamps and tie order match process code.
         return _Call(self, now + float(delay), fn, args)
+
+    def drive(self, generator: Generator) -> None:
+        """Run a loop that only ever waits for a delay, without a process.
+
+        The generator yields delays in simulated seconds where process
+        code would ``yield sim.timeout(delay)``.  It starts at the
+        current time, in the queue slot a :class:`Process` start takes,
+        and each delay resumes it through one ``call_at`` event at
+        ``now + delay`` — the float that ``Timeout(delay)`` lands on, so
+        times and tie order are a process's.  A negative or NaN delay is
+        refused as ``Timeout`` refuses it: the :class:`SimTimeError` is
+        raised into the generator where it yielded.  Returning ends the
+        loop and schedules nothing; an exception ends this loop only, as
+        it ends a process nobody waits on, and the run goes on.
+        """
+        _Call(self, self.now, self._drive, (generator,))
+
+    def _drive(self, generator: Generator, error: Optional[BaseException] = None) -> None:
+        """One resumption of a :meth:`drive` loop."""
+        while True:
+            try:
+                delay = generator.send(None) if error is None else generator.throw(error)
+            except Exception:
+                return  # returned (StopIteration) or failed: the loop is over
+            if delay >= 0:  # False for NaN
+                break
+            error = SimTimeError(f"negative or NaN timeout delay {delay!r}")
+        _Call(self, self.now + float(delay), self._drive, (generator,))
 
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:

@@ -1,4 +1,5 @@
-"""Deterministic budgets for the message path, an idle peer and a stage hop.
+"""Deterministic budgets for the message path, an idle peer, a stage hop,
+a replicated iteration, a heartbeat and a chaos send.
 
 Every simulated message and timer crosses ``Simulator.call_at`` and
 ``SimNetwork.send``; on a 10k-peer heap what they *allocate* decides how
@@ -75,4 +76,18 @@ def test_nothing_shared_outlives_a_replicated_run(microbench):
     assert (
         microbench.shared_entries_after_run()
         <= microbench.ALLOC_BUDGET["shared_entries_after_run"]
+    )
+
+
+def test_a_heartbeat_allocates_no_timeout(microbench):
+    # The loop is driven by one scheduled call per beat, not a Process
+    # resumed by a fresh Timeout.
+    assert microbench.timeouts_per_beat() <= microbench.ALLOC_BUDGET["timeouts_per_beat"]
+
+
+def test_a_chaos_send_looks_up_no_stream(microbench):
+    # Its five draws come from block-drawn streams claimed at construction.
+    assert (
+        microbench.rng_lookups_per_chaos_send()
+        <= microbench.ALLOC_BUDGET["rng_lookups_per_chaos_send"]
     )

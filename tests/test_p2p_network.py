@@ -1,9 +1,13 @@
 """Tests for the simulated consumer network."""
 
 import hashlib
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.config import GridConfig
 from repro.p2p import (
     DSL_PROFILE,
     LAN_PROFILE,
@@ -12,7 +16,8 @@ from repro.p2p import (
     NodeProfile,
     SimNetwork,
 )
-from repro.simkernel import Simulator
+from repro.p2p.network import NetChaos
+from repro.simkernel import RngRegistry, Simulator
 
 
 def make_net(n=2, jitter=0.0):
@@ -142,6 +147,93 @@ class TestDelivery:
             return sim.now
 
         assert run_once() == run_once()
+
+
+class TestJitterValidation:
+    BAD = [math.nan, -0.1, math.inf]
+
+    @pytest.mark.parametrize("jitter", BAD)
+    def test_network_refuses_it(self, jitter):
+        with pytest.raises(NetworkError, match="jitter_fraction"):
+            SimNetwork(Simulator(), jitter_fraction=jitter)
+
+    @pytest.mark.parametrize("jitter", BAD)
+    def test_chaos_value_refuses_it(self, jitter):
+        with pytest.raises(NetworkError, match="jitter_fraction"):
+            NetChaos(jitter_fraction=jitter)
+
+    @pytest.mark.parametrize("jitter", BAD)
+    def test_grid_config_refuses_it(self, jitter):
+        with pytest.raises(NetworkError, match="jitter_fraction"):
+            GridConfig().replace(jitter_fraction=jitter)
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.1, 5.0])
+    def test_finite_non_negative_jitter_is_accepted(self, jitter):
+        assert SimNetwork(Simulator(), jitter_fraction=jitter).jitter_fraction == jitter
+
+
+CHAOS_STREAMS = ("net-jitter", "net-loss", "net-corrupt", "net-reorder", "net-dup")
+
+
+def scalar_draw_reference(seed, chaos, sizes, profile):
+    """What ``SimNetwork.send`` delivered when each chaos decision was one
+    scalar numpy call: ``uniform`` for the jitter and the reorder stretch,
+    ``random`` for the four coin flips.  Messages go out at t=0 between
+    two online nodes of ``profile``; returns arrival ``(time, index)``
+    pairs and the chaos counters."""
+    rng = {name: RngRegistry(seed).fresh(name) for name in CHAOS_STREAMS}
+    arrivals = []
+    counts = dict(dropped_loss=0, corrupted=0, reordered=0, duplicated=0)
+    for index, size in enumerate(sizes):
+        delay = profile.latency_s + profile.latency_s + size / min(
+            profile.up_bps, profile.down_bps)
+        delay *= 1.0 + rng["net-jitter"].uniform(0, chaos.jitter_fraction)
+        if rng["net-loss"].random() < chaos.loss_fraction:
+            counts["dropped_loss"] += 1
+            continue
+        if rng["net-corrupt"].random() < chaos.corrupt_fraction:
+            counts["corrupted"] += 1
+            continue
+        if rng["net-reorder"].random() < chaos.reorder_fraction:
+            counts["reordered"] += 1
+            delay *= 1.0 + float(rng["net-reorder"].uniform(1.0, 3.0))
+        arrivals.append((delay, index))
+        if rng["net-dup"].random() < chaos.duplicate_fraction:
+            counts["duplicated"] += 1
+            arrivals.append((delay * 1.5, index))
+    return sorted(arrivals), counts
+
+
+class TestChaosDraws:
+    fraction = st.floats(0.01, 0.6)
+
+    @given(
+        seed=st.integers(0, 2**32),
+        chaos=st.builds(
+            NetChaos, jitter_fraction=st.floats(0.01, 2.0), loss_fraction=fraction,
+            corrupt_fraction=fraction, duplicate_fraction=fraction,
+            reorder_fraction=fraction,
+        ),
+        # 300+ sends: the jitter and loss streams refill their block mid-run.
+        sizes=st.lists(st.integers(0, 200_000), min_size=300, max_size=800),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_block_draws_deliver_what_scalar_draws_did(self, seed, chaos, sizes):
+        sim = Simulator(seed=seed)
+        net = SimNetwork(sim, **vars(chaos))
+        got = []
+        net.add_node("a", lambda m: None)
+        net.add_node("b", lambda m: got.append((sim.now, m.payload)))
+        for index, size in enumerate(sizes):
+            net.send(Message(kind="x", src="a", dst="b", payload=index, size_bytes=size))
+        sim.run()
+        arrivals, counts = scalar_draw_reference(seed, chaos, sizes, DSL_PROFILE)
+        assert sorted(got) == arrivals
+        stats = net.stats
+        assert {name: getattr(stats, name) for name in counts} == counts
+        assert (stats.sent, stats.delivered, stats.bytes_sent) == (
+            len(sizes), len(arrivals), sum(sizes))
+        assert (stats.in_flight, stats.in_flight_bytes) == (0, 0)
 
 
 class TestChurn:

@@ -1,10 +1,11 @@
 """Tests and properties for deterministic RNG streams."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simkernel import RngRegistry, stable_hash
+from repro.simkernel import RngRegistry, Simulator, stable_hash
 
 
 def test_same_seed_same_draws():
@@ -74,3 +75,56 @@ def test_registry_deterministic_property(seed, name):
     x = RngRegistry(seed).stream(name).integers(0, 1000, 5)
     y = RngRegistry(seed).stream(name).integers(0, 1000, 5)
     np.testing.assert_array_equal(x, y)
+
+
+# -- block draws --------------------------------------------------------------------
+
+
+@given(seed=st.integers(0, 2**32), n=st.integers(3 * 256 + 1, 1200))
+@settings(max_examples=20, deadline=None)
+def test_block_draws_are_the_scalar_draws(seed, n):
+    # Past at least three block boundaries, call by call.
+    reg = RngRegistry(seed=seed)
+    draw = reg.draws("net-loss")
+    scalar = reg.fresh("net-loss")
+    assert [draw() for _ in range(n)] == [scalar.random() for _ in range(n)]
+
+
+@given(
+    seed=st.integers(0, 2**32),
+    ranges=st.lists(
+        st.tuples(
+            st.floats(-10.0, 10.0, allow_nan=False),
+            st.floats(1e-9, 10.0, allow_nan=False),
+        ),
+        min_size=1, max_size=300,
+    ),
+)
+@settings(max_examples=30, deadline=None)
+def test_a_scaled_block_draw_is_numpys_uniform_to_the_bit(seed, ranges):
+    reg = RngRegistry(seed=seed)
+    draw = reg.draws("net-reorder")
+    scalar = reg.fresh("net-reorder")
+    for lo, width in ranges:
+        hi = lo + width
+        assert lo + (hi - lo) * draw() == scalar.uniform(lo, hi)
+
+
+def test_a_name_is_drawn_one_way():
+    reg = RngRegistry(seed=1)
+    draw = reg.draws("a")
+    assert reg.draws("a") is draw  # one callable, one draw order
+    with pytest.raises(ValueError, match="'a'"):
+        reg.stream("a")
+    reg.stream("b")
+    with pytest.raises(ValueError, match="'b'"):
+        reg.draws("b")
+    assert reg.names() == ["b"]
+
+
+def test_the_simulator_hands_out_block_draws():
+    sim = Simulator(seed=9)
+    draw = sim.draws("net-dup")
+    assert [draw() for _ in range(3)] == list(RngRegistry(seed=9).fresh("net-dup").random(3))
+    with pytest.raises(ValueError):
+        sim.rng("net-dup")

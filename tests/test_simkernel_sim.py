@@ -464,3 +464,121 @@ def test_events_executed_counter():
         sim.timeout(1.0)
     sim.run()
     assert sim.events_executed == 4
+
+
+# -- driven loops -------------------------------------------------------------------
+
+
+delays = st.lists(
+    st.one_of(st.floats(0.0, 5.0), st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0])),
+    max_size=12,
+)
+
+
+@given(loops=st.lists(st.tuples(st.booleans(), delays), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_a_driven_loop_keeps_the_schedule_of_a_process(loops):
+    """Each loop is driven or a process waiting on timeouts; run as
+    processes only, the log is the same, tie order included.  The
+    processes' completion events are the only extra events."""
+
+    def run(allow_drive):
+        sim = Simulator()
+        log = []
+
+        def driven(tag, ds):
+            log.append((tag, sim.now))
+            for d in ds:
+                yield d
+                log.append((tag, sim.now))
+
+        def process(tag, ds):
+            log.append((tag, sim.now))
+            for d in ds:
+                yield sim.timeout(d)
+                log.append((tag, sim.now))
+
+        for tag, (drive, ds) in enumerate(loops):
+            if drive and allow_drive:
+                sim.drive(driven(tag, ds))
+            else:
+                sim.process(process(tag, ds))
+        sim.run()
+        return log, sim.events_executed
+
+    log, events = run(allow_drive=True)
+    ref_log, ref_events = run(allow_drive=False)
+    assert log == ref_log
+    assert ref_events - events == sum(drive for drive, _ in loops)
+
+
+def test_a_driven_loop_starts_now_and_ends_without_an_event():
+    sim = Simulator()
+    sim.run(until=2.0)
+    times = []
+
+    def loop():
+        times.append(sim.now)
+        yield 0.5
+        times.append(sim.now)
+
+    sim.drive(loop())
+    assert times == []  # started by the queue, not by drive()
+    sim.run()
+    assert times == [2.0, 2.5]
+    assert sim.events_executed == 2
+    assert sim.peek() == float("inf")
+
+
+def test_a_driven_loop_that_raises_stops_alone():
+    sim = Simulator()
+    beats = []
+
+    def failing():
+        yield 1.0
+        raise RuntimeError("this loop only")
+
+    def steady():
+        while True:
+            beats.append(sim.now)
+            yield 1.0
+
+    sim.drive(failing())
+    sim.drive(steady())
+    sim.run(until=5.0)
+    assert beats == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan")])
+def test_a_bad_delay_is_refused_where_it_was_yielded(bad):
+    sim = Simulator()
+    with pytest.raises(SimTimeError) as timeout_refusal:
+        sim.timeout(bad)
+    seen = []
+
+    def loop():
+        try:
+            yield bad
+        except SimTimeError as exc:
+            seen.append((sim.now, str(exc)))
+        yield 2.0
+        seen.append(sim.now)
+
+    sim.drive(loop())
+    sim.run()
+    assert seen == [(0.0, str(timeout_refusal.value)), 2.0]
+
+
+def test_a_refused_delay_not_caught_ends_the_loop_only():
+    sim = Simulator()
+    after = []
+
+    def loop(delay):
+        yield delay
+        after.append(sim.now)
+
+    sim.drive(loop(-1.0))
+    sim.drive(loop(float("nan")))
+    sim.drive(loop(1.0))
+    sim.run()
+    assert after == [1.0]
