@@ -33,7 +33,7 @@ import numpy as np
 from ..core.errors import UnitError
 from ..core.registry import register_unit
 from ..core.types import ImageData, ParticleSnapshot
-from ..core.units import ParamSpec, Unit
+from ..core.units import ParamSpec, Unit, _positive, _positive_int
 from ..core.taskgraph import TaskGraph
 
 __all__ = [
@@ -320,11 +320,6 @@ def sph_column_density(
     return grid
 
 
-def _positive(x) -> None:
-    if not (x > 0 and math.isfinite(x)):
-        raise ValueError(f"must be finite and positive, got {x!r}")
-
-
 @register_unit(category="galaxy")
 class DataReader(Unit):
     """"The data file is loaded by a single Data Reader Unit" — emits one
@@ -369,7 +364,7 @@ class ColumnDensity(Unit):
     OUTPUT_TYPES = (ImageData,)
     CODE_SIZE = 60_000
     PARAMETERS = (
-        ParamSpec("resolution", 64, "output grid side", _positive),
+        ParamSpec("resolution", 64, "output grid side", _positive_int),
         ParamSpec("view", "xy", "projection plane: xy | xz | yz"),
         ParamSpec("extent", 2.5, "half-width of the projected region", _positive),
         ParamSpec("theta", 0.0, "view tilt about x, radians"),

@@ -47,7 +47,6 @@ from .types import (
     SampleSet,
     Spectrum,
     TableData,
-    TextMessage,
     TimeFrequency,
     TrianaType,
     VectorType,
@@ -86,7 +85,6 @@ __all__ = [
     "TableData",
     "Task",
     "TaskGraph",
-    "TextMessage",
     "TimeFrequency",
     "TrianaType",
     "TypeMismatchError",

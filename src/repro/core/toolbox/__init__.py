@@ -5,26 +5,14 @@ registry — mirroring Triana's palette of ready-made tools.  Families:
 
 * :mod:`.signal`     — waveform sources, FFTs, spectra, AccumStat, filters
 * :mod:`.mathpack`   — scalar/vector arithmetic, reductions, histograms
-* :mod:`.statistics` — running/windowed estimators, peak detection
 * :mod:`.vectorpack` — shaping, resampling, multi-output splitters
-* :mod:`.conversion` — bridges between the payload families
-* :mod:`.textpack`   — text manipulation
 * :mod:`.imagepack`  — image processing
 * :mod:`.display`    — Grapher and other sinks
 """
 
-from . import (  # noqa: F401
-    conversion,
-    display,
-    imagepack,
-    mathpack,
-    signal,
-    statistics,
-    textpack,
-    vectorpack,
-)
+from . import display, imagepack, mathpack, signal, vectorpack  # noqa: F401
 
-from .display import Grapher, ScopeProbe, TextConsole
+from .display import Grapher, ScopeProbe
 from .signal import (
     FFT,
     AccumStat,
@@ -66,7 +54,6 @@ __all__ = [
     "SampleSetToGraph",
     "ScopeProbe",
     "SpectrumToGraph",
-    "TextConsole",
     "UniformNoise",
     "Wave",
     "WindowFn",

@@ -21,12 +21,11 @@ from ..types import (
     GraphData,
     SampleSet,
     Spectrum,
-    TextMessage,
     VectorType,
 )
 from ..units import ParamSpec, Unit
 
-__all__ = ["Grapher", "ScopeProbe", "TextConsole"]
+__all__ = ["Grapher", "ScopeProbe"]
 
 
 def _to_graph_data(value: Any) -> GraphData:
@@ -100,20 +99,3 @@ class ScopeProbe(Unit):
     def process(self, inputs: Sequence[Any]) -> list[Any]:
         self.seen.append(inputs[0])
         return [inputs[0]]
-
-
-@register_unit(category="display")
-class TextConsole(Unit):
-    """Sink collecting text lines."""
-
-    NUM_INPUTS = 1
-    NUM_OUTPUTS = 0
-    INPUT_TYPES = (TextMessage, Const)
-
-    def reset(self) -> None:
-        self.lines: list[str] = []
-
-    def process(self, inputs: Sequence[Any]) -> list[Any]:
-        value = inputs[0]
-        self.lines.append(value.text if isinstance(value, TextMessage) else str(value.value))
-        return []

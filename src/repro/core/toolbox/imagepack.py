@@ -13,7 +13,7 @@ import numpy as np
 from ..errors import UnitError
 from ..registry import register_unit
 from ..types import Const, ImageData, VectorType
-from ..units import ParamSpec, Unit
+from ..units import ParamSpec, Unit, _positive_int
 
 __all__ = [
     "TestImage",
@@ -27,11 +27,6 @@ __all__ = [
 ]
 
 
-def _positive(x) -> None:
-    if not x > 0:
-        raise ValueError(f"must be positive, got {x!r}")
-
-
 @register_unit(category="image")
 class TestImage(Unit):
     """Synthetic test pattern source (gradient + gaussian blob)."""
@@ -42,7 +37,7 @@ class TestImage(Unit):
     NUM_OUTPUTS = 1
     OUTPUT_TYPES = (ImageData,)
     PARAMETERS = (
-        ParamSpec("size", 64, "image side length in pixels", _positive),
+        ParamSpec("size", 64, "image side length in pixels", _positive_int),
         ParamSpec("pattern", "blob", "blob | gradient | checker"),
     )
 
@@ -100,7 +95,7 @@ class BoxBlur(Unit):
     NUM_OUTPUTS = 1
     INPUT_TYPES = (ImageData,)
     OUTPUT_TYPES = (ImageData,)
-    PARAMETERS = (ParamSpec("radius", 1, "box radius in pixels", _positive),)
+    PARAMETERS = (ParamSpec("radius", 1, "box radius in pixels", _positive_int),)
 
     def process(self, inputs: Sequence[Any]) -> list[Any]:
         img = inputs[0].pixels
@@ -156,7 +151,7 @@ class DownsampleImage(Unit):
     NUM_OUTPUTS = 1
     INPUT_TYPES = (ImageData,)
     OUTPUT_TYPES = (ImageData,)
-    PARAMETERS = (ParamSpec("factor", 2, "downsampling factor", _positive),)
+    PARAMETERS = (ParamSpec("factor", 2, "downsampling factor", _positive_int),)
 
     def process(self, inputs: Sequence[Any]) -> list[Any]:
         img = inputs[0].pixels

@@ -20,7 +20,7 @@ from ..types import (
     Spectrum,
     TimeFrequency,
 )
-from ..units import ParamSpec, Unit, _non_negative, _positive, _positive_int
+from ..units import ParamSpec, Unit, _finite, _non_negative, _positive, _positive_int
 
 __all__ = [
     "Wave",
@@ -56,7 +56,7 @@ class Wave(Unit):
     PARAMETERS = (
         ParamSpec("frequency", 64.0, "oscillation frequency, Hz", _positive),
         ParamSpec("amplitude", 1.0, "peak amplitude"),
-        ParamSpec("samples", 256, "samples per output frame", _positive),
+        ParamSpec("samples", 256, "samples per output frame", _positive_int),
         ParamSpec("sampling_rate", 1024.0, "samples per second", _positive),
         ParamSpec("waveform", "sine", "sine | square | sawtooth"),
     )
@@ -306,7 +306,7 @@ class Gain(Unit):
     NUM_OUTPUTS = 1
     INPUT_TYPES = (SampleSet,)
     OUTPUT_TYPES = (SampleSet,)
-    PARAMETERS = (ParamSpec("factor", 1.0, "gain factor"),)
+    PARAMETERS = (ParamSpec("factor", 1.0, "gain factor", _finite),)
 
     def process(self, inputs: Sequence[Any]) -> list[Any]:
         (sig,) = inputs

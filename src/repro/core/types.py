@@ -3,8 +3,8 @@
 The paper: Triana "provides a set of built-in data types that can be used
 to connect different Peer services – and undertake type checking on their
 connectivity".  This module defines that type system: a small hierarchy of
-containers for numeric, signal, spectral, image, tabular and textual data,
-plus the compatibility relation used when wiring task graphs.
+containers for numeric, signal, spectral, image and tabular data, plus
+the compatibility relation used when wiring task graphs.
 
 All heavy payloads are numpy arrays; containers are intentionally thin and
 carry the metadata units need (sampling rates, frequency resolution...).
@@ -28,7 +28,6 @@ __all__ = [
     "TimeFrequency",
     "ImageData",
     "TableData",
-    "TextMessage",
     "GraphData",
     "ParticleSnapshot",
     "is_compatible",
@@ -250,13 +249,6 @@ class TableData(TrianaType):
 
     def payload_nbytes(self) -> int:
         return 8 * len(self.columns) * max(len(self.rows), 1)
-
-
-@dataclass
-class TextMessage(TrianaType):
-    """Free-form text travelling through a pipeline."""
-
-    text: str = ""
 
 
 @dataclass

@@ -36,8 +36,8 @@ def _positive(x) -> None:
 
 
 def _positive_int(x) -> None:
-    if not isinstance(x, (int, np.integer)) or x < 1:
-        raise ValueError(f"must be a positive integer, got {x!r}")
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < 1:
+        raise ValueError(f"must be a finite positive integer, got {x!r}")
 
 
 def _non_negative(x) -> None:

@@ -230,6 +230,12 @@ class TestUnits:
         with pytest.raises(ParameterError, match="finite"):
             ColumnDensity(**{param: np.inf})
 
+    @pytest.mark.parametrize("resolution", [16.7, 0.5, True])
+    def test_column_density_resolution_must_be_a_whole_count(self, resolution):
+        """16.7 used to render 16x16 while claiming 16.7."""
+        with pytest.raises(ParameterError, match="positive integer"):
+            ColumnDensity(resolution=resolution)
+
     def test_empty_snapshot_renders_an_empty_image(self):
         grid = sph_column_density(ParticleSnapshot(), resolution=8)
         assert grid.shape == (8, 8) and not grid.any()

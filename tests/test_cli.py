@@ -84,10 +84,14 @@ class TestSurface:
     @pytest.mark.parametrize("argv,flag", [
         (["units", "--category", "nosuch"], "--category"),
         (["units", "--category", "generators"], "--category"),
+        (["units", "--category", "statistics"], "--category"),
+        (["units", "--category", "conversion"], "--category"),
+        (["units", "--category", "text"], "--category"),
         (["faults", "--level", "nosuch"], "--level"),
         (["faults", "--level", "hostile", "--workers", "0"], "--workers"),
         (["faults", "--level", "hostile", "--workers", "-2"], "--workers"),
-    ], ids=["unknown-category", "deleted-category", "unknown-level",
+    ], ids=["unknown-category", "deleted-category", "deleted-statistics",
+            "deleted-conversion", "deleted-text", "unknown-level",
             "no-workers", "negative-workers"])
     def test_bad_listing_argument_is_a_usage_error(self, argv, flag, capsys):
         usage_error(argv)

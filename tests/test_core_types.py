@@ -15,7 +15,6 @@ from repro.core import (
     SampleSet,
     Spectrum,
     TableData,
-    TextMessage,
     VectorType,
     is_compatible,
     type_by_name,
@@ -148,7 +147,7 @@ class TestCompatibility:
 
     def test_empty_means_any(self):
         assert is_compatible([], [SampleSet])
-        assert is_compatible([TextMessage], [])
+        assert is_compatible([TableData], [])
 
 
 class TestTypeByName:

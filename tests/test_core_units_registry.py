@@ -191,11 +191,11 @@ class TestRegistry:
 
     def test_toolbox_categories(self):
         """``repro units`` offers exactly the categories DESIGN S5 states:
-        the toolbox's eight and the three the case-study apps register."""
+        the toolbox's five and the three the case-study apps register."""
         categories = {d.category for d in global_registry()}
         assert categories == {
-            "signal", "math", "statistics", "vector", "conversion", "text",
-            "image", "display", "database", "galaxy", "inspiral",
+            "signal", "math", "vector", "image", "display",
+            "database", "galaxy", "inspiral",
         }
 
     def test_all_units_instantiable_with_defaults(self):

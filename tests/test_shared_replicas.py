@@ -32,7 +32,7 @@ from repro.core import engine
 from repro.core.errors import UnitError
 from repro.core.types import (
     ComplexSpectrum, Const, ImageData, ParticleSnapshot, SampleSet, Spectrum,
-    TableData, TextMessage, VectorType,
+    TableData, VectorType,
 )
 from repro.p2p import LAN_PROFILE
 from repro.service.policies.base import DispatchContext
@@ -48,10 +48,9 @@ def memoized_units() -> list[str]:
 
 # -- the stateless-unit contract ----------------------------------------------------
 #: Parameters that make a unit do real work on the drawn fixtures (a
-#: default that names no column, or trims to more samples than drawn,
-#: only ever raises) or keep it small.
+#: default that trims to more samples than drawn only ever raises) or
+#: keep it small.
 PARAMS = {
-    "TableColumn": {"column": "a"},
     "InspiralSearch": {"n_templates": 4},
     "ColumnDensity": {"resolution": 16},
     "TrimTo": {"length": 8},
@@ -79,8 +78,6 @@ def payload(draw, kind, n):
     if kind is ImageData:
         h, w = draw(st.integers(2, 12)), draw(st.integers(2, 12))
         return ImageData(np.resize(vec, (h, w)))
-    if kind is TextMessage:
-        return TextMessage(draw(st.text(st.sampled_from("ab CD,.1"), max_size=30)))
     if kind is TableData:
         rows = draw(st.lists(st.tuples(_floats, st.integers(-5, 5)), max_size=6))
         return TableData(["a", "b"], rows)

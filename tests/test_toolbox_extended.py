@@ -1,42 +1,9 @@
-"""Tests for the extended toolbox: statistics, vector, conversion."""
+"""Tests for the extended toolbox: the vectorpack family."""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    ComplexSpectrum,
-    Const,
-    ImageData,
-    SampleSet,
-    Spectrum,
-    TableData,
-    UnitError,
-    VectorType,
-)
-from repro.core.toolbox.conversion import (
-    ConstToVector,
-    ImageFlatten,
-    SampleSetToVector,
-    SpectrumToVector,
-    TableColumn,
-    TableToText,
-    VectorToSampleSet,
-    VectorToTable,
-)
-from repro.core.toolbox.statistics import (
-    RMS,
-    AutoCorrelate,
-    ExpSmoother,
-    Kurtosis,
-    Median,
-    MovingAverage,
-    PeakDetect,
-    RunningStats,
-    Skewness,
-    Variance,
-    ZeroCrossingRate,
-    ZScore,
-)
+from repro.core import ComplexSpectrum, SampleSet, UnitError, VectorType
 from repro.core.toolbox.vectorpack import (
     ComplexToPolar,
     Concatenate,
@@ -59,99 +26,6 @@ def vec(*values):
 
 def sig(data, fs=8.0, t0=0.0):
     return SampleSet(data=np.asarray(data, dtype=float), sampling_rate=fs, t0=t0)
-
-
-class TestStatistics:
-    def test_rms_variance_median(self):
-        v = vec(3, 4)
-        assert RMS().process([v])[0].value == pytest.approx(np.sqrt(12.5))
-        assert Variance().process([v])[0].value == pytest.approx(0.25)
-        assert Median().process([vec(1, 9, 5)])[0].value == 5.0
-
-    def test_skew_kurtosis_gaussian_near_zero(self):
-        rng = np.random.default_rng(1)
-        v = VectorType(data=rng.normal(size=50_000))
-        assert abs(Skewness().process([v])[0].value) < 0.05
-        assert abs(Kurtosis().process([v])[0].value) < 0.1
-
-    def test_skew_constant_input_zero(self):
-        v = vec(2, 2, 2)
-        assert Skewness().process([v])[0].value == 0.0
-        assert Kurtosis().process([v])[0].value == 0.0
-
-    def test_zscore(self):
-        (out,) = ZScore().process([vec(1, 2, 3)])
-        assert out.data.mean() == pytest.approx(0.0)
-        assert out.data.std() == pytest.approx(1.0)
-
-    def test_zscore_preserves_sampleset(self):
-        (out,) = ZScore().process([sig([1, 2, 3], fs=16.0)])
-        assert isinstance(out, SampleSet) and out.sampling_rate == 16.0
-
-    def test_moving_average_smooths(self):
-        s = sig(np.tile([0.0, 1.0], 32))
-        (out,) = MovingAverage(window=2).process([s])
-        assert out.data[5] == pytest.approx(0.5)
-
-    def test_moving_average_window_check(self):
-        with pytest.raises(UnitError):
-            MovingAverage(window=100).process([sig([1, 2, 3])])
-
-    def test_exp_smoother_converges(self):
-        sm = ExpSmoother(alpha=0.5)
-        values = [sm.process([Const(value=10.0)])[0].value for _ in range(12)]
-        assert values[0] == 10.0
-        assert values[-1] == pytest.approx(10.0)
-        sm2 = ExpSmoother(alpha=0.5)
-        sm2.process([Const(value=0.0)])
-        assert sm2.process([Const(value=10.0)])[0].value == 5.0
-
-    def test_exp_smoother_checkpoint(self):
-        sm = ExpSmoother(alpha=0.3)
-        sm.process([Const(value=4.0)])
-        state = sm.checkpoint()
-        sm2 = ExpSmoother(alpha=0.3)
-        sm2.restore(state)
-        a = sm.process([Const(value=8.0)])[0].value
-        b = sm2.process([Const(value=8.0)])[0].value
-        assert a == b
-
-    def test_exp_smoother_bad_alpha(self):
-        with pytest.raises(UnitError):
-            ExpSmoother(alpha=0.0).process([Const(value=1.0)])
-
-    def test_peak_detect(self):
-        v = vec(0, 5, 0, 3, 0, 7, 0)
-        (table,) = PeakDetect(threshold=4.0).process([v])
-        assert table.column("index") == [1, 5]
-        assert table.column("value") == [5.0, 7.0]
-
-    def test_autocorrelate_periodic(self):
-        t = np.arange(512) / 64.0
-        s = SampleSet(data=np.sin(2 * np.pi * 8.0 * t), sampling_rate=64.0)
-        (acf,) = AutoCorrelate().process([s])
-        assert acf.data[0] == pytest.approx(1.0)
-        assert acf.data[8] == pytest.approx(1.0, abs=0.1)  # lag = one period
-
-    def test_autocorrelate_empty(self):
-        with pytest.raises(UnitError):
-            AutoCorrelate().process([SampleSet(data=np.zeros(0))])
-
-    def test_zero_crossing_rate(self):
-        s = vec(1, -1, 1, -1, 1)
-        assert ZeroCrossingRate().process([s])[0].value == pytest.approx(1.0)
-
-    def test_running_stats_window(self):
-        rs = RunningStats(window=3)
-        for v in (1.0, 2.0, 3.0, 4.0):
-            (table,) = rs.process([Const(value=v)])
-        assert table.column("mean") == [pytest.approx(3.0)]
-        assert table.column("n") == [3]
-        state = rs.checkpoint()
-        rs2 = RunningStats(window=3)
-        rs2.restore(state)
-        (t2,) = rs2.process([Const(value=5.0)])
-        assert t2.column("mean") == [pytest.approx(4.0)]
 
 
 class TestVectorPack:
@@ -233,48 +107,3 @@ class TestVectorPack:
         (out,) = Interleave().process([sig([1, 3], fs=2.0), sig([2, 4], fs=2.0)])
         np.testing.assert_array_equal(out.data, [1, 2, 3, 4])
         assert out.sampling_rate == 4.0
-
-
-class TestConversion:
-    def test_vector_sampleset_round_trip(self):
-        v = vec(1, 2, 3)
-        (s,) = VectorToSampleSet(sampling_rate=100.0).process([v])
-        assert s.sampling_rate == 100.0
-        (back,) = SampleSetToVector().process([s])
-        np.testing.assert_array_equal(back.data, v.data)
-
-    def test_spectrum_to_vector(self):
-        (v,) = SpectrumToVector().process([Spectrum(data=np.arange(4.0))])
-        np.testing.assert_array_equal(v.data, [0, 1, 2, 3])
-
-    def test_table_column(self):
-        t = TableData(["a", "b"], [(1, "x"), (2, "y")])
-        (v,) = TableColumn(column="a").process([t])
-        np.testing.assert_array_equal(v.data, [1.0, 2.0])
-        with pytest.raises(UnitError):
-            TableColumn(column="b").process([t])  # non-numeric
-        with pytest.raises(UnitError):
-            TableColumn(column="zz").process([t])
-
-    def test_vector_to_table(self):
-        (t,) = VectorToTable(column="x").process([vec(5, 6)])
-        assert t.columns == ["x"]
-        assert t.column("x") == [5.0, 6.0]
-
-    def test_image_flatten(self):
-        img = ImageData(pixels=np.array([[1.0, 2.0], [3.0, 4.0]]))
-        (v,) = ImageFlatten().process([img])
-        np.testing.assert_array_equal(v.data, [1, 2, 3, 4])
-
-    def test_const_to_vector(self):
-        (v,) = ConstToVector(length=3).process([Const(value=7.0)])
-        np.testing.assert_array_equal(v.data, [7, 7, 7])
-
-    def test_table_to_text_csv_round_trip(self):
-        from repro.apps.database import Database
-
-        t = TableData(["name", "mass"], [("m31", 12.1), ("lmc", 9.5)])
-        (text,) = TableToText().process([t])
-        db = Database()
-        db.load_csv("galaxies", text.text)
-        assert db.table("galaxies").column("mass") == [12.1, 9.5]

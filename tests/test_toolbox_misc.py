@@ -1,10 +1,10 @@
-"""Tests for math, text, image and display toolbox families."""
+"""Tests for the math, image and display toolbox families."""
 
 import numpy as np
 import pytest
 
-from repro.core import Const, ImageData, SampleSet, TextMessage, UnitError, VectorType
-from repro.core.toolbox.display import Grapher, ScopeProbe, TextConsole
+from repro.core import Const, ImageData, ParameterError, SampleSet, UnitError, VectorType
+from repro.core.toolbox.display import Grapher, ScopeProbe
 from repro.core.toolbox.imagepack import (
     BoxBlur,
     DownsampleImage,
@@ -40,16 +40,6 @@ from repro.core.toolbox.mathpack import (
     StdDev,
     Subtract,
     Threshold,
-)
-from repro.core.toolbox.textpack import (
-    ConcatText,
-    FormatNumber,
-    LowerCase,
-    RegexReplace,
-    SplitWords,
-    StringSource,
-    UpperCase,
-    WordCount,
 )
 
 
@@ -114,7 +104,7 @@ class TestArithmetic:
 
     def test_non_numeric_rejected(self):
         with pytest.raises(UnitError):
-            Adder().process([TextMessage(text="x"), Const(value=1.0)])
+            Adder().process([ImageData(pixels=np.zeros((2, 2))), Const(value=1.0)])
 
 
 class TestUnary:
@@ -202,46 +192,22 @@ class TestShaping:
         assert len(g.x) == 4
 
 
-class TestText:
-    def test_string_source_and_cases(self):
-        (t,) = StringSource(text="Hello Grid").process([])
-        assert UpperCase().process([t])[0].text == "HELLO GRID"
-        assert LowerCase().process([t])[0].text == "hello grid"
-
-    def test_concat(self):
-        a, b = TextMessage(text="consumer"), TextMessage(text="grid")
-        assert ConcatText(separator="-").process([a, b])[0].text == "consumer-grid"
-
-    def test_regex_replace(self):
-        t = TextMessage(text="peer peer peer")
-        (out,) = RegexReplace(pattern="peer", replacement="node").process([t])
-        assert out.text == "node node node"
-
-    def test_regex_bad_pattern(self):
-        with pytest.raises(UnitError):
-            RegexReplace(pattern="(").process([TextMessage(text="x")])
-
-    def test_word_count_and_split(self):
-        t = TextMessage(text="the consumer grid works")
-        assert WordCount().process([t])[0].value == 4.0
-        np.testing.assert_array_equal(
-            SplitWords().process([t])[0].data, [3, 8, 4, 5]
-        )
-
-    def test_format_number(self):
-        (out,) = FormatNumber(template="snr={value:.1f}").process([Const(value=3.14)])
-        assert out.text == "snr=3.1"
-
-    def test_format_bad_template(self):
-        with pytest.raises(UnitError):
-            FormatNumber(template="{nope}").process([Const(value=1.0)])
-
-
 class TestImages:
     def test_test_image_patterns(self):
         for pattern in ("blob", "gradient", "checker"):
             (img,) = TestImage(size=16, pattern=pattern).process([])
             assert img.shape == (16, 16)
+
+    @pytest.mark.parametrize("value", [0.5, 2.7, 2.0, True, np.inf])
+    @pytest.mark.parametrize("unit_cls,param", [
+        (TestImage, "size"), (BoxBlur, "radius"), (DownsampleImage, "factor"),
+    ], ids=["TestImage-size", "BoxBlur-radius", "DownsampleImage-factor"])
+    def test_pixel_counts_must_be_positive_integers(self, unit_cls, param, value):
+        """A fractional size or radius used to truncate (0.5 gave a 0x0
+        image or an identity blur) and ``inf`` overflowed in ``process``."""
+        msg = f"'{param}': must be a finite positive integer"
+        with pytest.raises(ParameterError, match=msg):
+            unit_cls(**{param: value})
 
     def test_test_image_unknown_pattern(self):
         with pytest.raises(UnitError):
@@ -324,9 +290,3 @@ class TestDisplay:
         payload = vec(1.0)
         (out,) = p.process([payload])
         assert out is payload and p.seen == [payload]
-
-    def test_text_console(self):
-        c = TextConsole()
-        c.process([TextMessage(text="hello")])
-        c.process([Const(value=2.0)])
-        assert c.lines == ["hello", "2.0"]

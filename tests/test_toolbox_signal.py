@@ -84,6 +84,13 @@ class TestWave:
         with pytest.raises(ParameterError):
             Wave(frequency=-3.0)
 
+    @pytest.mark.parametrize("samples", [0.5, 10.9, 2.0, True, np.inf, 0])
+    def test_samples_must_be_a_positive_integer(self, samples):
+        """0.5 used to emit an empty frame and 10.9 a 10-sample one."""
+        msg = "'samples': must be a finite positive integer"
+        with pytest.raises(ParameterError, match=msg):
+            Wave(samples=samples)
+
 
 class TestNoise:
     def test_gaussian_noise_statistics(self):
@@ -135,10 +142,12 @@ class TestNoise:
     (LowPass, "cutoff", np.inf),
     (HighPass, "cutoff", np.inf),
     (HighPass, "cutoff", np.nan),
+    (Gain, "factor", np.inf),
+    (Gain, "factor", np.nan),
 ], ids=lambda v: getattr(v, "__name__", str(v)))
 def test_non_finite_parameter_rejected_by_name(unit_cls, param, value):
-    # A NaN or infinite frequency, sigma or cutoff can only make a NaN
-    # frame; the unit refuses it before it runs.
+    # A NaN or infinite frequency, sigma, cutoff or gain can only make a
+    # NaN or infinite frame; the unit refuses it before it runs.
     with pytest.raises(ParameterError, match=f"parameter '{param}': must be finite"):
         unit_cls(**{param: value})
 
@@ -284,7 +293,7 @@ class TestFiltersAndTransforms:
         (d,) = Decimate(factor=np.int64(2)).process([sig])
         np.testing.assert_array_equal(d.data, sig.data[::2])
 
-    @pytest.mark.parametrize("factor", [0.5, 2.7, 2.0, 0, -2])
+    @pytest.mark.parametrize("factor", [0.5, 2.7, 2.0, 0, -2, True])
     def test_decimate_factor_must_be_a_positive_integer(self, factor):
         """0.5 used to reach ``data[::0]`` as a bare ``ValueError``, and
         2.7 decimated by 2 while claiming 2.7; both stop at the setter."""
