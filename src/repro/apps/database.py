@@ -36,7 +36,7 @@ from ..core.errors import UnitError
 from ..core.registry import register_unit
 from ..core.taskgraph import TaskGraph
 from ..core.types import GraphData, TableData
-from ..core.units import ParamSpec, Unit
+from ..core.units import ParamSpec, Unit, _non_negative_int, _positive_int
 from ..p2p.discovery import DiscoveryService
 from ..p2p.jxtaserve import JxtaServe, JxtaService
 from ..p2p.peer import Peer
@@ -426,7 +426,7 @@ class TableSource(Unit):
     OUTPUT_TYPES = (TableData,)
     PARAMETERS = (
         ParamSpec("table", "", "registered table key"),
-        ParamSpec("chunk_rows", 8, "rows per emitted chunk"),
+        ParamSpec("chunk_rows", 8, "rows per emitted chunk", _positive_int),
     )
     REQUIRED_PERMISSIONS = ("fs.read",)
 
@@ -445,8 +445,6 @@ class TableSource(Unit):
             raise UnitError(f"TableSource: no table registered as {key!r}")
         table = _TABLES[key]
         chunk = int(self.get_param("chunk_rows"))
-        if chunk < 1:
-            raise UnitError("TableSource: chunk_rows must be >= 1")
         start = self._index * chunk
         if start >= len(table):
             raise UnitError(
@@ -497,7 +495,9 @@ class TableVerifier(Unit):
     NUM_INPUTS = 1
     NUM_OUTPUTS = 0
     INPUT_TYPES = (TableData,)
-    PARAMETERS = (ParamSpec("expect_min_rows", 0, "per-chunk row-count floor"),)
+    PARAMETERS = (
+        ParamSpec("expect_min_rows", 0, "per-chunk row-count floor", _non_negative_int),
+    )
 
     def reset(self) -> None:
         self.reports: list[dict[str, Any]] = []

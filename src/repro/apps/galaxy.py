@@ -33,7 +33,7 @@ import numpy as np
 from ..core.errors import UnitError
 from ..core.registry import register_unit
 from ..core.types import ImageData, ParticleSnapshot
-from ..core.units import ParamSpec, Unit, _positive, _positive_int
+from ..core.units import ParamSpec, Unit, _finite, _one_of, _positive, _positive_int
 from ..core.taskgraph import TaskGraph
 
 __all__ = [
@@ -365,10 +365,10 @@ class ColumnDensity(Unit):
     CODE_SIZE = 60_000
     PARAMETERS = (
         ParamSpec("resolution", 64, "output grid side", _positive_int),
-        ParamSpec("view", "xy", "projection plane: xy | xz | yz"),
+        ParamSpec("view", "xy", "projection plane: xy | xz | yz", _one_of(*_VIEW_AXES)),
         ParamSpec("extent", 2.5, "half-width of the projected region", _positive),
-        ParamSpec("theta", 0.0, "view tilt about x, radians"),
-        ParamSpec("phi", 0.0, "view spin about z, radians"),
+        ParamSpec("theta", 0.0, "view tilt about x, radians", _finite),
+        ParamSpec("phi", 0.0, "view spin about z, radians", _finite),
     )
 
     def process(self, inputs: Sequence[Any]) -> list[Any]:

@@ -23,7 +23,15 @@ import numpy as np
 from ..core.errors import UnitError
 from ..core.registry import register_unit
 from ..core.types import SampleSet, TableData
-from ..core.units import ParamSpec, Unit, _finite, _non_negative, _positive, _positive_int
+from ..core.units import (
+    ParamSpec,
+    Unit,
+    _finite,
+    _non_negative,
+    _non_negative_int,
+    _positive,
+    _positive_int,
+)
 from ..core.taskgraph import TaskGraph
 
 __all__ = [
@@ -546,9 +554,9 @@ class StrainSource(Unit):
             "injections at template points, as search validation does",
             _non_negative,
         ),
-        ParamSpec("mass_low", 0.8, "bank grid lower bound (for snapping)"),
-        ParamSpec("mass_high", 2.0, "bank grid upper bound (for snapping)"),
-        ParamSpec("seed", 0, "noise seed base"),
+        ParamSpec("mass_low", 0.8, "bank grid lower bound (for snapping)", _positive),
+        ParamSpec("mass_high", 2.0, "bank grid upper bound (for snapping)", _positive),
+        ParamSpec("seed", 0, "noise seed base", _non_negative_int),
     )
 
     def reset(self) -> None:

@@ -4,13 +4,12 @@ Importing this package registers every built-in unit in the global
 registry — mirroring Triana's palette of ready-made tools.  Families:
 
 * :mod:`.signal`     — waveform sources, FFTs, spectra, AccumStat, filters
-* :mod:`.mathpack`   — scalar/vector arithmetic, reductions, histograms
 * :mod:`.vectorpack` — shaping, resampling, multi-output splitters
-* :mod:`.imagepack`  — image processing
+* :mod:`.imagepack`  — a test image, box blur and Sobel edges
 * :mod:`.display`    — Grapher and other sinks
 """
 
-from . import display, imagepack, mathpack, signal, vectorpack  # noqa: F401
+from . import display, imagepack, signal, vectorpack  # noqa: F401
 
 from .display import Grapher, ScopeProbe
 from .signal import (

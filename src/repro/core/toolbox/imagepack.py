@@ -10,20 +10,14 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..errors import UnitError
 from ..registry import register_unit
-from ..types import Const, ImageData, VectorType
-from ..units import ParamSpec, Unit, _positive_int
+from ..types import ImageData
+from ..units import ParamSpec, Unit, _one_of, _positive_int
 
 __all__ = [
     "TestImage",
-    "InvertImage",
-    "ThresholdImage",
     "BoxBlur",
     "SobelEdges",
-    "DownsampleImage",
-    "ImageStats",
-    "RowProfile",
 ]
 
 
@@ -38,7 +32,10 @@ class TestImage(Unit):
     OUTPUT_TYPES = (ImageData,)
     PARAMETERS = (
         ParamSpec("size", 64, "image side length in pixels", _positive_int),
-        ParamSpec("pattern", "blob", "blob | gradient | checker"),
+        ParamSpec(
+            "pattern", "blob", "blob | gradient | checker",
+            _one_of("blob", "gradient", "checker"),
+        ),
     )
 
     def process(self, inputs: Sequence[Any]) -> list[Any]:
@@ -50,41 +47,9 @@ class TestImage(Unit):
             pixels = np.exp(-((xx - c) ** 2 + (yy - c) ** 2) / (2 * (n / 6.0) ** 2))
         elif kind == "gradient":
             pixels = xx / max(n - 1, 1)
-        elif kind == "checker":
+        else:  # checker
             pixels = ((xx // 8 + yy // 8) % 2).astype(float)
-        else:
-            raise UnitError(f"TestImage: unknown pattern {kind!r}")
         return [ImageData(pixels=pixels)]
-
-
-@register_unit(category="image")
-class InvertImage(Unit):
-    """max - pixel, preserving range."""
-
-    NUM_INPUTS = 1
-    NUM_OUTPUTS = 1
-    INPUT_TYPES = (ImageData,)
-    OUTPUT_TYPES = (ImageData,)
-
-    def process(self, inputs: Sequence[Any]) -> list[Any]:
-        img = inputs[0]
-        top = img.pixels.max() if img.pixels.size else 0.0
-        return [ImageData(pixels=top - img.pixels)]
-
-
-@register_unit(category="image")
-class ThresholdImage(Unit):
-    """Binarise at ``level``."""
-
-    NUM_INPUTS = 1
-    NUM_OUTPUTS = 1
-    INPUT_TYPES = (ImageData,)
-    OUTPUT_TYPES = (ImageData,)
-    PARAMETERS = (ParamSpec("level", 0.5, "binarisation level"),)
-
-    def process(self, inputs: Sequence[Any]) -> list[Any]:
-        level = float(self.get_param("level"))
-        return [ImageData(pixels=(inputs[0].pixels >= level).astype(float))]
 
 
 @register_unit(category="image")
@@ -141,49 +106,3 @@ class SobelEdges(Unit):
 
     def estimated_flops(self, input_nbytes: int) -> float:
         return 20.0 * input_nbytes / 8.0
-
-
-@register_unit(category="image")
-class DownsampleImage(Unit):
-    """Block-mean downsampling by an integer factor."""
-
-    NUM_INPUTS = 1
-    NUM_OUTPUTS = 1
-    INPUT_TYPES = (ImageData,)
-    OUTPUT_TYPES = (ImageData,)
-    PARAMETERS = (ParamSpec("factor", 2, "downsampling factor", _positive_int),)
-
-    def process(self, inputs: Sequence[Any]) -> list[Any]:
-        img = inputs[0].pixels
-        k = int(self.get_param("factor"))
-        h, w = (img.shape[0] // k) * k, (img.shape[1] // k) * k
-        if h == 0 or w == 0:
-            raise UnitError("DownsampleImage: image smaller than factor")
-        blocks = img[:h, :w].reshape(h // k, k, w // k, k)
-        return [ImageData(pixels=blocks.mean(axis=(1, 3)))]
-
-
-@register_unit(category="image")
-class ImageStats(Unit):
-    """Total flux of an image as a scalar."""
-
-    NUM_INPUTS = 1
-    NUM_OUTPUTS = 1
-    INPUT_TYPES = (ImageData,)
-    OUTPUT_TYPES = (Const,)
-
-    def process(self, inputs: Sequence[Any]) -> list[Any]:
-        return [Const(value=float(inputs[0].pixels.sum()))]
-
-
-@register_unit(category="image")
-class RowProfile(Unit):
-    """Column-wise sum — collapses an image to a 1-D profile vector."""
-
-    NUM_INPUTS = 1
-    NUM_OUTPUTS = 1
-    INPUT_TYPES = (ImageData,)
-    OUTPUT_TYPES = (VectorType,)
-
-    def process(self, inputs: Sequence[Any]) -> list[Any]:
-        return [VectorType(data=inputs[0].pixels.sum(axis=0))]

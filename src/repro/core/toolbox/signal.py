@@ -20,7 +20,16 @@ from ..types import (
     Spectrum,
     TimeFrequency,
 )
-from ..units import ParamSpec, Unit, _finite, _non_negative, _positive, _positive_int
+from ..units import (
+    ParamSpec,
+    Unit,
+    _finite,
+    _non_negative,
+    _non_negative_int,
+    _one_of,
+    _positive,
+    _positive_int,
+)
 
 __all__ = [
     "Wave",
@@ -55,10 +64,13 @@ class Wave(Unit):
     OUTPUT_TYPES = (SampleSet,)
     PARAMETERS = (
         ParamSpec("frequency", 64.0, "oscillation frequency, Hz", _positive),
-        ParamSpec("amplitude", 1.0, "peak amplitude"),
+        ParamSpec("amplitude", 1.0, "peak amplitude", _finite),
         ParamSpec("samples", 256, "samples per output frame", _positive_int),
         ParamSpec("sampling_rate", 1024.0, "samples per second", _positive),
-        ParamSpec("waveform", "sine", "sine | square | sawtooth"),
+        ParamSpec(
+            "waveform", "sine", "sine | square | sawtooth",
+            _one_of("sine", "square", "sawtooth"),
+        ),
     )
 
     def reset(self) -> None:
@@ -83,10 +95,8 @@ class Wave(Unit):
             data = a * np.sin(phase)
         elif kind == "square":
             data = a * np.sign(np.sin(phase))
-        elif kind == "sawtooth":
+        else:  # sawtooth
             data = a * (2.0 * ((f * t) % 1.0) - 1.0)
-        else:
-            raise UnitError(f"Wave: unknown waveform {kind!r}")
         self._frame += 1
         return [SampleSet(data=data, sampling_rate=fs, t0=t0)]
 
@@ -102,7 +112,7 @@ class ChirpGenerator(Unit):
         ParamSpec("f0", 40.0, "start frequency, Hz", _positive),
         ParamSpec("f1", 200.0, "end frequency, Hz", _positive),
         ParamSpec("duration", 1.0, "seconds", _positive),
-        ParamSpec("amplitude", 1.0, "peak amplitude"),
+        ParamSpec("amplitude", 1.0, "peak amplitude", _finite),
         ParamSpec("sampling_rate", 2048.0, "samples per second", _positive),
     )
 
@@ -151,7 +161,7 @@ class GaussianNoise(_NoiseUnit):
 
     PARAMETERS = (
         ParamSpec("sigma", 1.0, "noise standard deviation", _non_negative),
-        ParamSpec("seed", 0, "noise stream seed"),
+        ParamSpec("seed", 0, "noise stream seed", _non_negative_int),
     )
 
     def _draw(self, n: int) -> np.ndarray:
@@ -164,7 +174,7 @@ class UniformNoise(_NoiseUnit):
 
     PARAMETERS = (
         ParamSpec("width", 1.0, "peak-to-peak width", _non_negative),
-        ParamSpec("seed", 0, "noise stream seed"),
+        ParamSpec("seed", 0, "noise stream seed", _non_negative_int),
     )
 
     def _draw(self, n: int) -> np.ndarray:
@@ -327,7 +337,7 @@ class Offset(Unit):
     NUM_OUTPUTS = 1
     INPUT_TYPES = (SampleSet,)
     OUTPUT_TYPES = (SampleSet,)
-    PARAMETERS = (ParamSpec("offset", 0.0, "additive offset"),)
+    PARAMETERS = (ParamSpec("offset", 0.0, "additive offset", _finite),)
 
     def process(self, inputs: Sequence[Any]) -> list[Any]:
         (sig,) = inputs
@@ -373,21 +383,21 @@ class WindowFn(Unit):
     NUM_OUTPUTS = 1
     INPUT_TYPES = (SampleSet,)
     OUTPUT_TYPES = (SampleSet,)
-    PARAMETERS = (ParamSpec("window", "hann", "hann | hamming | blackman | rect"),)
-
     _WINDOWS = {
         "hann": np.hanning,
         "hamming": np.hamming,
         "blackman": np.blackman,
         "rect": np.ones,
     }
+    PARAMETERS = (
+        ParamSpec(
+            "window", "hann", "hann | hamming | blackman | rect", _one_of(*_WINDOWS)
+        ),
+    )
 
     def process(self, inputs: Sequence[Any]) -> list[Any]:
         (sig,) = inputs
-        kind = self.get_param("window")
-        if kind not in self._WINDOWS:
-            raise UnitError(f"WindowFn: unknown window {kind!r}")
-        w = self._WINDOWS[kind](len(sig.data))
+        w = self._WINDOWS[self.get_param("window")](len(sig.data))
         return [SampleSet(data=sig.data * w, sampling_rate=sig.sampling_rate, t0=sig.t0)]
 
 

@@ -40,6 +40,21 @@ def _positive_int(x) -> None:
         raise ValueError(f"must be a finite positive integer, got {x!r}")
 
 
+def _non_negative_int(x) -> None:
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < 0:
+        raise ValueError(f"must be a non-negative integer, got {x!r}")
+
+
+def _one_of(*choices: str) -> Callable[[Any], None]:
+    """A validator accepting exactly the strings ``choices``."""
+
+    def check(x) -> None:
+        if not isinstance(x, str) or x not in choices:
+            raise ValueError(f"must be one of {' | '.join(choices)}, got {x!r}")
+
+    return check
+
+
 def _non_negative(x) -> None:
     if not (x >= 0 and math.isfinite(x)):
         raise ValueError(f"must be finite and >= 0, got {x!r}")

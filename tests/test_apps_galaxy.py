@@ -224,9 +224,10 @@ class TestUnits:
         with pytest.raises(UnitError):
             ColumnDensity(resolution=16, **view).process([frame])
 
-    @pytest.mark.parametrize("param", ["extent", "resolution"])
+    @pytest.mark.parametrize("param", ["extent", "resolution", "theta", "phi"])
     def test_column_density_rejects_an_infinite_size_when_set(self, param):
-        """Caught by the setter, not by a render that casts ``inf``."""
+        """Caught by the setter, not by a render that casts ``inf`` or
+        turns the view by it."""
         with pytest.raises(ParameterError, match="finite"):
             ColumnDensity(**{param: np.inf})
 

@@ -427,6 +427,8 @@ class TestBadParametersFailAtBuild:
         ("injection_snr", -2.0), ("injection_snr", NAN),
         ("injection_mass", 0.0),
         ("inject_every", -2), ("bank_templates", -1),
+        ("mass_low", NAN), ("mass_high", NAN), ("mass_low", -1.0),
+        ("seed", 1.5), ("seed", -1), ("seed", True),
     ])
     def test_strain_source(self, name, value):
         with pytest.raises(ParameterError, match=name):

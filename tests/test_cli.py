@@ -87,11 +87,12 @@ class TestSurface:
         (["units", "--category", "statistics"], "--category"),
         (["units", "--category", "conversion"], "--category"),
         (["units", "--category", "text"], "--category"),
+        (["units", "--category", "math"], "--category"),
         (["faults", "--level", "nosuch"], "--level"),
         (["faults", "--level", "hostile", "--workers", "0"], "--workers"),
         (["faults", "--level", "hostile", "--workers", "-2"], "--workers"),
     ], ids=["unknown-category", "deleted-category", "deleted-statistics",
-            "deleted-conversion", "deleted-text", "unknown-level",
+            "deleted-conversion", "deleted-text", "deleted-math", "unknown-level",
             "no-workers", "negative-workers"])
     def test_bad_listing_argument_is_a_usage_error(self, argv, flag, capsys):
         usage_error(argv)

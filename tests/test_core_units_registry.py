@@ -1,5 +1,6 @@
 """Tests for the Unit base class and the unit registry."""
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -7,6 +8,7 @@ from repro.core import (
     ParameterError,
     RegistryError,
     SampleSet,
+    TaskGraph,
     Unit,
     UnitError,
     UnitRegistry,
@@ -191,10 +193,10 @@ class TestRegistry:
 
     def test_toolbox_categories(self):
         """``repro units`` offers exactly the categories DESIGN S5 states:
-        the toolbox's five and the three the case-study apps register."""
+        the toolbox's four and the three the case-study apps register."""
         categories = {d.category for d in global_registry()}
         assert categories == {
-            "signal", "math", "vector", "image", "display",
+            "signal", "vector", "image", "display",
             "database", "galaxy", "inspiral",
         }
 
@@ -211,3 +213,77 @@ class TestRegistry:
                 assert desc.cls.input_types_at(node)
             for node in range(desc.cls.NUM_OUTPUTS):
                 assert desc.cls.output_types_at(node)
+
+
+# -- every parameter is checked when the graph is built ------------------------------
+#: Parameters whose value is one of a fixed set of strings.
+CHOICE_PARAMS = [
+    ("Wave", "waveform"),
+    ("TestImage", "pattern"),
+    ("ColumnDensity", "view"),
+    ("WindowFn", "window"),
+]
+
+
+def test_every_number_and_choice_parameter_carries_a_validator():
+    """A value no validator looks at is refused inside ``process``, on a
+    worker mid-run, or never: ``int()`` truncates it."""
+    registry = global_registry()
+    choices = set(CHOICE_PARAMS)
+    for unit, param in choices:
+        assert param in registry.lookup(unit).cls.param_specs()
+    unchecked = [
+        f"{desc.name}.{spec.name}"
+        for desc in registry
+        for spec in desc.cls.PARAMETERS
+        if spec.validator is None
+        and (
+            (desc.name, spec.name) in choices
+            or isinstance(spec.default, (int, float))
+            and not isinstance(spec.default, bool)
+        )
+    ]
+    assert unchecked == []
+
+
+class TestParametersAreCheckedAtAddTask:
+    @pytest.mark.parametrize("unit,param,value", [
+        ("Wave", "waveform", "triangle"),
+        ("TestImage", "pattern", "stripes"),
+        ("ColumnDensity", "view", "xw"),
+        ("WindowFn", "window", "kaiser"),
+        ("Wave", "waveform", None),
+    ])
+    def test_an_unknown_choice_is_refused(self, unit, param, value):
+        with pytest.raises(ParameterError, match=f"'{param}': must be one of"):
+            TaskGraph().add_task("t", unit, **{param: value})
+
+    @pytest.mark.parametrize("unit,param,value", [
+        ("GaussianNoise", "seed", 1.5),
+        ("GaussianNoise", "seed", True),
+        ("GaussianNoise", "seed", -1),
+        ("UniformNoise", "seed", 2.0),
+        ("TableVerifier", "expect_min_rows", 2.5),
+        ("TableVerifier", "expect_min_rows", -1),
+    ])
+    def test_a_seed_or_row_floor_is_a_non_negative_integer(self, unit, param, value):
+        msg = f"'{param}': must be a non-negative integer"
+        with pytest.raises(ParameterError, match=msg):
+            TaskGraph().add_task("t", unit, **{param: value})
+
+    @pytest.mark.parametrize("value", [2.5, 0, True])
+    def test_chunk_rows_is_a_positive_integer(self, value):
+        msg = "'chunk_rows': must be a finite positive integer"
+        with pytest.raises(ParameterError, match=msg):
+            TaskGraph().add_task("t", "TableSource", table="t", chunk_rows=value)
+
+    @pytest.mark.parametrize("np_int", [np.int64, np.uint8])
+    @pytest.mark.parametrize("unit,param", [
+        ("GaussianNoise", "seed"),
+        ("UniformNoise", "seed"),
+        ("StrainSource", "seed"),
+        ("TableVerifier", "expect_min_rows"),
+        ("TableSource", "chunk_rows"),
+    ])
+    def test_a_numpy_integer_builds(self, unit, param, np_int):
+        TaskGraph().add_task("t", unit, **{param: np_int(3)})

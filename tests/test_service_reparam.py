@@ -125,6 +125,21 @@ class TestReparam:
         with pytest.raises(SchedulingError, match="ParameterError"):
             grid.sim.run(until=ev)
 
+    def test_reparam_unknown_view_fails_and_the_old_view_renders(self):
+        """A view no render knows is the ack's error, not an ack that
+        leaves every later frame failing on the worker."""
+        grid, graph = farm_grid(147, "reparam-ds-6")
+        grid.run(graph, iterations=2)
+        (dep_id,) = list(grid.workers["worker-0"].deployments)
+        ev = grid.controller.update_params("worker-0", dep_id, "Render", view="xw")
+        with pytest.raises(SchedulingError, match="ParameterError: parameter 'view'"):
+            grid.sim.run(until=ev)
+
+        frames = generate_snapshots(4, 150, seed=7)
+        (image,) = exec_on_live_deployment(grid, "worker-0", [frames[0]])
+        expected = sph_column_density(frames[0], resolution=24, view="xy")
+        np.testing.assert_allclose(image.pixels, expected)
+
     def test_second_run_reuses_cached_modules(self):
         """Re-running after a view change costs no code re-download."""
         grid, graph = farm_grid(145, "reparam-ds-5", n_frames=8)

@@ -63,9 +63,8 @@ class TestWave:
             assert np.abs(out.data).max() <= 1.0 + 1e-12
 
     def test_unknown_waveform(self):
-        w = Wave(waveform="triangle-ish")
-        with pytest.raises(UnitError):
-            w.process([])
+        with pytest.raises(ParameterError, match="'waveform': must be one of"):
+            Wave(waveform="triangle-ish")
 
     def test_checkpoint_restores_frame_counter(self):
         w = Wave(samples=64)
@@ -144,10 +143,15 @@ class TestNoise:
     (HighPass, "cutoff", np.nan),
     (Gain, "factor", np.inf),
     (Gain, "factor", np.nan),
+    (Wave, "amplitude", np.nan),
+    (Wave, "amplitude", np.inf),
+    (ChirpGenerator, "amplitude", -np.inf),
+    (Offset, "offset", np.nan),
 ], ids=lambda v: getattr(v, "__name__", str(v)))
 def test_non_finite_parameter_rejected_by_name(unit_cls, param, value):
-    # A NaN or infinite frequency, sigma, cutoff or gain can only make a
-    # NaN or infinite frame; the unit refuses it before it runs.
+    # A NaN or infinite frequency, sigma, cutoff, gain, amplitude or
+    # offset can only make a NaN or infinite frame; the unit refuses it
+    # before it runs.
     with pytest.raises(ParameterError, match=f"parameter '{param}': must be finite"):
         unit_cls(**{param: value})
 
@@ -269,8 +273,8 @@ class TestFiltersAndTransforms:
         assert w.data[32] == pytest.approx(1.0, rel=0.01)
 
     def test_window_unknown(self):
-        with pytest.raises(UnitError):
-            WindowFn(window="mystery").process([sine()])
+        with pytest.raises(ParameterError, match="'window': must be one of"):
+            WindowFn(window="mystery")
 
     def test_lowpass_kills_high_tone(self):
         low, high = sine(freq=10.0, n=1024), sine(freq=200.0, n=1024)
