@@ -13,8 +13,8 @@ That is what this subclass does:
   was created), so a ``timeout(5)`` scheduled by a heartbeat loop fires
   roughly five *real* seconds later, and detector ``now`` values,
   traces, and telemetry all carry meaningful wall-clock stamps.
-* Between due events the kernel calls registered **pumps** — callables
-  provided by socket transports.  The contract: ``pump(max_wait)``
+* Between due events the kernel calls its **pump** — the one callable
+  its socket transport sets.  The contract: ``pump(max_wait)``
   returns once a frame has been dispatched or ``max_wait`` seconds have
   passed, whichever is first; ``pump(0)`` polls the sockets once and
   never blocks; a frame dispatched by a non-blocking pump makes the
@@ -24,8 +24,8 @@ That is what this subclass does:
   pump: ``TcpTransport.send`` writes through to the socket.
 * ``run(until=None)`` cannot mean "drain the queue" any more (heartbeat
   loops keep the queue eternally non-empty); it means *settle*: process
-  everything already due, then return once no new work arrives within a
-  short grace window.  Grid assembly uses this to let publishes land.
+  everything already due, then return once no new work arrives within
+  :data:`SETTLE_GRACE`.  Grid assembly uses this to let publishes land.
 * ``run(until=Event)`` waits — pumping the network — until the event is
   processed, even if the local queue is momentarily empty; the awaited
   result may be a frame that has not arrived yet.
@@ -38,12 +38,17 @@ BENCH baselines pin its behaviour.
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from ..simkernel.errors import SimTimeError
 from ..simkernel.sim import Event, Simulator
 
 __all__ = ["RealtimeSimulator"]
+
+#: the longest one pump call may block when no event is due, in seconds
+IDLE_WAIT = 0.05
+#: ``run(None)`` returns after this many seconds without a new event
+SETTLE_GRACE = 0.25
 
 
 class RealtimeSimulator(Simulator):
@@ -56,25 +61,12 @@ class RealtimeSimulator(Simulator):
         available; e.g. recovery backoff draws from ``rng("...")``).
     tracer:
         Optional tracer; spans/instants get wall-clock timestamps.
-    idle_wait:
-        Maximum seconds one pump call may block when no event is due.
-    settle_grace:
-        ``run(None)`` returns after this many seconds without any new
-        event being processed.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        tracer=None,
-        idle_wait: float = 0.05,
-        settle_grace: float = 0.25,
-    ):
+    def __init__(self, seed: int = 0, tracer=None):
         super().__init__(seed, tracer)
         self._epoch = time.monotonic()
-        self.idle_wait = idle_wait
-        self.settle_grace = settle_grace
-        self._pumps: List[Callable[[float], None]] = []
+        self._pump: Callable[[float], None] = _sleep
 
     # -- wall clock ---------------------------------------------------------
     @property
@@ -82,21 +74,11 @@ class RealtimeSimulator(Simulator):
         """Seconds of real time since this kernel was created."""
         return time.monotonic() - self._epoch
 
-    def add_pump(self, pump: Callable[[float], None]) -> None:
-        """Register a network pump: ``pump(max_wait)`` dispatches what
+    def set_pump(self, pump: Callable[[float], None]) -> None:
+        """Set the network pump: ``pump(max_wait)`` dispatches what
         arrived, blocking until the first frame or ``max_wait`` seconds
         (``max_wait <= 0``: one poll, no blocking)."""
-        self._pumps.append(pump)
-
-    def _pump(self, max_wait: float) -> None:
-        if not self._pumps:
-            if max_wait > 0:
-                time.sleep(max_wait)
-            return
-        # First pump gets the blocking budget; the rest just drain
-        # whatever is already ready (multi-transport processes).
-        for i, pump in enumerate(self._pumps):
-            pump(max_wait if i == 0 else 0.0)
+        self._pump = pump
 
     # -- one tick -----------------------------------------------------------
     def _tick(self, horizon: Optional[float]) -> bool:
@@ -119,9 +101,9 @@ class RealtimeSimulator(Simulator):
                     tracer.on_step(self)
                 event._run_callbacks()
                 return True
-            wait = min(when - wall, self.idle_wait)
+            wait = min(when - wall, IDLE_WAIT)
         else:
-            wait = self.idle_wait
+            wait = IDLE_WAIT
         if horizon is not None:
             wait = min(wait, max(horizon - wall, 0.0))
         self._pump(wait)
@@ -147,10 +129,16 @@ class RealtimeSimulator(Simulator):
             self.now = max(self.now, horizon)
             return None
         # Settle: run due work, then return after a quiet grace window.
-        deadline = self.wall_now + self.settle_grace
+        deadline = self.wall_now + SETTLE_GRACE
         while True:
             if self._tick(deadline):
-                deadline = self.wall_now + self.settle_grace
+                deadline = self.wall_now + SETTLE_GRACE
                 continue
             if self.wall_now >= deadline:
                 return None
+
+
+def _sleep(max_wait: float) -> None:
+    """The pump of a kernel without sockets: wait, nothing arrives."""
+    if max_wait > 0:
+        time.sleep(max_wait)

@@ -44,6 +44,10 @@ FORBIDDEN = [
     ("repro.simkernel.sim", "from ..observe import metrics"),
     ("repro.simkernel.sim", "import repro"),
     ("repro.registry", "from .core.errors import RegistryError"),
+    # the link layer's machines stay free of sockets and event loops
+    ("repro.transport.link", "import asyncio"),
+    ("repro.transport.link", "from socket import create_connection"),
+    ("repro.transport.link", "import selectors"),
     # third-party packages off the one-entry allow-list (THIRD_PARTY)
     ("repro.core.taskgraph", "import networkx as nx"),
     ("repro.service.partition", "from networkx.algorithms import dag"),
@@ -60,6 +64,8 @@ ALLOWED = [
     ("repro.registry", "from typing import Generic"),
     ("repro.core.taskgraph", "import heapq"),
     ("repro.transport.wire", "from numpy.lib import stride_tricks"),
+    ("repro.transport.link", "from .wire import WireError"),
+    ("repro.transport.tcp", "import asyncio"),
 ]
 
 

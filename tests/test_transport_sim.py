@@ -45,7 +45,7 @@ class TestOneInterface:
 
     def test_both_fabrics_implement_it(self):
         assert isinstance(SimNetwork(Simulator(seed=1)), Transport)
-        tcp = TcpTransport(RealtimeSimulator(seed=1), listen=False)
+        tcp = TcpTransport(RealtimeSimulator(seed=1))
         try:
             assert isinstance(tcp, Transport)
         finally:

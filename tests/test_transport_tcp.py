@@ -25,8 +25,9 @@ from repro.deployment import run_tcp_localhost
 from repro.p2p.advertisement import ADV_MODULE, ADV_SERVICE, AttrPredicate
 from repro.p2p.network import Message
 from repro.service import SchedulingError
+import repro.transport.link as link_mod
 from repro.transport import RealtimeSimulator, TcpTransport
-from repro.transport.tcp import _FrameReader
+from repro.transport.link import FrameCutter
 from repro.transport.wire import encode_message, result_checksum
 
 
@@ -62,7 +63,16 @@ def pump_until(sims, predicate, deadline_s=30.0):
 
 class TestLoopback:
     def test_ping_pong_across_real_sockets(self):
-        sim_b, tb = make_transport()
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port_b = probe.getsockname()[1]
+        probe.close()  # b listens here once a knows the address
+
+        sim_a, ta = make_transport(peers={"b": ("127.0.0.1", port_b)})
+        got_a = []
+        ta.add_node("a", got_a.append)
+
+        sim_b, tb = make_transport(port=port_b, peers={"a": ("127.0.0.1", ta.port)})
         got_b = []
 
         def on_b(msg):
@@ -70,11 +80,6 @@ class TestLoopback:
             tb.send(Message("pong", "b", "a", payload=msg.payload + 1))
 
         tb.add_node("b", on_b)
-
-        sim_a, ta = make_transport(peers={"b": ("127.0.0.1", tb.port)})
-        got_a = []
-        ta.add_node("a", got_a.append)
-        tb.register_peer("a", "127.0.0.1", ta.port)
 
         ta.send(Message("ping", "a", "b", payload=41))
         try:
@@ -114,11 +119,7 @@ class TestLoopback:
         port = probe.getsockname()[1]
         probe.close()
 
-        sim_a, ta = make_transport(
-            peers={"b": ("127.0.0.1", port)},
-            backoff_base=0.02,
-            max_retries=50,
-        )
+        sim_a, ta = make_transport(peers={"b": ("127.0.0.1", port)})
         ta.add_node("a", lambda m: None)
         ta.send(Message("early", "a", "b", payload="hello"))
         # Let a few connection attempts fail before the listener exists.
@@ -135,18 +136,16 @@ class TestLoopback:
             ta.close()
             tb.close()
 
-    def test_drop_after_max_retries_counts_offline(self):
+    def test_drop_after_max_retries_counts_offline(self, monkeypatch):
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
         probe.close()  # dead address: connections always refused
 
-        sim_a, ta = make_transport(
-            peers={"b": ("127.0.0.1", port)},
-            backoff_base=0.01,
-            backoff_max=0.02,
-            max_retries=2,
-        )
+        monkeypatch.setattr(link_mod, "BACKOFF_BASE", 0.01)
+        monkeypatch.setattr(link_mod, "BACKOFF_MAX", 0.02)
+        monkeypatch.setattr(link_mod, "MAX_RETRIES", 2)
+        sim_a, ta = make_transport(peers={"b": ("127.0.0.1", port)})
         ta.add_node("a", lambda m: None)
         try:
             ta.send(Message("doomed", "a", "b"))
@@ -254,10 +253,7 @@ class TestLoopback:
         port = probe.getsockname()[1]
         probe.close()
 
-        sim_a, ta = make_transport(
-            peers={"b": ("127.0.0.1", port)}, backoff_base=0.01, backoff_max=0.05,
-            max_retries=1000,
-        )
+        sim_a, ta = make_transport(peers={"b": ("127.0.0.1", port)})
         ta.add_node("a", lambda m: None)
         for i in range(200):
             ta.send(Message("tick", "a", "b", payload=i))
@@ -279,14 +275,15 @@ class TestLoopback:
 
 
 class TestFrameReader:
-    """The inbound protocol, fed chunks the way a socket may cut them."""
+    """The frame cutter, fed chunks the way a socket may cut them, its
+    frames decoded and dispatched by a transport."""
 
     @staticmethod
     def reader():
-        sim, transport = make_transport(listen=False)
+        sim, transport = make_transport()
         got = []
         transport.add_node("a", got.append)
-        return transport, _FrameReader(transport), got
+        return transport, FrameCutter(transport._on_frame), got
 
     @staticmethod
     def stream(payloads):
@@ -300,7 +297,7 @@ class TestFrameReader:
         transport, reader, got = self.reader()
         try:
             for byte in self.stream(range(5)):
-                reader.data_received(bytes([byte]))
+                reader.feed(bytes([byte]))
             assert [m.payload for m in got] == list(range(5))
             assert transport.stats.corrupted == 0
         finally:
@@ -311,9 +308,9 @@ class TestFrameReader:
         try:
             stream = self.stream(["a" * 40, "b" * 40, "c" * 40, "d" * 40])
             cut = len(stream) - (len(stream) // 4) // 2
-            reader.data_received(stream[:cut])
+            reader.feed(stream[:cut])
             assert [m.payload[0] for m in got] == ["a", "b", "c"]
-            reader.data_received(stream[cut:])
+            reader.feed(stream[cut:])
             assert [m.payload for m in got] == [c * 40 for c in "abcd"]
         finally:
             transport.close()
@@ -325,7 +322,7 @@ class TestFrameReader:
             stream = self.stream([1, samples, 2])
             assert len(stream) > 300_000
             for at in range(0, len(stream), 7001):
-                reader.data_received(stream[at:at + 7001])
+                reader.feed(stream[at:at + 7001])
             assert got[0].payload == 1 and got[2].payload == 2
             np.testing.assert_array_equal(got[1].payload, samples)
             # gathered in a bytearray, decoded out of it: the array owns
@@ -341,7 +338,7 @@ class TestFrameReader:
             stream = self.stream([1]) + (0).to_bytes(4, "big") + self.stream([2])
             first = len(self.stream([1])) + 2  # two bytes into the zero prefix
             for chunk in (stream[:first], stream[first:]):
-                reader.data_received(chunk)
+                reader.feed(chunk)
             assert [m.payload for m in got] == [1, 2]
             assert transport.stats.corrupted == 1  # the empty frame
         finally:

@@ -16,6 +16,9 @@ stays decoupled from the controller that hosts it:
   backend sits above and imports downwards;
 * ``repro.transport`` must not import ``repro.service`` or
   ``repro.mobility`` — it carries their frames without knowing them;
+* ``repro.transport.link`` must not import ``asyncio``, ``socket`` or
+  ``selectors`` — the link layer's state machines run (and are tested)
+  without a socket or an event loop; ``transport.tcp`` adapts them;
 * ``repro.service.policies`` must not import
   ``repro.service.controller`` — policies talk to the controller only
   through the :class:`DispatchContext` services handed to them, never
@@ -90,6 +93,9 @@ RULES: tuple[Rule, ...] = (
     Rule("repro.transport",
          "transport carries service and module frames without knowing them",
          forbid=("repro.service", "repro.mobility")),
+    Rule("repro.transport.link",
+         "the link machines run without a socket or an event loop",
+         forbid=("asyncio", "socket", "selectors")),
     Rule("repro.service.policies",
          "policies must use DispatchContext, not controller internals",
          forbid=("repro.service.controller",)),
