@@ -1,9 +1,13 @@
 """Display / sink units.
 
 The GUI screenshots in Fig. 1/2 show a ``Grapher`` rendering its input.
-Headless reproduction: the Grapher is a sink unit that retains every frame
-it is shown as :class:`~repro.core.types.GraphData`; tests and benchmarks
-read the frames back instead of looking at pixels.
+Headless reproduction: the Grapher is a sink unit that retains every
+payload it is shown and renders it as :class:`~repro.core.types.GraphData`
+when a frame is read (``frames``, ``last_frame``, ``checkpoint``); tests
+and benchmarks read the frames back instead of looking at pixels.  It
+holds a reference, not a rendering: the caller already holds each payload,
+so a frame costs the Grapher no array of its own (a ``SampleSet``'s time
+axis is as large as its samples).
 """
 
 from __future__ import annotations
@@ -47,9 +51,14 @@ def _to_graph_data(value: Any) -> GraphData:
     raise UnitError(f"Grapher cannot display {type(value).__name__}")
 
 
+# The payload types _to_graph_data renders.
+_DISPLAYABLE = (GraphData, SampleSet, Spectrum, ComplexSpectrum, VectorType, Const)
+
+
 @register_unit(category="display")
 class Grapher(Unit):
-    """Terminal sink: records every frame displayed (Fig. 1's output unit)."""
+    """Terminal sink: keeps every payload displayed (Fig. 1's output unit)
+    and renders each as a frame when the frames are read."""
 
     NUM_INPUTS = 1
     NUM_OUTPUTS = 0
@@ -57,7 +66,11 @@ class Grapher(Unit):
     PARAMETERS = (ParamSpec("title", "", "display title"),)
 
     def reset(self) -> None:
-        self.frames: list[GraphData] = []
+        self._shown: list[Any] = []
+
+    @property
+    def frames(self) -> list[GraphData]:
+        return [_to_graph_data(value) for value in self._shown]
 
     def checkpoint(self) -> dict[str, Any]:
         return {
@@ -68,19 +81,22 @@ class Grapher(Unit):
         }
 
     def restore(self, state: dict[str, Any]) -> None:
-        self.frames = [
+        self._shown = [
             GraphData(x=np.asarray(f["x"]), y=np.asarray(f["y"]), label=f["label"])
             for f in state.get("frames", [])
         ]
 
     @property
     def last_frame(self) -> GraphData:
-        if not self.frames:
+        if not self._shown:
             raise UnitError("Grapher has displayed nothing")
-        return self.frames[-1]
+        return _to_graph_data(self._shown[-1])
 
     def process(self, inputs: Sequence[Any]) -> list[Any]:
-        self.frames.append(_to_graph_data(inputs[0]))
+        value = inputs[0]
+        if not isinstance(value, _DISPLAYABLE):
+            raise UnitError(f"Grapher cannot display {type(value).__name__}")
+        self._shown.append(value)
         return []
 
 

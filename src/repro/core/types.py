@@ -12,6 +12,7 @@ carry the metadata units need (sampling rates, frequency resolution...).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence, Type
 
@@ -36,6 +37,12 @@ __all__ = [
 ]
 
 TYPE_REGISTRY: dict[str, Type["TrianaType"]] = {}
+
+
+def _check_rate(name: str, value: float) -> None:
+    """A rate or resolution is finite and positive (``nan <= 0`` is False)."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 class TrianaType:
@@ -118,8 +125,7 @@ class SampleSet(TrianaType):
         self.data = np.asarray(self.data, dtype=float)
         if self.data.ndim != 1:
             raise ValueError(f"SampleSet requires 1-D data, got shape {self.data.shape}")
-        if self.sampling_rate <= 0:
-            raise ValueError("sampling_rate must be positive")
+        _check_rate("sampling_rate", self.sampling_rate)
 
     def __len__(self) -> int:
         return len(self.data)
@@ -145,8 +151,7 @@ class ComplexSpectrum(TrianaType):
         self.data = np.asarray(self.data, dtype=complex)
         if self.data.ndim != 1:
             raise ValueError("ComplexSpectrum requires 1-D data")
-        if self.df <= 0:
-            raise ValueError("df must be positive")
+        _check_rate("df", self.df)
 
     def __len__(self) -> int:
         return len(self.data)
@@ -166,8 +171,7 @@ class Spectrum(TrianaType):
         self.data = np.asarray(self.data, dtype=float)
         if self.data.ndim != 1:
             raise ValueError("Spectrum requires 1-D data")
-        if self.df <= 0:
-            raise ValueError("df must be positive")
+        _check_rate("df", self.df)
 
     def __len__(self) -> int:
         return len(self.data)
@@ -188,6 +192,8 @@ class TimeFrequency(TrianaType):
         self.data = np.asarray(self.data, dtype=float)
         if self.data.ndim != 2:
             raise ValueError("TimeFrequency requires 2-D data")
+        _check_rate("dt", self.dt)
+        _check_rate("df", self.df)
 
 
 @dataclass

@@ -15,6 +15,7 @@ from repro.core import (
     SampleSet,
     Spectrum,
     TableData,
+    TimeFrequency,
     VectorType,
     is_compatible,
     type_by_name,
@@ -56,6 +57,22 @@ class TestSpectra:
 
     def test_spectrum_len(self):
         assert len(Spectrum(data=np.zeros(7))) == 7
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("make,name", [
+    (lambda v: SampleSet(data=np.zeros(4), sampling_rate=v), "sampling_rate"),
+    (lambda v: Spectrum(data=np.zeros(4), df=v), "df"),
+    (lambda v: ComplexSpectrum(data=np.zeros(4), df=v), "df"),
+    (lambda v: TimeFrequency(data=np.zeros((2, 2)), dt=v), "dt"),
+    (lambda v: TimeFrequency(data=np.zeros((2, 2)), df=v), "df"),
+], ids=["SampleSet-sampling_rate", "Spectrum-df", "ComplexSpectrum-df",
+        "TimeFrequency-dt", "TimeFrequency-df"])
+def test_rates_must_be_finite_and_positive(make, name, value):
+    """``nan <= 0`` is False: a NaN rate used to make ``times()`` all NaN
+    and an infinite one made it all ``t0``."""
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        make(value)
 
 
 class TestVectorAndConst:

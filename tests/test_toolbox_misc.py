@@ -3,13 +3,41 @@
 import numpy as np
 import pytest
 
-from repro.core import ImageData, ParameterError, SampleSet, UnitError, VectorType
-from repro.core.toolbox.display import Grapher, ScopeProbe
+from repro.core import (
+    ComplexSpectrum,
+    Const,
+    GraphData,
+    ImageData,
+    ParameterError,
+    SampleSet,
+    Spectrum,
+    UnitError,
+    VectorType,
+)
+from repro.core.toolbox.display import Grapher, ScopeProbe, _to_graph_data
 from repro.core.toolbox.imagepack import BoxBlur, SobelEdges, TestImage
+
+from .test_frame_budget import traced_peak
 
 
 def vec(*values):
     return VectorType(data=np.array(values, dtype=float))
+
+
+def displayable_payloads():
+    """One payload of each type a Grapher can display."""
+    return [
+        SampleSet(data=np.linspace(-1.0, 1.0, 16), sampling_rate=3.0, t0=0.25),
+        Spectrum(data=np.arange(5.0), df=0.5),
+        ComplexSpectrum(data=np.arange(4.0) + 1j, df=2.0),
+        vec(3.0, -4.0, 5.0),
+        Const(value=2.5),
+        GraphData(x=[0.0, 1.0], y=[2.0, 3.0], label="given"),
+    ]
+
+
+def frame_state(frame):
+    return {"x": frame.x.tolist(), "y": frame.y.tolist(), "label": frame.label}
 
 
 class TestImages:
@@ -79,6 +107,53 @@ class TestDisplay:
         g2 = Grapher()
         g2.restore(state)
         np.testing.assert_allclose(g2.last_frame.y, [3.0, 4.0])
+
+    def test_reading_a_frame_gives_the_eager_rendering(self):
+        """Frames render on read; each equals what rendering the payload
+        when it was shown gives (what the Grapher once stored)."""
+        g = Grapher()
+        eager = []
+        for payload in displayable_payloads():
+            eager.append(_to_graph_data(payload))
+            g.process([payload])
+            frame = g.last_frame
+            assert np.array_equal(frame.x, eager[-1].x)
+            assert np.array_equal(frame.y, eager[-1].y)
+            assert frame.label == eager[-1].label
+        assert [frame_state(f) for f in g.frames] == [frame_state(f) for f in eager]
+        assert g.checkpoint() == {"frames": [frame_state(f) for f in eager]}
+
+    def test_checkpoint_round_trips_restored_and_new_frames(self):
+        before = Grapher()
+        before.process([vec(1.0, 2.0)])
+        before.process([Const(value=7.0)])
+        g = Grapher()
+        g.restore(before.checkpoint())
+        for payload in displayable_payloads():
+            g.process([payload])
+        state = g.checkpoint()
+        assert state["frames"][:2] == before.checkpoint()["frames"]
+        assert len(state["frames"]) == 2 + len(displayable_payloads())
+        again = Grapher()
+        again.restore(state)
+        assert again.checkpoint() == state
+
+    def test_showing_frames_adds_no_array(self):
+        """The Grapher holds a reference to each payload, not a rendering:
+        a SampleSet's 131 KB time axis is built on read, never kept."""
+        payloads = [
+            SampleSet(data=np.full(16_384, float(i)), sampling_rate=1024.0)
+            for i in range(200)
+        ]
+        Grapher().process([payloads[0]])  # first-call set-up done
+        g = Grapher()
+
+        def show_all():
+            for payload in payloads:
+                g.process([payload])
+
+        assert traced_peak(show_all) <= 200 * 1024
+        assert len(g.frames) == 200
 
     def test_scope_probe_passthrough(self):
         p = ScopeProbe()

@@ -619,6 +619,19 @@ class TestGarbledFrames:
         # have been refused — the sweep exercised both outcomes.
         assert 0 < decoded < 3000
 
+    def test_nan_sampling_rate_is_a_wire_error(self):
+        """A payload type's own check refuses a NaN rate off the wire."""
+        payload = SampleSet(data=np.arange(4.0), sampling_rate=1024.0)
+        frame = encode_message(Message(
+            "group-exec", "controller", "worker-0",
+            payload=("dep-1", [(3, [payload])]), size_bytes=512,
+        ))
+        rate = wire._F64.pack(1024.0)
+        assert frame.count(rate) == 1
+        garbled = frame.replace(rate, wire._F64.pack(float("nan")))
+        with pytest.raises(WireError, match="sampling_rate must be finite"):
+            decode_message(garbled)
+
     def test_wire_error_names_the_cause(self):
         frame = group_exec_frame()
         with pytest.raises(WireError, match="corrupt wire buffer") as info:
