@@ -3,7 +3,6 @@
 from .experiments import EXPERIMENTS, simulate_volunteer_fleet
 from .metrics import (
     SECONDS_PER_YEAR,
-    cpu_years,
     parallel_efficiency,
     spectrum_snr,
     speedup,
@@ -19,7 +18,6 @@ __all__ = [
     "LAN_GRID",
     "REL_TOL",
     "SECONDS_PER_YEAR",
-    "cpu_years",
     "diff",
     "fig1_graph",
     "fig1_grouped",

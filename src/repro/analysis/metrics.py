@@ -10,7 +10,6 @@ __all__ = [
     "spectrum_snr",
     "speedup",
     "parallel_efficiency",
-    "cpu_years",
     "SECONDS_PER_YEAR",
 ]
 
@@ -55,8 +54,3 @@ def parallel_efficiency(t_baseline: float, t_parallel: float, workers: int) -> f
     if workers < 1:
         raise ValueError("workers must be >= 1")
     return speedup(t_baseline, t_parallel) / workers
-
-
-def cpu_years(cpu_seconds: float) -> float:
-    """Convert cpu-seconds to the paper's 'CPU years' currency."""
-    return cpu_seconds / SECONDS_PER_YEAR

@@ -59,7 +59,6 @@ __all__ = [
     "TableManipulator",
     "TableVerifier",
     "build_database_graph",
-    "build_database_multistage_graph",
 ]
 
 SERVICE_KINDS = ("data-access", "data-manipulate", "data-visualise", "data-verify")
@@ -554,33 +553,4 @@ def build_database_graph(
     g.connect("Source", 0, "Manipulate", 0)
     g.connect("Manipulate", 0, "Verify", 0)
     g.group_tasks("QueryFarm", ["Manipulate"], policy=policy)
-    return g
-
-
-def build_database_multistage_graph(
-    table_key: str,
-    chunk_rows: int = 8,
-    where: Optional[list] = None,
-    sort_column: str = "",
-    filter_policy: str = "parallel",
-    sort_policy: str = "chunked",
-) -> TaskGraph:
-    """Case 3 with separate filter and sort stages: two policy groups.
-
-    Source → [Filter]@filter_policy → [Sort]@sort_policy → Verify.  The
-    filter stage drops rows (shrinking the payloads crossing the second
-    boundary), the sort stage orders each surviving chunk; both are
-    independent per-chunk work, so each can be farmed under its own
-    policy in one staged run.
-    """
-    g = TaskGraph("database-multistage")
-    g.add_task("Source", "TableSource", table=table_key, chunk_rows=chunk_rows)
-    g.add_task("Filter", "TableManipulator", where=list(where or []))
-    g.add_task("Sort", "TableManipulator", sort_column=sort_column)
-    g.add_task("Verify", "TableVerifier")
-    g.connect("Source", 0, "Filter", 0)
-    g.connect("Filter", 0, "Sort", 0)
-    g.connect("Sort", 0, "Verify", 0)
-    g.group_tasks("FilterFarm", ["Filter"], policy=filter_policy)
-    g.group_tasks("SortFarm", ["Sort"], policy=sort_policy)
     return g

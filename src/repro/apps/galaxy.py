@@ -45,7 +45,6 @@ __all__ = [
     "ColumnDensity",
     "FrameCollector",
     "build_galaxy_graph",
-    "build_galaxy_pipeline_graph",
 ]
 
 #: Dataset registry: DataReader units reference datasets by key so the
@@ -439,37 +438,4 @@ def build_galaxy_graph(
     g.connect("Reader", 0, "Render", 0)
     g.connect("Render", 0, "Collector", 0)
     g.group_tasks("RenderFarm", ["Render"], policy=policy)
-    return g
-
-
-def build_galaxy_pipeline_graph(
-    dataset_key: str,
-    resolution: int = 64,
-    view: str = "xy",
-    render_policy: str = "parallel",
-    post_policy: str = "chunked",
-) -> TaskGraph:
-    """Case 1 with a post-production stage: two policy groups in one run.
-
-    Reader → [Render]@render_policy → [Blur → Edges]@post_policy →
-    Collector.  The render farm produces raw column-density frames; a
-    second distributed group enhances them (box blur then Sobel edges,
-    both :class:`~repro.core.types.ImageData` toolbox units) before the
-    in-order collector animates them.  Each group may carry a different
-    distribution policy — the staged scheduler collects the render farm's
-    frame *i* and immediately feeds it to the post group while frame
-    *i+1* is still rendering.
-    """
-    g = TaskGraph("galaxy-pipeline")
-    g.add_task("Reader", "DataReader", dataset=dataset_key)
-    g.add_task("Render", "ColumnDensity", resolution=resolution, view=view)
-    g.add_task("Blur", "BoxBlur", radius=1)
-    g.add_task("Edges", "SobelEdges")
-    g.add_task("Collector", "FrameCollector")
-    g.connect("Reader", 0, "Render", 0)
-    g.connect("Render", 0, "Blur", 0)
-    g.connect("Blur", 0, "Edges", 0)
-    g.connect("Edges", 0, "Collector", 0)
-    g.group_tasks("RenderFarm", ["Render"], policy=render_policy)
-    g.group_tasks("PostFarm", ["Blur", "Edges"], policy=post_policy)
     return g

@@ -17,7 +17,7 @@ like ``"Wave"`` resolve immediately.
 """
 
 from . import toolbox  # noqa: F401  (registers built-in units)
-from .engine import LocalEngine, Probe, RunStats, run_graph
+from .engine import LocalEngine, Probe, RunStats
 from .errors import (
     GraphError,
     ParameterError,
@@ -47,11 +47,9 @@ from .types import (
     SampleSet,
     Spectrum,
     TableData,
-    TimeFrequency,
     TrianaType,
     VectorType,
     is_compatible,
-    type_by_name,
 )
 from .units import ParamSpec, Unit
 from .xml_io import (
@@ -85,7 +83,6 @@ __all__ = [
     "TableData",
     "Task",
     "TaskGraph",
-    "TimeFrequency",
     "TrianaType",
     "TypeMismatchError",
     "Unit",
@@ -104,7 +101,5 @@ __all__ = [
     "register_policy_name",
     "unit_names_in_xml",
     "register_unit",
-    "run_graph",
     "toolbox",
-    "type_by_name",
 ]

@@ -34,7 +34,7 @@ from .errors import GraphError, UnitError
 from .taskgraph import TaskGraph
 from .units import Unit
 
-__all__ = ["Probe", "RunStats", "LocalEngine", "run_graph", "share"]
+__all__ = ["Probe", "RunStats", "LocalEngine", "share"]
 
 
 @dataclass
@@ -323,22 +323,3 @@ class LocalEngine:
         for probe in self.probes:
             probe.values.clear()
         self.stats = RunStats()
-
-
-def run_graph(
-    graph: TaskGraph,
-    iterations: int = 1,
-    probes: Optional[list[tuple[str, int]]] = None,
-    on_iteration: Optional[Callable[[int], None]] = None,
-) -> tuple[dict[str, list[Any]], list[Probe]]:
-    """Convenience one-shot runner returning (sink outputs, probes)."""
-    engine = LocalEngine(graph)
-    attached = [engine.attach_probe(t, n) for t, n in (probes or [])]
-    if on_iteration is None:
-        outputs = engine.run(iterations)
-    else:
-        outputs = {}
-        for i in range(iterations):
-            outputs = engine.run(1)
-            on_iteration(i)
-    return outputs, attached

@@ -3,7 +3,7 @@
 Importing this package registers every built-in unit in the global
 registry — mirroring Triana's palette of ready-made tools.  Families:
 
-* :mod:`.signal`     — waveform sources, FFTs, spectra, AccumStat, filters
+* :mod:`.signal`     — the wave source, noise, FFTs, spectra, AccumStat, filters
 * :mod:`.vectorpack` — shaping, resampling, multi-output splitters
 * :mod:`.imagepack`  — a test image, box blur and Sobel edges
 * :mod:`.display`    — Grapher and other sinks
@@ -15,9 +15,6 @@ from .display import Grapher, ScopeProbe
 from .signal import (
     FFT,
     AccumStat,
-    AmplitudeSpectrum,
-    ChirpGenerator,
-    Correlate,
     Decimate,
     GaussianNoise,
     Gain,
@@ -27,18 +24,11 @@ from .signal import (
     Mixer,
     Offset,
     PowerSpectrum,
-    SampleSetToGraph,
-    SpectrumToGraph,
-    UniformNoise,
     Wave,
-    WindowFn,
 )
 
 __all__ = [
     "AccumStat",
-    "AmplitudeSpectrum",
-    "ChirpGenerator",
-    "Correlate",
     "Decimate",
     "FFT",
     "Gain",
@@ -50,10 +40,6 @@ __all__ = [
     "Mixer",
     "Offset",
     "PowerSpectrum",
-    "SampleSetToGraph",
     "ScopeProbe",
-    "SpectrumToGraph",
-    "UniformNoise",
     "Wave",
-    "WindowFn",
 ]

@@ -1,8 +1,8 @@
 """Signal-processing units — the toolbox family behind Fig. 1/2.
 
 Implements the paper's demonstration workflow (Wave → GaussianNoise →
-FFT → PowerSpectrum → AccumStat → Grapher) plus the filtering/correlation
-units a signal-analysis toolbox needs.
+FFT → PowerSpectrum → AccumStat → Grapher) plus the gains, mixers and
+filters the workloads build with.
 """
 
 from __future__ import annotations
@@ -13,13 +13,7 @@ import numpy as np
 
 from ..errors import UnitError
 from ..registry import register_unit
-from ..types import (
-    ComplexSpectrum,
-    GraphData,
-    SampleSet,
-    Spectrum,
-    TimeFrequency,
-)
+from ..types import ComplexSpectrum, SampleSet, Spectrum
 from ..units import (
     ParamSpec,
     Unit,
@@ -33,25 +27,17 @@ from ..units import (
 
 __all__ = [
     "Wave",
-    "ChirpGenerator",
     "GaussianNoise",
-    "UniformNoise",
     "FFT",
     "InverseFFT",
     "PowerSpectrum",
-    "AmplitudeSpectrum",
     "AccumStat",
-    "Spectrogram",
     "Gain",
     "Offset",
     "Mixer",
-    "WindowFn",
     "LowPass",
     "HighPass",
     "Decimate",
-    "Correlate",
-    "SpectrumToGraph",
-    "SampleSetToGraph",
 ]
 
 
@@ -102,39 +88,21 @@ class Wave(Unit):
 
 
 @register_unit(category="signal")
-class ChirpGenerator(Unit):
-    """Linear-frequency chirp source (test signal for inspiral-style work)."""
+class GaussianNoise(Unit):
+    """Contaminates a sample set with white Gaussian noise (Fig. 1).
 
-    NUM_INPUTS = 0
-    NUM_OUTPUTS = 1
-    OUTPUT_TYPES = (SampleSet,)
-    PARAMETERS = (
-        ParamSpec("f0", 40.0, "start frequency, Hz", _positive),
-        ParamSpec("f1", 200.0, "end frequency, Hz", _positive),
-        ParamSpec("duration", 1.0, "seconds", _positive),
-        ParamSpec("amplitude", 1.0, "peak amplitude", _finite),
-        ParamSpec("sampling_rate", 2048.0, "samples per second", _positive),
-    )
-
-    def process(self, inputs: Sequence[Any]) -> list[Any]:
-        fs = float(self.get_param("sampling_rate"))
-        dur = float(self.get_param("duration"))
-        f0 = float(self.get_param("f0"))
-        f1 = float(self.get_param("f1"))
-        a = float(self.get_param("amplitude"))
-        t = np.arange(int(round(dur * fs))) / fs
-        # Instantaneous phase of a linear chirp: 2π (f0 t + (f1-f0) t² / 2T).
-        phase = 2.0 * np.pi * (f0 * t + 0.5 * (f1 - f0) * t**2 / dur)
-        return [SampleSet(data=a * np.sin(phase), sampling_rate=fs)]
-
-
-class _NoiseUnit(Unit):
-    """Shared machinery for additive-noise units with reproducible draws."""
+    The draws are reproducible: the stream restarts from ``seed`` on
+    reset and its position travels in a checkpoint.
+    """
 
     NUM_INPUTS = 1
     NUM_OUTPUTS = 1
     INPUT_TYPES = (SampleSet,)
     OUTPUT_TYPES = (SampleSet,)
+    PARAMETERS = (
+        ParamSpec("sigma", 1.0, "noise standard deviation", _non_negative),
+        ParamSpec("seed", 0, "noise stream seed", _non_negative_int),
+    )
 
     def reset(self) -> None:
         self._rng = np.random.default_rng(int(self.get_param("seed")))
@@ -146,40 +114,11 @@ class _NoiseUnit(Unit):
         if "rng_state" in state:
             self._rng.bit_generator.state = state["rng_state"]
 
-    def _draw(self, n: int) -> np.ndarray:  # pragma: no cover - overridden
-        raise NotImplementedError
-
     def process(self, inputs: Sequence[Any]) -> list[Any]:
         (sig,) = inputs
-        noisy = sig.data + self._draw(len(sig.data))
+        sigma = float(self.get_param("sigma"))
+        noisy = sig.data + self._rng.normal(0.0, sigma, len(sig.data))
         return [SampleSet(data=noisy, sampling_rate=sig.sampling_rate, t0=sig.t0)]
-
-
-@register_unit(category="signal")
-class GaussianNoise(_NoiseUnit):
-    """Contaminates a sample set with white Gaussian noise (Fig. 1)."""
-
-    PARAMETERS = (
-        ParamSpec("sigma", 1.0, "noise standard deviation", _non_negative),
-        ParamSpec("seed", 0, "noise stream seed", _non_negative_int),
-    )
-
-    def _draw(self, n: int) -> np.ndarray:
-        return self._rng.normal(0.0, float(self.get_param("sigma")), n)
-
-
-@register_unit(category="signal")
-class UniformNoise(_NoiseUnit):
-    """Adds uniform noise in [-width/2, +width/2]."""
-
-    PARAMETERS = (
-        ParamSpec("width", 1.0, "peak-to-peak width", _non_negative),
-        ParamSpec("seed", 0, "noise stream seed", _non_negative_int),
-    )
-
-    def _draw(self, n: int) -> np.ndarray:
-        w = float(self.get_param("width"))
-        return self._rng.uniform(-w / 2.0, w / 2.0, n)
 
 
 @register_unit(category="signal")
@@ -239,21 +178,6 @@ class PowerSpectrum(Unit):
         n_time = 2 * (len(spec.data) - 1)
         power = np.abs(spec.data) ** 2 / max(n_time, 1) ** 2
         return [Spectrum(data=power, df=spec.df)]
-
-
-@register_unit(category="signal")
-class AmplitudeSpectrum(Unit):
-    """|X(f)| / N."""
-
-    NUM_INPUTS = 1
-    NUM_OUTPUTS = 1
-    INPUT_TYPES = (ComplexSpectrum,)
-    OUTPUT_TYPES = (Spectrum,)
-
-    def process(self, inputs: Sequence[Any]) -> list[Any]:
-        (spec,) = inputs
-        n_time = 2 * (len(spec.data) - 1)
-        return [Spectrum(data=np.abs(spec.data) / max(n_time, 1), df=spec.df)]
 
 
 @register_unit(category="signal")
@@ -375,32 +299,6 @@ class Mixer(Unit):
         ]
 
 
-@register_unit(category="signal")
-class WindowFn(Unit):
-    """Apply a taper window (hann/hamming/blackman/rect)."""
-
-    NUM_INPUTS = 1
-    NUM_OUTPUTS = 1
-    INPUT_TYPES = (SampleSet,)
-    OUTPUT_TYPES = (SampleSet,)
-    _WINDOWS = {
-        "hann": np.hanning,
-        "hamming": np.hamming,
-        "blackman": np.blackman,
-        "rect": np.ones,
-    }
-    PARAMETERS = (
-        ParamSpec(
-            "window", "hann", "hann | hamming | blackman | rect", _one_of(*_WINDOWS)
-        ),
-    )
-
-    def process(self, inputs: Sequence[Any]) -> list[Any]:
-        (sig,) = inputs
-        w = self._WINDOWS[self.get_param("window")](len(sig.data))
-        return [SampleSet(data=sig.data * w, sampling_rate=sig.sampling_rate, t0=sig.t0)]
-
-
 class _FFTFilter(Unit):
     """Zero out FFT bins outside the pass region.
 
@@ -479,102 +377,3 @@ class Decimate(Unit):
                 t0=sig.t0,
             )
         ]
-
-
-@register_unit(category="signal")
-class Correlate(Unit):
-    """FFT-based cross-correlation of two sample sets (node1 is template)."""
-
-    NUM_INPUTS = 2
-    NUM_OUTPUTS = 1
-    INPUT_TYPES = (SampleSet,)
-    OUTPUT_TYPES = (SampleSet,)
-
-    def process(self, inputs: Sequence[Any]) -> list[Any]:
-        data, template = inputs
-        n = len(data.data) + len(template.data) - 1
-        nfft = 1 << int(np.ceil(np.log2(max(n, 2))))
-        fd = np.fft.rfft(data.data, nfft)
-        ft = np.fft.rfft(template.data, nfft)
-        corr = np.fft.irfft(fd * np.conj(ft), nfft)[:n]
-        return [SampleSet(data=corr, sampling_rate=data.sampling_rate, t0=data.t0)]
-
-    def estimated_flops(self, input_nbytes: int) -> float:
-        n = max(input_nbytes / 8.0, 2.0)
-        return 15.0 * n * np.log2(n)
-
-
-@register_unit(category="signal")
-class Spectrogram(Unit):
-    """Short-time Fourier transform: SampleSet → TimeFrequency map.
-
-    Rows are time frames (hop-spaced), columns frequency bins; values are
-    power.  The natural display for chirping signals like Case 2's
-    inspirals.
-    """
-
-    NUM_INPUTS = 1
-    NUM_OUTPUTS = 1
-    INPUT_TYPES = (SampleSet,)
-    OUTPUT_TYPES = (TimeFrequency,)
-    PARAMETERS = (
-        ParamSpec("window", 128, "FFT window length in samples", _positive),
-        ParamSpec("hop", 64, "hop between frames in samples", _positive),
-    )
-
-    def process(self, inputs: Sequence[Any]) -> list[Any]:
-        (sig,) = inputs
-        window = int(self.get_param("window"))
-        hop = int(self.get_param("hop"))
-        if len(sig.data) < window:
-            raise UnitError(
-                f"Spectrogram: signal shorter than window ({len(sig.data)} < {window})"
-            )
-        taper = np.hanning(window)
-        frames = []
-        for start in range(0, len(sig.data) - window + 1, hop):
-            chunk = sig.data[start : start + window] * taper
-            frames.append(np.abs(np.fft.rfft(chunk)) ** 2)
-        return [
-            TimeFrequency(
-                data=np.array(frames),
-                dt=hop / sig.sampling_rate,
-                df=sig.sampling_rate / window,
-            )
-        ]
-
-    def estimated_flops(self, input_nbytes: int) -> float:
-        n = max(input_nbytes / 8.0, 2.0)
-        return 10.0 * n * np.log2(max(n, 2.0))
-
-
-@register_unit(category="signal")
-class SpectrumToGraph(Unit):
-    """Spectrum → GraphData (frequency axis attached)."""
-
-    NUM_INPUTS = 1
-    NUM_OUTPUTS = 1
-    INPUT_TYPES = (Spectrum,)
-    OUTPUT_TYPES = (GraphData,)
-    PARAMETERS = (ParamSpec("label", "", "series label"),)
-
-    def process(self, inputs: Sequence[Any]) -> list[Any]:
-        (spec,) = inputs
-        return [
-            GraphData(x=spec.frequencies(), y=spec.data, label=self.get_param("label"))
-        ]
-
-
-@register_unit(category="signal")
-class SampleSetToGraph(Unit):
-    """SampleSet → GraphData (time axis attached)."""
-
-    NUM_INPUTS = 1
-    NUM_OUTPUTS = 1
-    INPUT_TYPES = (SampleSet,)
-    OUTPUT_TYPES = (GraphData,)
-    PARAMETERS = (ParamSpec("label", "", "series label"),)
-
-    def process(self, inputs: Sequence[Any]) -> list[Any]:
-        (sig,) = inputs
-        return [GraphData(x=sig.times(), y=sig.data, label=self.get_param("label"))]

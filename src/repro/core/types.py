@@ -26,13 +26,11 @@ __all__ = [
     "SampleSet",
     "ComplexSpectrum",
     "Spectrum",
-    "TimeFrequency",
     "ImageData",
     "TableData",
     "GraphData",
     "ParticleSnapshot",
     "is_compatible",
-    "type_by_name",
     "TYPE_REGISTRY",
 ]
 
@@ -181,22 +179,6 @@ class Spectrum(TrianaType):
 
 
 @dataclass
-class TimeFrequency(TrianaType):
-    """A 2-D time-frequency map (rows = time, cols = frequency)."""
-
-    data: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    dt: float = 1.0
-    df: float = 1.0
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        if self.data.ndim != 2:
-            raise ValueError("TimeFrequency requires 2-D data")
-        _check_rate("dt", self.dt)
-        _check_rate("df", self.df)
-
-
-@dataclass
 class ImageData(TrianaType):
     """A 2-D greyscale image."""
 
@@ -311,13 +293,3 @@ def is_compatible(
     if AnyType in outs or AnyType in ins:
         return True
     return any(issubclass(o, i) for o in outs for i in ins)
-
-
-def type_by_name(name: str) -> Type[TrianaType]:
-    """Resolve a type name from XML back to its class."""
-    # Accept Java-style dotted names from historical task graphs
-    # (e.g. "triana.types.SampleSet" → "SampleSet").
-    short = name.rsplit(".", 1)[-1]
-    if short not in TYPE_REGISTRY:
-        raise KeyError(f"unknown Triana type {name!r}")
-    return TYPE_REGISTRY[short]

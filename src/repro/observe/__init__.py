@@ -46,7 +46,6 @@ from .export import (
     chrome_trace,
     jsonl_lines,
     text_timeline,
-    trace_summary,
     write_metrics,
     write_trace,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "render_top",
     "score_against_faults",
     "text_timeline",
-    "trace_summary",
     "utilization",
     "write_metrics",
     "write_trace",

@@ -28,7 +28,6 @@ __all__ = [
     "chrome_trace",
     "jsonl_lines",
     "text_timeline",
-    "trace_summary",
     "write_metrics",
     "write_trace",
 ]
@@ -207,11 +206,6 @@ def text_timeline(tracer, width: int = 100) -> str:
         lines.append(f"-- {track} ({len(rows)} records)")
         lines.extend(row[-1][: width + 2] for row in rows)
     return "\n".join(lines) + "\n"
-
-
-def trace_summary(tracer) -> dict[str, Any]:
-    """The tracer's aggregate summary (see :meth:`Tracer.summary`)."""
-    return tracer.summary()
 
 
 #: extension → format map for ``write_trace(..., fmt="auto")``

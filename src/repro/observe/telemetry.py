@@ -54,7 +54,6 @@ class TelemetrySampler:
         self,
         interval: float = 5.0,
         capacity: int = 2048,
-        monitor: Optional[Any] = None,
         max_catchup: int = 32,
     ):
         if not interval > 0:
@@ -65,7 +64,8 @@ class TelemetrySampler:
         self.capacity = int(capacity)
         self.max_catchup = int(max_catchup)
         self.samples: deque[dict[str, Any]] = deque(maxlen=self.capacity)
-        self.monitor = monitor
+        #: set by :meth:`attach_monitor`
+        self.monitor: Optional[Any] = None
         #: registered (name, fn) sources, sampled in registration order
         self._sources: list[tuple[str, Callable[[], dict[str, Any]]]] = []
         self.next_tick: float = float("inf")

@@ -21,7 +21,6 @@ from .availability import (
     PoissonChurn,
     ScreensaverCycle,
     ScriptedAvailability,
-    fleet_availability,
 )
 from .errors import AuthenticationError, QueueError, ResourceError
 from .gram import BatchQueue, GramGateway, JobSpec
@@ -44,5 +43,4 @@ __all__ = [
     "ScriptedAvailability",
     "UsageRecord",
     "VirtualAccountManager",
-    "fleet_availability",
 ]

@@ -231,10 +231,3 @@ class ScriptedAvailability(AvailabilityModel):
                 last = sim.now
 
         sim.process(script(sim), name=f"scripted/{peer.peer_id}")
-
-
-def fleet_availability(models: list[AvailabilityModel]) -> float:
-    """Mean expected availability across a fleet."""
-    if not models:
-        return 0.0
-    return sum(m.expected_availability() for m in models) / len(models)

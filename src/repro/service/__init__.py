@@ -20,11 +20,8 @@ from .controller import RunReport, TrianaController
 from .detector import HeartbeatFailureDetector, WorkerHealth
 from .errors import DeploymentError, MigrationError, SchedulingError, ServiceError
 from .partition import (
-    GroupPartition,
     StagedPartition,
-    find_distributable_group,
     find_distributable_groups,
-    partition_for_group,
     partition_stages,
 )
 from .placement import dispatch_policy_names, register_dispatch_policy
@@ -47,7 +44,6 @@ __all__ = [
     "DeploymentSpec",
     "DispatchContext",
     "DistributionPolicy",
-    "GroupPartition",
     "HeartbeatFailureDetector",
     "MigrationError",
     "ParallelFarmPolicy",
@@ -62,10 +58,8 @@ __all__ = [
     "WORKER_SERVICE_KIND",
     "WorkerHealth",
     "dispatch_policy_names",
-    "find_distributable_group",
     "find_distributable_groups",
     "global_policy_registry",
-    "partition_for_group",
     "partition_stages",
     "register_dispatch_policy",
     "register_policy",

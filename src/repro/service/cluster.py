@@ -19,17 +19,16 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..resources.accounts import (
-    CertificateAuthority,
-    Credential,
-    GlobusAccountManager,
-)
+from ..resources.accounts import CertificateAuthority, GlobusAccountManager
 from ..resources.gram import BatchQueue, GramGateway, JobSpec
 from ..p2p.peer import Peer
 from ..mobility.sandbox import SandboxPolicy
 from .worker import TrianaService, _Deployment
 
 __all__ = ["ClusterTrianaService"]
+
+#: the grid account every cluster job is billed to
+GRID_USER = "triana"
 
 
 class ClusterTrianaService(TrianaService):
@@ -39,9 +38,9 @@ class ClusterTrianaService(TrianaService):
     ----------
     queue:
         The cluster's batch queue (nodes × cores slots).
-    gateway / credential:
-        Authenticated submission path; if omitted, a private CA, account
-        and gateway are provisioned (the common self-managed cluster).
+
+    The peer provisions its own CA, grid account and gateway (the common
+    self-managed cluster) and submits every job as ``GRID_USER``.
     """
 
     def __init__(
@@ -49,9 +48,6 @@ class ClusterTrianaService(TrianaService):
         peer: Peer,
         repository_host: str,
         queue: Optional[BatchQueue] = None,
-        gateway: Optional[GramGateway] = None,
-        credential: Optional[Credential] = None,
-        grid_user: str = "triana",
         sandbox: Optional[SandboxPolicy] = None,
         **kwargs,
     ):
@@ -59,17 +55,11 @@ class ClusterTrianaService(TrianaService):
         self.queue = queue or BatchQueue(
             peer.sim, nodes=4, cores_per_node=2, cpu_flops=peer.profile.cpu_flops
         )
-        if gateway is None:
-            ca = CertificateAuthority(f"{peer.peer_id}-ca")
-            accounts = GlobusAccountManager(ca)
-            accounts.create_account(grid_user)
-            gateway = GramGateway(self.queue, ca, accounts)
-            credential = ca.issue(grid_user, now=peer.sim.now)
-        if credential is None:
-            raise ValueError("a credential is required with an external gateway")
-        self.gateway = gateway
-        self.credential = credential
-        self.grid_user = grid_user
+        ca = CertificateAuthority(f"{peer.peer_id}-ca")
+        accounts = GlobusAccountManager(ca)
+        accounts.create_account(GRID_USER)
+        self.gateway = GramGateway(self.queue, ca, accounts)
+        self.credential = ca.issue(GRID_USER, now=peer.sim.now)
 
     def _exec_loop(self, dep: _Deployment):
         """Submit each queued iteration as a batch job (concurrent slots).
@@ -83,7 +73,7 @@ class ClusterTrianaService(TrianaService):
             iteration, inputs = yield None
             outputs, flops, span = self._step(dep, iteration, inputs)
             job = self.gateway.submit(
-                JobSpec(flops=max(flops, 1.0), user=self.grid_user),
+                JobSpec(flops=max(flops, 1.0), user=GRID_USER),
                 self.credential,
             )
 

@@ -23,6 +23,7 @@ zone as they arrive.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -106,14 +107,16 @@ class TrianaController:
         self._ctx_of_dep: dict[str, DispatchContext] = {}
         self._duplicate_results = 0
         self._stale_results = 0
-        self._checkpoint_events: dict[str, Event] = {}
-        self._drain_events: dict[str, Event] = {}
+        #: request key → its waiters, oldest first; each reply answers the
+        #: oldest, and a key whose last waiter is answered is removed
+        self._checkpoint_events: dict[str, deque[Event]] = {}
+        self._drain_events: dict[str, deque[Event]] = {}
+        self._reparam_events: dict[tuple[str, str], deque[Event]] = {}
         #: first/last local-zone engines of the most recent run
         self.last_upstream: Optional[LocalEngine] = None
         self.last_downstream: Optional[LocalEngine] = None
         #: (worker, spec) per stage of the most recent p2p chain
         self._last_chain: list[tuple[str, DeploymentSpec]] = []
-        self._reparam_events: dict[tuple[str, str], Event] = {}
         peer.on("group-result", self._on_result)
         peer.on("triana-heartbeat", self._on_heartbeat)
         peer.on("checkpoint-reply", self._on_checkpoint_reply)
@@ -167,22 +170,39 @@ class TrianaController:
             return
         ctx.settle(iteration, outputs, message.src)
 
+    def _wait(self, table: dict, key) -> Event:
+        """A new waiter for a reply to ``key``, queued behind earlier ones."""
+        ev = self.sim.event()
+        table.setdefault(key, deque()).append(ev)
+        return ev
+
+    @staticmethod
+    def _oldest_waiter(table: dict, key) -> Optional[Event]:
+        """Take the oldest waiter for ``key``; None for an unasked reply."""
+        waiters = table.get(key)
+        if not waiters:
+            return None
+        ev = waiters.popleft()
+        if not waiters:
+            del table[key]
+        return ev
+
     def _on_checkpoint_reply(self, message: Message) -> None:
         deployment_id, state = message.payload
-        ev = self._checkpoint_events.get(deployment_id)
-        if ev is not None and not ev.triggered:
+        ev = self._oldest_waiter(self._checkpoint_events, deployment_id)
+        if ev is not None:
             ev.succeed(state)
 
     def _on_drain_reply(self, message: Message) -> None:
         deployment_id, state, leftovers = message.payload
-        ev = self._drain_events.get(deployment_id)
-        if ev is not None and not ev.triggered:
+        ev = self._oldest_waiter(self._drain_events, deployment_id)
+        if ev is not None:
             ev.succeed((state, leftovers))
 
     def _on_reparam_ack(self, message: Message) -> None:
         deployment_id, task_name, error = message.payload
-        ev = self._reparam_events.pop((deployment_id, task_name), None)
-        if ev is not None and not ev.triggered:
+        ev = self._oldest_waiter(self._reparam_events, (deployment_id, task_name))
+        if ev is not None:
             if error is None:
                 ev.succeed(deployment_id)
             else:
@@ -196,8 +216,7 @@ class TrianaController:
         Returns an event that succeeds when the worker confirms, or fails
         with :class:`SchedulingError` if the worker rejects the update.
         """
-        ev = self.sim.event()
-        self._reparam_events[(deployment_id, task)] = ev
+        ev = self._wait(self._reparam_events, (deployment_id, task))
         self.peer.send(
             worker,
             "triana-reparam",
@@ -230,10 +249,26 @@ class TrianaController:
 
     def request_checkpoint(self, worker: str, deployment_id: str) -> Event:
         """Pull a deployment's unit state (migration support)."""
-        ev = self.sim.event()
-        self._checkpoint_events[deployment_id] = ev
+        ev = self._wait(self._checkpoint_events, deployment_id)
         self.peer.send(
             worker, "triana-checkpoint", payload=(self.peer.peer_id, deployment_id)
+        )
+        return ev
+
+    def request_drain(
+        self, worker: str, deployment_id: str, new_home: tuple[str, str]
+    ) -> Event:
+        """Hand a deployment over to ``new_home`` (migration support).
+
+        Returns an event yielding ``(state, leftovers)``; the old worker
+        leaves a tombstone that forwards stragglers to the new home.
+        """
+        ev = self._wait(self._drain_events, deployment_id)
+        self.peer.send(
+            worker,
+            "triana-drain",
+            payload=(self.peer.peer_id, deployment_id, new_home),
+            size_bytes=96,
         )
         return ev
 

@@ -26,6 +26,9 @@ from .errors import DeploymentError
 
 __all__ = ["DeploymentManager", "merge_preseed_plans"]
 
+#: sends of each spec before a deploy fails; they split ``deploy_timeout``
+DEPLOY_ATTEMPTS = 3
+
 
 def merge_preseed_plans(
     plans: Iterable[list[tuple[str, tuple[str, ...]]]],
@@ -107,7 +110,7 @@ class DeploymentManager:
                 confirmed[worker] = ev.value
         return confirmed
 
-    def deploy_all(self, specs, max_attempts: int = 3):
+    def deploy_all(self, specs):
         """Deploy with retries: lost deploys/acks are re-sent, not fatal.
 
         Workers treat duplicate deploys idempotently (re-ack), so a retry
@@ -119,8 +122,8 @@ class DeploymentManager:
             self._ack_events[spec.deployment_id] = ack
             acks[spec.deployment_id] = ack
         pending = list(specs)
-        per_attempt = self.deploy_timeout / max_attempts
-        for _attempt in range(max_attempts):
+        per_attempt = self.deploy_timeout / DEPLOY_ATTEMPTS
+        for _attempt in range(DEPLOY_ATTEMPTS):
             for worker, spec in pending:
                 self.peer.send(
                     worker, "triana-deploy", payload=spec, size_bytes=len(spec.xml)
@@ -138,7 +141,7 @@ class DeploymentManager:
             missing = [s.deployment_id for _w, s in pending]
             raise DeploymentError(
                 f"deployment timed out after {self.deploy_timeout}s "
-                f"({max_attempts} attempts); unacked: {missing}"
+                f"({DEPLOY_ATTEMPTS} attempts); unacked: {missing}"
             )
         # Surface failure acks (sandbox denial etc.) by touching .value.
         for _w, spec in specs:

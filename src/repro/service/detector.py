@@ -9,21 +9,36 @@ controller *suspects* a worker after ``suspect_after_missed`` silent
 intervals and recovers immediately instead of waiting out the timeout.
 
 On top of suspicion the :class:`HeartbeatFailureDetector` keeps an
-adaptive per-worker **health score** in ``[0, 1]``: suspicion and deploy
-failures drain it, delivered results replenish it.  A worker whose score
-falls below ``quarantine_threshold`` is quarantined (no dispatches) for
-``quarantine_window`` seconds; a worker quarantined ``blacklist_after``
+adaptive per-worker **health score** in ``[0, 1]``: suspicion
+(``SUSPICION_PENALTY``) and deploy failures drain it, delivered results
+replenish it (``RESULT_REWARD``).  A worker whose score falls below
+``QUARANTINE_THRESHOLD`` is quarantined (no dispatches) for
+``QUARANTINE_WINDOW`` seconds; a worker quarantined ``BLACKLIST_AFTER``
 times is blacklisted for the rest of the run.  Scores, suspicion counts
 and quarantine state all surface in the run report's ``recovery``
 section.
+
+The detector has no clock of its own: every observation and query takes
+the caller's ``now`` (the controller passes its kernel's ``sim.now``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any
 
 __all__ = ["WorkerHealth", "HeartbeatFailureDetector"]
+
+#: a worker whose score falls below this is quarantined
+QUARANTINE_THRESHOLD = 0.4
+#: seconds a quarantine lasts
+QUARANTINE_WINDOW = 300.0
+#: the quarantine count at which a worker is blacklisted for the run
+BLACKLIST_AFTER = 3
+#: score drained by one heartbeat-silence suspicion
+SUSPICION_PENALTY = 0.3
+#: score repaid by one delivered result
+RESULT_REWARD = 0.05
 
 
 @dataclass
@@ -48,60 +63,25 @@ class WorkerHealth:
 class HeartbeatFailureDetector:
     """Suspicion + health scoring over a watched set of workers."""
 
-    def __init__(
-        self,
-        heartbeat_interval: float = 60.0,
-        suspect_after_missed: int = 3,
-        quarantine_threshold: float = 0.4,
-        quarantine_window: float = 300.0,
-        blacklist_after: int = 3,
-        suspicion_penalty: float = 0.3,
-        result_reward: float = 0.05,
-        clock: Optional[Callable[[], float]] = None,
-    ):
+    def __init__(self, heartbeat_interval: float = 60.0, suspect_after_missed: int = 3):
         if heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
         if suspect_after_missed < 1:
             raise ValueError("suspect_after_missed must be >= 1")
         self.heartbeat_interval = heartbeat_interval
         self.suspect_after_missed = suspect_after_missed
-        self.quarantine_threshold = quarantine_threshold
-        self.quarantine_window = quarantine_window
-        self.blacklist_after = blacklist_after
-        self.suspicion_penalty = suspicion_penalty
-        self.result_reward = result_reward
         self.workers: dict[str, WorkerHealth] = {}
-        #: optional time source: when set, every ``now`` argument may be
-        #: omitted and the detector reads the clock itself.  The
-        #: simulated controller keeps passing explicit ``sim.now``
-        #: values (bit-identical to the pre-seam behaviour); wall-clock
-        #: deployments hand in ``lambda: sim.wall_now`` (or
-        #: ``time.monotonic``) and call the observation hooks bare.
-        self.clock = clock
-
-    def _now(self, now: Optional[float]) -> float:
-        """Resolve an explicit timestamp against the injected clock."""
-        if now is not None:
-            return now
-        if self.clock is None:
-            raise ValueError(
-                "detector has no clock: pass now= explicitly or construct "
-                "HeartbeatFailureDetector(clock=...)"
-            )
-        return self.clock()
 
     # -- lifecycle ------------------------------------------------------------
-    def watch(self, worker: str, now: Optional[float] = None) -> None:
+    def watch(self, worker: str, now: float) -> None:
         """Start (or refresh) watching a worker; grants a full grace period."""
-        now = self._now(now)
         rec = self.workers.setdefault(worker, WorkerHealth())
         rec.last_heartbeat = now
         rec.suspected = False
 
     # -- observations ---------------------------------------------------------
-    def observe_heartbeat(self, worker: str, now: Optional[float] = None) -> None:
+    def observe_heartbeat(self, worker: str, now: float) -> None:
         """Record a ``triana-heartbeat``; clears any standing suspicion."""
-        now = self._now(now)
         rec = self.workers.get(worker)
         if rec is None:
             return  # heartbeat from a worker we never placed work on
@@ -111,33 +91,30 @@ class HeartbeatFailureDetector:
             # Resurrection: trust returns, but the scar (score) remains.
             rec.suspected = False
 
-    def observe_result(self, worker: str, now: Optional[float] = None) -> None:
+    def observe_result(self, worker: str, now: float) -> None:
         """Record a delivered result: refreshes liveness and repays score."""
-        now = self._now(now)
         rec = self.workers.get(worker)
         if rec is None:
             return
         rec.results += 1
         rec.last_heartbeat = now  # a result is as good as a heartbeat
         rec.suspected = False
-        rec.score = min(1.0, rec.score + self.result_reward)
+        rec.score = min(1.0, rec.score + RESULT_REWARD)
 
     def penalise(
         self,
         worker: str,
-        now: Optional[float] = None,
+        now: float,
         amount: float = 0.0,
         reason: str = "penalty",
     ) -> None:
         """External penalty hook (deploy failures, integrity convictions...)."""
-        now = self._now(now)
         rec = self.workers.setdefault(worker, WorkerHealth())
         self._drain(rec, now, amount, reason)
 
     # -- the periodic check ---------------------------------------------------
-    def check(self, now: Optional[float] = None) -> list[str]:
+    def check(self, now: float) -> list[str]:
         """Mark workers whose heartbeats went silent; returns new suspects."""
-        now = self._now(now)
         deadline = self.suspect_after_missed * self.heartbeat_interval
         fresh: list[str] = []
         for worker, rec in sorted(self.workers.items()):
@@ -146,7 +123,7 @@ class HeartbeatFailureDetector:
             if now - rec.last_heartbeat >= deadline:
                 rec.suspected = True
                 rec.suspicions += 1
-                self._drain(rec, now, self.suspicion_penalty, "heartbeat-silence")
+                self._drain(rec, now, SUSPICION_PENALTY, "heartbeat-silence")
                 fresh.append(worker)
         return fresh
 
@@ -154,25 +131,24 @@ class HeartbeatFailureDetector:
         self, rec: WorkerHealth, now: float, amount: float, reason: str = "penalty"
     ) -> None:
         rec.score = max(0.0, rec.score - amount)
-        if rec.score < self.quarantine_threshold and now >= rec.quarantined_until:
-            rec.quarantined_until = now + self.quarantine_window
+        if rec.score < QUARANTINE_THRESHOLD and now >= rec.quarantined_until:
+            rec.quarantined_until = now + QUARANTINE_WINDOW
             rec.quarantines += 1
             rec.quarantine_reason = reason
-            if rec.quarantines >= self.blacklist_after:
+            if rec.quarantines >= BLACKLIST_AFTER:
                 rec.blacklisted = True
                 rec.blacklist_reason = (
                     f"{reason} ({rec.quarantines} quarantines)"
                 )
 
     # -- queries --------------------------------------------------------------
-    def is_alive(self, worker: str, now: Optional[float] = None) -> bool:
+    def is_alive(self, worker: str) -> bool:
         """Not currently suspected (unknown workers are presumed alive)."""
         rec = self.workers.get(worker)
         return rec is None or not rec.suspected
 
-    def is_dispatchable(self, worker: str, now: Optional[float] = None) -> bool:
+    def is_dispatchable(self, worker: str, now: float) -> bool:
         """Suitable as a (re)dispatch target right now."""
-        now = self._now(now)
         rec = self.workers.get(worker)
         if rec is None:
             return True
@@ -183,9 +159,8 @@ class HeartbeatFailureDetector:
         )
 
     # -- reporting ------------------------------------------------------------
-    def snapshot(self, now: Optional[float] = None) -> dict[str, Any]:
+    def snapshot(self, now: float) -> dict[str, Any]:
         """Detector state for the run report's ``recovery`` section."""
-        now = self._now(now)
         return {
             "suspected": {
                 w: r.suspicions for w, r in self.workers.items() if r.suspicions
@@ -220,14 +195,13 @@ class HeartbeatFailureDetector:
             },
         }
 
-    def telemetry_sample(self, now: Optional[float] = None) -> dict[str, Any]:
+    def telemetry_sample(self, now: float) -> dict[str, Any]:
         """Light snapshot for the live telemetry sampler.
 
         Unlike :meth:`snapshot`, ``suspected`` lists the workers
         *currently* suspected — health detectors key on the transition
         into suspicion, not on lifetime suspicion counts.
         """
-        now = self._now(now)
         return {
             "suspected": sorted(
                 w for w, r in self.workers.items() if r.suspected

@@ -112,20 +112,22 @@ def _feed(h, value: Any) -> None:
 
 # -- reputation ---------------------------------------------------------------------
 
+#: health score a conviction drains from the convicted peer
+CONVICTION_PENALTY = 0.5
+
 
 class ReputationLedger:
     """Conviction bookkeeping wired into the failure detector's scores.
 
     One ledger per controller (convictions outlive any single group run):
-    each conviction applies ``conviction_penalty`` to the peer's health
+    each conviction applies ``CONVICTION_PENALTY`` to the peer's health
     score with an explanatory reason, so quarantine deadlines and
     blacklist reasons in the detector snapshot point back at integrity,
     not liveness.
     """
 
-    def __init__(self, detector, conviction_penalty: float = 0.5):
+    def __init__(self, detector):
         self.detector = detector
-        self.conviction_penalty = conviction_penalty
         #: peer id → number of convictions
         self.convictions: dict[str, int] = {}
         self._seen: set[tuple[str, int]] = set()
@@ -141,7 +143,7 @@ class ReputationLedger:
         self._seen.add((worker, iteration))
         self.convictions[worker] = self.convictions.get(worker, 0) + 1
         self.detector.penalise(
-            worker, ctx.sim.now, self.conviction_penalty,
+            worker, ctx.sim.now, CONVICTION_PENALTY,
             reason=f"integrity:{reason}",
         )
         tracer = ctx.sim.tracer

@@ -72,16 +72,9 @@ def _migrate_proc(controller, stage_index: int, new_worker: str, settle: float):
         )
     yield controller.sim.timeout(settle)
 
-    drained = controller.sim.event()
-    controller._drain_events[old_spec.deployment_id] = drained
-    peer.send(
-        old_worker,
-        "triana-drain",
-        payload=(peer.peer_id, old_spec.deployment_id, (new_worker, new_dep_id)),
-        size_bytes=96,
+    state, leftovers = yield controller.request_drain(
+        old_worker, old_spec.deployment_id, (new_worker, new_dep_id)
     )
-    state, leftovers = yield drained
-    controller._drain_events.pop(old_spec.deployment_id, None)
 
     peer.send(
         new_worker,

@@ -4,21 +4,13 @@
 remote Triana service, with the data being automatically sent from the
 Wave to the Gaussian and returned from the FFT to the Grapher."
 
-Two partitioners live here:
-
-* :func:`partition_for_group` — the original three-zone split (upstream /
-  one group / downstream) retained for the single-group case and its
-  callers;
-* :func:`partition_stages` — the general form: N policy-carrying groups
-  in topological order interleaved with N+1 local zones, so a graph may
-  distribute several groups in one run.  Zone ``k`` holds every local
-  task whose deepest group dependency is group ``k-1`` (zone 0 depends on
-  no group); connections are classified so the controller can route
-  payloads between zones and groups.
-
-For a single-group graph, :func:`partition_stages` reduces exactly to the
-three-zone split — same zones, same boundary-connection ordering — which
-is what keeps refactored runs bit-identical to the seed.
+One partitioner lives here, :func:`partition_stages`: N policy-carrying
+groups in topological order interleaved with N+1 local zones, so a graph
+may distribute several groups in one run.  Zone ``k`` holds every local
+task whose deepest group dependency is group ``k-1`` (zone 0 depends on
+no group); connections are classified so the controller can route
+payloads between zones and groups.  The paper's one-group example is the
+N = 1 case: zone 0 is upstream of the group, zone 1 downstream.
 """
 
 from __future__ import annotations
@@ -30,56 +22,11 @@ from ..core.taskgraph import Connection, GroupTask, TaskGraph
 from .errors import SchedulingError
 
 __all__ = [
-    "GroupPartition",
     "StagedPartition",
     "StageRouter",
-    "partition_for_group",
     "partition_stages",
-    "find_distributable_group",
     "find_distributable_groups",
 ]
-
-
-@dataclass
-class GroupPartition:
-    """The three zones plus classified boundary connections."""
-
-    group: GroupTask
-    upstream: TaskGraph
-    downstream: TaskGraph
-    #: upstream → group, ordered by group external input node
-    to_group: list[Connection] = field(default_factory=list)
-    #: group → downstream
-    from_group: list[Connection] = field(default_factory=list)
-    #: upstream → downstream edges that bypass the group
-    cross: list[Connection] = field(default_factory=list)
-
-    def downstream_external_inputs(self) -> list[tuple[str, int]]:
-        """The downstream engine's externally-fed input nodes."""
-        return sorted(
-            {(c.dst, c.dst_node) for c in self.from_group}
-            | {(c.dst, c.dst_node) for c in self.cross}
-        )
-
-
-def find_distributable_group(graph: TaskGraph) -> GroupTask | None:
-    """The (single) group carrying a distribution policy, or None.
-
-    Legacy accessor for callers built around the paper's one-group
-    examples; multi-group graphs raise here.  The controller itself uses
-    :func:`find_distributable_groups` / :func:`partition_stages` and
-    handles any number of groups.
-    """
-    policy_groups = find_distributable_groups(graph)
-    if not policy_groups:
-        return None
-    if len(policy_groups) > 1:
-        raise SchedulingError(
-            f"graph has {len(policy_groups)} distributable groups "
-            f"({[g.name for g in policy_groups]}); this accessor handles one "
-            "(use partition_stages for multi-group scheduling)"
-        )
-    return policy_groups[0]
 
 
 def find_distributable_groups(graph: TaskGraph) -> list[GroupTask]:
@@ -135,59 +82,6 @@ class StagedPartition:
             for i, g in enumerate(self.groups)
             if self.dispatch_stage[g.name] == stage
         ]
-
-
-def partition_for_group(graph: TaskGraph, group_name: str) -> GroupPartition:
-    """Split ``graph`` into upstream / group / downstream zones."""
-    group = graph.task(group_name)
-    if not isinstance(group, GroupTask):
-        raise SchedulingError(f"{group_name!r} is not a group")
-
-    downstream_names = graph.descendants(group_name)
-    upstream_names = set(graph.tasks) - downstream_names - {group_name}
-
-    upstream = TaskGraph(name=f"{graph.name}/upstream", registry=graph.registry)
-    downstream = TaskGraph(name=f"{graph.name}/downstream", registry=graph.registry)
-    for name in sorted(upstream_names):
-        t = graph.task(name)
-        if isinstance(t, GroupTask):
-            upstream.add_group(name, t.graph.copy(), t.input_map, t.output_map, "none")
-        else:
-            upstream.add_task(name, t.unit_name, **t.params)
-    for name in sorted(downstream_names):
-        t = graph.task(name)
-        if isinstance(t, GroupTask):
-            downstream.add_group(name, t.graph.copy(), t.input_map, t.output_map, "none")
-        else:
-            downstream.add_task(name, t.unit_name, **t.params)
-
-    part = GroupPartition(group=group, upstream=upstream, downstream=downstream)
-    for c in graph.connections:
-        s_up, d_up = c.src in upstream_names, c.dst in upstream_names
-        s_dn, d_dn = c.src in downstream_names, c.dst in downstream_names
-        if c.dst == group_name:
-            if not s_up:
-                raise SchedulingError(
-                    f"group input fed from downstream zone: {c.label()}"
-                )
-            part.to_group.append(c)
-        elif c.src == group_name:
-            part.from_group.append(c)
-        elif s_up and d_up:
-            upstream.connect(c.src, c.src_node, c.dst, c.dst_node)
-        elif s_dn and d_dn:
-            downstream.connect(c.src, c.src_node, c.dst, c.dst_node)
-        elif s_up and d_dn:
-            part.cross.append(c)
-        else:  # pragma: no cover - downstream→upstream would be a cycle
-            raise SchedulingError(f"unclassifiable connection {c.label()}")
-    part.to_group.sort(key=lambda c: c.dst_node)
-    if len(part.to_group) != group.num_inputs:
-        raise SchedulingError(
-            f"group {group_name!r} has {group.num_inputs} inputs but "
-            f"{len(part.to_group)} are fed"
-        )
-    return part
 
 
 def _copy_into(zone: TaskGraph, graph: TaskGraph, names: list[str]) -> None:

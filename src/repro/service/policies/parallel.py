@@ -187,7 +187,7 @@ class ParallelFarmPolicy(DistributionPolicy):
                     continue
                 host = ctx.replica_hosts[rec.replica]
                 aged = now - rec.dispatched_at >= cfg.retry_timeout
-                suspected = not ctx.detector.is_alive(host, now)
+                suspected = not ctx.detector.is_alive(host)
                 if suspected or aged:
                     if now < rec.retry_at:
                         continue  # backing off after a recent redispatch
@@ -275,8 +275,4 @@ class ChunkedFarmPolicy(ParallelFarmPolicy):
     """Farm like ``parallel`` but batch k iterations per message."""
 
     name = "chunked"
-
-    def __init__(self, chunk_size: int = 8):
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        self.chunk_size = chunk_size
+    chunk_size = 8

@@ -56,9 +56,9 @@ class PolicyRegistry(Registry[PolicyDescriptor]):
         register_policy_name(cls.name)
         return desc
 
-    def create(self, name: str, **params) -> DistributionPolicy:
+    def create(self, name: str) -> DistributionPolicy:
         """Instantiate a registered policy (one instance per group run)."""
-        return self.lookup(name).cls(**params)
+        return self.lookup(name).cls()
 
 
 _GLOBAL = PolicyRegistry()

@@ -7,7 +7,6 @@ import pytest
 
 from repro.analysis import (
     EXPERIMENTS,
-    cpu_years,
     fig1_grouped,
     parallel_efficiency,
     pipeline_graph,
@@ -55,9 +54,6 @@ class TestMetrics:
             speedup(-1.0, 1.0)
         with pytest.raises(ValueError):
             parallel_efficiency(1.0, 1.0, 0)
-
-    def test_cpu_years(self):
-        assert cpu_years(365.25 * 86_400) == pytest.approx(1.0)
 
 
 class TestTables:

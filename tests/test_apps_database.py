@@ -15,7 +15,7 @@ from repro.apps.database import (
     verify_table,
     visualise_table,
 )
-from repro.core import TableData
+from repro.core import TableData, TaskGraph
 from repro.p2p import CentralIndexDiscovery, Peer, SimNetwork
 from repro.simkernel import Simulator
 
@@ -263,20 +263,24 @@ class TestMultistageGraph:
     def test_filter_then_sort_two_groups(self):
         """Separate filter and sort farms in one staged distributed run."""
         from repro import ConsumerGrid
-        from repro.apps.database import (
-            build_database_multistage_graph,
-            register_table,
-        )
+        from repro.apps.database import register_table
         from repro.core import LocalEngine
 
         rows = [(i, float((i * 29) % 17)) for i in range(64)]
         register_table("multistage-db", TableData(["id", "val"], rows))
 
         def build():
-            return build_database_multistage_graph(
-                "multistage-db", chunk_rows=8,
-                where=[["val", ">", 3.0]], sort_column="val",
-            )
+            """Source → [Filter]@parallel → [Sort]@chunked → Verify."""
+            g = TaskGraph("database-multistage")
+            g.add_task("Source", "TableSource", table="multistage-db", chunk_rows=8)
+            g.add_task("Filter", "TableManipulator", where=[["val", ">", 3.0]])
+            g.add_task("Sort", "TableManipulator", sort_column="val")
+            g.add_task("Verify", "TableVerifier")
+            for src, dst in [("Source", "Filter"), ("Filter", "Sort"), ("Sort", "Verify")]:
+                g.connect(src, 0, dst, 0)
+            g.group_tasks("FilterFarm", ["Filter"], policy="parallel")
+            g.group_tasks("SortFarm", ["Sort"], policy="chunked")
+            return g
 
         g = build()
         assert {grp.name: grp.policy for grp in g.groups()} == {

@@ -15,7 +15,7 @@ from repro.apps.galaxy import (
     register_dataset,
     sph_column_density,
 )
-from repro.core import LocalEngine, ParameterError, ParticleSnapshot, UnitError
+from repro.core import LocalEngine, ParameterError, ParticleSnapshot, TaskGraph, UnitError
 
 
 def scatter_both(xs, ys, masses, smoothing, resolution, extent):
@@ -323,15 +323,31 @@ class TestDistributedFarm:
         assert collector.animation().shape[0] == 6
 
 
+def galaxy_pipeline_graph(dataset_key: str, resolution: int) -> TaskGraph:
+    """Case 1 with a post-production stage, two policy groups:
+    Reader → [Render]@parallel → [Blur → Edges]@chunked → Collector."""
+    g = TaskGraph("galaxy-pipeline")
+    g.add_task("Reader", "DataReader", dataset=dataset_key)
+    g.add_task("Render", "ColumnDensity", resolution=resolution, view="xy")
+    g.add_task("Blur", "BoxBlur", radius=1)
+    g.add_task("Edges", "SobelEdges")
+    g.add_task("Collector", "FrameCollector")
+    for src, dst in [("Reader", "Render"), ("Render", "Blur"),
+                     ("Blur", "Edges"), ("Edges", "Collector")]:
+        g.connect(src, 0, dst, 0)
+    g.group_tasks("RenderFarm", ["Render"], policy="parallel")
+    g.group_tasks("PostFarm", ["Blur", "Edges"], policy="chunked")
+    return g
+
+
 class TestPipelineTwoGroups:
     def test_post_production_matches_local(self):
         """Render farm + post-production farm in one staged run."""
         from repro import ConsumerGrid
-        from repro.apps.galaxy import build_galaxy_pipeline_graph
 
         generate_snapshots(n_frames=5, n_particles=120, seed=21,
                            register_as="test-ds-pipe")
-        g = build_galaxy_pipeline_graph("test-ds-pipe", resolution=24)
+        g = galaxy_pipeline_graph("test-ds-pipe", resolution=24)
         assert {grp.name: grp.policy for grp in g.groups()} == {
             "RenderFarm": "parallel",
             "PostFarm": "chunked",
@@ -341,9 +357,7 @@ class TestPipelineTwoGroups:
         assert report.policy == "parallel+chunked"
         assert len(report.group_results) == 5
 
-        local = LocalEngine(
-            build_galaxy_pipeline_graph("test-ds-pipe", resolution=24)
-        )
+        local = LocalEngine(galaxy_pipeline_graph("test-ds-pipe", resolution=24))
         local.run(5)
         reference = local.units["Collector"].animation()
         distributed = (

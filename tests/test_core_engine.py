@@ -155,20 +155,3 @@ class TestStateAndCheckpoint:
         engine.reset()
         engine.run(5)
         np.testing.assert_array_equal(probe.last.data, first)
-
-
-class TestRunGraphHelper:
-    def test_run_graph_returns_probes(self):
-        from repro.core import run_graph
-
-        outputs, probes = run_graph(fig1_graph(), iterations=3, probes=[("Accum", 0)])
-        assert len(probes) == 1
-        assert len(probes[0].values) == 3
-        assert "Grapher" in outputs
-
-    def test_run_graph_iteration_callback(self):
-        from repro.core import run_graph
-
-        ticks = []
-        run_graph(fig1_graph(), iterations=4, on_iteration=ticks.append)
-        assert ticks == [0, 1, 2, 3]

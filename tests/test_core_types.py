@@ -15,10 +15,8 @@ from repro.core import (
     SampleSet,
     Spectrum,
     TableData,
-    TimeFrequency,
     VectorType,
     is_compatible,
-    type_by_name,
 )
 
 
@@ -64,10 +62,7 @@ class TestSpectra:
     (lambda v: SampleSet(data=np.zeros(4), sampling_rate=v), "sampling_rate"),
     (lambda v: Spectrum(data=np.zeros(4), df=v), "df"),
     (lambda v: ComplexSpectrum(data=np.zeros(4), df=v), "df"),
-    (lambda v: TimeFrequency(data=np.zeros((2, 2)), dt=v), "dt"),
-    (lambda v: TimeFrequency(data=np.zeros((2, 2)), df=v), "df"),
-], ids=["SampleSet-sampling_rate", "Spectrum-df", "ComplexSpectrum-df",
-        "TimeFrequency-dt", "TimeFrequency-df"])
+], ids=["SampleSet-sampling_rate", "Spectrum-df", "ComplexSpectrum-df"])
 def test_rates_must_be_finite_and_positive(make, name, value):
     """``nan <= 0`` is False: a NaN rate used to make ``times()`` all NaN
     and an infinite one made it all ``t0``."""
@@ -165,19 +160,6 @@ class TestCompatibility:
     def test_empty_means_any(self):
         assert is_compatible([], [SampleSet])
         assert is_compatible([TableData], [])
-
-
-class TestTypeByName:
-    def test_simple_name(self):
-        assert type_by_name("SampleSet") is SampleSet
-
-    def test_java_style_dotted_name(self):
-        # Code Segment 1 uses "triana.types.SampleSet".
-        assert type_by_name("triana.types.SampleSet") is SampleSet
-
-    def test_unknown(self):
-        with pytest.raises(KeyError):
-            type_by_name("NoSuchType")
 
 
 @given(st.integers(min_value=1, max_value=512), st.floats(min_value=0.1, max_value=1e5))

@@ -221,7 +221,6 @@ CHOICE_PARAMS = [
     ("Wave", "waveform"),
     ("TestImage", "pattern"),
     ("ColumnDensity", "view"),
-    ("WindowFn", "window"),
 ]
 
 
@@ -251,7 +250,6 @@ class TestParametersAreCheckedAtAddTask:
         ("Wave", "waveform", "triangle"),
         ("TestImage", "pattern", "stripes"),
         ("ColumnDensity", "view", "xw"),
-        ("WindowFn", "window", "kaiser"),
         ("Wave", "waveform", None),
     ])
     def test_an_unknown_choice_is_refused(self, unit, param, value):
@@ -262,7 +260,6 @@ class TestParametersAreCheckedAtAddTask:
         ("GaussianNoise", "seed", 1.5),
         ("GaussianNoise", "seed", True),
         ("GaussianNoise", "seed", -1),
-        ("UniformNoise", "seed", 2.0),
         ("TableVerifier", "expect_min_rows", 2.5),
         ("TableVerifier", "expect_min_rows", -1),
     ])
@@ -280,7 +277,6 @@ class TestParametersAreCheckedAtAddTask:
     @pytest.mark.parametrize("np_int", [np.int64, np.uint8])
     @pytest.mark.parametrize("unit,param", [
         ("GaussianNoise", "seed"),
-        ("UniformNoise", "seed"),
         ("StrainSource", "seed"),
         ("TableVerifier", "expect_min_rows"),
         ("TableSource", "chunk_rows"),

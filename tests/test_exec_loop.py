@@ -24,7 +24,7 @@ from repro.core.units import Unit
 from repro.observe.export import jsonl_lines
 from repro.p2p import LAN_PROFILE
 from repro.resources.gram import BatchQueue, JobSpec
-from repro.service.cluster import ClusterTrianaService
+from repro.service.cluster import GRID_USER, ClusterTrianaService
 from repro.service.worker import TrianaService
 from repro.simkernel import Store
 from repro.transport.wire import result_checksum
@@ -79,7 +79,7 @@ class StoreCluster(StoreLoop, ClusterTrianaService):
             iteration, inputs = yield dep.store.get()
             outputs, flops, span = self._step(dep, iteration, inputs)
             job = self.gateway.submit(
-                JobSpec(flops=max(flops, 1.0), user=self.grid_user),
+                JobSpec(flops=max(flops, 1.0), user=GRID_USER),
                 self.credential,
             )
 

@@ -33,8 +33,7 @@ def registered_chunk_policy(chunk_size):
 
         name = "drawn-chunk"
 
-        def __init__(self):
-            super().__init__(chunk_size=chunk_size)
+    DrawnChunkPolicy.chunk_size = chunk_size
 
     global_policy_registry().register(DrawnChunkPolicy)
     try:

@@ -8,6 +8,7 @@ from repro.core import LocalEngine
 from repro.faults import Fault, FaultPlan
 from repro.p2p import LAN_PROFILE, Message
 from repro.service import HeartbeatFailureDetector
+from repro.service import detector as detector_module
 from tests.test_service_run import stateless_pipeline
 
 
@@ -40,13 +41,13 @@ class TestDetectorUnit:
         d = HeartbeatFailureDetector(heartbeat_interval=1.0, suspect_after_missed=2)
         d.watch("w", now=10.0)
         assert d.check(now=11.9) == []
-        assert d.is_alive("w", now=11.9)
+        assert d.is_alive("w")
 
     def test_silence_raises_suspicion(self):
         d = HeartbeatFailureDetector(heartbeat_interval=1.0, suspect_after_missed=2)
         d.watch("w", now=0.0)
         assert d.check(now=2.0) == ["w"]
-        assert not d.is_alive("w", now=2.0)
+        assert not d.is_alive("w")
         assert d.workers["w"].suspicions == 1
         assert d.workers["w"].score < 1.0
         # Already suspected: a second check doesn't re-report.
@@ -58,7 +59,7 @@ class TestDetectorUnit:
         d.check(now=5.0)
         score = d.workers["w"].score
         d.observe_heartbeat("w", now=5.5)
-        assert d.is_alive("w", now=5.5)
+        assert d.is_alive("w")
         assert d.workers["w"].score == score  # the scar remains
 
     def test_result_counts_as_heartbeat_and_rewards(self):
@@ -74,15 +75,13 @@ class TestDetectorUnit:
         d.observe_heartbeat("stranger", now=1.0)
         d.observe_result("stranger", now=1.0)
         assert d.workers == {}
-        assert d.is_alive("stranger", now=1.0)
+        assert d.is_alive("stranger")
         assert d.is_dispatchable("stranger", now=1.0)
 
-    def test_quarantine_below_threshold(self):
-        d = HeartbeatFailureDetector(
-            heartbeat_interval=1.0,
-            quarantine_threshold=0.5,
-            quarantine_window=100.0,
-        )
+    def test_quarantine_below_threshold(self, monkeypatch):
+        monkeypatch.setattr(detector_module, "QUARANTINE_THRESHOLD", 0.5)
+        monkeypatch.setattr(detector_module, "QUARANTINE_WINDOW", 100.0)
+        d = HeartbeatFailureDetector(heartbeat_interval=1.0)
         d.watch("w", now=0.0)
         d.penalise("w", now=10.0, amount=0.6)
         rec = d.workers["w"]
@@ -91,14 +90,12 @@ class TestDetectorUnit:
         assert not d.is_dispatchable("w", now=50.0)
         assert d.is_dispatchable("w", now=110.0)
 
-    def test_blacklist_after_repeated_quarantines(self):
-        d = HeartbeatFailureDetector(
-            heartbeat_interval=1.0,
-            quarantine_threshold=0.5,
-            quarantine_window=10.0,
-            blacklist_after=2,
-            result_reward=0.5,
-        )
+    def test_blacklist_after_repeated_quarantines(self, monkeypatch):
+        monkeypatch.setattr(detector_module, "QUARANTINE_THRESHOLD", 0.5)
+        monkeypatch.setattr(detector_module, "QUARANTINE_WINDOW", 10.0)
+        monkeypatch.setattr(detector_module, "BLACKLIST_AFTER", 2)
+        monkeypatch.setattr(detector_module, "RESULT_REWARD", 0.5)
+        d = HeartbeatFailureDetector(heartbeat_interval=1.0)
         d.watch("w", now=0.0)
         d.penalise("w", now=0.0, amount=0.6)  # quarantine #1
         d.observe_result("w", now=5.0)  # score recovers...
@@ -118,114 +115,6 @@ class TestDetectorUnit:
         assert snap["heartbeats"] == 1
         assert set(snap["health"]) == {"a", "b"}
         assert snap["blacklisted"] == []
-
-
-class TestInjectableClock:
-    """The detector's clock seam: same transitions on an injected clock.
-
-    On the TCP transport nobody passes ``now=`` explicitly — the
-    detector reads an injected wall clock instead.  These regressions
-    drive the suspicion → quarantine → blacklist machinery through a
-    fake clock and assert the transitions land at the same instants the
-    explicit-``now`` tests above pin down.
-    """
-
-    @staticmethod
-    def fake_clock():
-        t = [0.0]
-
-        def clock():
-            return t[0]
-
-        return t, clock
-
-    def test_no_clock_and_no_now_is_an_error(self):
-        d = HeartbeatFailureDetector(heartbeat_interval=1.0)
-        with pytest.raises(ValueError, match="no clock"):
-            d.watch("w")
-
-    def test_explicit_now_overrides_clock(self):
-        t, clock = self.fake_clock()
-        d = HeartbeatFailureDetector(heartbeat_interval=1.0, clock=clock)
-        t[0] = 100.0
-        d.watch("w", now=0.0)  # explicit now wins over the clock
-        assert d.workers["w"].last_heartbeat == 0.0
-
-    def test_suspicion_transition_on_fake_clock(self):
-        t, clock = self.fake_clock()
-        d = HeartbeatFailureDetector(
-            heartbeat_interval=1.0, suspect_after_missed=2, clock=clock
-        )
-        d.watch("w")
-        t[0] = 1.9  # inside the 2-interval deadline
-        assert d.check() == []
-        assert d.is_alive("w")
-        t[0] = 2.0  # deadline reached
-        assert d.check() == ["w"]
-        assert not d.is_alive("w")
-        assert d.workers["w"].suspicions == 1
-        t[0] = 2.5  # a heartbeat clears suspicion but not the score scar
-        score = d.workers["w"].score
-        d.observe_heartbeat("w")
-        assert d.is_alive("w")
-        assert d.workers["w"].score == score
-
-    def test_quarantine_transition_on_fake_clock(self):
-        t, clock = self.fake_clock()
-        d = HeartbeatFailureDetector(
-            heartbeat_interval=1.0,
-            quarantine_threshold=0.5,
-            quarantine_window=100.0,
-            clock=clock,
-        )
-        d.watch("w")
-        t[0] = 10.0
-        d.penalise("w", amount=0.6)
-        rec = d.workers["w"]
-        assert rec.quarantines == 1
-        assert rec.quarantined_until == 110.0
-        t[0] = 50.0
-        assert not d.is_dispatchable("w")
-        t[0] = 110.0  # quarantine expires exactly at now + window
-        assert d.is_dispatchable("w")
-
-    def test_blacklist_transition_on_fake_clock(self):
-        t, clock = self.fake_clock()
-        d = HeartbeatFailureDetector(
-            heartbeat_interval=1.0,
-            quarantine_threshold=0.5,
-            quarantine_window=10.0,
-            blacklist_after=2,
-            result_reward=0.5,
-            clock=clock,
-        )
-        d.watch("w")
-        d.penalise("w", amount=0.6)  # quarantine #1
-        t[0] = 5.0
-        d.observe_result("w")  # score recovers
-        t[0] = 20.0
-        d.penalise("w", amount=0.6)  # quarantine #2 -> blacklist
-        assert d.workers["w"].blacklisted
-        t[0] = 1000.0
-        assert not d.is_dispatchable("w")
-        assert d.check() == []
-
-    def test_snapshot_and_telemetry_use_clock(self):
-        t, clock = self.fake_clock()
-        d = HeartbeatFailureDetector(
-            heartbeat_interval=1.0, suspect_after_missed=2, clock=clock
-        )
-        d.watch("a")
-        d.watch("b")
-        t[0] = 1.0
-        d.observe_heartbeat("a")
-        t[0] = 2.5
-        d.check()
-        snap = d.snapshot()
-        assert snap["suspected"] == {"b": 1}
-        assert set(snap["health"]) == {"a", "b"}
-        sample = d.telemetry_sample()
-        assert sample["suspected"] == ["b"]
 
 
 class TestHeartbeatRecovery:

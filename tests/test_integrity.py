@@ -20,6 +20,7 @@ from repro.faults.compute import ComputeFaultModel, ComputeFaultWindow
 from repro.observe import NullTracer
 from repro.p2p import LAN_PROFILE
 from repro.service import SchedulingError
+from repro.service import detector as detector_module, integrity
 from repro.service.detector import HeartbeatFailureDetector
 from repro.service.integrity import (
     ReplicationVoting,
@@ -251,7 +252,7 @@ class _Ctx:
 class TestReputationLedger:
     def test_conviction_drains_score_with_reason(self):
         detector = HeartbeatFailureDetector(heartbeat_interval=1.0)
-        ledger = ReputationLedger(detector, conviction_penalty=0.5)
+        ledger = ReputationLedger(detector)
         ctx = _Ctx()
         ledger.convict(ctx, "w-1", 0, "outvoted")
         ledger.convict(ctx, "w-1", 1, "outvoted")
@@ -265,18 +266,19 @@ class TestReputationLedger:
 
     def test_conviction_idempotent_per_iteration(self):
         detector = HeartbeatFailureDetector(heartbeat_interval=1.0)
-        ledger = ReputationLedger(detector, conviction_penalty=0.5)
+        ledger = ReputationLedger(detector)
         ctx = _Ctx()
         for _ in range(5):  # cached re-ships of the same wrong answer
             ledger.convict(ctx, "w-1", 0, "outvoted")
         assert ledger.convictions["w-1"] == 1
         assert detector.workers["w-1"].score == 0.5
 
-    def test_blacklist_reason_recorded(self):
-        detector = HeartbeatFailureDetector(
-            heartbeat_interval=1.0, quarantine_window=1.0, blacklist_after=2
-        )
-        ledger = ReputationLedger(detector, conviction_penalty=1.0)
+    def test_blacklist_reason_recorded(self, monkeypatch):
+        monkeypatch.setattr(detector_module, "QUARANTINE_WINDOW", 1.0)
+        monkeypatch.setattr(detector_module, "BLACKLIST_AFTER", 2)
+        monkeypatch.setattr(integrity, "CONVICTION_PENALTY", 1.0)
+        detector = HeartbeatFailureDetector(heartbeat_interval=1.0)
+        ledger = ReputationLedger(detector)
         ledger.convict(_Ctx(sim_now=10.0), "w-2", 0, "spot-check")
         ledger.convict(_Ctx(sim_now=20.0), "w-2", 1, "spot-check")
         rec = detector.workers["w-2"]

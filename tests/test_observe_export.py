@@ -10,7 +10,6 @@ from repro.observe import (
     chrome_trace,
     jsonl_lines,
     text_timeline,
-    trace_summary,
     write_trace,
 )
 
@@ -133,9 +132,8 @@ class TestWriteTrace:
 
 def test_trace_summary_matches_tracer():
     t = _sample_tracer()
-    assert trace_summary(t) == t.summary()
-    assert trace_summary(t)["spans"] == 3
-    assert trace_summary(t)["open_spans"] == 1
+    assert t.summary()["spans"] == 3
+    assert t.summary()["open_spans"] == 1
 
 
 class TestWriteTraceStrictExtensions:
@@ -224,7 +222,7 @@ class TestWriteMetrics:
 class TestSummaryAndTimelineEdgeCases:
     def test_empty_tracer_summary(self):
         t = Tracer()
-        s = trace_summary(t)
+        s = t.summary()
         assert s["spans"] == 0 and s["events"] == 0 and s["open_spans"] == 0
         assert s["spans_by_category"] == {}
 
@@ -241,7 +239,7 @@ class TestSummaryAndTimelineEdgeCases:
         text = text_timeline(t)
         assert "worker.exec" in text
         assert "…" in text  # open end marker
-        assert trace_summary(t)["open_spans"] == 1
+        assert t.summary()["open_spans"] == 1
 
     def test_zero_duration_run(self):
         t = Tracer()
@@ -249,7 +247,7 @@ class TestSummaryAndTimelineEdgeCases:
         t.begin("sim.run", category="simkernel", track="sim").end()
         text = text_timeline(t)
         assert "sim.run" in text
-        s = trace_summary(t)
+        s = t.summary()
         assert s["spans"] == 1 and s["open_spans"] == 0
 
     def test_narrow_width_truncates_rows(self):

@@ -17,7 +17,6 @@ from repro.resources import (
     ResourceError,
     ScreensaverCycle,
     VirtualAccountManager,
-    fleet_availability,
 )
 from repro.simkernel import Simulator
 
@@ -89,11 +88,6 @@ class TestAvailability:
     def test_screensaver_validation(self):
         with pytest.raises(ResourceError):
             ScreensaverCycle(idle_fraction=0.0)
-
-    def test_fleet_availability(self):
-        models = [AlwaysOn(), PoissonChurn(100, 100)]
-        assert fleet_availability(models) == pytest.approx(0.75)
-        assert fleet_availability([]) == 0.0
 
 
 class TestBatchQueue:

@@ -1,4 +1,4 @@
-"""Tests for graph partitioning around the distributed group."""
+"""Tests for graph partitioning around the distributed group(s)."""
 
 import gc
 import itertools
@@ -6,11 +6,14 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from repro import ConsumerGrid
 from repro.core import TaskGraph, Unit, UnitRegistry, global_registry
+from repro.core.taskgraph import GraphError
 from repro.core.types import SampleSet
-from repro.service import SchedulingError, find_distributable_group, partition_for_group
+from repro.service import find_distributable_groups
 from repro.service.partition import StageRouter, partition_stages
 from tests.test_core_taskgraph import fig1_graph
 
@@ -24,42 +27,38 @@ def grouped():
 class TestFindGroup:
     def test_finds_single_policy_group(self):
         g = grouped()
-        assert find_distributable_group(g).name == "GroupTask"
+        assert [grp.name for grp in find_distributable_groups(g)] == ["GroupTask"]
 
     def test_none_when_no_policy(self):
         g = fig1_graph()
         g.group_tasks("G", ["Gaussian", "FFT"], policy="none")
-        assert find_distributable_group(g) is None
-
-    def test_multiple_policy_groups_rejected(self):
-        g = fig1_graph()
-        g.group_tasks("G1", ["Gaussian"], policy="parallel")
-        g.group_tasks("G2", ["FFT"], policy="parallel")
-        with pytest.raises(SchedulingError):
-            find_distributable_group(g)
+        assert find_distributable_groups(g) == []
 
 
 class TestPartition:
+    """The paper's one-group cut: zone 0 is upstream of the group, zone 1
+    downstream."""
+
     def test_zones(self):
-        part = partition_for_group(grouped(), "GroupTask")
-        assert sorted(part.upstream.tasks) == ["Wave"]
-        assert sorted(part.downstream.tasks) == ["Accum", "Grapher", "Power"]
+        part = partition_stages(grouped())
+        assert sorted(part.zones[0].tasks) == ["Wave"]
+        assert sorted(part.zones[1].tasks) == ["Accum", "Grapher", "Power"]
 
     def test_boundary_connections(self):
-        part = partition_for_group(grouped(), "GroupTask")
-        assert [c.label() for c in part.to_group] == ["Wave:0->GroupTask:0"]
-        assert [c.label() for c in part.from_group] == ["GroupTask:0->Power:0"]
+        part = partition_stages(grouped())
+        assert [c.label() for c in part.to_group["GroupTask"]] == ["Wave:0->GroupTask:0"]
+        assert [c.label() for c in part.from_group["GroupTask"]] == ["GroupTask:0->Power:0"]
         assert part.cross == []
 
     def test_downstream_internal_connections_preserved(self):
-        part = partition_for_group(grouped(), "GroupTask")
-        labels = {c.label() for c in part.downstream.connections}
+        part = partition_stages(grouped())
+        labels = {c.label() for c in part.zones[1].connections}
         assert "Power:0->Accum:0" in labels
         assert "Accum:0->Grapher:0" in labels
 
     def test_downstream_external_inputs(self):
-        part = partition_for_group(grouped(), "GroupTask")
-        assert part.downstream_external_inputs() == [("Power", 0)]
+        part = partition_stages(grouped())
+        assert part.zone_external_inputs(1) == [("Power", 0)]
 
     def test_cross_connection_classified(self):
         g = TaskGraph("cross")
@@ -70,14 +69,9 @@ class TestPartition:
         g.connect("Wave", 0, "Mix", 1)  # bypasses the group
         g.connect("Noise", 0, "Mix", 0)
         g.group_tasks("G", ["Noise"], policy="parallel")
-        part = partition_for_group(g, "G")
+        part = partition_stages(g)
         assert [c.label() for c in part.cross] == ["Wave:0->Mix:1"]
-        assert part.downstream_external_inputs() == [("Mix", 0), ("Mix", 1)]
-
-    def test_not_a_group_rejected(self):
-        g = grouped()
-        with pytest.raises(SchedulingError):
-            partition_for_group(g, "Wave")
+        assert part.zone_external_inputs(1) == [("Mix", 0), ("Mix", 1)]
 
     def test_group_with_sources_inside(self):
         """A group containing the source has zero external inputs."""
@@ -88,10 +82,99 @@ class TestPartition:
         g.connect("Wave", 0, "FFT", 0)
         g.connect("FFT", 0, "Power", 0)
         g.group_tasks("G", ["Wave", "FFT"], policy="parallel")
-        part = partition_for_group(g, "G")
-        assert part.to_group == []
-        assert sorted(part.upstream.tasks) == []
-        assert sorted(part.downstream.tasks) == ["Power"]
+        part = partition_stages(g)
+        assert part.to_group["G"] == []
+        assert sorted(part.zones[0].tasks) == []
+        assert sorted(part.zones[1].tasks) == ["Power"]
+
+
+#: SampleSet units a generated graph draws from: (unit, number of inputs)
+_DAG_UNITS = [("Wave", 0), ("Gain", 1), ("LowPass", 1), ("HighPass", 1), ("Mixer", 2)]
+
+
+@st.composite
+def grouped_dags(draw):
+    """A random DAG of SampleSet units with 1-3 policy groups, or a
+    rejected draw when ``group_tasks`` refuses the cut (or it makes a
+    cycle, which the partitioner's topological order would refuse)."""
+    n = draw(st.integers(2, 9))
+    g = TaskGraph("generated")
+    g.add_task("t0", "Wave")
+    for i in range(1, n):
+        unit, n_in = draw(st.sampled_from(_DAG_UNITS))
+        g.add_task(f"t{i}", unit)
+        for node in range(n_in):
+            g.connect(f"t{draw(st.integers(0, i - 1))}", 0, f"t{i}", node)
+    names = sorted(g.tasks)
+    members = draw(
+        st.lists(
+            st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True),
+            min_size=1, max_size=3,
+        )
+    )
+    taken: set[str] = set()
+    try:
+        for k, group in enumerate(members):
+            assume(not taken & set(group))
+            taken |= set(group)
+            g.group_tasks(f"G{k}", group, policy="parallel")
+        g.validate()
+    except GraphError:
+        assume(False)
+    return g
+
+
+def _reaches(graph: TaskGraph) -> dict[str, set[str]]:
+    """Task → every task it feeds, directly or not."""
+    succ = {name: set() for name in graph.tasks}
+    for c in graph.connections:
+        succ[c.src].add(c.dst)
+    reach = {}
+    for name in graph.tasks:
+        seen, frontier = set(), [name]
+        while frontier:
+            for dst in succ[frontier.pop()] - seen:
+                seen.add(dst)
+                frontier.append(dst)
+        reach[name] = seen
+    return reach
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(grouped_dags())
+def test_partition_stages_on_generated_graphs(g):
+    part = partition_stages(g)
+    index = {grp.name: i for i, grp in enumerate(part.groups)}
+    assert set(index) == {grp.name for grp in g.groups()}
+    local = [name for name in g.tasks if name not in index]
+
+    # every local task is in exactly one zone, the one after the deepest
+    # group it depends on (zone 0 when it depends on none)
+    reach = _reaches(g)
+    for name in local:
+        homes = [k for k, zone in enumerate(part.zones) if name in zone.tasks]
+        depths = [i for grp, i in index.items() if name in reach[grp]]
+        assert homes == [1 + max(depths) if depths else 0]
+        assert part.zone_of[name] == homes[0]
+    assert sum(len(zone.tasks) for zone in part.zones) == len(local)
+
+    # every connection is classified exactly once; cross only points forward
+    zone_edges = [c.label() for zone in part.zones for c in zone.connections]
+    classified = (
+        zone_edges
+        + [c.label() for conns in part.to_group.values() for c in conns]
+        + [c.label() for conns in part.from_group.values() for c in conns]
+        + [c.label() for c in part.cross]
+    )
+    assert sorted(classified) == sorted(c.label() for c in g.connections)
+    for c in part.cross:
+        assert part.zone_of[c.src] < part.zone_of[c.dst]
+
+    for grp in part.groups:
+        conns = part.to_group[grp.name]
+        assert [c.dst_node for c in conns] == sorted(c.dst_node for c in conns)
+        assert len(conns) == grp.num_inputs
+        assert part.dispatch_stage[grp.name] <= index[grp.name]
 
 
 class _Value:

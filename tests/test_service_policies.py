@@ -124,9 +124,7 @@ class TestThirdPartyPolicy:
             """Chunked farm with a smaller batch of four iterations."""
 
             name = "quadbatch"
-
-            def __init__(self):
-                super().__init__(chunk_size=4)
+            chunk_size = 4
 
         try:
             # The new name is immediately legal in graph construction

@@ -205,3 +205,21 @@ def test_cutoff_reparam_mid_run_filters_as_a_fresh_unit():
     # Old band until the update lands, the new one from then on.
     switch = cutoffs.index(new)
     assert 0 < switch and cutoffs == [old] * switch + [new] * (iterations - switch)
+
+
+def test_overlapping_updates_each_get_an_ack():
+    """Two updates of one task in flight at once: each waiter is answered
+    in order, and answered waiters leave the controller's table."""
+    from tests.test_service_run import fig1_grouped
+
+    grid = ConsumerGrid(n_workers=1, seed=20)
+    grid.run(fig1_grouped(members=("Gaussian", "FFT")), iterations=2)
+    (dep_id,) = list(grid.workers["worker-0"].deployments)
+    first = grid.controller.update_params("worker-0", dep_id, "Gaussian", sigma=0.5)
+    second = grid.controller.update_params("worker-0", dep_id, "Gaussian", sigma=0.25)
+    grid.sim.run()
+    assert first.triggered and second.triggered
+    assert first.value == second.value == dep_id
+    unit = grid.workers["worker-0"].deployments[dep_id].engine.units["Gaussian"]
+    assert unit.params["sigma"] == 0.25
+    assert grid.controller._reparam_events == {}

@@ -5,7 +5,9 @@ through the tool's own ``check()``: one per pairwise rule of the
 13-rule set this one replaced, plus the imports that set let through
 (``simkernel -> repro.mobility``) and the ones that must stay legal.
 ``orphans()`` gets three synthetic trees of its own, and the third-party
-allow-list its probes in the same two tables.
+allow-list its probes in the same two tables.  ``orphan_names()`` gets a
+synthetic repo: a name only tests reach is reported, one used outside
+``tests/`` is not.
 """
 
 import importlib.util
@@ -158,3 +160,42 @@ def test_import_through_the_package_counts_for_the_submodule(tmp_path):
     assert "repro.p2p.peer" not in _orphans(tmp_path, _PKG)
     files = {**_PKG, "repro/cli.py": "from .p2p import Peer, WebClient\n"}
     assert _orphans(tmp_path / "b", files) == ["repro.cli"]
+
+
+def _unused_names(tmp_path, files):
+    """``orphan_names()`` of a synthetic repo: {path: source}."""
+    for rel, text in files.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    src = list((tmp_path / "src" / "repro").rglob("*.py"))
+    return layering.orphan_names(src, layering.use_files(tmp_path))
+
+
+_NAMES = {
+    "src/repro/__init__.py": "from .engine import run_graph, LocalEngine\n"
+                             "__all__ = ['run_graph', 'LocalEngine']\n",
+    "src/repro/engine.py": (
+        "class LocalEngine:\n    pass\n\n\n"
+        "def run_graph(graph):\n"
+        "    '''run_graph: one call, then return.'''\n"
+        "    return run_graph, LocalEngine()\n"
+    ),
+    "tests/test_engine.py": "from repro.engine import run_graph\nrun_graph(None)\n",
+}
+
+
+def test_a_name_only_tests_use_is_reported(tmp_path):
+    # its own body and docstring, __all__, the package re-export and a
+    # test are no caller; LocalEngine's use inside run_graph is one
+    assert _unused_names(tmp_path, _NAMES) == ["run_graph"]
+
+
+def test_a_use_outside_tests_keeps_a_name(tmp_path):
+    files = {
+        **_NAMES,
+        "gridbench/bench.py": "import repro\nrepro.run_graph(None)\n",
+    }
+    assert _unused_names(tmp_path, files) == []
+    files = {**_NAMES, "examples/graph.xml": "<task unit='run_graph'/>\n"}
+    assert _unused_names(tmp_path / "b", files) == []

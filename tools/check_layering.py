@@ -49,12 +49,23 @@ an import whose top-level package is neither the standard library nor
 ``repro`` must be on ``THIRD_PARTY`` — the runtime dependencies
 ``pyproject.toml`` declares (every process pays for each at start-up:
 ``networkx`` was 285 modules and 20 MiB for 14 lines of use).
+
+It keeps deleted names deleted too: :func:`orphan_names` lists every
+public top-level function and class in ``src/repro`` that nothing
+outside ``tests/`` references, and ``main()`` fails on any that is not
+on ``KEPT_WITHOUT_CALLER`` (with its reason), and on a listed name that
+has gained a caller.  A reference is an AST name or attribute, or a word
+in a string, in ``src/``, ``gridbench/``, ``examples/``, ``benchmarks/``
+or ``tools/``, or a word in the repo's XML/JSON files.  A name's own
+definition (its docstring included), ``__all__`` lists and import
+statements (so package re-exports) do not count.
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
+import re
 import sys
 from dataclasses import dataclass
 
@@ -229,6 +240,131 @@ def orphans(paths: list[pathlib.Path], src: pathlib.Path = SRC) -> list[str]:
     )
 
 
+#: public names defined in ``src/repro`` that no code outside ``tests/``
+#: uses, kept on purpose: name → why (ROADMAP item 4 names the groups)
+KEPT_WITHOUT_CALLER = {
+    "templates_for_minimal_match":
+        "DESIGN.md grounds the paper's 5 000-10 000-template figure with it",
+    "register_table": "the only way a TableSource gets rows",
+    # group D4: vectorpack units; tests build fixture graphs with them
+    "Concatenate": "group D4 (vectorpack), a test fixture unit",
+    "ComplexToPolar": "group D4 (vectorpack), a test fixture unit",
+    "DotProduct": "group D4 (vectorpack), a test fixture unit",
+    "Interleave": "group D4 (vectorpack), a test fixture unit",
+    "L2Distance": "group D4 (vectorpack), a test fixture unit",
+    "MinMax": "group D4 (vectorpack), a test fixture unit",
+    "Resample": "group D4 (vectorpack), a test fixture unit",
+    "Reverse": "group D4 (vectorpack), a test fixture unit",
+    "SplitHalf": "group D4 (vectorpack), a test fixture unit",
+    "TrimTo": "group D4 (vectorpack), a test fixture unit",
+    "ZeroPad": "group D4 (vectorpack), a test fixture unit",
+    # group D8: signal units tests use as fixtures
+    "Decimate": "group D8 (signal), a test fixture unit",
+    "InverseFFT": "group D8 (signal), a test fixture unit",
+    "Mixer": "group D8 (signal), a test fixture unit",
+    "Offset": "group D8 (signal), a test fixture unit",
+    # group D9: imagepack; its one caller, the two-group galaxy graph
+    # builder, left with group E, and its test now builds that graph
+    "BoxBlur": "group D9 (imagepack), a test fixture unit",
+    "SobelEdges": "group D9 (imagepack), a test fixture unit",
+    "TestImage": "group D9 (imagepack), a test fixture unit",
+}
+
+#: directories whose code and strings count as a use of a ``repro`` name
+USE_ROOTS = ("src", "gridbench", "examples", "benchmarks", "tools")
+
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def public_definitions(paths: list[pathlib.Path]) -> dict[str, list[tuple[pathlib.Path, int, int]]]:
+    """Public top-level ``def``/``class`` name → (file, first, last line)s."""
+    defs: dict[str, list[tuple[pathlib.Path, int, int]]] = {}
+    for path in sorted(paths):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")
+            ):
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                defs.setdefault(node.name, []).append((path, first, node.end_lineno))
+    return defs
+
+
+def _exports(node: ast.AST) -> bool:
+    """An ``__all__`` assignment: naming a name there is not using it."""
+    targets = (
+        node.targets if isinstance(node, ast.Assign)
+        else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+        else []
+    )
+    return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+
+
+def references(paths: list[pathlib.Path]) -> dict[str, set[tuple[pathlib.Path, int]]]:
+    """Word → {(file, line)} of each name, attribute and string word in
+    ``paths`` (every word of a non-Python file), ``__all__`` skipped."""
+    refs: dict[str, set[tuple[pathlib.Path, int]]] = {}
+
+    def add(word: str, path: pathlib.Path, line: int) -> None:
+        refs.setdefault(word, set()).add((path, line))
+
+    for path in sorted(paths):
+        text = path.read_text(errors="replace")
+        if path.suffix != ".py":
+            for line, row in enumerate(text.splitlines(), 1):
+                for word in _WORD.findall(row):
+                    add(word, path, line)
+            continue
+        stack = [ast.parse(text, filename=str(path))]
+        while stack:
+            node = stack.pop()
+            if _exports(node):
+                continue
+            if isinstance(node, ast.Name):
+                add(node.id, path, node.lineno)
+            elif isinstance(node, ast.Attribute):
+                add(node.attr, path, node.lineno)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                for word in _WORD.findall(node.value):
+                    add(word, path, node.lineno)
+            stack.extend(ast.iter_child_nodes(node))
+    return refs
+
+
+#: directories no use is read from: tests, and ignored run output
+_NOT_A_USE = {"tests", ".git", "out"}
+
+
+def use_files(repo: pathlib.Path = REPO) -> list[pathlib.Path]:
+    """Where a use counts: code under ``USE_ROOTS`` (this gate's own table
+    excepted) and the repo's XML/JSON files, none under ``_NOT_A_USE``."""
+    files = [path for root in USE_ROOTS for path in (repo / root).rglob("*.py")]
+    files += [path for pattern in ("*.xml", "*.json") for path in repo.rglob(pattern)]
+    return [
+        path for path in files
+        if path != pathlib.Path(__file__).resolve()
+        and not _NOT_A_USE & set(path.relative_to(repo).parts)
+    ]
+
+
+def orphan_names(src_paths: list[pathlib.Path], use_paths: list[pathlib.Path]) -> list[str]:
+    """Public top-level names of ``src_paths`` no file of ``use_paths``
+    references outside the name's own definition."""
+    refs = references(use_paths)
+
+    def used(name: str, spans) -> bool:
+        return any(
+            not any(path == own and first <= line <= last for own, first, last in spans)
+            for path, line in refs.get(name, ())
+        )
+
+    return sorted(
+        name for name, spans in public_definitions(src_paths).items()
+        if not used(name, spans)
+    )
+
+
 def main() -> int:
     files = list((SRC / "repro").rglob("*.py"))
     if not files:
@@ -240,6 +376,12 @@ def main() -> int:
                    for m in found if m not in AWAITING_DELETION]
     violations += [f"{m}: listed in AWAITING_DELETION but not an orphan"
                    for m in AWAITING_DELETION if m not in found]
+    unused = orphan_names(files, use_files())
+    violations += [f"{n}: public name only tests reach — delete it, or list it "
+                   "in KEPT_WITHOUT_CALLER with its reason"
+                   for n in unused if n not in KEPT_WITHOUT_CALLER]
+    violations += [f"{n}: listed in KEPT_WITHOUT_CALLER but has a caller (or is gone)"
+                   for n in KEPT_WITHOUT_CALLER if n not in unused]
     for line in violations:
         print(line)
     if violations:
@@ -248,7 +390,8 @@ def main() -> int:
         return 1
     print(f"layering check passed ({len(files)} modules, {len(RULES)} rules, "
           f"third-party imports within {THIRD_PARTY}, "
-          f"{len(found)} orphan(s) awaiting deletion)")
+          f"{len(found)} orphan(s) awaiting deletion, "
+          f"{len(unused)} public name(s) kept without a caller)")
     return 0
 
 
