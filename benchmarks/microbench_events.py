@@ -12,8 +12,10 @@ the kernel events one stage hop of a p2p pipeline schedules
 costs (``computes_per_replicated_iteration``), what the replica
 sharing tables still hold after such a run (``shared_entries_after_run``),
 the ``Timeout`` events one worker heartbeat allocates
-(``timeouts_per_beat``) and the named-stream lookups one send makes with
-every chaos fraction above zero (``rng_lookups_per_chaos_send``).
+(``timeouts_per_beat``), the named-stream lookups one send makes with
+every chaos fraction above zero (``rng_lookups_per_chaos_send``) and
+the bytes a recording tracer still holds per executed kernel event
+when nothing was recorded (``tracer_bytes_per_event``).
 A count does not depend on the runner, so it gates: the script exits
 non-zero when any exceeds :data:`ALLOC_BUDGET`
 (``tests/test_alloc_budget.py`` asserts the same budget in tier-1), and
@@ -37,6 +39,7 @@ import itertools
 import json
 import pathlib
 import sys
+import tracemalloc
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
@@ -44,6 +47,7 @@ from repro import ConsumerGrid, TaskGraph  # noqa: E402
 from repro.analysis.workloads import pipeline_graph  # noqa: E402
 from repro.core import engine  # noqa: E402
 from repro.core.toolbox.signal import LowPass  # noqa: E402
+from repro.observe import Tracer, tracer as tracer_module  # noqa: E402
 from repro.p2p.discovery import (  # noqa: E402
     CentralIndexDiscovery, FloodingDiscovery, RendezvousDiscovery,
 )
@@ -59,12 +63,13 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 #: what they track.  ``events_per_hop`` is kernel events, exact on any
 #: interpreter ("A stage hop: what one execution schedules").  The rest
 #: are exact counts too ("A replicated execution is computed once", "A
-#: heartbeat is one scheduled call").
+#: heartbeat is one scheduled call"); ``tracer_bytes_per_event`` is bytes,
+#: rounded to one decimal, so a per-run constant reads as zero.
 ALLOC_BUDGET = {
     "allocs_per_call_at": 2.0, "allocs_per_message": 5.0, "allocs_per_peer": 5.0,
     "events_per_hop": 3.0, "computes_per_replicated_iteration": 1.0,
     "shared_entries_after_run": 0.0, "timeouts_per_beat": 0.0,
-    "rng_lookups_per_chaos_send": 0.0,
+    "rng_lookups_per_chaos_send": 0.0, "tracer_bytes_per_event": 0.0,
 }
 
 #: The discovery strategies ``allocs_per_peer`` is counted under.
@@ -257,13 +262,36 @@ def rng_lookups_per_chaos_send(n: int = 1000) -> float:
     return round(lookups / n, 1)
 
 
+def tracer_bytes_per_event(n: int = 200_000) -> float:
+    """Bytes a recording ``Tracer`` holds after ``n`` traced ``Timeout``
+    events, per executed event: the run records only its ``sim.run``
+    span, and the per-event hook keeps nothing."""
+    sim = Simulator(tracer=Tracer())
+
+    def ticks():
+        for _ in range(n):
+            yield sim.timeout(1.0)
+
+    sim.process(ticks())
+    before = sim.events_executed
+    tracemalloc.start()
+    try:
+        sim.run()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = snapshot.filter_traces([tracemalloc.Filter(True, tracer_module.__file__)])
+    total = sum(stat.size for stat in held.statistics("filename"))
+    return round(total / (sim.events_executed - before), 1)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(RESULTS_DIR / "MICROBENCH_events.json"),
                         help="output JSON path")
     args = parser.parse_args(argv)
 
-    result = {"schema": 6}
+    result = {"schema": 7}
     for name, measure, unit in (
         ("allocs_per_call_at", allocs_per_call_at, "GC-tracked objects"),
         ("allocs_per_message", allocs_per_message, "GC-tracked objects"),
@@ -274,6 +302,7 @@ def main(argv=None) -> int:
         ("shared_entries_after_run", shared_entries_after_run, "table entries"),
         ("timeouts_per_beat", timeouts_per_beat, "Timeout events"),
         ("rng_lookups_per_chaos_send", rng_lookups_per_chaos_send, "stream lookups"),
+        ("tracer_bytes_per_event", tracer_bytes_per_event, "bytes"),
     ):
         result[name] = measure()
         print(f"{name:34s} {result[name]:>6.1f} {unit} "

@@ -16,7 +16,7 @@ Subsystems (see DESIGN.md):
 ``repro.resources``  volunteer availability, GRAM gateway, accounts
 ``repro.service``    Triana worker services + controller (distribution)
 ``repro.faults``     chaos layer: declarative fault plans + injector
-``repro.observe``    tracing + metrics + trace exporters (observability)
+``repro.observe``    tracing + telemetry + trace exporters (observability)
 ``repro.apps``       galaxy formation, inspiral search, database scenarios
 ``repro.analysis``   metrics and table harness for the benchmarks
 ===================  ========================================================
@@ -57,7 +57,7 @@ from .core import (
 )
 from .faults import Fault, FaultInjector, FaultPlan, chaos
 from .grid import ConsumerGrid
-from .observe import MetricsRegistry, NullTracer, Tracer, write_trace
+from .observe import NullTracer, Tracer, write_trace
 from .service import (
     HeartbeatFailureDetector,
     RunReport,
@@ -76,7 +76,6 @@ __all__ = [
     "GraphError",
     "HeartbeatFailureDetector",
     "LocalEngine",
-    "MetricsRegistry",
     "NullTracer",
     "RunReport",
     "SampleSet",

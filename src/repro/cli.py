@@ -402,8 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
                             ".jsonl = event log, .txt/.log = text "
                             "timeline); grid mode only")
     p_run.add_argument("--metrics-out", default=None, metavar="PATH",
-                       help="write the run's metrics registry snapshot "
-                            "as JSON; grid mode only")
+                       help="write the grid's cumulative counters at the "
+                            "end of the run as JSON (does not switch "
+                            "tracing on); grid mode only")
     p_run.add_argument("--telemetry-out", default=None, metavar="PATH",
                        help="enable live telemetry and write the sampled "
                             "timeseries as JSONL; grid mode only")

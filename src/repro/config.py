@@ -69,7 +69,7 @@ class GridConfig:
     fault_plan: Optional[FaultPlan] = _owned(None, "faults", sim_only=True)
     recovery: RecoverySettings = RecoverySettings()
     modules: ModuleSettings = ModuleSettings()
-    #: record spans/events/metrics from construction on (docs/observability.md)
+    #: record spans and events from construction on (docs/observability.md)
     trace: bool = _owned(False, "observe")
     #: live sampler + health monitor; implies ``trace``
     telemetry: bool = _owned(False, "observe")

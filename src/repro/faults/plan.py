@@ -184,7 +184,7 @@ class FaultPlan:
         return max((f.ends_at for f in self.faults), default=0.0)
 
     def kinds(self) -> dict[str, int]:
-        """Histogram of the plan's fault kinds (for logs and assertions)."""
+        """How many faults of each kind the plan holds (for logs and assertions)."""
         counts: dict[str, int] = {}
         for f in self.faults:
             counts[f.kind] = counts.get(f.kind, 0) + 1

@@ -33,6 +33,7 @@ from .observe import (
     TelemetrySampler,
     Tracer,
     default_detectors,
+    telemetry_row,
     write_metrics,
     write_trace,
 )
@@ -185,6 +186,26 @@ class GridNode:
             self.sim.install_tracer(Tracer())
             self.transport.trace_liveness_snapshot()
 
+    def telemetry_sources(self) -> list[tuple[str, Callable[[], dict]]]:
+        """What a telemetry row reads besides the kernel, in row order.
+
+        Each source is a counter set its component already keeps; the
+        live sampler (:meth:`ConsumerGrid.enable_telemetry`) and the
+        ``metrics_out`` file of :meth:`run` both read these.
+        """
+        sim, workers, controller = self.sim, self.workers, self.controller
+        sources = [
+            ("net", self.transport.telemetry_sample),
+            ("workers", lambda: {
+                wid: svc.telemetry_sample() for wid, svc in sorted(workers.items())
+            }),
+            ("detector", lambda: controller.detector.telemetry_sample(sim.now)),
+            ("reputation", lambda: controller.reputation.summary()),
+        ]
+        if self.fault_injector is not None:
+            sources.append(("faults", self.fault_injector.telemetry_sample))
+        return sources
+
     # -- running applications ------------------------------------------------------
     def discover_workers(self, min_cpu_flops: float = 0.0) -> list[str]:
         """Synchronous worker discovery (runs the sim until the reply)."""
@@ -219,14 +240,16 @@ class GridNode:
         layer's saboteur faults.
         ``trace_out`` writes the run's trace to that path afterwards
         (``.json`` → Chrome/Perfetto, ``.jsonl`` → event log,
-        ``.txt``/``.log`` → text timeline); ``metrics_out`` writes the
-        run's :class:`~repro.observe.metrics.MetricsRegistry` snapshot
-        as JSON.  Either switches tracing on for the run if it wasn't
-        already.  ``telemetry_out`` writes the sampler's buffered rows
+        ``.txt``/``.log`` → text timeline) and switches tracing on for
+        the run if it wasn't already.  ``metrics_out`` writes the grid's
+        cumulative counters at the end of the run as one JSON telemetry
+        row (``sim``, ``net``, ``workers``, ``detector``, ``reputation``
+        and, under a fault plan, ``faults``); it does not switch tracing
+        on.  ``telemetry_out`` writes the sampler's buffered rows
         as JSONL (requires ``telemetry=True`` at construction, or a
         prior :meth:`ConsumerGrid.enable_telemetry` call).
         """
-        if trace_out is not None or metrics_out is not None:
+        if trace_out is not None:
             # Before discovery, so the run's p2p/mobility/service spans
             # are all captured.
             self._ensure_tracing()
@@ -259,7 +282,8 @@ class GridNode:
         if trace_out is not None:
             write_trace(self.sim.tracer, trace_out)
         if metrics_out is not None:
-            write_metrics(self.sim.tracer, metrics_out)
+            row = telemetry_row(self.sim, self.telemetry_sources())
+            write_metrics({"t": self.sim.now, **row}, metrics_out)
         if telemetry_out is not None:
             if self.telemetry is None:
                 raise ValueError(
@@ -327,39 +351,23 @@ class ConsumerGrid(GridNode):
         Idempotent; callable post-construction too (e.g. from tooling
         that builds a grid first).  Enables tracing if it was off —
         liveness is snapshotted so utilization accounting stays right.
-        ``interval`` defaults to ``config.telemetry_interval``.
+        ``interval`` defaults to ``config.telemetry_interval``; like it,
+        it must be positive and finite (a bad one changes nothing).
         """
         if self.telemetry is not None:
             return self.telemetry
-        self._ensure_tracing()
         if interval is None:
             interval = self.config.telemetry_interval
         sampler = TelemetrySampler(interval=interval)
+        self._ensure_tracing()
         self.sim.install_sampler(sampler)
         monitor = HealthMonitor(
             detectors=default_detectors(**dict(self.config.health_config))
         )
         monitor.attach(self.sim.tracer)
         sampler.attach_monitor(monitor)
-
-        sampler.add_source("net", self.transport.telemetry_sample)
-        workers = self.workers
-        def _workers_sample():
-            return {
-                wid: svc.telemetry_sample()
-                for wid, svc in sorted(workers.items())
-            }
-        sampler.add_source("workers", _workers_sample)
-        controller = self.controller
-        sampler.add_source(
-            "detector",
-            lambda: controller.detector.telemetry_sample(self.sim.now),
-        )
-        sampler.add_source(
-            "reputation", lambda: controller.reputation.summary()
-        )
-        if self.fault_injector is not None:
-            sampler.add_source("faults", self.fault_injector.telemetry_sample)
+        for name, fn in self.telemetry_sources():
+            sampler.add_source(name, fn)
         self.telemetry = sampler
         self.health = monitor
         return sampler

@@ -208,7 +208,6 @@ class ModuleCache:
             self._cached.move_to_end(unit_name)
             tracer = self.peer.sim.tracer
             if tracer.enabled:
-                tracer.metrics.counter("mobility.cache_hits").inc()
                 tracer.instant(
                     "cache.hit", category="mobility", track=self.peer.peer_id,
                     unit=unit_name, policy=self.policy, version=cached.version,
@@ -223,7 +222,6 @@ class ModuleCache:
             self.stats.coalesced += 1
             tracer = self.peer.sim.tracer
             if tracer.enabled:
-                tracer.metrics.counter("mobility.coalesced").inc()
                 tracer.instant(
                     "cache.coalesce", category="mobility",
                     track=self.peer.peer_id, unit=unit_name,
@@ -247,7 +245,6 @@ class ModuleCache:
         self.stats.fetches += 1
         tracer = self.peer.sim.tracer
         if tracer.enabled:
-            tracer.metrics.counter("mobility.fetches").inc()
             pending.span = tracer.begin(
                 "module.fetch", category="mobility", track=self.peer.peer_id,
                 unit=unit_name, repository=self.repository_host,
@@ -420,10 +417,6 @@ class ModuleCache:
         self.stats.hits += 1
         self.stats.revalidations += 1
         self._cached.move_to_end(pending.unit_name)
-        tracer = self.peer.sim.tracer
-        if tracer.enabled:
-            tracer.metrics.counter("mobility.cache_hits").inc()
-            tracer.metrics.counter("mobility.revalidations").inc()
         if pending.span is not None:
             pending.span.end(
                 outcome="revalidate", version=cached.version, nbytes=0
@@ -453,12 +446,6 @@ class ModuleCache:
         self._cached.move_to_end(unit_name)
         self._evict_to_fit()
         if pending.span is not None:
-            tracer = self.peer.sim.tracer
-            if tracer.enabled:
-                if outcome == "hit":
-                    tracer.metrics.counter("mobility.cache_hits").inc()
-                else:
-                    tracer.metrics.counter("mobility.cache_misses").inc()
             pending.span.end(
                 outcome=outcome, version=pkg.version, nbytes=pkg.code_size,
                 source=pending.source,
@@ -528,7 +515,6 @@ class ModuleCache:
         self._cached.move_to_end(unit_name)
         tracer = self.peer.sim.tracer
         if tracer.enabled:
-            tracer.metrics.counter("mobility.peer_serves").inc()
             tracer.instant(
                 "cache.serve", category="mobility", track=self.peer.peer_id,
                 unit=unit_name, requester=requester, nbytes=pkg.code_size,

@@ -211,7 +211,6 @@ class ModuleRepository:
         tracer = self.peer.sim.tracer
         if pkg is None:
             if tracer.enabled:
-                tracer.metrics.counter("mobility.repo_fetches").inc()
                 tracer.instant(
                     "repo.fetch", category="mobility", track=self.peer.peer_id,
                     unit=unit_name, requester=requester,
@@ -229,7 +228,6 @@ class ModuleRepository:
             # with a tiny reply instead of re-shipping the bytes.
             self.stats.revalidations += 1
             if tracer.enabled:
-                tracer.metrics.counter("mobility.repo_fetches").inc()
                 tracer.instant(
                     "repo.fetch", category="mobility", track=self.peer.peer_id,
                     unit=unit_name, requester=requester,
@@ -245,7 +243,6 @@ class ModuleRepository:
         self.stats.packages_served += 1
         self.stats.bytes_served += pkg.code_size
         if tracer.enabled:
-            tracer.metrics.counter("mobility.repo_fetches").inc()
             tracer.instant(
                 "repo.fetch", category="mobility", track=self.peer.peer_id,
                 unit=unit_name, requester=requester,

@@ -1,4 +1,4 @@
-"""Observability layer — tracing, metrics and timeline exports (§3.2).
+"""Observability layer — tracing, telemetry and timeline exports (§3.2).
 
 "users should be able to obtain progress of their running network" — the
 paper's disconnected-view requirement, §3.2.  This package generalises
@@ -8,17 +8,16 @@ the minimal progress stream into a first-class observability layer:
   hierarchical spans and point events over *simulated* time, plus the
   zero-overhead :class:`NullTracer` every :class:`~repro.simkernel.Simulator`
   carries by default;
-* :mod:`repro.observe.metrics` — a :class:`MetricsRegistry` of counters,
-  gauges and histograms with deterministic bucketing;
 * :mod:`repro.observe.export` — exporters: Chrome/Perfetto trace JSON,
-  a JSONL event log, a plain-text per-peer timeline, and a metrics
-  snapshot dump;
+  a JSONL event log, a plain-text per-peer timeline, and a metrics file
+  holding one telemetry row of cumulative counters;
 * :mod:`repro.observe.analyze` — trace analytics over a live tracer or
   an exported trace: critical-path extraction, per-peer utilization,
   bottleneck attribution, run diffing, and the ``doctor()`` report
   behind ``repro analyze``;
 * :mod:`repro.observe.telemetry` — *live* telemetry: the sim-clock
-  :class:`TelemetrySampler` ring buffer;
+  :class:`TelemetrySampler` ring buffer of rows read from the counters
+  each component already keeps (:func:`telemetry_row`);
 * :mod:`repro.observe.health` — online anomaly detectors over sampler
   rows emitting severity-ranked :class:`Incident` records, scored
   against fault-injection ground truth, plus the ``repro top``
@@ -57,25 +56,12 @@ from .health import (
     render_top,
     score_against_faults,
 )
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetricsRegistry,
-    geometric_bounds,
-)
-from .telemetry import TelemetrySampler
+from .telemetry import TelemetrySampler, telemetry_row
 from .tracer import NullTracer, SpanHandle, SpanRecord, TraceEvent, Tracer
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "HealthMonitor",
-    "Histogram",
     "Incident",
-    "MetricsRegistry",
-    "NullMetricsRegistry",
     "NullTracer",
     "SpanHandle",
     "SpanRecord",
@@ -90,13 +76,13 @@ __all__ = [
     "critical_path",
     "default_detectors",
     "doctor",
-    "geometric_bounds",
     "health_incidents",
     "jsonl_lines",
     "load_trace",
     "render_diff",
     "render_top",
     "score_against_faults",
+    "telemetry_row",
     "text_timeline",
     "utilization",
     "write_metrics",

@@ -259,13 +259,13 @@ def write_trace(tracer, path: str, fmt: str = "auto") -> str:
 _METRICS_EXTENSIONS = (".json",)
 
 
-def write_metrics(tracer, path: str) -> dict[str, Any]:
-    """Dump the tracer's :class:`MetricsRegistry` snapshot as JSON.
+def write_metrics(row: dict[str, Any], path: str) -> dict[str, Any]:
+    """Dump one telemetry row — a grid's cumulative counters — as JSON.
 
     The sibling of :func:`write_trace` for quantities rather than
-    timelines: one JSON document keyed by metric name, each value a
-    self-describing instrument snapshot.  Returns the snapshot written.
-    Byte-deterministic for a given run (sorted keys, fixed bucketing).
+    timelines: ``row`` is what :func:`~repro.observe.telemetry.telemetry_row`
+    returns (``sim``, ``net``, ``workers``, ...).  Returns the row written.
+    Byte-deterministic for a given run (sorted keys).
 
     Only ``.json`` output is supported; an unrecognised extension raises
     :class:`ValueError` naming the supported formats, matching the
@@ -278,8 +278,7 @@ def write_metrics(tracer, path: str) -> dict[str, Any]:
             f"cannot infer metrics format from {path!r}: supported "
             f"extensions are {known}"
         )
-    snapshot = tracer.metrics.snapshot()
     with open(path, "w") as fh:
-        fh.write(json.dumps(snapshot, sort_keys=True, default=_json_default))
+        fh.write(json.dumps(row, sort_keys=True, default=_json_default))
         fh.write("\n")
-    return snapshot
+    return row

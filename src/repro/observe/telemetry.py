@@ -25,10 +25,28 @@ one (the passivity tests in ``tests/test_runtable.py`` pin this down).
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from typing import Any, Callable, Optional
 
-__all__ = ["TelemetrySampler"]
+__all__ = ["TelemetrySampler", "telemetry_row"]
+
+
+def telemetry_row(sim, sources) -> dict[str, Any]:
+    """One row: the kernel's own state, then each ``(name, fn)`` source.
+
+    The sampler stamps these at tick boundaries; a grid's end-of-run
+    ``metrics_out`` file is one more, taken when the run ends.
+    """
+    row: dict[str, Any] = {
+        "sim": {
+            "queue_depth": sim._queue._len,
+            "events": sim.events_executed,
+        },
+    }
+    for name, fn in sources:
+        row[name] = fn()
+    return row
 
 
 class TelemetrySampler:
@@ -37,9 +55,10 @@ class TelemetrySampler:
     Parameters
     ----------
     interval:
-        Sim seconds between samples.  Rows are stamped with the exact
-        tick-boundary time (``t0 + k*interval``); the values are the
-        grid state at the first executed event at-or-after the boundary.
+        Sim seconds between samples, positive and finite.  Rows are
+        stamped with the exact tick-boundary time (``t0 + k*interval``);
+        the values are the grid state at the first executed event
+        at-or-after the boundary.
     capacity:
         Ring size.  Older rows are dropped (counted in
         ``samples_dropped``) once the buffer is full.
@@ -56,8 +75,10 @@ class TelemetrySampler:
         capacity: int = 2048,
         max_catchup: int = 32,
     ):
-        if not interval > 0:
-            raise ValueError(f"sampler interval must be positive, got {interval!r}")
+        if not 0 < interval < math.inf:  # NaN fails both comparisons
+            raise ValueError(
+                f"sampler interval must be positive and finite, got {interval!r}"
+            )
         if capacity < 1:
             raise ValueError(f"sampler capacity must be >= 1, got {capacity!r}")
         self.interval = float(interval)
@@ -113,16 +134,11 @@ class TelemetrySampler:
         self.next_tick = tick
 
     def _sample(self, tick: float, sim) -> None:
-        row: dict[str, Any] = {
+        row = {
             "t": tick,
             "seq": self.samples_taken,
-            "sim": {
-                "queue_depth": sim._queue._len,
-                "events": sim.events_executed,
-            },
+            **telemetry_row(sim, self._sources),
         }
-        for name, fn in self._sources:
-            row[name] = fn()
         if len(self.samples) == self.capacity:
             self.samples_dropped += 1
         self.samples.append(row)

@@ -16,8 +16,8 @@ Two implementations share one interface:
 * :class:`Tracer` — records everything; ``enabled`` is True;
 * :class:`NullTracer` — records nothing, ``enabled`` is False, and every
   method is a near-empty body: ``begin`` returns one shared no-op
-  handle, ``metrics`` hands out one shared null instrument.  Every
-  :class:`~repro.simkernel.sim.Simulator` carries its own by default.
+  handle.  Every :class:`~repro.simkernel.sim.Simulator` carries its
+  own by default.
 
 One rule decides where a call site guards with ``if tracer.enabled:``.
 It does when it runs per message, kernel event, iteration, vote, query,
@@ -37,8 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
-
-from .metrics import MetricsRegistry, NullMetricsRegistry
 
 __all__ = ["SpanRecord", "TraceEvent", "SpanHandle", "Tracer", "NullTracer"]
 
@@ -175,7 +173,7 @@ class _TracerBase:
 
 
 class Tracer(_TracerBase):
-    """The recording tracer: spans, point events and a metrics registry."""
+    """The recording tracer: spans and point events."""
 
     enabled = True
 
@@ -183,14 +181,9 @@ class Tracer(_TracerBase):
         super().__init__()
         self.spans: list[SpanRecord] = []
         self.events: list[TraceEvent] = []
-        self.metrics = MetricsRegistry()
         self._next_id = 1
         #: per-track stack of open span ids (implicit parenting)
         self._open: dict[str, list[SpanRecord]] = {}
-        self._sim_instruments = None
-        #: buffered per-tick queue depths, flushed into the histogram lazily
-        self._step_depths: list[int] = []
-        self.metrics.add_flush_hook(self._flush_step_metrics)
 
     # -- spans ---------------------------------------------------------------
     def begin(
@@ -264,39 +257,17 @@ class Tracer(_TracerBase):
         return event
 
     # -- simkernel hook ------------------------------------------------------
-    #: queue-depth histogram boundaries (powers of two)
-    QUEUE_DEPTH_BOUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096)
-
     def on_step(self, sim) -> None:
-        """Per-event-loop-tick metrics; called by ``Simulator.step``.
+        """Poll the telemetry sampler; called by ``Simulator.step``.
 
         This is the hottest instrumented call in a traced run (once per
-        executed event), so it only appends the current queue depth to a
-        buffer; :meth:`_flush_step_metrics` — registered as a metrics
-        flush hook, run by every ``metrics.snapshot()`` — materialises
-        the counter increment and histogram observations in batch.  An
-        attached telemetry sampler costs one comparison here and only
-        does real work when the clock crosses a tick boundary.
+        executed event), so it keeps nothing: an attached sampler costs
+        one comparison here and only does real work when the clock
+        crosses a tick boundary.
         """
-        self._step_depths.append(sim._queue._len)
         sampler = self._sampler
         if sampler is not None and sim.now >= sampler.next_tick:
             sampler.on_step(sim)
-
-    def _flush_step_metrics(self) -> None:
-        """Drain the buffered queue depths into the real instruments."""
-        depths = self._step_depths
-        if not depths:
-            return
-        instruments = self._sim_instruments
-        if instruments is None:
-            instruments = self._sim_instruments = (
-                self.metrics.counter("sim.events_executed"),
-                self.metrics.histogram("sim.queue_depth", self.QUEUE_DEPTH_BOUNDS),
-            )
-        instruments[0].inc(len(depths))
-        instruments[1].observe_many(depths)
-        self._step_depths = []
 
     # -- reporting -----------------------------------------------------------
     def summary(self) -> dict[str, Any]:
@@ -317,7 +288,6 @@ class Tracer(_TracerBase):
             "events": len(self.events),
             "spans_by_category": dict(sorted(spans_by_category.items())),
             "events_by_category": dict(sorted(events_by_category.items())),
-            "metrics": self.metrics.snapshot(),
         }
 
 
@@ -334,10 +304,6 @@ class NullTracer(_TracerBase):
     #: shared empty record lists so exporters accept a NullTracer too
     spans: list[SpanRecord] = []
     events: list[TraceEvent] = []
-
-    def __init__(self):
-        super().__init__()
-        self.metrics = NullMetricsRegistry()
 
     def begin(self, name, category="app", track="main", parent=None, **attrs):
         return _NULL_SPAN

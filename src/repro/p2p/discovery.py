@@ -167,7 +167,6 @@ class DiscoveryService:
         pending = _PendingQuery(event=peer.sim.event())
         tracer = peer.sim.tracer
         if tracer.enabled:
-            tracer.metrics.counter("p2p.discovery_queries").inc()
             pending.span = tracer.begin(
                 "discovery.query", category="p2p", track=peer.peer_id,
                 strategy=self.KIND_PREFIX, adv_type=adv_type, query_name=name,

@@ -493,8 +493,6 @@ class SimNetwork(Transport):
         tracer = sim.tracer
         traced = tracer.enabled
         if traced:
-            tracer.metrics.counter("p2p.messages_sent").inc()
-            tracer.metrics.histogram("p2p.message_bytes").observe(size)
             tracer.instant(
                 "net.send", category="p2p", track=src,
                 kind=message.kind, dst=dst, size=size,
@@ -553,7 +551,6 @@ class SimNetwork(Transport):
         if duplicated:
             stats.duplicated += 1
             if traced:
-                tracer.metrics.counter("p2p.duplicated").inc()
                 tracer.instant(
                     "net.duplicate", category="p2p", track=message.src,
                     kind=message.kind, dst=message.dst, chaos=True,
@@ -596,7 +593,6 @@ class SimNetwork(Transport):
             return
         stats.delivered += 1
         if tracer.enabled:
-            tracer.metrics.counter("p2p.messages_delivered").inc()
             tracer.instant(
                 "net.recv", category="p2p", track=dst,
                 kind=message.kind, src=message.src, size=message.size_bytes,
@@ -605,7 +601,6 @@ class SimNetwork(Transport):
 
     def _trace_drop(self, tracer, message: Message, reason: str, chaos: bool = False) -> None:
         """Record a dropped/discarded frame, tagged with why it died."""
-        tracer.metrics.counter(f"p2p.dropped_{reason}").inc()
         attrs = dict(kind=message.kind, src=message.src, reason=reason)
         if chaos:
             attrs["chaos"] = True

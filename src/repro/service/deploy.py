@@ -123,28 +123,31 @@ class DeploymentManager:
             acks[spec.deployment_id] = ack
         pending = list(specs)
         per_attempt = self.deploy_timeout / DEPLOY_ATTEMPTS
-        for _attempt in range(DEPLOY_ATTEMPTS):
-            for worker, spec in pending:
-                self.peer.send(
-                    worker, "triana-deploy", payload=spec, size_bytes=len(spec.xml)
+        try:
+            for _attempt in range(DEPLOY_ATTEMPTS):
+                for worker, spec in pending:
+                    self.peer.send(
+                        worker, "triana-deploy", payload=spec, size_bytes=len(spec.xml)
+                    )
+                deadline = self.sim.timeout(per_attempt)
+                waiting = self.sim.all_of([acks[s.deployment_id] for _w, s in pending])
+                yield self.sim.any_of([waiting, deadline])
+                pending = [
+                    (w, s) for w, s in pending
+                    if not acks[s.deployment_id].triggered
+                ]
+                if not pending:
+                    break
+            if pending:
+                missing = [s.deployment_id for _w, s in pending]
+                raise DeploymentError(
+                    f"deployment timed out after {self.deploy_timeout}s "
+                    f"({DEPLOY_ATTEMPTS} attempts); unacked: {missing}"
                 )
-            deadline = self.sim.timeout(per_attempt)
-            waiting = self.sim.all_of([acks[s.deployment_id] for _w, s in pending])
-            yield self.sim.any_of([waiting, deadline])
-            pending = [
-                (w, s) for w, s in pending
-                if not acks[s.deployment_id].triggered
-            ]
-            if not pending:
-                break
-        if pending:
-            missing = [s.deployment_id for _w, s in pending]
-            raise DeploymentError(
-                f"deployment timed out after {self.deploy_timeout}s "
-                f"({DEPLOY_ATTEMPTS} attempts); unacked: {missing}"
-            )
+        finally:
+            # Every exit path, the timeout included, forgets its acks.
+            for _w, spec in specs:
+                self._ack_events.pop(spec.deployment_id, None)
         # Surface failure acks (sandbox denial etc.) by touching .value.
-        for _w, spec in specs:
-            ack = self._ack_events.pop(spec.deployment_id, None)
-            if ack is not None and ack.triggered:
-                _ = ack.value  # raises DeploymentError on failure acks
+        for ack in acks.values():
+            _ = ack.value  # raises DeploymentError on failure acks

@@ -146,9 +146,7 @@ class ReputationLedger:
             worker, ctx.sim.now, CONVICTION_PENALTY,
             reason=f"integrity:{reason}",
         )
-        tracer = ctx.sim.tracer
-        tracer.metrics.counter("service.convictions").inc()
-        tracer.instant(
+        ctx.sim.tracer.instant(
             "integrity.convict", category="service", track=ctx.peer.peer_id,
             worker=worker, iteration=iteration, reason=reason,
             convictions=self.convictions[worker],
@@ -459,9 +457,7 @@ class ReplicationVoting(VerificationStrategy):
             host, self._dep_of_host[host], [(iteration, inputs)], verify=False
         )
         ctx.notify("tie-break", iteration=iteration, worker=host)
-        tracer = ctx.sim.tracer
-        tracer.metrics.counter("service.tie_breaks").inc()
-        tracer.instant(
+        ctx.sim.tracer.instant(
             "verify.tie_break", category="service", track=ctx.peer.peer_id,
             worker=host, iteration=iteration,
         )

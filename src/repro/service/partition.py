@@ -15,7 +15,6 @@ N = 1 case: zone 0 is upstream of the group, zone 1 downstream.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from ..core.taskgraph import Connection, GroupTask, TaskGraph
@@ -169,11 +168,11 @@ class StageRouter:
         #: iteration → source endpoint → [value, reads still owed]
         self._vals: dict[int, dict[tuple[str, int], list]] = {}
         #: source endpoint → how many connections consume it
-        self._readers = Counter(
-            (c.src, c.src_node)
-            for conns in (*plan.to_group.values(), *plan.from_group.values(), plan.cross)
-            for c in conns
-        )
+        self._readers: dict[tuple[str, int], int] = {}
+        for conns in (*plan.to_group.values(), *plan.from_group.values(), plan.cross):
+            for c in conns:
+                src = (c.src, c.src_node)
+                self._readers[src] = self._readers.get(src, 0) + 1
         #: per zone: externally-fed (dst, dst_node) → producing endpoint
         self._feeds: list[dict[tuple[str, int], tuple[str, int]]] = [
             {} for _ in plan.zones
@@ -186,7 +185,7 @@ class StageRouter:
                 )
 
     def _stash(self, iteration: int, src: tuple[str, int], value) -> None:
-        readers = self._readers[src]
+        readers = self._readers.get(src, 0)
         if readers:
             self._vals.setdefault(iteration, {})[src] = [value, readers]
 

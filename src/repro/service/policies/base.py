@@ -149,7 +149,6 @@ class DispatchContext:
                 engine.share(inputs)
         tracer = self.sim.tracer
         if tracer.enabled:
-            tracer.metrics.counter("service.dispatches").inc(len(items))
             batched = {"batched": len(items)} if len(items) > 1 else {}
             tracer.instant(
                 "controller.dispatch", category="service", track=self.peer.peer_id,

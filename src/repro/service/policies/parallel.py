@@ -173,7 +173,6 @@ class ParallelFarmPolicy(DistributionPolicy):
             if fresh_suspects:
                 tracer = ctx.sim.tracer
                 for worker in fresh_suspects:
-                    tracer.metrics.counter("service.suspicions").inc()
                     tracer.instant(
                         "detector.suspect", category="service",
                         track=ctx.peer.peer_id, worker=worker,
@@ -227,7 +226,6 @@ class ParallelFarmPolicy(DistributionPolicy):
                 track=ctx.peer.peer_id, iteration=it,
                 worker=ctx.replica_hosts[idx], reason=reason, attempt=rec.attempts,
             )
-            tracer.metrics.counter(f"service.redispatch_{reason}").inc()
         ctx.notify(
             "redispatch", iteration=it, worker=ctx.replica_hosts[idx], reason=reason
         )
@@ -266,7 +264,6 @@ class ParallelFarmPolicy(DistributionPolicy):
             return  # no second replica worth speculating on
         rec.speculated = True
         ctx.counters["speculative"] += 1
-        ctx.sim.tracer.metrics.counter("service.speculations").inc()
         ctx.notify("speculate", iteration=it, worker=ctx.replica_hosts[idx])
         ctx.send_exec(ctx.replica_hosts[idx], ctx.dep_ids[idx], [(it, rec.inputs)])
 

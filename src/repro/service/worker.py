@@ -240,11 +240,8 @@ class TrianaService:
         yield self._hb_interval
         while self.sim.now < self._hb_lease_until:
             if self.peer.online:
-                tracer = self.sim.tracer
                 for controller in sorted(self._hb_controllers):
                     self.stats.heartbeats_sent += 1
-                    if tracer.enabled:
-                        tracer.metrics.counter("service.heartbeats_sent").inc()
                     self.peer.send(
                         controller,
                         "triana-heartbeat",

@@ -210,8 +210,6 @@ class TcpTransport(Transport):
         by_kind[message.kind] = by_kind.get(message.kind, 0) + 1
         tracer = self.sim.tracer
         if tracer.enabled:
-            tracer.metrics.counter("p2p.messages_sent").inc()
-            tracer.metrics.histogram("p2p.message_bytes").observe(size)
             tracer.instant(
                 "net.send", category="p2p", track=src,
                 kind=message.kind, dst=dst, size=size,

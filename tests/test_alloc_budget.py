@@ -1,5 +1,5 @@
 """Deterministic budgets for the message path, an idle peer, a stage hop,
-a replicated iteration, a heartbeat and a chaos send.
+a replicated iteration, a heartbeat, a chaos send and a traced event.
 
 Every simulated message and timer crosses ``Simulator.call_at`` and
 ``SimNetwork.send``; on a 10k-peer heap what they *allocate* decides how
@@ -90,4 +90,13 @@ def test_a_chaos_send_looks_up_no_stream(microbench):
     assert (
         microbench.rng_lookups_per_chaos_send()
         <= microbench.ALLOC_BUDGET["rng_lookups_per_chaos_send"]
+    )
+
+
+def test_a_traced_event_leaves_nothing_in_the_tracer(microbench):
+    # The per-event hook only polls the sampler; what the tracer holds
+    # after a run is its sim.run span, not a record per event.
+    assert (
+        microbench.tracer_bytes_per_event()
+        <= microbench.ALLOC_BUDGET["tracer_bytes_per_event"]
     )

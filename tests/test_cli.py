@@ -194,8 +194,9 @@ class TestObservabilityFlags:
             "--metrics-out", str(metrics),
         ]) == 0
         assert "metrics written to" in capsys.readouterr().out
-        snapshot = json.loads(metrics.read_text())
-        assert snapshot["sim.events_executed"]["value"] > 0
+        row = json.loads(metrics.read_text())
+        assert row["sim"]["events"] > 0 and row["net"]["sent"] > 0
+        assert sorted(row["workers"]) == ["worker-0", "worker-1"]
 
     def test_metrics_out_needs_grid(self, graph_file, tmp_path, capsys):
         assert main([

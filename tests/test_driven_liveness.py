@@ -209,7 +209,9 @@ def test_driven_recovery_is_the_process_recovery(
             "checksum": report and result_checksum(report.group_results),
             "makespan": report and report.makespan,
             "recovery": report and report.recovery,
-            "suspicions": grid.sim.tracer.metrics.counter("service.suspicions").value,
+            "suspicions": sum(
+                rec.suspicions for rec in grid.controller.detector.workers.values()
+            ),
             "heartbeats": [w.stats.heartbeats_sent for w in grid.workers.values()],
             "now": grid.sim.now,
             "trace": trace_digest(grid),

@@ -47,6 +47,7 @@ class TestDeployFailures:
         )
         with pytest.raises(DeploymentError):
             grid.sim.run(until=done)
+        assert grid.controller.deployer._ack_events == {}
 
 
 class TestChurnUnderAvailabilityModels:

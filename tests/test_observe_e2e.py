@@ -9,7 +9,7 @@ trace contains the controller's redispatch spans.
 import itertools
 import json
 
-from repro import ConsumerGrid, chaos
+from repro import ConsumerGrid, TaskGraph, chaos
 from repro.apps.galaxy import build_galaxy_graph, generate_snapshots
 from repro.apps.inspiral import build_inspiral_graph
 from repro.p2p import LAN_PROFILE
@@ -62,7 +62,8 @@ class TestGalaxyTrace:
         tr = report.tracing
         assert tr["enabled"] is True
         assert tr["spans"] > 0 and tr["events"] > 0
-        assert tr["metrics"]["sim.events_executed"]["value"] > 0
+        # counters live with their components (metrics_out), not here
+        assert "metrics" not in tr
         assert set(tr["spans_by_category"]) >= {
             "mobility", "p2p", "service", "simkernel"
         }
@@ -129,3 +130,20 @@ class TestChaosTrace:
             if e["ph"] == "i" and e.get("args", {}).get("chaos")
         ]
         assert tagged, "chaos windows must tag dropped/duplicated frames"
+
+
+class TestMetricsOut:
+    def test_untraced_run_writes_the_components_counters(self, tmp_path):
+        g = TaskGraph("metrics")
+        g.add_task("Wave", "Wave", frequency=8.0)
+        g.add_task("Grapher", "Grapher")
+        g.connect("Wave", 0, "Grapher", 0)
+        grid = ConsumerGrid(n_workers=3, seed=7)
+        path = tmp_path / "metrics.json"
+        report = grid.run(g, iterations=4, metrics_out=str(path))
+        assert report.tracing["enabled"] is False
+        row = json.loads(path.read_text())
+        assert row["sim"]["events"] == grid.sim.events_executed
+        assert row["net"]["sent"] == grid.transport.stats.sent
+        assert sorted(row["workers"]) == sorted(grid.workers)
+        assert set(row) == {"t", "sim", "net", "workers", "detector", "reputation"}

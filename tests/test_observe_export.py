@@ -9,9 +9,12 @@ from repro.observe import (
     Tracer,
     chrome_trace,
     jsonl_lines,
+    telemetry_row,
     text_timeline,
+    write_metrics,
     write_trace,
 )
+from repro.simkernel import Simulator
 
 
 def _sample_tracer() -> Tracer:
@@ -170,35 +173,38 @@ class TestWriteTraceStrictExtensions:
             json.loads(line)
 
 
+def _sample_row() -> dict:
+    sim = Simulator(seed=0)
+    sim.call_at(1.0, lambda: None)
+    sim.run()
+    return telemetry_row(sim, [
+        ("net", lambda: {"sent": np.int64(3), "bytes_sent": 96}),
+        ("workers", lambda: {"worker-0": {"queued": 0, "inflight": 1}}),
+    ])
+
+
 class TestWriteMetrics:
     def test_round_trip_matches_snapshot(self, tmp_path):
-        from repro.observe import write_metrics
-
-        t = _sample_tracer()
-        t.metrics.counter("demo.count").inc(3)
         path = tmp_path / "metrics.json"
-        snapshot = write_metrics(t, str(path))
+        row = write_metrics(_sample_row(), str(path))
         assert json.loads(path.read_text()) == json.loads(
-            json.dumps(snapshot, default=lambda v: v.item())
+            json.dumps(row, default=lambda v: v.item())
         )
-        assert snapshot["demo.count"]["value"] == 3
+        assert json.loads(path.read_text())["net"]["sent"] == 3
+        assert row["sim"] == {"queue_depth": 0, "events": 1}
 
     def test_deterministic_bytes(self, tmp_path):
-        from repro.observe import write_metrics
-
         p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
-        write_metrics(_sample_tracer(), str(p1))
-        write_metrics(_sample_tracer(), str(p2))
+        write_metrics(_sample_row(), str(p1))
+        write_metrics(_sample_row(), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_unknown_extension_rejected(self, tmp_path):
         import pytest
 
-        from repro.observe import write_metrics
-
         target = tmp_path / "metrics.csv"
         with pytest.raises(ValueError) as exc:
-            write_metrics(_sample_tracer(), str(target))
+            write_metrics(_sample_row(), str(target))
         message = str(exc.value)
         assert ".json" in message and "supported" in message
         assert not target.exists()  # rejected before any bytes hit disk
@@ -206,17 +212,13 @@ class TestWriteMetrics:
     def test_no_extension_rejected(self, tmp_path):
         import pytest
 
-        from repro.observe import write_metrics
-
         with pytest.raises(ValueError):
-            write_metrics(_sample_tracer(), str(tmp_path / "metrics"))
+            write_metrics(_sample_row(), str(tmp_path / "metrics"))
 
     def test_case_insensitive_extension(self, tmp_path):
-        from repro.observe import write_metrics
-
         path = tmp_path / "METRICS.JSON"
-        snapshot = write_metrics(_sample_tracer(), str(path))
-        assert json.loads(path.read_text()).keys() == snapshot.keys()
+        row = write_metrics(_sample_row(), str(path))
+        assert json.loads(path.read_text()).keys() == row.keys()
 
 
 class TestSummaryAndTimelineEdgeCases:

@@ -94,6 +94,8 @@ class TestTelemetrySampler:
         with pytest.raises(ValueError):
             TelemetrySampler(interval=0.0)
         with pytest.raises(ValueError):
+            TelemetrySampler(interval=float("inf"))
+        with pytest.raises(ValueError):
             TelemetrySampler(capacity=0)
 
     def test_monitor_sees_every_row(self):
@@ -151,6 +153,14 @@ class TestInstallSampler:
         assert not sim.tracer.enabled
         sim.install_sampler(TelemetrySampler(interval=1.0))
         assert sim.tracer.enabled
+
+    def test_grid_rejects_an_infinite_interval_untouched(self):
+        from repro import ConsumerGrid
+
+        grid = ConsumerGrid(n_workers=1, seed=0)
+        with pytest.raises(ValueError, match="finite"):
+            grid.enable_telemetry(interval=float("inf"))
+        assert grid.telemetry is None and not grid.sim.tracer.enabled
 
     def test_install_tracer_carries_sampler_across(self):
         sim = Simulator(seed=0, tracer=Tracer())

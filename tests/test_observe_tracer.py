@@ -1,17 +1,8 @@
-"""Unit tests for repro.observe: tracer spans, metrics, no-op overhead."""
+"""Unit tests for repro.observe: tracer spans, no-op overhead."""
 
 import pytest
 
-from repro.observe import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetricsRegistry,
-    NullTracer,
-    Tracer,
-    geometric_bounds,
-)
+from repro.observe import NullTracer, Tracer
 from repro.simkernel import Simulator
 
 
@@ -104,121 +95,6 @@ class TestInstants:
         assert [e.name for e in seen] == ["a", "b"]
 
 
-class TestMetrics:
-    def test_counter_and_gauge(self):
-        reg = MetricsRegistry()
-        c = reg.counter("n")
-        c.inc()
-        c.inc(4)
-        g = reg.gauge("depth")
-        g.set(3.0)
-        g.set(1.0)
-        snap = reg.snapshot()
-        assert snap["n"] == {"type": "counter", "value": 5}
-        assert snap["depth"]["value"] == 1.0 and snap["depth"]["max"] == 3.0
-
-    def test_histogram_bucketing_boundaries(self):
-        h = Histogram(bounds=(1.0, 10.0, 100.0))
-        for v in (0.5, 1.0, 5.0, 10.0, 99.0, 100.0, 1000.0):
-            h.observe(v)
-        # bisect_left: v == bound lands in that bound's own bucket, so
-        # bucket k counts bounds[k-1] < v <= bounds[k]
-        assert h.counts == [2, 2, 2, 1]
-        assert h.count == 7
-        assert h.vmin == 0.5 and h.vmax == 1000.0
-
-    def test_histogram_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram(bounds=(1.0, 1.0))
-        with pytest.raises(ValueError):
-            Histogram(bounds=())
-
-    def test_histogram_determinism(self):
-        vals = [0.001 * i**2 for i in range(200)]
-        snaps = []
-        for _ in range(2):
-            h = Histogram(bounds=geometric_bounds(1e-3, 10.0, 6))
-            for v in vals:
-                h.observe(v)
-            snaps.append(h.snapshot())
-        assert snaps[0] == snaps[1]
-
-    def test_observe_many_int_matches_sequential(self):
-        import numpy as np
-
-        vals = np.arange(0, 50, dtype=np.int64) % 7
-        batched = Histogram(bounds=(1.0, 3.0, 5.0))
-        batched.observe_many(vals)
-        sequential = Histogram(bounds=(1.0, 3.0, 5.0))
-        for v in vals:
-            sequential.observe(float(v))
-        assert batched.snapshot() == sequential.snapshot()
-
-    def test_observe_many_float_dtype_falls_back(self):
-        # Float batches must take the sequential path so the running
-        # total is bit-identical to repeated observe() calls.
-        import numpy as np
-
-        vals = np.array([0.1, 0.2, 0.3, 1.5, 9.75, 0.7], dtype=np.float64)
-        batched = Histogram(bounds=(1.0, 10.0))
-        batched.observe_many(vals)
-        sequential = Histogram(bounds=(1.0, 10.0))
-        for v in vals:
-            sequential.observe(float(v))
-        assert batched.total == sequential.total  # exact, not approx
-        assert batched.snapshot() == sequential.snapshot()
-
-    def test_observe_many_float_list_falls_back(self):
-        batched = Histogram(bounds=(1.0, 10.0))
-        batched.observe_many([0.25, 2.5, 25.0])
-        assert batched.counts == [1, 1, 1]
-        assert batched.count == 3
-        assert batched.vmin == 0.25 and batched.vmax == 25.0
-
-    def test_observe_many_empty_inputs(self):
-        import numpy as np
-
-        h = Histogram(bounds=(1.0, 10.0))
-        h.observe_many([])
-        h.observe_many(np.array([], dtype=np.int64))
-        h.observe_many(np.array([], dtype=np.float64))
-        assert h.count == 0 and h.total == 0.0
-        snap = h.snapshot()
-        assert snap["min"] is None and snap["max"] is None
-
-    def test_observe_many_int_updates_extrema(self):
-        import numpy as np
-
-        h = Histogram(bounds=(1.0, 10.0))
-        h.observe(5.0)
-        h.observe_many(np.array([2, 17], dtype=np.int64))
-        assert h.vmin == 2 and h.vmax == 17
-        assert h.count == 3
-
-    def test_geometric_bounds_strictly_increasing(self):
-        bounds = geometric_bounds(1e-6, 10.0**0.5, 19)
-        assert len(bounds) == 19
-        assert all(a < b for a, b in zip(bounds, bounds[1:]))
-
-    def test_registry_get_or_create_and_type_confusion(self):
-        reg = MetricsRegistry()
-        assert reg.counter("x") is reg.counter("x")
-        with pytest.raises(TypeError):
-            reg.gauge("x")
-
-    def test_counter_and_gauge_types(self):
-        reg = MetricsRegistry()
-        assert isinstance(reg.counter("c"), Counter)
-        assert isinstance(reg.gauge("g"), Gauge)
-
-    def test_null_registry_is_inert(self):
-        reg = NullMetricsRegistry()
-        reg.counter("a").inc()
-        reg.gauge("b").set(1.0)
-        reg.histogram("c").observe(2.0)
-        assert reg.snapshot() == {}
-
-
 class TestNullTracerOverhead:
     def test_simulator_defaults_to_null_tracer(self):
         sim = Simulator(seed=0)
@@ -295,15 +171,6 @@ class TestInstallTracer:
         assert len(tracer._subs) == 1
         tracer.instant("go", category="progress")
         assert [e.name for e in seen] == ["go"]
-
-    def test_on_step_metrics_accumulate(self):
-        sim = Simulator(seed=0, tracer=Tracer())
-        sim.call_at(1.0, lambda: None)
-        sim.call_at(2.0, lambda: None)
-        sim.run()
-        snap = sim.tracer.metrics.snapshot()
-        assert snap["sim.events_executed"]["value"] >= 2
-        assert "sim.queue_depth" in snap
 
     def test_sim_run_span_recorded(self):
         sim = Simulator(seed=0, tracer=Tracer())
