@@ -54,6 +54,7 @@ from ..resources.accounts import (
 from ..resources.availability import AvailabilityModel, PoissonChurn, ScreensaverCycle
 from ..service.integrity import canonical_digest
 from ..simkernel import Interrupt, Simulator, Store
+from ..transport.wire import result_checksum
 from .metrics import SECONDS_PER_YEAR, parallel_efficiency, spectrum_snr, speedup
 from .runtable import Experiment
 from .workloads import HOSTILE_LAN, LAN_GRID, fig1_graph, fig1_grouped, pipeline_graph
@@ -1476,11 +1477,7 @@ def _e18_cell(tracer, package_kb: int, replicas: int) -> dict[str, Any]:
         "peer_fetches": sum(c.peer_fetches for c in caches),
         "peer_serves": sum(c.peer_serves for c in caches),
         "revalidations": sum(c.revalidations for c in caches),
-        "result_checksum": float(sum(
-            float(np.sum(np.abs(out.data)))
-            for outs in report.group_results
-            for out in outs
-        )),
+        "result_checksum": result_checksum(report.group_results),
     }
 
 

@@ -11,10 +11,11 @@ taxonomy) is to stop trusting single results:
 
 * :class:`ReplicationVoting` (``verification="replicate-k"``) — every
   iteration is executed on ``k`` distinct peers; results are reduced to
-  a canonical SHA-256 digest and the first digest to reach a majority
-  quorum wins.  Disagreement without a quorum drafts a *fresh* peer as a
-  tie-breaker — fresh because a consistent saboteur re-ships the same
-  wrong answer from its result cache, so re-asking it proves nothing.
+  the SHA-256 of their canonical wire encoding (:func:`canonical_digest`)
+  and the first digest to reach a majority quorum wins.  Disagreement
+  without a quorum drafts a *fresh* peer as a tie-breaker — fresh
+  because a consistent saboteur re-ships the same wrong answer from its
+  result cache, so re-asking it proves nothing.
 * :class:`SpotCheck` (``verification="spot-p"``) — a deterministic
   fraction ``p`` of iterations are quiz iterations the controller
   recomputes locally and compares against the returned digest.  Cheaper
@@ -37,17 +38,22 @@ Everything here talks to the run through
 :class:`~repro.service.policies.base.DispatchContext` — strategies see
 policy-agnostic dispatch/result hooks, never controller internals, so
 all three stock policies (and third-party ones) verify for free.
+
+Both strategies compare digests, and a digest is the wire's payload
+checksum, so the canonical form of a result is decided in one place,
+:mod:`repro.transport.wire`.  An output the wire refuses to encode
+cannot be verified: digesting it raises
+:class:`~repro.transport.wire.WireError` rather than hashing something
+weaker than the value.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Optional
-
-import numpy as np
 
 from ..core.engine import LocalEngine
 from ..core.xml_io import graph_from_string, graph_to_string
+from ..transport.wire import result_checksum
 from .errors import SchedulingError
 
 __all__ = [
@@ -65,49 +71,16 @@ __all__ = [
 
 
 def canonical_digest(outputs: list[Any]) -> str:
-    """SHA-256 over a canonical serialisation of one iteration's outputs.
+    """SHA-256 of one iteration's outputs in the wire's canonical form.
 
-    Two honest executions of the same deterministic unit produce the
-    same digest on any peer; any numeric tampering changes it.  Arrays
-    hash dtype + shape + raw bytes; containers and objects recurse in a
-    stable order.
+    This is :func:`~repro.transport.wire.result_checksum` of the list:
+    two honest executions of the same deterministic unit produce the
+    same digest on any peer, any tampering with a value changes it, and
+    a value the wire cannot encode raises
+    :class:`~repro.transport.wire.WireError` instead of being hashed
+    blind.
     """
-    h = hashlib.sha256()
-    for value in outputs:
-        _feed(h, value)
-    return h.hexdigest()
-
-
-def _feed(h, value: Any) -> None:
-    if isinstance(value, np.ndarray):
-        h.update(b"A")
-        h.update(str(value.dtype).encode())
-        h.update(str(value.shape).encode())
-        h.update(np.ascontiguousarray(value))
-    elif isinstance(value, (list, tuple)):
-        h.update(b"L" if isinstance(value, list) else b"T")
-        h.update(str(len(value)).encode())
-        for item in value:
-            _feed(h, item)
-    elif isinstance(value, dict):
-        h.update(b"D")
-        for key in sorted(value, key=repr):
-            h.update(repr(key).encode())
-            _feed(h, value[key])
-    elif isinstance(value, (bool, int, float, complex, str, bytes)) or value is None:
-        h.update(b"S")
-        h.update(repr(value).encode())
-    elif hasattr(value, "__dict__"):
-        # Data-carrier objects (e.g. toolbox payload classes): hash their
-        # attribute dict in sorted order, tagged with the class name.
-        h.update(b"O")
-        h.update(type(value).__name__.encode())
-        for name in sorted(vars(value)):
-            h.update(name.encode())
-            _feed(h, vars(value)[name])
-    else:  # pragma: no cover - exotic payloads degrade to repr
-        h.update(b"R")
-        h.update(repr(value).encode())
+    return result_checksum(list(outputs))
 
 
 # -- reputation ---------------------------------------------------------------------

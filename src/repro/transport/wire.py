@@ -57,7 +57,7 @@ _HEADER = MAGIC + bytes([WIRE_VERSION])
 #: Top-level module prefixes a dataclass/class reference may resolve to.
 #: Decoding a reference imports the module, so this is a deliberate
 #: allowlist, not an optimisation.
-ALLOWED_REF_ROOTS = ("repro", "tests", "benchmarks")
+ALLOWED_REF_ROOTS = ("repro", "tests")
 
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
@@ -508,7 +508,9 @@ def result_checksum(obj: Any) -> str:
     Because the encoding is canonical, the checksum of a run's
     ``group_results`` is comparable across transports: the acceptance
     test for the TCP backend asserts a localhost multi-process run
-    produces the same digest as the deterministic simulation.
+    produces the same digest as the deterministic simulation.  Result
+    voting and spot checks compare this checksum of each iteration's
+    outputs, so a change to the encoding is a ``WIRE_VERSION`` bump.
     """
     h = hashlib.sha256(_HEADER)
     _enc(obj, _HashSink(h))

@@ -8,6 +8,8 @@ what they catch, convictions drain detector trust, and the
 ``reputation_weighted`` dealer steers work away from convicted peers.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro import ConsumerGrid, TaskGraph, chaos
 from repro.apps.database import TableData, build_database_graph, register_table
 from repro.apps.galaxy import build_galaxy_graph, generate_snapshots
 from repro.apps.inspiral import build_inspiral_graph
+from repro.core.types import SampleSet
 from repro.faults import Fault, FaultInjector, FaultPlan
 from repro.faults.compute import ComputeFaultModel, ComputeFaultWindow
 from repro.observe import NullTracer
@@ -30,6 +33,7 @@ from repro.service.integrity import (
     make_verifier,
 )
 from repro.service.placement import ReputationWeighted, dispatch_policy_names
+from repro.transport.wire import WireError, result_checksum
 
 WORKERS = [f"worker-{i}" for i in range(6)]
 
@@ -56,7 +60,7 @@ def hostile_plan(seed=5):
 
 
 def results_digest(report):
-    return canonical_digest([canonical_digest(r) for r in report.group_results])
+    return result_checksum(report.group_results)
 
 
 def sabotage(grid, targets, fraction=1.0, seed=11):
@@ -99,40 +103,61 @@ class TestCanonicalDigest:
             [np.zeros(4, dtype=np.float32)]
         )
 
-    #: computed at the commit that still hashed ``….tobytes()``: a ballot
-    #: digest is compared across peers and versions, so the bytes fed to
-    #: the hash (here straight from the array's memory) may not change
-    GOLDEN = {
-        "float64-1d": (
-            lambda: np.arange(16, dtype=np.float64) * 0.5,
-            "a5f93fef5ce98764d2c9b9412141c5885c1fa01135671a9913dc93fb18c64397",
-        ),
-        "int32-strided-2d": (
+    #: the canonical form is the wire's: ``TestGoldenBytes`` in
+    #: test_transport_wire.py pins the encoding of 0-d, strided and
+    #: Fortran-order arrays and of a ``SampleSet`` byte for byte, and a
+    #: change there must bump ``WIRE_VERSION``
+    PAYLOADS = {
+        "float64-1d": lambda: np.arange(16, dtype=np.float64) * 0.5,
+        "int32-strided-2d":
             lambda: np.arange(24, dtype=np.int32).reshape(4, 6)[::2, 1::2],
-            "aa6b46315450e258aecbdc06819b7de95cea17085f8a830001250539bc85e440",
-        ),
-        "float64-0d": (
-            lambda: np.array(3.25),
-            "837869eb19524ff50c0649f5818d413d1c619e4fe6d7a09943b57c410e9a4124",
+        "float64-0d": lambda: np.array(3.25),
+        "sampleset": lambda: SampleSet(
+            data=np.linspace(0.0, 1.0, 64), sampling_rate=1024.0
         ),
     }
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN))
-    def test_array_digests_are_pinned(self, name):
-        make, digest = self.GOLDEN[name]
-        assert canonical_digest([make()]) == digest
+    @pytest.mark.parametrize("name", sorted(PAYLOADS))
+    def test_digest_is_the_wire_checksum(self, name):
+        outs = (self.PAYLOADS[name](),)
+        assert canonical_digest(outs) == result_checksum(list(outs))
 
     def test_object_payloads_hash_their_attributes(self):
-        class Payload:
-            def __init__(self, rows):
-                self.rows = rows
-
         assert canonical_digest([Payload([1, 2])]) == canonical_digest(
             [Payload([1, 2])]
         )
         assert canonical_digest([Payload([1, 2])]) != canonical_digest(
             [Payload([1, 3])]
         )
+
+    def test_tampered_slotted_payload_changes_digest(self):
+        # numpy abbreviates a 5 000-element repr, so a repr-based hash
+        # would vote this tampered answer equal to the honest one
+        honest = SlottedPayload(np.arange(5000, dtype=np.float64))
+        tampered = SlottedPayload(honest.values.copy())
+        tampered.values[2500] = 1e9
+        assert canonical_digest([honest]) != canonical_digest([tampered])
+
+    def test_payload_the_wire_refuses_cannot_be_digested(self):
+        with pytest.raises(WireError):
+            canonical_digest([SlotsOnly(np.arange(4.0))])
+
+
+class Payload:
+    def __init__(self, rows):
+        self.rows = rows
+
+
+@dataclass(slots=True)
+class SlottedPayload:
+    values: np.ndarray
+
+
+class SlotsOnly:
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        self.values = values
 
 
 # -- compute-fault models ----------------------------------------------------------

@@ -18,7 +18,7 @@ from repro.apps.inspiral import build_inspiral_graph
 from repro.faults import Fault, FaultPlan
 from repro.observe import score_against_faults
 from repro.p2p import LAN_PROFILE
-from repro.service.integrity import canonical_digest
+from repro.transport.wire import result_checksum
 
 WORKERS = [f"worker-{i}" for i in range(6)]
 
@@ -46,7 +46,7 @@ def inspiral():
 
 
 def results_digest(report):
-    return canonical_digest([canonical_digest(r) for r in report.group_results])
+    return result_checksum(report.group_results)
 
 
 class TestTelemetryPassivity:

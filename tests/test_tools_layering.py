@@ -54,6 +54,9 @@ FORBIDDEN = [
     ("repro.core.taskgraph", "import networkx as nx"),
     ("repro.service.partition", "from networkx.algorithms import dag"),
     ("repro.apps.inspiral", "from scipy import signal"),
+    # a second hashing walk beside the wire's canonical encoding
+    ("repro.service.integrity", "import hashlib"),
+    ("repro.analysis.experiments", "from hashlib import sha256"),
 ]
 
 ALLOWED = [
@@ -68,6 +71,9 @@ ALLOWED = [
     ("repro.transport.wire", "from numpy.lib import stride_tricks"),
     ("repro.transport.link", "from .wire import WireError"),
     ("repro.transport.tcp", "import asyncio"),
+    ("repro.transport.wire", "import hashlib"),
+    ("repro.simkernel.rng", "import hashlib"),
+    ("repro.mobility.repository", "from hashlib import sha256"),
 ]
 
 

@@ -546,12 +546,14 @@ class TestErrors:
             decode_message(encode({"kind": "fake"}))
 
     def test_decoded_ref_must_stay_in_allowlist(self):
-        # Forge a class-by-ref frame pointing outside the allowlist.
-        frame = bytearray(MAGIC + bytes([WIRE_VERSION]) + b"C")
-        ref = b"os:system"
-        frame += len(ref).to_bytes(4, "big") + ref
-        with pytest.raises(WireError, match="allowlist"):
-            decode(bytes(frame))
+        # Forge class-by-ref frames pointing outside the allowlist: a
+        # stdlib callable, and a root no wire class lives under (the
+        # decoder must refuse it before trying to import anything).
+        for ref in (b"os:system", b"benchmarks.microbench_events:main"):
+            frame = bytearray(MAGIC + bytes([WIRE_VERSION]) + b"C")
+            frame += len(ref).to_bytes(4, "big") + ref
+            with pytest.raises(WireError, match="allowlist"):
+                decode(bytes(frame))
 
     def test_dataclass_tolerates_unknown_fields(self):
         # A frame from a peer whose DeploymentSpec grew an extra field

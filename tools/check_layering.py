@@ -31,6 +31,12 @@ stays decoupled from the controller that hosts it:
   cache/repository are pure transport; replica *placement* (who gets
   pre-seeded) is a service-layer policy decision fed to mobility only
   through protocol messages.
+* of ``repro``, only ``repro.transport.wire`` (the payload checksum,
+  which result digests are), ``repro.simkernel.rng`` (stream seeds) and
+  ``repro.mobility.repository`` (package identity) may import
+  ``hashlib`` — a value's canonical form is decided in one module, and
+  a second hashing walk beside it is how a verifier ends up hashing
+  something weaker than the value.
 
 The check is purely static: every ``import`` / ``from ... import`` in
 every module under ``src/repro`` is resolved (including relative
@@ -74,15 +80,17 @@ SRC = REPO / "src"
 
 @dataclass(frozen=True)
 class Rule:
-    """``scope`` may not import ``forbid``; or, of ``repro``, only ``allow``."""
+    """``scope`` (bar the modules in ``exempt``) may not import
+    ``forbid``; or, of ``repro``, only ``allow``."""
 
     scope: str
     why: str
     forbid: tuple[str, ...] = ()
     allow: tuple[str, ...] | None = None
+    exempt: tuple[str, ...] = ()
 
     def rejects(self, module: str, target: str) -> bool:
-        if not _within(module, (self.scope,)):
+        if not _within(module, (self.scope,)) or _within(module, self.exempt):
             return False
         if self.allow is not None:
             return _within(target, ("repro",)) and not _within(target, self.allow)
@@ -116,6 +124,10 @@ RULES: tuple[Rule, ...] = (
     Rule("repro.mobility",
          "placement logic stays in the service layer (mobility is transport)",
          forbid=("repro.service",)),
+    Rule("repro", "one hashing walk: digest results with wire.result_checksum",
+         forbid=("hashlib",),
+         exempt=("repro.transport.wire", "repro.simkernel.rng",
+                 "repro.mobility.repository")),
 )
 
 
