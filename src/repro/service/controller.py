@@ -459,8 +459,6 @@ class TrianaController:
                     self._notify("iteration-complete", iteration=it)
             close_stage(s)
             ctx.policy.finalize(ctx)
-            if ctx.verifier is not None:
-                ctx.verifier.finalize(ctx)
             ctx.result_events = {}
             group_results = results
         self._ctx_of_dep = {}

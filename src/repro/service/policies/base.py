@@ -108,9 +108,6 @@ class DispatchContext:
         self.verifier: Any = None
         #: the policy-carrying group this run distributes
         self.group: Any = None
-        #: iteration → last dispatched inputs; only kept when verifying
-        #: (tie-break re-executions need the payload after dispatch)
-        self.iteration_inputs: dict[int, list] = {}
 
     # -- controller services ------------------------------------------------
     def deploy(self, specs: list[tuple[str, DeploymentSpec]]):
@@ -137,8 +134,7 @@ class DispatchContext:
         policy batches (the 64-byte envelope is then paid once).
 
         When a verifier is attached it observes every send (replication
-        fans out from here) and the inputs are retained for tie-break
-        re-executions; its own replica sends pass ``verify=False`` and
+        fans out from here); its own replica sends pass ``verify=False`` and
         :func:`~repro.core.engine.share` their inputs, so replicas in this
         process compute a stateless unit once.
         """
@@ -159,8 +155,6 @@ class DispatchContext:
             worker, "group-exec", payload=(deployment_id, items), size_bytes=size
         )
         if verify and self.verifier is not None:
-            for iteration, inputs in items:
-                self.iteration_inputs[iteration] = inputs
             self.verifier.on_dispatch(self, worker, deployment_id, items)
 
     def settle(self, iteration: int, outputs, worker: str) -> bool:
@@ -174,7 +168,6 @@ class DispatchContext:
         if ev is None or ev.triggered:
             return False
         self.policy.on_result(self, iteration, worker=worker)
-        self.iteration_inputs.pop(iteration, None)
         ev.succeed(outputs)
         return True
 

@@ -17,6 +17,7 @@ from repro import ConsumerGrid, TaskGraph, chaos
 from repro.apps.database import TableData, build_database_graph, register_table
 from repro.apps.galaxy import build_galaxy_graph, generate_snapshots
 from repro.apps.inspiral import build_inspiral_graph
+from repro.core.engine import LocalEngine
 from repro.core.types import SampleSet
 from repro.faults import Fault, FaultInjector, FaultPlan
 from repro.faults.compute import ComputeFaultModel, ComputeFaultWindow
@@ -33,6 +34,7 @@ from repro.service.integrity import (
     make_verifier,
 )
 from repro.service.placement import ReputationWeighted, dispatch_policy_names
+from repro.simkernel import Simulator
 from repro.transport.wire import WireError, result_checksum
 
 WORKERS = [f"worker-{i}" for i in range(6)]
@@ -251,6 +253,171 @@ class TestMakeVerifier:
             grid.run(g, iterations=2, verification="majority-5")
 
 
+class TestQuorumMustBeFormable:
+    def test_replicate9_on_four_workers_is_refused_before_any_exec(self):
+        grid = make_grid(47, n_workers=4)
+        # Five matching votes cannot come from four hosts.
+        refused = r"replicate-9 .* quorum of 5 .* on 4"
+        with pytest.raises(SchedulingError, match=refused):
+            grid.run(farm_graph(), iterations=6, run_until=200_000,
+                     verification="replicate-9")
+        kinds = grid.transport.stats.by_kind
+        assert kinds.get("deploy-ack") == 4 and "group-exec" not in kinds
+
+    def test_a_chain_is_exempt_because_it_spot_checks(self):
+        clean = make_grid(47, n_workers=4).run(
+            chain_graph(), iterations=6, run_until=200_000
+        )
+        report = make_grid(47, n_workers=4).run(
+            chain_graph(), iterations=6, run_until=200_000,
+            verification="replicate-9",
+        )
+        assert results_digest(report) == results_digest(clean)
+        assert report.integrity["replicas_issued"] == 0
+
+
+# -- ballots -----------------------------------------------------------------------
+
+
+class _BallotCtx:
+    """The slice of a DispatchContext a farm ballot runs through, on a
+    real simulator so a local settle's recompute takes modelled time."""
+
+    chain = ()
+
+    def __init__(self, hosts, group=None, offline=()):
+        self.sim = Simulator(seed=1)
+        self.replica_hosts = list(hosts)
+        self.dep_ids = [f"d-{h}" for h in hosts]
+        self.group = group
+        self.offline = set(offline)
+        self.settled, self.spawned = [], []
+
+        class _Peer:
+            peer_id = "controller"
+
+        class _Detector:
+            @staticmethod
+            def is_dispatchable(host, now):
+                return True
+
+        self.peer, self.detector = _Peer(), _Detector()
+
+    def is_online(self, host):
+        return host not in self.offline
+
+    def send_exec(self, worker, deployment_id, items, verify=True):
+        pass
+
+    def settle(self, iteration, outputs, worker):
+        self.settled.append((iteration, outputs, worker))
+
+    def spawn(self, generator, name):
+        self.spawned.append(name)
+        return self.sim.process(generator, name=name)
+
+    def profile(self, host):
+        return LAN_PROFILE
+
+    def notify(self, kind, **data):
+        pass
+
+
+def voting_on(ctx, k=3):
+    voting = ReplicationVoting(k)
+    voting.ledger = ReputationLedger(HeartbeatFailureDetector(heartbeat_interval=1.0))
+    voting.start(ctx)
+    return voting
+
+
+def group_io(graph, feeder, iterations=1):
+    """``graph``'s group, and per iteration the inputs ``feeder`` deals
+    it and the outputs it should return."""
+    (group,) = graph.groups()
+    engine = LocalEngine(graph)
+    feed = engine.attach_probe(feeder)
+    outs = [engine.attach_probe(f"{group.name}/{task}", node)
+            for task, node in group.output_map]
+    for _ in range(iterations):
+        engine.step()
+    truths = [list(v) for v in zip(*(p.values for p in outs))]
+    return group, [[v] for v in feed.values], truths
+
+
+class TestBallots:
+    def test_only_a_peer_the_iteration_was_shipped_to_votes(self):
+        group, (inputs,), _truths = group_io(farm_graph(), "Wave")
+        ctx = _BallotCtx(["w0", "w1", "w2", "w3"], group=group)
+        voting = voting_on(ctx)
+        voting.on_dispatch(ctx, "w0", "d-w0", [(0, inputs)])
+        assert voting.ballots[0].asked == {"w0", "w1", "w2"}
+        voting.on_result(ctx, 0, "w0", ["lie"])
+        voting.on_result(ctx, 0, "w3", ["lie"])  # never asked
+        assert ctx.settled == []
+        voting.on_result(ctx, 0, "w1", ["truth"])
+        voting.on_result(ctx, 0, "w2", ["truth"])
+        assert ctx.settled == [(0, ["truth"], "w1")]
+        assert voting.stats["votes"] == 3
+        assert voting.ledger.convictions == {"w0": 1}
+
+    def test_a_result_without_a_ballot_is_not_settled(self):
+        ctx = _BallotCtx(["w0", "w1", "w2"])
+        voting = voting_on(ctx)
+        voting.on_result(ctx, 5, "w0", ["x"])
+        assert ctx.settled == [] and voting.stats["votes"] == 0
+
+    def test_a_vote_cast_during_a_local_settle_waits_for_the_controller(self):
+        group, (inputs,), (truth,) = group_io(farm_graph(), "Wave")
+        ctx = _BallotCtx(["w0", "w1", "w2", "w3"], group=group, offline=["w3"])
+        voting = voting_on(ctx)
+        voting.on_dispatch(ctx, "w0", "d-w0", [(0, inputs)])
+        voting.on_result(ctx, 0, "w0", ["lie-a"])
+        voting.on_result(ctx, 0, "w1", ["lie-b"])
+        voting.on_result(ctx, 0, "w2", truth)
+        # Three digests, no quorum, and the only fresh peer is offline:
+        # the controller recomputes.
+        assert ctx.spawned == ["verify-settle-0"] and ctx.settled == []
+        ctx.offline.clear()
+        voting.on_dispatch(ctx, "w3", "d-w3", [(0, inputs)])  # a redispatch
+        voting.on_result(ctx, 0, "w3", ["lie-a"])
+        assert ctx.spawned == ["verify-settle-0"] and ctx.settled == []
+        ctx.sim.run()
+        assert ctx.settled == [(0, truth, "w2")]
+        assert voting.accepted[0] == canonical_digest(truth)
+        assert voting.stats["local_settles"] == 1
+        assert voting.stats["quorum_accepts"] == 0
+        assert voting.ledger.convictions == {"w0": 1, "w1": 1, "w3": 1}
+
+    def test_a_stateful_group_replays_in_order_and_settles_out_of_order(self):
+        g = TaskGraph("accum")
+        g.add_task("Wave", "Wave", frequency=32.0)
+        g.add_task("FFT", "FFT")
+        g.add_task("Power", "PowerSpectrum")
+        g.add_task("Accum", "AccumStat")  # a running mean: stateful
+        g.add_task("Grapher", "Grapher")
+        for a, b in [("Wave", "FFT"), ("FFT", "Power"), ("Power", "Accum"),
+                     ("Accum", "Grapher")]:
+            g.connect(a, 0, b, 0)
+        g.group_tasks("G", ["Power", "Accum"], policy="parallel")
+        group, inputs, truths = group_io(g, "FFT", iterations=3)
+        digests = [canonical_digest(t) for t in truths]
+        assert len(set(digests)) == 3  # each iteration's mean differs
+        ctx = _BallotCtx(["w0", "w1", "w2"], group=group)
+        voting = voting_on(ctx)
+        for it in range(3):
+            voting.on_dispatch(ctx, "w0", "d-w0", [(it, inputs[it])])
+        # Iteration 2 is settled locally first, so the mirror replays 0
+        # and 1 on the way; iteration 0 then settles from that replay.
+        for it in (2, 0):
+            for worker, lie in zip(["w0", "w1", "w2"], "abc"):
+                voting.on_result(ctx, it, worker, [lie])
+            ctx.sim.run()
+        assert [(it, canonical_digest(out), worker)
+                for it, out, worker in ctx.settled] == [
+            (2, digests[2], "controller"), (0, digests[0], "controller"),
+        ]
+
+
 # -- reputation --------------------------------------------------------------------
 
 
@@ -433,6 +600,30 @@ class TestDatabaseUnderHostileChaos:
         assert_hostility_was_real(clean, unverified, verified)
 
 
+#: seeds on which the six-worker fleet runs out of fresh tie-breakers, so
+#: only the controller's own recompute can decide some ballots
+EXHAUSTED_SEEDS = (2, 6, 7, 11, 14, 15, 20)
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_six_hostile_workers_never_settle_a_lie(seed):
+    grid = ConsumerGrid(
+        n_workers=6, seed=seed, worker_profile=LAN_PROFILE,
+        controller_profile=LAN_PROFILE, worker_efficiency=5e-3,
+        heartbeat_interval=1.0,
+        fault_plan=chaos("hostile", seed=seed, workers=WORKERS,
+                         start=0.01, horizon=1e6),
+    )
+    build = lambda: build_inspiral_graph(n_templates=8, chunk_seconds=4.0,
+                                         seed=seed)
+    report = grid.run(build(), iterations=20, verification="replicate-3",
+                      run_until=1e7)
+    _group, _inputs, truths = group_io(build(), "Strain", iterations=20)
+    assert ([result_checksum(outputs) for outputs in report.group_results]
+            == [result_checksum(truth) for truth in truths])
+    assert (report.integrity.get("local_settles", 0) > 0) == (seed in EXHAUSTED_SEEDS)
+
+
 # -- per-policy coverage -----------------------------------------------------------
 
 
@@ -491,7 +682,7 @@ class TestPipelineSpotChecks:
         assert verified.integrity["spot_mismatches"] > 0
         assert verified.integrity["convicted"]
 
-    def test_replicate_on_a_chain_delegates_to_spot_checks(self):
+    def test_replicate_on_a_chain_spot_checks_instead_of_voting(self):
         report = sabotage(make_grid(42), ["worker-0", "worker-1"]).run(
             chain_graph(), iterations=8, run_until=200_000,
             verification="replicate-3",
