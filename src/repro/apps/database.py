@@ -16,27 +16,18 @@ Provides:
   (:class:`DatabaseSite`), advertised with quality attributes so the user
   can "select a service based on other options ... (such as accuracy)";
 * :class:`DatabasePipeline` — discovery, service-bind and execution of
-  the four-stage pipeline;
-* graph-based stages (:class:`TableSource`, :class:`TableManipulator`,
-  :class:`TableVerifier`) and :func:`build_database_graph`, so Case 3
-  can also run as a distributable task graph under the parallel farm
-  policy — which is what gives it the controller's churn recovery (the
-  JXTAServe pipeline above has no retry path).
+  the four-stage pipeline (:func:`run_pipeline`), which E6 measures.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 import numpy as np
 
-from ..core.errors import UnitError
-from ..core.registry import register_unit
-from ..core.taskgraph import TaskGraph
 from ..core.types import GraphData, TableData
-from ..core.units import ParamSpec, Unit, _non_negative_int, _positive_int
 from ..p2p.discovery import DiscoveryService
 from ..p2p.jxtaserve import JxtaServe, JxtaService
 from ..p2p.peer import Peer
@@ -54,11 +45,6 @@ __all__ = [
     "DatabasePipeline",
     "run_pipeline",
     "SERVICE_KINDS",
-    "register_table",
-    "TableSource",
-    "TableManipulator",
-    "TableVerifier",
-    "build_database_graph",
 ]
 
 SERVICE_KINDS = ("data-access", "data-manipulate", "data-visualise", "data-verify")
@@ -399,158 +385,3 @@ def run_pipeline(
     user.discover_services().callbacks.append(after_discovery)
     return done
 
-
-# -- graph-based stages (distributable with churn recovery) --------------------
-
-#: Table registry: TableSource units reference tables by key so the
-#: task-graph XML stays small (same pattern as galaxy's dataset registry).
-_TABLES: dict[str, TableData] = {}
-
-
-def register_table(key: str, table: TableData) -> None:
-    """Make a table available to TableSource units by key."""
-    _TABLES[key] = table
-
-
-@register_unit(category="database")
-class TableSource(Unit):
-    """Data-access stage as a unit: emits one chunk of rows per iteration.
-
-    Chunking is what makes the farm policy applicable — each chunk is an
-    independent piece of manipulation work, like the galaxy frames.
-    """
-
-    NUM_INPUTS = 0
-    NUM_OUTPUTS = 1
-    OUTPUT_TYPES = (TableData,)
-    PARAMETERS = (
-        ParamSpec("table", "", "registered table key"),
-        ParamSpec("chunk_rows", 8, "rows per emitted chunk", _positive_int),
-    )
-    REQUIRED_PERMISSIONS = ("fs.read",)
-
-    def reset(self) -> None:
-        self._index = 0
-
-    def checkpoint(self) -> dict[str, Any]:
-        return {"index": self._index}
-
-    def restore(self, state: dict[str, Any]) -> None:
-        self._index = int(state.get("index", 0))
-
-    def process(self, inputs: Sequence[Any]) -> list[Any]:
-        key = self.get_param("table")
-        if key not in _TABLES:
-            raise UnitError(f"TableSource: no table registered as {key!r}")
-        table = _TABLES[key]
-        chunk = int(self.get_param("chunk_rows"))
-        start = self._index * chunk
-        if start >= len(table):
-            raise UnitError(
-                f"TableSource: table {key!r} exhausted after {self._index} chunks"
-            )
-        self._index += 1
-        return [TableData(table.columns, table.rows[start : start + chunk])]
-
-
-@register_unit(category="database")
-class TableManipulator(Unit):
-    """Filter + manipulate one chunk (the farmed, stateless work)."""
-
-    NUM_INPUTS = 1
-    NUM_OUTPUTS = 1
-    INPUT_TYPES = (TableData,)
-    OUTPUT_TYPES = (TableData,)
-    CODE_SIZE = 40_000
-    PARAMETERS = (
-        # JSON-serialisable: a list of [column, op, value] conjuncts.
-        ParamSpec("where", [], "filter predicates [[column, op, value], ...]"),
-        ParamSpec("sort_column", "", "sort chunk by this column ('' = keep order)"),
-        ParamSpec("descending", False, "sort direction"),
-    )
-
-    def process(self, inputs: Sequence[Any]) -> list[Any]:
-        (table,) = inputs
-        try:
-            out = apply_where(table, tuple(tuple(w) for w in self.get_param("where")))
-            column = self.get_param("sort_column")
-            if column:
-                op = "sort_desc" if self.get_param("descending") else "sort"
-                out = apply_manipulation(out, (op, column))
-        except DatabaseError as exc:
-            raise UnitError(f"TableManipulator: {exc}") from exc
-        return [out]
-
-    def estimated_flops(self, input_nbytes: int) -> float:
-        # Predicate scan + comparison sort over ~48 B rows.
-        rows = max(input_nbytes / 48.0, 1.0)
-        return 200.0 * rows * (1.0 + np.log2(rows))
-
-
-@register_unit(category="database")
-class TableVerifier(Unit):
-    """Verification sink: accumulates chunk reports and the merged table."""
-
-    NUM_INPUTS = 1
-    NUM_OUTPUTS = 0
-    INPUT_TYPES = (TableData,)
-    PARAMETERS = (
-        ParamSpec("expect_min_rows", 0, "per-chunk row-count floor", _non_negative_int),
-    )
-
-    def reset(self) -> None:
-        self.reports: list[dict[str, Any]] = []
-        self.merged: Optional[TableData] = None
-
-    def checkpoint(self) -> dict[str, Any]:
-        return {
-            "reports": list(self.reports),
-            "columns": self.merged.columns if self.merged else None,
-            "rows": list(self.merged.rows) if self.merged else [],
-        }
-
-    def restore(self, state: dict[str, Any]) -> None:
-        self.reports = list(state.get("reports", []))
-        columns = state.get("columns")
-        self.merged = (
-            TableData(columns, list(state.get("rows", []))) if columns else None
-        )
-
-    def process(self, inputs: Sequence[Any]) -> list[Any]:
-        (table,) = inputs
-        spec = QuerySpec(
-            table="", expect_min_rows=int(self.get_param("expect_min_rows"))
-        )
-        self.reports.append(verify_table(table, spec))
-        if self.merged is None:
-            self.merged = TableData(table.columns)
-        for row in table.rows:
-            self.merged.append(row)
-        return []
-
-    @property
-    def all_ok(self) -> bool:
-        return bool(self.reports) and all(r["ok"] for r in self.reports)
-
-
-def build_database_graph(
-    table_key: str,
-    chunk_rows: int = 8,
-    where: Optional[list] = None,
-    sort_column: str = "",
-    policy: str = "parallel",
-) -> TaskGraph:
-    """The Case-3 task graph: Source → [Manipulate]@policy → Verify."""
-    g = TaskGraph("database-pipeline")
-    g.add_task("Source", "TableSource", table=table_key, chunk_rows=chunk_rows)
-    g.add_task(
-        "Manipulate",
-        "TableManipulator",
-        where=list(where or []),
-        sort_column=sort_column,
-    )
-    g.add_task("Verify", "TableVerifier")
-    g.connect("Source", 0, "Manipulate", 0)
-    g.connect("Manipulate", 0, "Verify", 0)
-    g.group_tasks("QueryFarm", ["Manipulate"], policy=policy)
-    return g

@@ -75,14 +75,14 @@ class GridConfig:
     telemetry: bool = _owned(False, "observe")
     #: sampler tick spacing, in kernel seconds
     telemetry_interval: float = _owned(5.0, "observe")
-    #: overrides for :func:`repro.observe.health.default_detectors`; give
-    #: a dict, it is kept as sorted ``(name, value)`` pairs
-    health_config: tuple = _owned((), "observe.health")
+    #: z-score below the fleet at which the health monitor reports a
+    #: straggler (:class:`repro.observe.health.StragglerDetector`)
+    straggler_z: float = _owned(2.0, "observe.health")
 
     def __post_init__(self):
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        for name in ("query_window", "worker_efficiency", "telemetry_interval"):
+        for name in ("query_window", "worker_efficiency", "telemetry_interval", "straggler_z"):
             value = getattr(self, name)
             if not 0 < value < math.inf:  # NaN fails both comparisons
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
@@ -106,9 +106,6 @@ class GridConfig:
         if plan is not None and type(plan.faults) is not tuple:
             # Our own copy: the caller's plan stays free to grow.
             object.__setattr__(self, "fault_plan", FaultPlan(tuple(plan.faults), plan.name))
-        if type(self.health_config) is not tuple:
-            pairs = tuple(sorted(dict(self.health_config or ()).items()))
-            object.__setattr__(self, "health_config", pairs)
 
     def replace(self, **changes: Any) -> "GridConfig":
         """A copy with the named settings changed.

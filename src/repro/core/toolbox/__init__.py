@@ -3,13 +3,14 @@
 Importing this package registers every built-in unit in the global
 registry — mirroring Triana's palette of ready-made tools.  Families:
 
-* :mod:`.signal`     — the wave source, noise, FFTs, spectra, AccumStat, filters
-* :mod:`.vectorpack` — shaping, resampling, multi-output splitters
-* :mod:`.imagepack`  — a test image, box blur and Sobel edges
-* :mod:`.display`    — Grapher and other sinks
+* :mod:`.signal`  — the wave source, noise, FFTs, spectra, AccumStat, filters
+* :mod:`.display` — Grapher and other sinks
+
+The case-study apps (:mod:`repro.apps`) register their own units in the
+galaxy and inspiral categories.
 """
 
-from . import display, imagepack, signal, vectorpack  # noqa: F401
+from . import display, signal  # noqa: F401
 
 from .display import Grapher, ScopeProbe
 from .signal import (

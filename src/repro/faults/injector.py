@@ -3,11 +3,10 @@
 The injector translates each declarative :class:`~repro.faults.plan.Fault`
 into concrete simkernel events against a :class:`~repro.p2p.network.SimNetwork`:
 
-* ``crash`` / ``portal-outage`` — when the affected :class:`~repro.p2p.peer.Peer`
-  objects are known, outages are driven through a
-  :class:`~repro.resources.availability.ScriptedAvailability` model so the
-  usual availability stats and churn listeners fire; otherwise the node is
-  toggled directly on the network.
+* ``crash`` / ``portal-outage`` — each target's outages are driven through
+  a :class:`~repro.resources.availability.ScriptedAvailability` model on
+  its :class:`~repro.p2p.peer.Peer`, so the usual availability stats and
+  churn listeners fire; a target with no ``Peer`` is refused.
 * ``partition`` — a named cut between two node groups, healed when the
   window closes.
 * ``corrupt`` / ``duplicate`` / ``reorder`` — the network-wide fraction is
@@ -21,7 +20,7 @@ Every applied action is appended to :attr:`FaultInjector.log`, and
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from ..p2p.network import SimNetwork
 from ..p2p.peer import Peer
@@ -41,12 +40,12 @@ class FaultInjector:
         sim: Simulator,
         network: SimNetwork,
         plan: FaultPlan,
-        peers: Optional[dict[str, Peer]] = None,
+        peers: dict[str, Peer],
     ):
         self.sim = sim
         self.network = network
         self.plan = plan
-        self.peers = dict(peers or {})
+        self.peers = dict(peers)
         #: chronological record of every action the injector took
         self.log: list[dict[str, Any]] = []
         #: availability models installed for crash faults, by peer id
@@ -62,11 +61,21 @@ class FaultInjector:
 
         Faults whose start time is already in the past are skipped (with a
         log entry) rather than fired late — a plan is a script, not a queue.
+        A crash or portal outage whose target has no ``Peer`` raises
+        :class:`FaultError` before anything is installed.
         """
         if self._scheduled:
             return self
-        self._scheduled = True
         self.plan.validate(self.network.nodes())
+        for fault in self.plan:
+            if fault.kind in ("crash", "portal-outage"):
+                missing = [t for t in fault.targets or ("portal",) if t not in self.peers]
+                if missing:
+                    raise FaultError(
+                        f"{fault.describe()}: no Peer for {', '.join(missing)}; "
+                        "an outage is driven through the target's Peer"
+                    )
+        self._scheduled = True
         now = self.sim.now
 
         # Crash-like faults grouped per target so one ScriptedAvailability
@@ -106,32 +115,16 @@ class FaultInjector:
         from ..resources.availability import ScriptedAvailability
 
         for target, windows in sorted(outage_windows.items()):
-            peer = self.peers.get(target)
-            if peer is not None:
-                model = ScriptedAvailability(windows)
-                model.on_down(lambda p: self._log("crash", p.peer_id))
-                model.on_up(lambda p: self._log("restart", p.peer_id))
-                model.install(peer)
-                self.availability[target] = model
-            else:
-                # No Peer object — drive the network's liveness directly.
-                for at, duration in windows:
-                    self.sim.call_at(at, self._down, target)
-                    if duration > 0:
-                        self.sim.call_at(at + duration, self._up, target)
+            model = ScriptedAvailability(windows)
+            model.on_down(lambda p: self._log("crash", p.peer_id))
+            model.on_up(lambda p: self._log("restart", p.peer_id))
+            model.install(self.peers[target])
+            self.availability[target] = model
         return self
 
     # -- fault actions --------------------------------------------------------
     def _log(self, action: str, detail: str) -> None:
         self.log.append({"t": self.sim.now, "action": action, "detail": detail})
-
-    def _down(self, target: str) -> None:
-        self.network.set_online(target, False)
-        self._log("crash", target)
-
-    def _up(self, target: str) -> None:
-        self.network.set_online(target, True)
-        self._log("restart", target)
 
     def _cut(self, index: int, fault) -> None:
         self._active_cuts[index] = self.network.partition(

@@ -362,7 +362,7 @@ class ConsumerGrid(GridNode):
         self._ensure_tracing()
         self.sim.install_sampler(sampler)
         monitor = HealthMonitor(
-            detectors=default_detectors(**dict(self.config.health_config))
+            detectors=default_detectors(self.config.straggler_z)
         )
         monitor.attach(self.sim.tracer)
         sampler.attach_monitor(monitor)

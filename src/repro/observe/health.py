@@ -66,6 +66,21 @@ __all__ = [
 #: severity ladder, least to most severe
 SEVERITIES = ("info", "warning", "critical")
 
+# Detector thresholds.  Only the straggler z-score is a grid setting
+# (``GridConfig.straggler_z``); no run has needed another value of these.
+#: a straggler also lags the fleet mean by at least this many iterations
+STRAGGLER_MIN_LAG = 2.0
+#: live peers needed before a z-score means anything
+STRAGGLER_MIN_FLEET = 3
+#: module fetches in one sample interval that make a storm
+FETCH_STORM_THRESHOLD = 64
+#: the busiest peer's queue depth at which an idle peer is starving ...
+STARVATION_BACKLOG = 3
+#: ... once it has been idle this many samples in a row
+STARVATION_PATIENCE = 3
+#: consecutive samples of strictly growing fleet backlog that fire
+BACKLOG_PATIENCE = 4
+
 
 @dataclass(frozen=True)
 class Incident:
@@ -147,16 +162,14 @@ class HeartbeatSilenceDetector(HealthDetector):
 
 
 class StragglerDetector(HealthDetector):
-    """A live peer's completed iterations fall a z-score behind the fleet."""
+    """A live peer's completed iterations fall a z-score behind the fleet
+    (and at least :data:`STRAGGLER_MIN_LAG` iterations behind its mean)."""
 
     kind = "straggler"
     severity = "warning"
 
-    def __init__(self, z_threshold: float = 2.0, min_lag: float = 2.0,
-                 min_fleet: int = 3):
+    def __init__(self, z_threshold: float = 2.0):
         self.z_threshold = float(z_threshold)
-        self.min_lag = float(min_lag)
-        self.min_fleet = int(min_fleet)
         self._flagged: set[str] = set()
 
     def update(self, row, emit):
@@ -169,7 +182,7 @@ class StragglerDetector(HealthDetector):
             for peer, info in workers.items()
             if peer not in exclude
         }
-        if len(counts) < self.min_fleet:
+        if len(counts) < STRAGGLER_MIN_FLEET:
             return
         values = list(counts.values())
         n = len(values)
@@ -180,7 +193,7 @@ class StragglerDetector(HealthDetector):
             for peer in sorted(counts):
                 lag = mean - counts[peer]
                 z = -lag / std
-                if z <= -self.z_threshold and lag >= self.min_lag:
+                if z <= -self.z_threshold and lag >= STRAGGLER_MIN_LAG:
                     flagged_now.add(peer)
                     if peer not in self._flagged:
                         emit(
@@ -194,13 +207,13 @@ class StragglerDetector(HealthDetector):
 
 
 class FetchStormDetector(HealthDetector):
-    """Module fetches in one sample interval exceed a burst threshold."""
+    """Module fetches in one sample interval exceed
+    :data:`FETCH_STORM_THRESHOLD`."""
 
     kind = "fetch-storm"
     severity = "warning"
 
-    def __init__(self, threshold: int = 64):
-        self.threshold = int(threshold)
+    def __init__(self):
         self._last: Optional[int] = None
         self._active = False
 
@@ -214,28 +227,27 @@ class FetchStormDetector(HealthDetector):
             total += cache.get("fetches", 0) + cache.get("peer_fetches", 0)
         if self._last is not None:
             delta = total - self._last
-            if delta > self.threshold and not self._active:
+            if delta > FETCH_STORM_THRESHOLD and not self._active:
                 self._active = True
                 emit(
                     "grid",
                     f"fetch storm: {delta} module fetches in one sample "
-                    f"interval (threshold {self.threshold})",
+                    f"interval (threshold {FETCH_STORM_THRESHOLD})",
                     fetches=delta,
                 )
-            elif delta <= self.threshold:
+            elif delta <= FETCH_STORM_THRESHOLD:
                 self._active = False
         self._last = total
 
 
 class StarvationDetector(HealthDetector):
-    """A live peer sits idle while others hold a backlog."""
+    """A live peer sits idle for :data:`STARVATION_PATIENCE` samples while
+    another queues at least :data:`STARVATION_BACKLOG` iterations."""
 
     kind = "starvation"
     severity = "info"
 
-    def __init__(self, backlog_min: int = 3, patience: int = 3):
-        self.backlog_min = int(backlog_min)
-        self.patience = int(patience)
+    def __init__(self):
         self._streak: dict[str, int] = {}
 
     def update(self, row, emit):
@@ -253,10 +265,10 @@ class StarvationDetector(HealthDetector):
                 and info.get("inflight", 0) == 0
                 and peer not in exclude
             )
-            if idle and max_queued >= self.backlog_min:
+            if idle and max_queued >= STARVATION_BACKLOG:
                 streak = self._streak.get(peer, 0) + 1
                 self._streak[peer] = streak
-                if streak == self.patience:
+                if streak == STARVATION_PATIENCE:
                     emit(
                         peer,
                         f"{peer} starved: idle for {streak} samples while the "
@@ -268,13 +280,13 @@ class StarvationDetector(HealthDetector):
 
 
 class BacklogGrowthDetector(HealthDetector):
-    """Total queued work across the fleet strictly grows tick over tick."""
+    """Total queued work across the fleet strictly grows tick over tick,
+    :data:`BACKLOG_PATIENCE` ticks in a row."""
 
     kind = "backlog-growth"
     severity = "warning"
 
-    def __init__(self, patience: int = 4):
-        self.patience = int(patience)
+    def __init__(self):
         self._last: Optional[int] = None
         self._streak = 0
         self._fired = False
@@ -289,7 +301,7 @@ class BacklogGrowthDetector(HealthDetector):
         else:
             self._streak = 0
             self._fired = False
-        if self._streak >= self.patience and not self._fired:
+        if self._streak >= BACKLOG_PATIENCE and not self._fired:
             self._fired = True
             emit(
                 "grid",
@@ -325,24 +337,16 @@ class ReputationCollapseDetector(HealthDetector):
                 )
 
 
-def default_detectors(
-    *,
-    straggler_z: float = 2.0,
-    straggler_min_lag: float = 2.0,
-    fetch_storm_threshold: int = 64,
-    starvation_backlog: int = 3,
-    starvation_patience: int = 3,
-    backlog_patience: int = 4,
-) -> list[HealthDetector]:
-    """The full catalogue with tunable thresholds (the grid's default)."""
+def default_detectors(straggler_z: float = 2.0) -> list[HealthDetector]:
+    """The full catalogue (the grid's default); only the straggler z-score
+    is a setting (``GridConfig.straggler_z``)."""
     return [
         HeartbeatSilenceDetector(),
         ReputationCollapseDetector(),
-        StragglerDetector(z_threshold=straggler_z, min_lag=straggler_min_lag),
-        BacklogGrowthDetector(patience=backlog_patience),
-        FetchStormDetector(threshold=fetch_storm_threshold),
-        StarvationDetector(backlog_min=starvation_backlog,
-                           patience=starvation_patience),
+        StragglerDetector(z_threshold=straggler_z),
+        BacklogGrowthDetector(),
+        FetchStormDetector(),
+        StarvationDetector(),
     ]
 
 

@@ -4,7 +4,7 @@ Layering, bottom-up::
 
     Transport           the fabric interface every layer above is written to
     SimNetwork          its simulated implementation: DSL/LAN link models
-    Peer / PeerGroup    endpoints with advertisement caches and handlers
+    Peer                endpoints with advertisement caches and handlers
     Discovery           central-index | flooding | rendezvous strategies
     Pipes               named, advertised, bind-by-discovery channels
     JxtaServe           service-oriented facade (the paper's JXTAServe)
@@ -37,7 +37,7 @@ from .network import (
     SimNetwork,
     Transport,
 )
-from .peer import Peer, PeerGroup
+from .peer import Peer
 from .pipes import InputPipe, OutputPipe, PipeManager
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
     "OutputPipe",
     "P2PError",
     "Peer",
-    "PeerGroup",
     "PeerOfflineError",
     "PipeError",
     "PipeManager",

@@ -1,4 +1,4 @@
-"""Peers and peer groups.
+"""Peers.
 
 "a Consumer Grid is composed of a number of peers.  Each peer provides a
 service ... in that it can receive and process requests and returns
@@ -20,7 +20,7 @@ from .advertisement import ADV_PEER, AdvCache, Advertisement
 from .errors import NetworkError, PeerOfflineError
 from .network import Message, NodeProfile, Transport
 
-__all__ = ["Peer", "PeerGroup"]
+__all__ = ["Peer"]
 
 #: Every peer outside all groups holds this one value: each ``frozenset()``
 #: call is a new object the collector tracks, and most peers join nothing.
@@ -54,7 +54,7 @@ class Peer:
         self.network = network
         self.sim: Simulator = network.sim
         self.cache = AdvCache()
-        #: a value, rebound (never mutated) by :class:`PeerGroup`
+        #: the group labels the peer advertises; a value, never mutated
         self.groups: frozenset[str] = frozenset(groups) if groups else _NO_GROUPS
         self._handlers: dict[str, Callable[[Message], None]] = {}
         network.add_node(peer_id, self._dispatch, profile)
@@ -125,34 +125,3 @@ class Peer:
         state = "online" if self.online else "offline"
         return f"Peer({self.peer_id!r}, {state})"
 
-
-class PeerGroup:
-    """A virtual peer group: "group peers with common capability".
-
-    Groups are advisory labels carried in peer advertisements; a group
-    object tracks membership and can filter discovery results.
-    """
-
-    def __init__(self, name: str):
-        if not name:
-            raise ValueError("group name must be non-empty")
-        self.name = name
-        self.members: set[str] = set()
-
-    def join(self, peer: Peer) -> None:
-        peer.groups = peer.groups | {self.name}
-        self.members.add(peer.peer_id)
-
-    def leave(self, peer: Peer) -> None:
-        peer.groups = (peer.groups - {self.name}) or _NO_GROUPS
-        self.members.discard(peer.peer_id)
-
-    def __contains__(self, peer_id: str) -> bool:
-        return peer_id in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def predicate(self) -> Callable[[dict[str, Any]], bool]:
-        """Attribute predicate selecting advertisements from members."""
-        return lambda attrs: self.name in str(attrs.get("groups", "")).split(",")

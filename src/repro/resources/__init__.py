@@ -1,7 +1,7 @@
 """Resource substrate (system S8): volunteers, batch gateways, accounts.
 
-* availability models — :class:`AlwaysOn`, :class:`PoissonChurn`,
-  :class:`ScreensaverCycle` (the volunteer dynamics of §3.7)
+* availability models — :class:`PoissonChurn`, :class:`ScreensaverCycle`,
+  :class:`ScriptedAvailability` (the volunteer dynamics of §3.7)
 * :class:`BatchQueue` / :class:`GramGateway` — the Globus-GRAM cluster path
 * account managers — Globus-style per-user accounts vs the Triana virtual
   account with billing (§2)
@@ -15,7 +15,6 @@ from .accounts import (
     VirtualAccountManager,
 )
 from .availability import (
-    AlwaysOn,
     AvailabilityModel,
     AvailabilityStats,
     PoissonChurn,
@@ -26,7 +25,6 @@ from .errors import AuthenticationError, QueueError, ResourceError
 from .gram import BatchQueue, GramGateway, JobSpec
 
 __all__ = [
-    "AlwaysOn",
     "AuthenticationError",
     "AvailabilityModel",
     "AvailabilityStats",

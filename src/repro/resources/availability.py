@@ -5,7 +5,7 @@ the screen saver turns on" — and Case 2 lists the downtime sources the
 sizing must absorb: "connection lost, user intervenes, computational
 bandwidth not reached".
 
-Three models share one interface: ``install(peer)`` spawns a simkernel
+The models share one interface: ``install(peer)`` spawns a simkernel
 process that toggles the peer on/off and invokes registered listeners.
 All randomness comes from named simulator streams, so a seed fully
 determines every session pattern.
@@ -23,7 +23,6 @@ from .errors import ResourceError
 __all__ = [
     "AvailabilityStats",
     "AvailabilityModel",
-    "AlwaysOn",
     "PoissonChurn",
     "ScreensaverCycle",
     "ScriptedAvailability",
@@ -74,16 +73,6 @@ class AvailabilityModel:
     def expected_availability(self) -> float:  # pragma: no cover - overridden
         """Long-run fraction of time the peer is online."""
         raise NotImplementedError
-
-
-class AlwaysOn(AvailabilityModel):
-    """A dedicated machine: never churns (the paper's '20 PCs' baseline)."""
-
-    def install(self, peer: Peer) -> None:
-        self.stats.sessions += 1
-
-    def expected_availability(self) -> float:
-        return 1.0
 
 
 class PoissonChurn(AvailabilityModel):

@@ -4,27 +4,19 @@ The paper's abstract: Triana "can support the user in making placement
 decisions for their modules"; §4: peers are discovered "based on very
 simple attributes – such as CPU capability and available free memory".
 
-Two layers:
-
-* :func:`rank_workers` — order discovered worker advertisements by a
-  capability strategy (cpu, ram, bandwidth) before choosing how many to
-  use;
-* :class:`DispatchPolicy` — how a running farm deals iterations to its
-  replicas: classic round-robin, or **weighted** least-finish-time
-  dispatch that keeps a 4 GHz volunteer busier than a 1 GHz one.
+:class:`DispatchPolicy` decides how a running farm deals iterations to
+its replicas: classic round-robin, or **weighted** least-finish-time
+dispatch that keeps a 4 GHz volunteer busier than a 1 GHz one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
-from ..p2p.advertisement import Advertisement
 from ..registry import Registry
 from .errors import SchedulingError
 
 __all__ = [
-    "rank_workers",
     "DispatchPolicy",
     "RoundRobin",
     "WeightedBySpeed",
@@ -33,32 +25,6 @@ __all__ = [
     "register_dispatch_policy",
     "dispatch_policy_names",
 ]
-
-
-_RANK_KEYS = {
-    "cpu": "cpu_flops",
-    "ram": "free_ram",
-    "bandwidth": "down_bps",
-}
-
-
-def rank_workers(
-    advertisements: Sequence[Advertisement], strategy: str = "cpu"
-) -> list[str]:
-    """Order worker hosts best-first by an advertised capability."""
-    if strategy not in _RANK_KEYS:
-        raise SchedulingError(
-            f"unknown ranking strategy {strategy!r}; valid: {sorted(_RANK_KEYS)}"
-        )
-    key = _RANK_KEYS[strategy]
-    seen: dict[str, float] = {}
-    for adv in advertisements:
-        host = adv.attributes.get("host")
-        if host is None:
-            continue
-        value = float(adv.attributes.get(key, 0.0))
-        seen[host] = max(seen.get(host, 0.0), value)
-    return sorted(seen, key=lambda h: (-seen[h], h))
 
 
 class DispatchPolicy:

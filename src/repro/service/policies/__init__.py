@@ -10,7 +10,8 @@ strategy the way units already are:
   resolution, mirroring :class:`~repro.core.registry.UnitRegistry`;
 * built-ins: :class:`ParallelFarmPolicy` (``parallel``),
   :class:`PipelinePolicy` (``p2p``) and :class:`ChunkedFarmPolicy`
-  (``chunked``), registered on import.
+  (``chunked``), each declared with ``@register_policy`` like any
+  third-party policy.
 
 See ``docs/extending.md`` for the "write your own policy" walkthrough.
 """
@@ -38,8 +39,3 @@ __all__ = [
     "global_policy_registry",
     "register_policy",
 ]
-
-for _cls in (ParallelFarmPolicy, PipelinePolicy, ChunkedFarmPolicy):
-    if _cls.name not in global_policy_registry():
-        global_policy_registry().register(_cls)
-del _cls

@@ -27,6 +27,7 @@ from ...core.xml_io import graph_to_string
 from ..placement import DispatchPolicy, make_dispatch_policy
 from ..worker import DeploymentSpec
 from .base import DispatchContext, DistributionPolicy
+from .registry import register_policy
 
 __all__ = ["ChunkedFarmPolicy", "Outstanding", "ParallelFarmPolicy"]
 
@@ -53,6 +54,7 @@ class Outstanding:
     speculated: bool = False
 
 
+@register_policy
 class ParallelFarmPolicy(DistributionPolicy):
     """Farm the group onto every worker; deal iterations, recover churn."""
 
@@ -268,6 +270,7 @@ class ParallelFarmPolicy(DistributionPolicy):
         ctx.send_exec(ctx.replica_hosts[idx], ctx.dep_ids[idx], [(it, rec.inputs)])
 
 
+@register_policy
 class ChunkedFarmPolicy(ParallelFarmPolicy):
     """Farm like ``parallel`` but batch k iterations per message."""
 

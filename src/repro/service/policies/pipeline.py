@@ -14,10 +14,12 @@ from ...core.xml_io import graph_to_string
 from ..errors import SchedulingError
 from ..worker import DeploymentSpec
 from .base import DispatchContext, DistributionPolicy
+from .registry import register_policy
 
 __all__ = ["PipelinePolicy"]
 
 
+@register_policy
 class PipelinePolicy(DistributionPolicy):
     """Pipeline a linear chain across peers with stage-to-stage pipes."""
 

@@ -15,7 +15,7 @@ from repro.apps.database import (
     verify_table,
     visualise_table,
 )
-from repro.core import TableData, TaskGraph
+from repro.core import TableData
 from repro.p2p import CentralIndexDiscovery, Peer, SimNetwork
 from repro.simkernel import Simulator
 
@@ -257,47 +257,3 @@ class TestPipeline:
         envelope = sim.run(until=run_pipeline(user, sites, spec))
         assert not envelope["report"]["ok"]
         assert envelope["report"]["rows"] == 0
-
-
-class TestMultistageGraph:
-    def test_filter_then_sort_two_groups(self):
-        """Separate filter and sort farms in one staged distributed run."""
-        from repro import ConsumerGrid
-        from repro.apps.database import register_table
-        from repro.core import LocalEngine
-
-        rows = [(i, float((i * 29) % 17)) for i in range(64)]
-        register_table("multistage-db", TableData(["id", "val"], rows))
-
-        def build():
-            """Source → [Filter]@parallel → [Sort]@chunked → Verify."""
-            g = TaskGraph("database-multistage")
-            g.add_task("Source", "TableSource", table="multistage-db", chunk_rows=8)
-            g.add_task("Filter", "TableManipulator", where=[["val", ">", 3.0]])
-            g.add_task("Sort", "TableManipulator", sort_column="val")
-            g.add_task("Verify", "TableVerifier")
-            for src, dst in [("Source", "Filter"), ("Filter", "Sort"), ("Sort", "Verify")]:
-                g.connect(src, 0, dst, 0)
-            g.group_tasks("FilterFarm", ["Filter"], policy="parallel")
-            g.group_tasks("SortFarm", ["Sort"], policy="chunked")
-            return g
-
-        g = build()
-        assert {grp.name: grp.policy for grp in g.groups()} == {
-            "FilterFarm": "parallel",
-            "SortFarm": "chunked",
-        }
-        grid = ConsumerGrid(n_workers=3, seed=41)
-        report = grid.run(g, iterations=8)
-        assert report.policy == "parallel+chunked"
-        assert len(report.group_results) == 8
-
-        local = LocalEngine(build())
-        local.run(8)
-        reference = local.units["Verify"]
-        distributed = grid.controller.last_downstream.units["Verify"]
-        assert distributed.merged.rows == reference.merged.rows
-        for chunk in report.group_results:
-            vals = chunk[0].column("val")
-            assert vals == sorted(vals)
-            assert all(v > 3.0 for v in vals)

@@ -15,7 +15,11 @@ from repro.apps.galaxy import (
     register_dataset,
     sph_column_density,
 )
-from repro.core import LocalEngine, ParameterError, ParticleSnapshot, TaskGraph, UnitError
+from repro.core import (
+    ImageData, LocalEngine, ParameterError, ParticleSnapshot, TaskGraph, Unit, UnitError,
+)
+
+from tests.test_engine_schedule import fixture_registry
 
 
 def scatter_both(xs, ys, masses, smoothing, resolution, extent):
@@ -323,20 +327,34 @@ class TestDistributedFarm:
         assert collector.animation().shape[0] == 6
 
 
+class Transpose(Unit):
+    INPUT_TYPES = OUTPUT_TYPES = (ImageData,)
+
+    def process(self, inputs):
+        return [ImageData(pixels=inputs[0].pixels.T.copy())]
+
+
+class Square(Unit):
+    INPUT_TYPES = OUTPUT_TYPES = (ImageData,)
+
+    def process(self, inputs):
+        return [ImageData(pixels=inputs[0].pixels ** 2)]
+
+
 def galaxy_pipeline_graph(dataset_key: str, resolution: int) -> TaskGraph:
-    """Case 1 with a post-production stage, two policy groups:
-    Reader → [Render]@parallel → [Blur → Edges]@chunked → Collector."""
-    g = TaskGraph("galaxy-pipeline")
+    """Case 1 with a post-production stage of test-local units, two policy
+    groups: Reader → [Render]@parallel → [Flip → Square]@chunked → Collector."""
+    g = TaskGraph("galaxy-pipeline", registry=fixture_registry(Transpose, Square))
     g.add_task("Reader", "DataReader", dataset=dataset_key)
     g.add_task("Render", "ColumnDensity", resolution=resolution, view="xy")
-    g.add_task("Blur", "BoxBlur", radius=1)
-    g.add_task("Edges", "SobelEdges")
+    g.add_task("Flip", "Transpose")
+    g.add_task("Square", "Square")
     g.add_task("Collector", "FrameCollector")
-    for src, dst in [("Reader", "Render"), ("Render", "Blur"),
-                     ("Blur", "Edges"), ("Edges", "Collector")]:
+    for src, dst in [("Reader", "Render"), ("Render", "Flip"),
+                     ("Flip", "Square"), ("Square", "Collector")]:
         g.connect(src, 0, dst, 0)
     g.group_tasks("RenderFarm", ["Render"], policy="parallel")
-    g.group_tasks("PostFarm", ["Blur", "Edges"], policy="chunked")
+    g.group_tasks("PostFarm", ["Flip", "Square"], policy="chunked")
     return g
 
 
@@ -352,7 +370,7 @@ class TestPipelineTwoGroups:
             "RenderFarm": "parallel",
             "PostFarm": "chunked",
         }
-        grid = ConsumerGrid(n_workers=4, seed=22)
+        grid = ConsumerGrid(n_workers=4, seed=22, registry=g.registry)
         report = grid.run(g, iterations=5)
         assert report.policy == "parallel+chunked"
         assert len(report.group_results) == 5

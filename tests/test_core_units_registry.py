@@ -193,12 +193,9 @@ class TestRegistry:
 
     def test_toolbox_categories(self):
         """``repro units`` offers exactly the categories DESIGN S5 states:
-        the toolbox's four and the three the case-study apps register."""
+        the toolbox's two and the two the farmed case-study apps register."""
         categories = {d.category for d in global_registry()}
-        assert categories == {
-            "signal", "vector", "image", "display",
-            "database", "galaxy", "inspiral",
-        }
+        assert categories == {"signal", "display", "galaxy", "inspiral"}
 
     def test_all_units_instantiable_with_defaults(self):
         reg = global_registry()
@@ -219,7 +216,6 @@ class TestRegistry:
 #: Parameters whose value is one of a fixed set of strings.
 CHOICE_PARAMS = [
     ("Wave", "waveform"),
-    ("TestImage", "pattern"),
     ("ColumnDensity", "view"),
 ]
 
@@ -248,7 +244,6 @@ def test_every_number_and_choice_parameter_carries_a_validator():
 class TestParametersAreCheckedAtAddTask:
     @pytest.mark.parametrize("unit,param,value", [
         ("Wave", "waveform", "triangle"),
-        ("TestImage", "pattern", "stripes"),
         ("ColumnDensity", "view", "xw"),
         ("Wave", "waveform", None),
     ])
@@ -260,26 +255,16 @@ class TestParametersAreCheckedAtAddTask:
         ("GaussianNoise", "seed", 1.5),
         ("GaussianNoise", "seed", True),
         ("GaussianNoise", "seed", -1),
-        ("TableVerifier", "expect_min_rows", 2.5),
-        ("TableVerifier", "expect_min_rows", -1),
     ])
-    def test_a_seed_or_row_floor_is_a_non_negative_integer(self, unit, param, value):
+    def test_a_seed_is_a_non_negative_integer(self, unit, param, value):
         msg = f"'{param}': must be a non-negative integer"
         with pytest.raises(ParameterError, match=msg):
             TaskGraph().add_task("t", unit, **{param: value})
-
-    @pytest.mark.parametrize("value", [2.5, 0, True])
-    def test_chunk_rows_is_a_positive_integer(self, value):
-        msg = "'chunk_rows': must be a finite positive integer"
-        with pytest.raises(ParameterError, match=msg):
-            TaskGraph().add_task("t", "TableSource", table="t", chunk_rows=value)
 
     @pytest.mark.parametrize("np_int", [np.int64, np.uint8])
     @pytest.mark.parametrize("unit,param", [
         ("GaussianNoise", "seed"),
         ("StrainSource", "seed"),
-        ("TableVerifier", "expect_min_rows"),
-        ("TableSource", "chunk_rows"),
     ])
     def test_a_numpy_integer_builds(self, unit, param, np_int):
         TaskGraph().add_task("t", unit, **{param: np_int(3)})

@@ -13,10 +13,44 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import GraphError, LocalEngine, TaskGraph, UnitError
+from repro.core import (
+    GraphError, LocalEngine, TaskGraph, Unit, UnitError, UnitRegistry, global_registry,
+)
 from repro.core.engine import _payload_bytes
 from repro.core.types import SampleSet
 from repro.transport.wire import result_checksum
+
+
+class Reverse(Unit):
+    """Time-reverses a sample set."""
+
+    INPUT_TYPES = OUTPUT_TYPES = (SampleSet,)
+
+    def process(self, inputs):
+        (sig,) = inputs
+        return [SampleSet(sig.data[::-1].copy(), sampling_rate=sig.sampling_rate, t0=sig.t0)]
+
+
+class Duplicate(Unit):
+    """Returns its input object on both outputs: an output that is an input."""
+
+    NUM_OUTPUTS = 2
+
+    def process(self, inputs):
+        return [inputs[0], inputs[0]]
+
+
+def fixture_registry(*units: type[Unit]) -> UnitRegistry:
+    """The global units plus the test-local ``units``."""
+    registry = UnitRegistry()
+    for desc in global_registry():
+        registry.register(desc.cls, desc.category)
+    for cls in units:
+        registry.register(cls, "test")
+    return registry
+
+
+FIXTURES = fixture_registry(Reverse, Duplicate)
 
 # (unit, inputs, outputs): everything carries 64-sample SampleSets
 PALETTE = [
@@ -55,7 +89,7 @@ def reference_step(engine, external):
 @st.composite
 def dags(draw):
     """(graph, external input keys, an output node to probe)."""
-    g = TaskGraph("random")
+    g = TaskGraph("random", registry=FIXTURES)
     g.add_task("Src", "Wave", frequency=draw(st.floats(1.0, 100.0)), samples=64)
     produced = [("Src", 0)]  # any of these may feed any number of inputs
     external = []
@@ -135,7 +169,7 @@ class TestMessagesUnchanged:
         )
 
     def test_wrong_output_count(self):
-        g = TaskGraph("liar")
+        g = TaskGraph("liar", registry=FIXTURES)
         g.add_task("Src", "Wave", samples=8)
         g.add_task("Tee", "Duplicate")
         g.connect("Src", 0, "Tee", 0)

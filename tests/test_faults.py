@@ -6,24 +6,25 @@ from repro.faults import (
     CHAOS_LEVELS,
     FAULT_KINDS,
     Fault,
+    FaultError,
     FaultInjector,
     FaultPlan,
     FaultPlanError,
     chaos,
 )
-from repro.p2p import Message, NetworkError, SimNetwork
+from repro.p2p import Message, NetworkError, Peer, SimNetwork
 from repro.simkernel import Simulator
 
 
 def small_net(n: int = 4):
+    """``n`` peers ``n0``… on one network; each files ``x`` messages in its inbox."""
     sim = Simulator(seed=11)
     net = SimNetwork(sim, jitter_fraction=0.0)
-    inboxes: dict[str, list] = {}
-    for i in range(n):
-        name = f"n{i}"
-        inboxes[name] = []
-        net.add_node(name, inboxes[name].append)
-    return sim, net, inboxes
+    peers = {f"n{i}": Peer(f"n{i}", net) for i in range(n)}
+    inboxes: dict[str, list] = {name: [] for name in peers}
+    for name, peer in peers.items():
+        peer.on("x", inboxes[name].append)
+    return sim, net, peers, inboxes
 
 
 class TestFaultValidation:
@@ -179,12 +180,12 @@ class TestChaosPresets:
 
 class TestInjector:
     def test_partition_cut_and_heal(self):
-        sim, net, inboxes = small_net()
+        sim, net, peers, inboxes = small_net()
         plan = FaultPlan(
             [Fault(kind="partition", at=5.0, duration=5.0,
                    targets=("n0",), targets_b=("n1",))]
         )
-        FaultInjector(sim, net, plan).schedule()
+        FaultInjector(sim, net, plan, peers).schedule()
         sim.run(until=6.0)
         assert net.partitioned("n0", "n1")
         assert not net.partitioned("n0", "n2")
@@ -195,22 +196,20 @@ class TestInjector:
         sim.run(until=11.0)
         assert not net.partitioned("n0", "n1")
 
-    def test_crash_without_peer_toggles_network_liveness(self):
-        sim, net, _ = small_net()
-        plan = FaultPlan(
-            [Fault(kind="crash", at=3.0, duration=4.0, targets=("n2",))]
-        )
-        inj = FaultInjector(sim, net, plan).schedule()
-        sim.run(until=4.0)
-        assert not net.is_online("n2")
-        sim.run(until=8.0)
-        assert net.is_online("n2")
-        actions = [e["action"] for e in inj.log]
-        assert actions == ["crash", "restart"]
+    def test_crash_of_a_node_without_a_peer_is_refused_at_schedule(self):
+        sim, net, peers, _ = small_net()
+        net.add_node("bare", lambda message: None)
+        plan = FaultPlan([
+            Fault(kind="slowdown", at=1.0, duration=2.0, targets=("n0",), factor=0.5),
+            Fault(kind="crash", at=3.0, duration=4.0, targets=("n2", "bare")),
+        ])
+        inj = FaultInjector(sim, net, plan, peers)
+        with pytest.raises(FaultError, match=r"crash @t=3 .*: no Peer for bare"):
+            inj.schedule()
+        sim.run()
+        assert inj.log == [] and net.is_online("bare")  # nothing was installed
 
     def test_crash_with_peer_uses_scripted_availability(self):
-        from repro.p2p.peer import Peer
-
         sim = Simulator(seed=12)
         net = SimNetwork(sim, jitter_fraction=0.0)
         peer = Peer("p0", net)
@@ -229,11 +228,11 @@ class TestInjector:
         assert inj.availability["p0"].stats.sessions >= 1
 
     def test_fraction_window_set_and_restored(self):
-        sim, net, _ = small_net()
+        sim, net, peers, _ = small_net()
         plan = FaultPlan(
             [Fault(kind="corrupt", at=2.0, duration=3.0, fraction=0.5)]
         )
-        FaultInjector(sim, net, plan).schedule()
+        FaultInjector(sim, net, plan, peers).schedule()
         assert net.corrupt_fraction == 0.0
         sim.run(until=3.0)
         assert net.corrupt_fraction == 0.5
@@ -241,50 +240,50 @@ class TestInjector:
         assert net.corrupt_fraction == 0.0
 
     def test_slowdown_scales_and_restores_speed(self):
-        sim, net, _ = small_net()
+        sim, net, peers, _ = small_net()
         plan = FaultPlan(
             [Fault(kind="slowdown", at=1.0, duration=2.0,
                    targets=("n3",), factor=0.25)]
         )
-        FaultInjector(sim, net, plan).schedule()
+        FaultInjector(sim, net, plan, peers).schedule()
         sim.run(until=1.5)
         assert net.speed_factor("n3") == 0.25
         sim.run(until=4.0)
         assert net.speed_factor("n3") == 1.0
 
     def test_past_faults_are_skipped_not_fired_late(self):
-        sim, net, _ = small_net()
+        sim, net, peers, _ = small_net()
         sim.call_at(10.0, lambda: None)
         sim.run()  # advance time to t=10
         plan = FaultPlan([Fault(kind="crash", at=3.0, targets=("n0",))])
-        inj = FaultInjector(sim, net, plan).schedule()
+        inj = FaultInjector(sim, net, plan, peers).schedule()
         sim.run()
         assert net.is_online("n0")
         assert [e["action"] for e in inj.log] == ["skipped-past"]
         assert inj.faults_injected == 0
 
     def test_schedule_is_idempotent(self):
-        sim, net, _ = small_net()
+        sim, net, peers, _ = small_net()
         plan = FaultPlan(
             [Fault(kind="crash", at=3.0, duration=1.0, targets=("n0",))]
         )
-        inj = FaultInjector(sim, net, plan)
+        inj = FaultInjector(sim, net, plan, peers)
         inj.schedule()
         inj.schedule()
         sim.run()
         assert [e["action"] for e in inj.log] == ["crash", "restart"]
 
     def test_unknown_target_rejected_at_schedule(self):
-        sim, net, _ = small_net()
+        sim, net, peers, _ = small_net()
         plan = FaultPlan([Fault(kind="crash", at=1.0, targets=("ghost",))])
         with pytest.raises(FaultPlanError):
-            FaultInjector(sim, net, plan).schedule()
+            FaultInjector(sim, net, plan, peers).schedule()
 
     def test_summary_counts(self):
-        sim, net, _ = small_net()
+        sim, net, peers, _ = small_net()
         plan = chaos("mild", seed=4, workers=["n0", "n1", "n2"],
                      controller="n3", portal="n3", start=1.0, horizon=10.0)
-        inj = FaultInjector(sim, net, plan).schedule()
+        inj = FaultInjector(sim, net, plan, peers).schedule()
         sim.run()
         summary = inj.summary()
         assert summary["plan"] == plan.name

@@ -20,8 +20,10 @@ from repro.core import (
     graph_to_string,
 )
 
-# Palette: (unit, n_in, n_out) — all SampleSet→SampleSet so any wiring
-# type-checks.
+from tests.test_engine_schedule import FIXTURES
+
+# Palette: all SampleSet→SampleSet so any wiring type-checks; ``Reverse``
+# is a test-local unit in ``FIXTURES``.
 SINGLE = ["Gain", "Offset", "LowPass", "HighPass", "Reverse"]
 
 
@@ -30,7 +32,7 @@ def random_graphs(draw):
     """A random layered DAG: Wave sources → transform layers → Grapher."""
     n_sources = draw(st.integers(1, 2))
     n_layers = draw(st.integers(0, 3))
-    g = TaskGraph("random")
+    g = TaskGraph("random", registry=FIXTURES)
     frontier = []
     for s in range(n_sources):
         freq = draw(st.floats(1.0, 100.0))
@@ -123,7 +125,7 @@ def test_a_back_edge_is_a_graph_error_naming_the_cycle(g, data):
 @settings(max_examples=40, deadline=None)
 def test_random_graph_native_xml_round_trip(g):
     xml = graph_to_string(g)
-    g2 = graph_from_string(xml)
+    g2 = graph_from_string(xml, registry=FIXTURES)
     assert sorted(g2.tasks) == sorted(g.tasks)
     assert {c.label() for c in g2.connections} == {c.label() for c in g.connections}
     assert graph_to_string(g2) == xml
@@ -151,8 +153,8 @@ def test_grouping_preserves_execution_property(g):
             break
     if pair is None:
         return  # nothing groupable in this sample
-    plain = graph_from_string(graph_to_string(g))
-    grouped = graph_from_string(graph_to_string(g))
+    plain = graph_from_string(graph_to_string(g), registry=FIXTURES)
+    grouped = graph_from_string(graph_to_string(g), registry=FIXTURES)
     grouped.group_tasks("G", list(pair))
     e1, e2 = LocalEngine(plain), LocalEngine(grouped)
     e1.run(2)

@@ -70,9 +70,7 @@ SETTING_STRATEGIES = dict(
     module_chunk_bytes=st.one_of(st.none(), st.integers(min_value=1, max_value=2**30)),
     cache_fetch_timeout=positive,
     trace=st.booleans(), telemetry=st.booleans(), telemetry_interval=positive,
-    health_config=st.dictionaries(
-        st.sampled_from(("straggler_z", "straggler_min_lag")), positive
-    ),
+    straggler_z=positive,
 )
 changes = st.fixed_dictionaries({}, optional=SETTING_STRATEGIES)
 
@@ -108,13 +106,10 @@ class TestValue:
 
     def test_mutable_inputs_are_stored_immutably(self):
         plan = chaos("moderate", seed=1, workers=["worker-0", "worker-1"])
-        overrides = {"straggler_z": 1.5}
-        cfg = GridConfig().replace(fault_plan=plan, health_config=overrides)
+        cfg = GridConfig().replace(fault_plan=plan)
         before = hash(cfg)
-        overrides["straggler_min_lag"] = 9.0
         plan.add(plan.faults[0])
         assert hash(cfg) == before
-        assert cfg.health_config == (("straggler_z", 1.5),)
         assert len(cfg.fault_plan) == len(plan) - 1
 
     def test_settable_values_went_down(self):
@@ -141,7 +136,7 @@ class TestValue:
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
     @pytest.mark.parametrize("name", [
         "query_window", "worker_efficiency", "telemetry_interval",
-        "retry_timeout", "retry_interval", "heartbeat_interval",
+        "retry_timeout", "retry_interval", "heartbeat_interval", "straggler_z",
     ])
     def test_times_and_rates_are_positive_and_finite(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro import ConsumerGrid, TaskGraph, chaos
-from repro.apps.database import TableData, build_database_graph, register_table
 from repro.apps.galaxy import build_galaxy_graph, generate_snapshots
 from repro.apps.inspiral import build_inspiral_graph
 from repro.core.engine import LocalEngine
@@ -578,22 +577,6 @@ class TestInspiralUnderHostileChaos:
                 n_templates=8, chunk_seconds=4.0, seed=4
             ),
             iterations=10, efficiency=5e-3, seed=901,
-        )
-        for a, b in zip(clean.group_results, verified.group_results):
-            assert a[0].rows == b[0].rows
-        assert_hostility_was_real(clean, unverified, verified)
-
-
-class TestDatabaseUnderHostileChaos:
-    def test_replicate3_restores_identical_rows(self):
-        rows = [(i, float((i * 37) % 11), f"name{i%5}") for i in range(512)]
-        register_table("hostile-db", TableData(["id", "val", "name"], rows))
-        clean, unverified, verified = run_triplet(
-            lambda: build_database_graph(
-                "hostile-db", chunk_rows=64,
-                where=[["val", ">", 2.0]], sort_column="val",
-            ),
-            iterations=8, efficiency=1e-6, seed=902,
         )
         for a, b in zip(clean.group_results, verified.group_results):
             assert a[0].rows == b[0].rows

@@ -197,7 +197,7 @@ class TestDetectors:
         assert inc.track == "w2" and inc.severity == "critical" and inc.time == 2.0
 
     def test_straggler_z_score(self):
-        monitor = HealthMonitor([StragglerDetector(z_threshold=2.0, min_lag=2.0)])
+        monitor = HealthMonitor([StragglerDetector(z_threshold=2.0)])
         workers = {f"w{i}": _worker(iterations=10) for i in range(5)}
         workers["w5"] = _worker(iterations=2)
         monitor.on_sample(_row(5.0, workers=workers))
@@ -218,18 +218,19 @@ class TestDetectors:
         assert monitor.incidents == []
 
     def test_fetch_storm_latches(self):
-        monitor = HealthMonitor([FetchStormDetector(threshold=10)])
+        monitor = HealthMonitor([FetchStormDetector()])  # threshold: 64 a tick
         monitor.on_sample(_row(1.0, workers={"w0": _worker(fetches=0)}))
-        monitor.on_sample(_row(2.0, workers={"w0": _worker(fetches=50)}))
-        monitor.on_sample(_row(3.0, workers={"w0": _worker(fetches=100)}))  # latched
-        monitor.on_sample(_row(4.0, workers={"w0": _worker(fetches=100)}))  # calm
-        monitor.on_sample(_row(5.0, workers={"w0": _worker(fetches=160)}))  # re-fires
+        monitor.on_sample(_row(2.0, workers={"w0": _worker(fetches=64)}))  # not above
+        monitor.on_sample(_row(3.0, workers={"w0": _worker(fetches=160)}))
+        monitor.on_sample(_row(4.0, workers={"w0": _worker(fetches=300)}))  # latched
+        monitor.on_sample(_row(5.0, workers={"w0": _worker(fetches=300)}))  # calm
+        monitor.on_sample(_row(6.0, workers={"w0": _worker(fetches=400)}))  # re-fires
         kinds = [i.kind for i in monitor.incidents]
         assert kinds == ["fetch-storm", "fetch-storm"]
         assert monitor.incidents[0].track == "grid"
 
     def test_starvation_needs_patience(self):
-        monitor = HealthMonitor([StarvationDetector(backlog_min=3, patience=3)])
+        monitor = HealthMonitor([StarvationDetector()])  # backlog 3, patience 3
         workers = {"w0": _worker(queued=8), "w1": _worker()}
         for t in (1.0, 2.0):
             monitor.on_sample(_row(t, workers=workers))
@@ -239,9 +240,10 @@ class TestDetectors:
         assert monitor.incidents[0].severity == "info"
 
     def test_backlog_growth_streak(self):
-        monitor = HealthMonitor([BacklogGrowthDetector(patience=3)])
+        monitor = HealthMonitor([BacklogGrowthDetector()])  # patience 4
         for t, queued in enumerate((1, 2, 3, 4, 5), start=1):
             monitor.on_sample(_row(float(t), workers={"w0": _worker(queued=queued)}))
+            assert len(monitor.incidents) == (t == 5)
         assert [i.kind for i in monitor.incidents] == ["backlog-growth"]
         # draining resets the latch
         monitor.on_sample(_row(6.0, workers={"w0": _worker(queued=0)}))
@@ -264,15 +266,15 @@ class TestDetectors:
 
 class TestHealthMonitor:
     def test_ranked_most_severe_first(self):
-        monitor = HealthMonitor([StarvationDetector(patience=1),
-                                 HeartbeatSilenceDetector()])
-        monitor.on_sample(
-            _row(
-                1.0,
-                workers={"w0": _worker(queued=9), "w1": _worker()},
-                detector={"suspected": ["w2"]},
+        monitor = HealthMonitor([StarvationDetector(), HeartbeatSilenceDetector()])
+        for t in (1.0, 2.0, 3.0):  # starvation needs three idle samples
+            monitor.on_sample(
+                _row(
+                    t,
+                    workers={"w0": _worker(queued=9), "w1": _worker()},
+                    detector={"suspected": ["w2"]},
+                )
             )
-        )
         ranked = monitor.ranked()
         assert [i.severity for i in ranked] == ["critical", "info"]
 

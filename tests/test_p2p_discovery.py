@@ -11,7 +11,6 @@ from repro.p2p import (
     FloodingDiscovery,
     AdvCache,
     Peer,
-    PeerGroup,
     RendezvousDiscovery,
     SimNetwork,
 )
@@ -280,18 +279,17 @@ class TestDiscoveryCommon:
         disc = CentralIndexDiscovery()
         sim, net, peers = build(4, disc)
         disc.set_index(peers[0])
-        group = PeerGroup("fast-cpus")
-        group.join(peers[1])
-        group.join(peers[2])
+        for p in peers[1:3]:
+            p.groups = frozenset({"fast-cpus", "lan"})
         for p in peers:
             disc.publish(p, p.self_advertisement())
         sim.run()
-        ev = disc.query(peers[3], adv_type=ADV_PEER, predicate=group.predicate())
+        ev = disc.query(
+            peers[3], adv_type=ADV_PEER,
+            predicate=lambda a: "fast-cpus" in a["groups"].split(","),
+        )
         results = sim.run(until=ev)
         assert sorted(a.publisher for a in results) == ["peer-1", "peer-2"]
-        assert len(group) == 2
-        group.leave(peers[1])
-        assert "peer-1" not in group
 
 
 def twin(publisher):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.p2p import NodeProfile, Peer, SimNetwork
 from repro.resources import (
-    AlwaysOn,
     AuthenticationError,
     BatchQueue,
     CertificateAuthority,
@@ -28,14 +27,6 @@ def make_peer():
 
 
 class TestAvailability:
-    def test_always_on(self):
-        sim, peer = make_peer()
-        model = AlwaysOn()
-        model.install(peer)
-        sim.run(until=1000.0)
-        assert peer.online
-        assert model.expected_availability() == 1.0
-
     def test_poisson_churn_toggles(self):
         sim, peer = make_peer()
         model = PoissonChurn(mean_uptime=100.0, mean_downtime=50.0)

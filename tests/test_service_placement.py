@@ -1,46 +1,15 @@
-"""Tests for worker ranking and dispatch policies."""
+"""Tests for dispatch policies."""
 
 import pytest
 
 from repro import ConsumerGrid, TaskGraph
-from repro.p2p import Advertisement, LAN_PROFILE, NodeProfile
+from repro.p2p import LAN_PROFILE, NodeProfile
 from repro.service import SchedulingError
 from repro.service.placement import (
     RoundRobin,
     WeightedBySpeed,
     make_dispatch_policy,
-    rank_workers,
 )
-
-
-def adv(host, cpu=2e9, ram=5e8, down=1e6):
-    return Advertisement.make(
-        "service", f"triana:{host}", host,
-        attrs={"host": host, "cpu_flops": cpu, "free_ram": ram, "down_bps": down},
-    )
-
-
-class TestRankWorkers:
-    def test_rank_by_cpu(self):
-        advs = [adv("slow", cpu=1e9), adv("fast", cpu=4e9), adv("mid", cpu=2e9)]
-        assert rank_workers(advs, "cpu") == ["fast", "mid", "slow"]
-
-    def test_rank_by_ram_and_bandwidth(self):
-        advs = [adv("a", ram=1e9, down=1e5), adv("b", ram=2e9, down=1e7)]
-        assert rank_workers(advs, "ram") == ["b", "a"]
-        assert rank_workers(advs, "bandwidth") == ["b", "a"]
-
-    def test_duplicate_hosts_take_best(self):
-        advs = [adv("a", cpu=1e9), adv("a", cpu=3e9), adv("b", cpu=2e9)]
-        assert rank_workers(advs, "cpu") == ["a", "b"]
-
-    def test_ties_break_by_name(self):
-        advs = [adv("b"), adv("a")]
-        assert rank_workers(advs, "cpu") == ["a", "b"]
-
-    def test_unknown_strategy(self):
-        with pytest.raises(SchedulingError):
-            rank_workers([], "luck")
 
 
 class TestDispatchPolicies:

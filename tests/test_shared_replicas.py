@@ -22,21 +22,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.apps.database  # noqa: F401  (registers the app units)
-import repro.apps.galaxy  # noqa: F401
+import repro.apps.galaxy  # noqa: F401  (registers the app units)
 from repro import ConsumerGrid, chaos
 from repro.analysis.workloads import pipeline_graph
 from repro.apps.inspiral import InspiralSearch, build_inspiral_graph
 from repro.core import TaskGraph, Unit, global_registry
 from repro.core import engine
 from repro.core.errors import UnitError
-from repro.core.types import (
-    ComplexSpectrum, Const, ImageData, ParticleSnapshot, SampleSet, Spectrum,
-    TableData, VectorType,
-)
+from repro.core.types import ComplexSpectrum, Const, ParticleSnapshot, SampleSet, VectorType
 from repro.p2p import LAN_PROFILE
 from repro.service.policies.base import DispatchContext
 from repro.transport.wire import result_checksum
+
+from tests.test_engine_schedule import FIXTURES
 
 
 def memoized_units() -> list[str]:
@@ -53,7 +51,6 @@ def memoized_units() -> list[str]:
 PARAMS = {
     "InspiralSearch": {"n_templates": 4},
     "ColumnDensity": {"resolution": 16},
-    "TrimTo": {"length": 8},
 }
 
 _floats = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -62,25 +59,13 @@ _floats = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 @st.composite
 def payload(draw, kind, n):
     """One payload of ``kind``; 1-D kinds have length ``n`` so that
-    two-input units (``DotProduct``, ``L2Distance``) see matching shapes."""
+    two-input units (``Mixer``) see matching shapes."""
     vec = np.array(draw(st.lists(_floats, min_size=n, max_size=n)), dtype=float)
-    if kind is Const:
-        return Const(draw(_floats))
-    if kind is VectorType:
-        return VectorType(vec)
     if kind is SampleSet:
         rate = draw(st.sampled_from([64.0, 512.0, 2048.0]))
         return SampleSet(vec, sampling_rate=rate, t0=draw(st.floats(0, 100)))
     if kind is ComplexSpectrum:
         return ComplexSpectrum(vec + 1j * vec[::-1], df=draw(st.floats(0.1, 10)))
-    if kind is Spectrum:
-        return Spectrum(np.abs(vec), df=draw(st.floats(0.1, 10)))
-    if kind is ImageData:
-        h, w = draw(st.integers(2, 12)), draw(st.integers(2, 12))
-        return ImageData(np.resize(vec, (h, w)))
-    if kind is TableData:
-        rows = draw(st.lists(st.tuples(_floats, st.integers(-5, 5)), max_size=6))
-        return TableData(["a", "b"], rows)
     if kind is ParticleSnapshot:
         m = draw(st.integers(1, 12))
         pos = np.resize(vec, (m, 3)) / 1e3
@@ -194,18 +179,18 @@ def farm_graph(*group_units: str) -> TaskGraph:
 
 
 def duplicate_farm() -> TaskGraph:
-    """Wave → {Duplicate → Concatenate} → Grapher: a group whose first unit
-    returns its input object twice."""
-    g = TaskGraph("duplicate-farm")
+    """Wave → {Duplicate → Mixer} → Grapher: a group whose first unit (the
+    test-local one of ``FIXTURES``) returns its input object twice."""
+    g = TaskGraph("duplicate-farm", registry=FIXTURES)
     g.add_task("Src", "Wave", samples=64)
     g.add_task("Dup", "Duplicate")
-    g.add_task("Cat", "Concatenate")
+    g.add_task("Mix", "Mixer")
     g.add_task("Sink", "Grapher")
     g.connect("Src", 0, "Dup", 0)
-    g.connect("Dup", 0, "Cat", 0)
-    g.connect("Dup", 1, "Cat", 1)
-    g.connect("Cat", 0, "Sink", 0)
-    g.group_tasks("G", ["Dup", "Cat"], policy="parallel")
+    g.connect("Dup", 0, "Mix", 0)
+    g.connect("Dup", 1, "Mix", 1)
+    g.connect("Mix", 0, "Sink", 0)
+    g.group_tasks("G", ["Dup", "Mix"], policy="parallel")
     return g
 
 
@@ -327,8 +312,9 @@ def assert_tables_empty_after(run) -> None:
 )
 def test_nothing_shared_outlives_a_replicated_run(graph):
     def run():
-        grid = ConsumerGrid(n_workers=3, seed=2)
-        report = grid.run(graph(), 6, verification="replicate-3")
+        g = graph()
+        grid = ConsumerGrid(n_workers=3, seed=2, registry=g.registry)
+        report = grid.run(g, 6, verification="replicate-3")
         assert len(report.group_results) == 6
         assert engine._shared  # the run did share
 

@@ -37,7 +37,7 @@ def make_grid(seed, plan=None, telemetry=False, efficiency=5e-3):
         fault_plan=plan,
         telemetry=telemetry,
         telemetry_interval=1.0,
-        health_config={"straggler_z": 1.25, "straggler_min_lag": 2.0},
+        straggler_z=1.25,
     )
 
 

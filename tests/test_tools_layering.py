@@ -6,8 +6,8 @@ through the tool's own ``check()``: one per pairwise rule of the
 (``simkernel -> repro.mobility``) and the ones that must stay legal.
 ``orphans()`` gets three synthetic trees of its own, and the third-party
 allow-list its probes in the same two tables.  ``orphan_names()`` gets a
-synthetic repo: a name only tests reach is reported, one used outside
-``tests/`` is not.
+synthetic repo: a name only tests or docstrings reach is reported, one
+used outside ``tests/`` (a string in code included) is not.
 """
 
 import importlib.util
@@ -205,3 +205,39 @@ def test_a_use_outside_tests_keeps_a_name(tmp_path):
     assert _unused_names(tmp_path, files) == []
     files = {**_NAMES, "examples/graph.xml": "<task unit='run_graph'/>\n"}
     assert _unused_names(tmp_path / "b", files) == []
+
+
+def test_a_name_only_its_module_docstring_mentions_is_reported(tmp_path):
+    files = {
+        **_NAMES,
+        "src/repro/tally.py": '"""Counting: see ``Tally``."""\n\n\nclass Tally:\n    pass\n',
+    }
+    assert _unused_names(tmp_path, files) == ["Tally", "run_graph"]
+
+
+def test_a_name_only_another_functions_docstring_mentions_is_reported(tmp_path):
+    files = {
+        **_NAMES,
+        "src/repro/tally.py": (
+            "def merge(a, b):\n    return a\n\n\n"
+            'def report():\n    """Prints the merge of two tallies."""\n'
+        ),
+        "tools/show.py": "import repro.tally\nrepro.tally.report()\n",
+    }
+    assert _unused_names(tmp_path, files) == ["merge", "run_graph"]
+
+
+def test_a_string_in_code_is_a_use(tmp_path):
+    files = {**_NAMES, "examples/run.py": "graph.add_task('go', 'run_graph')\n"}
+    assert _unused_names(tmp_path, files) == []
+
+
+def test_a_class_is_used_by_the_registry_name_it_declares(tmp_path):
+    files = {
+        **_NAMES,
+        "src/repro/policy.py": "class FarmPolicy:\n    name = 'farm'\n",
+        "examples/run.py": "run_graph(graph.group_tasks('G', ['go'], policy='farm'))\n",
+    }
+    assert _unused_names(tmp_path, files) == []
+    files["examples/run.py"] = "run_graph(graph)\n"
+    assert _unused_names(tmp_path / "b", files) == ["FarmPolicy"]

@@ -53,7 +53,7 @@ def make_grid(plan=None) -> ConsumerGrid:
         fault_plan=plan,
         telemetry=True,
         telemetry_interval=1.0,
-        health_config={"straggler_z": 1.25, "straggler_min_lag": 2.0},
+        straggler_z=1.25,
     )
 
 

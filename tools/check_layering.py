@@ -61,10 +61,14 @@ public top-level function and class in ``src/repro`` that nothing
 outside ``tests/`` references, and ``main()`` fails on any that is not
 on ``KEPT_WITHOUT_CALLER`` (with its reason), and on a listed name that
 has gained a caller.  A reference is an AST name or attribute, or a word
-in a string, in ``src/``, ``gridbench/``, ``examples/``, ``benchmarks/``
-or ``tools/``, or a word in the repo's XML/JSON files.  A name's own
-definition (its docstring included), ``__all__`` lists and import
-statements (so package re-exports) do not count.
+in a string in code, in ``src/``, ``gridbench/``, ``examples/``,
+``benchmarks/`` or ``tools/``, or a word in the repo's XML/JSON files: a
+registry name such as ``add_task("src", "Wave")`` is a use, and a class
+that declares a registry ``name`` (a distribution policy's ``name =
+"chunked"``) is used by that name as well as its own.  A docstring
+(of a module, class or function) is prose, not a caller, so a name only
+docstrings mention is reported.  A name's own definition, ``__all__``
+lists and import statements (so package re-exports) do not count either.
 """
 
 from __future__ import annotations
@@ -253,33 +257,18 @@ def orphans(paths: list[pathlib.Path], src: pathlib.Path = SRC) -> list[str]:
 
 
 #: public names defined in ``src/repro`` that no code outside ``tests/``
-#: uses, kept on purpose: name → why (ROADMAP item 4 names the groups)
+#: uses, kept on purpose: name → why (ROADMAP item 5 names the groups)
 KEPT_WITHOUT_CALLER = {
     "templates_for_minimal_match":
         "DESIGN.md grounds the paper's 5 000-10 000-template figure with it",
-    "register_table": "the only way a TableSource gets rows",
-    # group D4: vectorpack units; tests build fixture graphs with them
-    "Concatenate": "group D4 (vectorpack), a test fixture unit",
-    "ComplexToPolar": "group D4 (vectorpack), a test fixture unit",
-    "DotProduct": "group D4 (vectorpack), a test fixture unit",
-    "Interleave": "group D4 (vectorpack), a test fixture unit",
-    "L2Distance": "group D4 (vectorpack), a test fixture unit",
-    "MinMax": "group D4 (vectorpack), a test fixture unit",
-    "Resample": "group D4 (vectorpack), a test fixture unit",
-    "Reverse": "group D4 (vectorpack), a test fixture unit",
-    "SplitHalf": "group D4 (vectorpack), a test fixture unit",
-    "TrimTo": "group D4 (vectorpack), a test fixture unit",
-    "ZeroPad": "group D4 (vectorpack), a test fixture unit",
+    "matched_filter_snr":
+        "the per-template reference the batched search_chunk is held "
+        "bit-identical to",
     # group D8: signal units tests use as fixtures
     "Decimate": "group D8 (signal), a test fixture unit",
     "InverseFFT": "group D8 (signal), a test fixture unit",
     "Mixer": "group D8 (signal), a test fixture unit",
     "Offset": "group D8 (signal), a test fixture unit",
-    # group D9: imagepack; its one caller, the two-group galaxy graph
-    # builder, left with group E, and its test now builds that graph
-    "BoxBlur": "group D9 (imagepack), a test fixture unit",
-    "SobelEdges": "group D9 (imagepack), a test fixture unit",
-    "TestImage": "group D9 (imagepack), a test fixture unit",
 }
 
 #: directories whose code and strings count as a use of a ``repro`` name
@@ -288,9 +277,29 @@ USE_ROOTS = ("src", "gridbench", "examples", "benchmarks", "tools")
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def public_definitions(paths: list[pathlib.Path]) -> dict[str, list[tuple[pathlib.Path, int, int]]]:
-    """Public top-level ``def``/``class`` name → (file, first, last line)s."""
-    defs: dict[str, list[tuple[pathlib.Path, int, int]]] = {}
+def _registry_name(node: ast.AST) -> str | None:
+    """The ``name = "..."`` a class declares: a distribution policy is
+    reached by that string (``policy="chunked"``), as a unit is by its
+    class name."""
+    for stmt in node.body if isinstance(node, ast.ClassDef) else ():
+        if (
+            isinstance(stmt, ast.Assign)
+            and [getattr(t, "id", None) for t in stmt.targets] == ["name"]
+            and isinstance(stmt.value, ast.Constant)
+            and isinstance(stmt.value.value, str)
+        ):
+            return stmt.value.value
+    return None
+
+
+#: where a public name is defined: (file, first line, last line, the
+#: registry name it declares or ``None``)
+Definition = tuple[pathlib.Path, int, int, str | None]
+
+
+def public_definitions(paths: list[pathlib.Path]) -> dict[str, list[Definition]]:
+    """Public top-level ``def``/``class`` name → its definitions."""
+    defs: dict[str, list[Definition]] = {}
     for path in sorted(paths):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
@@ -299,7 +308,9 @@ def public_definitions(paths: list[pathlib.Path]) -> dict[str, list[tuple[pathli
                 and not node.name.startswith("_")
             ):
                 first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                defs.setdefault(node.name, []).append((path, first, node.end_lineno))
+                defs.setdefault(node.name, []).append(
+                    (path, first, node.end_lineno, _registry_name(node))
+                )
     return defs
 
 
@@ -313,9 +324,14 @@ def _exports(node: ast.AST) -> bool:
     return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
 
 
+#: the nodes whose first string statement is a docstring: prose, not a use
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def references(paths: list[pathlib.Path]) -> dict[str, set[tuple[pathlib.Path, int]]]:
     """Word → {(file, line)} of each name, attribute and string word in
-    ``paths`` (every word of a non-Python file), ``__all__`` skipped."""
+    ``paths`` (every word of a non-Python file); ``__all__`` lists and
+    docstrings skipped."""
     refs: dict[str, set[tuple[pathlib.Path, int]]] = {}
 
     def add(word: str, path: pathlib.Path, line: int) -> None:
@@ -328,10 +344,15 @@ def references(paths: list[pathlib.Path]) -> dict[str, set[tuple[pathlib.Path, i
                 for word in _WORD.findall(row):
                     add(word, path, line)
             continue
-        stack = [ast.parse(text, filename=str(path))]
+        tree = ast.parse(text, filename=str(path))
+        docstrings = {
+            id(node.body[0]) for node in ast.walk(tree)
+            if isinstance(node, _DOCUMENTED) and ast.get_docstring(node, clean=False) is not None
+        }
+        stack = [tree]
         while stack:
             node = stack.pop()
-            if _exports(node):
+            if _exports(node) or id(node) in docstrings:
                 continue
             if isinstance(node, ast.Name):
                 add(node.id, path, node.lineno)
@@ -362,13 +383,16 @@ def use_files(repo: pathlib.Path = REPO) -> list[pathlib.Path]:
 
 def orphan_names(src_paths: list[pathlib.Path], use_paths: list[pathlib.Path]) -> list[str]:
     """Public top-level names of ``src_paths`` no file of ``use_paths``
-    references outside the name's own definition."""
+    references, by name or registry name, outside the name's own
+    definition."""
     refs = references(use_paths)
 
     def used(name: str, spans) -> bool:
+        words = {name} | {alias for *_, alias in spans if alias}
         return any(
-            not any(path == own and first <= line <= last for own, first, last in spans)
-            for path, line in refs.get(name, ())
+            not any(path == own and first <= line <= last for own, first, last, _ in spans)
+            for word in words
+            for path, line in refs.get(word, ())
         )
 
     return sorted(
