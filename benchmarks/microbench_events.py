@@ -235,14 +235,14 @@ def timeouts_per_beat(seconds: int = 400) -> float:
 
 
 def rng_lookups_per_chaos_send(n: int = 1000) -> float:
-    """``Simulator.rng`` calls per ``Peer.send`` on a network with all five
-    chaos fractions above zero: its draws come from block-drawn streams
-    claimed once, at construction."""
+    """``Simulator.rng`` calls per ``Peer.send`` on a network with jitter and
+    all four message-fault fractions above zero: its draws come from
+    block-drawn streams claimed once, at construction."""
     sim = Simulator(seed=1)
-    net = SimNetwork(
-        sim, jitter_fraction=0.1, loss_fraction=0.001, corrupt_fraction=0.001,
-        duplicate_fraction=0.001, reorder_fraction=0.001,
-    )
+    net = SimNetwork(sim, jitter_fraction=0.1)
+    # what four open fault windows would set
+    net.loss_fraction = net.corrupt_fraction = 0.001
+    net.duplicate_fraction = net.reorder_fraction = 0.001
     a, b = Peer("a", net), Peer("b", net)
     b.on("m", lambda msg: None)
     lookups = 0

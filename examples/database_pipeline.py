@@ -36,7 +36,7 @@ m49, elliptical, 12.8, 17.1
 
 def main() -> None:
     sim = Simulator(seed=9)
-    net = SimNetwork(sim, jitter_fraction=0.0)
+    net = SimNetwork(sim)
     discovery = CentralIndexDiscovery(query_window=1.0)
     index = Peer("index", net)
     discovery.attach(index)

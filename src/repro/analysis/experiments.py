@@ -343,7 +343,7 @@ def simulate_volunteer_fleet(
     checkpoint or restart.  Returns lag/throughput statistics.
     """
     sim = Simulator(seed=seed)
-    net = SimNetwork(sim, jitter_fraction=0.0)
+    net = SimNetwork(sim)
     n_samples = int(chunk_seconds * insp.PAPER_SAMPLING_RATE)
     chunk_flops = insp.chunk_search_flops(n_samples, n_templates)
     queue = Store(sim)
@@ -516,7 +516,7 @@ _E6_CATALOGUE = "name, kind, mass\n" + "\n".join(
 
 def _e6_cell(tracer) -> dict[str, Any]:
     sim = Simulator(seed=11, tracer=tracer)
-    net = SimNetwork(sim, jitter_fraction=0.0)
+    net = SimNetwork(sim)
     disc = CentralIndexDiscovery(query_window=1.0)
     index = Peer("index", net)
     disc.attach(index)
@@ -594,7 +594,7 @@ _declare(Experiment(
 
 def _e7_cell(tracer, peers: int, strategy: str) -> dict[str, Any]:
     sim = Simulator(seed=0, tracer=tracer)
-    net = SimNetwork(sim, jitter_fraction=0.0)
+    net = SimNetwork(sim)
     if strategy == "central":
         disc = CentralIndexDiscovery()
     elif strategy == "flooding":
@@ -674,7 +674,7 @@ def _e8_cell(tracer, policy: str, cache_slots: int) -> dict[str, Any]:
         registry.register(type(f"Mod{i:03d}", (Unit,), {"CODE_SIZE": 20_000}))
     names = registry.names()
     sim = Simulator(seed=0, tracer=tracer)
-    net = SimNetwork(sim, jitter_fraction=0.0)
+    net = SimNetwork(sim)
     portal = Peer("portal", net, profile=LAN_PROFILE)
     device = Peer("device", net, profile=LAN_PROFILE)
     repo = ModuleRepository(portal, registry)
@@ -753,7 +753,7 @@ E9_DAYS, E9_IDLE_FRACTION = 7.0, 0.6
 def _e9_harvest_cell(tracer, volunteers: int) -> dict[str, Any]:
     horizon = E9_DAYS * 86_400.0
     sim = Simulator(seed=0)
-    net = SimNetwork(sim, jitter_fraction=0.0)
+    net = SimNetwork(sim)
     models = []
     for i in range(volunteers):
         model = ScreensaverCycle(idle_fraction=E9_IDLE_FRACTION)
@@ -1271,7 +1271,7 @@ E16_PERIOD_S, E16_STAGGER_S = 30.0, 0.25
 
 def _e16_cell(tracer, n_peers: int) -> dict[str, Any]:
     sim = Simulator(seed=0)
-    net = SimNetwork(sim, jitter_fraction=0.0)
+    net = SimNetwork(sim)
     delivered = [0]
 
     def handler(msg):

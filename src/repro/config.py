@@ -9,8 +9,7 @@ bootstrap payload.  Every range is checked in ``__post_init__`` — before
 any socket or event loop exists.
 
 Settings a subsystem owns as a group live in that subsystem's own value
-(:class:`~repro.p2p.network.NetChaos`,
-:class:`~repro.service.policies.RecoverySettings`,
+(:class:`~repro.service.policies.RecoverySettings`,
 :class:`~repro.mobility.ModuleSettings`) and are handed to it whole;
 field names are unique across the groups, so :meth:`GridConfig.replace`
 takes them flat::
@@ -30,7 +29,7 @@ from typing import Any, Optional
 
 from .faults.plan import FaultPlan
 from .mobility import ModuleSettings, SandboxPolicy
-from .p2p.network import DSL_PROFILE, NetChaos, NodeProfile
+from .p2p.network import DSL_PROFILE, NodeProfile
 from .service.policies import RecoverySettings
 from .transport import TRANSPORTS
 
@@ -64,8 +63,10 @@ class GridConfig:
     worker_efficiency: float = _owned(1.0, "service.worker")
     #: host execution policy; every worker gets its own copy
     sandbox: SandboxPolicy = _owned(SandboxPolicy(), "mobility.sandbox")
-    chaos: NetChaos = NetChaos()
-    #: timed script of crashes, partitions, saboteurs … (``repro.faults``)
+    #: serialise each node's uplink and downlink (concurrent sends queue)
+    contention: bool = _owned(False, "p2p.network", sim_only=True)
+    #: timed script of crashes, partitions, message loss … (``repro.faults``);
+    #: the only way a simulated grid misbehaves
     fault_plan: Optional[FaultPlan] = _owned(None, "faults", sim_only=True)
     recovery: RecoverySettings = RecoverySettings()
     modules: ModuleSettings = ModuleSettings()
@@ -95,13 +96,14 @@ class GridConfig:
             )
         plan = self.fault_plan
         if self.transport == "tcp":
-            bad = sorted(
-                k for k, v in {**vars(self.chaos), "fault_plan": plan}.items() if v
-            )
+            bad = [
+                f.name for f in dataclasses.fields(self)
+                if f.metadata.get("sim_only") and getattr(self, f.name)
+            ]
             if bad:
                 raise ValueError(
-                    "chaos modelling is simulation apparatus; not supported "
-                    f"on the tcp transport: {', '.join(bad)}"
+                    "simulation apparatus is not supported on the tcp "
+                    f"transport: {', '.join(bad)}"
                 )
         if plan is not None and type(plan.faults) is not tuple:
             # Our own copy: the caller's plan stays free to grow.

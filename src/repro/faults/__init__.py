@@ -5,8 +5,8 @@ The consumer network the paper targets is hostile by default — peers
 *scriptable*:
 
 * :class:`Fault` / :class:`FaultPlan` — declarative, validated, timed
-  fault specs (crash, partition, corrupt, duplicate, reorder, slowdown,
-  portal outage, and the compute-level saboteur family);
+  fault specs (crash, partition, loss, corrupt, duplicate, reorder,
+  slowdown, portal outage, and the compute-level saboteur family);
 * :func:`chaos` — seed-driven preset plans (``mild`` | ``moderate`` |
   ``heavy`` | ``hostile``);
 * :class:`FaultInjector` — schedules a plan onto the simkernel against a

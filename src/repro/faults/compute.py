@@ -1,9 +1,10 @@
 """Compute-level faults: peers that return *wrong answers*, not silence.
 
-The transport faults in :mod:`repro.faults.plan` (corrupt/duplicate/
-reorder) model a hostile *network*; every one of them is detectable at
-the message layer (checksums, dedup, ordering) and therefore absorbed by
-the recovery machinery without changing results.  This module models a
+The transport faults in :mod:`repro.faults.plan` (loss/corrupt/
+duplicate/reorder) model a hostile *network*; every one of them is
+detectable at the message layer (timeouts, checksums, dedup, ordering)
+and therefore absorbed by the recovery machinery without changing
+results.  This module models a
 hostile *peer*: a volunteer whose machine computes the work but returns
 plausible-but-wrong payloads — overclocked RAM, a tampered client, or an
 outright saboteur farming credit.  No checksum can catch it, because the

@@ -9,10 +9,13 @@ into concrete simkernel events against a :class:`~repro.p2p.network.SimNetwork`:
   churn listeners fire; a target with no ``Peer`` is refused.
 * ``partition`` — a named cut between two node groups, healed when the
   window closes.
-* ``corrupt`` / ``duplicate`` / ``reorder`` — the network-wide fraction is
-  raised for the window and restored to its baseline afterwards (windows
-  may stack; the *baseline* is whatever the network was built with).
+* ``loss`` / ``corrupt`` / ``duplicate`` / ``reorder`` — the network-wide
+  fraction of messages lost, corrupted, … while the window is open.
 * ``slowdown`` — the target's CPU speed factor is scaled for the window.
+
+Windows of one key (a message kind, or a slowdown's target) compose:
+the value in force is that of the latest-opened window still open, and
+with none open it is 0.0 for a fraction and 1.0 for a speed factor.
 
 Every applied action is appended to :attr:`FaultInjector.log`, and
 :meth:`summary` renders the counts the run report embeds.
@@ -20,14 +23,14 @@ Every applied action is appended to :attr:`FaultInjector.log`, and
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
 from ..p2p.network import SimNetwork
 from ..p2p.peer import Peer
 from ..simkernel import Simulator
 from .compute import COMPUTE_FAULT_KINDS, ComputeFaultModel, ComputeFaultWindow
 from .errors import FaultError
-from .plan import FaultPlan
+from .plan import MESSAGE_FAULT_KINDS, FaultPlan
 
 __all__ = ["FaultInjector"]
 
@@ -54,6 +57,8 @@ class FaultInjector:
         self._active_cuts: dict[int, int] = {}  # plan index -> network cut id
         #: (fault identity, target) -> installed compute-fault window
         self._compute_windows: dict[tuple[int, str], Any] = {}
+        #: (kind, target or None) -> its open windows, oldest first
+        self._open: dict[tuple[str, Optional[str]], list] = {}
 
     # -- scheduling -----------------------------------------------------------
     def schedule(self) -> "FaultInjector":
@@ -95,16 +100,9 @@ class FaultInjector:
                 self.sim.call_at(fault.at, self._cut, index, fault)
                 if fault.duration > 0:
                     self.sim.call_at(fault.ends_at, self._heal, index, fault)
-            elif fault.kind in ("corrupt", "duplicate", "reorder"):
-                attr = f"{fault.kind}_fraction"
-                baseline = getattr(self.network, attr)
-                self.sim.call_at(fault.at, self._set_fraction, attr, fault)
-                self.sim.call_at(
-                    fault.ends_at, self._restore_fraction, attr, baseline, fault
-                )
-            elif fault.kind == "slowdown":
-                self.sim.call_at(fault.at, self._slow, fault)
-                self.sim.call_at(fault.ends_at, self._unslow, fault)
+            elif fault.kind in MESSAGE_FAULT_KINDS or fault.kind == "slowdown":
+                self.sim.call_at(fault.at, self._open_window, fault)
+                self.sim.call_at(fault.ends_at, self._close_window, fault)
             elif fault.kind in COMPUTE_FAULT_KINDS:
                 self.sim.call_at(fault.at, self._corrupt_compute, fault)
                 if fault.duration > 0:
@@ -138,13 +136,36 @@ class FaultInjector:
             self.network.heal(cut_id)
             self._log("heal", fault.describe())
 
-    def _set_fraction(self, attr: str, fault) -> None:
-        setattr(self.network, attr, fault.fraction)
-        self._log(fault.kind, f"p={fault.fraction:g}")
+    def _open_window(self, fault) -> None:
+        for key in self._keys(fault):
+            self._open.setdefault(key, []).append(fault)
+            self._apply(key, ending=False)
 
-    def _restore_fraction(self, attr: str, baseline: float, fault) -> None:
-        setattr(self.network, attr, baseline)
-        self._log(f"{fault.kind}-end", f"p={baseline:g}")
+    def _close_window(self, fault) -> None:
+        for key in self._keys(fault):
+            self._open[key].remove(fault)
+            self._apply(key, ending=True)
+
+    @staticmethod
+    def _keys(fault) -> list[tuple[str, Optional[str]]]:
+        """A message window is network-wide; a slowdown is per target."""
+        if fault.kind == "slowdown":
+            return [("slowdown", target) for target in fault.targets]
+        return [(fault.kind, None)]
+
+    def _apply(self, key: tuple[str, Optional[str]], ending: bool) -> None:
+        """Put the latest-opened window still open for ``key`` in force."""
+        kind, target = key
+        windows = self._open[key]
+        action = f"{kind}-end" if ending else kind
+        if target is None:
+            value = windows[-1].fraction if windows else 0.0
+            setattr(self.network, f"{kind}_fraction", value)
+            self._log(action, f"p={value:g}")
+        else:
+            value = windows[-1].factor if windows else 1.0
+            self.network.set_speed_factor(target, value)
+            self._log(action, target if ending else f"{target} x{value:g}")
 
     def _corrupt_compute(self, fault) -> None:
         """Install a tampering window on each target's compute-fault model.
@@ -178,21 +199,11 @@ class FaultInjector:
                 model.remove_window(window)
                 self._log(f"{fault.kind}-end", target)
 
-    def _slow(self, fault) -> None:
-        for target in fault.targets:
-            self.network.set_speed_factor(target, fault.factor)
-            self._log("slowdown", f"{target} x{fault.factor:g}")
-
-    def _unslow(self, fault) -> None:
-        for target in fault.targets:
-            self.network.set_speed_factor(target, 1.0)
-            self._log("slowdown-end", target)
-
     # -- reporting ------------------------------------------------------------
     @property
     def faults_injected(self) -> int:
         """Number of fault *onsets* applied so far (heals/ends excluded)."""
-        onsets = {"crash", "partition", "corrupt", "duplicate", "reorder", "slowdown"}
+        onsets = {"crash", "partition", "slowdown", *MESSAGE_FAULT_KINDS}
         onsets |= COMPUTE_FAULT_KINDS
         return sum(1 for entry in self.log if entry["action"] in onsets)
 

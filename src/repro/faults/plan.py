@@ -3,10 +3,10 @@
 The paper's premise is a consumer network whose peers "may disconnect at
 any time".  A :class:`FaultPlan` makes that systematic: it is a list of
 timed :class:`Fault` specs — peer crashes, overlay partitions, message
-corruption/duplication/reordering windows, straggler slowdowns and portal
-outages — that a :class:`~repro.faults.injector.FaultInjector` schedules
-on the simulation kernel.  Because every fault is declared up front and
-all randomness flows through a seed, a chaos run is exactly as
+loss/corruption/duplication/reordering windows, straggler slowdowns and
+portal outages — that a :class:`~repro.faults.injector.FaultInjector`
+schedules on the simulation kernel.  Because every fault is declared up
+front and all randomness flows through a seed, a chaos run is exactly as
 reproducible as a clean one.
 
 :func:`chaos` generates seed-driven preset plans at three intensities so
@@ -38,6 +38,7 @@ __all__ = [
 FAULT_KIND_DOCS = {
     "crash": "peer offline for `duration`, then restarts (0 = permanent)",
     "partition": "cut targets <-> targets_b for `duration`",
+    "loss": "lose `fraction` of messages for `duration`",
     "corrupt": "corrupt `fraction` of messages for `duration`",
     "duplicate": "duplicate `fraction` of messages for `duration`",
     "reorder": "reorder `fraction` of messages for `duration`",
@@ -54,7 +55,8 @@ FAULT_KIND_DOCS = {
 #: Every fault kind the injector knows how to apply.
 FAULT_KINDS = frozenset(FAULT_KIND_DOCS)
 
-_WINDOW_KINDS = frozenset({"corrupt", "duplicate", "reorder"})
+#: Message windows: each sets ``SimNetwork.<kind>_fraction`` while open.
+MESSAGE_FAULT_KINDS = ("loss", "corrupt", "duplicate", "reorder")
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,7 @@ class Fault:
     targets_b:
         Side B of a partition cut.
     fraction:
-        Message fraction for corrupt/duplicate/reorder windows, or the
+        Message fraction for loss/corrupt/duplicate/reorder windows, or the
         per-iteration tampering probability of a compute fault
         (saboteur / flaky_compute / liar_heartbeat).
     factor:
@@ -110,7 +112,7 @@ class Fault:
             raise FaultPlanError("partition fault needs both target groups")
         if self.kind == "partition" and set(self.targets) & set(self.targets_b):
             raise FaultPlanError("partition groups overlap")
-        if self.kind in _WINDOW_KINDS:
+        if self.kind in MESSAGE_FAULT_KINDS:
             if not 0.0 < self.fraction < 1.0:
                 raise FaultPlanError(
                     f"{self.kind} fault needs fraction in (0, 1), got {self.fraction}"
@@ -143,7 +145,7 @@ class Fault:
             bits.append("on " + ",".join(self.targets))
         if self.targets_b:
             bits.append("vs " + ",".join(self.targets_b))
-        if self.kind in _WINDOW_KINDS or self.kind in COMPUTE_FAULT_KINDS:
+        if self.kind in MESSAGE_FAULT_KINDS or self.kind in COMPUTE_FAULT_KINDS:
             bits.append(f"p={self.fraction:g}")
         if self.kind == "slowdown":
             bits.append(f"x{self.factor:g}")

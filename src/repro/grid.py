@@ -61,6 +61,10 @@ PORTAL_ID = "portal"
 #: Role (and peer id) of the Triana controller.
 CONTROLLER_ID = "controller"
 
+#: Discovery queries :meth:`GridNode.run` makes before it gives up on an
+#: empty answer — one lost query or reply is an empty answer.
+DISCOVERY_ATTEMPTS = 3
+
 #: discovery name → strategy class (``GridConfig.discovery``, ``--discovery``)
 DISCOVERY: dict[str, type[DiscoveryService]] = {
     "central": CentralIndexDiscovery,
@@ -103,7 +107,7 @@ class GridNode:
         else:
             self.sim = Simulator(seed=config.seed, tracer=tracer)
             # (an endpoint here is SimNetwork's TypeError: sockets need "tcp")
-            self.transport = SimNetwork(self.sim, **vars(config.chaos), **endpoint)
+            self.transport = SimNetwork(self.sim, contention=config.contention, **endpoint)
         try:
             self._assemble(roles, registry)
         except BaseException:
@@ -227,7 +231,8 @@ class GridNode:
     ) -> RunReport:
         """Deploy and execute a task graph; blocks until completion.
 
-        ``workers`` defaults to every discovered worker; ``dispatch``
+        ``workers`` defaults to every discovered worker (an empty answer
+        is asked again, up to ``DISCOVERY_ATTEMPTS`` queries); ``dispatch``
         selects the farm dealing policy (any name from
         :func:`~repro.service.placement.dispatch_policy_names`, e.g.
         ``round_robin`` | ``weighted``).  Group *distribution* policies
@@ -257,7 +262,10 @@ class GridNode:
             # Before anything is dealt, so a bad horizon leaves the grid usable.
             check_horizon(run_until)
         if workers is None:
-            workers = self.discover_workers()
+            for _attempt in range(DISCOVERY_ATTEMPTS):
+                workers = self.discover_workers()
+                if workers:
+                    break
         done = self.controller.run_distributed(
             graph, iterations, workers, probes, dispatch=dispatch,
             verification=verification,

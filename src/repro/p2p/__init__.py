@@ -31,7 +31,6 @@ from .network import (
     DSL_PROFILE,
     LAN_PROFILE,
     Message,
-    NetChaos,
     NetStats,
     NodeProfile,
     SimNetwork,
@@ -58,7 +57,6 @@ __all__ = [
     "JxtaService",
     "LAN_PROFILE",
     "Message",
-    "NetChaos",
     "NetStats",
     "NetworkError",
     "NodeProfile",

@@ -15,9 +15,11 @@ This module models exactly that on top of the discrete-event kernel:
 * an optional *overlay graph* restricts which nodes are neighbours, which
   is what flooding discovery walks;
 * fault hooks for the chaos layer (:mod:`repro.faults`): named partitions
-  that cut delivery between node groups, probabilistic message corruption
-  (detected by checksum at the receiver and discarded), duplication and
-  reordering, and per-node CPU speed factors for straggler injection.
+  that cut delivery between node groups, probabilistic message loss,
+  corruption (detected by checksum at the receiver and discarded),
+  duplication and reordering, and per-node CPU speed factors for
+  straggler injection.  The fault injector is what sets them: a network
+  is built clean.
 
 All behaviour is deterministic for a given simulator seed.
 
@@ -39,7 +41,7 @@ from ..simkernel import Resource, Simulator
 from .errors import NetworkError
 
 __all__ = [
-    "NodeProfile", "Message", "NetStats", "NetChaos", "Transport", "SimNetwork",
+    "NodeProfile", "Message", "NetStats", "Transport", "SimNetwork",
     "DSL_PROFILE", "LAN_PROFILE", "chunk_sizes",
 ]
 
@@ -86,33 +88,6 @@ DSL_PROFILE = NodeProfile()
 LAN_PROFILE = NodeProfile(
     up_bps=100e6 / 8, down_bps=100e6 / 8, latency_s=0.0005, cpu_flops=2.0e9
 )
-
-
-@dataclass(frozen=True)
-class NetChaos:
-    """How a :class:`SimNetwork` misbehaves — its keyword arguments, as a value.
-
-    Simulation apparatus: a socket fabric has real jitter and loss and
-    takes none of these.  ``SimNetwork(sim, **vars(chaos))`` applies one.
-    """
-
-    jitter_fraction: float = 0.0
-    contention: bool = False
-    loss_fraction: float = 0.0
-    corrupt_fraction: float = 0.0
-    duplicate_fraction: float = 0.0
-    reorder_fraction: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.jitter_fraction < math.inf:  # NaN fails both
-            raise NetworkError(
-                f"jitter_fraction must be finite and >= 0, got {self.jitter_fraction!r}"
-            )
-        for name in (
-            "loss_fraction", "corrupt_fraction", "duplicate_fraction", "reorder_fraction",
-        ):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise NetworkError(f"{name} must be in [0, 1)")
 
 
 @dataclass(slots=True)
@@ -290,25 +265,23 @@ class SimNetwork(Transport):
     def __init__(
         self,
         sim: Simulator,
-        jitter_fraction: float = 0.1,
+        jitter_fraction: float = 0.0,
         contention: bool = False,
-        loss_fraction: float = 0.0,
-        corrupt_fraction: float = 0.0,
-        duplicate_fraction: float = 0.0,
-        reorder_fraction: float = 0.0,
     ):
-        # The ranges are the value's to check; direct construction gets them too.
-        NetChaos(
-            jitter_fraction, contention, loss_fraction, corrupt_fraction,
-            duplicate_fraction, reorder_fraction,
-        )
+        if not 0.0 <= jitter_fraction < math.inf:  # NaN fails both
+            raise NetworkError(
+                f"jitter_fraction must be finite and >= 0, got {jitter_fraction!r}"
+            )
         self.sim = sim
         self.jitter_fraction = jitter_fraction
         self.contention = contention
-        self.loss_fraction = loss_fraction
-        self.corrupt_fraction = corrupt_fraction
-        self.duplicate_fraction = duplicate_fraction
-        self.reorder_fraction = reorder_fraction
+        #: the fraction of messages lost, corrupted, reordered and
+        #: duplicated in flight; 0.0 unless a fault window
+        #: (:mod:`repro.faults`) is open
+        self.loss_fraction = 0.0
+        self.corrupt_fraction = 0.0
+        self.duplicate_fraction = 0.0
+        self.reorder_fraction = 0.0
         self._profiles: dict[str, NodeProfile] = {}
         self._handlers: dict[str, Callable[[Message], None]] = {}
         self._online: dict[str, bool] = {}
@@ -500,7 +473,9 @@ class SimNetwork(Transport):
         # Inlined transfer_time (same float expression, profiles already
         # fetched).
         p_src, p_dst = profiles[src], profiles[dst]
-        delay = p_src.latency_s + p_dst.latency_s + size / min(p_src.up_bps, p_dst.down_bps)
+        delay = base = (
+            p_src.latency_s + p_dst.latency_s + size / min(p_src.up_bps, p_dst.down_bps)
+        )
         # Each chaos draw is ``u < fraction``, or ``lo + (hi - lo) * u`` in
         # place of ``uniform(lo, hi)``: numpy's own formula, so bit-equal.
         jitter = self.jitter_fraction
@@ -561,10 +536,13 @@ class SimNetwork(Transport):
         stats.in_flight += copies
         stats.in_flight_bytes += size * copies
         if self.contention:
-            sim.process(self._contended_delivery(message), name="net-transfer")
+            # The links serialise the wire time; jitter and a reorder hold
+            # stretch the latency stage in between.
+            hold = delay - base
+            sim.process(self._contended_delivery(message, hold), name="net-transfer")
             if duplicated:
                 sim.process(
-                    self._contended_delivery(message), name="net-transfer-dup"
+                    self._contended_delivery(message, hold), name="net-transfer-dup"
                 )
         else:
             sim.call_at(sim.now + delay, self._on_arrival, message)
@@ -611,9 +589,9 @@ class SimNetwork(Transport):
             table[node_id] = Resource(self.sim, capacity=1)
         return table[node_id]
 
-    def _contended_delivery(self, message: Message):
+    def _contended_delivery(self, message: Message, hold: float):
         """Serialise the wire time on the sender's uplink, then the
-        receiver's downlink, with access latency in between."""
+        receiver's downlink, with access latency plus ``hold`` in between."""
         p_src = self.profile(message.src)
         p_dst = self.profile(message.dst)
         up = self._link(self._uplinks, message.src)
@@ -623,7 +601,7 @@ class SimNetwork(Transport):
             yield self.sim.timeout(message.size_bytes / p_src.up_bps)
         finally:
             up.release(req)
-        yield self.sim.timeout(p_src.latency_s + p_dst.latency_s)
+        yield self.sim.timeout(p_src.latency_s + p_dst.latency_s + hold)
         down = self._link(self._downlinks, message.dst)
         req = down.request()
         yield req

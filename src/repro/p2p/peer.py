@@ -22,10 +22,6 @@ from .network import Message, NodeProfile, Transport
 
 __all__ = ["Peer"]
 
-#: Every peer outside all groups holds this one value: each ``frozenset()``
-#: call is a new object the collector tracks, and most peers join nothing.
-_NO_GROUPS: frozenset[str] = frozenset()
-
 
 class Peer:
     """One Consumer Grid participant.
@@ -41,21 +37,18 @@ class Peer:
     peers with a back-reference on attach.
     """
 
-    __slots__ = ("peer_id", "network", "sim", "cache", "groups", "_handlers", "_pipe_manager")
+    __slots__ = ("peer_id", "network", "sim", "cache", "_handlers", "_pipe_manager")
 
     def __init__(
         self,
         peer_id: str,
         network: Transport,
         profile: Optional[NodeProfile] = None,
-        groups: tuple[str, ...] = (),
     ):
         self.peer_id = peer_id
         self.network = network
         self.sim: Simulator = network.sim
         self.cache = AdvCache()
-        #: the group labels the peer advertises; a value, never mutated
-        self.groups: frozenset[str] = frozenset(groups) if groups else _NO_GROUPS
         self._handlers: dict[str, Callable[[Message], None]] = {}
         network.add_node(peer_id, self._dispatch, profile)
 
@@ -116,7 +109,6 @@ class Peer:
                 "free_ram": p.ram_bytes,
                 "up_bps": p.up_bps,
                 "down_bps": p.down_bps,
-                "groups": ",".join(sorted(self.groups)),
             },
             expires_at=expires,
         )

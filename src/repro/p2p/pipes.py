@@ -9,8 +9,8 @@ it" (§3.5).  This module reproduces that mechanism:
   through the discovery service;
 * an :class:`OutputPipe` *binds* by discovering the advertisement, then
   streams payloads to the hosting peer;
-* data arriving on an input pipe lands in a waitable
-  :class:`~repro.simkernel.Store` (and an optional callback).
+* data arriving on an input pipe goes to its callback, if it has one,
+  or else lands in a waitable :class:`~repro.simkernel.Store`.
 
 Pipe traffic adapts to whatever the underlying fabric models — "the
 virtual communication paradigm in JXTA networks".  Pipes never touch
@@ -49,10 +49,13 @@ class InputPipe:
         return self.store.get()
 
     def _deliver(self, payload: Any) -> None:
+        """Hand ``payload`` to the callback if there is one, else queue it
+        for :meth:`get`."""
         self.received += 1
-        self.store.put(payload)
         if self.callback is not None:
             self.callback(payload)
+        else:
+            self.store.put(payload)
 
     def advertisement(self) -> Advertisement:
         return Advertisement.make(

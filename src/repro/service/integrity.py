@@ -1,7 +1,8 @@
 """Result integrity: trust nothing a volunteer returns, verify it.
 
-The chaos layer's transport faults (corrupt/duplicate/reorder) are all
-caught below the service: checksums and dedup make them loud.  The
+The chaos layer's transport faults (loss/corrupt/duplicate/reorder) are
+all caught below the service: checksums, retries and dedup make them
+loud.  The
 compute faults in :mod:`repro.faults.compute` are different — a saboteur
 wraps a *wrong answer* in a perfectly valid message, and no liveness
 machinery (heartbeats, timeouts, redispatch) will ever notice, because

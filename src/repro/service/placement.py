@@ -42,12 +42,6 @@ class DispatchPolicy:
     def completed(self, replica: int) -> None:
         """Notify that a result returned from ``replica``."""
 
-    def mark_offline(self, replica: int) -> None:
-        """Notify that ``replica`` is suspected dead (churn signal)."""
-
-    def mark_online(self, replica: int) -> None:
-        """Notify that a suspected ``replica`` proved alive again."""
-
 
 class RoundRobin(DispatchPolicy):
     """The reference policy: iteration i → replica i mod k."""
@@ -62,29 +56,23 @@ class WeightedBySpeed(DispatchPolicy):
 
     Each replica tracks its outstanding work; the next iteration goes to
     the replica whose queue will drain soonest at its CPU speed.  With
-    equal speeds this degenerates to round-robin-ish fairness.  Suspected
-    replicas are excluded from ``choose`` until marked back online, so
-    weights effectively re-normalise over the surviving fleet under
-    churn; if the whole fleet is suspected, everyone is eligible again.
+    equal speeds this degenerates to round-robin-ish fairness.  A farm
+    deals every iteration before its recovery loop starts, so churn is
+    the recovery loop's to handle, not this policy's.
     """
 
     outstanding: list[int] = field(default_factory=list)
-    offline: set[int] = field(default_factory=set)
 
     def setup(self, replica_speeds: list[float]) -> None:
         super().setup(replica_speeds)
         if any(s <= 0 for s in self.speeds):
             raise SchedulingError("replica speeds must be positive")
         self.outstanding = [0] * len(self.speeds)
-        self.offline = set()
 
     def choose(self, iteration: int) -> int:
-        eligible = [r for r in range(len(self.speeds)) if r not in self.offline]
-        if not eligible:
-            eligible = list(range(len(self.speeds)))
         # Estimated finish time of one more unit of work per replica.
         best = min(
-            eligible,
+            range(len(self.speeds)),
             key=lambda r: ((self.outstanding[r] + 1) / self.speeds[r], r),
         )
         self.outstanding[best] += 1
@@ -93,13 +81,6 @@ class WeightedBySpeed(DispatchPolicy):
     def completed(self, replica: int) -> None:
         if self.outstanding[replica] > 0:
             self.outstanding[replica] -= 1
-
-    def mark_offline(self, replica: int) -> None:
-        if 0 <= replica < len(self.speeds):
-            self.offline.add(replica)
-
-    def mark_online(self, replica: int) -> None:
-        self.offline.discard(replica)
 
 
 @dataclass
@@ -142,14 +123,10 @@ class ReputationWeighted(WeightedBySpeed):
                 self._hosts[r], now
             )
 
-        eligible = [
-            r for r in range(k) if r not in self.offline and trusted(r)
-        ]
+        eligible = [r for r in range(k) if trusted(r)]
         if not eligible:
-            # Every replica is suspect: fall back to liveness-only, then
-            # to everyone — a farm must keep dealing to finish the run.
-            eligible = [r for r in range(k) if r not in self.offline]
-        if not eligible:
+            # Every replica is suspect: fall back to everyone — a farm
+            # must keep dealing to finish the run.
             eligible = list(range(k))
 
         def score(r: int) -> float:

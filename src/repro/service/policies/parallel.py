@@ -179,7 +179,6 @@ class ParallelFarmPolicy(DistributionPolicy):
                         "detector.suspect", category="service",
                         track=ctx.peer.peer_id, worker=worker,
                     )
-                self._on_suspects(ctx, fresh_suspects)
             done = ctx.iterations - len(outstanding)
             for it, rec in sorted(outstanding.items()):
                 ev = ctx.result_events.get(it)
@@ -200,13 +199,6 @@ class ParallelFarmPolicy(DistributionPolicy):
                     and now - rec.dispatched_at >= 2.0 * cfg.heartbeat_interval
                 ):
                     self._speculate(ctx, rec, it, now)
-
-    def _on_suspects(self, ctx: DispatchContext, suspects) -> None:
-        """Freshly suspected workers: let the dispatcher re-weight."""
-        for worker in suspects:
-            for idx, host in enumerate(ctx.replica_hosts):
-                if host == worker:
-                    self.dispatcher.mark_offline(idx)
 
     def _redispatch(self, ctx, rec, it, now, rng, reason) -> None:
         cfg = ctx.settings

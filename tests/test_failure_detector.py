@@ -192,7 +192,9 @@ class TestIdempotency:
     """Satellite: duplicate group-exec / group-result are harmless."""
 
     def test_duplicated_messages_do_not_corrupt_results(self):
-        grid = recovery_grid(seed=78, duplicate_fraction=0.3,
+        # opens just after the grid's ~1 ms settle: all but the discovery query
+        duplicate = Fault(kind="duplicate", at=0.0015, duration=10_000.0, fraction=0.3)
+        grid = recovery_grid(seed=78, fault_plan=FaultPlan([duplicate]),
                              heartbeat_interval=5.0)
         report = grid.run(stateless_pipeline(), iterations=12,
                           probes=("Power",), run_until=3_000.0)

@@ -12,7 +12,7 @@ from repro.faults import (
     FaultPlanError,
     chaos,
 )
-from repro.p2p import Message, NetworkError, Peer, SimNetwork
+from repro.p2p import Message, Peer, SimNetwork
 from repro.simkernel import Simulator
 
 
@@ -52,7 +52,7 @@ class TestFaultValidation:
             )
 
     def test_window_kinds_need_fraction_in_unit_interval(self):
-        for kind in ("corrupt", "duplicate", "reorder"):
+        for kind in ("loss", "corrupt", "duplicate", "reorder"):
             with pytest.raises(FaultPlanError):
                 Fault(kind=kind, at=1.0, duration=5.0, fraction=0.0)
             with pytest.raises(FaultPlanError):
@@ -239,6 +239,50 @@ class TestInjector:
         sim.run(until=6.0)
         assert net.corrupt_fraction == 0.0
 
+    def test_loss_window_drops_only_while_open(self):
+        sim, net, peers, inboxes = small_net()
+        plan = FaultPlan([Fault(kind="loss", at=2.0, duration=3.0, fraction=0.5)])
+        inj = FaultInjector(sim, net, plan, peers).schedule()
+        dropped = []
+        for until in (1.0, 3.0, 6.0):  # before, inside, after the window
+            sim.run(until=until)
+            for _ in range(100):
+                peers["n0"].send("n1", "x")
+            dropped.append(net.stats.dropped_loss)
+        sim.run()
+        assert dropped[0] == 0 and 20 < dropped[1] < 80 and dropped[2] == dropped[1]
+        assert len(inboxes["n1"]) == 300 - dropped[2]
+        assert [e["action"] for e in inj.log] == ["loss", "loss-end"]
+        assert inj.faults_injected == 1
+
+    def test_overlapping_fraction_windows_compose(self):
+        sim, net, peers, _ = small_net()
+        plan = FaultPlan([
+            Fault(kind="corrupt", at=10.0, duration=40.0, fraction=0.1),
+            Fault(kind="corrupt", at=20.0, duration=20.0, fraction=0.2),
+        ])
+        FaultInjector(sim, net, plan, peers).schedule()
+        seen = []
+        for t in (15.0, 30.0, 45.0, 55.0):
+            sim.run(until=t)
+            seen.append(net.corrupt_fraction)
+        # the latest-opened window still open is the one in force
+        assert seen == [0.1, 0.2, 0.1, 0.0]
+
+    def test_overlapping_slowdowns_compose(self):
+        sim, net, peers, _ = small_net()
+        plan = FaultPlan([
+            Fault(kind="slowdown", at=10.0, duration=40.0, targets=("n3",), factor=0.5),
+            Fault(kind="slowdown", at=20.0, duration=20.0, targets=("n2", "n3"),
+                  factor=0.25),
+        ])
+        FaultInjector(sim, net, plan, peers).schedule()
+        seen = []
+        for t in (15.0, 30.0, 45.0, 55.0):
+            sim.run(until=t)
+            seen.append((net.speed_factor("n2"), net.speed_factor("n3")))
+        assert seen == [(1.0, 0.5), (0.25, 0.25), (1.0, 0.5), (1.0, 1.0)]
+
     def test_slowdown_scales_and_restores_speed(self):
         sim, net, peers, _ = small_net()
         plan = FaultPlan(
@@ -294,16 +338,17 @@ class TestInjector:
 
 class TestChaosNetStats:
     def test_fraction_validation(self):
-        sim = Simulator()
-        for key in ("corrupt_fraction", "duplicate_fraction", "reorder_fraction"):
-            with pytest.raises(NetworkError):
-                SimNetwork(sim, **{key: 1.0})
-            with pytest.raises(NetworkError):
-                SimNetwork(sim, **{key: -0.1})
+        # A network is built clean; the range is the fault window's to check.
+        net = SimNetwork(Simulator())
+        for kind in ("loss", "corrupt", "duplicate", "reorder"):
+            assert getattr(net, f"{kind}_fraction") == 0.0
+            with pytest.raises(FaultPlanError):
+                Fault(kind=kind, at=1.0, duration=5.0, fraction=-0.1)
 
     def test_corruption_counted_and_dropped(self):
         sim = Simulator(seed=21)
-        net = SimNetwork(sim, jitter_fraction=0.0, corrupt_fraction=0.3)
+        net = SimNetwork(sim, jitter_fraction=0.0)
+        net.corrupt_fraction = 0.3
         got = []
         net.add_node("a", lambda m: None)
         net.add_node("b", got.append)
@@ -315,7 +360,8 @@ class TestChaosNetStats:
 
     def test_duplication_delivers_extra_copies(self):
         sim = Simulator(seed=22)
-        net = SimNetwork(sim, jitter_fraction=0.0, duplicate_fraction=0.3)
+        net = SimNetwork(sim, jitter_fraction=0.0)
+        net.duplicate_fraction = 0.3
         got = []
         net.add_node("a", lambda m: None)
         net.add_node("b", got.append)
@@ -327,7 +373,8 @@ class TestChaosNetStats:
 
     def test_reordering_counted_and_still_delivered(self):
         sim = Simulator(seed=23)
-        net = SimNetwork(sim, jitter_fraction=0.0, reorder_fraction=0.5)
+        net = SimNetwork(sim, jitter_fraction=0.0)
+        net.reorder_fraction = 0.5
         got = []
         net.add_node("a", lambda m: None)
         net.add_node("b", got.append)
@@ -341,11 +388,8 @@ class TestChaosNetStats:
     def test_chaos_stats_deterministic_per_seed(self):
         def run():
             sim = Simulator(seed=24)
-            net = SimNetwork(
-                sim, jitter_fraction=0.0,
-                corrupt_fraction=0.1, duplicate_fraction=0.1,
-                reorder_fraction=0.1,
-            )
+            net = SimNetwork(sim, jitter_fraction=0.0)
+            net.corrupt_fraction = net.duplicate_fraction = net.reorder_fraction = 0.1
             net.add_node("a", lambda m: None)
             net.add_node("b", lambda m: None)
             for _ in range(300):

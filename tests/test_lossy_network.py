@@ -3,22 +3,33 @@
 import pytest
 
 from repro import ConsumerGrid
-from repro.p2p import LAN_PROFILE, Message, NetworkError, SimNetwork
+from repro.faults import Fault, FaultPlan, FaultPlanError
+from repro.grid import DISCOVERY_ATTEMPTS
+from repro.p2p import LAN_PROFILE, Message, SimNetwork
+from repro.service import SchedulingError
 from repro.simkernel import Simulator
 from tests.test_service_run import stateless_pipeline
 
 
+def lossy(fraction):
+    """A loss window from t=0.0015, just after the ~1 ms assembly settle
+    (the injector skips windows already past), to past the run's end:
+    discovery, module fetches, deploys, execs, results and heartbeats
+    all run lossy."""
+    return FaultPlan([Fault(kind="loss", at=0.0015, duration=10_000.0, fraction=fraction)])
+
+
 class TestLossModel:
     def test_loss_fraction_validated(self):
-        sim = Simulator()
-        with pytest.raises(NetworkError):
-            SimNetwork(sim, loss_fraction=1.0)
-        with pytest.raises(NetworkError):
-            SimNetwork(sim, loss_fraction=-0.1)
+        with pytest.raises(FaultPlanError):
+            Fault(kind="loss", at=1.0, duration=5.0, fraction=1.0)
+        with pytest.raises(FaultPlanError):
+            Fault(kind="loss", at=1.0, duration=5.0, fraction=-0.1)
 
     def test_loss_rate_approximately_honoured(self):
         sim = Simulator(seed=5)
-        net = SimNetwork(sim, jitter_fraction=0.0, loss_fraction=0.2)
+        net = SimNetwork(sim, jitter_fraction=0.0)
+        net.loss_fraction = 0.2
         got = []
         net.add_node("a", lambda m: None)
         net.add_node("b", got.append)
@@ -41,7 +52,8 @@ class TestLossModel:
     def test_loss_deterministic_per_seed(self):
         def run():
             sim = Simulator(seed=9)
-            net = SimNetwork(sim, jitter_fraction=0.0, loss_fraction=0.3)
+            net = SimNetwork(sim, jitter_fraction=0.0)
+            net.loss_fraction = 0.3
             net.add_node("a", lambda m: None)
             net.add_node("b", lambda m: None)
             for _ in range(200):
@@ -50,6 +62,36 @@ class TestLossModel:
             return net.stats.dropped_loss
 
         assert run() == run()
+
+
+def answers_empty(grid, times):
+    """Make the grid's first ``times`` discoveries come back empty, as
+    when the query or its reply is lost; returns the list of calls."""
+    real = grid.discover_workers
+    calls = []
+
+    def discover(min_cpu_flops=0.0):
+        calls.append(grid.sim.now)
+        return [] if len(calls) <= times else real(min_cpu_flops)
+
+    grid.discover_workers = discover
+    return calls
+
+
+class TestDiscoveryRetry:
+    def test_run_asks_again_after_an_empty_discovery(self):
+        grid = ConsumerGrid(n_workers=2, seed=134)
+        calls = answers_empty(grid, times=1)
+        report = grid.run(stateless_pipeline(), iterations=3)
+        assert len(report.group_results) == 3
+        assert len(calls) == 2
+
+    def test_run_gives_up_after_its_attempts(self):
+        grid = ConsumerGrid(n_workers=2, seed=135)
+        calls = answers_empty(grid, times=DISCOVERY_ATTEMPTS)
+        with pytest.raises(SchedulingError, match="no workers available"):
+            grid.run(stateless_pipeline(), iterations=3)
+        assert len(calls) == DISCOVERY_ATTEMPTS
 
 
 class TestEndToEndUnderLoss:
@@ -61,7 +103,7 @@ class TestEndToEndUnderLoss:
             worker_profile=LAN_PROFILE,
             controller_profile=LAN_PROFILE,
             worker_efficiency=1e-5,
-            loss_fraction=0.05,
+            fault_plan=lossy(0.05),
             retry_timeout=3.0,
             retry_interval=1.0,
         )
@@ -76,7 +118,7 @@ class TestEndToEndUnderLoss:
             worker_profile=LAN_PROFILE,
             controller_profile=LAN_PROFILE,
             worker_efficiency=1e-5,
-            loss_fraction=0.15,
+            fault_plan=lossy(0.15),
             retry_timeout=2.0,
             retry_interval=0.5,
         )
@@ -94,7 +136,7 @@ class TestEndToEndUnderLoss:
             worker_profile=LAN_PROFILE,
             controller_profile=LAN_PROFILE,
             worker_efficiency=1e-5,
-            loss_fraction=0.08,
+            fault_plan=lossy(0.08),
             retry_timeout=2.0,
             retry_interval=0.5,
         )

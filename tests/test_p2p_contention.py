@@ -6,15 +6,43 @@ from repro.p2p import DSL_PROFILE, LAN_PROFILE, Message, SimNetwork
 from repro.simkernel import Simulator
 
 
-def build(contention, profile=DSL_PROFILE, n=3):
+def build(contention, profile=DSL_PROFILE, n=3, jitter=0.0):
     sim = Simulator(seed=1)
-    net = SimNetwork(sim, jitter_fraction=0.0, contention=contention)
+    net = SimNetwork(sim, jitter_fraction=jitter, contention=contention)
     arrivals = {}
     for i in range(n):
         nid = f"n{i}"
         arrivals[nid] = []
         net.add_node(nid, lambda m, nid=nid: arrivals[nid].append(sim.now), profile)
     return sim, net, arrivals
+
+
+class TestHoldsUnderContention:
+    """Jitter and a reorder hold stretch a contended delivery too."""
+
+    def test_jitter_adds_the_same_hold_either_way(self):
+        def arrival(contention, jitter):
+            sim, net, arrivals = build(contention, jitter=jitter)
+            net.send(Message(kind="x", src="n0", dst="n1", size_bytes=32_000))
+            sim.run()
+            return arrivals["n1"][0]
+
+        held = arrival(False, 0.5) - arrival(False, 0.0)
+        assert held > 0.01
+        assert arrival(True, 0.5) - arrival(True, 0.0) == pytest.approx(held)
+
+    def test_reordered_messages_arrive_out_of_order(self):
+        sim = Simulator(seed=1)
+        net = SimNetwork(sim, contention=True)
+        net.reorder_fraction = 0.5
+        got = []
+        net.add_node("a", lambda m: None)
+        net.add_node("b", lambda m: got.append(m.payload))
+        for i in range(20):
+            net.send(Message(kind="x", src="a", dst="b", payload=i))
+        sim.run()
+        assert net.stats.reordered > 0
+        assert sorted(got) == list(range(20)) and got != sorted(got)
 
 
 class TestContention:

@@ -275,22 +275,6 @@ class TestDiscoveryCommon:
         results = sim.run(until=ev)
         assert len(results) == 4
 
-    def test_peer_group_predicate(self):
-        disc = CentralIndexDiscovery()
-        sim, net, peers = build(4, disc)
-        disc.set_index(peers[0])
-        for p in peers[1:3]:
-            p.groups = frozenset({"fast-cpus", "lan"})
-        for p in peers:
-            disc.publish(p, p.self_advertisement())
-        sim.run()
-        ev = disc.query(
-            peers[3], adv_type=ADV_PEER,
-            predicate=lambda a: "fast-cpus" in a["groups"].split(","),
-        )
-        results = sim.run(until=ev)
-        assert sorted(a.publisher for a in results) == ["peer-1", "peer-2"]
-
 
 def twin(publisher):
     """A record as two worker processes may mint it: the same ``adv_id``."""

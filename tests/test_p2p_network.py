@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,6 @@ from repro.p2p import (
     NodeProfile,
     SimNetwork,
 )
-from repro.p2p.network import NetChaos
 from repro.simkernel import RngRegistry, Simulator
 
 
@@ -158,13 +158,9 @@ class TestJitterValidation:
             SimNetwork(Simulator(), jitter_fraction=jitter)
 
     @pytest.mark.parametrize("jitter", BAD)
-    def test_chaos_value_refuses_it(self, jitter):
-        with pytest.raises(NetworkError, match="jitter_fraction"):
-            NetChaos(jitter_fraction=jitter)
-
-    @pytest.mark.parametrize("jitter", BAD)
     def test_grid_config_refuses_it(self, jitter):
-        with pytest.raises(NetworkError, match="jitter_fraction"):
+        # not a grid setting at all: a simulated grid's links do not jitter
+        with pytest.raises(TypeError, match="unknown grid setting 'jitter_fraction'"):
             GridConfig().replace(jitter_fraction=jitter)
 
     @pytest.mark.parametrize("jitter", [0.0, 0.1, 5.0])
@@ -210,7 +206,7 @@ class TestChaosDraws:
     @given(
         seed=st.integers(0, 2**32),
         chaos=st.builds(
-            NetChaos, jitter_fraction=st.floats(0.01, 2.0), loss_fraction=fraction,
+            SimpleNamespace, jitter_fraction=st.floats(0.01, 2.0), loss_fraction=fraction,
             corrupt_fraction=fraction, duplicate_fraction=fraction,
             reorder_fraction=fraction,
         ),
@@ -220,7 +216,9 @@ class TestChaosDraws:
     @settings(max_examples=40, deadline=None)
     def test_block_draws_deliver_what_scalar_draws_did(self, seed, chaos, sizes):
         sim = Simulator(seed=seed)
-        net = SimNetwork(sim, **vars(chaos))
+        net = SimNetwork(sim)
+        for name, value in vars(chaos).items():  # what open fault windows set
+            setattr(net, name, value)
         got = []
         net.add_node("a", lambda m: None)
         net.add_node("b", lambda m: got.append((sim.now, m.payload)))

@@ -110,6 +110,23 @@ class TestPipes:
         sim.run()
         assert seen == ["x"]
 
+    def test_callback_pipe_keeps_nothing(self):
+        # A callback consumes the payload: the store stays empty and each
+        # delivery costs no kernel event of its own.
+        sim, net, disc, peers, mgrs = build()
+        seen = []
+        inp = mgrs[1].create_input("cb", callback=seen.append)
+        out = mgrs[2].create_output("cb")
+        out.bind_direct("peer-1")
+        sim.run()
+        before = sim.events_executed
+        for i in range(100):
+            out.send(i, size_bytes=10)
+        sim.run()
+        assert seen == list(range(100)) and inp.received == 100
+        assert len(inp.store.items) == 0
+        assert sim.events_executed - before == 100  # one arrival per send
+
 
 class TestJxtaServe:
     def test_service_registration_and_discovery(self):

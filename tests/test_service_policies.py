@@ -4,7 +4,7 @@ Covers the pluggable scheduler surface: the :class:`PolicyRegistry`,
 third-party policies travelling from XML through a full grid run, the
 batching ``chunked`` farm (result parity + message economics + churn),
 per-controller deployment-id isolation, multi-group staged runs, and
-:class:`WeightedBySpeed` weight re-normalisation under churn.
+weighted dealing under churn.
 """
 
 import numpy as np
@@ -25,7 +25,6 @@ from repro.service import (
     global_policy_registry,
     register_policy,
 )
-from repro.service.placement import WeightedBySpeed
 
 
 def farm_graph(policy="parallel"):
@@ -257,31 +256,8 @@ class TestMultiGroupRuns:
 
 
 class TestWeightedBySpeedChurn:
-    def test_mark_offline_excludes_replica(self):
-        policy = WeightedBySpeed()
-        policy.setup([4e9, 1e9])
-        assert policy.choose(0) == 0  # fastest drains first
-        policy.mark_offline(0)
-        picks = {policy.choose(i) for i in range(1, 5)}
-        assert picks == {1}
-        policy.mark_online(0)
-        assert 0 in {policy.choose(i) for i in range(5, 9)}
-
-    def test_all_offline_falls_back_to_everyone(self):
-        policy = WeightedBySpeed()
-        policy.setup([2e9, 2e9])
-        policy.mark_offline(0)
-        policy.mark_offline(1)
-        assert policy.choose(0) in (0, 1)
-
-    def test_out_of_range_mark_ignored(self):
-        policy = WeightedBySpeed()
-        policy.setup([2e9])
-        policy.mark_offline(5)  # stale suspicion after migration: no-op
-        assert policy.choose(0) == 0
-
     def test_weighted_dispatch_completes_under_churn(self):
-        """Weights re-normalise over the surviving fleet mid-run."""
+        """The recovery loop re-deals what churned-away replicas held."""
         grid = slow_grid(
             n_workers=4, seed=77, retry_timeout=3.0, retry_interval=1.0
         )

@@ -9,6 +9,7 @@ import pytest
 
 from repro import ConsumerGrid
 from repro.apps.galaxy import build_galaxy_graph, generate_snapshots
+from repro.faults import chaos
 from repro.p2p import Transport as P2PTransport
 from repro.p2p.network import SimNetwork
 from repro.simkernel import Simulator
@@ -73,16 +74,15 @@ class TestGridWiring:
             ConsumerGrid(n_workers=2, transport="smoke-signals")
 
     def test_tcp_rejects_chaos_knobs(self):
-        for knob in (
-            {"loss_fraction": 0.1},
-            {"jitter_fraction": 0.2},
-            {"corrupt_fraction": 0.1},
-            {"duplicate_fraction": 0.1},
-            {"reorder_fraction": 0.1},
-            {"contention": True},
-        ):
-            with pytest.raises(ValueError, match="chaos"):
+        plan = chaos("mild", workers=["worker-0"])
+        for knob in ({"contention": True}, {"fault_plan": plan}):
+            with pytest.raises(ValueError, match="simulation apparatus.*tcp"):
                 ConsumerGrid(n_workers=1, transport="tcp", **knob)
+        # the grid's misbehaviour is its fault plan: no static knobs left
+        for knob in ("loss_fraction", "jitter_fraction", "corrupt_fraction",
+                     "duplicate_fraction", "reorder_fraction"):
+            with pytest.raises(TypeError, match="unknown grid setting"):
+                ConsumerGrid(n_workers=1, transport="tcp", **{knob: 0.1})
 
     def test_tcp_rejects_sim_only_discovery(self):
         with pytest.raises(ValueError, match="discovery"):

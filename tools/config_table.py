@@ -16,7 +16,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.config import GridConfig, settings  # noqa: E402
-from repro.p2p.network import NetChaos  # noqa: E402
 
 
 def field_table() -> str:
@@ -24,11 +23,10 @@ def field_table() -> str:
     lines = ["| setting | default | owner | sim only |", "|---|---|---|---|"]
     for name, group, f in settings():
         if group is None:
-            owner, sim_only = f.metadata["owner"], f.metadata["sim_only"]
+            owner = f.metadata["owner"]
         else:
-            value = getattr(defaults, group)
-            owner = type(value).__module__.removeprefix("repro.")
-            sim_only = isinstance(value, NetChaos)
+            owner = type(getattr(defaults, group)).__module__.removeprefix("repro.")
+        sim_only = f.metadata.get("sim_only", False)
         shown = (
             f"{type(f.default).__name__}()" if dataclasses.is_dataclass(f.default)
             else repr(f.default)
