@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from ..errors import UnitError
 from ..registry import register_unit
@@ -39,6 +40,31 @@ __all__ = [
     "HighPass",
     "Decimate",
 ]
+
+
+# The toolbox's frames are short (a pipeline stage filters 64 samples), and
+# there the dtype and axis handling of numpy's ``np.fft`` wrapper costs
+# more than the transform it wraps (docs/performance.md, "A small frame
+# pays for its transform").  These call the pocketfft gufuncs under it
+# directly, with the arguments the wrapper passes for a 1-D frame
+# (``fct`` 1 forward and 1/n back, a fresh C-contiguous output), so the
+# bits are ``np.fft``'s.  The output is never a reused buffer: a unit's
+# outputs are shipped and cached.
+
+
+def _rfft_kernel(n: int) -> np.ufunc:
+    """The forward gufunc ``np.fft.rfft`` picks for an ``n``-sample frame."""
+    return _pocketfft.rfft_n_even if n % 2 == 0 else _pocketfft.rfft_n_odd
+
+
+def _rfft(data: np.ndarray, kernel: np.ufunc) -> np.ndarray:
+    """``np.fft.rfft(data)`` for float64 ``data``, by ``_rfft_kernel(len(data))``."""
+    return kernel(data, 1, out=np.empty(len(data) // 2 + 1, dtype=complex))
+
+
+def _irfft(spec: np.ndarray, n: int, fct: float) -> np.ndarray:
+    """``np.fft.irfft(spec, n=n)`` for complex128 ``spec``; ``fct`` is ``1 / n``."""
+    return _pocketfft.irfft(spec, fct, out=np.empty(n))
 
 
 @register_unit(category="signal")
@@ -132,11 +158,11 @@ class FFT(Unit):
 
     def process(self, inputs: Sequence[Any]) -> list[Any]:
         (sig,) = inputs
-        if len(sig.data) == 0:
+        n = len(sig.data)
+        if n == 0:
             raise UnitError("FFT: empty input")
-        spec = np.fft.rfft(sig.data)
-        df = sig.sampling_rate / len(sig.data)
-        return [ComplexSpectrum(data=spec, df=df)]
+        spec = _rfft(sig.data, _rfft_kernel(n))
+        return [ComplexSpectrum(data=spec, df=sig.sampling_rate / n)]
 
     def estimated_flops(self, input_nbytes: int) -> float:
         n = max(input_nbytes / 8.0, 2.0)
@@ -155,9 +181,12 @@ class InverseFFT(Unit):
     def process(self, inputs: Sequence[Any]) -> list[Any]:
         (spec,) = inputs
         n_time = 2 * (len(spec.data) - 1)
-        data = np.fft.irfft(spec.data, n=n_time)
-        fs = spec.df * n_time
-        return [SampleSet(data=data, sampling_rate=fs)]
+        if n_time < 1:
+            raise UnitError(
+                f"InverseFFT: a spectrum needs at least 2 bins, got {len(spec.data)}"
+            )
+        data = _irfft(spec.data, n_time, 1 / n_time)
+        return [SampleSet(data=data, sampling_rate=spec.df * n_time)]
 
     def estimated_flops(self, input_nbytes: int) -> float:
         n = max(input_nbytes / 16.0, 2.0)
@@ -302,8 +331,9 @@ class Mixer(Unit):
 class _FFTFilter(Unit):
     """Zero out FFT bins outside the pass region.
 
-    The stop band depends only on the frame length, the sampling rate and
-    the cutoff, so it is kept and rebuilt when any of them changes.
+    The stop band (as bin indices), the forward gufunc and the inverse
+    scale depend only on the frame length, the sampling rate and the
+    cutoff, so they are kept and rebuilt when any of them changes.
     """
 
     NUM_INPUTS = 1
@@ -311,8 +341,11 @@ class _FFTFilter(Unit):
     INPUT_TYPES = (SampleSet,)
     OUTPUT_TYPES = (SampleSet,)
 
-    #: the kept stop-band mask and the key it was built for
+    #: the kept stop-band bins, forward gufunc and inverse scale, and the
+    #: key they were built for
     _stop: np.ndarray | None = None
+    _kernel: np.ufunc | None = None
+    _fct: float = 1.0
     _stop_key: tuple | None = None
 
     def _mask(self, freqs: np.ndarray) -> np.ndarray:  # pragma: no cover
@@ -321,15 +354,18 @@ class _FFTFilter(Unit):
     def process(self, inputs: Sequence[Any]) -> list[Any]:
         (sig,) = inputs
         n = len(sig.data)
+        if n == 0:
+            raise UnitError(f"{type(self).__name__}: empty input")
         rate = sig.sampling_rate
         # The rate's type is in the key: an equal float32 rate gives other bins.
         key = (n, rate, type(rate), self.get_param("cutoff"))
         if key != self._stop_key:
             freqs = np.fft.rfftfreq(n, d=1.0 / rate)
-            self._stop, self._stop_key = ~self._mask(freqs), key
-        spec = np.fft.rfft(sig.data)
+            self._stop = np.flatnonzero(~self._mask(freqs))
+            self._kernel, self._fct, self._stop_key = _rfft_kernel(n), 1 / n, key
+        spec = _rfft(sig.data, self._kernel)
         spec[self._stop] = 0.0
-        data = np.fft.irfft(spec, n=n)
+        data = _irfft(spec, n, self._fct)
         return [SampleSet(data=data, sampling_rate=sig.sampling_rate, t0=sig.t0)]
 
     def estimated_flops(self, input_nbytes: int) -> float:

@@ -23,20 +23,24 @@ stays decoupled from the controller that hosts it:
   ``repro.service.controller`` — policies talk to the controller only
   through the :class:`DispatchContext` services handed to them, never
   by reaching into controller internals;
-* ``repro.faults`` must not import ``repro.service`` — compute-fault
-  models are planted in the neutral ``Transport.compute_faults``
-  mapping and polled duck-typed by the worker, so the integrity hooks
-  flow one way (service reads faults' artefacts, never vice versa);
-* ``repro.mobility`` must not import ``repro.service`` — the module
-  cache/repository are pure transport; replica *placement* (who gets
-  pre-seeded) is a service-layer policy decision fed to mobility only
-  through protocol messages.
+* ``repro.faults`` and ``repro.mobility`` must not import
+  ``repro.service`` — compute-fault models are planted in the neutral
+  ``Transport.compute_faults`` mapping and polled duck-typed by the
+  worker, so the integrity hooks flow one way (service reads faults'
+  artefacts, never vice versa); the module cache/repository are pure
+  transport, and replica *placement* (who gets pre-seeded) is a
+  service-layer policy decision fed to mobility only through protocol
+  messages;
 * of ``repro``, only ``repro.transport.wire`` (the payload checksum,
   which result digests are), ``repro.simkernel.rng`` (stream seeds) and
   ``repro.mobility.repository`` (package identity) may import
   ``hashlib`` — a value's canonical form is decided in one module, and
   a second hashing walk beside it is how a verifier ends up hashing
-  something weaker than the value.
+  something weaker than the value;
+* of ``repro``, only ``repro.core.toolbox.signal`` may import a private
+  numpy module (one with a ``_``-prefixed component, such as
+  ``numpy.fft._pocketfft_umath``) — such a module may change in any
+  numpy release, so one module stands on it and its tests pin it.
 
 The check is purely static: every ``import`` / ``from ... import`` in
 every module under ``src/repro`` is resolved (including relative
@@ -85,19 +89,23 @@ SRC = REPO / "src"
 @dataclass(frozen=True)
 class Rule:
     """``scope`` (bar the modules in ``exempt``) may not import
-    ``forbid``; or, of ``repro``, only ``allow``."""
+    ``forbid`` (with ``private``, only the ``_``-prefixed modules under
+    it); or, of ``repro``, only ``allow``."""
 
-    scope: str
+    scope: tuple[str, ...]
     why: str
     forbid: tuple[str, ...] = ()
     allow: tuple[str, ...] | None = None
     exempt: tuple[str, ...] = ()
+    private: bool = False
 
     def rejects(self, module: str, target: str) -> bool:
-        if not _within(module, (self.scope,)) or _within(module, self.exempt):
+        if not _within(module, self.scope) or _within(module, self.exempt):
             return False
         if self.allow is not None:
             return _within(target, ("repro",)) and not _within(target, self.allow)
+        if self.private and not any(p.startswith("_") for p in target.split(".")):
+            return False
         return _within(target, self.forbid)
 
 
@@ -106,32 +114,32 @@ def _within(name: str, prefixes: tuple[str, ...]) -> bool:
 
 
 RULES: tuple[Rule, ...] = (
-    Rule("repro.registry", "the registry base is a leaf module", allow=()),
-    Rule("repro.simkernel", "simkernel is the foundation layer",
+    Rule(("repro.registry",), "the registry base is a leaf module", allow=()),
+    Rule(("repro.simkernel",), "simkernel is the foundation layer",
          allow=("repro.simkernel", "repro.observe.tracer")),
-    Rule("repro.core", "core must stay grid-free",
+    Rule(("repro.core",), "core must stay grid-free",
          forbid=("repro.service", "repro.p2p", "repro.transport")),
-    Rule("repro.p2p", "the socket backend sits above p2p and imports downwards",
+    Rule(("repro.p2p",), "the socket backend sits above p2p and imports downwards",
          forbid=("repro.transport",)),
-    Rule("repro.transport",
+    Rule(("repro.transport",),
          "transport carries service and module frames without knowing them",
          forbid=("repro.service", "repro.mobility")),
-    Rule("repro.transport.link",
+    Rule(("repro.transport.link",),
          "the link machines run without a socket or an event loop",
          forbid=("asyncio", "socket", "selectors")),
-    Rule("repro.service.policies",
+    Rule(("repro.service.policies",),
          "policies must use DispatchContext, not controller internals",
          forbid=("repro.service.controller",)),
-    Rule("repro.faults",
-         "faults must not import service (integrity hooks flow one way)",
+    Rule(("repro.faults", "repro.mobility"),
+         "faults and mobility sit below service (integrity hooks flow one way; "
+         "placement logic stays in the service layer)",
          forbid=("repro.service",)),
-    Rule("repro.mobility",
-         "placement logic stays in the service layer (mobility is transport)",
-         forbid=("repro.service",)),
-    Rule("repro", "one hashing walk: digest results with wire.result_checksum",
+    Rule(("repro",), "one hashing walk: digest results with wire.result_checksum",
          forbid=("hashlib",),
          exempt=("repro.transport.wire", "repro.simkernel.rng",
                  "repro.mobility.repository")),
+    Rule(("repro",), "numpy's private modules are reached from one module",
+         forbid=("numpy",), private=True, exempt=("repro.core.toolbox.signal",)),
 )
 
 
