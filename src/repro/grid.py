@@ -43,6 +43,7 @@ from .p2p.discovery import (
     FloodingDiscovery,
     RendezvousDiscovery,
 )
+from .p2p.errors import RequestFailed
 from .p2p.network import NodeProfile, SimNetwork, Transport
 from .p2p.peer import Peer
 from .resources.availability import AvailabilityModel
@@ -60,10 +61,6 @@ __all__ = ["ConsumerGrid", "GridNode", "DISCOVERY", "PORTAL_ID", "CONTROLLER_ID"
 PORTAL_ID = "portal"
 #: Role (and peer id) of the Triana controller.
 CONTROLLER_ID = "controller"
-
-#: Discovery queries :meth:`GridNode.run` makes before it gives up on an
-#: empty answer — one lost query or reply is an empty answer.
-DISCOVERY_ATTEMPTS = 3
 
 #: discovery name → strategy class (``GridConfig.discovery``, ``--discovery``)
 DISCOVERY: dict[str, type[DiscoveryService]] = {
@@ -232,7 +229,7 @@ class GridNode:
         """Deploy and execute a task graph; blocks until completion.
 
         ``workers`` defaults to every discovered worker (an empty answer
-        is asked again, up to ``DISCOVERY_ATTEMPTS`` queries); ``dispatch``
+        is asked again through :meth:`~repro.p2p.peer.Peer.ask`); ``dispatch``
         selects the farm dealing policy (any name from
         :func:`~repro.service.placement.dispatch_policy_names`, e.g.
         ``round_robin`` | ``weighted``).  Group *distribution* policies
@@ -262,10 +259,11 @@ class GridNode:
             # Before anything is dealt, so a bad horizon leaves the grid usable.
             check_horizon(run_until)
         if workers is None:
-            for _attempt in range(DISCOVERY_ATTEMPTS):
-                workers = self.discover_workers()
-                if workers:
-                    break
+            ask = self.controller_peer.ask(self.controller.discover_workers, "workers")
+            try:
+                workers = self.sim.run(until=self.sim.process(ask, name="discover"))
+            except RequestFailed:
+                workers = []  # a distributed run refuses; a local one needs none
         done = self.controller.run_distributed(
             graph, iterations, workers, probes, dispatch=dispatch,
             verification=verification,

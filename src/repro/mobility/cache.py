@@ -373,12 +373,7 @@ class ModuleCache:
                 # Evicted between request and reply: nothing to revalidate
                 # against any more — pull the full package.
                 pending.source = "repo"
-                self.peer.send(
-                    self.repository_host,
-                    "module-fetch",
-                    payload=(self.peer.peer_id, request_id, unit_name, None),
-                    size_bytes=96,
-                )
+                self._send_repo_fetch(request_id, unit_name)
                 return
             self._revalidated(pending, cached)
             return
@@ -390,14 +385,11 @@ class ModuleCache:
                 pending.source = "repo"
                 self._send_repo_fetch(request_id, unit_name)
                 return
-            self.stats.failures += 1
-            if pending.span is not None:
-                pending.span.end(outcome="not-found")
-            self._finish(pending)
-            exc = ModuleNotFoundInRepo(f"repository has no {unit_name!r}")
-            for ev in pending.waiters:
-                ev.fail(exc)
-            self._flush_remote(pending, None)
+            self._fail(
+                pending,
+                ModuleNotFoundInRepo(f"repository has no {unit_name!r}"),
+                outcome="not-found",
+            )
             return
         self._absorb(pending, pkg)
 
@@ -417,14 +409,7 @@ class ModuleCache:
         self.stats.hits += 1
         self.stats.revalidations += 1
         self._cached.move_to_end(pending.unit_name)
-        if pending.span is not None:
-            pending.span.end(
-                outcome="revalidate", version=cached.version, nbytes=0
-            )
-        self._finish(pending)
-        for ev in pending.waiters:
-            ev.succeed(cached)
-        self._flush_remote(pending, cached)
+        self._settle(pending, cached, outcome="revalidate", version=cached.version, nbytes=0)
 
     def _absorb(self, pending: _Pending, pkg: ModulePackage) -> None:
         """Install a downloaded package and wake every waiter."""
@@ -445,26 +430,28 @@ class ModuleCache:
         self._cached[unit_name] = pkg
         self._cached.move_to_end(unit_name)
         self._evict_to_fit()
-        if pending.span is not None:
-            pending.span.end(
-                outcome=outcome, version=pkg.version, nbytes=pkg.code_size,
-                source=pending.source,
-            )
-        self._finish(pending)
-        for ev in pending.waiters:
-            ev.succeed(pkg)
-        self._flush_remote(pending, pkg)
+        self._settle(
+            pending, pkg, outcome=outcome, version=pkg.version,
+            nbytes=pkg.code_size, source=pending.source,
+        )
         if self.discovery is not None:
             self._advertise(pkg)
 
     def _fail(self, pending: _Pending, exc: Exception, outcome: str) -> None:
         self.stats.failures += 1
+        self._settle(pending, None, exc, outcome=outcome)
+
+    def _settle(self, pending: _Pending, pkg, exc=None, **span_attrs) -> None:
+        """End a fetch: close its span, wake its waiters, answer parked peers."""
         if pending.span is not None:
-            pending.span.end(outcome=outcome)
+            pending.span.end(**span_attrs)
         self._finish(pending)
         for ev in pending.waiters:
-            ev.fail(exc)
-        self._flush_remote(pending, None)
+            if exc is None:
+                ev.succeed(pkg)
+            else:
+                ev.fail(exc)
+        self._flush_remote(pending, pkg)
 
     def _finish(self, pending: _Pending) -> None:
         pending.done = True
@@ -499,6 +486,10 @@ class ModuleCache:
             self.stats.remote_coalesced += 1
             inflight.remote_waiters.append((requester, request_id, want_digest))
             return
+        self._bounce(requester, request_id, unit_name)
+
+    def _bounce(self, requester: str, request_id: int, unit_name: str) -> None:
+        """Tell a remote requester this peer has no copy to serve."""
         self.stats.peer_serve_misses += 1
         self.peer.send(
             requester,
@@ -532,13 +523,7 @@ class ModuleCache:
             ):
                 self._serve(requester, request_id, pending.unit_name, pkg)
             else:
-                self.stats.peer_serve_misses += 1
-                self.peer.send(
-                    requester,
-                    "module-package",
-                    payload=(request_id, pending.unit_name, None),
-                    size_bytes=PACKAGE_OVERHEAD,
-                )
+                self._bounce(requester, request_id, pending.unit_name)
         pending.remote_waiters.clear()
 
     def note_stale_use(self) -> None:

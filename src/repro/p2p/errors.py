@@ -21,3 +21,7 @@ class DiscoveryError(P2PError):
 
 class PipeError(P2PError):
     """Pipe binding/transfer failure."""
+
+
+class RequestFailed(P2PError):
+    """A request drew no usable reply in :data:`~repro.p2p.peer.ASK_ATTEMPTS` asks."""

@@ -15,12 +15,15 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from ..simkernel import Simulator
+from ..simkernel import Event, Simulator
 from .advertisement import ADV_PEER, AdvCache, Advertisement
-from .errors import NetworkError, PeerOfflineError
+from .errors import NetworkError, PeerOfflineError, RequestFailed
 from .network import Message, NodeProfile, Transport
 
-__all__ = ["Peer"]
+__all__ = ["Peer", "ASK_ATTEMPTS"]
+
+#: asks of one request before :meth:`Peer.ask` gives up
+ASK_ATTEMPTS = 3
 
 
 class Peer:
@@ -93,6 +96,24 @@ class Peer:
             raise PeerOfflineError(f"peer {self.peer_id!r} is offline")
         return self.network.send(
             Message(kind=kind, src=self.peer_id, dst=dst, payload=payload, size_bytes=size_bytes)
+        )
+
+    def ask(self, attempt: Callable[[], Event], what: str):
+        """``yield from`` this: ``attempt()`` sends a request and returns its
+        reply event, which carries its own deadline; a failed or empty reply
+        is asked again, and ``ASK_ATTEMPTS`` misses raise RequestFailed."""
+        for _ in range(ASK_ATTEMPTS):
+            try:
+                reply = yield attempt()
+            except Exception as exc:
+                cause = f"{type(exc).__name__}: {exc}"
+                continue
+            if reply:
+                return reply
+            cause = "empty reply"
+        raise RequestFailed(
+            f"peer {self.peer_id!r} gave up on {what} at t={self.sim.now:g} "
+            f"after {ASK_ATTEMPTS} attempts; last: {cause}"
         )
 
     # -- self-description ----------------------------------------------------------

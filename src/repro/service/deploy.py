@@ -1,8 +1,8 @@
 """Deploy-with-retry: shipping sub-graph XML to worker peers.
 
 Transport-agnostic: deploys are plain protocol messages through the
-owning peer, so the same retry/ack machinery drives workers on the
-simulated fabric and across OS processes over TCP alike.
+owning peer (:meth:`~repro.p2p.peer.Peer.ask`), so the same ask/ack
+machinery drives workers on the simulated fabric and over TCP alike.
 
 Owns the ``triana-deploy`` / ``deploy-ack`` exchange so neither the
 controller nor the policies re-implement ack bookkeeping.  Policies reach
@@ -18,16 +18,15 @@ instead of serialising on the repository's (see docs/performance.md,
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable
 
+from ..p2p.errors import RequestFailed
 from ..p2p.network import Message
-from ..p2p.peer import Peer
+from ..p2p.peer import ASK_ATTEMPTS, Peer
 from .errors import DeploymentError
 
 __all__ = ["DeploymentManager", "merge_preseed_plans"]
-
-#: sends of each spec before a deploy fails; they split ``deploy_timeout``
-DEPLOY_ATTEMPTS = 3
 
 
 def merge_preseed_plans(
@@ -51,7 +50,7 @@ def merge_preseed_plans(
 
 
 class DeploymentManager:
-    """Sends deployment specs and waits for acks, retrying lost ones."""
+    """Sends deployment specs and waits for acks, re-asking lost ones."""
 
     def __init__(self, peer: Peer, deploy_timeout: float = 600.0):
         self.peer = peer
@@ -111,43 +110,37 @@ class DeploymentManager:
         return confirmed
 
     def deploy_all(self, specs):
-        """Deploy with retries: lost deploys/acks are re-sent, not fatal.
+        """Deploy every spec at once, each asked through :meth:`Peer.ask`;
+        returns the acked ``(worker, spec)`` pairs and ``(worker, spec,
+        cause)`` for each never acked or refused.  A duplicate deploy is
+        re-acked, so a re-ask after a lost ack is safe."""
+        asks = [
+            self.sim.process(self._ask(w, s), name=f"ask/{s.deployment_id}")
+            for w, s in specs
+        ]
+        yield self.sim.all_of(asks)
+        acked = [(w, s) for (w, s), a in zip(specs, asks) if a.value is None]
+        dropped = [(w, s, a.value) for (w, s), a in zip(specs, asks) if a.value is not None]
+        return acked, dropped
 
-        Workers treat duplicate deploys idempotently (re-ack), so a retry
-        after a lost ack is safe.
-        """
-        acks = {}
-        for worker, spec in specs:
-            ack = self.sim.event()
-            self._ack_events[spec.deployment_id] = ack
-            acks[spec.deployment_id] = ack
-        pending = list(specs)
-        per_attempt = self.deploy_timeout / DEPLOY_ATTEMPTS
+    def _ask(self, worker, spec):
+        """One spec's deploy asks: None once acked, else the cause."""
+        what = f"deploy {spec.deployment_id!r} on {worker!r}"
         try:
-            for _attempt in range(DEPLOY_ATTEMPTS):
-                for worker, spec in pending:
-                    self.peer.send(
-                        worker, "triana-deploy", payload=spec, size_bytes=len(spec.xml)
-                    )
-                deadline = self.sim.timeout(per_attempt)
-                waiting = self.sim.all_of([acks[s.deployment_id] for _w, s in pending])
-                yield self.sim.any_of([waiting, deadline])
-                pending = [
-                    (w, s) for w, s in pending
-                    if not acks[s.deployment_id].triggered
-                ]
-                if not pending:
-                    break
-            if pending:
-                missing = [s.deployment_id for _w, s in pending]
-                raise DeploymentError(
-                    f"deployment timed out after {self.deploy_timeout}s "
-                    f"({DEPLOY_ATTEMPTS} attempts); unacked: {missing}"
-                )
-        finally:
-            # Every exit path, the timeout included, forgets its acks.
-            for _w, spec in specs:
-                self._ack_events.pop(spec.deployment_id, None)
-        # Surface failure acks (sandbox denial etc.) by touching .value.
-        for ack in acks.values():
-            _ = ack.value  # raises DeploymentError on failure acks
+            yield from self.peer.ask(partial(self._send, worker, spec), what)
+        except RequestFailed as exc:
+            return str(exc)
+        finally:  # every exit path, the give-up included, forgets its ack
+            self._ack_events.pop(spec.deployment_id, None)
+
+    def _send(self, worker, spec):
+        ack = self._ack_events[spec.deployment_id] = self.sim.event()
+        self.peer.send(worker, "triana-deploy", payload=spec, size_bytes=len(spec.xml))
+        deadline = self.deploy_timeout / ASK_ATTEMPTS
+        self.sim.call_at(self.sim.now + deadline, _expire, ack, deadline)
+        return ack
+
+
+def _expire(ack, deadline: float) -> None:
+    if not ack.triggered:
+        ack.fail(DeploymentError(f"no deploy-ack within {deadline:g}s"))

@@ -19,7 +19,7 @@ the controller stays a thin orchestrator.
 from __future__ import annotations
 
 from ..simkernel import Event
-from .errors import MigrationError
+from .errors import DeploymentError, MigrationError
 from .worker import DeploymentSpec
 
 __all__ = ["migrate_stage"]
@@ -56,7 +56,9 @@ def _migrate_proc(controller, stage_index: int, new_worker: str, settle: float):
         forward=old_spec.forward,
         paused=True,
     )
-    yield from controller.deployer.deploy_all([(new_worker, new_spec)])
+    _acked, dropped = yield from controller.deployer.deploy_all([(new_worker, new_spec)])
+    if dropped:
+        raise DeploymentError(dropped[0][2])
     owner = controller._ctx_of_dep.get(old_spec.deployment_id)
     if owner is not None:
         # Results from the new home belong to the run in flight.

@@ -26,6 +26,7 @@ from ...core import engine
 from ...p2p.peer import Peer
 from ...simkernel import Event, Simulator
 from ..detector import HeartbeatFailureDetector
+from ..errors import DeploymentError
 from ..worker import DeploymentSpec, payload_nbytes
 
 __all__ = ["RecoverySettings", "DispatchContext", "DistributionPolicy"]
@@ -111,17 +112,21 @@ class DispatchContext:
 
     # -- controller services ------------------------------------------------
     def deploy(self, specs: list[tuple[str, DeploymentSpec]]):
-        """Deploy specs with the controller's retry/ack machinery.
-
-        A generator: ``yield from ctx.deploy(specs)`` inside the policy's
-        :meth:`DistributionPolicy.deploy`.  Also records the resulting
-        placements on the context.
-        """
-        yield from self._deploy(specs)
-        for worker, spec in specs:
+        """``dropped = yield from ctx.deploy(specs)`` in a policy's ``deploy``:
+        records the acked placements.  A worker that never acked, or refused,
+        leaves the run (a ``worker-dropped`` notice) and comes back in
+        ``dropped`` as ``(worker, spec, cause)``; no ack at all is an error."""
+        acked, dropped = yield from self._deploy(specs)
+        for w, s, cause in dropped:
+            self.notify("worker-dropped", deployment=s.deployment_id, worker=w, cause=cause)
+        if specs and not acked:
+            causes = "; ".join(cause for _w, _s, cause in dropped)
+            raise DeploymentError(f"group {self.group.name!r} has no worker left: {causes}")
+        for worker, spec in acked:
             self.placements[spec.deployment_id] = worker
         self.dep_ids = list(self.placements)
         self.replica_hosts = [self.placements[d] for d in self.dep_ids]
+        return dropped
 
     def send(self, dst: str, kind: str, payload: Any, size_bytes: int) -> None:
         self.peer.send(dst, kind, payload=payload, size_bytes=size_bytes)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ...core.taskgraph import TaskGraph
 from ...core.xml_io import graph_to_string
-from ..errors import SchedulingError
+from ..errors import DeploymentError, SchedulingError
 from ..worker import DeploymentSpec
 from .base import DispatchContext, DistributionPolicy
 from .registry import register_policy
@@ -63,7 +63,9 @@ class PipelinePolicy(DistributionPolicy):
                     ),
                 )
             )
-        yield from ctx.deploy(specs)
+        dropped = yield from ctx.deploy(specs)
+        if dropped:  # a chain has no stage to spare
+            raise DeploymentError(f"p2p chain {group.name!r} lost a stage: {dropped[0][2]}")
         # Remember the chain so the controller can offer stage migration.
         ctx.chain = [(worker, spec) for worker, spec in specs]
 

@@ -17,13 +17,14 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Optional  # noqa: F401
 
 from ..core.engine import LocalEngine
 from ..core.registry import UnitRegistry
 from ..core.xml_io import graph_from_string, unit_names_in_xml
 from ..mobility.cache import ModuleCache, ModuleSettings
-from ..mobility.errors import MobilityError, SandboxViolation
+from ..mobility.errors import MobilityError
 from ..mobility.sandbox import SandboxPolicy
 from ..p2p.advertisement import ADV_SERVICE, Advertisement
 from ..p2p.network import Message
@@ -288,13 +289,8 @@ class TrianaService:
         spec: DeploymentSpec = message.payload
         self._ensure_heartbeat(spec.controller, spec.heartbeat_interval)
         if spec.deployment_id in self.deployments:
-            # Duplicate deploy (controller retry after a lost ack): re-ack.
-            self.peer.send(
-                spec.controller,
-                "deploy-ack",
-                payload=(spec.deployment_id, None),
-                size_bytes=64,
-            )
+            # Duplicate deploy (the controller re-asks after a lost ack): re-ack.
+            self._ack_deploy(spec)
             return
         if spec.deployment_id in self._deploying:
             # A retry that overtook a slow module fetch: the ack the first
@@ -308,7 +304,7 @@ class TrianaService:
         proc.callbacks.append(lambda _ev: self._deploying.discard(spec.deployment_id))
 
     def _deploy_proc(self, spec: DeploymentSpec):
-        """Fetch modules (with retry), authorise, build the engine, ack."""
+        """Fetch modules (through ``Peer.ask``), authorise, build the engine, ack."""
         tracer = self.sim.tracer
         span = tracer.begin(
             "worker.deploy", category="service", track=self.peer.peer_id,
@@ -317,14 +313,9 @@ class TrianaService:
         try:
             required = sorted(unit_names_in_xml(spec.xml))
             for unit_name in required:
-                pkg = None
-                for attempt in range(3):
-                    try:
-                        pkg = yield self.cache.ensure(unit_name)
-                        break
-                    except MobilityError:
-                        if attempt == 2:
-                            raise
+                pkg = yield from self.peer.ask(
+                    partial(self.cache.ensure, unit_name), f"module {unit_name!r}"
+                )
                 if unit_name not in self.local_registry:
                     self.local_registry.register(pkg.cls)
                 self.sandbox.authorise(pkg.cls, version=pkg.version)
@@ -339,15 +330,10 @@ class TrianaService:
             self.sandbox.check_ram(
                 sum(type(u).RAM_ESTIMATE for u in engine.units.values())
             )
-        except (MobilityError, SandboxViolation, Exception) as exc:
+        except Exception as exc:  # a fetch, sandbox or build failure refuses
             self.stats.deploy_failures += 1
             span.end(outcome="failed", error=type(exc).__name__)
-            self.peer.send(
-                spec.controller,
-                "deploy-ack",
-                payload=(spec.deployment_id, f"{type(exc).__name__}: {exc}"),
-                size_bytes=128,
-            )
+            self._ack_deploy(spec, f"{type(exc).__name__}: {exc}")
             return
         dep = _Deployment(spec=spec, engine=engine, paused=spec.paused)
         self.deployments[spec.deployment_id] = dep
@@ -355,8 +341,12 @@ class TrianaService:
         span.end(outcome="deployed", units=len(required))
         dep.loop = self._exec_loop(dep)
         self._drive(dep)  # runs it to its first ask: an idle loop
+        self._ack_deploy(spec)
+
+    def _ack_deploy(self, spec: DeploymentSpec, error: Optional[str] = None) -> None:
         self.peer.send(
-            spec.controller, "deploy-ack", payload=(spec.deployment_id, None), size_bytes=64
+            spec.controller, "deploy-ack", payload=(spec.deployment_id, error),
+            size_bytes=64 if error is None else 128,
         )
 
     # -- execution ------------------------------------------------------------------

@@ -7,6 +7,7 @@ from repro.analysis import fig1_grouped
 from repro.p2p import LAN_PROFILE
 from repro.resources import PoissonChurn
 from repro.service import DeploymentError
+from repro.transport.wire import result_checksum
 from tests.test_service_run import slow_grid, stateless_pipeline
 
 
@@ -39,14 +40,25 @@ class TestDeployFailures:
         assert len(report.group_results) == 2
 
     def test_worker_offline_during_deploy_times_out(self):
+        """The worker that never acks leaves the run; the farm finishes on
+        the one that did, as a clean run placed on that worker alone (the
+        group's noise unit keeps per-deployment state).  All workers
+        offline: TestDeployTimeout."""
+        clean = ConsumerGrid(n_workers=2, seed=73).run(
+            fig1_grouped(), iterations=2, workers=["worker-0"]
+        )
         grid = ConsumerGrid(n_workers=2, seed=73)
         grid.controller.deploy_timeout = 20.0
         grid.worker_peers["worker-1"].go_offline()
         done = grid.controller.run_distributed(
             fig1_grouped(), 2, ["worker-0", "worker-1"], ()
         )
-        with pytest.raises(DeploymentError):
-            grid.sim.run(until=done)
+        report = grid.sim.run(until=done)
+        assert set(report.placements.values()) == {"worker-0"}
+        assert report.deploy_time >= 20.0  # waited out worker-1's asks
+        assert result_checksum(report.group_results) == result_checksum(
+            clean.group_results
+        )
         assert grid.controller.deployer._ack_events == {}
 
 

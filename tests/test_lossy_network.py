@@ -1,11 +1,14 @@
 """Tests for random message loss and end-to-end resilience to it."""
 
+import numpy as np
 import pytest
+
+from repro.core import LocalEngine
 
 from repro import ConsumerGrid
 from repro.faults import Fault, FaultPlan, FaultPlanError
-from repro.grid import DISCOVERY_ATTEMPTS
 from repro.p2p import LAN_PROFILE, Message, SimNetwork
+from repro.p2p.peer import ASK_ATTEMPTS
 from repro.service import SchedulingError
 from repro.simkernel import Simulator
 from tests.test_service_run import stateless_pipeline
@@ -65,16 +68,18 @@ class TestLossModel:
 
 
 def answers_empty(grid, times):
-    """Make the grid's first ``times`` discoveries come back empty, as
-    when the query or its reply is lost; returns the list of calls."""
-    real = grid.discover_workers
+    """Make the controller's first ``times`` discoveries come back empty,
+    as when the query or its reply is lost; returns the list of calls."""
+    real = grid.controller.discover_workers
     calls = []
 
     def discover(min_cpu_flops=0.0):
         calls.append(grid.sim.now)
-        return [] if len(calls) <= times else real(min_cpu_flops)
+        if len(calls) > times:
+            return real(min_cpu_flops)
+        return grid.sim.event().succeed([])
 
-    grid.discover_workers = discover
+    grid.controller.discover_workers = discover
     return calls
 
 
@@ -88,10 +93,10 @@ class TestDiscoveryRetry:
 
     def test_run_gives_up_after_its_attempts(self):
         grid = ConsumerGrid(n_workers=2, seed=135)
-        calls = answers_empty(grid, times=DISCOVERY_ATTEMPTS)
+        calls = answers_empty(grid, times=ASK_ATTEMPTS)
         with pytest.raises(SchedulingError, match="no workers available"):
             grid.run(stateless_pipeline(), iterations=3)
-        assert len(calls) == DISCOVERY_ATTEMPTS
+        assert len(calls) == ASK_ATTEMPTS
 
 
 class TestEndToEndUnderLoss:
@@ -126,10 +131,6 @@ class TestEndToEndUnderLoss:
         assert len(report.group_results) == 8
 
     def test_results_correct_despite_loss(self):
-        import numpy as np
-
-        from repro.core import LocalEngine
-
         grid = ConsumerGrid(
             n_workers=3,
             seed=133,
@@ -149,3 +150,40 @@ class TestEndToEndUnderLoss:
         local.run(6)
         for dist, loc in zip(report.probe_values["Power"], probe.values):
             np.testing.assert_allclose(dist.data, loc.data)
+
+
+class TestLossTable:
+    """DESIGN §6's loss claim over seeds 0-39, not on one seed: a farm of
+    3 LAN workers runs 8 iterations of ``stateless_pipeline`` with every
+    message after t=0.0015 (discovery, module fetches, deploys, execs,
+    results, heartbeats) lossy.  A worker that cannot be reached leaves
+    the run; the others finish it, exactly."""
+
+    @pytest.mark.parametrize("fraction", [0.05, 0.08, 0.15])
+    def test_at_least_39_of_40_seeds_complete_exactly(self, fraction):
+        local = LocalEngine(stateless_pipeline())
+        probe = local.attach_probe("Power")
+        local.run(8)
+        failed = {}
+        for seed in range(40):
+            grid = ConsumerGrid(
+                n_workers=3,
+                seed=seed,
+                worker_profile=LAN_PROFILE,
+                controller_profile=LAN_PROFILE,
+                worker_efficiency=1e-5,
+                fault_plan=lossy(fraction),
+                retry_timeout=2.0,
+                retry_interval=0.5,
+            )
+            try:
+                report = grid.run(
+                    stateless_pipeline(), iterations=8, probes=("Power",),
+                    run_until=3_000.0,
+                )
+            except Exception as exc:
+                failed[seed] = f"{type(exc).__name__}: {exc}"
+                continue
+            for dist, loc in zip(report.probe_values["Power"], probe.values, strict=True):
+                np.testing.assert_array_equal(dist.data, loc.data)
+        assert len(failed) <= 1, failed

@@ -23,7 +23,7 @@ from repro.analysis import fig1_grouped
 from repro.apps.galaxy import build_galaxy_graph, generate_snapshots
 from repro.deployment import run_tcp_localhost
 from repro.p2p.advertisement import ADV_MODULE, ADV_SERVICE, AttrPredicate
-from repro.p2p.network import Message
+from repro.p2p.network import LAN_PROFILE, Message
 from repro.service import SchedulingError
 import repro.transport.link as link_mod
 from repro.transport import RealtimeSimulator, TcpTransport
@@ -446,6 +446,36 @@ class TestGridOverTcp:
             tcp_grid.transport.close()
         assert result_checksum(tcp_report.group_results) == want
         assert tcp_report.placements == sim_report.placements
+
+    @pytest.mark.parametrize("transport", ["sim", "tcp"])
+    def test_a_worker_that_never_acks_leaves_the_run(self, transport):
+        # worker-1 drops off after discovery: its deploy asks go
+        # unanswered, it leaves the run after deploy_timeout, and the
+        # farm renders every frame on worker-0, bit for bit as a clean run.
+        generate_snapshots(
+            n_frames=3, n_particles=80, seed=5, register_as="tcp-loopback"
+        )
+        graph = build_galaxy_graph("tcp-loopback", resolution=8)
+        clean = ConsumerGrid(n_workers=2, seed=0).run(graph, iterations=3)
+
+        if transport == "tcp":
+            settings = dict(query_window=0.4, heartbeat_interval=5.0)
+        else:  # loopback-fast links, so a 1.5 s deploy budget fits a fetch
+            settings = dict(worker_profile=LAN_PROFILE, controller_profile=LAN_PROFILE)
+        grid = ConsumerGrid(n_workers=2, seed=0, transport=transport, **settings)
+        try:
+            workers = grid.discover_workers()
+            grid.worker_peers["worker-1"].go_offline()
+            grid.controller.deploy_timeout = 1.5
+            report = grid.run(graph, iterations=3, workers=workers)
+        finally:
+            grid.transport.close()
+        assert workers == ["worker-0", "worker-1"]
+        assert set(report.placements.values()) == {"worker-0"}
+        assert report.deploy_time >= 1.5
+        assert result_checksum(report.group_results) == result_checksum(
+            clean.group_results
+        )
 
     @pytest.mark.parametrize("transport", ["sim", "tcp"])
     def test_a_clause_no_record_can_be_compared_with_matches_nothing(self, transport):
