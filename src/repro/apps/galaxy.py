@@ -333,12 +333,6 @@ class DataReader(Unit):
     def reset(self) -> None:
         self._index = 0
 
-    def checkpoint(self) -> dict[str, Any]:
-        return {"index": self._index}
-
-    def restore(self, state: dict[str, Any]) -> None:
-        self._index = int(state.get("index", 0))
-
     def process(self, inputs: Sequence[Any]) -> list[Any]:
         key = self.get_param("dataset")
         if key not in _DATASETS:
@@ -406,12 +400,6 @@ class FrameCollector(Unit):
 
     def reset(self) -> None:
         self.frames: list[ImageData] = []
-
-    def checkpoint(self) -> dict[str, Any]:
-        return {"frames": [f.pixels.tolist() for f in self.frames]}
-
-    def restore(self, state: dict[str, Any]) -> None:
-        self.frames = [ImageData(pixels=np.asarray(p)) for p in state.get("frames", [])]
 
     def process(self, inputs: Sequence[Any]) -> list[Any]:
         self.frames.append(inputs[0])

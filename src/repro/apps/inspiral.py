@@ -562,12 +562,6 @@ class StrainSource(Unit):
     def reset(self) -> None:
         self._chunk_index = 0
 
-    def checkpoint(self) -> dict[str, Any]:
-        return {"chunk_index": self._chunk_index}
-
-    def restore(self, state: dict[str, Any]) -> None:
-        self._chunk_index = int(state.get("chunk_index", 0))
-
     def process(self, inputs: Sequence[Any]) -> list[Any]:
         i = self._chunk_index
         self._chunk_index += 1

@@ -14,7 +14,6 @@ It also provides:
   engine accepts per-iteration values for them (:meth:`LocalEngine.step`);
 * **probes** — observers attached to any output node (how Fig. 2's
   grapher output is captured programmatically);
-* **checkpoint/restore** of all stateful units (migration support);
 * **cost accounting** — modelled flops and bytes per task, reused by the
   simulated execution plane;
 * **shared replicas** — an input the controller dealt to several workers
@@ -302,19 +301,6 @@ class LocalEngine:
                 sink_outputs.setdefault(name, []).extend(inputs)
         stats.iterations += 1
         return outputs_map
-
-    # -- migration support -----------------------------------------------------
-    def checkpoint(self) -> dict[str, dict[str, Any]]:
-        """Snapshot state of every unit (empty dicts for stateless ones)."""
-        return {name: unit.checkpoint() for name, unit in self.units.items()}
-
-    def restore(self, state: dict[str, dict[str, Any]]) -> None:
-        """Restore unit state saved by :meth:`checkpoint`."""
-        unknown = set(state) - set(self.units)
-        if unknown:
-            raise GraphError(f"checkpoint references unknown tasks {sorted(unknown)}")
-        for name, unit_state in state.items():
-            self.units[name].restore(unit_state)
 
     def reset(self) -> None:
         """Reset all units and statistics for a fresh run."""

@@ -3,8 +3,8 @@
 The GUI screenshots in Fig. 1/2 show a ``Grapher`` rendering its input.
 Headless reproduction: the Grapher is a sink unit that retains every
 payload it is shown and renders it as :class:`~repro.core.types.GraphData`
-when a frame is read (``frames``, ``last_frame``, ``checkpoint``); tests
-and benchmarks read the frames back instead of looking at pixels.  It
+when a frame is read (``frames``, ``last_frame``); tests and benchmarks
+read the frames back instead of looking at pixels.  It
 holds a reference, not a rendering: the caller already holds each payload,
 so a frame costs the Grapher no array of its own (a ``SampleSet``'s time
 axis is as large as its samples).
@@ -71,20 +71,6 @@ class Grapher(Unit):
     @property
     def frames(self) -> list[GraphData]:
         return [_to_graph_data(value) for value in self._shown]
-
-    def checkpoint(self) -> dict[str, Any]:
-        return {
-            "frames": [
-                {"x": f.x.tolist(), "y": f.y.tolist(), "label": f.label}
-                for f in self.frames
-            ]
-        }
-
-    def restore(self, state: dict[str, Any]) -> None:
-        self._shown = [
-            GraphData(x=np.asarray(f["x"]), y=np.asarray(f["y"]), label=f["label"])
-            for f in state.get("frames", [])
-        ]
 
     @property
     def last_frame(self) -> GraphData:

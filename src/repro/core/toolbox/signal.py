@@ -88,12 +88,6 @@ class Wave(Unit):
     def reset(self) -> None:
         self._frame = 0
 
-    def checkpoint(self) -> dict[str, Any]:
-        return {"frame": self._frame}
-
-    def restore(self, state: dict[str, Any]) -> None:
-        self._frame = int(state.get("frame", 0))
-
     def process(self, inputs: Sequence[Any]) -> list[Any]:
         n = int(self.get_param("samples"))
         fs = float(self.get_param("sampling_rate"))
@@ -117,8 +111,7 @@ class Wave(Unit):
 class GaussianNoise(Unit):
     """Contaminates a sample set with white Gaussian noise (Fig. 1).
 
-    The draws are reproducible: the stream restarts from ``seed`` on
-    reset and its position travels in a checkpoint.
+    The draws are reproducible: the stream restarts from ``seed`` on reset.
     """
 
     NUM_INPUTS = 1
@@ -132,13 +125,6 @@ class GaussianNoise(Unit):
 
     def reset(self) -> None:
         self._rng = np.random.default_rng(int(self.get_param("seed")))
-
-    def checkpoint(self) -> dict[str, Any]:
-        return {"rng_state": self._rng.bit_generator.state}
-
-    def restore(self, state: dict[str, Any]) -> None:
-        if "rng_state" in state:
-            self._rng.bit_generator.state = state["rng_state"]
 
     def process(self, inputs: Sequence[Any]) -> list[Any]:
         (sig,) = inputs
@@ -214,8 +200,7 @@ class AccumStat(Unit):
     """Running mean of successive spectra (Fig. 1's noise remover).
 
     "uses a unit called AccumStat to average the spectra over successive
-    iterations to remove the noise from the original signal."  State is
-    checkpointable so a migrating peer keeps its accumulated average.
+    iterations to remove the noise from the original signal."
     """
 
     NUM_INPUTS = 1
@@ -227,19 +212,6 @@ class AccumStat(Unit):
         self._count = 0
         self._sum: np.ndarray | None = None
         self._df = 1.0
-
-    def checkpoint(self) -> dict[str, Any]:
-        return {
-            "count": self._count,
-            "sum": None if self._sum is None else self._sum.tolist(),
-            "df": self._df,
-        }
-
-    def restore(self, state: dict[str, Any]) -> None:
-        self._count = int(state.get("count", 0))
-        raw = state.get("sum")
-        self._sum = None if raw is None else np.asarray(raw, dtype=float)
-        self._df = float(state.get("df", 1.0))
 
     @property
     def count(self) -> int:

@@ -2,10 +2,7 @@
 
 A unit declares typed input and output nodes, named parameters, and a
 ``process`` method that maps one set of input payloads to output payloads.
-Units may be stateful across iterations (e.g. ``AccumStat``) and expose
-``checkpoint``/``restore`` so the controller can migrate them between
-peers, per the paper's Case 2 ("a check-pointing mechanism may also be
-employed to migrate computation if necessary").
+Units may be stateful across iterations (e.g. ``AccumStat``).
 
 Units also carry the metadata the Consumer Grid needs:
 
@@ -227,18 +224,6 @@ class Unit:
         computed once for all replicas of an input.
         """
         raise NotImplementedError(f"{self.unit_name()}.process")
-
-    # -- checkpoint / migration ---------------------------------------------------
-    def checkpoint(self) -> dict[str, Any]:
-        """Serialisable snapshot of mutable state (default: stateless)."""
-        return {}
-
-    def restore(self, state: dict[str, Any]) -> None:
-        """Restore from :meth:`checkpoint` output."""
-        if state:
-            raise UnitError(
-                f"{self.unit_name()} is stateless but was given state {sorted(state)}"
-            )
 
     # -- cost model ----------------------------------------------------------------
     def estimated_flops(self, input_nbytes: int) -> float:

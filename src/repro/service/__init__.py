@@ -18,7 +18,7 @@ download.
 from .cluster import ClusterTrianaService
 from .controller import RunReport, TrianaController
 from .detector import HeartbeatFailureDetector, WorkerHealth
-from .errors import DeploymentError, MigrationError, SchedulingError, ServiceError
+from .errors import DeploymentError, SchedulingError, ServiceError
 from .partition import (
     StagedPartition,
     find_distributable_groups,
@@ -45,7 +45,6 @@ __all__ = [
     "DispatchContext",
     "DistributionPolicy",
     "HeartbeatFailureDetector",
-    "MigrationError",
     "ParallelFarmPolicy",
     "PipelinePolicy",
     "PolicyRegistry",

@@ -12,10 +12,9 @@ from the policy registry.
 The policies themselves (the paper's ``parallel`` farm and ``p2p``
 pipeline, the envelope-amortizing ``chunked`` farm, and anything third
 parties register) live in :mod:`repro.service.policies`; deployment
-retry machinery in :mod:`repro.service.deploy`; chain migration in
-:mod:`repro.service.migration`.  The controller owns orchestration only:
-message routing, result ordering, staged execution and progress
-reporting.  Graphs may carry several policy groups — they are scheduled
+retry machinery in :mod:`repro.service.deploy`.  The controller owns
+orchestration only: message routing, result ordering, staged execution
+and progress reporting.  Graphs may carry several policy groups — they are scheduled
 in topological order, each group's results streaming into the next local
 zone as they arrive.
 """
@@ -23,7 +22,6 @@ zone as they arrive.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -34,14 +32,13 @@ from ..p2p.discovery import DiscoveryService
 from ..p2p.network import Message
 from ..p2p.peer import Peer
 from ..simkernel import Event, Simulator
-from . import migration
 from .deploy import DeploymentManager, merge_preseed_plans
 from .detector import HeartbeatFailureDetector
 from .errors import SchedulingError
 from .integrity import ReputationLedger, make_verifier
 from .partition import StageRouter, partition_stages
 from .policies import DispatchContext, RecoverySettings, global_policy_registry
-from .worker import WORKER_SERVICE_KIND, DeploymentSpec
+from .worker import WORKER_SERVICE_KIND
 
 __all__ = ["RunReport", "TrianaController"]
 
@@ -107,21 +104,11 @@ class TrianaController:
         self._ctx_of_dep: dict[str, DispatchContext] = {}
         self._duplicate_results = 0
         self._stale_results = 0
-        #: request key → its waiters, oldest first; each reply answers the
-        #: oldest, and a key whose last waiter is answered is removed
-        self._checkpoint_events: dict[str, deque[Event]] = {}
-        self._drain_events: dict[str, deque[Event]] = {}
-        self._reparam_events: dict[tuple[str, str], deque[Event]] = {}
         #: first/last local-zone engines of the most recent run
         self.last_upstream: Optional[LocalEngine] = None
         self.last_downstream: Optional[LocalEngine] = None
-        #: (worker, spec) per stage of the most recent p2p chain
-        self._last_chain: list[tuple[str, DeploymentSpec]] = []
         peer.on("group-result", self._on_result)
         peer.on("triana-heartbeat", self._on_heartbeat)
-        peer.on("checkpoint-reply", self._on_checkpoint_reply)
-        peer.on("drain-reply", self._on_drain_reply)
-        peer.on("reparam-ack", self._on_reparam_ack)
 
     @property
     def deploy_timeout(self) -> float:
@@ -170,61 +157,6 @@ class TrianaController:
             return
         ctx.settle(iteration, outputs, message.src)
 
-    def _wait(self, table: dict, key) -> Event:
-        """A new waiter for a reply to ``key``, queued behind earlier ones."""
-        ev = self.sim.event()
-        table.setdefault(key, deque()).append(ev)
-        return ev
-
-    @staticmethod
-    def _oldest_waiter(table: dict, key) -> Optional[Event]:
-        """Take the oldest waiter for ``key``; None for an unasked reply."""
-        waiters = table.get(key)
-        if not waiters:
-            return None
-        ev = waiters.popleft()
-        if not waiters:
-            del table[key]
-        return ev
-
-    def _on_checkpoint_reply(self, message: Message) -> None:
-        deployment_id, state = message.payload
-        ev = self._oldest_waiter(self._checkpoint_events, deployment_id)
-        if ev is not None:
-            ev.succeed(state)
-
-    def _on_drain_reply(self, message: Message) -> None:
-        deployment_id, state, leftovers = message.payload
-        ev = self._oldest_waiter(self._drain_events, deployment_id)
-        if ev is not None:
-            ev.succeed((state, leftovers))
-
-    def _on_reparam_ack(self, message: Message) -> None:
-        deployment_id, task_name, error = message.payload
-        ev = self._oldest_waiter(self._reparam_events, (deployment_id, task_name))
-        if ev is not None:
-            if error is None:
-                ev.succeed(deployment_id)
-            else:
-                ev.fail(SchedulingError(f"reparam failed: {error}"))
-
-    def update_params(
-        self, worker: str, deployment_id: str, task: str, **params
-    ) -> Event:
-        """Re-parameterise a live deployed unit (no redeploy, no code).
-
-        Returns an event that succeeds when the worker confirms, or fails
-        with :class:`SchedulingError` if the worker rejects the update.
-        """
-        ev = self._wait(self._reparam_events, (deployment_id, task))
-        self.peer.send(
-            worker,
-            "triana-reparam",
-            payload=(self.peer.peer_id, deployment_id, task, dict(params)),
-            size_bytes=128,
-        )
-        return ev
-
     # -- worker discovery ----------------------------------------------------------
     def discover_workers(self, min_cpu_flops: float = 0.0) -> Event:
         """Find Triana worker services ("CPU capability" attribute match).
@@ -246,31 +178,6 @@ class TrianaController:
 
         query.callbacks.append(collect)
         return found
-
-    def request_checkpoint(self, worker: str, deployment_id: str) -> Event:
-        """Pull a deployment's unit state (migration support)."""
-        ev = self._wait(self._checkpoint_events, deployment_id)
-        self.peer.send(
-            worker, "triana-checkpoint", payload=(self.peer.peer_id, deployment_id)
-        )
-        return ev
-
-    def request_drain(
-        self, worker: str, deployment_id: str, new_home: tuple[str, str]
-    ) -> Event:
-        """Hand a deployment over to ``new_home`` (migration support).
-
-        Returns an event yielding ``(state, leftovers)``; the old worker
-        leaves a tombstone that forwards stragglers to the new home.
-        """
-        ev = self._wait(self._drain_events, deployment_id)
-        self.peer.send(
-            worker,
-            "triana-drain",
-            payload=(self.peer.peer_id, deployment_id, new_home),
-            size_bytes=96,
-        )
-        return ev
 
     # -- the distributed run ------------------------------------------------------------
     def run_distributed(
@@ -417,8 +324,6 @@ class TrianaController:
             self._notify("deployed", deployment=dep_id, worker=worker)
             self.detector.watch(worker, self.sim.now)
         for ctx in contexts:
-            if ctx.chain:
-                self._last_chain = list(ctx.chain)
             self._ctx_of_dep.update(dict.fromkeys(ctx.placements, ctx))
             ctx.result_events = {it: self.sim.event() for it in range(iterations)}
             ctx.policy.start(ctx, iterations)
@@ -537,15 +442,3 @@ class TrianaController:
             else:
                 raise SchedulingError(f"probe target {name!r} not found in any zone")
         return attached
-
-    # -- chain migration -----------------------------------------------------------------
-    def migrate_stage(
-        self, stage_index: int, new_worker: str, settle: float = 2.0
-    ) -> Event:
-        """Move one stage of the last-deployed p2p chain to another peer.
-
-        See :mod:`repro.service.migration` for the checkpoint/rewire/
-        drain/resume protocol.  Returns a process event yielding the new
-        deployment id.
-        """
-        return migration.migrate_stage(self, stage_index, new_worker, settle)

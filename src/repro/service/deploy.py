@@ -62,11 +62,13 @@ class DeploymentManager:
         peer.on("preseed-ack", self._on_preseed_ack)
 
     def _on_ack(self, message: Message) -> None:
-        deployment_id, error = message.payload
+        """Success and a final refusal answer the ask (the ack itself is the
+        reply); a refusal a re-ask may change fails this attempt."""
+        deployment_id, error, final = message.payload
         ev = self._ack_events.get(deployment_id)
         if ev is not None and not ev.triggered:
-            if error is None:
-                ev.succeed(deployment_id)
+            if error is None or final:
+                ev.succeed(message.payload)
             else:
                 ev.fail(DeploymentError(f"{deployment_id}: {error}"))
 
@@ -127,11 +129,15 @@ class DeploymentManager:
         """One spec's deploy asks: None once acked, else the cause."""
         what = f"deploy {spec.deployment_id!r} on {worker!r}"
         try:
-            yield from self.peer.ask(partial(self._send, worker, spec), what)
+            _dep, error, _final = yield from self.peer.ask(
+                partial(self._send, worker, spec), what
+            )
         except RequestFailed as exc:
             return str(exc)
         finally:  # every exit path, the give-up included, forgets its ack
             self._ack_events.pop(spec.deployment_id, None)
+        if error is not None:
+            return f"{what} refused at t={self.sim.now:g}: {error}"
 
     def _send(self, worker, spec):
         ack = self._ack_events[spec.deployment_id] = self.sim.event()

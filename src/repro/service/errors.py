@@ -13,7 +13,3 @@ class DeploymentError(ServiceError):
 
 class SchedulingError(ServiceError):
     """The controller could not build or execute a placement."""
-
-
-class MigrationError(ServiceError):
-    """Work could not be recovered from a failed peer."""

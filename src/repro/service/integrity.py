@@ -379,9 +379,9 @@ class ReplicationVoting(SpotCheck):
     left, the controller settles it by its own recompute on the
     spot-check mirror.
 
-    Chain-shaped groups (``ctx.chain``) spot-check instead: a pipeline's
-    placement *is* its topology, so there is no disjoint replica set to
-    vote over.
+    Chain-shaped groups (a ``chained`` policy) spot-check instead: a
+    pipeline's placement *is* its topology, so there is no disjoint
+    replica set to vote over.
     """
 
     name = "replicate"
@@ -400,7 +400,7 @@ class ReplicationVoting(SpotCheck):
         self._host_order: list[str] = []
 
     def start(self, ctx) -> None:
-        if ctx.chain:
+        if ctx.policy.chained:
             super().start(ctx)
             return
         hosts = len(set(ctx.replica_hosts))
@@ -415,7 +415,7 @@ class ReplicationVoting(SpotCheck):
     # -- dispatch side ------------------------------------------------------
     def on_dispatch(self, ctx, worker, deployment_id, items) -> None:
         super().on_dispatch(ctx, worker, deployment_id, items)
-        if ctx.chain:
+        if ctx.policy.chained:
             return
         fresh: list[tuple[int, list]] = []
         for iteration, inputs in items:
@@ -463,7 +463,7 @@ class ReplicationVoting(SpotCheck):
 
     # -- result side --------------------------------------------------------
     def on_result(self, ctx, iteration, worker, outputs) -> None:
-        if ctx.chain:
+        if ctx.policy.chained:
             super().on_result(ctx, iteration, worker, outputs)
             return
         ballot = self.ballots.get(iteration)

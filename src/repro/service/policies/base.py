@@ -98,9 +98,6 @@ class DispatchContext:
         self.redispatch_spans: dict[int, Any] = {}
         #: recovery accounting, aggregated into the run report
         self.counters = {"n": 0, "suspicion": 0, "timeout": 0, "speculative": 0}
-        #: (worker, spec) per stage — set by chain-shaped policies so the
-        #: controller can offer stage migration
-        self.chain: list[tuple[str, DeploymentSpec]] = []
         self.iterations = 0
         #: the policy instance driving this run (set by the controller)
         self.policy: Any = None
@@ -210,6 +207,9 @@ class DistributionPolicy:
 
     #: registry name; also the value of ``<group policy="...">`` in XML
     name: str = ""
+    #: one deployment per stage, each piping into the next: the placement
+    #: is the topology, so verification has no replica set to vote over
+    chained: bool = False
 
     @classmethod
     def summary(cls) -> str:

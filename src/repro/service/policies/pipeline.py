@@ -24,6 +24,7 @@ class PipelinePolicy(DistributionPolicy):
     """Pipeline a linear chain across peers with stage-to-stage pipes."""
 
     name = "p2p"
+    chained = True
 
     def deploy(self, ctx: DispatchContext, group, workers: list[str]):
         """Place each unit of the group on its own peer, piped in order."""
@@ -66,8 +67,6 @@ class PipelinePolicy(DistributionPolicy):
         dropped = yield from ctx.deploy(specs)
         if dropped:  # a chain has no stage to spare
             raise DeploymentError(f"p2p chain {group.name!r} lost a stage: {dropped[0][2]}")
-        # Remember the chain so the controller can offer stage migration.
-        ctx.chain = [(worker, spec) for worker, spec in specs]
 
     def dispatch(self, ctx: DispatchContext, iteration: int, inputs: list) -> None:
         # Everything enters at stage 0 and flows peer-to-peer.
@@ -80,8 +79,8 @@ class PipelinePolicy(DistributionPolicy):
 
         Stage ``i`` deploys on ``workers[i % n]`` — pre-seeding its unit
         there (plus the next ``replicas - 1`` peers, which serve as warm
-        replicas for migration/recovery) means the deploy-time fetch is
-        a digest revalidation instead of a full download.
+        module replicas) means the deploy-time fetch is a digest
+        revalidation instead of a full download.
         """
         order = group.graph.topological_order()
         by_worker: dict[str, set[str]] = {}

@@ -27,6 +27,7 @@ from ..mobility.cache import ModuleCache, ModuleSettings
 from ..mobility.errors import MobilityError
 from ..mobility.sandbox import SandboxPolicy
 from ..p2p.advertisement import ADV_SERVICE, Advertisement
+from ..p2p.errors import RequestFailed
 from ..p2p.network import Message
 from ..p2p.peer import Peer
 from ..simkernel import Simulator
@@ -64,10 +65,6 @@ class DeploymentSpec:
     forward:
         ``None`` to send results to the controller, or
         ``(peer_id, deployment_id)`` to pipe them into the next stage.
-    paused:
-        Deploy in a buffering state: arriving iterations accumulate until
-        a ``triana-resume`` message delivers (possibly migrated) unit
-        state and any drained leftovers.  Used by chain migration.
     heartbeat_interval:
         When positive, the worker emits ``triana-heartbeat`` messages to
         the controller every this-many seconds while its lease is live
@@ -81,7 +78,6 @@ class DeploymentSpec:
     external_inputs: tuple[tuple[str, int], ...]
     output_spec: tuple[tuple[str, int], ...]
     forward: Optional[tuple[str, str]] = None
-    paused: bool = False
     heartbeat_interval: float = 0.0
 
 
@@ -92,9 +88,6 @@ class _Deployment:
     #: iterations waiting for the exec loop, oldest first
     queue: deque = field(default_factory=deque)
     iterations_done: int = 0
-    paused: bool = False
-    backlog: list = field(default_factory=list)
-    forward_override: Optional[tuple[str, str]] = None
     #: iterations queued or executing (duplicate ``group-exec`` dedup)
     pending: set = field(default_factory=set)
     #: recently shipped outputs by iteration, for idempotent re-ship
@@ -146,7 +139,6 @@ class TrianaService:
         #: ids whose ``_deploy_proc`` is still fetching modules
         self._deploying: set[str] = set()
         self.stats = ServiceStats()
-        self._tombstones: dict[str, tuple[str, str]] = {}
         #: bounded per-deployment result cache (idempotent re-ship)
         self.result_cache_size = 256
         self._hb_interval = 0.0
@@ -155,11 +147,6 @@ class TrianaService:
         self._hb_running = False
         peer.on("triana-deploy", self._on_deploy)
         peer.on("group-exec", self._on_exec)
-        peer.on("triana-checkpoint", self._on_checkpoint)
-        peer.on("triana-rewire", self._on_rewire)
-        peer.on("triana-drain", self._on_drain)
-        peer.on("triana-resume", self._on_resume)
-        peer.on("triana-reparam", self._on_reparam)
         peer.on("triana-hb-renew", self._on_hb_renew)
         peer.on("module-preseed", self._on_preseed)
 
@@ -167,14 +154,11 @@ class TrianaService:
     def telemetry_sample(self) -> dict[str, Any]:
         """Per-worker snapshot for the live telemetry sampler.
 
-        ``queued`` counts iterations waiting in deployment queues or held
-        by a paused deployment; ``inflight`` is the remainder of the
-        pending sets — iterations handed to an engine but not yet
-        completed.
+        ``queued`` counts iterations waiting in deployment queues;
+        ``inflight`` is the remainder of the pending sets — iterations
+        handed to an engine but not yet completed.
         """
-        queued = sum(
-            len(d.queue) + len(d.backlog) for d in self.deployments.values()
-        )
+        queued = sum(len(d.queue) for d in self.deployments.values())
         pending = sum(len(d.pending) for d in self.deployments.values())
         return {
             "deployments": len(self.deployments),
@@ -333,9 +317,11 @@ class TrianaService:
         except Exception as exc:  # a fetch, sandbox or build failure refuses
             self.stats.deploy_failures += 1
             span.end(outcome="failed", error=type(exc).__name__)
-            self._ack_deploy(spec, f"{type(exc).__name__}: {exc}")
+            # Only a fetch that gave up may go otherwise when asked again.
+            final = not isinstance(exc, RequestFailed)
+            self._ack_deploy(spec, f"{type(exc).__name__}: {exc}", final)
             return
-        dep = _Deployment(spec=spec, engine=engine, paused=spec.paused)
+        dep = _Deployment(spec=spec, engine=engine)
         self.deployments[spec.deployment_id] = dep
         self.stats.deployments += 1
         span.end(outcome="deployed", units=len(required))
@@ -343,9 +329,13 @@ class TrianaService:
         self._drive(dep)  # runs it to its first ask: an idle loop
         self._ack_deploy(spec)
 
-    def _ack_deploy(self, spec: DeploymentSpec, error: Optional[str] = None) -> None:
+    def _ack_deploy(
+        self, spec: DeploymentSpec, error: Optional[str] = None, final: bool = False
+    ) -> None:
+        """Ack a deploy: ``error`` None on success, else the refusal, which
+        is ``final`` when asking again cannot change it."""
         self.peer.send(
-            spec.controller, "deploy-ack", payload=(spec.deployment_id, error),
+            spec.controller, "deploy-ack", payload=(spec.deployment_id, error, final),
             size_bytes=64 if error is None else 128,
         )
 
@@ -357,16 +347,6 @@ class TrianaService:
         deployment_id, items = message.payload
         dep = self.deployments.get(deployment_id)
         if dep is None:
-            # Migrated away?  A tombstone forwards stragglers to the new home.
-            target = self._tombstones.get(deployment_id)
-            if target is not None and self.peer.online:
-                new_peer, new_dep = target
-                self.peer.send(
-                    new_peer,
-                    "group-exec",
-                    payload=(new_dep, items),
-                    size_bytes=message.size_bytes,
-                )
             return
         for iteration, inputs in items:
             self._accept(dep, iteration, inputs)
@@ -383,10 +363,7 @@ class TrianaService:
             self.stats.duplicate_execs_dropped += 1
             return
         dep.pending.add(iteration)
-        if dep.paused:
-            dep.backlog.append((iteration, inputs))
-        else:
-            self._enqueue(dep, (iteration, inputs))
+        self._enqueue(dep, (iteration, inputs))
 
     def _enqueue(self, dep: _Deployment, item) -> None:
         """Hand ``item`` to an idle exec loop at the current time, or queue
@@ -514,8 +491,7 @@ class TrianaService:
         if not self.peer.online:
             return  # churned away mid-compute; controller recovers
         self.stats.results_sent += 1
-        forward = dep.forward_override or dep.spec.forward
-        if forward is None:
+        if dep.spec.forward is None:
             self.peer.send(
                 dep.spec.controller,
                 "group-result",
@@ -523,103 +499,10 @@ class TrianaService:
                 size_bytes=size,
             )
         else:
-            next_peer, next_dep = forward
+            next_peer, next_dep = dep.spec.forward
             self.peer.send(
                 next_peer,
                 "group-exec",
                 payload=(next_dep, [(iteration, outputs)]),
                 size_bytes=size,
             )
-
-    # -- checkpoint & migration protocol ------------------------------------------------
-    def _on_checkpoint(self, message: Message) -> None:
-        requester, deployment_id = message.payload
-        dep = self.deployments.get(deployment_id)
-        state = dep.engine.checkpoint() if dep is not None else None
-        self.peer.send(
-            requester,
-            "checkpoint-reply",
-            payload=(deployment_id, state),
-            size_bytes=1024,
-        )
-
-    def _on_reparam(self, message: Message) -> None:
-        """Update unit parameters of a live deployment.
-
-        The Case-1 view change: "messages are then sent to all the
-        distributed servers so that the new data slice through each time
-        frame can be calculated and returned" — no re-deploy, no code
-        movement, just new parameters for already-running units.
-        """
-        requester, deployment_id, task_name, params = message.payload
-        dep = self.deployments.get(deployment_id)
-        error = None
-        if dep is None:
-            error = f"no deployment {deployment_id!r}"
-        elif task_name not in dep.engine.units:
-            error = (
-                f"no task {task_name!r} in deployment "
-                f"(have {sorted(dep.engine.units)})"
-            )
-        else:
-            try:
-                unit = dep.engine.units[task_name]
-                for pname, pvalue in params.items():
-                    unit.set_param(pname, pvalue)
-            except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-        self.peer.send(
-            requester,
-            "reparam-ack",
-            payload=(deployment_id, task_name, error),
-            size_bytes=96,
-        )
-
-    def _on_rewire(self, message: Message) -> None:
-        """Re-point a deployment's forwarding target (chain migration)."""
-        deployment_id, new_forward = message.payload
-        dep = self.deployments.get(deployment_id)
-        if dep is not None:
-            dep.forward_override = tuple(new_forward) if new_forward else None
-
-    def _on_drain(self, message: Message) -> None:
-        """Hand over a deployment: checkpoint + queued work, leave a tombstone.
-
-        An execution already started finishes and ships; the exec loop is
-        then left idle on the emptied queue, unreachable and scheduling
-        nothing.
-        """
-        requester, deployment_id, new_home = message.payload
-        dep = self.deployments.pop(deployment_id, None)
-        if dep is None:
-            self.peer.send(
-                requester, "drain-reply", payload=(deployment_id, None, []), size_bytes=64
-            )
-            return
-        if new_home is not None:
-            self._tombstones[deployment_id] = tuple(new_home)
-        leftovers = list(dep.queue) + dep.backlog
-        dep.queue.clear()
-        dep.backlog.clear()
-        state = dep.engine.checkpoint()
-        size = 1024 + sum(payload_nbytes(inputs) for _it, inputs in leftovers)
-        self.peer.send(
-            requester,
-            "drain-reply",
-            payload=(deployment_id, state, leftovers),
-            size_bytes=size,
-        )
-
-    def _on_resume(self, message: Message) -> None:
-        """Receive migrated state + leftovers and start executing."""
-        deployment_id, state, leftovers = message.payload
-        dep = self.deployments.get(deployment_id)
-        if dep is None:
-            return
-        if state:
-            dep.engine.restore(state)
-        merged = sorted(list(leftovers) + dep.backlog, key=lambda item: item[0])
-        dep.backlog.clear()
-        dep.paused = False
-        for item in merged:
-            self._enqueue(dep, item)

@@ -128,16 +128,6 @@ class TestUnits:
         with pytest.raises(UnitError):
             DataReader(dataset="nope").process([])
 
-    def test_data_reader_checkpoint(self):
-        generate_snapshots(n_frames=3, n_particles=10, seed=0, register_as="test-ds-3")
-        r1 = DataReader(dataset="test-ds-3")
-        r1.process([])
-        state = r1.checkpoint()
-        r2 = DataReader(dataset="test-ds-3")
-        r2.restore(state)
-        (frame,) = r2.process([])
-        assert frame.time == generate_snapshots(3, 10, 0)[1].time
-
     def test_column_density_unit(self):
         frames = generate_snapshots(n_frames=1, n_particles=100, seed=10)
         (img,) = ColumnDensity(resolution=32).process([frames[0]])

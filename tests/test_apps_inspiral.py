@@ -367,16 +367,6 @@ class TestUnitsAndGraph:
             detections.append(search_chunk(chunk, bank).detected)
         assert detections == [False, True, False, True]
 
-    def test_strain_source_checkpoint(self):
-        s1 = StrainSource(duration=1.0, inject_every=0)
-        s1.process([])
-        state = s1.checkpoint()
-        s2 = StrainSource(duration=1.0, inject_every=0)
-        s2.restore(state)
-        (a,) = s1.process([])
-        (b,) = s2.process([])
-        np.testing.assert_array_equal(a.data, b.data)
-
     def test_search_unit_outputs_table(self):
         src = StrainSource(duration=2.0, inject_every=1, injection_snr=15.0)
         (chunk,) = src.process([])

@@ -115,29 +115,6 @@ class TestStateAndCheckpoint:
         engine.run(iterations=5)
         assert engine.units["Accum"].count == 5
 
-    def test_checkpoint_restore_resumes_exactly(self):
-        # Run 20 iterations straight.
-        e_full = LocalEngine(fig1_graph())
-        p_full = e_full.attach_probe("Accum")
-        e_full.run(20)
-
-        # Run 10, checkpoint, restore into a fresh engine, run 10 more.
-        e_a = LocalEngine(fig1_graph())
-        e_a.run(10)
-        snapshot = e_a.checkpoint()
-
-        e_b = LocalEngine(fig1_graph())
-        p_b = e_b.attach_probe("Accum")
-        e_b.restore(snapshot)
-        e_b.run(10)
-
-        np.testing.assert_allclose(p_b.last.data, p_full.last.data)
-
-    def test_restore_unknown_task_rejected(self):
-        engine = LocalEngine(fig1_graph())
-        with pytest.raises(GraphError):
-            engine.restore({"Ghost": {}})
-
     def test_reset_clears_everything(self):
         engine = LocalEngine(fig1_graph())
         probe = engine.attach_probe("Accum")

@@ -113,12 +113,6 @@ class TestUnitBasics:
         with pytest.raises(UnitError):
             Broken.input_types_at(0)
 
-    def test_stateless_restore_rejects_state(self):
-        u = Doubler()
-        u.restore({})  # fine
-        with pytest.raises(UnitError):
-            u.restore({"x": 1})
-
     def test_process_not_implemented(self):
         with pytest.raises(NotImplementedError):
             Unit().process([None])

@@ -4,11 +4,11 @@ calls, not a ``Process`` blocked on a ``Store``.
 The process-on-a-store loop is kept below as the reference the driven
 loop must be indistinguishable from: the same results, makespans,
 messages, bytes and byte-identical traces, on generated pipelines and
-farms with and without replication and a chaos storm, with a cluster
-peer in the fleet and across a chain migration.  What differs is the
-kernel's event count, by exactly one per iteration that went through a
-queue and one per deployment: the event ``Store.put`` pushed and nobody
-awaited, and the ``Process``'s start-up event.
+farms with and without replication and a chaos storm, and with a
+cluster peer in the fleet.  What differs is the kernel's event count, by
+exactly one per iteration that went through a queue and one per
+deployment: the event ``Store.put`` pushed and nobody awaited, and the
+``Process``'s start-up event.
 """
 
 from contextlib import contextmanager
@@ -28,7 +28,6 @@ from repro.service.cluster import GRID_USER, ClusterTrianaService
 from repro.service.worker import TrianaService
 from repro.simkernel import Store
 from repro.transport.wire import result_checksum
-from tests.test_service_migration import stateful_chain_graph
 
 # -- the reference: the exec loop as a Process on a Store ----------------------------
 
@@ -37,8 +36,8 @@ class StoreLoop:
     """Runs ``_exec_loop`` as a kernel ``Process`` that blocks on a
     ``Store``, the way workers executed before the loop was driven.
 
-    The store's item deque *is* ``dep.queue``, so draining, migration and
-    telemetry read the same queue either way.  ``puts`` and ``loops``
+    The store's item deque *is* ``dep.queue``, so telemetry reads the
+    same queue either way.  ``puts`` and ``loops``
     count the two events the driven loop does not schedule.
     """
 
@@ -206,33 +205,6 @@ def test_driven_loop_is_the_store_loop_schedule(policy, stages, iterations, adve
         assert new["finished"]
 
 
-def test_a_drained_queue_resumes_on_the_new_home_identically():
-    """Chain migration: the first stage's home drains with iterations
-    queued behind the one executing, and the new home resumes them."""
-    drained = []
-
-    def build_and_run():
-        grid = slow_grid(52, cluster=False)
-        old_home = grid.workers["worker-0"]
-
-        def spy(message):
-            drained.append(len(old_home.deployments[message.payload[1]].queue))
-            old_home._on_drain(message)
-
-        grid.worker_peers["worker-0"].replace_handler("triana-drain", spy)
-        done = grid.controller.run_distributed(
-            stateful_chain_graph(), 24, ["worker-0", "worker-1"]
-        )
-        grid.sim.call_at(
-            0.05, lambda: grid.controller.migrate_stage(0, "worker-2", settle=0.05)
-        )
-        return outcome(grid, lambda: grid.sim.run(until=done))
-
-    new = assert_same_schedule(build_and_run)
-    assert new["finished"]
-    assert drained[0] == drained[1] > 0  # both drains had work queued
-
-
 # -- a unit that raises on a worker -------------------------------------------------------
 
 
@@ -302,4 +274,3 @@ def test_a_unit_raising_over_tcp_stops_its_deployment_only():
         assert_stopped_after_failure(grid)
     finally:
         grid.transport.close()
-

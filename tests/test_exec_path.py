@@ -4,8 +4,8 @@
 from policy to wire to worker; ``parallel`` is the farm with
 ``chunk_size = 1``.  These tests pin the fold on generated inputs: the
 same numbers whatever the batch size, one message per filled buffer,
-replication batch-wise, a tombstone forwarding a batch whole, and an
-old-shape frame refused loudly instead of mis-executed.
+replication batch-wise, and an old-shape frame refused loudly instead
+of mis-executed.
 """
 
 import math
@@ -109,7 +109,7 @@ def test_replicate3_under_chunked_replicates_batch_wise():
 class _VotingCtx:
     """The slice of a ``DispatchContext`` ``ReplicationVoting`` dispatches through."""
 
-    chain = ()
+    policy = ChunkedFarmPolicy()
     replica_hosts = ["w0", "w1", "w2", "w3"]
     dep_ids = ["d0", "d1", "d2", "d3"]
 
@@ -165,38 +165,7 @@ def test_redispatch_from_a_batch_adds_one_voter_to_that_ballot_only():
     assert "batched" not in last
 
 
-# -- (c) a tombstone forwards a batch whole -------------------------------------------
-
-
-def test_tombstone_forwards_a_three_item_exec_as_one_message():
-    grid = ConsumerGrid(n_workers=2, seed=9)
-    grid.run(farm_graph(), iterations=2)
-    old_home, new_home = grid.workers["worker-0"], grid.workers["worker-1"]
-    (new_dep,) = new_home.deployments
-    old_home._tombstones["dep-moved"] = ("worker-1", new_dep)
-    forwarded = []
-    accept = new_home._on_exec
-
-    def capture(message):
-        forwarded.append(message)
-        accept(message)
-
-    grid.worker_peers["worker-1"].replace_handler("group-exec", capture)
-    frame = SampleSet(data=np.arange(64.0), sampling_rate=64.0)
-    items = [(100 + i, [frame]) for i in range(3)]
-    done_before = new_home.stats.iterations
-    grid.controller_peer.send(
-        "worker-0", "group-exec", payload=("dep-moved", items), size_bytes=777
-    )
-    grid.sim.run()
-    (message,) = forwarded
-    assert (message.src, message.size_bytes) == ("worker-0", 777)
-    assert message.payload == (new_dep, items)
-    assert new_home.stats.iterations == done_before + 3
-    assert old_home.stats.iterations + new_home.stats.iterations == 2 + 3
-
-
-# -- (e) an old-shape frame is refused, not mis-executed ------------------------------
+# -- (c) an old-shape frame is refused, not mis-executed ------------------------------
 
 
 def test_old_shape_exec_over_tcp_is_counted_and_the_worker_keeps_serving():

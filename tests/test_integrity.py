@@ -22,7 +22,7 @@ from repro.faults import Fault, FaultInjector, FaultPlan
 from repro.faults.compute import ComputeFaultModel, ComputeFaultWindow
 from repro.observe import NullTracer
 from repro.p2p import LAN_PROFILE
-from repro.service import SchedulingError
+from repro.service import ParallelFarmPolicy, SchedulingError
 from repro.service import detector as detector_module, integrity
 from repro.service.detector import HeartbeatFailureDetector
 from repro.service.integrity import (
@@ -282,7 +282,7 @@ class _BallotCtx:
     """The slice of a DispatchContext a farm ballot runs through, on a
     real simulator so a local settle's recompute takes modelled time."""
 
-    chain = ()
+    policy = ParallelFarmPolicy()
 
     def __init__(self, hosts, group=None, offline=()):
         self.sim = Simulator(seed=1)

@@ -198,6 +198,9 @@ class TestDroppedWorker:
         assert drop["worker"] == "worker-1"
         assert "RepositoryUnreachable" in drop["cause"]
         assert set(report.placements.values()) == {"worker-0"}
+        # A portal that did not answer may answer the next ask: unlike a
+        # sandbox refusal, this one is asked again.
+        assert grid.workers["worker-1"].stats.deploy_failures == ASK_ATTEMPTS
 
     def test_a_farm_with_no_worker_left_fails_attributed(self):
         grid, seen = dropping(2, ["worker-0", "worker-1"])

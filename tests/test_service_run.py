@@ -370,30 +370,3 @@ class TestDeployRetryDuringSlowFetch:
         local.run(6)
         for (dist,), loc in zip(report.group_results, probe.values):
             np.testing.assert_array_equal(dist.data, loc.data)
-
-
-class TestCheckpointProtocol:
-    def test_controller_can_pull_state(self):
-        g = fig1_grouped(members=("Gaussian", "FFT"))
-        grid = ConsumerGrid(n_workers=1, seed=20)
-        grid.run(g, iterations=4)
-        (dep_id,) = list(grid.workers["worker-0"].deployments)
-        ev = grid.controller.request_checkpoint("worker-0", dep_id)
-        state = grid.sim.run(until=ev)
-        assert "Gaussian" in state and "FFT" in state
-        assert "rng_state" in state["Gaussian"]
-
-    def test_overlapping_requests_each_get_a_reply(self):
-        """A second request for the same deployment queues behind the
-        first instead of orphaning it; answered waiters leave the table."""
-        g = fig1_grouped(members=("Gaussian", "FFT"))
-        grid = ConsumerGrid(n_workers=1, seed=20)
-        grid.run(g, iterations=4)
-        (dep_id,) = list(grid.workers["worker-0"].deployments)
-        first = grid.controller.request_checkpoint("worker-0", dep_id)
-        second = grid.controller.request_checkpoint("worker-0", dep_id)
-        grid.sim.run()
-        assert first.triggered and second.triggered
-        assert "rng_state" in first.value["Gaussian"]
-        assert second.value == first.value
-        assert grid.controller._checkpoint_events == {}

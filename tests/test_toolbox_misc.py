@@ -53,14 +53,6 @@ class TestDisplay:
         with pytest.raises(UnitError):
             Grapher().process([object()])
 
-    def test_grapher_checkpoint_round_trip(self):
-        g = Grapher()
-        g.process([vec(3.0, 4.0)])
-        state = g.checkpoint()
-        g2 = Grapher()
-        g2.restore(state)
-        np.testing.assert_allclose(g2.last_frame.y, [3.0, 4.0])
-
     def test_reading_a_frame_gives_the_eager_rendering(self):
         """Frames render on read; each equals what rendering the payload
         when it was shown gives (what the Grapher once stored)."""
@@ -74,22 +66,6 @@ class TestDisplay:
             assert np.array_equal(frame.y, eager[-1].y)
             assert frame.label == eager[-1].label
         assert [frame_state(f) for f in g.frames] == [frame_state(f) for f in eager]
-        assert g.checkpoint() == {"frames": [frame_state(f) for f in eager]}
-
-    def test_checkpoint_round_trips_restored_and_new_frames(self):
-        before = Grapher()
-        before.process([vec(1.0, 2.0)])
-        before.process([Const(value=7.0)])
-        g = Grapher()
-        g.restore(before.checkpoint())
-        for payload in displayable_payloads():
-            g.process([payload])
-        state = g.checkpoint()
-        assert state["frames"][:2] == before.checkpoint()["frames"]
-        assert len(state["frames"]) == 2 + len(displayable_payloads())
-        again = Grapher()
-        again.restore(state)
-        assert again.checkpoint() == state
 
     def test_showing_frames_adds_no_array(self):
         """The Grapher holds a reference to each payload, not a rendering:

@@ -54,7 +54,7 @@ TABLE = """# Architecture
 def test_the_repo_table_matches_the_registered_handlers():
     assert doc_links.check_message_table(_ROOT) == []
     kinds = doc_links.registered_kinds(_ROOT / "src" / "repro")
-    assert {"group-exec", "triana-reparam", "rdv-reply", "node-shutdown"} <= set(kinds)
+    assert {"group-exec", "triana-deploy", "rdv-reply", "node-shutdown"} <= set(kinds)
     assert "group-exec-bulk" not in kinds and "disc-reply" not in kinds
 
 

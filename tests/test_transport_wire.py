@@ -348,7 +348,9 @@ def golden_values():
 #: ran on per-class plans.  A change here changes what ``result_checksum``
 #: means across backends and versions: bump ``WIRE_VERSION`` with it.
 GOLDEN_SHA256 = {
-    "triana-deploy": "4dc06f7500d6b0de69431da9d27e21f9210ec78216f457fb063fa3121a032b28",
+    # re-pinned when DeploymentSpec lost its ``paused`` field (the codec did
+    # not move: the old codec gives this digest for the spec without it)
+    "triana-deploy": "9b2324a4733a6e0e4b3c6cfc714287ad2baf7291443d5c2bbcd2f59b15a846b2",
     "group-exec": "af522ab53560b8b2f2191cdcf0b1f04e35e28425ff3797c321535c3795633e61",
     "group-exec-batch": "625c1ff8adc7d6fcb4acd7546e7aef5dd57ce366afa22fd6bbfa091a137806b0",
     "group-result-image": "b85636d578ec1309f7840a0185b92468cea886f4c7896777ac23b117c5eedca4",
