@@ -19,7 +19,7 @@ Run with::
 from repro import ConsumerGrid
 from repro.analysis import EXPERIMENTS, fig1_grouped, render_kv, run_batch
 from repro.p2p import LAN_PROFILE
-from repro.resources import PoissonChurn, ScreensaverCycle
+from repro.resources import PoissonChurn
 
 
 def part_harvest() -> None:

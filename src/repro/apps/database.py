@@ -74,9 +74,6 @@ class Database:
             raise DatabaseError(f"no table {name!r}; have {sorted(self._tables)}")
         return self._tables[name]
 
-    def tables(self) -> list[str]:
-        return sorted(self._tables)
-
     def load_csv(self, table: str, text: str) -> int:
         """Load a flat file: first line headers, numeric cells coerced."""
         lines = [ln for ln in io.StringIO(text).read().splitlines() if ln.strip()]
@@ -384,4 +381,3 @@ def run_pipeline(
 
     user.discover_services().callbacks.append(after_discovery)
     return done
-

@@ -39,7 +39,6 @@ __all__ = [
     "PAPER_CHUNK_SECONDS",
     "PAPER_CHUNK_BYTES",
     "PAPER_TEMPLATES_LOW",
-    "PAPER_TEMPLATES_HIGH",
     "PAPER_HOURS_PER_CHUNK",
     "PAPER_CPU_FLOPS",
     "FLOPS_PER_TEMPLATE_SAMPLE",
@@ -63,7 +62,6 @@ PAPER_SAMPLING_RATE = 2000.0  # "2,000 samples per second"
 PAPER_CHUNK_SECONDS = 900.0  # "chunks of 15 minutes in duration"
 PAPER_CHUNK_BYTES = int(4 * 900 * 2000)  # "7.2MB of data (4 x 900 x 2000)"
 PAPER_TEMPLATES_LOW = 5_000
-PAPER_TEMPLATES_HIGH = 10_000
 PAPER_HOURS_PER_CHUNK = 5.0  # "about 5 hours on a 2 GHz PC" (5000 templates)
 PAPER_CPU_FLOPS = 2.0e9
 
@@ -217,11 +215,6 @@ class TemplateBank:
         rows = spectra[lo:hi]
         rows.setflags(write=False)
         return rows
-
-    def conj_spectrum(self, index: int, nfft: int) -> np.ndarray:
-        """``conj(rfft(template(index), nfft))``: one row of
-        :meth:`conj_spectra`."""
-        return self.conj_spectra(index, index + 1, nfft)[0]
 
     def _conj_rfft(self, index: int, nfft: int, out: np.ndarray) -> None:
         np.fft.rfft(self.template(index), nfft, out=out)

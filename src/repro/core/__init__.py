@@ -34,7 +34,6 @@ from .taskgraph import (
     GroupTask,
     Task,
     TaskGraph,
-    known_policy_names,
     register_policy_name,
 )
 from .types import (
@@ -97,7 +96,6 @@ __all__ = [
     "graph_to_string",
     "graph_to_xml",
     "is_compatible",
-    "known_policy_names",
     "register_policy_name",
     "unit_names_in_xml",
     "register_unit",

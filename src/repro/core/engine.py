@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from .errors import GraphError, UnitError
 from .taskgraph import TaskGraph
@@ -301,11 +301,3 @@ class LocalEngine:
                 sink_outputs.setdefault(name, []).extend(inputs)
         stats.iterations += 1
         return outputs_map
-
-    def reset(self) -> None:
-        """Reset all units and statistics for a fresh run."""
-        for unit in self.units.values():
-            unit.reset()
-        for probe in self.probes:
-            probe.values.clear()
-        self.stats = RunStats()

@@ -29,11 +29,6 @@ class UnitDescriptor:
     code_size: int
     category: str = "misc"
 
-    @property
-    def qualified_name(self) -> str:
-        """``name@version`` — the identity the mobility layer ships."""
-        return f"{self.name}@{self.version}"
-
 
 class UnitRegistry(Registry[UnitDescriptor]):
     """Name → unit-class mapping with category search.
@@ -62,10 +57,6 @@ class UnitRegistry(Registry[UnitDescriptor]):
             code_size=cls.CODE_SIZE,
             category=category,
         ))
-
-    def create(self, name: str, **params) -> Unit:
-        """Instantiate a registered unit with parameters."""
-        return self.lookup(name).cls(**params)
 
     def search(self, category: str | None = None, text: str = "") -> list[UnitDescriptor]:
         """Find units by category and/or name substring."""

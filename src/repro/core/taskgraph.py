@@ -31,7 +31,6 @@ __all__ = [
     "TaskGraph",
     "GROUP_POLICIES",
     "register_policy_name",
-    "known_policy_names",
 ]
 
 #: Built-in distribution policies a group may carry.  ``none`` = run in
@@ -59,11 +58,6 @@ def register_policy_name(name: str) -> None:
     _known_policy_names.add(name)
 
 
-def known_policy_names() -> tuple[str, ...]:
-    """Every currently-valid policy name, sorted."""
-    return tuple(sorted(_known_policy_names))
-
-
 def _clone_task(task: "Task", new_name: str) -> "Task":
     """Copy a plain task under a (possibly path-qualified) new name.
 
@@ -87,9 +81,6 @@ class Connection:
     src_node: int
     dst: str
     dst_node: int
-
-    def label(self) -> str:
-        return f"{self.src}:{self.src_node}->{self.dst}:{self.dst_node}"
 
 
 class Task:
@@ -131,9 +122,6 @@ class Task:
         """Create a fresh unit instance for execution."""
         return self.descriptor.cls(**self.params)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Task({self.name!r}, unit={self.unit_name!r})"
-
 
 class GroupTask(Task):
     """An aggregate task hiding a sub-graph behind mapped external nodes.
@@ -164,7 +152,7 @@ class GroupTask(Task):
             raise GraphError(f"invalid group name {name!r}")
         if policy not in _known_policy_names:
             raise GraphError(
-                f"unknown policy {policy!r}; valid: {known_policy_names()}"
+                f"unknown policy {policy!r}; valid: {tuple(sorted(_known_policy_names))}"
             )
         self.name = name
         self.graph = graph
@@ -202,18 +190,6 @@ class GroupTask(Task):
     def output_types_at(self, node: int) -> list[Type[TrianaType]]:
         task_name, inner_node = self.output_map[node]
         return self.graph.task(task_name).output_types_at(inner_node)
-
-    def instantiate(self) -> Unit:
-        raise GraphError(
-            f"group {self.name!r} cannot be instantiated directly; "
-            "flatten the graph or distribute the group"
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"GroupTask({self.name!r}, tasks={len(self.graph.tasks)}, "
-            f"policy={self.policy!r})"
-        )
 
 
 class TaskGraph:
@@ -328,7 +304,7 @@ class TaskGraph:
         for existing in self.connections:
             if existing.dst == dst and existing.dst_node == dst_node:
                 raise GraphError(
-                    f"input {dst}:{dst_node} already fed by {existing.label()}"
+                    f"input {dst}:{dst_node} already fed by {existing.src}:{existing.src_node}"
                 )
         out_types = s.output_types_at(src_node)
         in_types = d.input_types_at(dst_node)
@@ -341,12 +317,6 @@ class TaskGraph:
         conn = Connection(src, src_node, dst, dst_node)
         self.connections.append(conn)
         return conn
-
-    def disconnect(self, conn: Connection) -> None:
-        try:
-            self.connections.remove(conn)
-        except ValueError:
-            raise GraphError(f"connection {conn.label()} not in graph") from None
 
     # -- lookup ------------------------------------------------------------------
     def task(self, name: str) -> Task:
@@ -362,16 +332,6 @@ class TaskGraph:
 
     def out_connections(self, name: str) -> list[Connection]:
         return [c for c in self.connections if c.src == name]
-
-    def sources(self) -> list[str]:
-        """Tasks with no incoming connections."""
-        fed = {c.dst for c in self.connections}
-        return [n for n in self.tasks if n not in fed]
-
-    def sinks(self) -> list[str]:
-        """Tasks with no outgoing connections."""
-        feeding = {c.src for c in self.connections}
-        return [n for n in self.tasks if n not in feeding]
 
     # -- validation & ordering -----------------------------------------------------
     def _successors(self) -> dict[str, set[str]]:
@@ -492,12 +452,3 @@ class TaskGraph:
         for c in self.connections:
             dup.connections.append(Connection(c.src, c.src_node, c.dst, c.dst_node))
         return dup
-
-    def __len__(self) -> int:
-        return len(self.tasks)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"TaskGraph({self.name!r}, tasks={len(self.tasks)}, "
-            f"connections={len(self.connections)})"
-        )

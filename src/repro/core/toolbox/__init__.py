@@ -16,21 +16,18 @@ from .display import Grapher, ScopeProbe
 from .signal import (
     FFT,
     AccumStat,
-    Decimate,
     GaussianNoise,
     Gain,
     HighPass,
     InverseFFT,
     LowPass,
     Mixer,
-    Offset,
     PowerSpectrum,
     Wave,
 )
 
 __all__ = [
     "AccumStat",
-    "Decimate",
     "FFT",
     "Gain",
     "GaussianNoise",
@@ -39,7 +36,6 @@ __all__ = [
     "InverseFFT",
     "LowPass",
     "Mixer",
-    "Offset",
     "PowerSpectrum",
     "ScopeProbe",
     "Wave",

@@ -34,11 +34,9 @@ __all__ = [
     "PowerSpectrum",
     "AccumStat",
     "Gain",
-    "Offset",
     "Mixer",
     "LowPass",
     "HighPass",
-    "Decimate",
 ]
 
 
@@ -213,11 +211,6 @@ class AccumStat(Unit):
         self._sum: np.ndarray | None = None
         self._df = 1.0
 
-    @property
-    def count(self) -> int:
-        """Number of spectra accumulated so far."""
-        return self._count
-
     def process(self, inputs: Sequence[Any]) -> list[Any]:
         (spec,) = inputs
         if self._sum is None:
@@ -248,27 +241,6 @@ class Gain(Unit):
         return [
             SampleSet(
                 data=sig.data * float(self.get_param("factor")),
-                sampling_rate=sig.sampling_rate,
-                t0=sig.t0,
-            )
-        ]
-
-
-@register_unit(category="signal")
-class Offset(Unit):
-    """Add a DC offset to a sample set."""
-
-    NUM_INPUTS = 1
-    NUM_OUTPUTS = 1
-    INPUT_TYPES = (SampleSet,)
-    OUTPUT_TYPES = (SampleSet,)
-    PARAMETERS = (ParamSpec("offset", 0.0, "additive offset", _finite),)
-
-    def process(self, inputs: Sequence[Any]) -> list[Any]:
-        (sig,) = inputs
-        return [
-            SampleSet(
-                data=sig.data + float(self.get_param("offset")),
                 sampling_rate=sig.sampling_rate,
                 t0=sig.t0,
             )
@@ -363,25 +335,3 @@ class HighPass(_FFTFilter):
 
     def _mask(self, freqs: np.ndarray) -> np.ndarray:
         return freqs >= float(self.get_param("cutoff"))
-
-
-@register_unit(category="signal")
-class Decimate(Unit):
-    """Keep every k-th sample (no anti-alias filter — compose with LowPass)."""
-
-    NUM_INPUTS = 1
-    NUM_OUTPUTS = 1
-    INPUT_TYPES = (SampleSet,)
-    OUTPUT_TYPES = (SampleSet,)
-    PARAMETERS = (ParamSpec("factor", 2, "decimation factor", _positive_int),)
-
-    def process(self, inputs: Sequence[Any]) -> list[Any]:
-        (sig,) = inputs
-        k = int(self.get_param("factor"))
-        return [
-            SampleSet(
-                data=sig.data[::k],
-                sampling_rate=sig.sampling_rate / k,
-                t0=sig.t0,
-            )
-        ]

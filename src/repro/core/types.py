@@ -50,11 +50,6 @@ class TrianaType:
         super().__init_subclass__(**kw)
         TYPE_REGISTRY[cls.__name__] = cls
 
-    @classmethod
-    def type_name(cls) -> str:
-        """Stable name used in XML task graphs and advertisements."""
-        return cls.__name__
-
     def payload_nbytes(self) -> int:
         """Approximate wire size — used by the network cost model."""
         total = 0
@@ -82,23 +77,12 @@ class Const(TrianaType):
 
     value: float = 0.0
 
-    def __post_init__(self):
-        self.value = float(self.value)
-
 
 @dataclass
 class VectorType(TrianaType):
     """A bare 1-D numeric vector with no signal semantics."""
 
     data: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        if self.data.ndim != 1:
-            raise ValueError(f"VectorType requires 1-D data, got shape {self.data.shape}")
-
-    def __len__(self) -> int:
-        return len(self.data)
 
 
 @dataclass
@@ -125,18 +109,6 @@ class SampleSet(TrianaType):
             raise ValueError(f"SampleSet requires 1-D data, got shape {self.data.shape}")
         _check_rate("sampling_rate", self.sampling_rate)
 
-    def __len__(self) -> int:
-        return len(self.data)
-
-    @property
-    def duration(self) -> float:
-        """Length of the series in seconds."""
-        return len(self.data) / self.sampling_rate
-
-    def times(self) -> np.ndarray:
-        """Sample timestamps."""
-        return self.t0 + np.arange(len(self.data)) / self.sampling_rate
-
 
 @dataclass
 class ComplexSpectrum(TrianaType):
@@ -150,12 +122,6 @@ class ComplexSpectrum(TrianaType):
         if self.data.ndim != 1:
             raise ValueError("ComplexSpectrum requires 1-D data")
         _check_rate("df", self.df)
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    def frequencies(self) -> np.ndarray:
-        return np.arange(len(self.data)) * self.df
 
 
 @dataclass
@@ -189,10 +155,6 @@ class ImageData(TrianaType):
         if self.pixels.ndim != 2:
             raise ValueError(f"ImageData requires 2-D pixels, got {self.pixels.shape}")
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.pixels.shape  # type: ignore[return-value]
-
 
 class TableData(TrianaType):
     """A typed relational table (columns + rows) for the database scenario."""
@@ -224,16 +186,6 @@ class TableData(TrianaType):
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TableData)
-            and self.columns == other.columns
-            and self.rows == other.rows
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"TableData({self.columns}, {len(self.rows)} rows)"
 
     def payload_nbytes(self) -> int:
         return 8 * len(self.columns) * max(len(self.rows), 1)
@@ -275,9 +227,6 @@ class ParticleSnapshot(TrianaType):
         n = len(self.positions)
         if len(self.masses) != n or len(self.smoothing) != n:
             raise ValueError("masses/smoothing must match particle count")
-
-    def __len__(self) -> int:
-        return len(self.positions)
 
 
 def is_compatible(

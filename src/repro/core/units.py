@@ -195,13 +195,6 @@ class Unit:
         """Copy of the current parameter values."""
         return dict(self._params)
 
-    def non_default_params(self) -> dict[str, Any]:
-        """Parameters that differ from their declared defaults."""
-        specs = self.param_specs()
-        return {
-            k: v for k, v in self._params.items() if v != specs[k].default
-        }
-
     # -- lifecycle --------------------------------------------------------------
     def reset(self) -> None:
         """Clear any per-run state.
@@ -233,7 +226,3 @@ class Unit:
         super-linear kernels (FFT, matched filter, SPH scatter) override.
         """
         return max(float(input_nbytes) / 8.0, 1.0)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        extras = ", ".join(f"{k}={v!r}" for k, v in self.non_default_params().items())
-        return f"{self.unit_name()}({extras})"

@@ -152,9 +152,13 @@ class Fault:
         return " ".join(bits)
 
 
-@dataclass
+@dataclass(unsafe_hash=True)
 class FaultPlan:
-    """An ordered collection of faults plus plan-level metadata."""
+    """An ordered collection of faults plus plan-level metadata.
+
+    Hashed by content once ``faults`` is a tuple, as in the copy a
+    (hashable) :class:`~repro.config.GridConfig` keeps.
+    """
 
     faults: list[Fault] = field(default_factory=list)
     name: str = "fault-plan"
@@ -164,26 +168,11 @@ class FaultPlan:
         self.faults.append(fault)
         return self
 
-    def extend(self, faults: Sequence[Fault]) -> "FaultPlan":
-        """Append several faults at once; returns ``self`` for chaining."""
-        self.faults.extend(faults)
-        return self
-
-    def __hash__(self) -> int:
-        # By content, so a plan can sit in a (hashable) GridConfig, which
-        # keeps its own copy with ``faults`` as a tuple.
-        return hash((tuple(self.faults), self.name))
-
     def __iter__(self) -> Iterator[Fault]:
         return iter(sorted(self.faults, key=lambda f: (f.at, f.kind)))
 
     def __len__(self) -> int:
         return len(self.faults)
-
-    @property
-    def horizon(self) -> float:
-        """Time the last fault has fully played out."""
-        return max((f.ends_at for f in self.faults), default=0.0)
 
     def kinds(self) -> dict[str, int]:
         """How many faults of each kind the plan holds (for logs and assertions)."""
@@ -203,11 +192,6 @@ class FaultPlan:
                 raise FaultPlanError(
                     f"fault {f.describe()!r} targets unknown nodes {sorted(missing)}"
                 )
-
-    def describe(self) -> str:
-        lines = [f"{self.name}: {len(self.faults)} faults, horizon {self.horizon:g}s"]
-        lines += [f"  {f.describe()}" for f in self]
-        return "\n".join(lines)
 
 
 #: Preset intensities for :func:`chaos`.  Fractions are of the worker

@@ -47,8 +47,6 @@ from .p2p.errors import RequestFailed
 from .p2p.network import NodeProfile, SimNetwork, Transport
 from .p2p.peer import Peer
 from .resources.availability import AvailabilityModel
-from .resources.gram import BatchQueue
-from .service.cluster import ClusterTrianaService
 from .service.controller import RunReport, TrianaController
 from .service.worker import TrianaService
 from .simkernel import Simulator, check_horizon
@@ -149,13 +147,11 @@ class GridNode:
         self,
         name: str,
         profile: Optional[NodeProfile] = None,
-        queue: Optional[BatchQueue] = None,
     ) -> TrianaService:
         """The per-worker step: peer, service daemon, advertisement.
 
         Every worker of every grid is made here.  ``profile`` overrides
-        ``config.worker_profile`` (a heterogeneous fleet); ``queue``
-        makes the peer front a batch-managed cluster.  Added to a grid
+        ``config.worker_profile`` (a heterogeneous fleet).  Added to a grid
         that is already built, the advertisement still has to land:
         settle with ``grid.sim.run()``.
         """
@@ -168,10 +164,7 @@ class GridNode:
             modules=cfg.modules,
             discovery=self.discovery,
         )
-        if queue is None:
-            service = TrianaService(peer, **hosting)
-        else:
-            service = ClusterTrianaService(peer, queue=queue, **hosting)
+        service = TrianaService(peer, **hosting)
         self.discovery.publish(peer, service.advertisement())
         self.workers[name] = service
         self.worker_peers[name] = peer
@@ -377,26 +370,6 @@ class ConsumerGrid(GridNode):
         self.telemetry = sampler
         self.health = monitor
         return sampler
-
-    def add_cluster_worker(
-        self,
-        name: str,
-        nodes: int = 4,
-        cores_per_node: int = 2,
-        profile: Optional[NodeProfile] = None,
-        efficiency: float = 1.0,
-    ) -> ClusterTrianaService:
-        """Add a peer that fronts a GRAM-managed cluster (§3.1)."""
-        profile = profile or self.config.worker_profile
-        queue = BatchQueue(
-            self.sim,
-            nodes=nodes,
-            cores_per_node=cores_per_node,
-            cpu_flops=profile.cpu_flops * efficiency,
-        )
-        service = self.add_worker(name, profile, queue)
-        self.sim.run()
-        return service
 
     # -- volunteer dynamics -----------------------------------------------------
     def install_availability(

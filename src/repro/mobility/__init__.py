@@ -17,7 +17,7 @@ from .errors import (
     SandboxViolation,
 )
 from .repository import ModulePackage, ModuleRepository
-from .sandbox import DEFAULT_PERMISSIONS, OPEN_PERMISSIONS, SandboxPolicy
+from .sandbox import DEFAULT_PERMISSIONS, SandboxPolicy
 
 __all__ = [
     "CacheStats",
@@ -28,7 +28,6 @@ __all__ = [
     "ModuleNotFoundInRepo",
     "ModulePackage",
     "ModuleRepository",
-    "OPEN_PERMISSIONS",
     "RepositoryUnreachable",
     "SandboxPolicy",
     "SandboxViolation",

@@ -170,13 +170,6 @@ class ModuleCache:
     def used_bytes(self) -> int:
         return sum(p.code_size for p in self._cached.values())
 
-    def cached_names(self) -> list[str]:
-        return list(self._cached)
-
-    def cached_version(self, unit_name: str) -> Optional[str]:
-        pkg = self._cached.get(unit_name)
-        return pkg.version if pkg else None
-
     def telemetry_sample(self) -> dict[str, int]:
         """Cumulative counters for the live telemetry sampler."""
         stats = self.stats
@@ -230,11 +223,6 @@ class ModuleCache:
             inflight.waiters.append(ev)
             return ev
         return self._fetch(unit_name)
-
-    def release(self, unit_name: str) -> None:
-        """Explicitly drop a module ("download and release ... on-demand")."""
-        if self._cached.pop(unit_name, None) is None:
-            raise MobilityError(f"module {unit_name!r} is not cached")
 
     # -- fetch state machine ------------------------------------------------------
     def _fetch(self, unit_name: str) -> Event:

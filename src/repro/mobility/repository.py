@@ -40,7 +40,6 @@ from typing import Optional, Type
 
 from ..core.registry import UnitRegistry
 from ..core.units import Unit
-from ..p2p.advertisement import ADV_MODULE, Advertisement
 from ..p2p.network import Message, chunk_sizes
 from ..p2p.peer import Peer
 from .errors import ModuleNotFoundInRepo
@@ -93,10 +92,6 @@ class ModulePackage:
             object.__setattr__(
                 self, "digest", content_digest(self.name, self.version, self.code_size)
             )
-
-    @property
-    def qualified_name(self) -> str:
-        return f"{self.name}@{self.version}"
 
 
 @dataclass
@@ -189,15 +184,6 @@ class ModuleRepository:
             version=self.current_version(desc.name),
             code_size=desc.code_size,
             cls=desc.cls,
-        )
-
-    def advertisement(self) -> Advertisement:
-        """Advertise this repository so peers can find their code source."""
-        return Advertisement.make(
-            ADV_MODULE,
-            "module-repository",
-            self.peer.peer_id,
-            attrs={"host": self.peer.peer_id, "units": len(self.registry)},
         )
 
     # -- network protocol ----------------------------------------------------------

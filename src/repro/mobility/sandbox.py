@@ -21,16 +21,11 @@ from typing import Iterable, Optional, Type
 from ..core.units import Unit
 from .errors import SandboxViolation
 
-__all__ = ["SandboxPolicy", "DEFAULT_PERMISSIONS", "OPEN_PERMISSIONS"]
+__all__ = ["SandboxPolicy", "DEFAULT_PERMISSIONS"]
 
 #: What a consumer host grants by default: pure computation only.  File
 #: system and network access are denied, matching the Java applet sandbox.
 DEFAULT_PERMISSIONS = frozenset({"cpu", "ram"})
-
-#: Everything a unit could ask for (trusted/owner execution).
-OPEN_PERMISSIONS = frozenset(
-    {"cpu", "ram", "fs.read", "fs.write", "net.connect", "exec"}
-)
 
 
 @dataclass
@@ -105,8 +100,3 @@ class SandboxPolicy:
         qualified = f"{cls.unit_name()}@{version or cls.VERSION}"
         self.check_certified(qualified)
         self.check_permissions(("cpu", "ram", *cls.REQUIRED_PERMISSIONS))
-
-    def instantiate(self, cls: Type[Unit], version: str | None = None, **params) -> Unit:
-        """Authorise and construct a unit in one step."""
-        self.authorise(cls, version)
-        return cls(**params)

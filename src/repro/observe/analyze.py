@@ -84,12 +84,6 @@ class TraceView:
     spans: list[SpanRecord]
     events: list[TraceEvent]
 
-    @property
-    def tracks(self) -> list[str]:
-        seen = {s.track for s in self.spans}
-        seen.update(e.track for e in self.events)
-        return sorted(seen)
-
 
 # -- loading -----------------------------------------------------------------------
 

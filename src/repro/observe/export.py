@@ -22,7 +22,7 @@ emitted with sorted keys.
 from __future__ import annotations
 
 import json
-from typing import Any, Optional
+from typing import Any
 
 __all__ = [
     "chrome_trace",

@@ -148,13 +148,6 @@ class TelemetrySampler:
             monitor.on_sample(row)
 
     # -- reporting -----------------------------------------------------------
-    def rows(self) -> list[dict[str, Any]]:
-        """The buffered rows, oldest first."""
-        return list(self.samples)
-
-    def latest(self) -> Optional[dict[str, Any]]:
-        return self.samples[-1] if self.samples else None
-
     def summary(self) -> dict[str, Any]:
         return {
             "interval_s": self.interval,

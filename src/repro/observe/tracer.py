@@ -116,12 +116,6 @@ class _NullSpanHandle:
     def end(self, **attrs: Any) -> None:
         pass
 
-    def __enter__(self) -> "_NullSpanHandle":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
 
 _NULL_SPAN = _NullSpanHandle()
 
@@ -150,9 +144,6 @@ class _TracerBase:
         ``Simulator.install_sampler``.
         """
         self._sampler = sampler
-
-    def now(self) -> float:
-        return self._clock()
 
     def subscribe(
         self,
@@ -322,9 +313,6 @@ class NullTracer(_TracerBase):
         )
         self._dispatch(event)
         return event
-
-    def on_step(self, sim) -> None:
-        pass
 
     def summary(self) -> dict[str, Any]:
         return {"enabled": False, "spans": 0, "open_spans": 0, "events": 0}

@@ -12,7 +12,6 @@ Layering, bottom-up::
 
 from .advertisement import (
     ADV_MODULE,
-    ADV_PEER,
     ADV_PIPE,
     ADV_SERVICE,
     AdvCache,
@@ -41,7 +40,6 @@ from .pipes import InputPipe, OutputPipe, PipeManager
 
 __all__ = [
     "ADV_MODULE",
-    "ADV_PEER",
     "ADV_PIPE",
     "ADV_SERVICE",
     "AdvCache",

@@ -16,11 +16,10 @@ from typing import Any, Callable, Optional
 
 __all__ = [
     "Advertisement", "AdvCache", "AttrPredicate",
-    "ADV_PEER", "ADV_PIPE", "ADV_SERVICE", "ADV_MODULE",
+    "ADV_PIPE", "ADV_SERVICE", "ADV_MODULE",
     "module_adv_name", "module_replica_advertisement",
 ]
 
-ADV_PEER = "peer"
 ADV_PIPE = "pipe"
 ADV_SERVICE = "service"
 ADV_MODULE = "module"
@@ -243,18 +242,6 @@ class AdvCache:
             else:
                 del index[key[1]]
 
-    def remove(self, adv: Advertisement) -> None:
-        key = (adv.adv_type, adv.name, adv.publisher)
-        if key in self._records:
-            self._drop(key)
-
-    def remove_publisher(self, publisher: str) -> int:
-        """Drop every record from one publisher; returns how many."""
-        doomed = [k for k in self._records if k[2] == publisher]
-        for k in doomed:
-            self._drop(k)
-        return len(doomed)
-
     def query(
         self,
         now: float,
@@ -292,9 +279,3 @@ class AdvCache:
             self._drop(k)
         self._expiry_bound = bound
         return len(doomed)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self):
-        return iter(sorted(self._records.values(), key=adv_order))

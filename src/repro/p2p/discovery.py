@@ -118,9 +118,6 @@ class DiscoveryService:
         peer.on(f"{self.KIND_PREFIX}-reply", self._on_reply)
         self._attach_extra(peer)
 
-    def _attach_extra(self, peer: Peer) -> None:  # pragma: no cover - overridden
-        pass
-
     def peer(self, peer_id: str) -> Peer:
         if peer_id not in self._peers:
             raise DiscoveryError(f"peer {peer_id!r} not attached to discovery")

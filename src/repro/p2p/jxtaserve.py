@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from ..simkernel import AllOf, Event
 from .advertisement import ADV_SERVICE, Advertisement
 from .discovery import DiscoveryService
 from .errors import PipeError
@@ -76,18 +75,6 @@ class JxtaService:
             raise PipeError(f"service {self.name!r} output {node} is not connected")
         return pipe.send(payload, size_bytes)
 
-    # -- wiring ---------------------------------------------------------------
-    def connect(self, out_node: int, remote_service: str, remote_node: int) -> Event:
-        """Bind output ``out_node`` to another service's input pipe.
-
-        Returns the bind event (succeeds with the host peer id).
-        """
-        if not 0 <= out_node < len(self.outputs):
-            raise PipeError(f"service {self.name!r} has no output node {out_node}")
-        pipe = self.serve.pipes.create_output(input_pipe_name(remote_service, remote_node))
-        self.outputs[out_node] = pipe
-        return pipe.bind()
-
     def connect_direct(self, out_node: int, remote_service: str, remote_node: int, host: str) -> None:
         """Bind without discovery when placement is already known."""
         pipe = self.serve.pipes.create_output(input_pipe_name(remote_service, remote_node))
@@ -124,30 +111,3 @@ class JxtaServe:
         self.services[name] = svc
         self.discovery.publish(self.peer, svc.advertisement())
         return svc
-
-    def find_services(self, kind: str, predicate=None) -> Event:
-        """Discover services of a kind anywhere on the network."""
-        def full_predicate(attrs: dict[str, Any]) -> bool:
-            if attrs.get("kind") != kind:
-                return False
-            return predicate is None or predicate(attrs)
-
-        return self.discovery.query(self.peer, adv_type=ADV_SERVICE, predicate=full_predicate)
-
-    def connect_chain(self, names: list[str], hosts: dict[str, str]) -> AllOf:
-        """Wire service ``names[i]`` output 0 → ``names[i+1]`` input 0.
-
-        ``hosts`` maps service name → peer id for direct binding of the
-        stages whose placement the controller chose.  Returns an AllOf of
-        the (trivial) bind events for interface symmetry.
-        """
-        events = []
-        for a, b in zip(names, names[1:]):
-            svc = self.services.get(a)
-            if svc is None:
-                raise PipeError(f"service {a!r} is not hosted on this peer")
-            svc.connect_direct(0, b, 0, hosts[b])
-            done = self.peer.sim.event()
-            done.succeed(hosts[b])
-            events.append(done)
-        return AllOf(self.peer.sim, events)

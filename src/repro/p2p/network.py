@@ -205,10 +205,6 @@ class Transport(abc.ABC):
         wire = size_bytes / min(p_src.up_bps, p_dst.down_bps)
         return p_src.latency_s + p_dst.latency_s + wire
 
-    def neighbours(self, node_id: str) -> list[str]:
-        """Overlay neighbours, for flooding discovery; empty if no overlay."""
-        return []
-
     # -- observability ------------------------------------------------------
     def telemetry_sample(self) -> dict[str, int]:
         """Traffic counters for the live telemetry sampler."""
@@ -323,14 +319,6 @@ class SimNetwork(Transport):
         self._profiles[node_id] = profile or DSL_PROFILE
         self._handlers[node_id] = handler
         self._online[node_id] = True
-
-    def remove_node(self, node_id: str) -> None:
-        self._require(node_id)
-        del self._profiles[node_id]
-        del self._handlers[node_id]
-        del self._online[node_id]
-        for nb in self.overlay.pop(node_id, set()) - {node_id}:
-            self.overlay[nb].discard(node_id)
 
     def nodes(self) -> list[str]:
         return list(self._profiles)
@@ -610,11 +598,3 @@ class SimNetwork(Transport):
         finally:
             down.release(req)
         self._deliver(message)
-
-    def broadcast(self, src: str, kind: str, payload: Any, size_bytes: int = 256) -> int:
-        """Send to every overlay neighbour; returns number of sends."""
-        count = 0
-        for nb in self.neighbours(src):
-            self.send(Message(kind=kind, src=src, dst=nb, payload=payload, size_bytes=size_bytes))
-            count += 1
-        return count

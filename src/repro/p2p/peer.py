@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from ..simkernel import Event, Simulator
-from .advertisement import ADV_PEER, AdvCache, Advertisement
+from .advertisement import AdvCache
 from .errors import NetworkError, PeerOfflineError, RequestFailed
 from .network import Message, NodeProfile, Transport
 
@@ -115,26 +115,3 @@ class Peer:
             f"peer {self.peer_id!r} gave up on {what} at t={self.sim.now:g} "
             f"after {ASK_ATTEMPTS} attempts; last: {cause}"
         )
-
-    # -- self-description ----------------------------------------------------------
-    def self_advertisement(self, ttl: float = float("inf")) -> Advertisement:
-        """Peer advertisement carrying capability attributes (§4)."""
-        p = self.profile
-        expires = self.sim.now + ttl if ttl != float("inf") else float("inf")
-        return Advertisement.make(
-            ADV_PEER,
-            self.peer_id,
-            self.peer_id,
-            attrs={
-                "cpu_flops": p.cpu_flops,
-                "free_ram": p.ram_bytes,
-                "up_bps": p.up_bps,
-                "down_bps": p.down_bps,
-            },
-            expires_at=expires,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "online" if self.online else "offline"
-        return f"Peer({self.peer_id!r}, {state})"
-

@@ -73,36 +73,6 @@ class OutputPipe:
         self.target: Optional[str] = None
         self.sent = 0
 
-    @property
-    def bound(self) -> bool:
-        return self.target is not None
-
-    def bind(self) -> Event:
-        """Locate the input pipe's advertisement and bind to its host.
-
-        Returns an event that succeeds with the host peer id, or fails
-        with :class:`PipeError` if no advertisement was found within the
-        discovery window.
-        """
-        done = self.peer.sim.event()
-        span = self.peer.sim.tracer.begin(
-            "pipe.bind", category="p2p", track=self.peer.peer_id, pipe=self.name
-        )
-        query = self.manager.discovery.query(self.peer, adv_type=ADV_PIPE, name=self.name)
-
-        def on_result(ev: Event) -> None:
-            advs = ev.value
-            if not advs:
-                span.end(outcome="unresolved")
-                done.fail(PipeError(f"no advertisement for pipe {self.name!r}"))
-                return
-            self.target = advs[0].attributes["host"]
-            span.end(outcome="bound", host=self.target)
-            done.succeed(self.target)
-
-        query.callbacks.append(on_result)
-        return done
-
     def bind_direct(self, host: str) -> None:
         """Bind without discovery (when the controller dictates placement)."""
         self.target = host
@@ -159,11 +129,6 @@ class PipeManager:
         self.inputs[name] = pipe
         self.discovery.publish(self.peer, pipe.advertisement())
         return pipe
-
-    def remove_input(self, name: str) -> None:
-        pipe = self.inputs.pop(name, None)
-        if pipe is None:
-            raise PipeError(f"no input pipe {name!r} on {self.peer.peer_id!r}")
 
     def create_output(self, name: str) -> OutputPipe:
         """Create an output endpoint that will bind to pipe ``name``."""

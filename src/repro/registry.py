@@ -43,11 +43,6 @@ class Registry(Generic[T]):
         self._entries[name] = entry
         return entry
 
-    def unregister(self, name: str) -> None:
-        if name not in self._entries:
-            raise self.error(f"{self.kind} {name!r} not registered")
-        del self._entries[name]
-
     def lookup(self, name: str) -> T:
         """The entry registered as ``name``, or ``error`` listing the names."""
         try:

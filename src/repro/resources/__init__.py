@@ -1,10 +1,12 @@
-"""Resource substrate (system S8): volunteers, batch gateways, accounts.
+"""Resource substrate (system S8): volunteers and accounts.
 
 * availability models — :class:`PoissonChurn`, :class:`ScreensaverCycle`,
   :class:`ScriptedAvailability` (the volunteer dynamics of §3.7)
-* :class:`BatchQueue` / :class:`GramGateway` — the Globus-GRAM cluster path
 * account managers — Globus-style per-user accounts vs the Triana virtual
-  account with billing (§2)
+  account with billing (§2), counted by experiment E9
+
+The paper's GRAM gateway to a batch-managed cluster (§3.1) is not
+reproduced: no experiment runs it and the paper makes no claim about it.
 """
 
 from .accounts import (
@@ -21,21 +23,15 @@ from .availability import (
     ScreensaverCycle,
     ScriptedAvailability,
 )
-from .errors import AuthenticationError, QueueError, ResourceError
-from .gram import BatchQueue, GramGateway, JobSpec
+from .errors import ResourceError
 
 __all__ = [
-    "AuthenticationError",
     "AvailabilityModel",
     "AvailabilityStats",
-    "BatchQueue",
     "CertificateAuthority",
     "Credential",
     "GlobusAccountManager",
-    "GramGateway",
-    "JobSpec",
     "PoissonChurn",
-    "QueueError",
     "ResourceError",
     "ScreensaverCycle",
     "ScriptedAvailability",

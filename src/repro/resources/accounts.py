@@ -17,11 +17,10 @@ administrative operations each needs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from ..simkernel.rng import stable_hash
-from .errors import AuthenticationError, ResourceError
+from .errors import ResourceError
 
 __all__ = [
     "Credential",
@@ -41,15 +40,12 @@ class Credential:
     expires_at: float
     signature: int
 
-    def is_expired(self, now: float) -> bool:
-        return now >= self.expires_at
-
 
 class CertificateAuthority:
-    """A toy CA: issues and verifies signed credentials.
+    """A toy CA: issues signed credentials and counts them.
 
-    The signature is a keyed hash over the certificate fields — enough to
-    make forgery and tampering *detectable in tests* without real crypto.
+    The signature is a keyed hash over the certificate fields, a stand-in
+    for real crypto: E9 counts the certificates, it never checks one.
     """
 
     def __init__(self, name: str, secret: int = 0xC0FFEE):
@@ -64,17 +60,6 @@ class CertificateAuthority:
         self.issued += 1
         expires = now + lifetime
         return Credential(subject, self.name, expires, self._sign(subject, expires))
-
-    def verify(self, cred: Credential, now: float) -> None:
-        """Raise :class:`AuthenticationError` unless the credential is good."""
-        if cred.issuer != self.name:
-            raise AuthenticationError(
-                f"credential issued by {cred.issuer!r}, not trusted CA {self.name!r}"
-            )
-        if cred.is_expired(now):
-            raise AuthenticationError(f"credential for {cred.subject!r} expired")
-        if cred.signature != self._sign(cred.subject, cred.expires_at):
-            raise AuthenticationError("credential signature invalid (tampered?)")
 
 
 @dataclass
@@ -104,23 +89,6 @@ class GlobusAccountManager:
         self.admin_operations += 1
         self.accounts[user] = UsageRecord(principal=user)
 
-    def authorise(self, cred: Credential, now: float) -> UsageRecord:
-        """Certificate check *and* a pre-created account are required."""
-        self.ca.verify(cred, now)
-        record = self.accounts.get(cred.subject)
-        if record is None:
-            raise AuthenticationError(
-                f"no account for {cred.subject!r}; ask the administrator"
-            )
-        return record
-
-    def charge(self, user: str, cpu_seconds: float) -> None:
-        record = self.accounts.get(user)
-        if record is None:
-            raise ResourceError(f"no account {user!r}")
-        record.cpu_seconds += cpu_seconds
-        record.jobs += 1
-
 
 class VirtualAccountManager:
     """One shared account per resource; per-user billing lines only.
@@ -146,10 +114,3 @@ class VirtualAccountManager:
         record = self.authorise(user)
         record.cpu_seconds += cpu_seconds
         record.jobs += 1
-
-    def total_cpu_seconds(self) -> float:
-        return sum(r.cpu_seconds for r in self.billing.values())
-
-    def invoice(self) -> list[UsageRecord]:
-        """Billing lines sorted by usage (highest first)."""
-        return sorted(self.billing.values(), key=lambda r: -r.cpu_seconds)

@@ -13,8 +13,8 @@ determines every session pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 from ..p2p.peer import Peer
 from ..simkernel import Simulator
@@ -136,9 +136,6 @@ class ScreensaverCycle(AvailabilityModel):
         self.day_seconds = day_seconds
         self.stream = stream
 
-    def expected_availability(self) -> float:
-        return self.idle_fraction
-
     def install(self, peer: Peer) -> None:
         sim = peer.sim
         rng = sim.rng(f"{self.stream}/{peer.peer_id}")
@@ -189,16 +186,6 @@ class ScriptedAvailability(AvailabilityModel):
                 )
         if any(s < 0 for s, _ in self.windows):
             raise ResourceError("outage windows must start at t >= 0")
-
-    def expected_availability(self) -> float:
-        if not self.windows:
-            return 1.0
-        last_start, last_dur = self.windows[-1]
-        if last_dur <= 0:
-            return 0.0
-        horizon = last_start + last_dur
-        down = sum(d for _s, d in self.windows)
-        return max(0.0, 1.0 - down / horizon) if horizon > 0 else 1.0
 
     def install(self, peer: Peer) -> None:
         sim = peer.sim

@@ -5,11 +5,3 @@ from __future__ import annotations
 
 class ResourceError(Exception):
     """Base class for resource-layer errors."""
-
-
-class AuthenticationError(ResourceError):
-    """A credential was missing, expired, or signed by an untrusted CA."""
-
-
-class QueueError(ResourceError):
-    """Batch queue misuse (bad job spec, unknown job...)."""

@@ -15,7 +15,6 @@ download.
   :func:`register_policy`)
 """
 
-from .cluster import ClusterTrianaService
 from .controller import RunReport, TrianaController
 from .detector import HeartbeatFailureDetector, WorkerHealth
 from .errors import DeploymentError, SchedulingError, ServiceError
@@ -39,7 +38,6 @@ from .worker import WORKER_SERVICE_KIND, DeploymentSpec, TrianaService
 
 __all__ = [
     "ChunkedFarmPolicy",
-    "ClusterTrianaService",
     "DeploymentError",
     "DeploymentSpec",
     "DispatchContext",

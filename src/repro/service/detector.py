@@ -24,7 +24,7 @@ the caller's ``now`` (the controller passes its kernel's ``sim.now``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 __all__ = ["WorkerHealth", "HeartbeatFailureDetector"]

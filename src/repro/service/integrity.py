@@ -146,8 +146,9 @@ class ReputationLedger:
 class VerificationStrategy:
     """Hook surface one group run drives through its DispatchContext.
 
-    The default implementation verifies nothing: every result settles
-    immediately, which is byte-for-byte the unverified code path.
+    A run without verification has no strategy at all (``make_verifier``
+    returns ``None``): every result settles as it arrives.  A strategy
+    implements the three hooks below.
     """
 
     #: registry name; also the CLI spelling (possibly parameterised)
@@ -165,16 +166,18 @@ class VerificationStrategy:
     # -- lifecycle ----------------------------------------------------------
     def start(self, ctx) -> None:
         """Called once per group run, after the policy's own ``start``."""
+        raise NotImplementedError
 
     # -- dispatch-side hooks -----------------------------------------------
     def on_dispatch(self, ctx, worker, deployment_id, items) -> None:
         """``(iteration, inputs)`` items were shipped to ``worker`` in one
         message (first send or re-send)."""
+        raise NotImplementedError
 
     # -- result-side hooks --------------------------------------------------
     def on_result(self, ctx, iteration, worker, outputs) -> None:
         """A result arrived for an unsettled iteration; settle when sure."""
-        ctx.settle(iteration, outputs, worker)
+        raise NotImplementedError
 
     def on_late_result(self, ctx, iteration, worker, outputs) -> None:
         """A result arrived after the iteration settled: audit it.

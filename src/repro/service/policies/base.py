@@ -19,8 +19,8 @@ Policies receive controller *services*, never the controller object —
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from ...core import engine
 from ...p2p.peer import Peer
@@ -223,13 +223,12 @@ class DistributionPolicy:
         """Which modules to pre-place where, before this group deploys.
 
         Returns ``(worker, unit_names)`` assignments consumed by the
-        controller's preseed phase (``preseed_replicas > 0``).  The
-        default is farm-shaped: a farm replicates the whole group on
-        every worker, so pre-seeding *all* of its units onto the first
+        controller's preseed phase (``preseed_replicas > 0``).  The plan
+        is farm-shaped: a farm replicates the whole group on every
+        worker, so pre-seeding *all* of its units onto the first
         ``replicas`` workers turns those into module replicas the rest
         of the fleet pulls from, instead of everyone queueing on the
-        repository uplink.  Chain-shaped policies override this with a
-        per-stage plan.
+        repository uplink.
         """
         units = tuple(
             sorted(

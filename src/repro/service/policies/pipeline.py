@@ -72,28 +72,6 @@ class PipelinePolicy(DistributionPolicy):
         # Everything enters at stage 0 and flows peer-to-peer.
         ctx.send_exec(ctx.replica_hosts[0], ctx.dep_ids[0], [(iteration, inputs)])
 
-    def preseed_units(
-        self, group, workers: list[str], replicas: int
-    ) -> list[tuple[str, tuple[str, ...]]]:
-        """Per-stage preseed: each stage's unit goes to its own worker.
-
-        Stage ``i`` deploys on ``workers[i % n]`` — pre-seeding its unit
-        there (plus the next ``replicas - 1`` peers, which serve as warm
-        module replicas) means the deploy-time fetch is a digest
-        revalidation instead of a full download.
-        """
-        order = group.graph.topological_order()
-        by_worker: dict[str, set[str]] = {}
-        n = len(workers)
-        for i, task_name in enumerate(order):
-            unit = group.graph.task(task_name).unit_name
-            for r in range(min(replicas, n)):
-                by_worker.setdefault(workers[(i + r) % n], set()).add(unit)
-        return [
-            (worker, tuple(sorted(units)))
-            for worker, units in sorted(by_worker.items())
-        ]
-
     def _check_linear_chain(self, group, order: list[str]) -> None:
         for name in order:
             if len(group.graph.out_connections(name)) > 1 or len(

@@ -402,7 +402,8 @@ class TrianaService:
         """The head of one execution: open its ``worker.exec`` span, step
         the engine on the boundary inputs and measure the modelled flops.
         Returns ``(outputs, flops, span)``; how the flops are charged is
-        the caller's (a modelled sleep here, a batch job on a cluster)."""
+        the caller's (a modelled sleep in :meth:`_exec_loop`, a kernel
+        process in ``tests/test_exec_loop.py``'s reference loop)."""
         tracer = self.sim.tracer
         span = (
             tracer.begin(
@@ -442,8 +443,8 @@ class TrianaService:
         self, dep: _Deployment, iteration: int, outputs: list[Any],
         duration: float, span,
     ) -> None:
-        """The tail of one execution, whatever engine ran it (the volunteer
-        loop after its modelled sleep, the cluster worker when its batch job ends)."""
+        """The tail of one execution, whatever loop ran it (after the
+        modelled sleep in :meth:`_exec_loop`, or in the reference loop)."""
         if span is not None:
             span.end(modelled_seconds=duration)
         self.stats.busy_seconds += duration

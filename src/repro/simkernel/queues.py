@@ -139,15 +139,6 @@ class CalendarQueue:
     def __len__(self) -> int:
         return self._len
 
-    def __bool__(self) -> bool:
-        return self._len > 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"CalendarQueue(len={self._len}, head_t={self._head_time}, "
-            f"future_times={len(self._times)})"
-        )
-
 
 # Imported *after* CalendarQueue so the sim <-> queues cycle resolves in
 # either import order: sim.py imports CalendarQueue at its module bottom
@@ -173,9 +164,6 @@ class Store:
         self.items: deque[Any] = deque()
         self._getters: deque[Event] = deque()
         self._putters: deque[tuple[Event, Any]] = deque()
-
-    def __len__(self) -> int:
-        return len(self.items)
 
     def put(self, item: Any) -> Event:
         """Return an event that succeeds once ``item`` is stored."""
@@ -230,16 +218,6 @@ class Resource:
         self.capacity = capacity
         self._in_use: set[Event] = set()
         self._waiting: deque[Event] = deque()
-
-    @property
-    def count(self) -> int:
-        """Number of slots currently held."""
-        return len(self._in_use)
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._waiting)
 
     def request(self) -> Event:
         """Return an event that succeeds when a slot is granted."""

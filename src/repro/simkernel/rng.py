@@ -52,11 +52,6 @@ class RngRegistry:
         self._streams: dict[str, np.random.Generator] = {}
         self._draws: dict[str, Callable[[], float]] = {}
 
-    @property
-    def seed(self) -> int:
-        """The root seed this registry was created with."""
-        return self._seed
-
     def stream(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it on first use.
 
@@ -104,11 +99,3 @@ class RngRegistry:
         """
         ss = np.random.SeedSequence([self._seed, stable_hash(name)])
         return np.random.default_rng(ss)
-
-    def names(self) -> list[str]:
-        """Names of all streams created so far by :meth:`stream` (in
-        creation order)."""
-        return list(self._streams)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"RngRegistry(seed={self._seed}, streams={len(self._streams)})"

@@ -115,7 +115,7 @@ class Event:
         self._state = _TRIGGERED
         # Hot path: triggering at the current time is the single most
         # frequent kernel operation, so push straight into the queue's
-        # head bucket rather than going through _schedule().
+        # head bucket.
         sim = self.sim
         sim._queue.push(sim.now, self)
         return self
@@ -137,10 +137,6 @@ class Event:
         callbacks, self.callbacks = self.callbacks, []
         for cb in callbacks:
             cb(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = {_PENDING: "pending", _TRIGGERED: "triggered", _PROCESSED: "processed"}
-        return f"<{type(self).__name__} {state[self._state]} at t={self.sim.now}>"
 
 
 class Timeout(Event):
@@ -429,10 +425,6 @@ class Simulator:
         in blocks (see :meth:`RngRegistry.draws`)."""
         return self._rngs.draws(name)
 
-    @property
-    def seed(self) -> int:
-        return self._rngs.seed
-
     def next_id(self) -> int:
         """An id unique within this simulator: 1, 2, ...  An id that can
         steer a run (a tie broken by ``id % n``) is counted per grid, not
@@ -509,27 +501,6 @@ class Simulator:
             error = SimTimeError(f"negative or NaN timeout delay {delay!r}")
         _Call(self, self.now + float(delay), self._drive, (generator,))
 
-    # -- scheduling ----------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        """Enqueue ``event`` to fire ``delay`` sim seconds from now.
-
-        Raises :class:`~repro.simkernel.errors.SimTimeError` (a
-        :class:`~repro.simkernel.errors.SimError`) for negative *or NaN*
-        delays — NaN compares false against everything, so a plain
-        ``delay < 0`` check let it through silently and corrupted the
-        queue order.
-        """
-        if delay == 0.0:
-            self._queue.push(self.now, event)
-        elif delay > 0.0:
-            self._queue.push(self.now + delay, event)
-        else:
-            raise SimTimeError(f"negative or NaN delay {delay!r}")
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if queue is empty."""
-        return self._queue.peek()
-
     def step(self) -> None:
         """Advance the clock to the next event and run its callbacks."""
         when, event = self._queue.pop()
@@ -595,9 +566,6 @@ class Simulator:
                 tracer.on_step(self)
             event._run_callbacks()
         return None
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Simulator(now={self.now}, pending={len(self._queue)})"
 
 
 # Deliberately at module bottom: queues.py needs Event/Simulator above,

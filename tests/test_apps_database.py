@@ -40,7 +40,6 @@ class TestDatabase:
         db.create_table("t", ["a", "b"])
         db.insert("t", (1, "x"))
         assert db.table("t").rows == [(1, "x")]
-        assert db.tables() == ["t"]
 
     def test_duplicate_table(self):
         db = Database()

@@ -12,7 +12,6 @@ from repro.apps.galaxy import (
     FrameCollector,
     build_galaxy_graph,
     generate_snapshots,
-    register_dataset,
     sph_column_density,
 )
 from repro.core import (
@@ -49,7 +48,7 @@ class TestSnapshots:
         frames = generate_snapshots(n_frames=5, n_particles=300, seed=1)
         assert len(frames) == 5
         for f in frames:
-            assert len(f) == 300
+            assert len(f.masses) == 300
             assert f.positions.shape == (300, 3)
 
     def test_deterministic(self):
@@ -131,7 +130,7 @@ class TestUnits:
     def test_column_density_unit(self):
         frames = generate_snapshots(n_frames=1, n_particles=100, seed=10)
         (img,) = ColumnDensity(resolution=32).process([frames[0]])
-        assert img.shape == (32, 32)
+        assert img.pixels.shape == (32, 32)
 
     @pytest.mark.parametrize("resolution", [32, 64, 127])
     def test_scatter_vectorized_bit_identical_to_loop(self, resolution):

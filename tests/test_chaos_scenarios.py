@@ -10,7 +10,6 @@ redispatch re-runs lost iterations).
 """
 
 import numpy as np
-import pytest
 
 from repro import ConsumerGrid, chaos
 from repro.apps.galaxy import build_galaxy_graph, generate_snapshots

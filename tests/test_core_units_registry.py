@@ -70,10 +70,6 @@ class TestUnitBasics:
         p["factor"] = 99.0
         assert u.get_param("factor") == 2.0
 
-    def test_non_default_params(self):
-        assert Doubler().non_default_params() == {}
-        assert Doubler(factor=3.0).non_default_params() == {"factor": 3.0}
-
     def test_types_at_nodes(self):
         assert Doubler.input_types_at(0) == [SampleSet]
         assert Doubler.output_types_at(0) == [SampleSet]
@@ -128,7 +124,7 @@ class TestRegistry:
         reg = UnitRegistry()
         desc = reg.register(Doubler, category="test")
         assert desc.name == "Doubler"
-        assert desc.qualified_name == "Doubler@1.0"
+        assert desc.version == "1.0"
         assert reg.lookup("Doubler").cls is Doubler
         assert "Doubler" in reg
         assert len(reg) == 1
@@ -153,18 +149,10 @@ class TestRegistry:
         with pytest.raises(RegistryError):
             UnitRegistry().lookup("Nothing")
 
-    def test_unregister(self):
-        reg = UnitRegistry()
-        reg.register(Doubler)
-        reg.unregister("Doubler")
-        assert "Doubler" not in reg
-        with pytest.raises(RegistryError):
-            reg.unregister("Doubler")
-
     def test_create_with_params(self):
         reg = UnitRegistry()
         reg.register(Doubler)
-        u = reg.create("Doubler", factor=7.0)
+        u = reg.lookup("Doubler").cls(factor=7.0)
         assert u.get_param("factor") == 7.0
 
     def test_search_by_category_and_text(self):

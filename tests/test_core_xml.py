@@ -9,7 +9,7 @@ from repro.core import (
     graph_from_string,
     graph_to_string,
 )
-from tests.test_core_taskgraph import fig1_graph
+from tests.test_core_taskgraph import fig1_graph, label
 
 
 def _group_with(mapping: str) -> str:
@@ -69,7 +69,7 @@ class TestRoundTrip:
         xml = graph_to_string(g)
         g2 = graph_from_string(xml)
         assert sorted(g2.tasks) == sorted(g.tasks)
-        assert {c.label() for c in g2.connections} == {c.label() for c in g.connections}
+        assert {label(c) for c in g2.connections} == {label(c) for c in g.connections}
         assert g2.task("Wave").params["frequency"] == 64.0
         assert g2.task("Gaussian").params["sigma"] == 2.0
 

@@ -123,8 +123,6 @@ def test_step_agrees_with_the_algorithm_it_replaced(case):
     new_probe = new.attach_probe(probe_task, probe_node)  # after construction
     old_probe = old.attach_probe(probe_task, probe_node)
     for iteration in range(3):
-        if iteration == 2:
-            new.reset(), old.reset()  # ``reset`` replaces ``stats``
         outputs = new.step(fed(external, iteration))
         want_outputs, want_sinks = reference_step(old, fed(external, iteration))
         assert list(outputs) == list(want_outputs)
@@ -133,7 +131,7 @@ def test_step_agrees_with_the_algorithm_it_replaced(case):
         assert result_checksum(new._sink_outputs) == result_checksum(want_sinks)
         assert dataclasses.asdict(new.stats) == dataclasses.asdict(old.stats)
         assert result_checksum(new_probe.values) == result_checksum(old_probe.values)
-        assert len(new_probe.values) == (1 if iteration == 2 else iteration + 1)
+        assert len(new_probe.values) == iteration + 1
 
 
 def two_stage():

@@ -4,8 +4,7 @@ calls, not a ``Process`` blocked on a ``Store``.
 The process-on-a-store loop is kept below as the reference the driven
 loop must be indistinguishable from: the same results, makespans,
 messages, bytes and byte-identical traces, on generated pipelines and
-farms with and without replication and a chaos storm, and with a
-cluster peer in the fleet.  What differs is the kernel's event count, by
+farms with and without replication and a chaos storm.  What differs is the kernel's event count, by
 exactly one per iteration that went through a queue and one per
 deployment: the event ``Store.put`` pushed and nobody awaited, and the
 ``Process``'s start-up event.
@@ -23,8 +22,6 @@ from repro.core.toolbox import Grapher, Wave
 from repro.core.units import Unit
 from repro.observe.export import jsonl_lines
 from repro.p2p import LAN_PROFILE
-from repro.resources.gram import BatchQueue, JobSpec
-from repro.service.cluster import GRID_USER, ClusterTrianaService
 from repro.service.worker import TrianaService
 from repro.simkernel import Store
 from repro.transport.wire import result_checksum
@@ -72,32 +69,15 @@ class StoreService(StoreLoop, TrianaService):
             self._complete(dep, iteration, outputs, duration, span)
 
 
-class StoreCluster(StoreLoop, ClusterTrianaService):
-    def _exec_loop(self, dep):
-        while True:
-            iteration, inputs = yield dep.store.get()
-            outputs, flops, span = self._step(dep, iteration, inputs)
-            job = self.gateway.submit(
-                JobSpec(flops=max(flops, 1.0), user=GRID_USER),
-                self.credential,
-            )
-
-            def on_done(ev, iteration=iteration, outputs=outputs, span=span):
-                if ev.ok:
-                    self._complete(dep, iteration, outputs, ev.value, span)
-
-            job.callbacks.append(on_done)
-
-
 @contextmanager
 def reference_services():
     """Grids built inside the block host the reference services."""
-    saved = repro.grid.TrianaService, repro.grid.ClusterTrianaService
-    repro.grid.TrianaService, repro.grid.ClusterTrianaService = StoreService, StoreCluster
+    saved = repro.grid.TrianaService
+    repro.grid.TrianaService = StoreService
     try:
         yield
     finally:
-        repro.grid.TrianaService, repro.grid.ClusterTrianaService = saved
+        repro.grid.TrianaService = saved
 
 
 # -- generated runs ---------------------------------------------------------------------
@@ -126,24 +106,15 @@ def filter_chain(policy, stages):
     return g
 
 
-def slow_grid(seed, plan=None, cluster=True):
-    """Four compute-bound volunteers and, with ``cluster``, a two-slot
-    cluster peer."""
-    grid = ConsumerGrid(
+def slow_grid(seed, plan=None):
+    """Four compute-bound volunteers."""
+    return ConsumerGrid(
         n_workers=len(VOLUNTEERS), seed=seed, trace=True,
         worker_profile=LAN_PROFILE, controller_profile=LAN_PROFILE,
         worker_efficiency=1e-5, heartbeat_interval=1.0,
         suspect_after_missed=2, retry_timeout=30.0, retry_interval=2.0,
         fault_plan=plan,
     )
-    if cluster:
-        # add_cluster_worker settles by draining the queue, which would fire
-        # a fault plan before the run; settle only the advertisement.
-        queue = BatchQueue(grid.sim, nodes=1, cores_per_node=2,
-                           cpu_flops=LAN_PROFILE.cpu_flops * 1e-5)
-        grid.add_worker("cluster-0", LAN_PROFILE, queue)
-        grid.sim.run(until=0.5)
-    return grid
 
 
 def outcome(grid, run):

@@ -39,7 +39,7 @@ def registered_chunk_policy(chunk_size):
     try:
         yield DrawnChunkPolicy.name
     finally:
-        global_policy_registry().unregister(DrawnChunkPolicy.name)
+        global_policy_registry()._entries.pop(DrawnChunkPolicy.name)
 
 
 def run_farm(policy, iterations, n_workers, dealing, **run_kw):

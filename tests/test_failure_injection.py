@@ -138,7 +138,8 @@ class TestDiscoveryDegradation:
 
         slow = NodeProfile(cpu_flops=5e8)
         grid = ConsumerGrid(n_workers=2, seed=81, worker_profile=slow)
-        grid.add_cluster_worker("big", profile=LAN_PROFILE)  # 2 GHz default
+        grid.add_worker("big", profile=LAN_PROFILE)  # 2 GHz default
+        grid.sim.run()
         found = grid.discover_workers(min_cpu_flops=1e9)
         assert found == ["big"]
 

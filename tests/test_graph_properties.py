@@ -20,11 +20,12 @@ from repro.core import (
     graph_to_string,
 )
 
+from tests.test_core_taskgraph import label
 from tests.test_engine_schedule import FIXTURES
 
 # Palette: all SampleSet→SampleSet so any wiring type-checks; ``Reverse``
 # is a test-local unit in ``FIXTURES``.
-SINGLE = ["Gain", "Offset", "LowPass", "HighPass", "Reverse"]
+SINGLE = ["Gain", "LowPass", "HighPass", "Reverse"]
 
 
 @st.composite
@@ -127,7 +128,7 @@ def test_random_graph_native_xml_round_trip(g):
     xml = graph_to_string(g)
     g2 = graph_from_string(xml, registry=FIXTURES)
     assert sorted(g2.tasks) == sorted(g.tasks)
-    assert {c.label() for c in g2.connections} == {c.label() for c in g.connections}
+    assert {label(c) for c in g2.connections} == {label(c) for c in g.connections}
     assert graph_to_string(g2) == xml
 
 
@@ -160,6 +161,6 @@ def test_grouping_preserves_execution_property(g):
     e1.run(2)
     e2.run(2)
     for name, unit in e1.units.items():
-        if hasattr(unit, "frames") and unit.frames:
+        if hasattr(unit, "shown") and unit.shown:
             mirror = e2.units.get(name) or e2.units.get(f"G/{name}")
-            np.testing.assert_allclose(unit.last_frame.y, mirror.last_frame.y)
+            np.testing.assert_allclose(unit.shown[-1].data, mirror.shown[-1].data)

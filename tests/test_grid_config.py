@@ -29,6 +29,7 @@ from repro.faults import chaos
 from repro.mobility import SandboxPolicy
 from repro.observe.export import jsonl_lines
 from repro.p2p import LAN_PROFILE, NodeProfile
+from repro.simkernel import Simulator
 from repro.transport import decode, encode, result_checksum
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -237,10 +238,11 @@ class TestOneAssembly:
         ]
         # Later arrivals take the same per-worker step as the first fleet.
         extra = grid.add_worker("slow-0", profile=LAN_PROFILE)
-        cluster = grid.add_cluster_worker("cluster-0")
+        late = grid.add_worker("late-0")
+        grid.sim.run()
         assert type(extra) is type(grid.workers["worker-0"])
-        assert {"slow-0", "cluster-0"} <= set(grid.workers) == set(grid.worker_peers)
-        assert cluster.sandbox is not extra.sandbox
+        assert {"slow-0", "late-0"} <= set(grid.workers) == set(grid.worker_peers)
+        assert late.sandbox is not extra.sandbox
         assert sorted(grid.discover_workers()) == sorted(grid.workers)
 
     @pytest.mark.parametrize("pattern", ["TrianaController(", "TrianaService("])
@@ -252,7 +254,7 @@ class TestOneAssembly:
             for top in ("src", "benchmarks", "tools", "examples")
             for path in sorted((REPO / top).rglob("*.py"))
             for n, line in enumerate(path.read_text().splitlines(), 1)
-            if pattern in line.replace("Cluster" + pattern, "")
+            if pattern in line
         ]
         assert len(sites) == 1 and sites[0].startswith("src/repro/grid.py:"), sites
 
@@ -272,7 +274,8 @@ class TestWorkerBootstrap:
         assert argv[1:3] == ["-m", "repro.deployment"]
         assert deployment.worker_main(argv[3:]) == 0
         (node,) = served
-        assert node.sim.seed == 7
+        # the worker's streams are seed 7's
+        assert node.sim.rng("probe").random() == Simulator(seed=7).rng("probe").random()
         assert node.config == config.replace(worker_efficiency=0.25)
         assert node.service.efficiency == 0.25
         assert node.peer.peer_id == "worker-3" and node.peer.profile == LAN_PROFILE

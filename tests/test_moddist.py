@@ -8,7 +8,6 @@ at deployment time.
 """
 
 import numpy as np
-import pytest
 
 from repro import ConsumerGrid
 from repro.analysis import fig1_grouped
@@ -91,7 +90,7 @@ class TestChunkedTransfer:
         assert pkg.name == "Wave"
         assert repo.stats.chunks_sent == 3  # 20 KB in 8 KB chunks
         assert cache.stats.bytes_downloaded == pkg.code_size
-        assert cache.cached_names() == ["Wave"]
+        assert list(cache._cached) == ["Wave"]
 
     def test_small_package_is_not_chunked(self):
         sim, net, repo, cache = repo_pair(repo_kwargs={"chunk_bytes": 64_000})
@@ -143,7 +142,7 @@ class TestPeerReplicas:
         sim, net, repo, (c0, c1) = replica_grid()
         sim.run(until=c0.ensure("Wave"))
         # The advertisement outlives the content: stale replica pointer.
-        c0.release("Wave")
+        del c0._cached["Wave"]
         pkg = sim.run(until=c1.ensure("Wave"))
         assert pkg.name == "Wave"
         assert c0.stats.peer_serve_misses == 1

@@ -51,7 +51,7 @@ class TestTelemetrySampler:
         s.bind(sim)
         _tick(s, sim, 0.4)
         _tick(s, sim, 3.2)  # crosses 1.0, 2.0, 3.0 in one step
-        rows = s.rows()
+        rows = list(s.samples)
         assert [r["t"] for r in rows] == [1.0, 2.0, 3.0]
         assert [r["seq"] for r in rows] == [0, 1, 2]
         assert rows[0]["sim"] == {"queue_depth": 3, "events": 0}
@@ -64,8 +64,8 @@ class TestTelemetrySampler:
         _tick(s, sim, 5.0)
         assert s.samples_taken == 5
         assert s.samples_dropped == 2
-        assert [r["t"] for r in s.rows()] == [3.0, 4.0, 5.0]
-        assert s.latest()["t"] == 5.0
+        assert [r["t"] for r in list(s.samples)] == [3.0, 4.0, 5.0]
+        assert s.samples[-1]["t"] == 5.0
 
     def test_max_catchup_skips_quiet_gaps(self):
         sim = _StubSim()
@@ -73,7 +73,7 @@ class TestTelemetrySampler:
         s.bind(sim)
         _tick(s, sim, 10.0)  # 9 boundaries behind; only the last 3 emit
         assert s.ticks_skipped == 7
-        assert [r["t"] for r in s.rows()] == [8.0, 9.0, 10.0]
+        assert [r["t"] for r in list(s.samples)] == [8.0, 9.0, 10.0]
 
     def test_sources_appear_in_rows(self):
         sim = _StubSim()
@@ -81,7 +81,7 @@ class TestTelemetrySampler:
         s.bind(sim)
         s.add_source("net", lambda: {"in_flight": 7})
         _tick(s, sim, 1.0)
-        assert s.latest()["net"] == {"in_flight": 7}
+        assert s.samples[-1]["net"] == {"in_flight": 7}
         assert s.summary()["sources"] == ["net"]
 
     def test_duplicate_source_rejected(self):
@@ -121,7 +121,7 @@ class TestTelemetrySampler:
         path = tmp_path / "telemetry.jsonl"
         assert s.export_jsonl(str(path)) == 2
         rows = [json.loads(line) for line in path.read_text().splitlines()]
-        assert rows == s.rows()
+        assert rows == list(s.samples)
 
     def test_summary_shape(self):
         s = TelemetrySampler(interval=0.5, capacity=8)
@@ -145,7 +145,7 @@ class TestInstallSampler:
             sim.call_at(t, lambda: None)
         sim.run()
         assert sampler.samples_taken >= 3
-        row = sampler.rows()[0]
+        row = list(sampler.samples)[0]
         assert row["sim"]["events"] >= 1
 
     def test_install_on_untraced_sim_installs_tracer(self):

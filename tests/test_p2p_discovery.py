@@ -3,7 +3,6 @@
 import pytest
 
 from repro.p2p import (
-    ADV_PEER,
     ADV_SERVICE,
     Advertisement,
     CentralIndexDiscovery,
@@ -258,23 +257,6 @@ class TestDiscoveryCommon:
         # The result is now cached locally.
         assert len(peers[2].cache.query(sim.now, adv_type=ADV_SERVICE)) == 1
 
-    def test_peer_capability_attributes_match_paper(self):
-        """Discovery 'based on very simple attributes – such as CPU
-        capability and available free memory' (§4)."""
-        disc = CentralIndexDiscovery()
-        sim, net, peers = build(4, disc)
-        disc.set_index(peers[0])
-        for p in peers:
-            disc.publish(p, p.self_advertisement())
-        sim.run()
-        ev = disc.query(
-            peers[1],
-            adv_type=ADV_PEER,
-            predicate=lambda a: a["cpu_flops"] >= 2e9 and a["free_ram"] >= 1e8,
-        )
-        results = sim.run(until=ev)
-        assert len(results) == 4
-
 
 def twin(publisher):
     """A record as two worker processes may mint it: the same ``adv_id``."""
@@ -310,7 +292,7 @@ class TestSameAdvIdOrder:
             for pub in publishers:
                 cache.put(twin(pub))
             orders.append((
-                [a.publisher for a in cache],
+                [a.publisher for a in cache.query(0.0)],
                 [a.publisher for a in cache.query(0.0, adv_type=ADV_SERVICE)],
                 [a.publisher for a in cache.query(0.0, name="svc")],
             ))

@@ -60,13 +60,6 @@ class TestMembership:
         with pytest.raises(NetworkError):
             net.add_node("peer-0", lambda m: None)
 
-    def test_remove(self):
-        _, net, _ = make_net(2)
-        net.remove_node("peer-1")
-        assert net.nodes() == ["peer-0"]
-        with pytest.raises(NetworkError):
-            net.profile("peer-1")
-
     def test_unknown_node_operations(self):
         _, net, _ = make_net(1)
         for op in (net.profile, net.is_online, net.neighbours):
@@ -289,28 +282,5 @@ class TestOverlay:
         _, net, _ = make_net(3)
         net.add_edge("peer-0", "peer-1")
         assert net.neighbours("peer-2") == []
-        net.remove_node("peer-2")
         assert overlay_edges(net) == [("peer-0", "peer-1")]
         assert net.neighbours("peer-0") == ["peer-1"]
-
-    def test_remove_node_leaves_no_dangling_neighbour(self):
-        _, net, _ = make_net(3)
-        net.add_edge("peer-0", "peer-1")
-        net.add_edge("peer-0", "peer-2")
-        net.add_edge("peer-0", "peer-0")  # a self-loop is its own neighbour
-        assert net.neighbours("peer-0") == ["peer-0", "peer-1", "peer-2"]
-        net.remove_node("peer-0")
-        assert net.neighbours("peer-1") == [] and net.neighbours("peer-2") == []
-        assert overlay_edges(net) == []
-        with pytest.raises(NetworkError):
-            net.neighbours("peer-0")
-
-    def test_broadcast_counts(self):
-        sim, net, boxes = make_net(4)
-        net.add_edge("peer-0", "peer-1")
-        net.add_edge("peer-0", "peer-2")
-        n = net.broadcast("peer-0", "ping", None)
-        assert n == 2
-        sim.run()
-        assert len(boxes["peer-1"]) == 1 and len(boxes["peer-2"]) == 1
-        assert boxes["peer-3"] == []

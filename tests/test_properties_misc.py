@@ -129,13 +129,3 @@ def test_adv_cache_expiry_invariant(entries, now):
     # Ordering is by publication id.
     ids = [a.adv_id for a in results]
     assert ids == sorted(ids)
-
-
-@given(st.lists(adv_strategy, min_size=1, max_size=30))
-@settings(max_examples=50)
-def test_adv_cache_remove_publisher_total(entries):
-    cache = AdvCache()
-    for adv_type, name, publisher, expiry in entries:
-        cache.put(Advertisement.make(adv_type, name, publisher))
-    cache.remove_publisher("p0")
-    assert all(a.publisher != "p0" for a in cache.query(now=0.0))

@@ -68,7 +68,7 @@ class TestRegistryContract:
     def test_is_the_one_implementation(self, case):
         registry, _, _ = case
         assert isinstance(registry, Registry)
-        for method in ("add", "lookup", "names", "unregister",
+        for method in ("add", "lookup", "names",
                        "__iter__", "__len__", "__contains__"):
             assert getattr(type(registry), method) is getattr(Registry, method)
 

@@ -223,7 +223,7 @@ class TestSweepCommand:
         try:
             assert main(["sweep", "e99_broken", "--out", str(tmp_path)]) == 1
         finally:
-            EXPERIMENTS.unregister(broken.name)
+            EXPERIMENTS._entries.pop(broken.name)
         assert "claim does not hold: water flows uphill" in capsys.readouterr().err
 
     def test_unknown_name_lists_the_valid_ones(self, capsys):

@@ -15,7 +15,7 @@ from repro.core.taskgraph import GraphError
 from repro.core.types import SampleSet
 from repro.service import find_distributable_groups
 from repro.service.partition import StageRouter, partition_stages
-from tests.test_core_taskgraph import fig1_graph
+from tests.test_core_taskgraph import fig1_graph, label
 
 
 def grouped():
@@ -46,13 +46,13 @@ class TestPartition:
 
     def test_boundary_connections(self):
         part = partition_stages(grouped())
-        assert [c.label() for c in part.to_group["GroupTask"]] == ["Wave:0->GroupTask:0"]
-        assert [c.label() for c in part.from_group["GroupTask"]] == ["GroupTask:0->Power:0"]
+        assert [label(c) for c in part.to_group["GroupTask"]] == ["Wave:0->GroupTask:0"]
+        assert [label(c) for c in part.from_group["GroupTask"]] == ["GroupTask:0->Power:0"]
         assert part.cross == []
 
     def test_downstream_internal_connections_preserved(self):
         part = partition_stages(grouped())
-        labels = {c.label() for c in part.zones[1].connections}
+        labels = {label(c) for c in part.zones[1].connections}
         assert "Power:0->Accum:0" in labels
         assert "Accum:0->Grapher:0" in labels
 
@@ -70,7 +70,7 @@ class TestPartition:
         g.connect("Noise", 0, "Mix", 0)
         g.group_tasks("G", ["Noise"], policy="parallel")
         part = partition_stages(g)
-        assert [c.label() for c in part.cross] == ["Wave:0->Mix:1"]
+        assert [label(c) for c in part.cross] == ["Wave:0->Mix:1"]
         assert part.zone_external_inputs(1) == [("Mix", 0), ("Mix", 1)]
 
     def test_group_with_sources_inside(self):
@@ -159,14 +159,14 @@ def test_partition_stages_on_generated_graphs(g):
     assert sum(len(zone.tasks) for zone in part.zones) == len(local)
 
     # every connection is classified exactly once; cross only points forward
-    zone_edges = [c.label() for zone in part.zones for c in zone.connections]
+    zone_edges = [label(c) for zone in part.zones for c in zone.connections]
     classified = (
         zone_edges
-        + [c.label() for conns in part.to_group.values() for c in conns]
-        + [c.label() for conns in part.from_group.values() for c in conns]
-        + [c.label() for c in part.cross]
+        + [label(c) for conns in part.to_group.values() for c in conns]
+        + [label(c) for conns in part.from_group.values() for c in conns]
+        + [label(c) for c in part.cross]
     )
-    assert sorted(classified) == sorted(c.label() for c in g.connections)
+    assert sorted(classified) == sorted(label(c) for c in g.connections)
     for c in part.cross:
         assert part.zone_of[c.src] < part.zone_of[c.dst]
 

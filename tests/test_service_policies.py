@@ -139,7 +139,7 @@ class TestThirdPartyPolicy:
             kinds = grid.transport.stats.by_kind
             assert 0 < kinds["group-exec"] < 12
         finally:
-            global_policy_registry().unregister("quadbatch")
+            global_policy_registry()._entries.pop("quadbatch")
 
     def test_decorator_returns_class(self):
         @register_policy
@@ -152,7 +152,7 @@ class TestThirdPartyPolicy:
             assert TransientPolicy.name == "transient-check"
             assert "transient-check" in global_policy_registry()
         finally:
-            global_policy_registry().unregister("transient-check")
+            global_policy_registry()._entries.pop("transient-check")
 
 
 class TestChunkedPolicy:

@@ -126,9 +126,9 @@ class TestParallelPolicy:
         grid.run(fig1_grouped(), iterations=2)
         for service in grid.workers.values():
             assert service.cache.stats.fetches >= 2  # Gaussian + FFT
-            assert set(service.cache.cached_names()) >= {"GaussianNoise", "FFT"}
+            assert set(list(service.cache._cached)) >= {"GaussianNoise", "FFT"}
             # Wave/Power/Accum stay at the controller — never downloaded.
-            assert "Wave" not in service.cache.cached_names()
+            assert "Wave" not in list(service.cache._cached)
 
     def test_no_workers_rejected(self):
         grid = ConsumerGrid(n_workers=1, seed=6)
@@ -195,7 +195,7 @@ class TestP2PPolicy:
             if "Accum" in dep.engine.units
         ]
         assert len(accum_units) == 1
-        assert accum_units[0].count == 10
+        assert accum_units[0]._count == 10
 
     def test_nonlinear_group_rejected_for_p2p(self):
         g = TaskGraph("fan")

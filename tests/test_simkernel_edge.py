@@ -133,7 +133,7 @@ class TestClockCorners:
         sim = Simulator()
         sim.timeout(7.0)
         sim.timeout(3.0)
-        assert sim.peek() == 3.0
+        assert sim._queue.peek() == 3.0
 
     def test_run_until_exact_boundary_inclusive(self):
         sim = Simulator()

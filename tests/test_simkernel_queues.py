@@ -230,7 +230,7 @@ def test_store_len():
     store.put(1)
     store.put(2)
     sim.run()
-    assert len(store) == 2
+    assert len(store.items) == 2
 
 
 def test_resource_serialises_access():
@@ -278,13 +278,13 @@ def test_resource_counts_and_queue():
     r1 = res.request()
     r2 = res.request()
     sim.run()
-    assert res.count == 1
-    assert res.queue_length == 1
+    assert len(res._in_use) == 1
+    assert len(res._waiting) == 1
     res.release(r1)
-    assert res.count == 1  # r2 promoted
-    assert res.queue_length == 0
+    assert len(res._in_use) == 1  # r2 promoted
+    assert len(res._waiting) == 0
     res.release(r2)
-    assert res.count == 0
+    assert len(res._in_use) == 0
 
 
 def test_resource_release_waiting_request_cancels_it():
@@ -293,9 +293,9 @@ def test_resource_release_waiting_request_cancels_it():
     r1 = res.request()
     r2 = res.request()
     res.release(r2)  # cancel while waiting
-    assert res.queue_length == 0
+    assert len(res._waiting) == 0
     res.release(r1)
-    assert res.count == 0
+    assert len(res._in_use) == 0
 
 
 def test_resource_bogus_release_rejected():

@@ -26,7 +26,7 @@ def test_stream_is_cached_and_stateful():
     first = reg.stream("x").random(4)
     second = reg.stream("x").random(4)
     assert not np.array_equal(first, second)  # state advanced
-    assert reg.names() == ["x"]
+    assert list(reg._streams) == ["x"]
 
 
 def test_fresh_restarts_stream():
@@ -119,7 +119,7 @@ def test_a_name_is_drawn_one_way():
     reg.stream("b")
     with pytest.raises(ValueError, match="'b'"):
         reg.draws("b")
-    assert reg.names() == ["b"]
+    assert list(reg._streams) == ["b"]
 
 
 def test_the_simulator_hands_out_block_draws():

@@ -17,7 +17,7 @@ from repro.transport import RealtimeSimulator
 def test_clock_starts_at_zero():
     sim = Simulator()
     assert sim.now == 0.0
-    assert sim.peek() == float("inf")
+    assert sim._queue.peek() == float("inf")
 
 
 def test_timeout_advances_clock():
@@ -43,15 +43,15 @@ def test_nan_timeout_rejected():
 
 
 def test_negative_schedule_delay_rejected():
-    # Regression: _schedule() used to silently accept negative delays,
+    # Regression: scheduling used to silently accept negative delays,
     # scheduling events in the past and breaking clock monotonicity.
     sim = Simulator()
     with pytest.raises(SimTimeError):
-        sim._schedule(sim.event(), delay=-0.5)
+        sim.timeout(-0.5)
     with pytest.raises(SimTimeError):
-        sim._schedule(sim.event(), delay=float("nan"))
+        sim.timeout(float("nan"))
     # The rejected schedules left the queue untouched.
-    assert sim.peek() == float("inf")
+    assert sim._queue.peek() == float("inf")
     # A legal delay on the same simulator still works afterwards.
     sim.timeout(1.5)
     sim.run()
@@ -345,7 +345,7 @@ def test_rejected_call_at_leaves_queue_untouched():
     for when in (1.0, float("nan")):
         with pytest.raises(SimTimeError):
             sim.call_at(when, lambda: None)
-    assert sim.peek() == 6.0
+    assert sim._queue.peek() == 6.0
     sim.run()
     assert sim.events_executed == 2  # the two timeouts, nothing else
 
@@ -527,7 +527,7 @@ def test_a_driven_loop_starts_now_and_ends_without_an_event():
     sim.run()
     assert times == [2.0, 2.5]
     assert sim.events_executed == 2
-    assert sim.peek() == float("inf")
+    assert sim._queue.peek() == float("inf")
 
 
 def test_a_driven_loop_that_raises_stops_alone():

@@ -6,8 +6,10 @@ through the tool's own ``check()``: one per pairwise rule of the
 (``simkernel -> repro.mobility``) and the ones that must stay legal.
 ``orphans()`` gets three synthetic trees of its own, and the third-party
 allow-list its probes in the same two tables.  ``orphan_names()`` gets a
-synthetic repo: a name only tests or docstrings reach is reported, one
-used outside ``tests/`` (a string in code included) is not.
+synthetic repo: a constant or method-less class only tests or docstrings
+reach is reported, one used outside ``tests/`` (a string in code
+included) is not, and functions are left to ``tools/check_reach.py``.
+``unused_imports()`` gets synthetic modules of its own.
 """
 
 import importlib.util
@@ -187,31 +189,34 @@ def _unused_names(tmp_path, files):
 
 
 _NAMES = {
-    "src/repro/__init__.py": "from .engine import run_graph, LocalEngine\n"
-                             "__all__ = ['run_graph', 'LocalEngine']\n",
+    "src/repro/__init__.py": "from .engine import RUN_LIMIT, LocalEngine\n"
+                             "__all__ = ['RUN_LIMIT', 'LocalEngine']\n",
     "src/repro/engine.py": (
         "class LocalEngine:\n    pass\n\n\n"
+        "RUN_LIMIT = 8\n\n\n"
         "def run_graph(graph):\n"
-        "    '''run_graph: one call, then return.'''\n"
-        "    return run_graph, LocalEngine()\n"
+        "    '''run_graph: at most RUN_LIMIT calls.'''\n"
+        "    return LocalEngine()\n"
     ),
-    "tests/test_engine.py": "from repro.engine import run_graph\nrun_graph(None)\n",
+    "tests/test_engine.py": "from repro.engine import RUN_LIMIT, run_graph\n"
+                            "run_graph(RUN_LIMIT)\n",
 }
 
 
 def test_a_name_only_tests_use_is_reported(tmp_path):
-    # its own body and docstring, __all__, the package re-export and a
-    # test are no caller; LocalEngine's use inside run_graph is one
-    assert _unused_names(tmp_path, _NAMES) == ["run_graph"]
+    # its docstring mention, __all__, the package re-export and a test
+    # are no use; LocalEngine's use inside run_graph is one, and
+    # run_graph, a function, is the reach gate's to judge
+    assert _unused_names(tmp_path, _NAMES) == ["RUN_LIMIT"]
 
 
 def test_a_use_outside_tests_keeps_a_name(tmp_path):
     files = {
         **_NAMES,
-        "gridbench/bench.py": "import repro\nrepro.run_graph(None)\n",
+        "gridbench/bench.py": "import repro\nrepro.run_graph(repro.RUN_LIMIT)\n",
     }
     assert _unused_names(tmp_path, files) == []
-    files = {**_NAMES, "examples/graph.xml": "<task unit='run_graph'/>\n"}
+    files = {**_NAMES, "examples/graph.xml": "<task limit='RUN_LIMIT'/>\n"}
     assert _unused_names(tmp_path / "b", files) == []
 
 
@@ -220,23 +225,23 @@ def test_a_name_only_its_module_docstring_mentions_is_reported(tmp_path):
         **_NAMES,
         "src/repro/tally.py": '"""Counting: see ``Tally``."""\n\n\nclass Tally:\n    pass\n',
     }
-    assert _unused_names(tmp_path, files) == ["Tally", "run_graph"]
+    assert _unused_names(tmp_path, files) == ["RUN_LIMIT", "Tally"]
 
 
 def test_a_name_only_another_functions_docstring_mentions_is_reported(tmp_path):
     files = {
         **_NAMES,
         "src/repro/tally.py": (
-            "def merge(a, b):\n    return a\n\n\n"
-            'def report():\n    """Prints the merge of two tallies."""\n'
+            "MERGE_LIMIT = 3\n\n\n"
+            'def report():\n    """Prints up to MERGE_LIMIT tallies."""\n'
         ),
         "tools/show.py": "import repro.tally\nrepro.tally.report()\n",
     }
-    assert _unused_names(tmp_path, files) == ["merge", "run_graph"]
+    assert _unused_names(tmp_path, files) == ["MERGE_LIMIT", "RUN_LIMIT"]
 
 
 def test_a_string_in_code_is_a_use(tmp_path):
-    files = {**_NAMES, "examples/run.py": "graph.add_task('go', 'run_graph')\n"}
+    files = {**_NAMES, "examples/run.py": "graph.add_task('go', 'RUN_LIMIT')\n"}
     assert _unused_names(tmp_path, files) == []
 
 
@@ -244,8 +249,69 @@ def test_a_class_is_used_by_the_registry_name_it_declares(tmp_path):
     files = {
         **_NAMES,
         "src/repro/policy.py": "class FarmPolicy:\n    name = 'farm'\n",
-        "examples/run.py": "run_graph(graph.group_tasks('G', ['go'], policy='farm'))\n",
+        "examples/run.py": "run_graph(graph.group_tasks('G', ['go'], policy='farm'))\n"
+                           "RUN_LIMIT\n",
     }
     assert _unused_names(tmp_path, files) == []
-    files["examples/run.py"] = "run_graph(graph)\n"
+    files["examples/run.py"] = "run_graph(graph)\nRUN_LIMIT\n"
     assert _unused_names(tmp_path / "b", files) == ["FarmPolicy"]
+
+
+def test_functions_and_classes_with_methods_are_left_to_the_reach_gate(tmp_path):
+    files = {
+        **_NAMES,
+        "src/repro/tally.py": "class Tally:\n    def add(self):\n        pass\n\n\n"
+                              "def merge(a, b):\n    return a\n",
+    }
+    assert _unused_names(tmp_path, files) == ["RUN_LIMIT"]
+
+
+# -- unused imports -------------------------------------------------------------------
+
+
+def _unused_imports(tmp_path, files):
+    """``unused_imports()`` of a synthetic tree ({path: source}), without
+    the ``path:line: `` prefix."""
+    paths = []
+    for rel, text in files.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+        paths.append(path)
+    return [line.partition(": ")[2] for line in layering.unused_imports(paths, tmp_path)]
+
+
+def test_an_unused_import_is_reported(tmp_path):
+    found = _unused_imports(tmp_path, {
+        "src/repro/engine.py": "from typing import Callable, Optional\n"
+                               "import numpy as np\n\n\n"
+                               "def run(x: Optional[int]):\n    return x\n",
+        "tests/test_engine.py": "import pytest\nfrom repro.engine import run\nrun(None)\n",
+    })
+    assert found == ["Callable imported but unused", "np imported but unused",
+                     "pytest imported but unused"]
+
+
+def test_what_counts_as_a_use_of_an_import(tmp_path):
+    assert _unused_imports(tmp_path, {
+        # a package's re-export, and a name __all__ lists
+        "src/repro/__init__.py": "from .engine import run\n",
+        "src/repro/api.py": "from .engine import run\n__all__ = ['run']\n",
+        # an attribute base, a string annotation and a decorator
+        "src/repro/engine.py": (
+            "from __future__ import annotations\n"
+            "import functools\nimport os.path\n"
+            "from .types import Spec\n\n\n"
+            "@functools.cache\ndef run(spec: 'Spec'):\n    return os.path.sep\n"
+        ),
+        # a fixture requested by name, and an import marked noqa
+        "tests/test_engine.py": (
+            "from .helpers import hard_timeout  # noqa: F401  (autouse)\n"
+            "from .helpers import tmp_grid\n\n\n"
+            "def test_run(tmp_grid):\n    pass\n"
+        ),
+    }) == []
+
+
+def test_the_repo_has_no_unused_import():
+    assert layering.unused_imports(layering.import_files()) == []

@@ -250,7 +250,7 @@ class TestMessageKinds:
         out = msg_roundtrip(
             "module-chunk", ("req-1", "galaxy.ColumnDensity", pkg, 4, 5)
         )
-        assert out.payload[2].qualified_name == pkg.qualified_name
+        assert (out.payload[2].name, out.payload[2].version) == (pkg.name, pkg.version)
 
     def test_module_head_reply(self):
         out = msg_roundtrip(
@@ -641,4 +641,3 @@ class TestGarbledFrames:
         with pytest.raises(WireError, match="corrupt wire buffer") as info:
             decode(frame[:10])  # cut inside the dataclass ref's length prefix
         assert info.value.__cause__ is not None
-

@@ -60,19 +60,24 @@ an import whose top-level package is neither the standard library nor
 ``pyproject.toml`` declares (every process pays for each at start-up:
 ``networkx`` was 285 modules and 20 MiB for 14 lines of use).
 
-It keeps deleted names deleted too: :func:`orphan_names` lists every
-public top-level function and class in ``src/repro`` that nothing
-outside ``tests/`` references, and ``main()`` fails on any that is not
-on ``KEPT_WITHOUT_CALLER`` (with its reason), and on a listed name that
-has gained a caller.  A reference is an AST name or attribute, or a word
-in a string in code, in ``src/``, ``gridbench/``, ``examples/``,
-``benchmarks/`` or ``tools/``, or a word in the repo's XML/JSON files: a
-registry name such as ``add_task("src", "Wave")`` is a use, and a class
-that declares a registry ``name`` (a distribution policy's ``name =
-"chunked"``) is used by that name as well as its own.  A docstring
-(of a module, class or function) is prose, not a caller, so a name only
-docstrings mention is reported.  A name's own definition, ``__all__``
-lists and import statements (so package re-exports) do not count either.
+It keeps deleted names deleted too, where a profiler cannot see them:
+:func:`orphan_names` lists every public top-level constant, and every
+public class without a method of its own (an exception, a marker), in
+``src/repro`` that nothing outside ``tests/`` references, and ``main()``
+fails on each one.  Functions and methods are ``tools/check_reach.py``'s
+job: it runs the product and lists what never ran.  A reference is an
+AST name or attribute, or a word in a string in code, in ``src/``,
+``gridbench/``, ``examples/``, ``benchmarks/`` or ``tools/``, or a word
+in the repo's XML/JSON files: a registry name such as ``policy="chunked"``
+is a use of the class that declares that ``name``.  A docstring (of a
+module, class or function) is prose, not a caller.  A name's own
+definition, ``__all__`` lists and import statements (so package
+re-exports) do not count either.
+
+And it keeps imports honest: :func:`unused_imports` lists every
+top-level import in ``src/``, ``tests/``, ``tools/`` and ``examples/``
+that its module never reads (a package ``__init__``'s re-exports and a
+line marked ``# noqa: F401`` excepted).
 """
 
 from __future__ import annotations
@@ -264,21 +269,6 @@ def orphans(paths: list[pathlib.Path], src: pathlib.Path = SRC) -> list[str]:
     )
 
 
-#: public names defined in ``src/repro`` that no code outside ``tests/``
-#: uses, kept on purpose: name → why (ROADMAP item 5 names the groups)
-KEPT_WITHOUT_CALLER = {
-    "templates_for_minimal_match":
-        "DESIGN.md grounds the paper's 5 000-10 000-template figure with it",
-    "matched_filter_snr":
-        "the per-template reference the batched search_chunk is held "
-        "bit-identical to",
-    # group D8: signal units tests use as fixtures
-    "Decimate": "group D8 (signal), a test fixture unit",
-    "InverseFFT": "group D8 (signal), a test fixture unit",
-    "Mixer": "group D8 (signal), a test fixture unit",
-    "Offset": "group D8 (signal), a test fixture unit",
-}
-
 #: directories whose code and strings count as a use of a ``repro`` name
 USE_ROOTS = ("src", "gridbench", "examples", "benchmarks", "tools")
 
@@ -305,18 +295,38 @@ def _registry_name(node: ast.AST) -> str | None:
 Definition = tuple[pathlib.Path, int, int, str | None]
 
 
+def _has_method(node: ast.ClassDef) -> bool:
+    return any(isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) for n in node.body)
+
+
+def _public_constants(node: ast.AST) -> list[str]:
+    """The ``UPPER_CASE`` names a top-level assignment binds."""
+    targets = (
+        node.targets if isinstance(node, ast.Assign)
+        else [node.target] if isinstance(node, ast.AnnAssign) else []
+    )
+    return [
+        t.id for t in targets
+        if isinstance(t, ast.Name) and t.id.isupper() and not t.id.startswith("_")
+    ]
+
+
 def public_definitions(paths: list[pathlib.Path]) -> dict[str, list[Definition]]:
-    """Public top-level ``def``/``class`` name → its definitions."""
+    """Public top-level constant, and class without a method, → its
+    definitions (what a profiler cannot see run)."""
     defs: dict[str, list[Definition]] = {}
     for path in sorted(paths):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
-            if (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                and not node.name.startswith("_")
-            ):
+            if isinstance(node, ast.ClassDef):
+                if node.name.startswith("_") or _has_method(node):
+                    continue
+                names = [node.name]
                 first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                defs.setdefault(node.name, []).append(
+            else:
+                names, first = _public_constants(node), node.lineno
+            for name in names:
+                defs.setdefault(name, []).append(
                     (path, first, node.end_lineno, _registry_name(node))
                 )
     return defs
@@ -390,9 +400,9 @@ def use_files(repo: pathlib.Path = REPO) -> list[pathlib.Path]:
 
 
 def orphan_names(src_paths: list[pathlib.Path], use_paths: list[pathlib.Path]) -> list[str]:
-    """Public top-level names of ``src_paths`` no file of ``use_paths``
-    references, by name or registry name, outside the name's own
-    definition."""
+    """Public top-level constants and method-less classes of
+    ``src_paths`` no file of ``use_paths`` references, by name or
+    registry name, outside the name's own definition."""
     refs = references(use_paths)
 
     def used(name: str, spans) -> bool:
@@ -409,6 +419,73 @@ def orphan_names(src_paths: list[pathlib.Path], use_paths: list[pathlib.Path]) -
     )
 
 
+#: where an unused import is a finding
+IMPORT_ROOTS = ("src", "tests", "tools", "examples")
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads: loads, attribute bases, argument
+    names (a pytest fixture is requested by one) and the names inside
+    string annotations."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+            if isinstance(node.annotation, ast.Constant):
+                names |= _annotation_names(node.annotation.value)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.AnnAssign)):
+            note = node.returns if not isinstance(node, ast.AnnAssign) else node.annotation
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                names |= _annotation_names(note.value)
+    return names
+
+
+def _annotation_names(text: str) -> set[str]:
+    try:
+        expr = ast.parse(text, mode="eval")
+    except SyntaxError:
+        return set()
+    return {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+
+
+def unused_imports(paths: list[pathlib.Path], root: pathlib.Path = REPO) -> list[str]:
+    """``path:line: name`` for each top-level import its module never
+    reads; ``__init__`` re-exports, ``__future__`` and ``# noqa: F401``
+    lines excepted."""
+    found = []
+    for path in sorted(paths):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        tree = ast.parse(text, filename=str(path))
+        lines = text.splitlines()
+        read = _read_names(tree)
+        exported = {
+            elt.value for node in tree.body if _exports(node)
+            for elt in getattr(node.value, "elts", ()) if isinstance(elt, ast.Constant)
+        }
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            span = lines[node.lineno - 1:node.end_lineno]
+            if any("noqa: F401" in line for line in span):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                if bound not in read and bound not in exported:
+                    found.append(f"{path.relative_to(root)}:{node.lineno}: "
+                                 f"{bound} imported but unused")
+    return found
+
+
+def import_files(repo: pathlib.Path = REPO) -> list[pathlib.Path]:
+    return [path for top in IMPORT_ROOTS for path in (repo / top).rglob("*.py")]
+
+
 def main() -> int:
     files = list((SRC / "repro").rglob("*.py"))
     if not files:
@@ -420,12 +497,9 @@ def main() -> int:
                    for m in found if m not in AWAITING_DELETION]
     violations += [f"{m}: listed in AWAITING_DELETION but not an orphan"
                    for m in AWAITING_DELETION if m not in found]
-    unused = orphan_names(files, use_files())
-    violations += [f"{n}: public name only tests reach — delete it, or list it "
-                   "in KEPT_WITHOUT_CALLER with its reason"
-                   for n in unused if n not in KEPT_WITHOUT_CALLER]
-    violations += [f"{n}: listed in KEPT_WITHOUT_CALLER but has a caller (or is gone)"
-                   for n in KEPT_WITHOUT_CALLER if n not in unused]
+    violations += [f"{n}: public constant or method-less class only tests reach — "
+                   "delete it" for n in orphan_names(files, use_files())]
+    violations += unused_imports(import_files())
     for line in violations:
         print(line)
     if violations:
@@ -435,7 +509,7 @@ def main() -> int:
     print(f"layering check passed ({len(files)} modules, {len(RULES)} rules, "
           f"third-party imports within {THIRD_PARTY}, "
           f"{len(found)} orphan(s) awaiting deletion, "
-          f"{len(unused)} public name(s) kept without a caller)")
+          f"no test-only constant or marker class, no unused import)")
     return 0
 
 
