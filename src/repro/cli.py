@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 from .analysis.tables import render_kv, render_table
 from .core import LocalEngine, global_registry, graph_from_string
 from .core.errors import WorkflowError
+from .service.errors import ServiceError
 
 __all__ = ["main"]
 
@@ -471,7 +472,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (WorkflowError, ValueError) as exc:
+    except (WorkflowError, ServiceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

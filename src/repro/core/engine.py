@@ -209,17 +209,23 @@ class LocalEngine:
                 )
 
     # -- probes -------------------------------------------------------------
+    def probe_candidates(self, task: str) -> list[str]:
+        """The tasks a probe on ``task`` could mean: itself, or else every
+        flattened task named ``.../task``."""
+        if task in self.graph.tasks:
+            return [task]
+        return [t for t in self.graph.tasks if t.endswith(f"/{task}")]
+
     def attach_probe(self, task: str, node: int = 0) -> Probe:
         """Observe the given output node; returns the collecting probe."""
-        if task not in self.graph.tasks:
-            # Accept unflattened names like "FFT" only if unambiguous.
-            matches = [t for t in self.graph.tasks if t.endswith(f"/{task}") or t == task]
-            if len(matches) != 1:
-                raise GraphError(
-                    f"probe target {task!r} not found in flattened graph "
-                    f"(candidates: {matches})"
-                )
-            task = matches[0]
+        # Accept unflattened names like "FFT" only if unambiguous.
+        matches = self.probe_candidates(task)
+        if len(matches) != 1:
+            raise GraphError(
+                f"probe target {task!r} not found in flattened graph "
+                f"(candidates: {matches})"
+            )
+        task = matches[0]
         t = self.graph.task(task)
         if not 0 <= node < t.num_outputs:
             raise GraphError(f"{task!r} has no output node {node}")

@@ -133,7 +133,7 @@ class GridNode:
                     self.controller_peer,
                     self.discovery,
                     recovery=cfg.recovery,
-                    preseed_replicas=cfg.modules.module_replicas,
+                    module_replicas=cfg.modules.module_replicas,
                 )
             else:
                 self.add_worker(role)

@@ -13,15 +13,12 @@ The cache supports two policies:
   in messages but can run stale code (the problem the paper says the
   on-demand model "overcomes").  Experiment E8 measures the trade.
 
-On top of the policies sit three distribution mechanisms (E18); the
-last two switch on together with ``ModuleSettings.module_replicas > 0``:
+On top of the policies sit two distribution mechanisms (E18); the
+second switches on with ``ModuleSettings.module_replicas > 0``:
 
 * **coalescing** (always on) — concurrent ``ensure`` calls for the same
   unit share one in-flight fetch: one request, one download, every
   waiter woken with the same package;
-* **digest revalidation** — an ``on_demand`` re-check sends the cached
-  content digest with the fetch; a matching repository answers with a
-  tiny ``not-modified`` reply instead of the full bytes;
 * **cooperative replicas** (given a ``discovery``) — a cache that stores a
   package publishes an ``ADV_MODULE`` replica advertisement and serves
   ``module-peer-fetch`` requests from other caches.  A miss then costs a
@@ -47,7 +44,7 @@ from ..p2p.network import Message
 from ..p2p.peer import Peer
 from ..simkernel import Event
 from .errors import MobilityError, ModuleNotFoundInRepo, RepositoryUnreachable
-from .repository import NOT_MODIFIED, PACKAGE_OVERHEAD, ModulePackage, send_package
+from .repository import PACKAGE_OVERHEAD, ModulePackage, send_package
 
 __all__ = ["CacheStats", "ModuleCache", "ModuleSettings"]
 
@@ -59,9 +56,9 @@ RESOLVE_WINDOW = 0.5
 class ModuleSettings:
     """How a grid moves module code: one value for repository, caches, controller."""
 
-    #: pre-seed each group's modules onto this many workers before
-    #: deploying, and let every cache serve as a cooperative replica
-    #: (discovery-routed fetches, digest revalidation); 0 = repository only
+    #: deploy onto this many lead workers before the rest of the fleet,
+    #: and let every cache serve as a cooperative replica
+    #: (discovery-routed fetches); 0 = repository only
     module_replicas: int = 0
     #: split package transfers larger than this into pipelined chunks;
     #: ``None`` ships each package as one message
@@ -83,8 +80,6 @@ class CacheStats:
     failures: int = 0
     #: ``ensure`` calls satisfied by attaching to an in-flight fetch
     coalesced: int = 0
-    #: fetches resolved by a digest match (head check or not-modified)
-    revalidations: int = 0
     #: downloads satisfied by a replica peer instead of the repository
     peer_fetches: int = 0
     #: replica fetches that missed and fell back to the repository
@@ -127,10 +122,7 @@ class ModuleCache:
 
     ``modules`` carries the grid-wide transfer settings.  With
     ``module_replicas > 0`` the cache is also a *replica*: it advertises
-    what it holds through ``discovery``, serves other caches, and an
-    ``on_demand`` re-check sends the cached content digest
-    (``not-modified`` answer on a match) instead of always pulling a
-    full reply (the seed protocol).
+    what it holds through ``discovery`` and serves other caches.
     """
 
     def __init__(
@@ -153,7 +145,6 @@ class ModuleCache:
         self.policy = policy
         self.fetch_timeout = modules.cache_fetch_timeout
         self.discovery = discovery if cooperative else None
-        self.revalidate = "digest" if cooperative else "full"
         self.chunk_bytes = modules.module_chunk_bytes
         self.stats = CacheStats()
         self._cached: OrderedDict[str, ModulePackage] = OrderedDict()
@@ -178,7 +169,6 @@ class ModuleCache:
             "hits": stats.hits,
             "fetches": stats.fetches,
             "peer_fetches": stats.peer_fetches,
-            "revalidations": stats.revalidations,
             "bytes_downloaded": stats.bytes_downloaded,
             "cached_units": len(self._cached),
         }
@@ -239,8 +229,7 @@ class ModuleCache:
             )
         if self.discovery is not None:
             # Replica path: a cheap metadata probe first — the reply
-            # either revalidates the cached copy or names the digest to
-            # hunt replicas for.
+            # names the digest to hunt replicas for.
             self.peer.send(
                 self.repository_host,
                 "module-head",
@@ -268,16 +257,10 @@ class ModuleCache:
             )
 
     def _send_repo_fetch(self, request_id: int, unit_name: str) -> None:
-        cached = self._cached.get(unit_name)
-        cached_digest = (
-            cached.digest
-            if cached is not None and self.revalidate == "digest"
-            else None
-        )
         self.peer.send(
             self.repository_host,
             "module-fetch",
-            payload=(self.peer.peer_id, request_id, unit_name, cached_digest),
+            payload=(self.peer.peer_id, request_id, unit_name),
             size_bytes=96,
         )
 
@@ -296,11 +279,6 @@ class ModuleCache:
         _name, version, code_size, digest = meta
         pending.want_digest = digest
         pending.code_size = code_size
-        cached = self._cached.get(unit_name)
-        if cached is not None and cached.digest == digest:
-            # Authoritative content unchanged — the cached copy is current.
-            self._revalidated(pending, cached)
-            return
         self.peer.sim.process(
             self._resolve_proc(pending, request_id, unit_name),
             name=f"modresolve/{self.peer.peer_id}/{request_id}",
@@ -355,16 +333,6 @@ class ModuleCache:
         pending = self._pending.get(request_id)
         if pending is None or pending.done:
             return
-        if isinstance(pkg, str) and pkg == NOT_MODIFIED:
-            cached = self._cached.get(unit_name)
-            if cached is None:
-                # Evicted between request and reply: nothing to revalidate
-                # against any more — pull the full package.
-                pending.source = "repo"
-                self._send_repo_fetch(request_id, unit_name)
-                return
-            self._revalidated(pending, cached)
-            return
         if pkg is None:
             if pending.source == "peer":
                 # The replica lost it (evicted, version moved): fall back
@@ -391,13 +359,6 @@ class ModuleCache:
         pending.chunks_seen += 1
         if pending.chunks_seen >= total and pending.pkg is not None:
             self._absorb(pending, pending.pkg)
-
-    def _revalidated(self, pending: _Pending, cached: ModulePackage) -> None:
-        """A digest match confirmed the cached copy without a download."""
-        self.stats.hits += 1
-        self.stats.revalidations += 1
-        self._cached.move_to_end(pending.unit_name)
-        self._settle(pending, cached, outcome="revalidate", version=cached.version, nbytes=0)
 
     def _absorb(self, pending: _Pending, pkg: ModulePackage) -> None:
         """Install a downloaded package and wake every waiter."""

@@ -18,18 +18,14 @@ demand always receive the latest, while peers that reuse a stale cache can
 be *measured* doing so (experiment E8).
 
 Packages are **content-addressed**: every :class:`ModulePackage` carries a
-deterministic digest of its identity (name, version, code size), so
-
-* a ``module-fetch`` carrying the digest of an already-cached copy is
-  answered with a tiny ``not-modified`` reply instead of the full bytes
-  (revalidation stays a message round-trip, not a re-download);
-* a ``module-head`` request returns just the authoritative metadata, so a
-  :class:`~repro.mobility.cache.ModuleCache` can decide *where* to pull
-  the bytes from — any replica peer holding the same digest serves the
-  identical package (see docs/performance.md, "Module distribution");
-* large packages are split into fixed-size ``module-chunk`` messages
-  (``chunk_bytes``) so transfers pipeline over a contended uplink rather
-  than holding it for one monolithic reply.
+deterministic digest of its identity (name, version, code size).  A
+``module-head`` request returns just the authoritative metadata, so a
+:class:`~repro.mobility.cache.ModuleCache` can decide *where* to pull the
+bytes from — any replica peer holding the same digest serves the
+identical package (see docs/performance.md, "Module distribution").
+Large packages are split into fixed-size ``module-chunk`` messages
+(``chunk_bytes``) so transfers pipeline over a contended uplink rather
+than holding it for one monolithic reply.
 """
 
 from __future__ import annotations
@@ -50,18 +46,11 @@ __all__ = [
     "RepoStats",
     "content_digest",
     "send_package",
-    "NOT_MODIFIED",
 ]
 
-#: sentinel shipped in a ``module-package`` reply when the requester's
-#: cached digest matches the authoritative one — no bytes follow.
-NOT_MODIFIED = "not-modified"
-
-#: modelled envelope bytes around a full package reply / a chunk / a
-#: not-modified reply.
+#: modelled envelope bytes around a full package reply / a chunk.
 PACKAGE_OVERHEAD = 64
 CHUNK_OVERHEAD = 32
-NOT_MODIFIED_SIZE = 80
 
 
 def content_digest(name: str, version: str, code_size: int) -> str:
@@ -102,8 +91,6 @@ class RepoStats:
     misses: int = 0
     #: metadata-only ``module-head`` requests answered
     head_requests: int = 0
-    #: fetches answered with a ``not-modified`` reply (digest matched)
-    revalidations: int = 0
     #: ``module-chunk`` messages sent (0 unless ``chunk_bytes`` is set)
     chunks_sent: int = 0
 
@@ -188,7 +175,7 @@ class ModuleRepository:
 
     # -- network protocol ----------------------------------------------------------
     def _on_fetch(self, message: Message) -> None:
-        requester, request_id, unit_name, cached_digest = message.payload
+        requester, request_id, unit_name = message.payload
         self.stats.fetch_requests += 1
         try:
             pkg: Optional[ModulePackage] = self.package(unit_name)
@@ -207,23 +194,6 @@ class ModuleRepository:
                 "module-package",
                 payload=(request_id, unit_name, None),
                 size_bytes=PACKAGE_OVERHEAD,
-            )
-            return
-        if cached_digest is not None and cached_digest == pkg.digest:
-            # The requester already holds this exact content: revalidate
-            # with a tiny reply instead of re-shipping the bytes.
-            self.stats.revalidations += 1
-            if tracer.enabled:
-                tracer.instant(
-                    "repo.fetch", category="mobility", track=self.peer.peer_id,
-                    unit=unit_name, requester=requester,
-                    served=True, nbytes=NOT_MODIFIED_SIZE, revalidated=True,
-                )
-            self.peer.send(
-                requester,
-                "module-package",
-                payload=(request_id, unit_name, NOT_MODIFIED),
-                size_bytes=NOT_MODIFIED_SIZE,
             )
             return
         self.stats.packages_served += 1

@@ -32,7 +32,7 @@ from ..p2p.discovery import DiscoveryService
 from ..p2p.network import Message
 from ..p2p.peer import Peer
 from ..simkernel import Event, Simulator
-from .deploy import DeploymentManager, merge_preseed_plans
+from .deploy import DeploymentManager
 from .detector import HeartbeatFailureDetector
 from .errors import SchedulingError
 from .integrity import ReputationLedger, make_verifier
@@ -81,15 +81,14 @@ class TrianaController:
         peer: Peer,
         discovery: DiscoveryService,
         recovery: RecoverySettings = RecoverySettings(),
-        preseed_replicas: int = 0,
+        module_replicas: int = 0,
     ):
         self.peer = peer
         self.sim: Simulator = peer.sim
         self.discovery = discovery
-        self.deployer = DeploymentManager(peer)
-        #: pre-place each group's modules on this many workers before
-        #: deploying (0 = off, the seed behaviour); see docs/performance.md
-        self.preseed_replicas = preseed_replicas
+        #: each deploy asks its first ``module_replicas`` workers first, so
+        #: they hold the modules the rest fetch; see docs/performance.md
+        self.deployer = DeploymentManager(peer, module_replicas=module_replicas)
         self.recovery_settings = recovery
         self.detector = HeartbeatFailureDetector(
             heartbeat_interval=recovery.heartbeat_interval,
@@ -109,14 +108,6 @@ class TrianaController:
         self.last_downstream: Optional[LocalEngine] = None
         peer.on("group-result", self._on_result)
         peer.on("triana-heartbeat", self._on_heartbeat)
-
-    @property
-    def deploy_timeout(self) -> float:
-        return self.deployer.deploy_timeout
-
-    @deploy_timeout.setter
-    def deploy_timeout(self, value: float) -> None:
-        self.deployer.deploy_timeout = value
 
     def _next_deployment_id(self) -> str:
         return f"dep-{next(self._dep_ids)}"
@@ -298,21 +289,6 @@ class TrianaController:
             self._make_context(group, dispatch, iterations, verification)
             for group in plan.groups
         ]
-        if self.preseed_replicas > 0:
-            # Warm k workers per group into module replicas *before* the
-            # deploy storm: the bulk transfers then ride peer uplinks
-            # while the repository only answers head/revalidate traffic.
-            assignments = merge_preseed_plans(
-                ctx.policy.preseed_units(group, workers, self.preseed_replicas)
-                for ctx, group in zip(contexts, plan.groups)
-            )
-            confirmed = yield from self.deployer.preseed(
-                assignments, timeout=self.deploy_timeout
-            )
-            deploy_span.set(
-                preseed_workers=len(confirmed),
-                preseed_units=sum(len(u) for u in confirmed.values()),
-            )
         for ctx, group in zip(contexts, plan.groups):
             yield from ctx.policy.deploy(ctx, group, workers)
         deploy_time = self.sim.now - deploy_start
@@ -431,14 +407,12 @@ class TrianaController:
         )
 
     def _attach_probes(self, probes, *engines: LocalEngine) -> list[Probe]:
+        """Probe each name in the first zone that has it; a zone's own
+        refusal (an ambiguous name, a missing output node) is raised."""
         attached = []
         for name in probes:
-            for engine in engines:
-                try:
-                    attached.append(engine.attach_probe(name))
-                    break
-                except Exception:
-                    continue
-            else:
+            engine = next((e for e in engines if e.probe_candidates(name)), None)
+            if engine is None:
                 raise SchedulingError(f"probe target {name!r} not found in any zone")
+            attached.append(engine.attach_probe(name))
         return attached

@@ -8,58 +8,39 @@ Owns the ``triana-deploy`` / ``deploy-ack`` exchange so neither the
 controller nor the policies re-implement ack bookkeeping.  Policies reach
 it through :meth:`~repro.service.policies.DispatchContext.deploy`.
 
-Also owns the **replica preseed** phase (``module-preseed`` /
-``preseed-ack``): before any group deploys, the controller can ask k
-workers to warm their module caches.  Those workers then advertise as
-replicas, so the deploy-time fetch storm drains through peer uplinks
-instead of serialising on the repository's (see docs/performance.md,
-"Module distribution").
+With ``module_replicas = k`` a deploy goes out in two waves: the first
+k distinct workers of the spec list first, the rest once those asks
+end.  A worker's deploy fetches its modules, so the leads hold them —
+and advertise as replicas — before the rest of the fleet asks for
+them, which then drains through peer uplinks instead of serialising
+on the repository's (see docs/performance.md, "Module distribution").
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Iterable
 
 from ..p2p.errors import RequestFailed
 from ..p2p.network import Message
 from ..p2p.peer import ASK_ATTEMPTS, Peer
 from .errors import DeploymentError
 
-__all__ = ["DeploymentManager", "merge_preseed_plans"]
-
-
-def merge_preseed_plans(
-    plans: Iterable[list[tuple[str, tuple[str, ...]]]],
-) -> list[tuple[str, tuple[str, ...]]]:
-    """Combine per-group preseed assignments into one per worker.
-
-    Multiple groups may target the same worker; the merged plan sends
-    each worker a single ``module-preseed`` with the union of its units,
-    in deterministic (sorted) order.
-    """
-    by_worker: dict[str, set[str]] = {}
-    for plan in plans:
-        for worker, units in plan:
-            by_worker.setdefault(worker, set()).update(units)
-    return [
-        (worker, tuple(sorted(units)))
-        for worker, units in sorted(by_worker.items())
-        if units
-    ]
+__all__ = ["DeploymentManager"]
 
 
 class DeploymentManager:
     """Sends deployment specs and waits for acks, re-asking lost ones."""
 
-    def __init__(self, peer: Peer, deploy_timeout: float = 600.0):
+    def __init__(
+        self, peer: Peer, deploy_timeout: float = 600.0, module_replicas: int = 0
+    ):
         self.peer = peer
         self.sim = peer.sim
         self.deploy_timeout = deploy_timeout
+        #: lead workers asked before the rest of each deploy (0 = all at once)
+        self.module_replicas = module_replicas
         self._ack_events: dict = {}
-        self._preseed_events: dict = {}
         peer.on("deploy-ack", self._on_ack)
-        peer.on("preseed-ack", self._on_preseed_ack)
 
     def _on_ack(self, message: Message) -> None:
         """Success and a final refusal answer the ask (the ack itself is the
@@ -72,57 +53,27 @@ class DeploymentManager:
             else:
                 ev.fail(DeploymentError(f"{deployment_id}: {error}"))
 
-    def _on_preseed_ack(self, message: Message) -> None:
-        worker, ok_units = message.payload
-        ev = self._preseed_events.get(worker)
-        if ev is not None and not ev.triggered:
-            ev.succeed(tuple(ok_units))
-
-    def preseed(self, assignments, timeout: float):
-        """Warm worker module caches; best-effort, bounded by ``timeout``.
-
-        ``assignments`` is ``[(worker, unit_names)]`` (see
-        :func:`merge_preseed_plans`).  Yields like a sim process and
-        returns ``{worker: units_confirmed}`` for the workers that acked
-        in time.  Preseeding is an optimisation, never a correctness
-        requirement — a silent worker is simply skipped and the deploy
-        phase falls back to on-demand fetching.
-        """
-        if not assignments:
-            return {}
-        acks = {}
-        for worker, units in assignments:
-            ev = self.sim.event()
-            self._preseed_events[worker] = ev
-            acks[worker] = ev
-            self.peer.send(
-                worker,
-                "module-preseed",
-                payload=(self.peer.peer_id, tuple(units)),
-                size_bytes=64 + 32 * len(units),
-            )
-        deadline = self.sim.timeout(timeout)
-        waiting = self.sim.all_of(list(acks.values()))
-        yield self.sim.any_of([waiting, deadline])
-        confirmed = {}
-        for worker, ev in acks.items():
-            self._preseed_events.pop(worker, None)
-            if ev.triggered:
-                confirmed[worker] = ev.value
-        return confirmed
-
     def deploy_all(self, specs):
-        """Deploy every spec at once, each asked through :meth:`Peer.ask`;
-        returns the acked ``(worker, spec)`` pairs and ``(worker, spec,
-        cause)`` for each never acked or refused.  A duplicate deploy is
-        re-acked, so a re-ask after a lost ack is safe."""
-        asks = [
-            self.sim.process(self._ask(w, s), name=f"ask/{s.deployment_id}")
-            for w, s in specs
-        ]
-        yield self.sim.all_of(asks)
-        acked = [(w, s) for (w, s), a in zip(specs, asks) if a.value is None]
-        dropped = [(w, s, a.value) for (w, s), a in zip(specs, asks) if a.value is not None]
+        """Deploy every spec, each asked through :meth:`Peer.ask`: the
+        specs of the first ``module_replicas`` distinct workers first, the
+        rest once those asks end.  Returns the acked ``(worker, spec)``
+        pairs and ``(worker, spec, cause)`` for each never acked or
+        refused, both in spec order.  A duplicate deploy is re-acked, so a
+        re-ask after a lost ack is safe."""
+        hosts = list(dict.fromkeys(w for w, _s in specs))
+        leads = set(hosts[: self.module_replicas])
+        first = [(w, s) for w, s in specs if w in leads]
+        rest = [(w, s) for w, s in specs if w not in leads]
+        asks = {}
+        for wave in [first, rest] if first and rest else [first + rest]:
+            for w, s in wave:
+                asks[s.deployment_id] = self.sim.process(
+                    self._ask(w, s), name=f"ask/{s.deployment_id}"
+                )
+            yield self.sim.all_of([asks[s.deployment_id] for _w, s in wave])
+        causes = [asks[s.deployment_id].value for _w, s in specs]
+        acked = [(w, s) for (w, s), c in zip(specs, causes) if c is None]
+        dropped = [(w, s, c) for (w, s), c in zip(specs, causes) if c is not None]
         return acked, dropped
 
     def _ask(self, worker, spec):

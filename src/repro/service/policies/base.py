@@ -217,31 +217,6 @@ class DistributionPolicy:
         doc = (cls.__doc__ or "").strip()
         return doc.splitlines()[0] if doc else ""
 
-    def preseed_units(
-        self, group, workers: list[str], replicas: int
-    ) -> list[tuple[str, tuple[str, ...]]]:
-        """Which modules to pre-place where, before this group deploys.
-
-        Returns ``(worker, unit_names)`` assignments consumed by the
-        controller's preseed phase (``preseed_replicas > 0``).  The plan
-        is farm-shaped: a farm replicates the whole group on every
-        worker, so pre-seeding *all* of its units onto the first
-        ``replicas`` workers turns those into module replicas the rest
-        of the fleet pulls from, instead of everyone queueing on the
-        repository uplink.
-        """
-        units = tuple(
-            sorted(
-                {
-                    group.graph.task(t).unit_name
-                    for t in group.graph.topological_order()
-                }
-            )
-        )
-        if not units:
-            return []
-        return [(worker, units) for worker in workers[:replicas]]
-
     def deploy(self, ctx: DispatchContext, group, workers: list[str]):
         """Place ``group`` on ``workers``; yields like a sim process.
 

@@ -18,13 +18,12 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Optional  # noqa: F401
+from typing import Any, Optional
 
 from ..core.engine import LocalEngine
 from ..core.registry import UnitRegistry
 from ..core.xml_io import graph_from_string, unit_names_in_xml
 from ..mobility.cache import ModuleCache, ModuleSettings
-from ..mobility.errors import MobilityError
 from ..mobility.sandbox import SandboxPolicy
 from ..p2p.advertisement import ADV_SERVICE, Advertisement
 from ..p2p.errors import RequestFailed
@@ -110,9 +109,6 @@ class ServiceStats:
     duplicate_execs_dropped: int = 0
     cached_reships: int = 0
     results_corrupted: int = 0
-    #: ``module-preseed`` requests processed / units warmed by them
-    preseeds: int = 0
-    preseed_units_fetched: int = 0
 
 
 class TrianaService:
@@ -148,7 +144,6 @@ class TrianaService:
         peer.on("triana-deploy", self._on_deploy)
         peer.on("group-exec", self._on_exec)
         peer.on("triana-hb-renew", self._on_hb_renew)
-        peer.on("module-preseed", self._on_preseed)
 
     # -- telemetry ---------------------------------------------------------------
     def telemetry_sample(self) -> dict[str, Any]:
@@ -235,38 +230,6 @@ class TrianaService:
                     )
             yield self._hb_interval
         self._hb_running = False
-
-    # -- replica preseed -----------------------------------------------------------
-    def _on_preseed(self, message: Message) -> None:
-        controller, units = message.payload
-        self.sim.process(
-            self._preseed_proc(controller, units),
-            name=f"preseed/{self.peer.peer_id}",
-        )
-
-    def _preseed_proc(self, controller: str, units):
-        """Warm the cache with ``units`` and ack what actually landed.
-
-        Failures (repository down, unknown unit) are swallowed — preseed
-        is a best-effort optimisation and the deploy path re-fetches on
-        demand anyway.
-        """
-        self.stats.preseeds += 1
-        ok: list[str] = []
-        for unit_name in units:
-            try:
-                yield self.cache.ensure(unit_name)
-            except MobilityError:
-                continue
-            self.stats.preseed_units_fetched += 1
-            ok.append(unit_name)
-        if self.peer.online:
-            self.peer.send(
-                controller,
-                "preseed-ack",
-                payload=(self.peer.peer_id, tuple(ok)),
-                size_bytes=64 + 16 * len(ok),
-            )
 
     # -- deployment --------------------------------------------------------------
     def _on_deploy(self, message: Message) -> None:

@@ -167,6 +167,19 @@ class TestCommands:
         assert "simulated grid" in out
         assert "makespan" in out
 
+    def test_grid_probe_refused_by_its_zone_is_error_1(self, graph_file, capsys):
+        # The sink exists but has no output: the zone's own refusal is
+        # the message, as on the local engine.
+        assert main(["run", graph_file, "-n", "4", "--workers", "2",
+                     "--probe", "Grapher"]) == 1
+        assert capsys.readouterr().err.strip() == "error: 'Grapher' has no output node 0"
+
+    def test_grid_probe_in_no_zone_is_error_1(self, graph_file, capsys):
+        assert main(["run", graph_file, "-n", "4", "--workers", "2",
+                     "--probe", "Nope"]) == 1
+        err = capsys.readouterr().err
+        assert err.strip() == "error: probe target 'Nope' not found in any zone"
+
     def test_run_on_grid_weighted_dispatch(self, graph_file, capsys):
         assert main([
             "run", graph_file, "-n", "4", "--workers", "2",

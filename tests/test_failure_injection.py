@@ -19,7 +19,7 @@ class TestDeployFailures:
             svc.cache.fetch_timeout = 5.0
         workers = grid.discover_workers()  # discovered before the outage
         grid.portal.go_offline()
-        grid.controller.deploy_timeout = 30.0
+        grid.controller.deployer.deploy_timeout = 30.0
         done = grid.controller.run_distributed(fig1_grouped(), 2, workers, ())
         with pytest.raises(DeploymentError):
             grid.sim.run(until=done)
@@ -30,7 +30,7 @@ class TestDeployFailures:
             svc.cache.fetch_timeout = 5.0
         workers = grid.discover_workers()
         grid.portal.go_offline()
-        grid.controller.deploy_timeout = 30.0
+        grid.controller.deployer.deploy_timeout = 30.0
         done = grid.controller.run_distributed(fig1_grouped(), 2, workers, ())
         with pytest.raises(DeploymentError):
             grid.sim.run(until=done)
@@ -48,7 +48,7 @@ class TestDeployFailures:
             fig1_grouped(), iterations=2, workers=["worker-0"]
         )
         grid = ConsumerGrid(n_workers=2, seed=73)
-        grid.controller.deploy_timeout = 20.0
+        grid.controller.deployer.deploy_timeout = 20.0
         grid.worker_peers["worker-1"].go_offline()
         done = grid.controller.run_distributed(
             fig1_grouped(), 2, ["worker-0", "worker-1"], ()

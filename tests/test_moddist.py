@@ -1,10 +1,10 @@
 """Tests for the module distribution fast path (E18).
 
-Covers the three mechanisms layered on the seed mobility protocol:
-content-addressed packages with digest revalidation, fixed-size chunked
-transfers, and cooperative peer replicas (advertise / resolve / serve /
-fall back), plus the service-layer preseed plumbing that places replicas
-at deployment time.
+Covers the mechanisms layered on the seed mobility protocol:
+content-addressed packages, fixed-size chunked transfers, and
+cooperative peer replicas (advertise / resolve / serve / fall back),
+plus the lead-first deploy that makes the first workers replicas before
+the rest of the fleet asks for their modules.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ from repro.mobility import ModuleCache, ModulePackage, ModuleRepository, ModuleS
 from repro.mobility.repository import content_digest
 from repro.p2p import CentralIndexDiscovery, Peer, SimNetwork
 from repro.p2p.network import chunk_sizes
-from repro.service.deploy import merge_preseed_plans
 from repro.simkernel import Simulator
 
 
@@ -98,35 +97,6 @@ class TestChunkedTransfer:
         assert repo.stats.chunks_sent == 0
 
 
-class TestDigestRevalidation:
-    def test_second_fetch_revalidates_instead_of_redownloading(self):
-        sim, net, repo, cache = repo_pair(cache_kwargs={"modules": ModuleSettings(module_replicas=1)})
-        pkg = sim.run(until=cache.ensure("Wave"))
-        sim.run(until=cache.ensure("Wave"))
-        assert cache.stats.revalidations == 1
-        assert repo.stats.revalidations == 1
-        assert repo.stats.packages_served == 1
-        assert cache.stats.bytes_downloaded == pkg.code_size  # paid once
-
-    def test_version_bump_defeats_revalidation(self):
-        sim, net, repo, cache = repo_pair(cache_kwargs={"modules": ModuleSettings(module_replicas=1)})
-        sim.run(until=cache.ensure("Wave"))
-        repo.publish_new_version("Wave", "2.0")
-        pkg = sim.run(until=cache.ensure("Wave"))
-        assert pkg.version == "2.0"
-        assert cache.stats.revalidations == 0
-        assert repo.stats.packages_served == 2
-
-    def test_head_probe_revalidates_on_replica_path(self):
-        sim, net, repo, caches = replica_grid(n_devices=1)
-        cache = caches[0]
-        sim.run(until=cache.ensure("Wave"))
-        sim.run(until=cache.ensure("Wave"))
-        assert repo.stats.head_requests == 2
-        assert repo.stats.packages_served == 1  # second round was head-only
-        assert cache.stats.revalidations == 1
-
-
 class TestPeerReplicas:
     def test_replica_serves_second_device(self):
         sim, net, repo, (c0, c1) = replica_grid()
@@ -181,42 +151,74 @@ class TestPeerReplicas:
         assert c0.stats.peer_serve_misses == 1
 
 
-class TestPreseedPlumbing:
-    def test_merge_preseed_plans_unions_per_worker(self):
-        merged = merge_preseed_plans(
-            [
-                [("w1", ("FFT",)), ("w2", ("FFT",))],
-                [("w1", ("GaussianNoise",)), ("w3", ())],
-            ]
+def deploy_log(replicas, n_workers=4):
+    """Run fig. 1 on a replica grid; return it with ``(what, worker, t)``
+    for each ``triana-deploy`` sent and each ``deploy-ack`` received."""
+    grid = ConsumerGrid(n_workers=n_workers, seed=11, module_replicas=replicas)
+    sim, net, log = grid.sim, grid.transport, []
+    send = net.send
+
+    def logged_send(message):
+        if message.kind == "triana-deploy":
+            log.append(("deploy", message.dst, sim.now))
+        return send(message)
+
+    on_ack = grid.controller.deployer._on_ack
+
+    def logged_ack(message):
+        log.append(("ack", message.src, sim.now))
+        on_ack(message)
+
+    net.send = logged_send
+    grid.controller_peer.replace_handler("deploy-ack", logged_ack)
+    report = grid.run(fig1_grouped(), iterations=6, probes=("Accum",))
+    return grid, report, log
+
+
+class TestLeadFirstDeploy:
+    def test_lead_acks_arrive_before_any_other_deploy_is_sent(self):
+        grid, _report, log = deploy_log(replicas=2)
+        leads = {"worker-0", "worker-1"}
+        deploys = [(w, t) for what, w, t in log if what == "deploy"]
+        assert sorted(w for w, _t in deploys) == sorted(grid.workers)
+        first_other = min(t for w, t in deploys if w not in leads)
+        lead_acks = [t for what, w, t in log if what == "ack" and w in leads]
+        assert len(lead_acks) == 2
+        assert max(lead_acks) <= first_other
+        # ...and in message order, not just in time.
+        kinds = [(what, w in leads) for what, w, _t in log]
+        assert kinds.index(("deploy", False)) > max(
+            i for i, k in enumerate(kinds) if k == ("ack", True)
         )
-        assert merged == [
-            ("w1", ("FFT", "GaussianNoise")),
-            ("w2", ("FFT",)),
-        ]
 
-    def test_preseeded_grid_matches_repository_only_run(self):
+    def test_a_lead_worker_fetches_each_unit_once(self):
+        grid, _report, _log = deploy_log(replicas=2)
+        for name in ("worker-0", "worker-1"):
+            cache = grid.workers[name].cache
+            assert cache.stats.fetches == len(cache._cached) > 0
+            assert cache.stats.peer_fetches == 0  # the portal fed the leads
+
+    def test_no_leads_and_all_leads_deploy_at_once(self):
+        for replicas in (0, 4, 9):
+            _grid, _report, log = deploy_log(replicas=replicas)
+            # Every deploy goes out at once, before any ack comes back.
+            assert [what for what, _w, _t in log[:4]] == ["deploy"] * 4
+            assert len({t for what, _w, t in log if what == "deploy"}) == 1
+
+    def test_replica_grid_matches_repository_only_run(self):
         """Replicas are a transport optimisation: results are identical."""
-
-        def run(replicas):
-            grid = ConsumerGrid(n_workers=4, seed=11, module_replicas=replicas)
-            report = grid.run(fig1_grouped(), iterations=6, probes=("Accum",))
-            return grid, report
-
-        g0, r0 = run(0)
-        g2, r2 = run(2)
+        g0, r0, _ = deploy_log(replicas=0)
+        g2, r2, _ = deploy_log(replicas=2)
         assert len(r2.probe_values["Accum"]) == 6
         for a, b in zip(r0.probe_values["Accum"], r2.probe_values["Accum"]):
             np.testing.assert_array_equal(a.data, b.data)
-        # The portal shipped fewer full packages...
+        # The portal shipped fewer full packages, because the workers
+        # deployed after the leads pull from them.
         assert (
             g2.repository.stats.packages_served
             < g0.repository.stats.packages_served
         )
-        # ...because pre-seeded workers revalidate and the rest pull from
-        # replicas.
         workers = list(g2.workers.values())
-        assert sum(s.stats.preseeds for s in workers) == 2
-        assert sum(s.cache.stats.revalidations for s in workers) > 0
         assert sum(s.cache.stats.peer_fetches for s in workers) > 0
 
     def test_zero_replicas_is_the_seed_protocol(self):
@@ -224,5 +226,4 @@ class TestPreseedPlumbing:
         grid.run(fig1_grouped(), iterations=2)
         assert grid.repository.stats.head_requests == 0
         for service in grid.workers.values():
-            assert service.stats.preseeds == 0
             assert service.cache.stats.peer_fetches == 0

@@ -124,7 +124,7 @@ class TestAsk:
         # on it at t~3, the farm runs on worker-0, and worker-1's acks
         # then arrive for asks that are over.
         grid = ConsumerGrid(n_workers=2, seed=7)
-        grid.controller.deploy_timeout = 3.0
+        grid.controller.deployer.deploy_timeout = 3.0
         peer, sim = grid.worker_peers["worker-1"], grid.sim
         deploy = grid.workers["worker-1"]._on_deploy
         peer.replace_handler(
@@ -144,7 +144,7 @@ def dropping(n_workers, offline, seed=5, deploy_timeout=9.0):
     """A grid whose ``offline`` workers never see their deploys, and the
     progress instants it emits."""
     grid = ConsumerGrid(n_workers=n_workers, seed=seed)
-    grid.controller.deploy_timeout = deploy_timeout
+    grid.controller.deployer.deploy_timeout = deploy_timeout
     seen = []
     grid.sim.tracer.subscribe(seen.append, category="progress")
     for worker in offline:

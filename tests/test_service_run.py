@@ -303,7 +303,7 @@ class TestSandboxIntegration:
 class TestDeployTimeout:
     def test_all_workers_offline_times_out(self):
         grid = ConsumerGrid(n_workers=2, seed=19)
-        grid.controller.deploy_timeout = 30.0
+        grid.controller.deployer.deploy_timeout = 30.0
         workers = grid.discover_workers()
         for p in grid.worker_peers.values():
             p.go_offline()
@@ -353,7 +353,7 @@ class TestDeployRetryDuringSlowFetch:
         grid = ConsumerGrid(
             n_workers=4, seed=3, contention=True, registry=registry, trace=True
         )
-        grid.controller.deploy_timeout = 60.0
+        grid.controller.deployer.deploy_timeout = 60.0
         report = grid.run(graph, iterations=6)
         assert report.deploy_time > 20.0  # the retry did overtake a fetch
         assert {w: s.stats.deployments for w, s in grid.workers.items()} == {

@@ -313,5 +313,17 @@ def test_what_counts_as_a_use_of_an_import(tmp_path):
     }) == []
 
 
+def test_a_noqa_on_an_import_whose_names_are_all_read_is_reported(tmp_path):
+    found = _unused_imports(tmp_path, {
+        "src/repro/engine.py": (
+            "from typing import Any, Optional  # noqa: F401\n"
+            "from .helpers import hook, spare  # noqa: F401\n\n\n"
+            "def run(x: Optional[Any]):\n    return hook(x)\n"
+        ),
+    })
+    # The second marker still covers ``spare``, which nothing reads.
+    assert found == ["noqa: F401 on an import whose names are all read"]
+
+
 def test_the_repo_has_no_unused_import():
     assert layering.unused_imports(layering.import_files()) == []

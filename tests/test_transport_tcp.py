@@ -466,7 +466,7 @@ class TestGridOverTcp:
         try:
             workers = grid.discover_workers()
             grid.worker_peers["worker-1"].go_offline()
-            grid.controller.deploy_timeout = 1.5
+            grid.controller.deployer.deploy_timeout = 1.5
             report = grid.run(graph, iterations=3, workers=workers)
         finally:
             grid.transport.close()

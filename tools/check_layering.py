@@ -77,7 +77,8 @@ re-exports) do not count either.
 And it keeps imports honest: :func:`unused_imports` lists every
 top-level import in ``src/``, ``tests/``, ``tools/`` and ``examples/``
 that its module never reads (a package ``__init__``'s re-exports and a
-line marked ``# noqa: F401`` excepted).
+line marked ``# noqa: F401`` excepted), and every such marker on an
+import whose names are all read.
 """
 
 from __future__ import annotations
@@ -453,7 +454,8 @@ def _annotation_names(text: str) -> set[str]:
 def unused_imports(paths: list[pathlib.Path], root: pathlib.Path = REPO) -> list[str]:
     """``path:line: name`` for each top-level import its module never
     reads; ``__init__`` re-exports, ``__future__`` and ``# noqa: F401``
-    lines excepted."""
+    lines excepted.  A ``# noqa: F401`` on an import whose names are all
+    read is a finding too."""
     found = []
     for path in sorted(paths):
         if path.name == "__init__.py":
@@ -471,14 +473,18 @@ def unused_imports(paths: list[pathlib.Path], root: pathlib.Path = REPO) -> list
                 continue
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
+            bound = [a.asname or a.name.partition(".")[0] for a in node.names]
+            unused = [b for b in bound if b not in read and b not in exported]
+            where = f"{path.relative_to(root)}:{node.lineno}: "
             span = lines[node.lineno - 1:node.end_lineno]
             if any("noqa: F401" in line for line in span):
+                # A stale marker would hide the next unused import here.
+                if not unused:
+                    found.append(
+                        where + "noqa: F401 on an import whose names are all read"
+                    )
                 continue
-            for alias in node.names:
-                bound = alias.asname or alias.name.partition(".")[0]
-                if bound not in read and bound not in exported:
-                    found.append(f"{path.relative_to(root)}:{node.lineno}: "
-                                 f"{bound} imported but unused")
+            found += [where + f"{b} imported but unused" for b in unused]
     return found
 
 
