@@ -7,10 +7,12 @@ often the collector runs.  This script counts GC-tracked objects kept
 alive per pending ``Simulator.call_at``, per in-flight ``Peer.send`` and
 per joined, idle peer under each discovery strategy
 (``allocs_per_call_at`` / ``allocs_per_message`` / ``allocs_per_peer``),
-the kernel events one stage hop of a p2p pipeline schedules
-(``events_per_hop``), the host computations one replicated iteration
-costs (``computes_per_replicated_iteration``), what the replica
-sharing tables still hold after such a run (``shared_entries_after_run``),
+the kernel events 100 sends landing on one instant take
+(``events_per_burst``), the kernel events one stage hop of a p2p
+pipeline schedules (``events_per_hop``), the host computations one
+replicated iteration costs (``computes_per_replicated_iteration``),
+what the replica sharing tables still hold after such a run
+(``shared_entries_after_run``),
 the ``Timeout`` events one worker heartbeat allocates
 (``timeouts_per_beat``), the named-stream lookups one send makes with
 every chaos fraction above zero (``rng_lookups_per_chaos_send``) and
@@ -60,14 +62,16 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 #: Upper bounds on GC-tracked objects per operation (see
 #: ``docs/performance.md``, "The message path" and "What a peer costs the
 #: collector").  Bounds, not equalities: interpreter versions differ in
-#: what they track.  ``events_per_hop`` is kernel events, exact on any
-#: interpreter ("A stage hop: what one execution schedules").  The rest
+#: what they track.  ``events_per_burst`` and ``events_per_hop`` are
+#: kernel events, exact on any interpreter ("One arrival event per
+#: instant", "A stage hop: what one execution schedules").  The rest
 #: are exact counts too ("A replicated execution is computed once", "A
 #: heartbeat is one scheduled call"); ``tracer_bytes_per_event`` is bytes,
 #: rounded to one decimal, so a per-run constant reads as zero.
 ALLOC_BUDGET = {
     "allocs_per_call_at": 2.0, "allocs_per_message": 5.0, "allocs_per_peer": 5.0,
-    "events_per_hop": 3.0, "computes_per_replicated_iteration": 1.0,
+    "events_per_burst": 1.0, "events_per_hop": 3.0,
+    "computes_per_replicated_iteration": 1.0,
     "shared_entries_after_run": 0.0, "timeouts_per_beat": 0.0,
     "rng_lookups_per_chaos_send": 0.0, "tracer_bytes_per_event": 0.0,
 }
@@ -119,12 +123,27 @@ def allocs_per_call_at() -> float:
 
 
 def allocs_per_message() -> float:
-    """Objects per in-flight ``Peer.send``: message + scheduled delivery."""
+    """Objects per in-flight ``Peer.send``.  The sends share one instant,
+    so each keeps its message alive and joins the one scheduled burst."""
     sim = Simulator()
     net = SimNetwork(sim)
     a, b = Peer("a", net), Peer("b", net)
     b.on("m", lambda msg: None)
     return live_objects_per_op(lambda: a.send("b", "m"))
+
+
+def events_per_burst(n: int = 100) -> float:
+    """Kernel events that deliver ``n`` sends landing on one instant."""
+    sim = Simulator()
+    net = SimNetwork(sim)
+    a, b = Peer("a", net), Peer("b", net)
+    got = []
+    b.on("m", got.append)
+    for _ in range(n):
+        a.send("b", "m")
+    sim.run()
+    assert len(got) == n
+    return float(sim.events_executed)
 
 
 def allocs_per_peer(strategy) -> float:
@@ -291,11 +310,12 @@ def main(argv=None) -> int:
                         help="output JSON path")
     args = parser.parse_args(argv)
 
-    result = {"schema": 7}
+    result = {"schema": 8}
     for name, measure, unit in (
         ("allocs_per_call_at", allocs_per_call_at, "GC-tracked objects"),
         ("allocs_per_message", allocs_per_message, "GC-tracked objects"),
         ("allocs_per_peer", allocs_per_peer_worst, "GC-tracked objects"),
+        ("events_per_burst", events_per_burst, "kernel events"),
         ("events_per_hop", events_per_hop, "kernel events"),
         ("computes_per_replicated_iteration", computes_per_replicated_iteration,
          "host computations"),

@@ -1256,13 +1256,14 @@ _declare(Experiment(
 #
 # The scenario is intentionally *kernel-shaped* rather than app-shaped:
 # every peer sends one heartbeat to its ring successor each round, with
-# peers staggered across a fixed number of cohort offsets — so the
-# pending-event set stays 10^4-10^5 deep with massive timestamp ties,
-# exactly the structure ``simkernel.queues.CalendarQueue`` exploits (see
-# ``docs/performance.md``).  Jitter is disabled so delivery times
-# quantize onto shared timestamps and the run draws no RNG streams.
+# peers staggered across a fixed number of cohort offsets — so 10^4-10^5
+# messages in flight land on a few shared instants.  Jitter is disabled
+# so delivery times quantize onto those instants and the run draws no
+# RNG streams.  Each instant's arrivals are one kernel event
+# (``SimNetwork`` bursts, see ``docs/performance.md``), so the event
+# count is one per cohort and one per instant, whatever the swarm size.
 # No trace, the scale exception: a 10^5-peer trace would dwarf the
-# workload.  Events per wall second is gridbench ``sim_swarm`` ops_per_s.
+# workload.  Messages per wall second is gridbench ``sim_swarm`` ops_per_s.
 
 E16_ROUNDS = 5
 E16_COHORTS = 16  # distinct heartbeat offsets per round
@@ -1325,6 +1326,9 @@ _declare(Experiment(
         # Timing depends only on the (shared) link model, not on swarm size.
         ("the modelled horizon is the same regardless of scale",
          by[100_000]["makespan_s"] == by[10_000]["makespan_s"]),
+        # Same-instant arrivals share one event however many they are.
+        ("kernel events do not grow with the swarm",
+         by[100_000]["events"] == by[10_000]["events"]),
     ],
 ))
 

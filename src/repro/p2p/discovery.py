@@ -103,9 +103,9 @@ class DiscoveryService:
         self._peers: dict[str, Peer] = {}
         #: peer id → events waiting for the next publish delivered there
         self._heard: dict[str, list[Event]] = {}
-        # Bound once, like ``SimNetwork._on_arrival``: attach installs the
-        # same handler objects on every peer instead of fresh bound
-        # methods that an idle peer would keep alive for the collector.
+        # Bound once: attach installs the same handler objects on every
+        # peer instead of fresh bound methods that an idle peer would
+        # keep alive for the collector.
         self._on_reply = self._on_reply
         self._on_publish = self._on_publish
 

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from ..simkernel import Resource, Simulator
+from ..simkernel import Event, Resource, Simulator
 from .errors import NetworkError
 
 __all__ = [
@@ -295,9 +295,14 @@ class SimNetwork(Transport):
         #: layer installs entries, the service layer polls them — this
         #: neutral dict is the only coupling point between the two.
         self.compute_faults: dict[str, Any] = {}
-        # Bound once: send() schedules this per message, and a fresh
-        # bound-method object each time is one more thing for the GC.
-        self._on_arrival = self._deliver
+        # The burst last scheduled (see _arrive): its messages, its
+        # instant and its kernel event.  -1.0 is no instant.
+        self._burst: list[Message] = []
+        self._burst_at = -1.0
+        self._burst_event: Optional[Event] = None
+        # Bound once: a fresh bound method per burst would be one more
+        # object for the GC while the burst is pending.
+        self._on_arrival = self._deliver_burst
         # One block-drawn stream per chaos decision, with send() its only
         # consumer: a draw is a generator resumption, not a numpy call.
         self._jitter_u = sim.draws("net-jitter")
@@ -533,10 +538,45 @@ class SimNetwork(Transport):
                     self._contended_delivery(message, hold), name="net-transfer-dup"
                 )
         else:
-            sim.call_at(sim.now + delay, self._on_arrival, message)
+            now = sim.now
+            self._arrive(now + delay, message)
             if duplicated:
-                sim.call_at(sim.now + delay * 1.5, self._on_arrival, message)
+                self._arrive(now + delay * 1.5, message)
         return delay
+
+    def _arrive(self, at: float, message: Message) -> None:
+        """Deliver ``message`` at ``at``, one kernel event per burst.
+
+        The message joins the last burst scheduled if that burst lands
+        on the same instant and is still the last event queued there:
+        appending to it is then the same as queueing one more arrival
+        right behind it, so tie order is what one event per message
+        gives.  Otherwise it starts a new burst; a lone message is a
+        burst of one.
+        """
+        sim = self.sim
+        now = sim.now
+        when = now + (at - now)  # the float call_at(at) lands on
+        if when == self._burst_at and sim.last_at(when) is self._burst_event:
+            self._burst.append(message)
+            return
+        burst = [message]
+        self._burst_event = sim.call_at(at, self._on_arrival, burst)
+        self._burst, self._burst_at = burst, when
+
+    def _deliver_burst(self, messages: list[Message]) -> None:
+        """Deliver a burst's messages in send order, each by :meth:`_deliver`."""
+        rest = iter(messages)
+        try:
+            for message in rest:
+                self._deliver(message)
+        except BaseException:
+            # A resumed run delivers the rest first, as the separate
+            # arrival events queued ahead of everything else would.
+            undelivered = list(rest)
+            if undelivered:
+                self.sim.call_first(self._on_arrival, undelivered)
+            raise
 
     def _deliver(self, message: Message) -> None:
         """Arrival of one in-flight copy of ``message``: hand it to the

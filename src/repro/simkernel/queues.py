@@ -108,6 +108,35 @@ class CalendarQueue:
                 buckets[time] = deque((bucket, item))
         self._len += 1
 
+    def push_front(self, time: float, item: Any) -> None:
+        """Enqueue ``item`` at ``time`` ahead of everything already queued
+        there: it pops as if it had been pushed before all of them."""
+        if time == self._head_time:
+            self._head.appendleft(item)
+        else:
+            buckets = self._buckets
+            bucket = buckets.get(time, _EMPTY)
+            if bucket is _EMPTY:
+                buckets[time] = item
+                heappush(self._times, time)
+            elif type(bucket) is deque:
+                bucket.appendleft(item)
+            else:
+                buckets[time] = deque((item, bucket))
+        self._len += 1
+
+    def last_at(self, time: float) -> Any:
+        """The item queued last at ``time``, or ``None`` when nothing
+        pending lands there.  The item being popped and run is no longer
+        pending: a push at its time queues behind whatever is left."""
+        if time == self._head_time:
+            head = self._head
+            return head[-1] if head else None
+        bucket = self._buckets.get(time)
+        if type(bucket) is deque:
+            return bucket[-1]
+        return bucket
+
     def pop(self) -> tuple[float, Any]:
         """Dequeue the earliest item; FIFO among equal times.
 

@@ -159,15 +159,14 @@ class Timeout(Event):
 class _Call(Event):
     """A scheduled plain call: what :meth:`Simulator.call_at` enqueues.
 
-    Born triggered and pushed once; processing it runs ``fn(*args)``.
-    The callbacks list is only materialised if somebody asks for it —
-    almost nobody waits on a ``call_at`` event, and a swarm keeps one of
-    these in flight per message.
+    Born triggered and pushed once by its maker; processing it runs
+    ``fn(*args)``.  The callbacks list is only materialised if somebody
+    asks for it — almost nobody waits on a ``call_at`` event.
     """
 
     __slots__ = ("_fn", "_args", "_callbacks")
 
-    def __init__(self, sim: "Simulator", when: float, fn: Callable[..., Any], args: tuple):
+    def __init__(self, sim: "Simulator", fn: Callable[..., Any], args: tuple):
         self.sim = sim
         self._state = _TRIGGERED
         self._value = None
@@ -175,7 +174,6 @@ class _Call(Event):
         self._fn = fn
         self._args = args
         self._callbacks: Optional[list[Callable[[Event], None]]] = None
-        sim._queue.push(when, self)
 
     @property
     def callbacks(self) -> list[Callable[[Event], None]]:
@@ -455,7 +453,7 @@ class Simulator:
         """Run ``fn(*args)`` at absolute simulated time ``when``.
 
         Prefer the ``*args`` form to a ``lambda`` or nested function on
-        hot paths: ``call_at(t, self._deliver, message)`` allocates one
+        hot paths: ``call_at(t, self._expire, key)`` allocates one
         event and one tuple, where a closure adds a function object and
         a cell per captured variable for the GC to track.
 
@@ -471,7 +469,28 @@ class Simulator:
             raise SimTimeError(f"call_at({when!r}) is in the past or NaN (now={now})")
         # now + (when - now), not ``when``: the float a Timeout of that
         # delay lands on, so timestamps and tie order match process code.
-        return _Call(self, now + float(delay), fn, args)
+        call = _Call(self, fn, args)
+        self._queue.push(now + float(delay), call)
+        return call
+
+    def call_first(self, fn: Callable[..., Any], *args: Any) -> Event:
+        """Run ``fn(*args)`` at the current time, ahead of every event
+        already queued at it: the slot of an event that was due before
+        them.  A callback whose work is cut short by an exception uses it
+        to leave the rest of that work first in line for a resumed run."""
+        call = _Call(self, fn, args)
+        self._queue.push_front(self.now, call)
+        return call
+
+    def last_at(self, when: float) -> Optional[Event]:
+        """The pending event queued last at time ``when``, or ``None``.
+
+        A caller that keeps an event it scheduled at ``when`` learns from
+        ``last_at(when) is event`` whether adding work to that event is
+        the same as scheduling new work at ``when``: nothing else would
+        run in between.  The event being processed is no longer pending.
+        """
+        return self._queue.last_at(when)
 
     def drive(self, generator: Generator) -> None:
         """Run a loop that only ever waits for a delay, without a process.
@@ -487,7 +506,7 @@ class Simulator:
         loop and schedules nothing; an exception ends this loop only, as
         it ends a process nobody waits on, and the run goes on.
         """
-        _Call(self, self.now, self._drive, (generator,))
+        self._queue.push(self.now, _Call(self, self._drive, (generator,)))
 
     def _drive(self, generator: Generator, error: Optional[BaseException] = None) -> None:
         """One resumption of a :meth:`drive` loop."""
@@ -499,7 +518,7 @@ class Simulator:
             if delay >= 0:  # False for NaN
                 break
             error = SimTimeError(f"negative or NaN timeout delay {delay!r}")
-        _Call(self, self.now + float(delay), self._drive, (generator,))
+        self._queue.push(self.now + float(delay), _Call(self, self._drive, (generator,)))
 
     def step(self) -> None:
         """Advance the clock to the next event and run its callbacks."""

@@ -1,5 +1,6 @@
-"""Deterministic budgets for the message path, an idle peer, a stage hop,
-a replicated iteration, a heartbeat, a chaos send and a traced event.
+"""Deterministic budgets for the message path, an idle peer, a burst, a
+stage hop, a replicated iteration, a heartbeat, a chaos send and a
+traced event.
 
 Every simulated message and timer crosses ``Simulator.call_at`` and
 ``SimNetwork.send``; on a 10k-peer heap what they *allocate* decides how
@@ -45,8 +46,14 @@ def test_pending_call_at_stays_within_budget(microbench):
 
 
 def test_in_flight_message_stays_within_budget(microbench):
-    # The Message, the scheduled delivery and its args tuple.
+    # The sends share an instant: each keeps its Message, and the one
+    # scheduled burst holds them all.
     assert microbench.allocs_per_message() <= microbench.ALLOC_BUDGET["allocs_per_message"]
+
+
+def test_a_same_instant_burst_is_one_event(microbench):
+    # 100 sends onto one instant: one arrival event delivers them all.
+    assert microbench.events_per_burst() <= microbench.ALLOC_BUDGET["events_per_burst"]
 
 
 @pytest.mark.parametrize(

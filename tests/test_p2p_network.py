@@ -284,3 +284,180 @@ class TestOverlay:
         assert net.neighbours("peer-2") == []
         assert overlay_edges(net) == [("peer-0", "peer-1")]
         assert net.neighbours("peer-0") == ["peer-1"]
+
+
+class PerMessageNetwork(SimNetwork):
+    """The reference arrival path: one scheduled call per message."""
+
+    def _arrive(self, at, message):
+        self.sim.call_at(at, self._deliver, message)
+
+
+#: A profile whose 0-byte messages arrive at once and whose 10-byte ones
+#: take 0.01 s, so arrivals pile onto the instants the driver runs at.
+INSTANT = NodeProfile(up_bps=1e3, down_bps=1e3, latency_s=0.0)
+
+#: One op of a burst program, run inside a driver call: a send
+#: ``(src, dst, size, hops)`` whose receiver forwards it ``hops`` more
+#: times, a zero-delay timer, or a liveness flip of one node.
+burst_op = st.one_of(
+    st.tuples(st.just("send"), st.integers(0, 2), st.integers(0, 2),
+              st.sampled_from([0, 10]), st.integers(0, 2)),
+    st.tuples(st.just("timer")),
+    st.tuples(st.just("flip"), st.integers(0, 2)),
+)
+
+
+def run_burst_program(network_cls, program):
+    """Run ``program`` — ``(time, ops)`` driver calls — on a three-node
+    network; returns what happened, in order, with ``sim.now``."""
+    sim = Simulator(seed=1)
+    net = network_cls(sim)
+    nodes = ["n0", "n1", "n2"]
+    log = []
+
+    def handler(node):
+        def on_message(msg):
+            tag, hops = msg.payload
+            log.append((sim.now, "recv", node, tag, hops))
+            if hops:
+                dst = nodes[(tag + hops) % 3]
+                net.send(Message("x", node, dst, (tag, hops - 1), 10 * (tag % 2)))
+        return on_message
+
+    for node, profile in zip(nodes, (INSTANT, INSTANT, LAN_PROFILE)):
+        net.add_node(node, handler(node), profile)
+
+    def drive(ops):
+        for i, op in enumerate(ops):
+            if op[0] == "send":
+                _, src, dst, size, hops = op
+                net.send(Message("x", nodes[src], nodes[dst], (i, hops), size))
+            elif op[0] == "timer":
+                sim.call_at(sim.now, log.append, (sim.now, "timer", i))
+            else:
+                node = nodes[op[1]]
+                net.set_online(node, not net.is_online(node))
+
+    for when, ops in program:
+        sim.call_at(when, drive, ops)
+    sim.run()
+    stats = net.stats
+    return log, (stats.sent, stats.delivered, stats.dropped_offline,
+                 stats.in_flight, stats.in_flight_bytes)
+
+
+def burst_net():
+    """A network of three INSTANT nodes that log ``(now, dst, payload)``."""
+    sim = Simulator(seed=1)
+    net = SimNetwork(sim)
+    log = []
+    for i in range(3):
+        nid = f"peer-{i}"
+        net.add_node(nid, lambda m, nid=nid: log.append((sim.now, nid, m.payload)), INSTANT)
+    return sim, net, log
+
+
+def send(net, payload, dst="peer-1", size=10):
+    return net.send(Message("x", "peer-0", dst, payload, size))
+
+
+class TestBurstDelivery:
+    """Messages that land on one instant share one kernel event, and
+    everything observable is what one arrival event per message gives."""
+
+    @given(program=st.lists(
+        st.tuples(st.sampled_from([0.0, 0.01, 0.02]),
+                  st.lists(burst_op, min_size=1, max_size=8)),
+        max_size=8,
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_bursts_deliver_what_one_event_per_message_does(self, program):
+        assert (run_burst_program(SimNetwork, program)
+                == run_burst_program(PerMessageNetwork, program))
+
+    def test_same_instant_sends_run_as_one_event_in_send_order(self):
+        sim, net, log = burst_net()
+        sim.run()
+        before = sim.events_executed
+        (delay,) = {send(net, i) for i in range(100)}
+        sim.run()
+        assert sim.events_executed - before == 1
+        assert log == [(delay, "peer-1", i) for i in range(100)]
+
+    def test_a_timer_between_two_sends_splits_the_burst(self):
+        sim, net, log = burst_net()
+        delay = send(net, "first")
+        sim.call_at(sim.now + delay, log.append, (sim.now + delay, "timer"))
+        send(net, "second")
+        sim.run()
+        assert log == [(delay, "peer-1", "first"), (delay, "timer"),
+                       (delay, "peer-1", "second")]
+        assert sim.events_executed == 3
+
+    def test_a_destination_going_offline_mid_burst_drops_the_later_messages(self):
+        sim, net, log = burst_net()
+        net.add_node("gate", lambda m: net.set_online("peer-1", False), INSTANT)
+        send(net, 0)
+        send(net, "off", dst="gate")
+        send(net, 1)
+        send(net, 2, dst="peer-2")
+        sim.run()
+        assert [entry[1:] for entry in log] == [("peer-1", 0), ("peer-2", 2)]
+        assert sim.events_executed == 1
+        assert (net.stats.delivered, net.stats.dropped_offline) == (3, 1)
+
+    @pytest.mark.parametrize("fault, stretch", [
+        ("duplicate_fraction", lambda delay: [delay, delay * 1.5]),
+        ("reorder_fraction", lambda delay: [delay]),  # its own random hold
+        ("jitter_fraction", lambda delay: [delay]),  # its own random stretch
+    ])
+    def test_chaos_copies_keep_their_own_instants(self, fault, stretch):
+        def run(network_cls):
+            sim = Simulator(seed=1)
+            net = network_cls(sim)
+            setattr(net, fault, 1.0)
+            log = []
+            net.add_node("a", lambda m: None, INSTANT)
+            net.add_node("b", lambda m: log.append((sim.now, m.payload)), INSTANT)
+            delays = [net.send(Message("x", "a", "b", i, 10)) for i in range(20)]
+            sim.run()
+            return log, delays, sim.events_executed
+
+        log, delays, events = run(SimNetwork)
+        assert sorted(log) == sorted(
+            (at, i) for i, delay in enumerate(delays) for at in stretch(delay))
+        assert len({at for at, _i in log}) == len(set(stretch(delays[0]))) * (
+            1 if fault == "duplicate_fraction" else 20)
+        reference_log, _delays, reference_events = run(PerMessageNetwork)
+        assert log == reference_log and events <= reference_events
+
+    def test_a_raising_handler_leaves_the_rest_of_its_burst_first(self):
+        def run(network_cls):
+            sim = Simulator(seed=1)
+            net = network_cls(sim)
+            log = []
+
+            def on_message(msg):
+                log.append((sim.now, msg.payload))
+                if msg.payload == 1:
+                    raise RuntimeError("handler failed")
+                net.send(Message("x", "b", "a", ("reply", msg.payload), 0))
+
+            net.add_node("a", lambda m: log.append((sim.now, m.payload)), INSTANT)
+            net.add_node("b", on_message, INSTANT)
+            for i in range(4):
+                delay = net.send(Message("x", "a", "b", i, 10))
+            sim.call_at(delay, log.append, (delay, "timer"))
+            with pytest.raises(RuntimeError, match="handler failed"):
+                sim.run()
+            log.append("raised")
+            sim.run()
+            return log, net.stats.delivered, net.stats.in_flight
+
+        log, delivered, in_flight = run(SimNetwork)
+        assert log == [(0.01, 0), (0.01, 1), "raised", (0.01, 2), (0.01, 3),
+                       (0.01, "timer"), (0.01, ("reply", 0)), (0.01, ("reply", 2)),
+                       (0.01, ("reply", 3))]
+        assert (delivered, in_flight) == (7, 0)
+        assert run(PerMessageNetwork) == (log, delivered, in_flight)

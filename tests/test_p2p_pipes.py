@@ -84,8 +84,9 @@ class TestPipes:
         assert seen == ["x"]
 
     def test_callback_pipe_keeps_nothing(self):
-        # A callback consumes the payload: the store stays empty and each
-        # delivery costs no kernel event of its own.
+        # A callback consumes the payload: the store stays empty and a
+        # delivery costs no kernel event of its own.  The 100 sends land
+        # on one instant, so one arrival event delivers all of them.
         sim, net, disc, peers, mgrs = build()
         seen = []
         inp = mgrs[1].create_input("cb", callback=seen.append)
@@ -96,6 +97,22 @@ class TestPipes:
         for i in range(100):
             out.send(i, size_bytes=10)
         sim.run()
+        assert seen == list(range(100)) and inp.received == 100
+        assert len(inp.store.items) == 0
+        assert sim.events_executed - before == 1  # one arrival per instant
+
+    def test_callback_pipe_on_distinct_instants(self):
+        # Each send lands on an instant of its own: one arrival per send.
+        sim, net, disc, peers, mgrs = build()
+        seen = []
+        inp = mgrs[1].create_input("cb", callback=seen.append)
+        out = mgrs[2].create_output("cb")
+        out.bind_direct("peer-1")
+        sim.run()
+        before = sim.events_executed
+        for i in range(100):
+            out.send(i, size_bytes=10)
+            sim.run()
         assert seen == list(range(100)) and inp.received == 100
         assert len(inp.store.items) == 0
         assert sim.events_executed - before == 100  # one arrival per send

@@ -134,6 +134,49 @@ def test_calendar_same_time_push_after_pop_lands_in_head_bucket():
     assert cal.pop() == (5.0, "c")
 
 
+@pytest.mark.parametrize("seed", range(25))
+def test_push_front_and_last_at_match_a_ranked_reference(seed):
+    """A front push pops ahead of everything queued at its time, and
+    ``last_at`` names what a push at that time would queue behind."""
+    rng = random.Random(seed)
+    cal = CalendarQueue()
+    ref = []  # (time, rank, item): pushes rank up, front pushes rank down
+    now, back, front = 0.0, 0, 0
+    for item in range(rng.randint(50, 400)):
+        when = now + rng.choice([0.0, 0.0, 0.25, 1.0])
+        assert cal.last_at(when) == max(
+            ((r, it) for t, r, it in ref if t == when), default=(0, None))[1]
+        roll = rng.random()
+        if ref and roll < 0.4:
+            ref.sort()
+            when, _rank, want = ref.pop(0)
+            assert cal.pop() == (when, want)
+            now = when
+        elif roll < 0.55:
+            front -= 1
+            cal.push_front(when, item)
+            ref.append((when, front, item))
+        else:
+            back += 1
+            cal.push(when, item)
+            ref.append((when, back, item))
+    for want in sorted(ref):
+        assert cal.pop() == (want[0], want[2])
+    assert len(cal) == 0
+
+
+def test_the_popped_item_is_no_longer_last():
+    cal = CalendarQueue()
+    cal.push(2.0, "a")
+    assert cal.last_at(2.0) == "a" and cal.last_at(3.0) is None
+    assert cal.pop() == (2.0, "a")
+    assert cal.last_at(2.0) is None
+    cal.push(2.0, "b")
+    cal.push_front(2.0, "c")
+    assert cal.last_at(2.0) == "b"
+    assert [cal.pop(), cal.pop()] == [(2.0, "c"), (2.0, "b")]
+
+
 def test_store_put_then_get():
     sim = Simulator()
     store = Store(sim)

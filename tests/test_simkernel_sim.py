@@ -424,6 +424,34 @@ def test_call_at_exception_propagates_out_of_run():
     assert got == ["after"]
 
 
+def test_call_first_runs_ahead_of_the_current_instant():
+    sim = Simulator()
+    got = []
+
+    def cut_short():
+        late = sim.call_at(1.0, got.append, "late")
+        sim.call_first(got.append, "first")
+        assert sim.last_at(1.0) is late  # a front push is never last
+
+    sim.call_at(1.0, got.append, "earlier")
+    sim.call_at(1.0, cut_short)
+    sim.call_at(1.0, got.append, "queued")
+    sim.run()
+    assert got == ["earlier", "first", "queued", "late"]
+
+
+def test_last_at_names_the_pending_event_queued_last():
+    sim = Simulator()
+    assert sim.last_at(1.0) is None
+    a = sim.call_at(1.0, lambda: None)
+    b = sim.timeout(1.0)
+    assert sim.last_at(1.0) is b and sim.last_at(2.0) is None
+    sim.run(until=a)
+    assert sim.last_at(1.0) is b
+    sim.run()
+    assert sim.last_at(1.0) is None
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(

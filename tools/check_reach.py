@@ -160,6 +160,10 @@ KEPT_UNREACHED: dict[str, str] = {
         "safety: drops a lapsed lease; no run lasts as long as a lease",
     "repro.simkernel.sim:_Call.callbacks":
         "safety: call_at's event honours appended callbacks like any event",
+    "repro.simkernel.sim:Simulator.call_first":
+        "safety: a handler that raises mid-burst leaves the rest of the burst first",
+    "repro.simkernel.queues:CalendarQueue.push_front":
+        "safety: the queue operation Simulator.call_first makes",
     "repro.transport.runtime:_sleep":
         "safety: a wall-clock kernel without sockets waits instead of spinning",
     "repro.transport.tcp:TcpTransport.nodes":
