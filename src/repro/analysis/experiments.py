@@ -1410,24 +1410,27 @@ _declare(Experiment(
 ))
 
 
-# -- E18: module distribution fast path: replicas and chunking -------------------------
-# The seed protocol ships every package from the portal repository, so a
-# farm deploy serialises all transfers on one consumer-DSL uplink.  E18
-# sweeps replica count × package size on that contended regime: a farm
-# of two heavyweight units deploys onto 8 consumer-DSL peers and every
-# worker must download both packages before acking.  With replicas the
-# controller deploys onto k lead workers first; their deploys fetch the
-# modules, so they advertise as content-addressed replicas and serve the
-# rest of the fleet while the portal answers only cheap head traffic.
-# Each worker fetches each unit once.  ``fetch_wait_s`` — the fleet-wide time
-# spent waiting on module distribution — is read off the tracer itself
-# (every mobility span's duration, summed), so it is the one column a
-# null tracer leaves at 0.
+# -- E18: module distribution: one path, the portal picks each source -----------------
+# A farm of two heavyweight units deploys onto 8 consumer-DSL peers and
+# every worker must download both packages before acking.  Every fetch
+# asks the portal's repository; where links serialise it sends each one
+# to the source with the earliest modelled finish — itself, or a worker
+# it has already shipped (or is shipping) that digest to — so the fleet
+# drains through peer uplinks instead of queueing on the portal's.  On
+# an uncontended fabric no uplink has a backlog and the portal serves
+# every package: those cells are the seed protocol.  Each worker fetches
+# each unit once.  ``fetch_wait_s`` — the fleet-wide time spent waiting
+# on module distribution — is read off the tracer itself (every mobility
+# span's duration, summed), so it is the one column a null tracer
+# leaves at 0.
 
 E18_WORKERS = 8
+#: makespans (s) of the lead-wave protocol this path replaced, at its best
+#: replica count (k = 2), per package size in KB
+E18_LEAD_WAVE_BEST = {128: 43.85, 512: 166.79}
 
 
-def _e18_cell(tracer, package_kb: int, replicas: int) -> dict[str, Any]:
+def _e18_cell(tracer, package_kb: int, contention: bool) -> dict[str, Any]:
     registry = UnitRegistry()
     registry.register(Wave, category="signal")
     registry.register(Grapher, category="output")
@@ -1451,8 +1454,7 @@ def _e18_cell(tracer, package_kb: int, replicas: int) -> dict[str, Any]:
     grid = ConsumerGrid(
         n_workers=E18_WORKERS,
         registry=registry,
-        contention=True,
-        module_replicas=replicas,
+        contention=contention,
         module_chunk_bytes=65536,
         cache_fetch_timeout=20_000.0,
         tracer=tracer,
@@ -1477,7 +1479,7 @@ def _e18_cell(tracer, package_kb: int, replicas: int) -> dict[str, Any]:
         "fetch_wait_2dp": round(fetch_wait, 2),
         "repo_packages": repo.packages_served,
         "repo_bytes": repo.bytes_served,
-        "repo_heads": repo.head_requests,
+        "repo_forwards": repo.forwards,
         "repo_chunks": repo.chunks_sent,
         "peer_fetches": sum(c.peer_fetches for c in caches),
         "peer_serves": sum(c.peer_serves for c in caches),
@@ -1487,23 +1489,23 @@ def _e18_cell(tracer, package_kb: int, replicas: int) -> dict[str, Any]:
 
 def _e18_claims(by: dict) -> list[tuple[str, bool]]:
     sizes = (128, 512)
-    base = {kb: by[kb, 0] for kb in sizes}  # the repository-only runs
+    fetches = 2 * E18_WORKERS  # each worker fetches each unit once
     return [
-        ("replicas never change what the application computes",
-         all(by[kb, k]["result_checksum"] == base[kb]["result_checksum"]
-             for kb in sizes for k in (1, 2, 4))),
-        ("with >= 2 replicas the fleet waits at least 2x less on modules",
-         all(by[kb, k]["fetch_wait_s"] * 2 <= base[kb]["fetch_wait_s"]
-             for kb in sizes for k in (2, 4))),
-        ("the portal stops being the byte source",
-         all(by[kb, 2]["repo_bytes"] < base[kb]["repo_bytes"]
-             and by[kb, 2]["peer_fetches"] > 0 for kb in sizes)),
-        # Every fetch on the replica path starts with one head request.
-        ("a lead worker fetches each unit once: one head per worker and unit",
-         all(by[kb, k]["repo_heads"] == 2 * E18_WORKERS
-             for kb in sizes for k in (1, 2, 4))),
-        ("the whole deploy gets faster, not just the accounting",
-         all(by[kb, 2]["makespan_s"] < base[kb]["makespan_s"] for kb in sizes)),
+        ("peer transfer never changes what the application computes",
+         all(by[kb, True]["result_checksum"] == by[kb, False]["result_checksum"]
+             for kb in sizes)),
+        ("uncontended, the portal serves every package: the seed protocol",
+         all(by[kb, False]["repo_packages"] == fetches
+             and by[kb, False]["peer_fetches"] == 0 for kb in sizes)),
+        ("contended, every fetch is served once, by the portal or a peer",
+         all(by[kb, True]["repo_packages"] + by[kb, True]["peer_fetches"]
+             == fetches for kb in sizes)),
+        ("contended, the portal stops being the only byte source",
+         all(by[kb, True]["repo_bytes"] < by[kb, False]["repo_bytes"]
+             and by[kb, True]["peer_fetches"] > 0 for kb in sizes)),
+        ("contended, the deploy beats the lead wave's best replica count",
+         all(by[kb, True]["makespan_s"] <= E18_LEAD_WAVE_BEST[kb]
+             for kb in sizes)),
     ]
 
 
@@ -1511,18 +1513,18 @@ _declare(Experiment(
     name="e18_moddist",
     title=(
         f"E18  module distribution: {E18_WORKERS}-worker farm, "
-        "contended DSL uplink, 64 KB chunks"
+        "DSL links, 64 KB chunks"
     ),
-    factors={"package_kb": (128, 512), "replicas": (0, 1, 2, 4)},
+    factors={"package_kb": (128, 512), "contention": (False, True)},
     cell=_e18_cell,
     columns={
         "package_kb": "pkg KB",
-        "replicas": "replicas",
+        "contention": "contention",
         "fetch_wait_2dp": "fetch wait s",
         "makespan_2dp": "makespan s",
         "repo_packages": "repo pkgs",
         "peer_fetches": "peer fetches",
-        "repo_heads": "repo heads",
+        "repo_forwards": "forwards",
         "repo_chunks": "chunks",
     },
     claims=_e18_claims,

@@ -133,7 +133,6 @@ class GridNode:
                     self.controller_peer,
                     self.discovery,
                     recovery=cfg.recovery,
-                    module_replicas=cfg.modules.module_replicas,
                 )
             else:
                 self.add_worker(role)
@@ -162,7 +161,6 @@ class GridNode:
             sandbox=dataclasses.replace(cfg.sandbox, stats=SandboxStats()),
             efficiency=cfg.worker_efficiency,
             modules=cfg.modules,
-            discovery=self.discovery,
         )
         service = TrianaService(peer, **hosting)
         self.discovery.publish(peer, service.advertisement())

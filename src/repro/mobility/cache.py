@@ -13,53 +13,41 @@ The cache supports two policies:
   in messages but can run stale code (the problem the paper says the
   on-demand model "overcomes").  Experiment E8 measures the trade.
 
-On top of the policies sit two distribution mechanisms (E18); the
-second switches on with ``ModuleSettings.module_replicas > 0``:
+Under both, module distribution (E18) has one path:
 
-* **coalescing** (always on) — concurrent ``ensure`` calls for the same
-  unit share one in-flight fetch: one request, one download, every
-  waiter woken with the same package;
-* **cooperative replicas** (given a ``discovery``) — a cache that stores a
-  package publishes an ``ADV_MODULE`` replica advertisement and serves
-  ``module-peer-fetch`` requests from other caches.  A miss then costs a
-  cheap ``module-head`` to the authority plus a transfer from the
-  nearest replica, falling back to the repository only when no replica
-  holds the digest.  The repository stays the *version* authority —
-  replicas are pure content mirrors keyed by digest.
+* **coalescing** — concurrent ``ensure`` calls for the same unit share
+  one in-flight fetch: one request, one download, every waiter woken
+  with the same package;
+* **peer transfer** — every fetch asks the portal's repository, which
+  ships the package itself or forwards the request as a
+  ``module-peer-fetch`` to a cache it has shipped that digest to (see
+  :mod:`repro.mobility.repository`).  Such a holder serves from its
+  cache, or parks the requester on its own in-flight download.  A
+  holder that bounces the request, or a forwarded fetch that times out,
+  sends the requester back to the portal, which then serves it itself.
+  The repository stays the *version* authority — holders are pure
+  content mirrors keyed by digest.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
-from ..p2p.advertisement import (
-    ADV_MODULE,
-    AttrPredicate,
-    module_adv_name,
-    module_replica_advertisement,
-)
 from ..p2p.network import Message
 from ..p2p.peer import Peer
 from ..simkernel import Event
 from .errors import MobilityError, ModuleNotFoundInRepo, RepositoryUnreachable
-from .repository import PACKAGE_OVERHEAD, ModulePackage, send_package
+from .repository import PACKAGE_OVERHEAD, ModulePackage, forwards, send_package
 
 __all__ = ["CacheStats", "ModuleCache", "ModuleSettings"]
-
-#: seconds a replica-lookup query collects answers before the fetch goes out
-RESOLVE_WINDOW = 0.5
 
 
 @dataclass(frozen=True)
 class ModuleSettings:
-    """How a grid moves module code: one value for repository, caches, controller."""
+    """How a grid moves module code: one value for repository and caches."""
 
-    #: deploy onto this many lead workers before the rest of the fleet,
-    #: and let every cache serve as a cooperative replica
-    #: (discovery-routed fetches); 0 = repository only
-    module_replicas: int = 0
     #: split package transfers larger than this into pipelined chunks;
     #: ``None`` ships each package as one message
     module_chunk_bytes: Optional[int] = None
@@ -80,9 +68,9 @@ class CacheStats:
     failures: int = 0
     #: ``ensure`` calls satisfied by attaching to an in-flight fetch
     coalesced: int = 0
-    #: downloads satisfied by a replica peer instead of the repository
+    #: downloads a holder peer served instead of the repository
     peer_fetches: int = 0
-    #: replica fetches that missed and fell back to the repository
+    #: fetches sent back to the repository after a bounce or a timeout
     peer_fallbacks: int = 0
     #: ``module-peer-fetch`` requests this cache answered with a package
     peer_serves: int = 0
@@ -99,18 +87,18 @@ class _Pending:
     """One in-flight fetch; every concurrent requester hangs off it."""
 
     unit_name: str
+    request_id: int
     #: events succeeded with the package (first one is the initiator's)
     waiters: list[Event]
     done: bool = False
+    #: the fetch went back to the repository once (after a bounce or a
+    #: timeout); a second miss fails it
+    fell_back: bool = False
     #: open ``module.fetch`` span while the request is in flight
     span: Optional[object] = None
-    #: where the bytes were requested from: ``repo`` | ``peer``
-    source: str = "repo"
-    #: authoritative digest/size from the head check (replica path)
-    want_digest: Optional[str] = None
-    code_size: int = 0
-    #: chunk reassembly state (chunked transfers)
-    chunks_seen: int = 0
+    #: chunk reassembly state: the distinct sequence numbers seen, and
+    #: the package chunk 0 carries
+    chunks: set = field(default_factory=set)
     pkg: Optional[ModulePackage] = None
     #: remote ``module-peer-fetch`` requesters queued on this download:
     #: (requester peer id, their request id, wanted digest)
@@ -120,9 +108,9 @@ class _Pending:
 class ModuleCache:
     """LRU module cache on one peer, fed by a remote repository.
 
-    ``modules`` carries the grid-wide transfer settings.  With
-    ``module_replicas > 0`` the cache is also a *replica*: it advertises
-    what it holds through ``discovery`` and serves other caches.
+    ``modules`` carries the grid-wide transfer settings.  Every cache
+    also serves the ``module-peer-fetch`` requests the repository
+    forwards to it.
     """
 
     def __init__(
@@ -132,19 +120,16 @@ class ModuleCache:
         capacity_bytes: int = 10_000_000,
         policy: str = "on_demand",
         modules: ModuleSettings = ModuleSettings(),
-        discovery: Optional[Any] = None,
     ):
         if policy not in ("on_demand", "sticky"):
             raise MobilityError(f"unknown cache policy {policy!r}")
         if capacity_bytes <= 0:
             raise MobilityError("capacity_bytes must be positive")
-        cooperative = modules.module_replicas > 0
         self.peer = peer
         self.repository_host = repository_host
         self.capacity_bytes = capacity_bytes
         self.policy = policy
         self.fetch_timeout = modules.cache_fetch_timeout
-        self.discovery = discovery if cooperative else None
         self.chunk_bytes = modules.module_chunk_bytes
         self.stats = CacheStats()
         self._cached: OrderedDict[str, ModulePackage] = OrderedDict()
@@ -153,7 +138,6 @@ class ModuleCache:
         self._inflight: dict[str, _Pending] = {}
         peer.on("module-package", self._on_package)
         peer.on("module-chunk", self._on_chunk)
-        peer.on("module-head-reply", self._on_head_reply)
         peer.on("module-peer-fetch", self._on_peer_fetch)
 
     # -- inspection -----------------------------------------------------------
@@ -217,7 +201,10 @@ class ModuleCache:
     # -- fetch state machine ------------------------------------------------------
     def _fetch(self, unit_name: str) -> Event:
         request_id = self.peer.sim.next_id()
-        pending = _Pending(unit_name=unit_name, waiters=[self.peer.sim.event()])
+        pending = _Pending(
+            unit_name=unit_name, request_id=request_id,
+            waiters=[self.peer.sim.event()],
+        )
         self._pending[request_id] = pending
         self._inflight[unit_name] = pending
         self.stats.fetches += 1
@@ -227,105 +214,47 @@ class ModuleCache:
                 "module.fetch", category="mobility", track=self.peer.peer_id,
                 unit=unit_name, repository=self.repository_host,
             )
-        if self.discovery is not None:
-            # Replica path: a cheap metadata probe first — the reply
-            # names the digest to hunt replicas for.
-            self.peer.send(
-                self.repository_host,
-                "module-head",
-                payload=(self.peer.peer_id, request_id, unit_name),
-                size_bytes=64,
-            )
-        else:
-            self._send_repo_fetch(request_id, unit_name)
-
-        self.peer.sim.call_at(
-            self.peer.sim.now + self.fetch_timeout, self._expire, pending
-        )
+        self._send_repo_fetch(pending)
         return pending.waiters[0]
 
-    def _expire(self, pending: _Pending) -> None:
-        """Fetch timeout: fail the fetch unless a reply settled it."""
-        if not pending.done:
-            self._fail(
-                pending,
-                RepositoryUnreachable(
-                    f"no reply for module {pending.unit_name!r} within "
-                    f"{self.fetch_timeout}s"
-                ),
-                outcome="timeout",
-            )
-
-    def _send_repo_fetch(self, request_id: int, unit_name: str) -> None:
+    def _send_repo_fetch(self, pending: _Pending) -> None:
+        """Ask the repository, and arm this attempt's timeout."""
         self.peer.send(
             self.repository_host,
             "module-fetch",
-            payload=(self.peer.peer_id, request_id, unit_name),
+            payload=(self.peer.peer_id, pending.request_id, pending.unit_name),
             size_bytes=96,
         )
-
-    def _on_head_reply(self, message: Message) -> None:
-        request_id, unit_name, meta = message.payload
-        pending = self._pending.get(request_id)
-        if pending is None or pending.done:
-            return
-        if meta is None:
-            self._fail(
-                pending,
-                ModuleNotFoundInRepo(f"repository has no {unit_name!r}"),
-                outcome="not-found",
-            )
-            return
-        _name, version, code_size, digest = meta
-        pending.want_digest = digest
-        pending.code_size = code_size
-        self.peer.sim.process(
-            self._resolve_proc(pending, request_id, unit_name),
-            name=f"modresolve/{self.peer.peer_id}/{request_id}",
+        self.peer.sim.call_at(
+            self.peer.sim.now + self.fetch_timeout,
+            self._expire, pending, pending.fell_back,
         )
 
-    def _resolve_proc(self, pending: _Pending, request_id: int, unit_name: str):
-        """Find the nearest replica holding the wanted digest, or fall back."""
-        want = pending.want_digest
-        me = self.peer.peer_id
-        query = self.discovery.query(
-            self.peer,
-            adv_type=ADV_MODULE,
-            name=module_adv_name(unit_name),
-            # Wire-safe predicate (frames may cross process boundaries).
-            predicate=AttrPredicate.make(
-                equals={"digest": want}, not_equals={"host": me}
+    def _expire(self, pending: _Pending, fell_back: bool) -> None:
+        """Fetch timeout: fail the fetch unless a reply settled it.
+
+        Where the repository forwards, the fetch may have gone to a holder
+        that died: the first timeout there asks the repository again.
+        """
+        if pending.done or pending.fell_back != fell_back:
+            return  # settled, or a later attempt owns the deadline
+        if forwards(self.peer.network) and not fell_back:
+            self._fall_back(pending)
+            return
+        self._fail(
+            pending,
+            RepositoryUnreachable(
+                f"no reply for module {pending.unit_name!r} within "
+                f"{self.fetch_timeout}s"
             ),
-            window=RESOLVE_WINDOW,
+            outcome="timeout",
         )
-        advs = yield query
-        if pending.done:
-            return
-        network = self.peer.network
-        hosts = [
-            h
-            for h in dict.fromkeys(adv.attributes["host"] for adv in advs)
-            if network.is_online(h)
-        ]
-        if not hosts:
-            pending.source = "repo"
-            self._send_repo_fetch(request_id, unit_name)
-            return
-        # Nearest replica by modelled transfer time; ties rotate by
-        # request id so simultaneous fetchers spread over equal replicas.
-        scored = sorted(
-            (network.transfer_time(h, me, pending.code_size), h) for h in hosts
-        )
-        best = scored[0][0]
-        tied = [h for t, h in scored if t == best]
-        replica = tied[request_id % len(tied)]
-        pending.source = "peer"
-        self.peer.send(
-            replica,
-            "module-peer-fetch",
-            payload=(me, request_id, unit_name, want),
-            size_bytes=96,
-        )
+
+    def _fall_back(self, pending: _Pending) -> None:
+        """Send the fetch back to the repository, which then serves it."""
+        pending.fell_back = True
+        self.stats.peer_fallbacks += 1
+        self._send_repo_fetch(pending)
 
     # -- replies -------------------------------------------------------------------
     def _on_package(self, message: Message) -> None:
@@ -334,12 +263,11 @@ class ModuleCache:
         if pending is None or pending.done:
             return
         if pkg is None:
-            if pending.source == "peer":
-                # The replica lost it (evicted, version moved): fall back
-                # to the authority rather than failing the ensure.
-                self.stats.peer_fallbacks += 1
-                pending.source = "repo"
-                self._send_repo_fetch(request_id, unit_name)
+            if message.src != self.repository_host:
+                # The holder the repository named has no copy (evicted, or
+                # its own download failed): back to the authority.
+                if not pending.fell_back:
+                    self._fall_back(pending)
                 return
             self._fail(
                 pending,
@@ -347,21 +275,23 @@ class ModuleCache:
                 outcome="not-found",
             )
             return
-        self._absorb(pending, pkg)
+        self._absorb(pending, pkg, message.src)
 
     def _on_chunk(self, message: Message) -> None:
-        request_id, unit_name, pkg, _seq, total = message.payload
+        request_id, unit_name, pkg, seq, total = message.payload
         pending = self._pending.get(request_id)
         if pending is None or pending.done:
             return
         if pkg is not None:
             pending.pkg = pkg
-        pending.chunks_seen += 1
-        if pending.chunks_seen >= total and pending.pkg is not None:
-            self._absorb(pending, pending.pkg)
+        # Distinct sequence numbers: a duplicated chunk must not stand in
+        # for a missing one.
+        pending.chunks.add(seq)
+        if len(pending.chunks) >= total and pending.pkg is not None:
+            self._absorb(pending, pending.pkg, message.src)
 
-    def _absorb(self, pending: _Pending, pkg: ModulePackage) -> None:
-        """Install a downloaded package and wake every waiter."""
+    def _absorb(self, pending: _Pending, pkg: ModulePackage, src: str) -> None:
+        """Install a package downloaded from ``src`` and wake every waiter."""
         unit_name = pending.unit_name
         previous = self._cached.get(unit_name)
         if previous is not None:
@@ -374,17 +304,16 @@ class ModuleCache:
         else:
             outcome = "new"
         self.stats.bytes_downloaded += pkg.code_size
-        if pending.source == "peer":
+        source = "repo" if src == self.repository_host else "peer"
+        if source == "peer":
             self.stats.peer_fetches += 1
         self._cached[unit_name] = pkg
         self._cached.move_to_end(unit_name)
         self._evict_to_fit()
         self._settle(
             pending, pkg, outcome=outcome, version=pkg.version,
-            nbytes=pkg.code_size, source=pending.source,
+            nbytes=pkg.code_size, source=source,
         )
-        if self.discovery is not None:
-            self._advertise(pkg)
 
     def _fail(self, pending: _Pending, exc: Exception, outcome: str) -> None:
         self.stats.failures += 1
@@ -406,22 +335,14 @@ class ModuleCache:
         pending.done = True
         if self._inflight.get(pending.unit_name) is pending:
             del self._inflight[pending.unit_name]
-        stale = [rid for rid, p in self._pending.items() if p is pending]
-        for rid in stale:
-            del self._pending[rid]
+        self._pending.pop(pending.request_id, None)
 
     def _evict_to_fit(self) -> None:
         while self.used_bytes > self.capacity_bytes and len(self._cached) > 1:
             self._cached.popitem(last=False)
             self.stats.evictions += 1
 
-    # -- the replica role ----------------------------------------------------------
-    def _advertise(self, pkg: ModulePackage) -> None:
-        adv = module_replica_advertisement(
-            pkg.name, self.peer.peer_id, pkg.version, pkg.digest, pkg.code_size
-        )
-        self.discovery.publish(self.peer, adv)
-
+    # -- the holder role ------------------------------------------------------------
     def _on_peer_fetch(self, message: Message) -> None:
         requester, request_id, unit_name, want_digest = message.payload
         pkg = self._cached.get(unit_name)

@@ -18,14 +18,21 @@ demand always receive the latest, while peers that reuse a stale cache can
 be *measured* doing so (experiment E8).
 
 Packages are **content-addressed**: every :class:`ModulePackage` carries a
-deterministic digest of its identity (name, version, code size).  A
-``module-head`` request returns just the authoritative metadata, so a
-:class:`~repro.mobility.cache.ModuleCache` can decide *where* to pull the
-bytes from — any replica peer holding the same digest serves the
-identical package (see docs/performance.md, "Module distribution").
-Large packages are split into fixed-size ``module-chunk`` messages
-(``chunk_bytes``) so transfers pipeline over a contended uplink rather
-than holding it for one monolithic reply.
+deterministic digest of its identity (name, version, code size), so any
+peer holding the same digest holds the identical package.  The
+repository decides where each fetch's bytes come from.  It remembers
+every peer it has shipped, or is still shipping, a digest to, and where
+links serialise (``Transport.contention``) it sends each fetch to the
+source with the earliest modelled finish: the fabric's
+``transfer_time`` plus the uplink time already assigned to that source,
+a tie going to the repository.  A fetch for a holder is forwarded to it
+as a ``module-peer-fetch``; a fetch that comes back (the holder bounced
+it, or it timed out) drops that holder and is served here.  On an
+uncontended fabric no uplink has a backlog, so the repository always
+ships the package itself (see docs/performance.md, "Module
+distribution").  Large packages are split into fixed-size
+``module-chunk`` messages (``chunk_bytes``) so transfers pipeline over a
+contended uplink rather than holding it for one monolithic reply.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from typing import Optional, Type
 
 from ..core.registry import UnitRegistry
 from ..core.units import Unit
-from ..p2p.network import Message, chunk_sizes
+from ..p2p.network import Message, Transport, chunk_sizes
 from ..p2p.peer import Peer
 from .errors import ModuleNotFoundInRepo
 
@@ -45,6 +52,7 @@ __all__ = [
     "ModuleRepository",
     "RepoStats",
     "content_digest",
+    "forwards",
     "send_package",
 ]
 
@@ -63,6 +71,16 @@ def content_digest(name: str, version: str, code_size: int) -> str:
     """
     key = f"{name}@{version}:{code_size}".encode()
     return hashlib.sha256(key).hexdigest()[:16]
+
+
+def forwards(transport: Transport) -> bool:
+    """Whether a repository on ``transport`` may forward fetches to holders.
+
+    Only where links serialise does a source build an uplink backlog a
+    holder can beat.  On an uncontended simulator, and over sockets
+    (whose bandwidth is not modelled), the repository serves every fetch.
+    """
+    return transport.contention
 
 
 @dataclass(frozen=True)
@@ -89,8 +107,8 @@ class RepoStats:
     packages_served: int = 0
     bytes_served: int = 0
     misses: int = 0
-    #: metadata-only ``module-head`` requests answered
-    head_requests: int = 0
+    #: fetches forwarded to a holder peer as ``module-peer-fetch``
+    forwards: int = 0
     #: ``module-chunk`` messages sent (0 unless ``chunk_bytes`` is set)
     chunks_sent: int = 0
 
@@ -105,7 +123,7 @@ def send_package(
 ) -> int:
     """Ship ``pkg`` to ``dst``; chunked when larger than ``chunk_bytes``.
 
-    Shared by the repository and replica-serving caches so both speak the
+    Shared by the repository and holder caches so both speak the
     same wire protocol.  Returns the number of messages sent.  Package
     metadata rides only in chunk 0; the receiver completes reassembly
     when every sequence number has arrived.
@@ -146,8 +164,14 @@ class ModuleRepository:
         # Version overrides let experiments publish "new releases" without
         # defining new classes.
         self._version_overrides: dict[str, str] = {}
+        #: digest → {holder: modelled time its copy is complete}, in the
+        #: order the holders were named (contended fabrics only)
+        self._holders: dict[str, dict[str, float]] = {}
+        #: source → modelled time the uplink work assigned to it ends
+        self._uplink_free: dict[str, float] = {}
+        #: (requester, unit) → (request id, holder) of the last forward
+        self._forwarded: dict[tuple[str, str], tuple[int, str]] = {}
         peer.on("module-fetch", self._on_fetch)
-        peer.on("module-head", self._on_head)
 
     # -- authoritative versions -----------------------------------------------
     def current_version(self, unit_name: str) -> str:
@@ -196,6 +220,23 @@ class ModuleRepository:
                 size_bytes=PACKAGE_OVERHEAD,
             )
             return
+        if forwards(self.peer.network):
+            source = self._source(requester, request_id, pkg)
+            if source != self.peer.peer_id:
+                self.stats.forwards += 1
+                if tracer.enabled:
+                    tracer.instant(
+                        "repo.forward", category="mobility",
+                        track=self.peer.peer_id, unit=unit_name,
+                        requester=requester, holder=source,
+                    )
+                self.peer.send(
+                    source,
+                    "module-peer-fetch",
+                    payload=(requester, request_id, unit_name, pkg.digest),
+                    size_bytes=96,
+                )
+                return
         self.stats.packages_served += 1
         self.stats.bytes_served += pkg.code_size
         if tracer.enabled:
@@ -211,24 +252,39 @@ class ModuleRepository:
         if sent > 1:
             self.stats.chunks_sent += sent
 
-    def _on_head(self, message: Message) -> None:
-        """Answer a metadata probe: (name, version, code_size, digest)."""
-        requester, request_id, unit_name = message.payload
-        self.stats.head_requests += 1
-        try:
-            pkg = self.package(unit_name)
-            meta = (pkg.name, pkg.version, pkg.code_size, pkg.digest)
-        except ModuleNotFoundInRepo:
-            meta = None
-        tracer = self.peer.sim.tracer
-        if tracer.enabled:
-            tracer.instant(
-                "repo.head", category="mobility", track=self.peer.peer_id,
-                unit=unit_name, requester=requester, served=meta is not None,
-            )
-        self.peer.send(
-            requester,
-            "module-head-reply",
-            payload=(request_id, unit_name, meta),
-            size_bytes=96,
-        )
+    def _source(self, requester: str, request_id: int, pkg: ModulePackage) -> str:
+        """Where ``requester``'s bytes come from: this peer or a holder.
+
+        The earliest modelled finish wins; a tie goes to this peer, then
+        to the holder named first.  A fetch asked again under the same
+        request id (its holder bounced it or went quiet) drops that
+        holder and is served here.  The requester becomes a holder,
+        complete at its modelled finish.
+        """
+        net, now, me = self.peer.network, self.peer.sim.now, self.peer.peer_id
+        size = PACKAGE_OVERHEAD + pkg.code_size
+        holders = self._holders.setdefault(pkg.digest, {})
+        key = (requester, pkg.name)
+        last = self._forwarded.pop(key, None)
+        retry = last is not None and last[0] == request_id
+        if retry:
+            holders.pop(last[1], None)
+
+        def start(src: str, ready: float) -> float:
+            return max(now, ready, self._uplink_free.get(src, now))
+
+        best, best_start = me, start(me, now)
+        best_end = best_start + net.transfer_time(me, requester, size)
+        if not retry:
+            for holder, ready in holders.items():
+                if holder == requester or not net.is_online(holder):
+                    continue
+                begin = start(holder, ready)
+                end = begin + net.transfer_time(holder, requester, size)
+                if end < best_end:
+                    best, best_start, best_end = holder, begin, end
+        self._uplink_free[best] = best_start + size / net.profile(best).up_bps
+        holders.setdefault(requester, best_end)
+        if best != me:
+            self._forwarded[key] = (request_id, best)
+        return best

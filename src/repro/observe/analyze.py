@@ -66,7 +66,7 @@ _CONTAINER_NAMES = frozenset({"sim.run", "controller.run", "controller.deploy"})
 #: with no categorised span open is time waiting on message delivery.
 #: ``repo_fetch`` / ``peer_fetch`` / ``revalidate`` split the old
 #: ``module_fetch`` bucket by where the bytes came from (the authority,
-#: a replica peer, or nowhere — a digest check sufficed).
+#: a holder peer, or nowhere — a digest check sufficed).
 _BUCKETS = (
     "compute", "repo_fetch", "peer_fetch", "revalidate", "discovery",
     "redispatch_recovery", "verification_overhead",
@@ -455,7 +455,7 @@ def _bucket_of(span: SpanRecord) -> Optional[str]:
         return "compute"
     if span.category == "mobility":
         # Split by how the fetch resolved: a digest match (no bytes), a
-        # replica-peer transfer, or the repository itself.  Spans from
+        # holder-peer transfer, or the repository itself.  Spans from
         # pre-split traces carry neither attr and land in repo_fetch —
         # the seed protocol only ever fetched from the repository.
         if span.attrs.get("outcome") == "revalidate":

@@ -11,7 +11,6 @@ Layering, bottom-up::
 """
 
 from .advertisement import (
-    ADV_MODULE,
     ADV_PIPE,
     ADV_SERVICE,
     AdvCache,
@@ -39,7 +38,6 @@ from .peer import Peer
 from .pipes import InputPipe, OutputPipe, PipeManager
 
 __all__ = [
-    "ADV_MODULE",
     "ADV_PIPE",
     "ADV_SERVICE",
     "AdvCache",

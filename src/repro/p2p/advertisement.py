@@ -3,8 +3,8 @@
 "Peer naming, grouping, and advertising is achieved using JXTA."  An
 advertisement is a small typed record published into a discovery service:
 peers advertise themselves (with capability attributes such as "CPU
-capability and available free memory", §4), pipes advertise their unique
-names, and module repositories advertise downloadable units.
+capability and available free memory", §4) and pipes advertise their
+unique names.
 """
 
 from __future__ import annotations
@@ -16,47 +16,12 @@ from typing import Any, Callable, Optional
 
 __all__ = [
     "Advertisement", "AdvCache", "AttrPredicate",
-    "ADV_PIPE", "ADV_SERVICE", "ADV_MODULE",
-    "module_adv_name", "module_replica_advertisement",
+    "ADV_PIPE", "ADV_SERVICE",
 ]
 
 ADV_PIPE = "pipe"
 ADV_SERVICE = "service"
-ADV_MODULE = "module"
 
-
-def module_adv_name(unit_name: str) -> str:
-    """Discovery name under which replicas of a unit advertise."""
-    return f"module:{unit_name}"
-
-
-def module_replica_advertisement(
-    unit_name: str,
-    host: str,
-    version: str,
-    digest: str,
-    code_size: int,
-    expires_at: float = float("inf"),
-) -> "Advertisement":
-    """An ``ADV_MODULE`` record announcing ``host`` holds one package.
-
-    Re-publishing for a new version replaces the old record (the cache
-    key is (type, name, publisher)), so a replica never advertises two
-    versions of the same unit at once.  Fetchers match on ``digest`` —
-    the content address — never on the version string alone.
-    """
-    return Advertisement.make(
-        ADV_MODULE,
-        module_adv_name(unit_name),
-        host,
-        attrs={
-            "host": host,
-            "version": version,
-            "digest": digest,
-            "code_size": code_size,
-        },
-        expires_at=expires_at,
-    )
 
 @dataclass(frozen=True)
 class AttrPredicate:

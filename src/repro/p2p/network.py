@@ -153,11 +153,15 @@ class Transport(abc.ABC):
         Mutable mapping consulted by workers before executing units —
         the sabotage seam used by the integrity experiments.  Empty on
         healthy fabrics.
+    contention:
+        Whether each node's links serialise, so concurrent sends queue
+        (only a :class:`SimNetwork` built with ``contention=True``).
     """
 
     sim: Simulator
     stats: NetStats
     compute_faults: dict[str, Any]
+    contention: bool
     #: Discovery backends the fabric can carry.  Flooding and rendezvous
     #: walk a modelled overlay, which only the simulated fabric has;
     #: socket fabrics get the central index (the paper's portal).

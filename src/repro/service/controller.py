@@ -81,14 +81,11 @@ class TrianaController:
         peer: Peer,
         discovery: DiscoveryService,
         recovery: RecoverySettings = RecoverySettings(),
-        module_replicas: int = 0,
     ):
         self.peer = peer
         self.sim: Simulator = peer.sim
         self.discovery = discovery
-        #: each deploy asks its first ``module_replicas`` workers first, so
-        #: they hold the modules the rest fetch; see docs/performance.md
-        self.deployer = DeploymentManager(peer, module_replicas=module_replicas)
+        self.deployer = DeploymentManager(peer)
         self.recovery_settings = recovery
         self.detector = HeartbeatFailureDetector(
             heartbeat_interval=recovery.heartbeat_interval,

@@ -8,12 +8,10 @@ Owns the ``triana-deploy`` / ``deploy-ack`` exchange so neither the
 controller nor the policies re-implement ack bookkeeping.  Policies reach
 it through :meth:`~repro.service.policies.DispatchContext.deploy`.
 
-With ``module_replicas = k`` a deploy goes out in two waves: the first
-k distinct workers of the spec list first, the rest once those asks
-end.  A worker's deploy fetches its modules, so the leads hold them —
-and advertise as replicas — before the rest of the fleet asks for
-them, which then drains through peer uplinks instead of serialising
-on the repository's (see docs/performance.md, "Module distribution").
+Every spec of a deploy goes out at once.  Each worker's deploy fetches
+its modules, and the portal's repository decides whether a worker's
+bytes come from the portal or from a worker it has already shipped them
+to (see docs/performance.md, "Module distribution").
 """
 
 from __future__ import annotations
@@ -31,14 +29,10 @@ __all__ = ["DeploymentManager"]
 class DeploymentManager:
     """Sends deployment specs and waits for acks, re-asking lost ones."""
 
-    def __init__(
-        self, peer: Peer, deploy_timeout: float = 600.0, module_replicas: int = 0
-    ):
+    def __init__(self, peer: Peer, deploy_timeout: float = 600.0):
         self.peer = peer
         self.sim = peer.sim
         self.deploy_timeout = deploy_timeout
-        #: lead workers asked before the rest of each deploy (0 = all at once)
-        self.module_replicas = module_replicas
         self._ack_events: dict = {}
         peer.on("deploy-ack", self._on_ack)
 
@@ -54,24 +48,17 @@ class DeploymentManager:
                 ev.fail(DeploymentError(f"{deployment_id}: {error}"))
 
     def deploy_all(self, specs):
-        """Deploy every spec, each asked through :meth:`Peer.ask`: the
-        specs of the first ``module_replicas`` distinct workers first, the
-        rest once those asks end.  Returns the acked ``(worker, spec)``
-        pairs and ``(worker, spec, cause)`` for each never acked or
-        refused, both in spec order.  A duplicate deploy is re-acked, so a
-        re-ask after a lost ack is safe."""
-        hosts = list(dict.fromkeys(w for w, _s in specs))
-        leads = set(hosts[: self.module_replicas])
-        first = [(w, s) for w, s in specs if w in leads]
-        rest = [(w, s) for w, s in specs if w not in leads]
-        asks = {}
-        for wave in [first, rest] if first and rest else [first + rest]:
-            for w, s in wave:
-                asks[s.deployment_id] = self.sim.process(
-                    self._ask(w, s), name=f"ask/{s.deployment_id}"
-                )
-            yield self.sim.all_of([asks[s.deployment_id] for _w, s in wave])
-        causes = [asks[s.deployment_id].value for _w, s in specs]
+        """Deploy every spec at once, each asked through :meth:`Peer.ask`.
+        Returns the acked ``(worker, spec)`` pairs and ``(worker, spec,
+        cause)`` for each never acked or refused, both in spec order.  A
+        duplicate deploy is re-acked, so a re-ask after a lost ack is
+        safe."""
+        asks = [
+            self.sim.process(self._ask(w, s), name=f"ask/{s.deployment_id}")
+            for w, s in specs
+        ]
+        yield self.sim.all_of(asks)
+        causes = [ask.value for ask in asks]
         acked = [(w, s) for (w, s), c in zip(specs, causes) if c is None]
         dropped = [(w, s, c) for (w, s), c in zip(specs, causes) if c is not None]
         return acked, dropped

@@ -121,14 +121,11 @@ class TrianaService:
         sandbox: Optional[SandboxPolicy] = None,
         efficiency: float = 1.0,
         modules: ModuleSettings = ModuleSettings(),
-        discovery: Optional[Any] = None,
     ):
         self.peer = peer
         self.sim: Simulator = peer.sim
         self.sandbox = sandbox or SandboxPolicy()
-        self.cache = ModuleCache(
-            peer, repository_host, modules=modules, discovery=discovery
-        )
+        self.cache = ModuleCache(peer, repository_host, modules=modules)
         self.efficiency = efficiency
         self.local_registry = UnitRegistry()
         self.deployments: dict[str, _Deployment] = {}

@@ -139,6 +139,7 @@ class TcpTransport(Transport):
         self.host = host
         self.stats = NetStats()
         self.compute_faults: Dict[str, Any] = {}
+        self.contention = False  # bandwidth is not modelled on sockets
         self._handlers: Dict[str, Callable[[Message], None]] = {}
         self._profiles: Dict[str, NodeProfile] = {}
         self._online: Dict[str, bool] = {}

@@ -16,7 +16,7 @@ import tracemalloc
 import pytest
 
 from repro.p2p import (
-    ADV_MODULE,
+    ADV_PIPE,
     ADV_SERVICE,
     AdvCache,
     Advertisement,
@@ -183,20 +183,20 @@ class CountedStr(str):
 
 class TestPublishBudget:
     def test_a_shared_name_is_published_without_searching_its_bucket(self):
-        # Every replica of a module advertises the same name, one record
-        # per host, and re-publishes it as a keep-alive.  With the index
+        # N hosts advertise the same name, one record per host, and
+        # re-publish it as a keep-alive.  With the index
         # in place each put may hash and compare its key a bounded number
         # of times — a bucket searched on re-publish would compare against
         # ~N / 2 other publishers per put.
         cache = AdvCache()
         cache.put(service_adv(0))
         assert len(cache.query(0.0, name="svc:0")) == 1  # the index exists
-        name = "module:fft"
+        name = "pipe:shared"
         for round_ in range(2):
             # Fresh, equal publisher objects each round: a re-publish is
             # found by comparing keys, not by identity.
             adverts = [
-                Advertisement.make(ADV_MODULE, name, CountedStr(f"host-{i}"),
+                Advertisement.make(ADV_PIPE, name, CountedStr(f"host-{i}"),
                                    attrs={"round": round_})
                 for i in range(N)
             ]
@@ -205,7 +205,7 @@ class TestPublishBudget:
                 cache.put(adv)
             assert CountedStr.ops <= 8 * N
             assert len(cache._records) == N + 1
-        hits = cache.query(0.0, ADV_MODULE, name)
+        hits = cache.query(0.0, ADV_PIPE, name)
         assert len(hits) == N
         assert {a.attributes["round"] for a in hits} == {1}
 

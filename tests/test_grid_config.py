@@ -64,7 +64,6 @@ SETTING_STRATEGIES = dict(
     contention=st.booleans(), fault_plan=plans,
     retry_timeout=positive, retry_interval=positive, heartbeat_interval=positive,
     suspect_after_missed=st.integers(min_value=1, max_value=10),
-    module_replicas=st.integers(min_value=0, max_value=8),
     module_chunk_bytes=st.one_of(st.none(), st.integers(min_value=1, max_value=2**30)),
     cache_fetch_timeout=positive,
     trace=st.booleans(), telemetry=st.booleans(), telemetry_interval=positive,
@@ -168,9 +167,8 @@ class TestOneDescriptionTwoSpellings:
               fault_plan=chaos("moderate", seed=12, start=5.0, horizon=40.0,
                                workers=[f"worker-{i}" for i in range(6)])),
          dict(verification="replicate-3")),
-        (dict(n_workers=4, seed=13, contention=True, module_replicas=2,
-              module_chunk_bytes=4096), {}),
-    ], ids=["plain", "chaos+replicate-3", "module-replicas"])
+        (dict(n_workers=4, seed=13, contention=True, module_chunk_bytes=4096), {}),
+    ], ids=["plain", "chaos+replicate-3", "contended-chunks"])
     def test_keywords_and_replace_build_the_same_grid(self, kw, run_kw):
         by_keyword = ConsumerGrid(trace=True, **kw)
         by_value = ConsumerGrid(GridConfig().replace(trace=True, **kw))

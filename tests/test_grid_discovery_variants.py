@@ -76,19 +76,18 @@ class TestStrategyWiring:
 
 
 @pytest.mark.parametrize("strategy", ["central", "rendezvous"])
-@pytest.mark.parametrize("module_replicas", [0, 3])
+@pytest.mark.parametrize("contention", [False, True])
 def test_two_same_seed_grids_in_one_process_trace_identically(
-    strategy, module_replicas
+    strategy, contention
 ):
-    """A run is a pure function of config and seed: request ids that steer
-    it (a replica tie broken by ``id % n``) are counted per grid, not per
-    process."""
+    """A run is a pure function of config and seed: ids are counted per
+    grid, not per process, and where the portal picks a module source
+    (contended links) its ties do not depend on them."""
 
     def trace_of_one_run():
         grid = ConsumerGrid(
-            n_workers=7, seed=5, contention=True, discovery=strategy,
-            module_replicas=module_replicas, module_chunk_bytes=65536,
-            trace=True,
+            n_workers=7, seed=5, contention=contention, discovery=strategy,
+            module_chunk_bytes=65536, trace=True,
         )
         grid.run(fig1_grouped(), iterations=14)
         return jsonl_lines(grid.sim.tracer)

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.p2p import ADV_MODULE, ADV_PIPE, ADV_SERVICE, AdvCache, Advertisement
+from repro.p2p import ADV_PIPE, ADV_SERVICE, AdvCache, Advertisement
 from repro.p2p.advertisement import AttrPredicate
 
 
@@ -20,7 +20,7 @@ class TestAdvertisement:
         a = adv(name="pipe-1")
         assert a.matches(adv_type=ADV_PIPE)
         assert a.matches(name="pipe-1")
-        assert not a.matches(adv_type=ADV_MODULE)
+        assert not a.matches(adv_type=ADV_SERVICE)
         assert not a.matches(name="pipe-2")
 
     def test_matches_predicate(self):

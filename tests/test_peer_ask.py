@@ -191,7 +191,7 @@ class TestDroppedWorker:
         # refuses the deploy, and the farm runs on worker-0.
         grid, seen = dropping(2, [])
         grid.workers["worker-1"].cache.fetch_timeout = 0.5
-        for kind in ("module-head-reply", "module-package", "module-chunk"):
+        for kind in ("module-package", "module-chunk"):
             grid.worker_peers["worker-1"].replace_handler(kind, lambda m: None)
         report = run(grid, stateless_pipeline(), 4)
         (drop,) = drops(seen)

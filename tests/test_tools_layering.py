@@ -59,6 +59,10 @@ FORBIDDEN = [
     # a second hashing walk beside the wire's canonical encoding
     ("repro.service.integrity", "import hashlib"),
     ("repro.analysis.experiments", "from hashlib import sha256"),
+    # mobility picks a module's source without discovery
+    ("repro.mobility.cache", "from ..p2p.discovery import DiscoveryService"),
+    ("repro.mobility.cache", "from ..p2p.advertisement import AttrPredicate"),
+    ("repro.mobility.repository", "from repro.p2p import discovery"),
     # numpy's private modules outside the one module that stands on them
     ("repro.apps.inspiral", "from numpy.fft import _pocketfft_umath"),
     ("repro.core.toolbox.image", "import numpy.fft._pocketfft_umath as pfu"),

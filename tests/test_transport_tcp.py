@@ -22,7 +22,7 @@ from repro import ConsumerGrid, TaskGraph
 from repro.analysis import fig1_grouped
 from repro.apps.galaxy import build_galaxy_graph, generate_snapshots
 from repro.deployment import run_tcp_localhost
-from repro.p2p.advertisement import ADV_MODULE, ADV_SERVICE, AttrPredicate
+from repro.p2p.advertisement import ADV_SERVICE, AttrPredicate
 from repro.p2p.network import LAN_PROFILE, Message
 from repro.service import SchedulingError
 import repro.transport.link as link_mod
@@ -593,9 +593,7 @@ class TestMultiProcessE2E:
 
     def test_workers_are_built_from_the_controllers_config(self, monkeypatch):
         # Before the config was the bootstrap payload a worker process
-        # could be told 3 things; module replicas and chunking were not
-        # among them.  A cache only advertises what it holds when *its*
-        # process was given module_replicas > 0.
+        # could be told 3 things; module chunking was not among them.
         nodes = []
 
         class Recording(deployment.ControllerNode):
@@ -611,12 +609,10 @@ class TestMultiProcessE2E:
         sim_report = ConsumerGrid(n_workers=2, seed=0).run(graph, iterations=4)
 
         report = run_tcp_localhost(
-            graph, iterations=4, module_replicas=1, module_chunk_bytes=4096,
+            graph, iterations=4, module_chunk_bytes=4096,
         )
         assert result_checksum(report.group_results) == result_checksum(
             sim_report.group_results
         )
         (node,) = nodes
         assert node.repository.stats.chunks_sent > 0
-        replicas = node.portal.cache.query(node.sim.now, ADV_MODULE)
-        assert {adv.attributes["host"] for adv in replicas} & {"worker-0", "worker-1"}

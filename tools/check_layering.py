@@ -24,13 +24,14 @@ stays decoupled from the controller that hosts it:
   through the :class:`DispatchContext` services handed to them, never
   by reaching into controller internals;
 * ``repro.faults`` and ``repro.mobility`` must not import
-  ``repro.service`` — compute-fault models are planted in the neutral
-  ``Transport.compute_faults`` mapping and polled duck-typed by the
-  worker, so the integrity hooks flow one way (service reads faults'
+  ``repro.service``, ``repro.p2p.discovery`` or
+  ``repro.p2p.advertisement`` — compute-fault models are planted in the
+  neutral ``Transport.compute_faults`` mapping and polled duck-typed by
+  the worker, so the integrity hooks flow one way (service reads faults'
   artefacts, never vice versa); the module cache/repository are pure
-  transport, and replica *placement* (who gets pre-seeded) is a
-  service-layer policy decision fed to mobility only through protocol
-  messages;
+  transport, and where a module's bytes come from is decided by the
+  portal's repository from what it has shipped, never looked up through
+  discovery;
 * of ``repro``, only ``repro.transport.wire`` (the payload checksum,
   which result digests are), ``repro.simkernel.rng`` (stream seeds) and
   ``repro.mobility.repository`` (package identity) may import
@@ -137,9 +138,9 @@ RULES: tuple[Rule, ...] = (
          "policies must use DispatchContext, not controller internals",
          forbid=("repro.service.controller",)),
     Rule(("repro.faults", "repro.mobility"),
-         "faults and mobility sit below service (integrity hooks flow one way; "
-         "placement logic stays in the service layer)",
-         forbid=("repro.service",)),
+         "faults and mobility sit below service and discovery (integrity hooks "
+         "flow one way; the portal, not a lookup, picks a module's source)",
+         forbid=("repro.service", "repro.p2p.discovery", "repro.p2p.advertisement")),
     Rule(("repro",), "one hashing walk: digest results with wire.result_checksum",
          forbid=("hashlib",),
          exempt=("repro.transport.wire", "repro.simkernel.rng",

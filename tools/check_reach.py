@@ -172,7 +172,9 @@ KEPT_UNREACHED: dict[str, str] = {
         "ROADMAP item 8: what offline means on TCP is the contract's to decide",
     # fault handling: socket timing decides whether a run reaches these
     "repro.mobility.cache:ModuleCache._bounce":
-        "fault handling: a replica asked for a module it no longer holds",
+        "fault handling: a holder asked for a module it no longer holds",
+    "repro.mobility.cache:ModuleCache._fall_back":
+        "fault handling: a forwarded fetch bounced or timed out; ask the portal",
     "repro.mobility.cache:ModuleCache._fail":
         "fault handling: a module fetch that gave up",
     "repro.transport.link:Link.dial_failed":
