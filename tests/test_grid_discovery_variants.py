@@ -76,7 +76,7 @@ class TestStrategyWiring:
 
 
 @pytest.mark.parametrize("strategy", ["central", "rendezvous"])
-@pytest.mark.parametrize("contention", [False, True])
+@pytest.mark.parametrize("contention", [False, True], ids=["off", "on"])
 def test_two_same_seed_grids_in_one_process_trace_identically(
     strategy, contention
 ):
