@@ -285,6 +285,9 @@ class SimNetwork(Transport):
         self._profiles: dict[str, NodeProfile] = {}
         self._handlers: dict[str, Callable[[Message], None]] = {}
         self._online: dict[str, bool] = {}
+        #: node id → how often it went offline; a contended transfer
+        #: compares it across its time on the sender's uplink
+        self._crashes: dict[str, int] = {}
         self._speed_factors: dict[str, float] = {}
         self._uplinks: dict[str, "object"] = {}
         self._downlinks: dict[str, "object"] = {}
@@ -346,6 +349,8 @@ class SimNetwork(Transport):
         if self._online[node_id] == online:
             return
         self._online[node_id] = online
+        if not online:
+            self._crashes[node_id] = self._crashes.get(node_id, 0) + 1
         tracer = self.sim.tracer
         if tracer.enabled:
             # Liveness transitions feed the analyzer's per-peer
@@ -536,10 +541,14 @@ class SimNetwork(Transport):
             # The links serialise the wire time; jitter and a reorder hold
             # stretch the latency stage in between.
             hold = delay - base
-            sim.process(self._contended_delivery(message, hold), name="net-transfer")
+            crashes = self._crashes.get(src, 0)
+            sim.process(
+                self._contended_delivery(message, hold, crashes), name="net-transfer"
+            )
             if duplicated:
                 sim.process(
-                    self._contended_delivery(message, hold), name="net-transfer-dup"
+                    self._contended_delivery(message, hold, crashes),
+                    name="net-transfer-dup",
                 )
         else:
             now = sim.now
@@ -621,18 +630,33 @@ class SimNetwork(Transport):
             table[node_id] = Resource(self.sim, capacity=1)
         return table[node_id]
 
-    def _contended_delivery(self, message: Message, hold: float):
+    def _contended_delivery(self, message: Message, hold: float, crashes: int):
         """Serialise the wire time on the sender's uplink, then the
-        receiver's downlink, with access latency plus ``hold`` in between."""
+        receiver's downlink, with access latency plus ``hold`` in between.
+
+        ``crashes`` is the sender's offline count when it sent.  A sender
+        that went offline before the message's last byte left its uplink
+        never got the message out: it is dropped there, and a message
+        still queued behind it leaves the uplink without using it."""
         p_src = self.profile(message.src)
         p_dst = self.profile(message.dst)
         up = self._link(self._uplinks, message.src)
         req = up.request()
         yield req
         try:
-            yield self.sim.timeout(message.size_bytes / p_src.up_bps)
+            if self._crashes.get(message.src, 0) == crashes:
+                yield self.sim.timeout(message.size_bytes / p_src.up_bps)
         finally:
             up.release(req)
+        if self._crashes.get(message.src, 0) != crashes:
+            stats = self.stats
+            stats.in_flight -= 1
+            stats.in_flight_bytes -= message.size_bytes
+            stats.dropped_offline += 1
+            tracer = self.sim.tracer
+            if tracer.enabled:
+                self._trace_drop(tracer, message, "offline")
+            return
         yield self.sim.timeout(p_src.latency_s + p_dst.latency_s + hold)
         down = self._link(self._downlinks, message.dst)
         req = down.request()

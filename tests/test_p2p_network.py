@@ -254,6 +254,48 @@ class TestChurn:
         assert len(boxes["peer-1"]) == 1
 
 
+class TestContendedChurn:
+    """On serialising links a message leaves its sender only when its
+    uplink transfer ends: a sender that crashes first never sent it."""
+
+    @staticmethod
+    def crash_while_sending(sizes, crash_at, back_at=None):
+        sim = Simulator(seed=1)
+        net = SimNetwork(sim, contention=True)
+        got = []
+        net.add_node("a", lambda m: None)
+        net.add_node("b", lambda m: got.append((m.payload, sim.now)))
+        for i, size in enumerate(sizes):
+            net.send(Message(kind="x", src="a", dst="b", payload=i, size_bytes=size))
+        sim.call_at(crash_at, net.set_online, "a", False)
+        if back_at is not None:
+            sim.call_at(back_at, net.set_online, "a", True)
+        sim.run()
+        return net.stats, got
+
+    def test_a_crashed_senders_queued_traffic_is_dropped(self):
+        # DSL's 32 kB/s uplink: each message holds it for one second.
+        stats, got = self.crash_while_sending([32_000] * 4, crash_at=0.5)
+        assert got == []
+        assert stats.dropped_offline == 4
+        assert (stats.in_flight, stats.in_flight_bytes) == (0, 0)
+
+    def test_a_sender_back_before_its_transfer_ends_still_lost_it(self):
+        # Both were queued before the crash: the one on the wire and the
+        # one waiting behind it are gone, though the sender is back
+        # before either would have left.
+        stats, got = self.crash_while_sending([32_000, 32_000], crash_at=0.3, back_at=0.6)
+        assert got == []
+        assert stats.dropped_offline == 2
+        assert (stats.in_flight, stats.in_flight_bytes) == (0, 0)
+
+    def test_what_left_the_uplink_before_the_crash_arrives(self):
+        stats, got = self.crash_while_sending([16_000, 32_000], crash_at=0.75)
+        assert [payload for payload, _ in got] == [0]
+        assert stats.dropped_offline == 1 and stats.delivered == 1
+        assert (stats.in_flight, stats.in_flight_bytes) == (0, 0)
+
+
 class TestOverlay:
     def test_edges_and_neighbours(self):
         _, net, _ = make_net(3)

@@ -48,6 +48,82 @@ def msg_roundtrip(kind, payload, src="a", dst="b", size=512):
     return out
 
 
+def reference_encode(obj) -> bytes:
+    """The encoder as one if-chain, with no per-class codec, no dispatch
+    table and no envelope memo: the reference the codec's bytes are
+    held to, beyond the pinned fixtures."""
+    out = bytearray(wire._HEADER)
+    _reference_enc(obj, out)
+    return bytes(out)
+
+
+def _reference_str(text):
+    raw = text.encode("utf-8")
+    return len(raw).to_bytes(4, "big") + raw
+
+
+def _reference_enc(obj, out):
+    t = type(obj)
+    if t is str:
+        out += b"s" + _reference_str(obj)
+    elif t is int:
+        raw = obj.to_bytes((obj.bit_length() + 8) // 8 or 1, "big", signed=True)
+        out += b"i" + len(raw).to_bytes(4, "big") + raw
+    elif t is float:
+        out += b"f" + wire._F64.pack(obj)
+    elif obj is None:
+        out += b"N"
+    elif obj is True or obj is False:
+        out += b"T" if obj else b"F"
+    elif t is list or t is tuple:
+        out += (b"l" if t is list else b"t") + len(obj).to_bytes(4, "big")
+        for item in obj:
+            _reference_enc(item, out)
+    elif t is bytes:
+        out += b"b" + len(obj).to_bytes(4, "big") + obj
+    elif t is complex:
+        out += b"c" + wire._F64.pack(obj.real) + wire._F64.pack(obj.imag)
+    elif t is dict:
+        pairs = sorted(((reference_encode(k)[4:], reference_encode(v)[4:])
+                        for k, v in obj.items()), key=lambda p: p[0])
+        out += b"d" + len(pairs).to_bytes(4, "big")
+        for kb, vb in pairs:
+            out += kb + vb
+    elif t is set or t is frozenset:
+        items = sorted(reference_encode(item)[4:] for item in obj)
+        out += (b"x" if t is set else b"X") + len(items).to_bytes(4, "big")
+        out += b"".join(items)
+    elif isinstance(obj, np.ndarray):
+        if obj.dtype == object:
+            raise WireError("object-dtype ndarrays are not wire-encodable")
+        arr = np.ascontiguousarray(obj)
+        out += b"a" + _reference_str(arr.dtype.str) + bytes([arr.ndim])
+        for dim in arr.shape:
+            out += dim.to_bytes(8, "big")
+        out += arr.nbytes.to_bytes(8, "big") + arr.tobytes()
+    elif isinstance(obj, np.generic):
+        raw = obj.tobytes()
+        out += b"y" + _reference_str(obj.dtype.str) + len(raw).to_bytes(4, "big") + raw
+    elif isinstance(obj, type):
+        out += b"C" + _reference_str(wire._type_ref(obj))
+    elif dataclasses.is_dataclass(obj):
+        flds = dataclasses.fields(obj)
+        out += b"D" + _reference_str(wire._type_ref(t)) + len(flds).to_bytes(4, "big")
+        for f in flds:
+            out += _reference_str(f.name)
+            _reference_enc(getattr(obj, f.name), out)
+    elif callable(obj):
+        raise WireError(f"cannot encode callable {obj!r}")
+    elif hasattr(obj, "__dict__"):
+        attrs = sorted(vars(obj).items())
+        out += b"O" + _reference_str(wire._type_ref(t)) + len(attrs).to_bytes(4, "big")
+        for name, value in attrs:
+            out += _reference_str(name)
+            _reference_enc(value, out)
+    else:
+        raise WireError(f"type {t.__qualname__} is not wire-encodable")
+
+
 # -- scalar / container round trips -------------------------------------------------
 
 
@@ -399,7 +475,13 @@ class TestGoldenBytes:
 
 
 def forget_plans():
-    for cache in (wire._ENC_PLANS, wire._DEC_PLANS, wire._REFS):
+    """The codec's caches as in a process that has not sent or read a
+    frame yet: only the built-in types' encoders are left."""
+    for t in [t for t in wire._ENCODERS if dataclasses.is_dataclass(t)]:
+        del wire._ENCODERS[t]
+    for cache in (wire._DATACLASS_DECODERS, wire._REFS, wire._DTYPES,
+                  wire._ARRAY_HEADS, wire._DIMS, wire._ENVELOPES,
+                  wire._ENVELOPE_KEYS):
         cache.clear()
 
 
@@ -421,8 +503,8 @@ plan_values = st.one_of(
 @settings(max_examples=100)
 def test_cold_and_warm_plans_agree(value):
     forget_plans()
-    frame = encode(value)  # compiles the encode plans
-    cold = decode(frame)  # compiles the decode plans
+    frame = encode(value)  # builds the encoders
+    cold = decode(frame)  # builds the decoders
     assert encode(value) == frame
     warm = decode(frame)
     assert type(cold) is type(warm)
@@ -437,11 +519,107 @@ def test_checksum_is_the_sha256_of_the_encoding(value):
     assert result_checksum(value) == hashlib.sha256(encode(value)).hexdigest()
 
 
+class _Tag(str):
+    """A ``str`` subclass: on the wire an object, never a string."""
+
+
+#: Kinds and peers from a small alphabet, so envelopes repeat and the
+#: memo is hit; now and then one of them is a ``str`` subclass.
+names = st.sampled_from(["group-exec", "group-result", "controller", "worker-0", ""])
+message_values = st.builds(
+    Message,
+    names | names.map(_Tag), names | names.map(_Tag), names,
+    plan_values, st.integers(0, 2**40),
+)
+
+
+def exact_strs(message):
+    return all(type(s) is str for s in (message.kind, message.src, message.dst))
+
+
+@given(st.one_of(plan_values, message_values))
+@settings(max_examples=300)
+def test_the_bytes_are_the_reference_encoders(value):
+    memo = dict(wire._ENVELOPES)
+    frame = encode_message(value) if type(value) is Message else encode(value)
+    assert frame == reference_encode(value)
+    if type(value) is Message and not exact_strs(value):
+        assert wire._ENVELOPES == memo  # a str subclass never reaches it
+
+
+@given(message_values)
+@settings(max_examples=200)
+def test_cold_and_warm_message_decodes_agree(message):
+    frame = encode_message(message)
+    forget_plans()
+    outs = [decode_message(frame)]  # cold: the general decoder
+    general = []
+    real_decode = wire.decode
+    wire.decode = lambda data: general.append(data) or real_decode(data)
+    try:
+        outs += [decode_message(frame), decode_message(bytearray(frame))]
+    finally:
+        wire.decode = real_decode
+    for out in outs:
+        assert type(out) is Message
+        assert encode_message(out) == frame
+    # An exact-str envelope is memoised by the cold decode and read by
+    # both warm ones; a str subclass goes the general way every time.
+    assert len(wire._ENVELOPE_KEYS) == exact_strs(message)
+    assert len(general) == 2 * (not exact_strs(message))
+
+
 @dataclasses.dataclass
 class _PlanProbe:
     """Module-level and allow-listed (``tests``), so it may travel."""
 
     x: int = 0
+
+
+@dataclasses.dataclass
+class _Derived:
+    """A field outside ``__init__``: decoded by the tolerant path."""
+
+    x: int = 0
+    twice: int = dataclasses.field(init=False, default=0)
+
+    def __post_init__(self):
+        self.twice = 2 * self.x
+
+
+@dataclasses.dataclass(kw_only=True)
+class _KeywordsOnly:
+    """No positional ``__init__``: decoded by the tolerant path."""
+
+    a: int = 0
+    b: str = ""
+
+
+@dataclasses.dataclass
+class _Pair:
+    a: int = 0
+    b: str = ""
+
+
+class _SwappedPair(_Pair):
+    """A dataclass whose own ``__init__`` takes its fields in another order."""
+
+    def __init__(self, b="", a=0):
+        super().__init__(a, b)
+
+
+def dataclass_frame(cls, pairs):
+    """A ``D`` frame of ``cls`` whose field list is ``pairs``, as given."""
+    ref = wire._type_ref(cls).encode()
+    return (
+        MAGIC + bytes([WIRE_VERSION]) + b"D" + len(ref).to_bytes(4, "big") + ref
+        + len(pairs).to_bytes(4, "big")
+        + b"".join(wire._str_bytes(name) + encode(value)[4:] for name, value in pairs)
+    )
+
+
+def message_frame(kind="group-exec", src="controller", dst="worker-0"):
+    return encode_message(Message(kind, src, dst, payload=("dep-1", [(3, [1.5])])))
 
 
 class TestPlanCaches:
@@ -461,7 +639,7 @@ class TestPlanCaches:
                     encode(bad)
                 errors.append(str(info.value))
             assert errors[0] == errors[1]
-            assert type(bad) not in wire._ENC_PLANS
+            assert type(bad) not in wire._ENCODERS
 
     def test_rejected_reference_is_rejected_again(self):
         def forged(tag, ref):
@@ -477,7 +655,7 @@ class TestPlanCaches:
                 errors.append(str(info.value))
             assert errors[0] == errors[1]
         assert "os:system" not in wire._REFS
-        assert b"os:system" not in wire._DEC_PLANS
+        assert b"os:system" not in wire._DATACLASS_DECODERS
 
     def test_non_dataclass_reference_never_gets_a_plan(self):
         ref = b"repro.core.types:TableData"  # a class, but not a dataclass
@@ -486,15 +664,16 @@ class TestPlanCaches:
         for _ in range(2):
             with pytest.raises(WireError, match="not a dataclass"):
                 decode(bytes(frame))
-        assert ref not in wire._DEC_PLANS
+        assert ref not in wire._DATACLASS_DECODERS
 
     def test_plans_fill_on_first_use(self):
         forget_plans()
         value = _PlanProbe(3)
         assert decode(encode(value)) == value
-        assert _PlanProbe in wire._ENC_PLANS
+        assert _PlanProbe in wire._ENCODERS
         ref = f"{__name__}:_PlanProbe"
-        assert ref.encode() in wire._DEC_PLANS and wire._REFS[ref] is type(value)
+        assert ref.encode() in wire._DATACLASS_DECODERS
+        assert wire._REFS[ref] is type(value)
 
     def test_array_body_must_hold_whole_items(self):
         frame = bytearray(encode(np.arange(2.0)))
@@ -502,6 +681,49 @@ class TestPlanCaches:
         frame[-24:-16] = (15).to_bytes(8, "big")
         with pytest.raises(WireError, match="whole"):
             decode(bytes(frame[:-1]))
+
+    def test_classes_without_a_positional_init_decode_by_name(self):
+        derived = decode(encode(_Derived(4)))
+        assert (derived.x, derived.twice) == (4, 8)
+        assert decode(encode(_KeywordsOnly(a=1, b="z"))) == _KeywordsOnly(a=1, b="z")
+        swapped = decode(encode(_SwappedPair(b="z", a=1)))
+        assert (type(swapped), swapped.a, swapped.b) == (_SwappedPair, 1, "z")
+
+    def test_a_field_list_in_another_order_decodes_by_name(self):
+        spec = DeploymentSpec(
+            deployment_id="d", controller="c", xml="<g/>",
+            external_inputs=(), output_spec=(), forward=None,
+        )
+        pairs = [(f.name, getattr(spec, f.name)) for f in dataclasses.fields(spec)]
+        assert dataclass_frame(DeploymentSpec, pairs) == encode(spec)
+        decode(encode(spec))  # the positional decoder exists
+        assert decode(dataclass_frame(DeploymentSpec, pairs[::-1])) == spec
+        # a field this side has but the frame lacks takes its default
+        assert decode(dataclass_frame(DeploymentSpec, pairs[:-1])) == spec
+
+    def test_the_envelope_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(wire, "_ENVELOPES_MAX", 4)
+        forget_plans()
+        for i in range(10):
+            frame = message_frame(kind=f"kind-{i}")
+            assert decode_message(frame).kind == f"kind-{i}"
+            assert decode_message(frame).kind == f"kind-{i}"  # a memo hit
+            assert len(wire._ENVELOPES) <= 4 and len(wire._ENVELOPE_KEYS) <= 4
+
+    def test_the_envelope_memo_holds_only_frames_that_decoded_in_full(self):
+        forget_plans()
+        frame = message_frame()
+        for bad in (frame + b"\x00", frame[:-1],
+                    encode(Message(_Tag("group-exec"), "controller", "worker-0"))):
+            try:
+                decode_message(bad)
+            except WireError:
+                pass
+        assert wire._ENVELOPE_KEYS == {}
+        decode_message(frame)
+        assert list(wire._ENVELOPE_KEYS.values()) == [("group-exec", "controller", "worker-0")]
+        (envelope,) = wire._ENVELOPE_KEYS
+        assert frame.startswith(envelope) and envelope.endswith(b"payload")
 
 
 # -- error paths --------------------------------------------------------------------
@@ -621,6 +843,33 @@ class TestGarbledFrames:
             decoded += decodes_or_wire_error(bytes(garbled))
         # Flips inside string/array bodies still parse; the rest must
         # have been refused — the sweep exercised both outcomes.
+        assert 0 < decoded < 3000
+
+    def test_every_truncation_is_a_wire_error_with_the_memo_warm(self):
+        frame = group_exec_frame()
+        decode_message(frame)  # its envelope is memoised
+        for cut in range(len(frame)):
+            assert not decodes_or_wire_error(frame[:cut]), cut
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_the_corruption_sweep_reads_the_same_with_the_memo_warm(self):
+        frame = group_exec_frame()
+        rng = np.random.default_rng(7)
+        decoded = 0
+        for _ in range(3000):
+            garbled = bytearray(frame)
+            garbled[int(rng.integers(len(garbled)))] ^= int(rng.integers(1, 256))
+            outcomes = []
+            for warm in (True, False):
+                wire._ENVELOPE_KEYS.clear()
+                if warm:
+                    decode_message(frame)
+                try:
+                    outcomes.append(encode_message(decode_message(bytes(garbled))))
+                except WireError:
+                    outcomes.append(None)
+            assert outcomes[0] == outcomes[1]
+            decoded += outcomes[0] is not None
         assert 0 < decoded < 3000
 
     def test_nan_sampling_rate_is_a_wire_error(self):

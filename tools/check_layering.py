@@ -435,8 +435,9 @@ def _read_names(tree: ast.Module) -> set[str]:
             names.add(node.id)
         elif isinstance(node, ast.arg):
             names.add(node.arg)
-            if isinstance(node.annotation, ast.Constant):
-                names |= _annotation_names(node.annotation.value)
+            note = node.annotation
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                names |= _annotation_names(note.value)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.AnnAssign)):
             note = node.returns if not isinstance(node, ast.AnnAssign) else node.annotation
             if isinstance(note, ast.Constant) and isinstance(note.value, str):

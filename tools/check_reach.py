@@ -151,6 +151,10 @@ KEPT_UNREACHED: dict[str, str] = {
         "the per-particle reference the vectorized scatter matches bit for bit",
     "repro.apps.galaxy:view_rotation":
         "an angled view (E4's 'vary the perspective'); every run renders xy/xz",
+    # compatibility: no product frame takes this path, a peer's may
+    "repro.transport.wire:_dec_fields":
+        "a frame from a peer whose dataclass gained, lost or reordered a field, "
+        "or a class that cannot be built positionally: decode by name",
     # safety, and a name the fixed benchmark binds
     "repro.p2p.peer:Peer.replace_handler":
         "gridbench's traced run wraps it by name; the protocol installs once",
