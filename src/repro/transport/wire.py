@@ -95,8 +95,6 @@ class WireError(Exception):
 # A tag byte and the length or value after it, packed in one call.
 _TAG_U32 = struct.Struct(">cI")
 _TAG_F64 = struct.Struct(">cd")
-_TAG_I8 = struct.Struct(">cIb")
-_TAG_I16 = struct.Struct(">cIh")
 
 
 def encode(obj: Any) -> bytes:
@@ -134,12 +132,8 @@ def _enc_str(obj: str, out: list) -> None:
 
 
 def _enc_int(obj: int, out: list) -> None:
-    if -0x8000 <= obj < 0x8000:
-        # The one- and two-byte two's complement forms, packed whole.
-        out.append(_TAG_I8.pack(b"i", 1, obj) if -0x80 <= obj < 0x80 else _TAG_I16.pack(b"i", 2, obj))
-        return
-    raw = obj.to_bytes((obj.bit_length() + 8) // 8 or 1, "big", signed=True)
-    out.append(_TAG_U32.pack(b"i", len(raw)) + raw)
+    n = (obj.bit_length() + 8) // 8 or 1
+    out.append(_TAG_U32.pack(b"i", n) + obj.to_bytes(n, "big", signed=True))
 
 
 def _enc_float(obj: float, out: list) -> None:
@@ -507,10 +501,14 @@ def _dec_other(data: bytes, pos: int) -> tuple[Any, int]:
 
 
 def _dec_fields(cls: type, table: dict[bytes, tuple[str, bool]],
-                data: bytes, pos: int, count: int) -> tuple[Any, int]:
+                data: bytes, pos: int, count: int,
+                kwargs: dict[str, Any] | None = None) -> tuple[Any, int]:
     """The tolerant field list: names in any order, unknown names
-    skipped, ``init=False`` fields set after construction."""
-    kwargs = {}
+    skipped, ``init=False`` fields set after construction.  ``kwargs``
+    holds the fields a positional decoder read before it met a name out
+    of place; ``count`` fields are left from ``pos``."""
+    if kwargs is None:
+        kwargs = {}
     deferred = None
     for _ in range(count):
         (n,) = _U32.unpack_from(data, pos)
@@ -560,16 +558,18 @@ def _dataclass_decoder(raw_ref: bytes) -> Callable[[Any, int, int], tuple[Any, i
         _DATACLASS_DECODERS[raw_ref] = tolerant
         return tolerant
     steps = tuple((name, len(name)) for name in (_str_bytes(f.name) for f in flds))
+    names = tuple(f.name for f in flds)
     decoders = _DECODERS
 
     def dec(data: bytes, pos: int, count: int) -> tuple[Any, int]:
         if count != len(steps):
             return tolerant(data, pos, count)
-        start = pos
         values = []
         for name, skip in steps:
             if not data.startswith(name, pos):
-                return tolerant(data, start, count)
+                # Go on by name from here.  No value is decoded twice:
+                # a nested frame would pay that at every level.
+                return tolerant(data, pos, count - len(values), dict(zip(names, values)))
             pos += skip
             value, pos = decoders[data[pos]](data, pos + 1)
             values.append(value)

@@ -10,10 +10,11 @@ query), heartbeats, and numpy-bearing result payloads.
 
 import dataclasses
 import hashlib
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.galaxy import ColumnDensity, generate_snapshots
@@ -539,6 +540,17 @@ def exact_strs(message):
 
 @given(st.one_of(plan_values, message_values))
 @settings(max_examples=300)
+# The edges of the one- and two-byte int forms: -128 and -32768 take a
+# byte more than their positive twins.
+@example(127)
+@example(-127)
+@example(128)
+@example(-128)
+@example(32767)
+@example(-32767)
+@example(-32768)
+@example(-32769)
+@example(Message("group-exec", "controller", "worker-0", [-128, -32768], 128))
 def test_the_bytes_are_the_reference_encoders(value):
     memo = dict(wire._ENVELOPES)
     frame = encode_message(value) if type(value) is Message else encode(value)
@@ -700,6 +712,38 @@ class TestPlanCaches:
         assert decode(dataclass_frame(DeploymentSpec, pairs[::-1])) == spec
         # a field this side has but the frame lacks takes its default
         assert decode(dataclass_frame(DeploymentSpec, pairs[:-1])) == spec
+
+    def test_a_nested_frame_with_stray_names_decodes_each_value_once(self):
+        # Each level is a Message whose last field has a name this side
+        # does not know, so every level leaves the positional decoder for
+        # the tolerant one.  Decoding a level's values again there would
+        # double the work per level: 2**depth for a frame of a few KB.
+        ref = wire._type_ref(Message).encode()
+        head = b"D" + len(ref).to_bytes(4, "big") + ref + (5).to_bytes(4, "big")
+        depth = 16
+        body = b"N"
+        for _ in range(depth):
+            fields = [(name, encode(value)[4:]) for name, value in
+                      (("kind", "k"), ("src", "a"), ("dst", "b"))]
+            fields += [("payload", body), ("stray", encode(0)[4:])]
+            body = head + b"".join(wire._str_bytes(name) + raw for name, raw in fields)
+        decode(encode(Message("k", "a", "b")))  # the positional decoder exists
+        strs = 0
+
+        def count(frame, event, arg):
+            nonlocal strs
+            strs += event == "call" and frame.f_code is wire._dec_str.__code__
+
+        sys.setprofile(count)
+        try:
+            message = decode(MAGIC + bytes([WIRE_VERSION]) + body)
+        finally:
+            sys.setprofile(None)
+        assert strs == 3 * depth  # kind, src and dst, once per level
+        for _ in range(depth):
+            assert (message.kind, message.size_bytes) == ("k", 256)
+            message = message.payload
+        assert message is None
 
     def test_the_envelope_memo_is_bounded(self, monkeypatch):
         monkeypatch.setattr(wire, "_ENVELOPES_MAX", 4)
