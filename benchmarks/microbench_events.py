@@ -49,12 +49,14 @@ from repro import ConsumerGrid, TaskGraph  # noqa: E402
 from repro.analysis.workloads import pipeline_graph  # noqa: E402
 from repro.core import engine  # noqa: E402
 from repro.core.toolbox.signal import LowPass  # noqa: E402
+from repro.core.xml_io import graph_to_string  # noqa: E402
 from repro.observe import Tracer, tracer as tracer_module  # noqa: E402
 from repro.p2p.discovery import (  # noqa: E402
     CentralIndexDiscovery, FloodingDiscovery, RendezvousDiscovery,
 )
 from repro.p2p.network import SimNetwork  # noqa: E402
 from repro.p2p.peer import Peer  # noqa: E402
+from repro.service.worker import DeploymentSpec  # noqa: E402
 from repro.simkernel import Simulator, Timeout  # noqa: E402
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -227,16 +229,22 @@ def shared_entries_after_run() -> float:
 
 
 def timeouts_per_beat(seconds: int = 400) -> float:
-    """``Timeout`` events per heartbeat of one worker that beats every
-    second toward its controller for ``seconds``, its lease renewed
-    every 4 s: the heartbeat loop waits by scheduled calls."""
+    """``Timeout`` events per heartbeat of one worker that holds a
+    deployment for ``seconds``, beating every second toward its
+    controller: the heartbeat loop waits by scheduled calls."""
     grid = ConsumerGrid(n_workers=1, seed=1)
     (worker,) = grid.workers.values()
-    controller = grid.controller.peer.peer_id
-    sim = grid.sim
+    deployer, sim = grid.controller.deployer, grid.sim
+    graph = TaskGraph("held")
+    graph.add_task("Source", "Wave", samples=8)
+    spec = DeploymentSpec(
+        deployment_id="dep-held", controller=grid.controller.peer.peer_id,
+        xml=graph_to_string(graph), external_inputs=(), output_spec=(),
+        heartbeat_interval=1.0,
+    )
+    sim.run(until=sim.process(deployer.deploy_all([("worker-0", spec)])))
     start = sim.now
-    for at in range(0, seconds, 4):
-        sim.call_at(start + at, worker._ensure_heartbeat, controller, 1.0)
+    sim.call_at(start + seconds, deployer.release_all)
     made = 0
     init = Timeout.__init__
 

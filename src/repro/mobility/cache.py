@@ -218,16 +218,17 @@ class ModuleCache:
         return pending.waiters[0]
 
     def _send_repo_fetch(self, pending: _Pending) -> None:
-        """Ask the repository, and arm this attempt's timeout."""
+        """Arm this attempt's timeout, then ask the repository (an offline
+        peer's send raises, and the timeout still ends the fetch)."""
+        self.peer.sim.call_at(
+            self.peer.sim.now + self.fetch_timeout,
+            self._expire, pending, pending.fell_back,
+        )
         self.peer.send(
             self.repository_host,
             "module-fetch",
             payload=(self.peer.peer_id, pending.request_id, pending.unit_name),
             size_bytes=96,
-        )
-        self.peer.sim.call_at(
-            self.peer.sim.now + self.fetch_timeout,
-            self._expire, pending, pending.fell_back,
         )
 
     def _expire(self, pending: _Pending, fell_back: bool) -> None:

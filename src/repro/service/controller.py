@@ -100,8 +100,7 @@ class TrianaController:
         self._ctx_of_dep: dict[str, DispatchContext] = {}
         self._duplicate_results = 0
         self._stale_results = 0
-        #: first/last local-zone engines of the most recent run
-        self.last_upstream: Optional[LocalEngine] = None
+        #: the last local-zone engine of the most recent run
         self.last_downstream: Optional[LocalEngine] = None
         peer.on("group-result", self._on_result)
         peer.on("triana-heartbeat", self._on_heartbeat)
@@ -117,8 +116,9 @@ class TrianaController:
 
     # -- message handlers -----------------------------------------------------
     def _on_heartbeat(self, message: Message) -> None:
-        worker, _iterations_done = message.payload
+        worker, dep_ids = message.payload
         self.detector.observe_heartbeat(worker, self.sim.now)
+        self.deployer.release_strays(worker, dep_ids)
 
     def _on_result(self, message: Message) -> None:
         dep_id, iteration, outputs = message.payload
@@ -213,6 +213,7 @@ class TrianaController:
             )
         finally:
             run_span.end()  # idempotent; closes the span on error paths
+            self.deployer.release_all()
         report.tracing = self.sim.tracer.summary()
         return report
 
@@ -264,7 +265,6 @@ class TrianaController:
             for k, zone in enumerate(plan.zones)
         ]
         # Exposed for post-run inspection (sink units live in the last zone).
-        self.last_upstream = engines[0]
         self.last_downstream = engines[-1]
         attached = self._attach_probes(probes, *engines)
         policy_label = "+".join(g.policy for g in plan.groups)
@@ -391,7 +391,6 @@ class TrianaController:
     # -- local fallback -------------------------------------------------------------
     def _run_local(self, graph, iterations, probes) -> RunReport:
         engine = LocalEngine(graph)
-        self.last_upstream = engine
         self.last_downstream = engine
         attached = self._attach_probes(probes, engine)
         engine.run(iterations)

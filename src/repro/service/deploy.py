@@ -4,9 +4,11 @@ Transport-agnostic: deploys are plain protocol messages through the
 owning peer (:meth:`~repro.p2p.peer.Peer.ask`), so the same ask/ack
 machinery drives workers on the simulated fabric and over TCP alike.
 
-Owns the ``triana-deploy`` / ``deploy-ack`` exchange so neither the
-controller nor the policies re-implement ack bookkeeping.  Policies reach
-it through :meth:`~repro.service.policies.DispatchContext.deploy`.
+Owns the ``triana-deploy`` / ``deploy-ack`` exchange, and the
+``triana-release`` that ends a deployment (a worker beats while it holds
+one: docs/robustness.md), so neither the controller nor the policies
+re-implement that bookkeeping.  Policies reach it through
+:meth:`~repro.service.policies.DispatchContext.deploy`.
 
 Every spec of a deploy goes out at once.  Each worker's deploy fetches
 its modules, and the portal's repository decides whether a worker's
@@ -34,6 +36,10 @@ class DeploymentManager:
         self.sim = peer.sim
         self.deploy_timeout = deploy_timeout
         self._ack_events: dict = {}
+        #: worker → the deployment ids the run in flight asked of it
+        self._asked: dict[str, list[str]] = {}
+        #: the asked ids the run has not given up on
+        self._held: set[str] = set()
         peer.on("deploy-ack", self._on_ack)
 
     def _on_ack(self, message: Message) -> None:
@@ -53,6 +59,9 @@ class DeploymentManager:
         cause)`` for each never acked or refused, both in spec order.  A
         duplicate deploy is re-acked, so a re-ask after a lost ack is
         safe."""
+        for w, s in specs:
+            self._asked.setdefault(w, []).append(s.deployment_id)
+            self._held.add(s.deployment_id)
         asks = [
             self.sim.process(self._ask(w, s), name=f"ask/{s.deployment_id}")
             for w, s in specs
@@ -61,6 +70,7 @@ class DeploymentManager:
         causes = [ask.value for ask in asks]
         acked = [(w, s) for (w, s), c in zip(specs, causes) if c is None]
         dropped = [(w, s, c) for (w, s), c in zip(specs, causes) if c is not None]
+        self._held.difference_update(s.deployment_id for _w, s, _c in dropped)
         return acked, dropped
 
     def _ask(self, worker, spec):
@@ -83,6 +93,24 @@ class DeploymentManager:
         deadline = self.deploy_timeout / ASK_ATTEMPTS
         self.sim.call_at(self.sim.now + deadline, _expire, ack, deadline)
         return ack
+
+    def release_all(self) -> None:
+        """The run is over: one ``triana-release`` per worker it asked,
+        naming every deployment asked of it, acked or not."""
+        asked, self._asked, self._held = self._asked, {}, set()
+        for worker, dep_ids in asked.items():
+            self._release(worker, dep_ids)
+
+    def release_strays(self, worker: str, dep_ids) -> None:
+        """Answer a beat: release the ids it names that are not held (a
+        lost release, or a deploy that landed after the run gave it up)."""
+        strays = [d for d in dep_ids if d not in self._held]
+        if strays:
+            self._release(worker, strays)
+
+    def _release(self, worker: str, dep_ids: list[str]) -> None:
+        if self.peer.online:  # an offline controller's release is lost
+            self.peer.send(worker, "triana-release", payload=tuple(dep_ids), size_bytes=48)
 
 
 def _expire(ack, deadline: float) -> None:

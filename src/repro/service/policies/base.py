@@ -125,9 +125,6 @@ class DispatchContext:
         self.replica_hosts = [self.placements[d] for d in self.dep_ids]
         return dropped
 
-    def send(self, dst: str, kind: str, payload: Any, size_bytes: int) -> None:
-        self.peer.send(dst, kind, payload=payload, size_bytes=size_bytes)
-
     def send_exec(
         self, worker: str, deployment_id: str, items: list, verify: bool = True
     ) -> None:

@@ -154,23 +154,12 @@ class ParallelFarmPolicy(DistributionPolicy):
         stop = self._stop
         outstanding = self.outstanding
         tick = min(cfg.retry_interval, ctx.detector.heartbeat_interval)
-        hb = ctx.detector.heartbeat_interval
-        # Renew worker heartbeat leases well inside their 10-beat window.
-        renew_every = max(1, int(4 * hb / tick))
         rng = ctx.rng("recovery-backoff")
-        ticks = 0
         while not stop["done"]:
             yield tick
             if stop["done"]:
                 return
             now = ctx.sim.now
-            ticks += 1
-            if ticks % renew_every == 0:
-                for host in sorted(set(ctx.replica_hosts)):
-                    ctx.send(
-                        host, "triana-hb-renew",
-                        payload=(ctx.peer.peer_id, hb), size_bytes=48,
-                    )
             fresh_suspects = ctx.detector.check(now)
             if fresh_suspects:
                 tracer = ctx.sim.tracer

@@ -65,10 +65,10 @@ class DeploymentSpec:
         ``None`` to send results to the controller, or
         ``(peer_id, deployment_id)`` to pipe them into the next stage.
     heartbeat_interval:
-        When positive, the worker emits ``triana-heartbeat`` messages to
-        the controller every this-many seconds while its lease is live
-        (the controller renews leases for the duration of a run).  0
-        disables heartbeats for this deployment.
+        When positive and finite, the worker beats toward the controller
+        this often while it holds deployments from it, naming them; the
+        controller answers a beat naming one it does not hold with a
+        ``triana-release``.  Any other value starts no heartbeat.
     """
 
     deployment_id: str
@@ -86,7 +86,6 @@ class _Deployment:
     engine: LocalEngine
     #: iterations waiting for the exec loop, oldest first
     queue: deque = field(default_factory=deque)
-    iterations_done: int = 0
     #: iterations queued or executing (duplicate ``group-exec`` dedup)
     pending: set = field(default_factory=set)
     #: recently shipped outputs by iteration, for idempotent re-ship
@@ -135,12 +134,10 @@ class TrianaService:
         #: bounded per-deployment result cache (idempotent re-ship)
         self.result_cache_size = 256
         self._hb_interval = 0.0
-        self._hb_lease_until = 0.0
-        self._hb_controllers: set[str] = set()
         self._hb_running = False
         peer.on("triana-deploy", self._on_deploy)
         peer.on("group-exec", self._on_exec)
-        peer.on("triana-hb-renew", self._on_hb_renew)
+        peer.on("triana-release", self._on_release)
 
     # -- telemetry ---------------------------------------------------------------
     def telemetry_sample(self) -> dict[str, Any]:
@@ -179,59 +176,48 @@ class TrianaService:
         )
 
     # -- heartbeats ---------------------------------------------------------------
-    #: leases last this many beats past the latest deploy/renewal
-    HB_LEASE_BEATS = 10
-
-    def _ensure_heartbeat(self, controller: str, interval: float) -> None:
-        """Start (or extend) the heartbeat lease toward ``controller``.
-
-        The loop is *leased*, not perpetual: it stops ``HB_LEASE_BEATS``
-        intervals after the last deploy or ``triana-hb-renew``, so an idle
-        grid's event queue still drains.  Controllers renew the lease for
-        as long as a run is in flight.  An interval that is not positive
-        and finite arrives off the wire and is ignored: a NaN would stop
-        the loop for good, and an infinite one park it.
-        """
-        if not 0.0 < interval < math.inf:  # NaN fails both comparisons
-            return
-        self._hb_interval = interval
-        self._hb_controllers.add(controller)
-        self._hb_lease_until = max(
-            self._hb_lease_until, self.sim.now + self.HB_LEASE_BEATS * interval
-        )
-        if not self._hb_running:
-            self._hb_running = True
-            self.sim.drive(self._heartbeat_loop())
-
-    def _on_hb_renew(self, message: Message) -> None:
-        controller, interval = message.payload
-        self._ensure_heartbeat(controller, float(interval))
-
     def _heartbeat_loop(self):
-        """Beat toward every controller until the lease runs out.
+        """Beat toward each controller this worker holds deployments from,
+        naming them, while it holds or is deploying any: the deployments
+        are the lease, and only their release ends the loop.
 
         ``sim.drive`` runs it: it yields the interval to wait.  The first
-        beat is one interval in: deploys get a quiet network, and the
-        detector's watch() grace covers the gap.
+        beat is one interval after the deploy arrived: deploys get a quiet
+        network, and the detector's watch() grace covers the gap.
         """
         yield self._hb_interval
-        while self.sim.now < self._hb_lease_until:
+        while self.deployments or self._deploying:
             if self.peer.online:
-                for controller in sorted(self._hb_controllers):
+                held: dict[str, list[str]] = {}
+                for dep_id, dep in self.deployments.items():
+                    held.setdefault(dep.spec.controller, []).append(dep_id)
+                for controller, dep_ids in sorted(held.items()):
                     self.stats.heartbeats_sent += 1
                     self.peer.send(
-                        controller,
-                        "triana-heartbeat",
-                        payload=(self.peer.peer_id, self.stats.iterations),
-                        size_bytes=48,
+                        controller, "triana-heartbeat",
+                        payload=(self.peer.peer_id, tuple(dep_ids)), size_bytes=48,
                     )
             yield self._hb_interval
         self._hb_running = False
 
+    def _on_release(self, message: Message) -> None:
+        """Drop the named deployments this controller placed here; work
+        they already accepted still finishes and ships."""
+        for dep_id in message.payload:
+            dep = self.deployments.get(dep_id)
+            if dep is not None and dep.spec.controller == message.src:
+                del self.deployments[dep_id]
+
     # -- deployment --------------------------------------------------------------
     def _on_deploy(self, message: Message) -> None:
         spec: DeploymentSpec = message.payload
-        self._ensure_heartbeat(spec.controller, spec.heartbeat_interval)
+        # A bad interval arrives off the wire and starts nothing: a NaN
+        # would stop the loop for good, and an infinite one park it.
+        if 0.0 < spec.heartbeat_interval < math.inf:
+            self._hb_interval = spec.heartbeat_interval
+            if not self._hb_running:
+                self._hb_running = True
+                self.sim.drive(self._heartbeat_loop())
         if spec.deployment_id in self.deployments:
             # Duplicate deploy (the controller re-asks after a lost ack): re-ack.
             self._ack_deploy(spec)
@@ -409,7 +395,6 @@ class TrianaService:
             span.end(modelled_seconds=duration)
         self.stats.busy_seconds += duration
         self.stats.iterations += 1
-        dep.iterations_done += 1
         outputs = self._maybe_tamper(dep, iteration, outputs)
         dep.pending.discard(iteration)
         self._ship(dep, iteration, outputs)

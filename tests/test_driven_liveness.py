@@ -3,9 +3,9 @@
 resumed by a fresh ``Timeout``.
 
 The reference below runs every driven loop as such a process, the way
-both loops ran before: the same beat and renewal times, suspicions,
+both loops ran before: the same beat and release times, suspicions,
 redispatches, counters, results and byte-identical traces, on generated
-heartbeat leases with renewals, expiry, restart and offline windows, on
+deployments with releases, lost releases and offline windows, on
 generated farms with a chaos storm, and on the hostile farm.  What
 differs is the kernel's event count, by exactly one per loop that
 ended: the completion event of a process nobody waits on.
@@ -18,10 +18,12 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import ConsumerGrid, chaos
+from repro import ConsumerGrid, TaskGraph, chaos
 from repro.apps.inspiral import build_inspiral_graph
+from repro.core.xml_io import graph_to_string
 from repro.observe.export import jsonl_lines
 from repro.p2p import LAN_PROFILE
+from repro.service.worker import DeploymentSpec
 from repro.simkernel import SimTimeError, Simulator
 from repro.transport.wire import result_checksum
 from tests.test_exec_loop import filter_chain
@@ -89,48 +91,72 @@ def trace_digest(grid) -> str:
     return hashlib.sha256("\n".join(jsonl_lines(grid.sim.tracer)).encode()).hexdigest()
 
 
-# -- heartbeat leases ---------------------------------------------------------------------
+# -- a worker beats while it holds a deployment --------------------------------------------
 
 WORKERS = ["worker-0", "worker-1"]
 
-renewal = st.tuples(
+deploy = st.tuples(
     st.floats(0.0, 60.0),  # when the controller sends it
     st.sampled_from(WORKERS),
-    st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0]),  # the interval it asks for
+    st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0]),  # its heartbeat interval
+    st.floats(0.0, 40.0),  # how long the controller holds it
+    st.booleans(),  # whether the release that ends the hold is lost
 )
 offline = st.tuples(
     st.floats(0.0, 60.0), st.sampled_from(WORKERS), st.floats(0.1, 20.0)
 )
 
 
-def lease_outcome(seed, renewals, offline_windows, horizon):
-    """Two idle workers; the controller renews their heartbeat leases at
-    the given times and intervals while they drop offline and return.
-    Leases run out and restart wherever the renewals leave gaps."""
+def held_spec(dep_id, controller, interval):
+    """A one-unit deployment that beats every ``interval`` seconds."""
+    graph = TaskGraph("held")
+    graph.add_task("Source", "Wave", samples=8)
+    return DeploymentSpec(
+        deployment_id=dep_id, controller=controller, xml=graph_to_string(graph),
+        external_inputs=(), output_spec=(), heartbeat_interval=interval,
+    )
+
+
+def lease_outcome(seed, deploys, offline_windows, horizon):
+    """Two idle workers; the controller deploys onto them, holds each
+    deployment for a while and then releases it, some releases lost,
+    while the workers drop offline and return.  A beat naming a
+    deployment the controller no longer holds draws another release."""
     grid = ConsumerGrid(n_workers=len(WORKERS), seed=seed, trace=True)
     sim, net = grid.sim, grid.transport
     controller = grid.controller.peer
+    deployer = grid.controller.deployer
     start = sim.now
-    beats, renews = [], []
+    beats, releases = [], []
 
     def on_beat(message):
-        beats.append((sim.now, message.src))
+        beats.append((sim.now, message.src, message.payload[1]))
         grid.controller._on_heartbeat(message)
 
     controller.replace_handler("triana-heartbeat", on_beat)
     for worker in WORKERS:
         service = grid.workers[worker]
 
-        def on_renew(message, service=service):
-            renews.append((sim.now, service.peer.peer_id, message.payload[1]))
-            service._on_hb_renew(message)
+        def on_release(message, service=service):
+            ended = sorted(set(message.payload) & set(service.deployments))
+            releases.append((sim.now, service.peer.peer_id, ended))
+            service._on_release(message)
 
-        grid.worker_peers[worker].replace_handler("triana-hb-renew", on_renew)
-    for at, worker, interval in renewals:
-        sim.call_at(
-            start + at, controller.send, worker, "triana-hb-renew",
-            (controller.peer_id, interval), 48,
-        )
+        grid.worker_peers[worker].replace_handler("triana-release", on_release)
+
+    def send_deploy(spec, worker):
+        deployer._held.add(spec.deployment_id)
+        controller.send(worker, "triana-deploy", spec, len(spec.xml))
+
+    def end_hold(dep_id, worker, lost):
+        deployer._held.discard(dep_id)
+        if not lost:
+            deployer._release(worker, [dep_id])
+
+    for i, (at, worker, interval, hold, lost) in enumerate(deploys):
+        spec = held_spec(f"dep-{i}", controller.peer_id, interval)
+        sim.call_at(start + at, send_deploy, spec, worker)
+        sim.call_at(start + at + hold, end_hold, spec.deployment_id, worker, lost)
     for at, worker, duration in offline_windows:
         sim.call_at(start + at, net.set_online, worker, False)
         sim.call_at(start + at + duration, net.set_online, worker, True)
@@ -138,12 +164,10 @@ def lease_outcome(seed, renewals, offline_windows, horizon):
     services = [grid.workers[w] for w in WORKERS]
     observed = {
         "beats": beats,
-        "renews": renews,
+        "releases": releases,
         "sent": [s.stats.heartbeats_sent for s in services],
         "running": [s._hb_running for s in services],
-        "last_heard": {
-            w: rec.last_heartbeat for w, rec in grid.controller.detector.workers.items()
-        },
+        "held": [sorted(s.deployments) for s in services],
         "trace": trace_digest(grid),
     }
     return observed, sim.events_executed
@@ -151,18 +175,26 @@ def lease_outcome(seed, renewals, offline_windows, horizon):
 
 @given(
     seed=st.integers(0, 2**16),
-    renewals=st.lists(renewal, min_size=1, max_size=12),
+    deploys=st.lists(deploy, min_size=1, max_size=8),
     offline_windows=st.lists(offline, max_size=4),
 )
-@settings(max_examples=40, deadline=None,
+@settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_driven_heartbeats_are_the_process_heartbeats(seed, renewals, offline_windows):
+def test_driven_heartbeats_are_the_process_heartbeats(seed, deploys, offline_windows):
     new, ended = assert_same_schedule(
-        lambda: lease_outcome(seed, renewals, offline_windows, horizon=120.0)
+        lambda: lease_outcome(seed, deploys, offline_windows, horizon=300.0)
     )
-    # Every lease has run out by the horizon: each loop that started ended.
+    # Every deployment has been released by the horizon, a lost release
+    # by the release a later beat drew, and each loop that started ended.
+    assert new["held"] == [[], []]
     assert new["running"] == [False, False]
     assert ended >= (1 if new["beats"] else 0)
+    # A deployment a release ended is never named by a beat sent after it.
+    for at, worker, dep_ids in new["releases"]:
+        assert not any(
+            t > at + 1.0 and src == worker and set(ids) & set(dep_ids)
+            for t, src, ids in new["beats"]
+        )
 
 
 # -- recovery loops -----------------------------------------------------------------------
@@ -258,46 +290,54 @@ def test_the_hostile_farm_is_unchanged(seed):
     assert ended == N_HOSTILE + 1  # eight heartbeat loops and the recovery loop
 
 
-# -- a renewal with a bad interval ---------------------------------------------------------
+# -- a deployment with a bad interval -----------------------------------------------------
+
+
+def beats_toward(grid):
+    """The beat times the controller receives, relative to now."""
+    sim, start, beats = grid.sim, grid.sim.now, []
+    grid.controller.peer.replace_handler(
+        "triana-heartbeat", lambda message: beats.append(sim.now - start)
+    )
+    return beats
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
-def test_a_bad_renewal_does_not_silence_the_worker(bad):
-    """A malformed ``triana-hb-renew`` arrives off the wire at t=3.5; the
-    good renewals every 3 s up to t=30 keep the worker beating each
-    second until its lease runs out, 10 beats after the last of them."""
+def test_a_bad_interval_does_not_silence_the_worker(bad):
+    """A deployment with a malformed interval arrives off the wire at
+    t=3.5 beside one that beats every second; the worker beats each
+    second until both are released at t=40, and then stops."""
     grid = ConsumerGrid(n_workers=1, seed=2)
-    sim = grid.sim
-    controller = grid.controller.peer
+    sim, controller = grid.sim, grid.controller.peer.peer_id
     (service,) = grid.workers.values()
     start = sim.now
-    beats = []
-
-    def on_beat(message):
-        beats.append(sim.now - start)
-
-    controller.replace_handler("triana-heartbeat", on_beat)
-
-    def renew(interval):
-        controller.send(
-            service.peer.peer_id, "triana-hb-renew",
-            payload=(controller.peer_id, interval), size_bytes=48,
+    beats = beats_toward(grid)
+    for at, dep_id, interval in ((0.0, "dep-good", 1.0), (3.5, "dep-bad", bad)):
+        sim.call_at(
+            start + at, grid.controller_peer.send, "worker-0", "triana-deploy",
+            held_spec(dep_id, controller, interval),
         )
-
-    sim.call_at(start + 3.5, renew, bad)
-    for at in range(0, 31, 3):
-        sim.call_at(start + at, renew, 1.0)
+    sim.call_at(
+        start + 40.0, grid.controller_peer.send, "worker-0", "triana-release",
+        ("dep-good", "dep-bad"),
+    )
     sim.run(until=start + 60.0)
     assert service.stats.heartbeats_sent == len(beats) >= 38
-    assert max(beats) > 39.0
+    assert 39.0 < max(beats) < 41.0
     assert service._hb_interval == 1.0 and not service._hb_running
+    assert service.deployments == {}
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
 def test_a_bad_first_interval_starts_no_loop(bad):
     grid = ConsumerGrid(n_workers=1, seed=2)
     (service,) = grid.workers.values()
-    service._ensure_heartbeat(grid.controller.peer.peer_id, bad)
-    assert not service._hb_running
+    beats = beats_toward(grid)
+    grid.controller_peer.send(
+        "worker-0", "triana-deploy",
+        held_spec("dep-bad", grid.controller.peer.peer_id, bad),
+    )
     grid.sim.run(until=grid.sim.now + 30.0)
-    assert service.stats.heartbeats_sent == 0
+    assert list(service.deployments) == ["dep-bad"]
+    assert not service._hb_running
+    assert service.stats.heartbeats_sent == 0 == len(beats)

@@ -173,27 +173,34 @@ def test_old_shape_exec_over_tcp_is_counted_and_the_worker_keeps_serving():
         n_workers=1, seed=0, transport="tcp", query_window=0.4,
         heartbeat_interval=5.0,
     )
+    worker = grid.workers["worker-0"]
+    stats = grid.transport.stats
+    frame = SampleSet(data=np.arange(64.0), sampling_rate=64.0)
+    before = []
 
-    try:
-        grid.run(farm_graph(), iterations=2)
-        worker = grid.workers["worker-0"]
+    def replay(event):
+        # Iteration 0 is in: send both shapes while the run is in flight
+        # (the run's end releases the deployment, and later execs with it).
+        if event.name != "iteration-complete" or before:
+            return
         (dep_id,) = worker.deployments
-        frame = SampleSet(data=np.arange(64.0), sampling_rate=64.0)
-        stats = grid.transport.stats
-        corrupted, done = stats.corrupted, worker.stats.iterations
-
+        before.append(stats.corrupted)
         grid.controller_peer.send(
             "worker-0", "group-exec", payload=(dep_id, 50, [frame]), size_bytes=576
         )
-        pump_until([grid.sim], lambda: stats.corrupted == corrupted + 1)
-        assert worker.stats.iterations == done
-        assert not worker.deployments[dep_id].pending
-
         grid.controller_peer.send(
             "worker-0", "group-exec", payload=(dep_id, [(50, [frame])]),
             size_bytes=576,
         )
-        pump_until([grid.sim], lambda: worker.stats.iterations == done + 1)
-        assert stats.corrupted == corrupted + 1
+
+    grid.sim.tracer.subscribe(replay, category="progress")
+    try:
+        grid.run(farm_graph(), iterations=2)
+        # the old shape is refused and counted; the new one still executes,
+        # and the run's release then empties the worker
+        pump_until(
+            [grid.sim], lambda: worker.stats.iterations == 3 and not worker.deployments
+        )
+        assert stats.corrupted == before[0] + 1
     finally:
         grid.transport.close()

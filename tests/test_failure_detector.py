@@ -218,20 +218,31 @@ class TestIdempotency:
     def test_duplicate_exec_reships_cached_result(self):
         """A replayed group-exec re-ships from cache without re-executing."""
         grid = recovery_grid(seed=78, heartbeat_interval=1.0)
-        grid.run(stateless_pipeline(), iterations=12)
-        worker_id, service, dep_id, iteration = next(
-            (wid, svc, did, min(dep.shipped))
-            for wid, svc in grid.workers.items()
-            for did, dep in svc.deployments.items()
-            if dep.shipped
-        )
-        iterations_before = service.stats.iterations
-        grid.controller_peer.send(
-            worker_id, "group-exec", payload=(dep_id, [(iteration, [])])
-        )
-        grid.sim.run()
-        assert service.stats.cached_reships == 1
-        assert service.stats.iterations == iterations_before  # no re-compute
+        replayed = []
+
+        def replay(event):
+            # Iteration 0 is in: replay its exec while the run is in flight
+            # (the run's end releases the deployment, and with it the cache).
+            if event.name != "iteration-complete" or replayed:
+                return
+            worker_id, dep_id = next(
+                (wid, did)
+                for wid, svc in sorted(grid.workers.items())
+                for did, dep in svc.deployments.items()
+                if 0 in dep.shipped
+            )
+            replayed.append(worker_id)
+            grid.controller_peer.send(
+                worker_id, "group-exec", payload=(dep_id, [(0, [])])
+            )
+
+        grid.sim.tracer.subscribe(replay, category="progress")
+        report = grid.run(stateless_pipeline(), iterations=12)
+        (worker_id,) = replayed
+        assert grid.workers[worker_id].stats.cached_reships == 1
+        assert report.redispatches == 0 and report.recovery["speculative"] == 0
+        # no re-compute: twelve iterations, twelve executions
+        assert sum(w.stats.iterations for w in grid.workers.values()) == 12
 
     def test_stale_deployment_results_ignored(self):
         """Results tagged with an unknown deployment id don't complete

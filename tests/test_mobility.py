@@ -17,6 +17,7 @@ from repro.mobility import (
 )
 from repro.mobility.errors import MobilityError
 from repro.p2p import LAN_PROFILE, Peer, SimNetwork
+from repro.p2p.errors import PeerOfflineError
 from repro.simkernel import Simulator
 
 
@@ -91,6 +92,21 @@ class TestCacheOnDemand:
         with pytest.raises(RepositoryUnreachable):
             sim.run(until=ev)
         assert sim.now >= 5.0
+
+    def test_a_fetch_from_an_offline_device_still_times_out(self):
+        # The send raises, and a later ensure joins the fetch in flight:
+        # that fetch must still end at its timeout, not wait for ever.
+        sim, net, repo, cache, device = build(
+            {"modules": ModuleSettings(cache_fetch_timeout=5.0)}
+        )
+        device.go_offline()
+        with pytest.raises(PeerOfflineError):
+            cache.ensure("Wave")
+        device.go_online()
+        with pytest.raises(RepositoryUnreachable):
+            sim.run(until=cache.ensure("Wave"))
+        assert sim.now == pytest.approx(5.0)
+        assert sim.run(until=cache.ensure("Wave")).name == "Wave"
 
     def test_transfer_cost_proportional_to_code_size(self):
         sim, net, repo, cache, _ = build()
