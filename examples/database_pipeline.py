@@ -1,27 +1,24 @@
 #!/usr/bin/env python
 """Case 3: a multi-site database pipeline (§3.6.3).
 
-Three "geographic sites" host the four service kinds (data access with
-the database, data manipulation, visualisation, verification).  A user
-peer discovers candidates for every stage, selects by advertised
-accuracy, service-binds the pipeline, and executes a query whose result
-flows site → site → site before returning.
+Three "geographic sites" join a Consumer Grid as workers, each
+advertising what it offers: the archive hosts the flat-file catalogue,
+data access and a rough manipulation service; a compute site an
+accurate manipulation service and visualisation; a bureau verification.
+The query's four stages form one ``p2p`` group, and each stage goes to
+a site that offers it, the most accurate first.  The result flows
+site → site → site before returning.
 
 Run with::
 
     python examples/database_pipeline.py
 """
 
-from repro.apps.database import (
-    Database,
-    DatabasePipeline,
-    DatabaseSite,
-    QuerySpec,
-    run_pipeline,
-)
+from repro import ConsumerGrid
 from repro.analysis import render_kv, render_table
-from repro.p2p import CentralIndexDiscovery, Peer, SimNetwork
-from repro.simkernel import Simulator
+from repro.analysis.workloads import CASE3_GRID
+from repro.apps.database import Database, QuerySpec, database_graph
+from repro.service.worker import Site
 
 CATALOGUE = """name, type, mass, distance
 m31, spiral, 12.1, 0.78
@@ -35,37 +32,26 @@ m49, elliptical, 12.8, 17.1
 
 
 def main() -> None:
-    sim = Simulator(seed=9)
-    net = SimNetwork(sim)
-    discovery = CentralIndexDiscovery(query_window=1.0)
-    index = Peer("index", net)
-    discovery.attach(index)
-    discovery.set_index(index)
-
     # The archive site owns the flat-file catalogue.
     db = Database("galaxy-catalogue")
     loaded = db.load_csv("galaxies", CATALOGUE)
-
-    sites = []
-    for peer_id, kwargs in [
-        ("archive.cf.ac.uk", dict(database=db,
-                                  kinds=("data-access", "data-manipulate"),
-                                  accuracy=0.6)),
-        ("compute.gridlab.org", dict(kinds=("data-manipulate", "data-visualise"),
-                                     accuracy=0.9)),
-        ("verify.triana.co.uk", dict(kinds=("data-verify",), accuracy=0.8)),
-    ]:
-        peer = Peer(peer_id, net)
-        discovery.attach(peer)
-        sites.append(DatabaseSite(peer, discovery, **kwargs))
-
-    user_peer = Peer("user-laptop", net)
-    discovery.attach(user_peer)
-    user = DatabasePipeline(user_peer, discovery)
-    sim.run()  # let advertisements settle
+    sites = {
+        "archive.cf.ac.uk": Site(
+            "archive.cf.ac.uk", 0.6, ("data-access", "data-manipulate"),
+            {"galaxies": db.table("galaxies")},
+        ),
+        "compute.gridlab.org": Site(
+            "compute.gridlab.org", 0.9, ("data-manipulate", "data-visualise"),
+        ),
+        "verify.triana.co.uk": Site("verify.triana.co.uk", 0.8, ("data-verify",)),
+    }
+    grid = ConsumerGrid(CASE3_GRID, seed=9)
+    for name, site in sites.items():
+        grid.add_worker(name, site=site)
+    grid.sim.run()  # let advertisements settle
 
     print(render_kv([("rows loaded from flat file", loaded),
-                     ("sites", [s.peer.peer_id for s in sites])],
+                     ("sites", list(sites))],
                     title="== deployment =="))
 
     spec = QuerySpec(
@@ -76,28 +62,26 @@ def main() -> None:
         y_column="mass",
         expect_min_rows=2,
     )
-    done = run_pipeline(user, sites, spec)
-    envelope = sim.run(until=done)
+    t0 = grid.sim.now
+    report = grid.run(database_graph(spec), iterations=1)
+    (result,) = report.group_results[0]
 
     print("\n" + render_table(
-        ["stage", "service", "site"],
-        [(kind, name.split("@")[0], name.split("@")[1])
-         for kind, name in zip(
-             ("access", "manipulate", "visualise", "verify"),
-             envelope["trail"])],
-        title="== service-bind: one peer per pipeline stage ==",
+        ["stage", "site", "accuracy"],
+        [(stage, worker, sites[worker].accuracy)
+         for stage, worker in zip(("access", "manipulate", "visualise", "verify"),
+                                  report.placements.values())],
+        title="== placement: one site per pipeline stage ==",
     ))
-
-    table = envelope["table"]
     print("\n" + render_table(
-        table.columns, table.rows,
+        result.table.columns, result.table.rows,
         title="== query result (spiral galaxies, mass > 11, by mass desc) ==",
     ))
     print("\n" + render_kv([
-        ("verification ok", envelope["report"]["ok"]),
-        ("rows", envelope["report"]["rows"]),
-        ("graph points", len(envelope["graph"].x)),
-        ("simulated wall time (s)", sim.now),
+        ("verification ok", result.report["ok"]),
+        ("rows", result.report["rows"]),
+        ("graph points", len(result.graph.x)),
+        ("simulated wall time (s)", grid.sim.now - t0),
     ], title="== verification + visualisation =="))
 
 

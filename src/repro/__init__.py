@@ -10,7 +10,7 @@ Subsystems (see DESIGN.md):
 
 ===================  ========================================================
 ``repro.simkernel``  deterministic discrete-event simulation kernel
-``repro.p2p``        consumer network, peers, discovery, pipes, JXTAServe
+``repro.p2p``        consumer network, peers, advertisements, discovery, pipes
 ``repro.core``       workflow engine: types, units, task graphs, XML, toolbox
 ``repro.mobility``   module repository, on-demand download, sandbox
 ``repro.resources``  volunteer availability, accounts
@@ -20,6 +20,12 @@ Subsystems (see DESIGN.md):
 ``repro.apps``       galaxy formation, inspiral search, database scenarios
 ``repro.analysis``   metrics and table harness for the benchmarks
 ===================  ========================================================
+
+A ``p2p`` group puts stage *i* on worker *i mod n*, unless the stage's
+unit names advertised attributes (``Unit.requires`` / ``Unit.PREFERS``):
+then it goes to a worker whose advertised site matches, the highest by
+the preferred attribute, so Case 3's database stages find the peers
+that offer them.
 
 Quickstart::
 

@@ -23,7 +23,6 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from ..apps import database as db
 from ..apps import inspiral as insp
 from ..apps.galaxy import build_galaxy_graph, generate_snapshots
 from ..core.engine import LocalEngine
@@ -57,7 +56,16 @@ from ..simkernel import Interrupt, Simulator, Store
 from ..transport.wire import result_checksum
 from .metrics import SECONDS_PER_YEAR, parallel_efficiency, spectrum_snr, speedup
 from .runtable import Experiment
-from .workloads import HOSTILE_LAN, LAN_GRID, fig1_graph, fig1_grouped, pipeline_graph
+from .workloads import (
+    CASE3_GRID,
+    HOSTILE_LAN,
+    LAN_GRID,
+    case3_graph,
+    case3_sites,
+    fig1_graph,
+    fig1_grouped,
+    pipeline_graph,
+)
 
 __all__ = ["EXPERIMENTS", "e13_grid", "e13_run", "simulate_volunteer_fleet"]
 
@@ -505,54 +513,25 @@ _declare(Experiment(
 # verify) on different peers; "Triana system looks on the network to
 # discover peers which offer each of these services"; selection "based
 # on other options that a given service provides (such as accuracy...)".
-# One cell, no factors: the discover → bind → execute sequence, and which
-# service at which site each stage was bound to.
-
-_E6_CATALOGUE = "name, kind, mass\n" + "\n".join(
-    f"gal{i:03d}, {'spiral' if i % 2 else 'elliptical'}, {9.0 + (i % 40) / 10}"
-    for i in range(200)
-)
+# One cell, no factors: a ConsumerGrid p2p run whose stages go to the
+# workers whose advertised sites match them, and the site each went to.
 
 
 def _e6_cell(tracer) -> dict[str, Any]:
-    sim = Simulator(seed=11, tracer=tracer)
-    net = SimNetwork(sim)
-    disc = CentralIndexDiscovery(query_window=1.0)
-    index = Peer("index", net)
-    disc.attach(index)
-    disc.set_index(index)
-    catalogue = db.Database()
-    catalogue.load_csv("galaxies", _E6_CATALOGUE)
-    sites = []
-    for pid, kw in [
-        ("site-a", dict(database=catalogue,
-                        kinds=("data-access", "data-manipulate"), accuracy=0.5)),
-        ("site-b", dict(kinds=("data-manipulate", "data-visualise"), accuracy=0.9)),
-        ("site-c", dict(kinds=("data-verify",), accuracy=0.7)),
-    ]:
-        p = Peer(pid, net)
-        disc.attach(p)
-        sites.append(db.DatabaseSite(p, disc, **kw))
-    user_peer = Peer("user", net)
-    disc.attach(user_peer)
-    user = db.DatabasePipeline(user_peer, disc)
-    sim.run()
-    t0 = sim.now
-    spec = db.QuerySpec(
-        table="galaxies",
-        where=(("kind", "==", "spiral"), ("mass", ">", 11.0)),
-        manipulate=("topk", "mass", 10),
-        x_column="mass",
-        y_column="mass",
-        expect_min_rows=5,
-    )
-    envelope = sim.run(until=db.run_pipeline(user, sites, spec))
+    grid = ConsumerGrid(CASE3_GRID, tracer=tracer)
+    for name, site in case3_sites().items():
+        grid.add_worker(name, site=site)
+    grid.sim.run()  # settle the sites' advertisements
+    t0 = grid.sim.now
+    report = grid.run(case3_graph(), iterations=1)
+    (result,) = report.group_results[0]
     return {
-        **dict(zip(("access", "manipulate", "visualise", "verify"), envelope["trail"])),
-        "rows_returned": len(envelope["table"]),
-        "verified": envelope["report"]["ok"],
-        "elapsed_s": sim.now - t0,
-        "messages": net.stats.sent,
+        **dict(zip(("access", "manipulate", "visualise", "verify"),
+                   report.placements.values())),
+        "rows_returned": len(result.table),
+        "verified": result.report["ok"],
+        "elapsed_s": grid.sim.now - t0,
+        "messages": report.messages_sent,
     }
 
 
@@ -577,7 +556,7 @@ _declare(Experiment(
         # Access at the archive, manipulate at the accurate compute site
         # (not the co-located one), verification at the bureau.
         ("stage placement crosses sites, manipulation chosen by accuracy",
-         [by[()][k].split("@")[1] for k in ("access", "manipulate", "visualise", "verify")]
+         [by[()][k] for k in ("access", "manipulate", "visualise", "verify")]
          == ["site-a", "site-b", "site-b", "site-c"]),
     ],
 ))

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+from ..apps import database as db
 from ..config import GridConfig
 from ..core.taskgraph import TaskGraph
+from ..core.units import SITE_READ
+from ..mobility.sandbox import DEFAULT_PERMISSIONS, SandboxPolicy
 from ..p2p.network import LAN_PROFILE
+from ..service.worker import Site
 
-__all__ = ["HOSTILE_LAN", "LAN_GRID", "fig1_graph", "fig1_grouped", "pipeline_graph"]
+__all__ = [
+    "CASE3_GRID", "HOSTILE_LAN", "LAN_GRID", "case3_graph", "case3_sites",
+    "fig1_graph", "fig1_grouped", "pipeline_graph",
+]
 
 #: The compute-bound grid the experiments share: LAN links, so transfers
 #: cost next to nothing, and workers slowed until unit compute dominates
@@ -72,3 +79,42 @@ def pipeline_graph(n_stages: int, samples: int = 4096) -> TaskGraph:
     g.connect(prev, 0, "Sink", 0)
     g.group_tasks("Chain", stage_names, policy="p2p")
     return g
+
+
+#: Case 3's grid (E6): one plain volunteer, to which the sites are added
+#: (:func:`case3_sites`); every sandbox lets a stage read its site's tables.
+CASE3_GRID = GridConfig().replace(
+    seed=11, n_workers=1,
+    sandbox=SandboxPolicy(granted=DEFAULT_PERMISSIONS | {SITE_READ}),
+)
+
+_CATALOGUE = "name, kind, mass\n" + "\n".join(
+    f"gal{i:03d}, {'spiral' if i % 2 else 'elliptical'}, {9.0 + (i % 40) / 10}"
+    for i in range(200)
+)
+
+
+def case3_sites() -> dict[str, Site]:
+    """Three sites, named as their workers: the archive hosts the galaxy
+    catalogue and a rough manipulation service, a compute site an
+    accurate one and the visualisation, a bureau the verification."""
+    catalogue = db.Database()
+    catalogue.load_csv("galaxies", _CATALOGUE)
+    tables = {"galaxies": catalogue.table("galaxies")}
+    return {
+        "site-a": Site("site-a", 0.5, ("data-access", "data-manipulate"), tables),
+        "site-b": Site("site-b", 0.9, ("data-manipulate", "data-visualise")),
+        "site-c": Site("site-c", 0.7, ("data-verify",)),
+    }
+
+
+def case3_graph() -> TaskGraph:
+    """The top ten spirals above 10^11 solar masses, plotted and checked."""
+    return db.database_graph(db.QuerySpec(
+        table="galaxies",
+        where=(("kind", "==", "spiral"), ("mass", ">", 11.0)),
+        manipulate=("topk", "mass", 10),
+        x_column="mass",
+        y_column="mass",
+        expect_min_rows=5,
+    ))

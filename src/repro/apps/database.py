@@ -12,42 +12,47 @@ Provides:
 * a small in-memory relational engine (:class:`Database`) with flat-file
   (CSV) loading — "can either read from flat files, or read from a
   structured database";
-* the four pipeline stages as JXTAServe services hosted on peers
-  (:class:`DatabaseSite`), advertised with quality attributes so the user
-  can "select a service based on other options ... (such as accuracy)";
-* :class:`DatabasePipeline` — discovery, service-bind and execution of
-  the four-stage pipeline (:func:`run_pipeline`), which E6 measures.
+* the four stages as units (:class:`DataAccess`, :class:`DataManipulate`,
+  :class:`DataVisualise`, :class:`DataVerify`) that hand a
+  :class:`QueryResult` down the chain;
+* :func:`database_graph` — one request as a ``p2p`` group of the four.
+  Each stage requires a worker whose :class:`~repro.service.worker.Site`
+  offers its service kind (the access stage also the table) and prefers
+  the most accurate one — "select a service based on other options ...
+  (such as accuracy)".  The access stage reads the table where it runs:
+  it declares :data:`~repro.core.units.SITE_READ`.  E6 measures it.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..core.types import GraphData, TableData
-from ..p2p.discovery import DiscoveryService
-from ..p2p.jxtaserve import JxtaServe, JxtaService
-from ..p2p.peer import Peer
-from ..simkernel import Event
+from ..core.errors import UnitError
+from ..core.registry import register_unit
+from ..core.taskgraph import TaskGraph
+from ..core.types import GraphData, TableData, TrianaType
+from ..core.units import SITE_READ, ParamSpec, Unit, _non_negative_int
 
 __all__ = [
     "Database",
     "DatabaseError",
     "QuerySpec",
+    "QueryResult",
     "apply_where",
     "apply_manipulation",
     "visualise_table",
     "verify_table",
-    "DatabaseSite",
-    "DatabasePipeline",
-    "run_pipeline",
-    "SERVICE_KINDS",
+    "DataAccess",
+    "DataManipulate",
+    "DataVisualise",
+    "DataVerify",
+    "database_graph",
 ]
-
-SERVICE_KINDS = ("data-access", "data-manipulate", "data-visualise", "data-verify")
 
 
 class DatabaseError(Exception):
@@ -100,12 +105,12 @@ class Database:
         return count
 
 
-# -- declarative query pieces (these travel over pipes, so no lambdas) ---------
+# -- declarative query pieces (they become task parameters, so no lambdas) -----
 
 
 @dataclass(frozen=True)
 class QuerySpec:
-    """A serialisable pipeline request.
+    """One user request; :func:`database_graph` spreads it over the stages.
 
     ``where`` is a list of ``(column, op, value)`` triples with op in
     ``== != < <= > >=``; ``manipulate`` is ``(operation, column)`` with
@@ -195,189 +200,137 @@ def visualise_table(table: TableData, x_column: str, y_column: str) -> GraphData
     return GraphData(x=x, y=y, label=f"{y_column} vs {x_column or 'row'}")
 
 
-def verify_table(table: TableData, spec: QuerySpec) -> dict[str, Any]:
+def verify_table(table: TableData, expect_min_rows: int = 0) -> dict[str, Any]:
     """The data-verification stage: structural checks + row-count floor."""
     problems = []
     width = len(table.columns)
     for i, row in enumerate(table.rows):
         if len(row) != width:  # pragma: no cover - TableData enforces this
             problems.append(f"row {i} has width {len(row)}")
-    if len(table) < spec.expect_min_rows:
-        problems.append(
-            f"expected at least {spec.expect_min_rows} rows, got {len(table)}"
-        )
+    if len(table) < expect_min_rows:
+        problems.append(f"expected at least {expect_min_rows} rows, got {len(table)}")
     return {"ok": not problems, "problems": problems, "rows": len(table)}
 
 
-# -- services on peers --------------------------------------------------------------
+# -- the four stages as units ----------------------------------------------------
 
 
-class DatabaseSite:
-    """One geographic site hosting a subset of the four service kinds."""
+@dataclass
+class QueryResult(TrianaType):
+    """What flows down the pipeline: the rows, their plot once the
+    visualisation stage drew it, and the verification stage's report."""
 
-    def __init__(
-        self,
-        peer: Peer,
-        discovery: DiscoveryService,
-        database: Optional[Database] = None,
-        kinds: tuple[str, ...] = SERVICE_KINDS,
-        accuracy: float = 1.0,
-    ):
-        unknown = set(kinds) - set(SERVICE_KINDS)
-        if unknown:
-            raise DatabaseError(f"unknown service kinds {sorted(unknown)}")
-        self.peer = peer
-        self.serve = JxtaServe(peer, discovery)
-        self.database = database
-        self.accuracy = accuracy
-        self.services: dict[str, JxtaService] = {}
-        for kind in kinds:
-            if kind == "data-access" and database is None:
-                raise DatabaseError("data-access service requires a database")
-            handler = {
-                "data-access": self._access,
-                "data-manipulate": self._manipulate,
-                "data-visualise": self._visualise,
-                "data-verify": self._verify,
-            }[kind]
-            name = f"{kind}@{peer.peer_id}"
-            self.services[kind] = self.serve.register_service(
-                name,
-                kind=kind,
-                num_inputs=1,
-                num_outputs=1,
-                handler=handler,
-                attrs={"accuracy": accuracy, "site": peer.peer_id},
-            )
+    table: TableData
+    graph: Optional[GraphData] = None
+    report: Optional[dict] = None
 
-    # Stage handlers: each receives (spec, payload, reply_to) and pipes the
-    # enriched envelope onward through its (dynamically bound) output.
-    def _access(self, node: int, envelope, svc: JxtaService) -> None:
-        spec: QuerySpec = envelope["spec"]
-        table = apply_where(self.database.table(spec.table), spec.where)
-        envelope = {**envelope, "table": table, "trail": envelope["trail"] + [svc.name]}
-        svc.emit(0, envelope, size_bytes=table.payload_nbytes())
-
-    def _manipulate(self, node: int, envelope, svc: JxtaService) -> None:
-        spec: QuerySpec = envelope["spec"]
-        table = apply_manipulation(envelope["table"], spec.manipulate)
-        envelope = {**envelope, "table": table, "trail": envelope["trail"] + [svc.name]}
-        svc.emit(0, envelope, size_bytes=table.payload_nbytes())
-
-    def _visualise(self, node: int, envelope, svc: JxtaService) -> None:
-        spec: QuerySpec = envelope["spec"]
-        graph = visualise_table(envelope["table"], spec.x_column, spec.y_column)
-        envelope = {**envelope, "graph": graph, "trail": envelope["trail"] + [svc.name]}
-        svc.emit(0, envelope, size_bytes=graph.payload_nbytes())
-
-    def _verify(self, node: int, envelope, svc: JxtaService) -> None:
-        spec: QuerySpec = envelope["spec"]
-        report = verify_table(envelope["table"], spec)
-        envelope = {**envelope, "report": report, "trail": envelope["trail"] + [svc.name]}
-        svc.emit(0, envelope, size_bytes=512)
+    def payload_nbytes(self) -> int:
+        size = self.table.payload_nbytes()
+        if self.graph is not None:
+            size += self.graph.x.nbytes + self.graph.y.nbytes
+        return size + (512 if self.report is not None else 0)
 
 
-class DatabasePipeline:
-    """The user's side: discover, service-bind, execute (§3.6.3).
+class _Stage(Unit):
+    """A stage goes to a worker that offers its service, the most
+    accurate one first."""
 
-    "The pipeline is instantiated with peer references as new services
-    become available. ... Once a service has been selected, and the
-    Triana system has undertaken a service-bind to each of the stages in
-    the pipeline, Triana now initiates the execution procedure."
-    """
+    SERVICE = ""
+    PREFERS = "accuracy"
+    INPUT_TYPES = (QueryResult,)
+    OUTPUT_TYPES = (QueryResult,)
 
-    def __init__(self, peer: Peer, discovery: DiscoveryService):
-        self.peer = peer
-        self.serve = JxtaServe(peer, discovery)
-        self.discovery = discovery
-        self._result_pipe = self.serve.pipes.create_input(
-            f"pipeline-result@{peer.peer_id}"
+    def requires(self) -> dict[str, Any]:
+        return {"services": self.SERVICE}
+
+
+@register_unit(category="database")
+class DataAccess(_Stage):
+    """(1) Read one of the site's tables, keeping the rows that meet every
+    ``(column, op, value)`` predicate of ``where``."""
+
+    SERVICE = "data-access"
+    NUM_INPUTS = 0
+    PARAMETERS = (
+        ParamSpec("table", "", "site-local table to read"),
+        ParamSpec("where", [], "[column, op, value] predicates, all met"),
+    )
+    REQUIRED_PERMISSIONS = (SITE_READ,)
+    #: the hosting worker's tables, handed over at deploy
+    site_tables: Mapping[str, TableData] = MappingProxyType({})
+
+    def requires(self) -> dict[str, Any]:
+        return {**super().requires(), "tables": self.get_param("table")}
+
+    def process(self, inputs: Sequence[Any]) -> list[Any]:
+        name = self.get_param("table")
+        if name not in self.site_tables:
+            raise UnitError(f"DataAccess: this site hosts no table {name!r}")
+        return [QueryResult(apply_where(self.site_tables[name], self.get_param("where")))]
+
+
+@register_unit(category="database")
+class DataManipulate(_Stage):
+    """(2) Sort, top-k or group-sum the rows (:func:`apply_manipulation`)."""
+
+    SERVICE = "data-manipulate"
+    PARAMETERS = (
+        ParamSpec("manipulate", [], "[operation, column, ...]; empty keeps the rows"),
+    )
+
+    def process(self, inputs: Sequence[Any]) -> list[Any]:
+        manipulate = self.get_param("manipulate") or None
+        return [QueryResult(apply_manipulation(inputs[0].table, manipulate))]
+
+
+@register_unit(category="database")
+class DataVisualise(_Stage):
+    """(3) Plot one column against another (:func:`visualise_table`)."""
+
+    SERVICE = "data-visualise"
+    PARAMETERS = (
+        ParamSpec("x_column", "", "x column; empty plots against the row index"),
+        ParamSpec("y_column", "", "y column"),
+    )
+
+    def process(self, inputs: Sequence[Any]) -> list[Any]:
+        table = inputs[0].table
+        graph = visualise_table(
+            table, self.get_param("x_column"), self.get_param("y_column")
         )
-        self.bound: dict[str, Any] = {}
+        return [QueryResult(table, graph)]
 
-    def discover_services(self) -> Event:
-        """Find all candidate services for all four stages.
 
-        Returns an event yielding ``{kind: [advertisements]}``.
-        """
-        sim = self.peer.sim
-        done = sim.event()
-        query = self.discovery.query(
-            self.peer,
-            adv_type="service",
-            predicate=lambda attrs: attrs.get("kind") in SERVICE_KINDS,
-        )
+@register_unit(category="database")
+class DataVerify(_Stage):
+    """(4) Check the rows and report (:func:`verify_table`)."""
 
-        def collect(ev):
-            by_kind: dict[str, list] = {k: [] for k in SERVICE_KINDS}
-            for adv in ev.value:
-                by_kind[adv.attributes["kind"]].append(adv)
-            done.succeed(by_kind)
+    SERVICE = "data-verify"
+    PARAMETERS = (
+        ParamSpec("expect_min_rows", 0, "fewest rows that pass", _non_negative_int),
+    )
 
-        query.callbacks.append(collect)
-        return done
+    def process(self, inputs: Sequence[Any]) -> list[Any]:
+        result = inputs[0]
+        report = verify_table(result.table, self.get_param("expect_min_rows"))
+        return [QueryResult(result.table, result.graph, report)]
 
-    def bind(
-        self,
-        candidates: dict[str, list],
-        preference: Optional[Callable[[dict[str, Any]], float]] = None,
-    ) -> dict[str, dict[str, Any]]:
-        """Select one service per stage ("based on ... accuracy") and bind.
 
-        ``preference`` scores an advertisement attribute dict; highest
-        wins (default: the advertised accuracy).
-        """
-        score = preference or (lambda attrs: attrs.get("accuracy", 0.0))
-        chosen = {}
-        for kind in SERVICE_KINDS:
-            options = candidates.get(kind, [])
-            if not options:
-                raise DatabaseError(f"no service available for stage {kind!r}")
-            best = max(options, key=lambda adv: score(adv.attributes))
-            chosen[kind] = {"name": best.name, **best.attributes}
-        self.bound = chosen
-        return chosen
-
-def run_pipeline(
-    user: DatabasePipeline,
-    sites: list[DatabaseSite],
-    spec: QuerySpec,
-    preference: Optional[Callable[[dict[str, Any]], float]] = None,
-) -> Event:
-    """Discover, bind, route and execute the Case-3 pipeline end-to-end.
-
-    Returns an event yielding the final envelope with ``table``,
-    ``graph``, ``report`` and the ``trail`` of services traversed.
-    """
-    done = user.peer.sim.event()
-
-    def after_discovery(ev):
-        chosen = user.bind(ev.value, preference)
-        by_name = {
-            svc.name: (site, svc)
-            for site in sites
-            for svc in site.services.values()
-        }
-        # Route each chosen stage to the next chosen stage's input pipe.
-        order = [chosen[k]["name"] for k in SERVICE_KINDS]
-        for here, nxt in zip(order, order[1:]):
-            site, svc = by_name[here]
-            next_site, next_svc = by_name[nxt]
-            svc.connect_direct(0, nxt, 0, next_site.peer.peer_id)
-        last_site, last_svc = by_name[order[-1]]
-        out = last_site.serve.pipes.create_output(user._result_pipe.name)
-        out.bind_direct(user.peer.peer_id)
-        last_svc.outputs[0] = out
-
-        def on_result(ev2):
-            done.succeed(ev2.value)
-
-        user._result_pipe.get().callbacks.append(on_result)
-        # Kick the pipeline: the request enters stage 1's input pipe.
-        first_site, _first_svc = by_name[order[0]]
-        kick = user.serve.pipes.create_output(f"{order[0]}.in0")
-        kick.bind_direct(first_site.peer.peer_id)
-        kick.send({"spec": spec, "trail": []}, size_bytes=256)
-
-    user.discover_services().callbacks.append(after_discovery)
-    return done
+def database_graph(spec: QuerySpec) -> TaskGraph:
+    """The pipeline for one request: the four stages as a ``p2p`` group,
+    whose one output is the verified :class:`QueryResult`."""
+    stages = TaskGraph("Case3")
+    stages.add_task("Access", "DataAccess", table=spec.table,
+                    where=[list(clause) for clause in spec.where])
+    stages.add_task("Manipulate", "DataManipulate",
+                    manipulate=list(spec.manipulate or ()))
+    stages.add_task("Visualise", "DataVisualise",
+                    x_column=spec.x_column, y_column=spec.y_column)
+    stages.add_task("Verify", "DataVerify", expect_min_rows=spec.expect_min_rows)
+    for a, b in [("Access", "Manipulate"), ("Manipulate", "Visualise"),
+                 ("Visualise", "Verify")]:
+        stages.connect(a, 0, b, 0)
+    graph = TaskGraph("database-pipeline")
+    graph.add_group("Pipeline", stages, input_map=(), output_map=[("Verify", 0)],
+                    policy="p2p")
+    return graph

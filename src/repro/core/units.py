@@ -23,7 +23,12 @@ import numpy as np
 from .errors import ParameterError, UnitError
 from .types import AnyType, TrianaType
 
-__all__ = ["ParamSpec", "Unit"]
+__all__ = ["ParamSpec", "SITE_READ", "Unit"]
+
+#: The permission a unit declares to read the site-local tables of the
+#: worker hosting it.  The worker hands such a unit those tables, and
+#: nothing else of its own, as ``unit.site_tables`` when it deploys it.
+SITE_READ = "site.read"
 
 
 # -- validators a ParamSpec can carry (shared by the toolbox and the apps) ----------
@@ -138,6 +143,10 @@ class Unit:
     #: Modelled working-set bytes; hosts cap deployments against their
     #: advertised RAM ("how much RAM the applications could use", §3.7).
     RAM_ESTIMATE: int = 8 * 1024 * 1024
+    #: Numeric advertised worker attribute whose highest value wins among
+    #: the workers that match :meth:`requires` when a ``p2p`` group
+    #: places this unit (e.g. ``"accuracy"``); empty for no preference.
+    PREFERS: str = ""
 
     def __init__(self, **params: Any):
         self._params: dict[str, Any] = {}
@@ -217,6 +226,12 @@ class Unit:
         computed once for all replicas of an input.
         """
         raise NotImplementedError(f"{self.unit_name()}.process")
+
+    def requires(self) -> dict[str, Any]:
+        """Advertised worker attributes a ``p2p`` stage of this unit must
+        find: a value matches an equal attribute, or a list attribute that
+        contains it.  None by default: the stage is placed round-robin."""
+        return {}
 
     # -- cost model ----------------------------------------------------------------
     def estimated_flops(self, input_nbytes: int) -> float:

@@ -46,6 +46,7 @@ from .core.taskgraph import TaskGraph
 from .grid import CONTROLLER_ID, PORTAL_ID, GridNode
 from .p2p.network import LAN_PROFILE
 from .service.controller import RunReport
+from .service.worker import Site
 from .transport import decode, encode
 
 __all__ = [
@@ -91,8 +92,12 @@ class WorkerNode(GridNode):
         peers: Dict[str, Address],
         config: GridConfig = DEPLOYMENT_DEFAULTS,
         host: str = "127.0.0.1",
+        site: Optional[Site] = None,
     ):
-        super().__init__(config, (peer_id,), host=host, port=port, peers=peers)
+        super().__init__(
+            config, (peer_id,), sites={peer_id: site} if site else None,
+            host=host, port=port, peers=peers,
+        )
         self.peer = self.worker_peers[peer_id]
         self.service = self.workers[peer_id]
         self._shutdown = self.sim.event()
@@ -221,10 +226,13 @@ def launch_worker(
     efficiency: Optional[float] = None,
     config: GridConfig = DEPLOYMENT_DEFAULTS,
     python: str = sys.executable,
+    site: Optional[Site] = None,
 ) -> subprocess.Popen:
     """Spawn one :class:`WorkerNode` OS process built from ``config``.
 
-    ``efficiency`` is shorthand for ``config.replace(worker_efficiency=...)``.
+    ``efficiency`` is shorthand for ``config.replace(worker_efficiency=...)``;
+    ``site`` is what the worker offers besides its CPU (its tables too),
+    sent like the config.
     """
     if efficiency is not None:
         config = config.replace(worker_efficiency=efficiency)
@@ -237,6 +245,8 @@ def launch_worker(
         "--peers", json.dumps({k: list(v) for k, v in peers.items()}),
         "--config", config_payload(config),
     ]
+    if site is not None:
+        argv += ["--site", base64.b64encode(encode(site)).decode("ascii")]
     return subprocess.Popen(argv, env=_worker_env())
 
 
@@ -330,6 +340,12 @@ def worker_main(argv: Optional[List[str]] = None) -> int:
         help="the grid's GridConfig as printed by repro.deployment."
              "config_payload (default: DEPLOYMENT_DEFAULTS)",
     )
+    parser.add_argument(
+        "--site",
+        default=None,
+        help="the worker's Site, wire-encoded and base64 like --config "
+             "(default: none; the worker advertises only its CPU)",
+    )
     args = parser.parse_args(argv)
 
     peers = {
@@ -341,7 +357,12 @@ def worker_main(argv: Optional[List[str]] = None) -> int:
         config = decode(base64.b64decode(args.config))
         if not isinstance(config, GridConfig):
             parser.error(f"--config decodes to {type(config).__name__}, not GridConfig")
-    WorkerNode(args.peer_id, args.port, peers, config).serve()
+    site = None
+    if args.site is not None:
+        site = decode(base64.b64decode(args.site))
+        if not isinstance(site, Site):
+            parser.error(f"--site decodes to {type(site).__name__}, not Site")
+    WorkerNode(args.peer_id, args.port, peers, config, site=site).serve()
     return 0
 
 

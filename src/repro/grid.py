@@ -20,7 +20,7 @@ Example
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .config import GridConfig
 from .core.registry import UnitRegistry, global_registry
@@ -48,7 +48,7 @@ from .p2p.network import NodeProfile, SimNetwork, Transport
 from .p2p.peer import Peer
 from .resources.availability import AvailabilityModel
 from .service.controller import RunReport, TrianaController
-from .service.worker import TrianaService
+from .service.worker import Site, TrianaService
 from .simkernel import Simulator, check_horizon
 from .transport import RealtimeSimulator, TcpTransport
 
@@ -75,8 +75,9 @@ class GridNode:
     :data:`CONTROLLER_ID`, and any other name is a worker.  The fabric is
     the one ``config.transport`` names (``endpoint`` = the socket
     fabric's ``host`` / ``port`` / ``peers``); it is closed again if the
-    assembly fails.  ``registry`` (the portal's unit registry) and
-    ``tracer`` (a caller-owned tracer; implies tracing) are runtime
+    assembly fails.  ``registry`` (the portal's unit registry),
+    ``tracer`` (a caller-owned tracer; implies tracing) and ``sites``
+    (worker role → its :class:`~repro.service.worker.Site`) are runtime
     objects and so not part of the config.
     """
 
@@ -91,11 +92,13 @@ class GridNode:
         roles: Iterable[str],
         registry: Optional[UnitRegistry] = None,
         tracer: Optional[Tracer] = None,
+        sites: Optional[Mapping[str, Site]] = None,
         **endpoint,
     ):
         if tracer is None and (config.trace or config.telemetry):
             tracer = Tracer()
         self.config = config
+        self._sites = dict(sites or {})
         if config.transport == "tcp":
             self.sim = RealtimeSimulator(seed=config.seed, tracer=tracer)
             self.transport: Transport = TcpTransport(self.sim, **endpoint)
@@ -135,7 +138,7 @@ class GridNode:
                     recovery=cfg.recovery,
                 )
             else:
-                self.add_worker(role)
+                self.add_worker(role, site=self._sites.get(role))
 
     def _peer(self, peer_id: str, profile: NodeProfile) -> Peer:
         peer = Peer(peer_id, self.transport, profile=profile)
@@ -146,11 +149,14 @@ class GridNode:
         self,
         name: str,
         profile: Optional[NodeProfile] = None,
+        site: Optional[Site] = None,
     ) -> TrianaService:
         """The per-worker step: peer, service daemon, advertisement.
 
         Every worker of every grid is made here.  ``profile`` overrides
-        ``config.worker_profile`` (a heterogeneous fleet).  Added to a grid
+        ``config.worker_profile`` (a heterogeneous fleet); ``site`` is what
+        the worker offers besides its CPU, advertised for ``p2p``
+        placement (:class:`~repro.service.worker.Site`).  Added to a grid
         that is already built, the advertisement still has to land:
         settle with ``grid.sim.run()``.
         """
@@ -161,6 +167,7 @@ class GridNode:
             sandbox=dataclasses.replace(cfg.sandbox, stats=SandboxStats()),
             efficiency=cfg.worker_efficiency,
             modules=cfg.modules,
+            site=site,
         )
         service = TrianaService(peer, **hosting)
         self.discovery.publish(peer, service.advertisement())

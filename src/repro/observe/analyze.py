@@ -19,10 +19,10 @@ or Chrome/Perfetto JSON, as written by
   accounting over merged leaf-span intervals, Jain's fairness index
   over the worker fleet, and a straggler ranking.
 * :func:`bottlenecks` — wall-clock attribution into
-  compute / repo-fetch / peer-fetch / revalidate / discovery /
+  compute / repo-fetch / peer-fetch / discovery /
   redispatch-recovery / network-transfer buckets by a priority sweep
   over span intervals.  The buckets partition the run window, so they
-  always sum to 100 %; the three module-distribution buckets are also
+  always sum to 100 %; the two module-distribution buckets are also
   reported summed as ``module_fetch_s`` (the pre-split aggregate).
 * :func:`compare_runs` — aligns two runs by span (name, track) and
   reports total/mean duration deltas plus headline run-window
@@ -64,16 +64,15 @@ _CONTAINER_NAMES = frozenset({"sim.run", "controller.run", "controller.deploy"})
 #: bottleneck buckets in sweep priority order (first active wins);
 #: ``network_transfer`` is the residual — in a discrete-event grid, time
 #: with no categorised span open is time waiting on message delivery.
-#: ``repo_fetch`` / ``peer_fetch`` / ``revalidate`` split the old
-#: ``module_fetch`` bucket by where the bytes came from (the authority,
-#: a holder peer, or nowhere — a digest check sufficed).
+#: ``repo_fetch`` / ``peer_fetch`` split the old ``module_fetch`` bucket
+#: by where the bytes came from (the authority, or a holder peer).
 _BUCKETS = (
-    "compute", "repo_fetch", "peer_fetch", "revalidate", "discovery",
+    "compute", "repo_fetch", "peer_fetch", "discovery",
     "redispatch_recovery", "verification_overhead",
 )
 #: the mobility sub-buckets; their sum is the legacy ``module_fetch``
 #: total, reported as ``module_fetch_s`` alongside the partition.
-_MODULE_BUCKETS = ("repo_fetch", "peer_fetch", "revalidate")
+_MODULE_BUCKETS = ("repo_fetch", "peer_fetch")
 _RESIDUAL_BUCKET = "network_transfer"
 
 
@@ -454,16 +453,14 @@ def _bucket_of(span: SpanRecord) -> Optional[str]:
     if span.name == "worker.exec":
         return "compute"
     if span.category == "mobility":
-        # Split by how the fetch resolved: a digest match (no bytes), a
-        # holder-peer transfer, or the repository itself.  Spans from
-        # pre-split traces carry neither attr and land in repo_fetch —
-        # the seed protocol only ever fetched from the repository.
-        if span.attrs.get("outcome") == "revalidate":
-            return "revalidate"
+        # Split by where the bytes came from: a holder peer, or the
+        # repository itself.  Spans from pre-split traces carry no source
+        # and land in repo_fetch — the seed protocol only ever fetched
+        # from the repository.
         if span.attrs.get("source") == "peer":
             return "peer_fetch"
         return "repo_fetch"
-    if span.name in ("discovery.query", "pipe.bind"):
+    if span.name == "discovery.query":
         return "discovery"
     if span.name == "controller.redispatch":
         return "redispatch_recovery"
@@ -480,13 +477,13 @@ def bottlenecks(source) -> dict[str, Any]:
 
     A priority sweep over span intervals: at every moment the window is
     charged to the highest-priority bucket with an open span — compute,
-    then the module-distribution buckets (repo-fetch, peer-fetch,
-    revalidate), then discovery, then redispatch-recovery; moments with
+    then the module-distribution buckets (repo-fetch, peer-fetch),
+    then discovery, then redispatch-recovery; moments with
     none open are charged to ``network_transfer`` (in this
     discrete-event model, nothing-open means the run is waiting on
     message delivery).  The buckets partition the window, so
     ``sum(seconds.values()) == window duration`` and the fractions sum
-    to 1.  ``module_fetch_s`` reports the three module buckets summed —
+    to 1.  ``module_fetch_s`` reports the two module buckets summed —
     the pre-split aggregate, kept for trend comparisons.  Chaos-tagged
     drops and drop reasons ride along as supplementary counters.
     """
@@ -793,7 +790,7 @@ def doctor(source, max_segments: int = 30) -> str:
     out.append(_table(["bucket", "seconds", "share"], bn_rows,
                       title="bottleneck breakdown (sums to 100% of wall-clock)"))
     out.append(
-        f"module distribution total (repo_fetch + peer_fetch + revalidate): "
+        f"module distribution total (repo_fetch + peer_fetch): "
         f"{bn['module_fetch_s']:.3f} s"
     )
     incidents = result["incidents"]

@@ -6,8 +6,12 @@ Layering, bottom-up::
     SimNetwork          its simulated implementation: DSL/LAN link models
     Peer                endpoints with advertisement caches and handlers
     Discovery           central-index | flooding | rendezvous strategies
-    Pipes               named, advertised, bind-by-discovery channels
-    JxtaServe           service-oriented facade (the paper's JXTAServe)
+    Pipes               named, advertised channels (the benchmark's pipe rung)
+
+The paper's service layer is the Triana service's workers: a
+worker advertises what it offers (``repro.service.worker.Site``), and a
+``p2p`` stage that names attributes goes to a worker whose advertisement
+matches them, the highest-scoring by its preferred attribute.
 """
 
 from .advertisement import (
@@ -24,7 +28,6 @@ from .discovery import (
     RendezvousDiscovery,
 )
 from .errors import DiscoveryError, NetworkError, P2PError, PeerOfflineError, PipeError
-from .jxtaserve import JxtaServe, JxtaService, input_pipe_name
 from .network import (
     DSL_PROFILE,
     LAN_PROFILE,
@@ -49,8 +52,6 @@ __all__ = [
     "DiscoveryStats",
     "FloodingDiscovery",
     "InputPipe",
-    "JxtaServe",
-    "JxtaService",
     "LAN_PROFILE",
     "Message",
     "NetStats",
@@ -65,5 +66,4 @@ __all__ = [
     "RendezvousDiscovery",
     "SimNetwork",
     "Transport",
-    "input_pipe_name",
 ]

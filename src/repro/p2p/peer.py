@@ -35,12 +35,10 @@ class Peer:
     reads its clock (``self.sim``) from it, which is how the same
     protocol code runs on simulated time and wall time.
 
-    ``__slots__`` keeps 100k-peer swarms cheap; ``_pipe_manager`` is
-    declared here because :class:`~repro.p2p.pipes.PipeManager` annotates
-    peers with a back-reference on attach.
+    ``__slots__`` keeps 100k-peer swarms cheap.
     """
 
-    __slots__ = ("peer_id", "network", "sim", "cache", "_handlers", "_pipe_manager")
+    __slots__ = ("peer_id", "network", "sim", "cache", "_handlers")
 
     def __init__(
         self,

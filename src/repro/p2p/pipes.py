@@ -3,14 +3,17 @@
 "for each input connection, the remote service advertises an input pipe
 with that connection's unique name.  Since the local service knows the
 connection's unique name it locates the pipe with that name and binds to
-it" (§3.5).  This module reproduces that mechanism:
+it" (§3.5).  This module keeps that mechanism's data path:
 
 * an :class:`InputPipe` is created under a unique name and advertised
-  through the discovery service;
-* an :class:`OutputPipe` *binds* by discovering the advertisement, then
-  streams payloads to the hosting peer;
-* data arriving on an input pipe goes to its callback, if it has one,
-  or else lands in a waitable :class:`~repro.simkernel.Store`.
+  through the discovery service; data arriving on it lands in a
+  waitable :class:`~repro.simkernel.Store`;
+* an :class:`OutputPipe` is bound to the peer hosting the input pipe
+  (:meth:`OutputPipe.bind_direct`), then streams payloads to it.
+
+The Triana service does not run on pipes: a ``p2p`` stage forwards
+straight to the next stage's worker.  The pipes stay as the
+``p2p.pipes.send_ns`` rung of the benchmark ladder (``gridbench``).
 
 Pipe traffic adapts to whatever the underlying fabric models — "the
 virtual communication paradigm in JXTA networks".  Pipes never touch
@@ -21,7 +24,7 @@ the fabric directly: everything goes through the hosting
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from ..simkernel import Event, Store
 from .advertisement import ADV_PIPE, Advertisement
@@ -36,45 +39,26 @@ __all__ = ["InputPipe", "OutputPipe", "PipeManager"]
 class InputPipe:
     """A named, advertised receive endpoint on one peer."""
 
-    def __init__(self, manager: "PipeManager", name: str):
-        self.manager = manager
+    def __init__(self, peer: Peer, name: str):
         self.name = name
-        self.peer = manager.peer
-        self.store: Store = Store(self.peer.sim)
-        self.callback: Optional[Callable[[Any], None]] = None
+        self.store: Store = Store(peer.sim)
         self.received = 0
 
     def get(self) -> Event:
         """Event yielding the next payload (FIFO)."""
         return self.store.get()
 
-    def _deliver(self, payload: Any) -> None:
-        """Hand ``payload`` to the callback if there is one, else queue it
-        for :meth:`get`."""
-        self.received += 1
-        if self.callback is not None:
-            self.callback(payload)
-        else:
-            self.store.put(payload)
-
-    def advertisement(self) -> Advertisement:
-        return Advertisement.make(
-            ADV_PIPE, self.name, self.peer.peer_id, attrs={"host": self.peer.peer_id}
-        )
-
 
 class OutputPipe:
-    """A send endpoint that binds to a named input pipe by discovery."""
+    """A send endpoint for a named input pipe, bound to its host."""
 
-    def __init__(self, manager: "PipeManager", name: str):
-        self.manager = manager
+    def __init__(self, peer: Peer, name: str):
         self.name = name
-        self.peer = manager.peer
+        self.peer = peer
         self.target: Optional[str] = None
-        self.sent = 0
 
     def bind_direct(self, host: str) -> None:
-        """Bind without discovery (when the controller dictates placement)."""
+        """Bind to the peer hosting the input pipe."""
         self.target = host
 
     def send(self, payload: Any, size_bytes: Optional[int] = None) -> float:
@@ -85,7 +69,6 @@ class OutputPipe:
             size_bytes = (
                 payload.payload_nbytes() if hasattr(payload, "payload_nbytes") else 256
             )
-        self.sent += 1
         return self.peer.send(
             self.target, "pipe-data", payload=(self.name, payload), size_bytes=size_bytes
         )
@@ -94,49 +77,35 @@ class OutputPipe:
 class PipeManager:
     """Per-peer pipe factory and demultiplexer.
 
-    At most one manager exists per peer (it owns the ``pipe-data``
-    handler); use :meth:`for_peer` when the caller may not be first.
+    A manager owns its peer's ``pipe-data`` handler, so a peer has at
+    most one (:meth:`Peer.on <repro.p2p.peer.Peer.on>` refuses a second).
     """
 
     def __init__(self, peer: Peer, discovery: DiscoveryService):
-        if getattr(peer, "_pipe_manager", None) is not None:
-            raise PipeError(
-                f"peer {peer.peer_id!r} already has a PipeManager; "
-                "use PipeManager.for_peer()"
-            )
         self.peer = peer
         self.discovery = discovery
         self.inputs: dict[str, InputPipe] = {}
         peer.on("pipe-data", self._on_data)
-        peer._pipe_manager = self  # type: ignore[attr-defined]
 
-    @classmethod
-    def for_peer(cls, peer: Peer, discovery: DiscoveryService) -> "PipeManager":
-        """Return the peer's existing manager or create one."""
-        existing = getattr(peer, "_pipe_manager", None)
-        if existing is not None:
-            return existing
-        return cls(peer, discovery)
-
-    def create_input(
-        self, name: str, callback: Optional[Callable[[Any], None]] = None
-    ) -> InputPipe:
+    def create_input(self, name: str) -> InputPipe:
         """Create and advertise an input pipe under a unique name."""
         if name in self.inputs:
             raise PipeError(f"input pipe {name!r} already exists on {self.peer.peer_id!r}")
-        pipe = InputPipe(self, name)
-        pipe.callback = callback
-        self.inputs[name] = pipe
-        self.discovery.publish(self.peer, pipe.advertisement())
+        pipe = self.inputs[name] = InputPipe(self.peer, name)
+        host = self.peer.peer_id
+        self.discovery.publish(
+            self.peer, Advertisement.make(ADV_PIPE, name, host, attrs={"host": host})
+        )
         return pipe
 
     def create_output(self, name: str) -> OutputPipe:
-        """Create an output endpoint that will bind to pipe ``name``."""
-        return OutputPipe(self, name)
+        """Create an output endpoint for pipe ``name``, to bind to its host."""
+        return OutputPipe(self.peer, name)
 
     def _on_data(self, message: Message) -> None:
         name, payload = message.payload
         pipe = self.inputs.get(name)
         if pipe is not None:
-            pipe._deliver(payload)
+            pipe.received += 1
+            pipe.store.put(payload)
         # Data for unknown pipes is dropped (late traffic after teardown).

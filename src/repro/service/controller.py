@@ -100,6 +100,9 @@ class TrianaController:
         self._ctx_of_dep: dict[str, DispatchContext] = {}
         self._duplicate_results = 0
         self._stale_results = 0
+        #: worker → the attributes it advertised at the last discovery
+        #: (what a ``p2p`` stage that names attributes is placed by)
+        self.adverts: dict[str, dict[str, Any]] = {}
         #: the last local-zone engine of the most recent run
         self.last_downstream: Optional[LocalEngine] = None
         peer.on("group-result", self._on_result)
@@ -161,8 +164,8 @@ class TrianaController:
         found = self.sim.event()
 
         def collect(ev: Event) -> None:
-            hosts = sorted({adv.attributes["host"] for adv in ev.value})
-            found.succeed(hosts)
+            self.adverts = {adv.attributes["host"]: adv.attributes for adv in ev.value}
+            found.succeed(sorted(self.adverts))
 
         query.callbacks.append(collect)
         return found
@@ -230,6 +233,7 @@ class TrianaController:
             notify=self._notify,
         )
         ctx.policy = global_policy_registry().create(group.policy)
+        ctx.adverts = self.adverts
         ctx.iterations = iterations
         ctx.group = group
         ctx.verifier = make_verifier(verification, ledger=self.reputation)

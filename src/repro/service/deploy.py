@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from ..p2p.errors import RequestFailed
+from ..p2p.errors import PeerOfflineError, RequestFailed
 from ..p2p.network import Message
 from ..p2p.peer import ASK_ATTEMPTS, Peer
 from .errors import DeploymentError
@@ -88,10 +88,18 @@ class DeploymentManager:
             return f"{what} refused at t={self.sim.now:g}: {error}"
 
     def _send(self, worker, spec):
+        """Arm this attempt's deadline, then send.  An offline controller's
+        send is lost like an unanswered one: the attempt ends at its
+        deadline, not at once."""
         ack = self._ack_events[spec.deployment_id] = self.sim.event()
-        self.peer.send(worker, "triana-deploy", payload=spec, size_bytes=len(spec.xml))
         deadline = self.deploy_timeout / ASK_ATTEMPTS
         self.sim.call_at(self.sim.now + deadline, _expire, ack, deadline)
+        try:
+            self.peer.send(
+                worker, "triana-deploy", payload=spec, size_bytes=len(spec.xml)
+            )
+        except PeerOfflineError:
+            pass
         return ack
 
     def release_all(self) -> None:

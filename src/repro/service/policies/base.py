@@ -106,6 +106,9 @@ class DispatchContext:
         self.verifier: Any = None
         #: the policy-carrying group this run distributes
         self.group: Any = None
+        #: worker → the attributes it advertised when the controller last
+        #: discovered workers (empty for a worker it never discovered)
+        self.adverts: dict[str, dict[str, Any]] = {}
 
     # -- controller services ------------------------------------------------
     def deploy(self, specs: list[tuple[str, DeploymentSpec]]):

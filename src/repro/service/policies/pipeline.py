@@ -5,9 +5,19 @@ distributed onto a separate resource and data is passed between them":
 each unit of a **linear** chain is placed on its own peer with
 stage-to-stage forwards, iterations enter at stage 0 and flow
 peer-to-peer; only the final stage reports back to the controller.
+
+Stage *i* goes to ``workers[i % n]`` unless its unit names attributes
+(Case 3, §3.6.3: the system "looks on the network to discover peers
+which offer each of these services"): then it goes to a worker whose
+advertisement matches :meth:`~repro.core.units.Unit.requires`, the one
+with the highest :attr:`~repro.core.units.Unit.PREFERS` value, ties
+going to the first in round-robin order from ``i % n``.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Any
 
 from ...core.taskgraph import TaskGraph
 from ...core.xml_io import graph_to_string
@@ -30,6 +40,10 @@ class PipelinePolicy(DistributionPolicy):
         """Place each unit of the group on its own peer, piped in order."""
         order = group.graph.topological_order()
         self._check_linear_chain(group, order)
+        hosts = [
+            self._place(ctx, group, task_name, i, workers)
+            for i, task_name in enumerate(order)
+        ]
         dep_ids = [ctx.next_deployment_id() for _ in order]
         specs = []
         for i, task_name in enumerate(order):
@@ -46,13 +60,13 @@ class PipelinePolicy(DistributionPolicy):
                     if c.src == task_name and c.dst == order[i + 1]
                 ][0]
                 output_spec = ((task_name, conn.src_node),)
-                forward = (workers[(i + 1) % len(workers)], dep_ids[i + 1])
+                forward = (hosts[i + 1], dep_ids[i + 1])
             else:
                 output_spec = tuple(group.output_map)
                 forward = None
             specs.append(
                 (
-                    workers[i % len(workers)],
+                    hosts[i],
                     DeploymentSpec(
                         deployment_id=dep_ids[i],
                         controller=ctx.peer.peer_id,
@@ -72,6 +86,28 @@ class PipelinePolicy(DistributionPolicy):
         # Everything enters at stage 0 and flows peer-to-peer.
         ctx.send_exec(ctx.replica_hosts[0], ctx.dep_ids[0], [(iteration, inputs)])
 
+    def _place(self, ctx: DispatchContext, group, task_name: str, i: int, workers):
+        """The worker stage ``i`` goes to (see the module docstring)."""
+        unit = group.graph.task(task_name).instantiate()
+        wanted, prefers = unit.requires(), type(unit).PREFERS
+        rotation = [workers[(i + k) % len(workers)] for k in range(len(workers))]
+        matched = ""
+        for key, value in sorted(wanted.items()):
+            rotation = [
+                w for w in rotation if _offers(ctx.adverts.get(w, {}).get(key), value)
+            ]
+            if not rotation:
+                raise SchedulingError(
+                    f"p2p stage {task_name!r} of group {group.name!r}: no worker "
+                    f"advertises {key}={value!r}{matched}"
+                )
+            matched += f"{' and' if matched else ' besides'} {key}={value!r}"
+        if prefers:
+            return max(
+                rotation, key=lambda w: ctx.adverts.get(w, {}).get(prefers, -math.inf)
+            )
+        return rotation[0]
+
     def _check_linear_chain(self, group, order: list[str]) -> None:
         for name in order:
             if len(group.graph.out_connections(name)) > 1 or len(
@@ -87,3 +123,11 @@ class PipelinePolicy(DistributionPolicy):
                     f"p2p policy requires a connected chain; {a!r} and {b!r} "
                     "are not linked"
                 )
+
+
+def _offers(advertised: Any, wanted: Any) -> bool:
+    """An advertised attribute matches a wanted value by equality, or, for
+    a list attribute, by holding it."""
+    if isinstance(advertised, (tuple, list)):
+        return wanted in advertised
+    return advertised == wanted

@@ -18,10 +18,13 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
+from types import MappingProxyType
 from typing import Any, Optional
 
 from ..core.engine import LocalEngine
 from ..core.registry import UnitRegistry
+from ..core.types import TableData
+from ..core.units import SITE_READ
 from ..core.xml_io import graph_from_string, unit_names_in_xml
 from ..mobility.cache import ModuleCache, ModuleSettings
 from ..mobility.sandbox import SandboxPolicy
@@ -31,7 +34,9 @@ from ..p2p.network import Message
 from ..p2p.peer import Peer
 from ..simkernel import Simulator
 
-__all__ = ["DeploymentSpec", "TrianaService", "WORKER_SERVICE_KIND", "payload_nbytes"]
+__all__ = [
+    "DeploymentSpec", "Site", "TrianaService", "WORKER_SERVICE_KIND", "payload_nbytes",
+]
 
 WORKER_SERVICE_KIND = "triana-worker"
 
@@ -80,6 +85,35 @@ class DeploymentSpec:
     heartbeat_interval: float = 0.0
 
 
+@dataclass(frozen=True)
+class Site:
+    """What a worker offers besides its CPU: the site it stands at, the
+    accuracy of its services, the service kinds it offers and the tables
+    it hosts (Case 3, §3.6.3).
+
+    Each field that is set is advertised (``site``, ``accuracy``,
+    ``services``, and ``tables`` as the sorted table names), so a
+    ``p2p`` stage can be placed by it (:meth:`Unit.requires
+    <repro.core.units.Unit.requires>`).  ``tables`` themselves stay on
+    the worker: a unit that declares ``"site.read"`` reads them there.
+    """
+
+    name: str = ""
+    accuracy: Optional[float] = None
+    services: tuple[str, ...] = ()
+    tables: dict[str, TableData] = field(default_factory=dict)
+
+    def attributes(self) -> dict[str, Any]:
+        """The advertisement attributes of the fields that are set."""
+        attrs = {
+            "site": self.name,
+            "accuracy": self.accuracy,
+            "services": tuple(self.services),
+            "tables": tuple(sorted(self.tables)),
+        }
+        return {k: v for k, v in attrs.items() if v not in ("", None, ())}
+
+
 @dataclass
 class _Deployment:
     spec: DeploymentSpec
@@ -120,8 +154,10 @@ class TrianaService:
         sandbox: Optional[SandboxPolicy] = None,
         efficiency: float = 1.0,
         modules: ModuleSettings = ModuleSettings(),
+        site: Optional[Site] = None,
     ):
         self.peer = peer
+        self.site = site
         self.sim: Simulator = peer.sim
         self.sandbox = sandbox or SandboxPolicy()
         self.cache = ModuleCache(peer, repository_host, modules=modules)
@@ -163,16 +199,16 @@ class TrianaService:
     # -- advertisement -----------------------------------------------------------
     def advertisement(self) -> Advertisement:
         p = self.peer.profile
+        attrs = {
+            "kind": WORKER_SERVICE_KIND,
+            "host": self.peer.peer_id,
+            "cpu_flops": p.cpu_flops,
+            "free_ram": p.ram_bytes,
+        }
+        if self.site is not None:
+            attrs.update(self.site.attributes())
         return Advertisement.make(
-            ADV_SERVICE,
-            f"triana:{self.peer.peer_id}",
-            self.peer.peer_id,
-            attrs={
-                "kind": WORKER_SERVICE_KIND,
-                "host": self.peer.peer_id,
-                "cpu_flops": p.cpu_flops,
-                "free_ram": p.ram_bytes,
-            },
+            ADV_SERVICE, f"triana:{self.peer.peer_id}", self.peer.peer_id, attrs=attrs
         )
 
     # -- heartbeats ---------------------------------------------------------------
@@ -260,6 +296,12 @@ class TrianaService:
             self.sandbox.check_ram(
                 sum(type(u).RAM_ESTIMATE for u in engine.units.values())
             )
+            # The sandbox admitted every unit that declares SITE_READ:
+            # those, and only those, read this site's tables.
+            tables = MappingProxyType(self.site.tables if self.site else {})
+            for unit in engine.units.values():
+                if SITE_READ in type(unit).REQUIRED_PERMISSIONS:
+                    unit.site_tables = tables
         except Exception as exc:  # a fetch, sandbox or build failure refuses
             self.stats.deploy_failures += 1
             span.end(outcome="failed", error=type(exc).__name__)

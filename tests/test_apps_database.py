@@ -1,23 +1,27 @@
-"""Tests for the database-pipeline scenario (Case 3)."""
+"""Tests for the database-pipeline scenario (Case 3).
+
+The pipeline runs on the grid: its four stages are one ``p2p`` group,
+and each goes to a worker whose advertised :class:`Site` offers it.
+"""
 
 import numpy as np
 import pytest
 
+from repro import ConsumerGrid
+from repro.analysis.workloads import CASE3_GRID
 from repro.apps.database import (
     Database,
     DatabaseError,
-    DatabasePipeline,
-    DatabaseSite,
     QuerySpec,
     apply_manipulation,
     apply_where,
-    run_pipeline,
+    database_graph,
     verify_table,
     visualise_table,
 )
 from repro.core import TableData
-from repro.p2p import CentralIndexDiscovery, Peer, SimNetwork
-from repro.simkernel import Simulator
+from repro.service import SchedulingError
+from repro.service.worker import Site
 
 CSV = """name, mass, distance
 ngc1234, 11.5, 30
@@ -125,127 +129,106 @@ class TestQueryPieces:
 
     def test_verify(self):
         t = sample_db().table("galaxies")
-        ok = verify_table(t, QuerySpec(table="galaxies", expect_min_rows=3))
+        ok = verify_table(t, expect_min_rows=3)
         assert ok["ok"] and ok["rows"] == 5
-        bad = verify_table(t, QuerySpec(table="galaxies", expect_min_rows=10))
+        bad = verify_table(t, expect_min_rows=10)
         assert not bad["ok"]
         assert "expected at least 10" in bad["problems"][0]
 
 
-def build_scenario(n_sites=3):
-    """Sites at different 'geographic' peers, one user peer."""
-    sim = Simulator(seed=31)
-    net = SimNetwork(sim, jitter_fraction=0.0)
-    disc = CentralIndexDiscovery(query_window=1.0)
-    index = Peer("index", net)
-    disc.attach(index)
-    disc.set_index(index)
+def sites(**changes):
+    """Three sites: the archive hosts the table and a rough manipulation
+    service, a compute site an accurate one and the visualisation, a
+    bureau the verification.  ``changes`` replaces a site by name."""
+    tables = {"galaxies": sample_db().table("galaxies")}
+    out = {
+        "site-0": Site("site-0", 0.6, ("data-access", "data-manipulate"), tables),
+        "site-1": Site("site-1", 0.9, ("data-manipulate", "data-visualise")),
+        "site-2": Site("site-2", 0.8, ("data-verify",)),
+    }
+    out.update(changes)
+    return out
 
-    sites = []
-    # Site 0: the archive — hosts the database + access; lower accuracy
-    # manipulate.  Site 1: compute site with high-accuracy manipulate +
-    # visualise.  Site 2: verification bureau.
-    db = sample_db()
-    p0 = Peer("site-0", net)
-    disc.attach(p0)
-    sites.append(DatabaseSite(p0, disc, database=db,
-                              kinds=("data-access", "data-manipulate"),
-                              accuracy=0.6))
-    p1 = Peer("site-1", net)
-    disc.attach(p1)
-    sites.append(DatabaseSite(p1, disc,
-                              kinds=("data-manipulate", "data-visualise"),
-                              accuracy=0.9))
-    p2 = Peer("site-2", net)
-    disc.attach(p2)
-    sites.append(DatabaseSite(p2, disc, kinds=("data-verify",), accuracy=0.8))
 
-    user_peer = Peer("user", net)
-    disc.attach(user_peer)
-    user = DatabasePipeline(user_peer, disc)
-    sim.run()  # settle advertisements
-    return sim, sites, user
+def build_scenario(**changes):
+    """A grid of one plain volunteer plus the sites, settled."""
+    grid = ConsumerGrid(CASE3_GRID, seed=31)
+    for name, site in sites(**changes).items():
+        grid.add_worker(name, site=site)
+    grid.sim.run()  # settle advertisements
+    return grid
+
+
+SPEC = QuerySpec(
+    table="galaxies",
+    where=(("mass", ">", 10.0),),
+    manipulate=("sort_desc", "mass"),
+    x_column="distance",
+    y_column="mass",
+    expect_min_rows=2,
+)
+
+
+def run(grid, spec=SPEC):
+    report = grid.run(database_graph(spec), iterations=1)
+    (result,) = report.group_results[0]
+    return report, result
 
 
 class TestSites:
     def test_access_requires_database(self):
-        sim = Simulator()
-        net = SimNetwork(sim)
-        disc = CentralIndexDiscovery()
-        p = Peer("p", net)
-        disc.attach(p)
-        disc.set_index(p)
-        with pytest.raises(DatabaseError):
-            DatabaseSite(p, disc, kinds=("data-access",))
+        # a site offering data access without the table is never chosen
+        grid = build_scenario(**{"site-0": Site(
+            "site-0", 0.6, ("data-access", "data-manipulate"))})
+        with pytest.raises(SchedulingError, match="'Access'.*tables='galaxies'"):
+            run(grid)
 
     def test_unknown_kind_rejected(self):
-        sim = Simulator()
-        net = SimNetwork(sim)
-        disc = CentralIndexDiscovery()
-        p = Peer("p", net)
-        disc.attach(p)
-        disc.set_index(p)
-        with pytest.raises(DatabaseError):
-            DatabaseSite(p, disc, kinds=("data-teleport",))
+        # a stage whose service no site offers fails at deploy, by name
+        grid = build_scenario(**{"site-2": Site("site-2", 0.8, ("data-teleport",))})
+        with pytest.raises(SchedulingError, match="'Verify'.*services='data-verify'"):
+            run(grid)
+        assert grid.transport.stats.by_kind.get("triana-deploy", 0) == 0
 
 
 class TestPipeline:
     def test_discovery_finds_all_stages(self):
-        sim, sites, user = build_scenario()
-        ev = user.discover_services()
-        by_kind = sim.run(until=ev)
-        assert len(by_kind["data-access"]) == 1
-        assert len(by_kind["data-manipulate"]) == 2  # two candidate sites
-        assert len(by_kind["data-visualise"]) == 1
-        assert len(by_kind["data-verify"]) == 1
+        grid = build_scenario()
+        grid.discover_workers()
+        offered = {
+            w: attrs.get("services", ()) for w, attrs in grid.controller.adverts.items()
+        }
+        assert offered == {
+            "site-0": ("data-access", "data-manipulate"),
+            "site-1": ("data-manipulate", "data-visualise"),
+            "site-2": ("data-verify",),
+            "worker-0": (),
+        }
+        assert grid.controller.adverts["site-0"]["tables"] == ("galaxies",)
 
     def test_bind_prefers_accuracy(self):
         """"the user may be asked to select a service based on ...
-        accuracy" — the default preference picks the accurate site."""
-        sim, sites, user = build_scenario()
-        by_kind = sim.run(until=user.discover_services())
-        chosen = user.bind(by_kind)
-        assert chosen["data-manipulate"]["site"] == "site-1"
-        assert chosen["data-access"]["site"] == "site-0"
-
-    def test_bind_custom_preference(self):
-        sim, sites, user = build_scenario()
-        by_kind = sim.run(until=user.discover_services())
-        chosen = user.bind(by_kind, preference=lambda a: -a.get("accuracy", 0))
-        assert chosen["data-manipulate"]["site"] == "site-0"
+        accuracy" — the accurate site gets the manipulation."""
+        report, _ = run(build_scenario())
+        access, manipulate, _vis, _ver = report.placements.values()
+        assert (access, manipulate) == ("site-0", "site-1")
 
     def test_bind_missing_stage(self):
-        sim, sites, user = build_scenario()
-        by_kind = sim.run(until=user.discover_services())
-        by_kind["data-verify"] = []
-        with pytest.raises(DatabaseError):
-            user.bind(by_kind)
+        grid = build_scenario(**{"site-2": Site("site-2", 0.8)})
+        with pytest.raises(SchedulingError, match="no worker advertises"):
+            run(grid)
 
     def test_end_to_end_pipeline(self):
-        sim, sites, user = build_scenario()
-        spec = QuerySpec(
-            table="galaxies",
-            where=(("mass", ">", 10.0),),
-            manipulate=("sort_desc", "mass"),
-            x_column="distance",
-            y_column="mass",
-            expect_min_rows=2,
-        )
-        done = run_pipeline(user, sites, spec)
-        envelope = sim.run(until=done)
-        assert envelope["report"]["ok"]
-        assert envelope["table"].column("name") == ["m87", "m31", "ngc1234"]
-        assert len(envelope["graph"].x) == 3
-        # Trail records each geographic hop in pipeline order.
-        assert [s.split("@")[0] for s in envelope["trail"]] == [
-            "data-access", "data-manipulate", "data-visualise", "data-verify",
-        ]
-        assert [s.split("@")[1] for s in envelope["trail"]] == [
+        report, result = run(build_scenario())
+        assert result.report["ok"]
+        assert result.table.column("name") == ["m87", "m31", "ngc1234"]
+        assert len(result.graph.x) == 3
+        # one geographic hop per stage, in pipeline order
+        assert list(report.placements.values()) == [
             "site-0", "site-1", "site-1", "site-2",
         ]
 
     def test_pipeline_verification_failure_reported(self):
-        sim, sites, user = build_scenario()
         spec = QuerySpec(
             table="galaxies",
             where=(("mass", ">", 100.0),),  # matches nothing
@@ -253,6 +236,6 @@ class TestPipeline:
             y_column="mass",
             expect_min_rows=1,
         )
-        envelope = sim.run(until=run_pipeline(user, sites, spec))
-        assert not envelope["report"]["ok"]
-        assert envelope["report"]["rows"] == 0
+        _, result = run(build_scenario(), spec)
+        assert not result.report["ok"]
+        assert result.report["rows"] == 0

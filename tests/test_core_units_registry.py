@@ -175,9 +175,9 @@ class TestRegistry:
 
     def test_toolbox_categories(self):
         """``repro units`` offers exactly the categories DESIGN S5 states:
-        the toolbox's two and the two the farmed case-study apps register."""
+        the toolbox's two and the three the case-study apps register."""
         categories = {d.category for d in global_registry()}
-        assert categories == {"signal", "display", "galaxy", "inspiral"}
+        assert categories == {"signal", "display", "galaxy", "inspiral", "database"}
 
     def test_all_units_instantiable_with_defaults(self):
         reg = global_registry()

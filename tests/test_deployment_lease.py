@@ -137,6 +137,28 @@ def test_a_release_lost_to_a_controller_crash_is_drawn_by_the_next_beat():
     assert grid.transport.stats.by_kind["triana-release"] == 2
 
 
+def test_an_offline_askers_attempts_end_at_three_distinct_deadlines():
+    # The controller is offline: every deploy send raises.  Each attempt
+    # still waits out its own deadline, like a lost reply.
+    grid = ConsumerGrid(n_workers=1, seed=5)
+    deployer = grid.controller.deployer
+    deployer.deploy_timeout = 3.0
+    sends = []
+    send = deployer._send
+
+    def recording_send(worker, spec):
+        sends.append(grid.sim.now)
+        return send(worker, spec)
+
+    deployer._send = recording_send
+    grid.controller_peer.go_offline()
+    t0 = grid.sim.now
+    with pytest.raises(DeploymentError, match="after 3 attempts"):
+        grid.run(fig1_grouped(), iterations=1, workers=["worker-0"])
+    assert sends == pytest.approx([t0, t0 + 1.0, t0 + 2.0])
+    assert grid.sim.now == pytest.approx(t0 + 3.0)
+
+
 def test_a_long_pipeline_keeps_every_stage_beating_until_its_release():
     # 1 s beats and a p2p run of ~40 s: forty intervals, where a beat
     # lease of ten would have run out

@@ -118,7 +118,7 @@ class TestBottlenecks:
         grid, _ = _traced_run()
         bn = bottlenecks(grid.sim.tracer)
         assert set(bn["seconds"]) == {
-            "compute", "repo_fetch", "peer_fetch", "revalidate", "discovery",
+            "compute", "repo_fetch", "peer_fetch", "discovery",
             "redispatch_recovery", "verification_overhead", "network_transfer",
         }
 
@@ -126,14 +126,11 @@ class TestBottlenecks:
         grid, _ = _traced_run()
         bn = bottlenecks(grid.sim.tracer)
         assert bn["module_fetch_s"] == pytest.approx(
-            bn["seconds"]["repo_fetch"]
-            + bn["seconds"]["peer_fetch"]
-            + bn["seconds"]["revalidate"],
+            bn["seconds"]["repo_fetch"] + bn["seconds"]["peer_fetch"],
             abs=1e-12,
         )
         # The seed protocol fetches from the repository only.
         assert bn["seconds"]["peer_fetch"] == 0.0
-        assert bn["seconds"]["revalidate"] == 0.0
 
 
 class TestUtilization:

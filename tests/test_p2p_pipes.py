@@ -1,18 +1,24 @@
-"""Tests for pipes and the JXTAServe facade."""
+"""Tests for pipes, and for the paper's JXTAServe service model.
+
+JXTAServe's services advertise what they offer and are found by it;
+here a service is a worker, and what it offers is its :class:`Site`.
+"""
 
 import pytest
 
+from repro import ConsumerGrid, TaskGraph
 from repro.core import SampleSet
 from repro.p2p import (
     ADV_SERVICE,
     CentralIndexDiscovery,
-    JxtaServe,
+    NetworkError,
     Peer,
     PipeError,
     SimNetwork,
-    input_pipe_name,
 )
+from repro.p2p.advertisement import AttrPredicate
 from repro.p2p.pipes import PipeManager
+from repro.service.worker import Site
 from repro.simkernel import Simulator
 
 import numpy as np
@@ -53,6 +59,12 @@ class TestPipes:
         with pytest.raises(PipeError):
             mgrs[1].create_input("dup")
 
+    def test_one_manager_per_peer(self):
+        # the manager owns the peer's pipe-data handler
+        sim, net, disc, peers, mgrs = build()
+        with pytest.raises(NetworkError, match="already handles 'pipe-data'"):
+            PipeManager(peers[1], disc)
+
     def test_payload_size_inferred_from_triana_type(self):
         sim, net, disc, peers, mgrs = build()
         mgrs[1].create_input("sig")
@@ -73,104 +85,72 @@ class TestPipes:
         sim.run()
         assert list(inp.store.items) == [0, 1, 2, 3, 4]
 
-    def test_callback_invoked(self):
+    def test_sends_on_one_instant_arrive_in_one_event(self):
+        # The 100 sends land on one instant, so one arrival event
+        # delivers all of them, in order; each payload's store put is an
+        # event of its own.
         sim, net, disc, peers, mgrs = build()
-        seen = []
-        mgrs[1].create_input("cb", callback=seen.append)
-        out = mgrs[2].create_output("cb")
-        out.bind_direct("peer-1")
-        out.send("x")
-        sim.run()
-        assert seen == ["x"]
-
-    def test_callback_pipe_keeps_nothing(self):
-        # A callback consumes the payload: the store stays empty and a
-        # delivery costs no kernel event of its own.  The 100 sends land
-        # on one instant, so one arrival event delivers all of them.
-        sim, net, disc, peers, mgrs = build()
-        seen = []
-        inp = mgrs[1].create_input("cb", callback=seen.append)
-        out = mgrs[2].create_output("cb")
+        inp = mgrs[1].create_input("burst")
+        out = mgrs[2].create_output("burst")
         out.bind_direct("peer-1")
         sim.run()
         before = sim.events_executed
         for i in range(100):
             out.send(i, size_bytes=10)
         sim.run()
-        assert seen == list(range(100)) and inp.received == 100
-        assert len(inp.store.items) == 0
-        assert sim.events_executed - before == 1  # one arrival per instant
+        assert list(inp.store.items) == list(range(100)) and inp.received == 100
+        assert sim.events_executed - before == 1 + 100  # one arrival, 100 puts
 
-    def test_callback_pipe_on_distinct_instants(self):
+    def test_sends_on_distinct_instants_arrive_one_event_each(self):
         # Each send lands on an instant of its own: one arrival per send.
         sim, net, disc, peers, mgrs = build()
-        seen = []
-        inp = mgrs[1].create_input("cb", callback=seen.append)
-        out = mgrs[2].create_output("cb")
+        inp = mgrs[1].create_input("spread")
+        out = mgrs[2].create_output("spread")
         out.bind_direct("peer-1")
         sim.run()
         before = sim.events_executed
         for i in range(100):
             out.send(i, size_bytes=10)
             sim.run()
-        assert seen == list(range(100)) and inp.received == 100
-        assert len(inp.store.items) == 0
-        assert sim.events_executed - before == 100  # one arrival per send
+        assert list(inp.store.items) == list(range(100)) and inp.received == 100
+        assert sim.events_executed - before == 100 + 100  # an arrival per send
 
 
 class TestJxtaServe:
     def test_service_registration_and_discovery(self):
-        sim, net, disc, peers, _ = build()
-        serve1 = JxtaServe(peers[1], disc)
-        serve2 = JxtaServe(peers[2], disc)
-        serve1.register_service("analysis-a", kind="analysis")
-        sim.run()
-        ev = disc.query(
-            peers[2], adv_type=ADV_SERVICE,
-            predicate=lambda attrs: attrs.get("kind") == "analysis",
+        grid = ConsumerGrid(n_workers=1, seed=3)
+        grid.add_worker("analysis-a", site=Site("lab", 0.5, ("analysis",)))
+        grid.sim.run()
+        ev = grid.discovery.query(
+            grid.controller_peer, adv_type=ADV_SERVICE,
+            predicate=AttrPredicate.make(equals={"site": "lab"}),
         )
-        results = sim.run(until=ev)
-        assert [a.name for a in results] == ["analysis-a"]
-        assert results[0].attributes["host"] == "peer-1"
+        (adv,) = grid.sim.run(until=ev)
+        attrs = adv.attributes
+        assert attrs["host"] == "analysis-a"
+        assert (attrs["accuracy"], attrs["services"]) == (0.5, ("analysis",))
+        assert "tables" not in attrs  # written only when set
 
     def test_duplicate_service_rejected(self):
-        sim, net, disc, peers, _ = build()
-        serve = JxtaServe(peers[1], disc)
-        serve.register_service("svc", kind="k")
-        with pytest.raises(PipeError):
-            serve.register_service("svc", kind="k")
-
-    def test_service_needs_control_input(self):
-        sim, net, disc, peers, _ = build()
-        serve = JxtaServe(peers[1], disc)
-        with pytest.raises(PipeError):
-            serve.register_service("bad", kind="k", num_inputs=0)
+        grid = ConsumerGrid(n_workers=1, seed=3)
+        grid.add_worker("svc", site=Site("lab"))
+        with pytest.raises(NetworkError, match="already registered"):
+            grid.add_worker("svc", site=Site("lab"))
 
     def test_pipeline_of_services(self):
-        """Two services chained via discovered pipes, data flows through."""
-        sim, net, disc, peers, _ = build()
-        serve1 = JxtaServe(peers[1], disc)
-        serve2 = JxtaServe(peers[2], disc)
-        results = []
-
-        def double(node, payload, svc):
-            svc.emit(0, payload * 2, size_bytes=16)
-
-        def collect(node, payload, svc):
-            results.append(payload)
-
-        doubler = serve1.register_service("doubler", kind="map", num_outputs=1, handler=double)
-        serve2.register_service("sink", kind="sink", handler=collect)
-        sim.run()
-        doubler.connect_direct(0, "sink", 0, "peer-2")
-        # Inject data into the doubler's input pipe directly.
-        serve1.pipes.inputs[input_pipe_name("doubler", 0)]._deliver(21)
-        sim.run()
-        assert results == [42]
-
-    def test_emit_unconnected(self):
-        sim, net, disc, peers, _ = build()
-        serve = JxtaServe(peers[1], disc)
-        svc = serve.register_service("s", kind="k", num_outputs=1)
-        with pytest.raises(PipeError):
-            svc.emit(0, "data")
+        """Two stages on two peers: data flows peer to peer, and only
+        the last stage reports to the controller."""
+        g = TaskGraph("two-stage")
+        g.add_task("Wave", "Wave", samples=64)
+        g.add_task("Gain", "Gain", factor=2.0)
+        g.add_task("Probe", "ScopeProbe")
+        g.add_task("Sink", "Grapher")
+        for a, b in [("Wave", "Gain"), ("Gain", "Probe"), ("Probe", "Sink")]:
+            g.connect(a, 0, b, 0)
+        g.group_tasks("Chain", ["Gain", "Probe"], policy="p2p")
+        grid = ConsumerGrid(n_workers=2, seed=3)
+        report = grid.run(g, iterations=2)
+        assert list(report.placements.values()) == ["worker-0", "worker-1"]
+        assert grid.transport.stats.by_kind["group-result"] == 2
+        (out,) = report.group_results[1]
+        np.testing.assert_allclose(np.abs(out.data).max(), 2.0, rtol=1e-6)

@@ -25,11 +25,19 @@ from hypothesis import strategies as st
 import repro.apps.galaxy  # noqa: F401  (registers the app units)
 from repro import ConsumerGrid, chaos
 from repro.analysis.workloads import pipeline_graph
+from repro.apps.database import QueryResult
 from repro.apps.inspiral import InspiralSearch, build_inspiral_graph
 from repro.core import TaskGraph, Unit, global_registry
 from repro.core import engine
 from repro.core.errors import UnitError
-from repro.core.types import ComplexSpectrum, Const, ParticleSnapshot, SampleSet, VectorType
+from repro.core.types import (
+    ComplexSpectrum,
+    Const,
+    ParticleSnapshot,
+    SampleSet,
+    TableData,
+    VectorType,
+)
 from repro.p2p import LAN_PROFILE
 from repro.service.policies.base import DispatchContext
 from repro.transport.wire import result_checksum
@@ -51,6 +59,9 @@ def memoized_units() -> list[str]:
 PARAMS = {
     "InspiralSearch": {"n_templates": 4},
     "ColumnDensity": {"resolution": 16},
+    "DataManipulate": {"manipulate": ["topk", "y", 5]},
+    "DataVisualise": {"x_column": "x", "y_column": "y"},
+    "DataVerify": {"expect_min_rows": 3},
 }
 
 _floats = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -70,6 +81,8 @@ def payload(draw, kind, n):
         m = draw(st.integers(1, 12))
         pos = np.resize(vec, (m, 3)) / 1e3
         return ParticleSnapshot(pos, np.full(m, 1.0 / m), np.full(m, 0.3))
+    if kind is QueryResult:
+        return QueryResult(TableData(["x", "y"], enumerate(vec.tolist())))
     raise AssertionError(f"no fixture for {kind.__name__}")
 
 
