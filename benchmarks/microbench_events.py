@@ -14,8 +14,10 @@ replicated iteration costs (``computes_per_replicated_iteration``),
 what the replica sharing tables still hold after such a run
 (``shared_entries_after_run``),
 the ``Timeout`` events one worker heartbeat allocates
-(``timeouts_per_beat``), the named-stream lookups one send makes with
-every chaos fraction above zero (``rng_lookups_per_chaos_send``) and
+(``timeouts_per_beat``), the kernel events one heartbeat round of eight
+workers in lockstep takes (``events_per_beat_round``), the named-stream
+lookups one send makes with every chaos fraction above zero
+(``rng_lookups_per_chaos_send``) and
 the bytes a recording tracer still holds per executed kernel event
 when nothing was recorded (``tracer_bytes_per_event``).
 A count does not depend on the runner, so it gates: the script exits
@@ -66,7 +68,8 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 #: collector").  Bounds, not equalities: interpreter versions differ in
 #: what they track.  ``events_per_burst`` and ``events_per_hop`` are
 #: kernel events, exact on any interpreter ("One arrival event per
-#: instant", "A stage hop: what one execution schedules").  The rest
+#: instant", "A stage hop: what one execution schedules"), and so is
+#: ``events_per_beat_round`` ("A heartbeat round is one timer").  The rest
 #: are exact counts too ("A replicated execution is computed once", "A
 #: heartbeat is one scheduled call"); ``tracer_bytes_per_event`` is bytes,
 #: rounded to one decimal, so a per-run constant reads as zero.
@@ -75,6 +78,7 @@ ALLOC_BUDGET = {
     "events_per_burst": 1.0, "events_per_hop": 3.0,
     "computes_per_replicated_iteration": 1.0,
     "shared_entries_after_run": 0.0, "timeouts_per_beat": 0.0,
+    "events_per_beat_round": 2.0,
     "rng_lookups_per_chaos_send": 0.0, "tracer_bytes_per_event": 0.0,
 }
 
@@ -228,6 +232,22 @@ def shared_entries_after_run() -> float:
     return float(len(set(engine._shared) - shared) + len(set(engine._memo) - memo))
 
 
+def held_deployments(grid: ConsumerGrid) -> None:
+    """Deploy a one-unit graph that beats every second onto each of
+    ``grid``'s workers, all at once, and run until every one is acked."""
+    graph = TaskGraph("held")
+    graph.add_task("Source", "Wave", samples=8)
+    xml = graph_to_string(graph)
+    specs = [
+        (worker, DeploymentSpec(
+            deployment_id=f"dep-{worker}", controller=grid.controller.peer.peer_id,
+            xml=xml, external_inputs=(), output_spec=(), heartbeat_interval=1.0,
+        ))
+        for worker in sorted(grid.workers)
+    ]
+    grid.sim.run(until=grid.sim.process(grid.controller.deployer.deploy_all(specs)))
+
+
 def timeouts_per_beat(seconds: int = 400) -> float:
     """``Timeout`` events per heartbeat of one worker that holds a
     deployment for ``seconds``, beating every second toward its
@@ -235,14 +255,7 @@ def timeouts_per_beat(seconds: int = 400) -> float:
     grid = ConsumerGrid(n_workers=1, seed=1)
     (worker,) = grid.workers.values()
     deployer, sim = grid.controller.deployer, grid.sim
-    graph = TaskGraph("held")
-    graph.add_task("Source", "Wave", samples=8)
-    spec = DeploymentSpec(
-        deployment_id="dep-held", controller=grid.controller.peer.peer_id,
-        xml=graph_to_string(graph), external_inputs=(), output_spec=(),
-        heartbeat_interval=1.0,
-    )
-    sim.run(until=sim.process(deployer.deploy_all([("worker-0", spec)])))
+    held_deployments(grid)
     start = sim.now
     sim.call_at(start + seconds, deployer.release_all)
     made = 0
@@ -259,6 +272,24 @@ def timeouts_per_beat(seconds: int = 400) -> float:
     finally:
         Timeout.__init__ = init
     return round(made / worker.stats.heartbeats_sent, 1)
+
+
+def events_per_beat_round(n_workers: int = 8, seconds: int = 100) -> float:
+    """Kernel events per heartbeat round of ``n_workers`` workers that
+    were deployed onto at once, each holding its deployment and beating
+    every second toward the controller: one drive cohort resumes every
+    heartbeat loop and one arrival burst delivers their beats.  The
+    count starts once the deploy's own timers (the module fetches' 30 s
+    timeouts) have fired."""
+    grid = ConsumerGrid(n_workers=n_workers, seed=1)
+    sim, workers = grid.sim, grid.workers.values()
+    held_deployments(grid)
+    sim.run(until=sim.now + 60.5)
+    events = sim.events_executed
+    beats = sum(w.stats.heartbeats_sent for w in workers)
+    sim.run(until=sim.now + seconds)
+    rounds = (sum(w.stats.heartbeats_sent for w in workers) - beats) / n_workers
+    return round((sim.events_executed - events) / rounds, 1)
 
 
 def rng_lookups_per_chaos_send(n: int = 1000) -> float:
@@ -318,7 +349,7 @@ def main(argv=None) -> int:
                         help="output JSON path")
     args = parser.parse_args(argv)
 
-    result = {"schema": 8}
+    result = {"schema": 9}
     for name, measure, unit in (
         ("allocs_per_call_at", allocs_per_call_at, "GC-tracked objects"),
         ("allocs_per_message", allocs_per_message, "GC-tracked objects"),
@@ -329,6 +360,7 @@ def main(argv=None) -> int:
          "host computations"),
         ("shared_entries_after_run", shared_entries_after_run, "table entries"),
         ("timeouts_per_beat", timeouts_per_beat, "Timeout events"),
+        ("events_per_beat_round", events_per_beat_round, "kernel events"),
         ("rng_lookups_per_chaos_send", rng_lookups_per_chaos_send, "stream lookups"),
         ("tracer_bytes_per_event", tracer_bytes_per_event, "bytes"),
     ):

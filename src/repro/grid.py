@@ -49,7 +49,7 @@ from .p2p.peer import Peer
 from .resources.availability import AvailabilityModel
 from .service.controller import RunReport, TrianaController
 from .service.worker import Site, TrianaService
-from .simkernel import Simulator, check_horizon
+from .simkernel import Event, Simulator, check_horizon
 from .transport import RealtimeSimulator, TcpTransport
 
 __all__ = ["ConsumerGrid", "GridNode", "DISCOVERY", "PORTAL_ID", "CONTROLLER_ID"]
@@ -66,6 +66,13 @@ DISCOVERY: dict[str, type[DiscoveryService]] = {
     "flooding": FloodingDiscovery,
     "rendezvous": RendezvousDiscovery,
 }
+
+
+def _raise_if_failed(run: Event) -> None:
+    """A run that failed ends :meth:`ConsumerGrid.run` at the instant it
+    failed, not at its horizon."""
+    if not run.ok:
+        run.value  # a failed event's value is its error, raised
 
 
 class GridNode:
@@ -238,6 +245,10 @@ class GridNode:
         ``replicate-<k>`` | ``spot-<p>``, see
         :mod:`repro.service.integrity`) — the defence against the chaos
         layer's saboteur faults.
+        ``run_until`` bounds the run in simulated time: a run still going
+        there raises ``TimeoutError``, and one that fails before (a unit
+        raising on a worker is a :class:`~repro.core.errors.UnitError`)
+        raises its error at the instant it fails.
         ``trace_out`` writes the run's trace to that path afterwards
         (``.json`` → Chrome/Perfetto, ``.jsonl`` → event log,
         ``.txt``/``.log`` → text timeline) and switches tracing on for
@@ -267,6 +278,7 @@ class GridNode:
             verification=verification,
         )
         if run_until is not None:
+            done.callbacks.append(_raise_if_failed)
             self.sim.run(until=run_until)
             if not done.processed:
                 raise TimeoutError(

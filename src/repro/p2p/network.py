@@ -90,23 +90,33 @@ LAN_PROFILE = NodeProfile(
 )
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Message:
     """One network message.
 
     ``slots=True``: a 100k-peer swarm allocates one of these per
     heartbeat/gossip hop, so the instance dict is worth eliminating.
+    The ``__init__`` is written out, not generated, so the size check
+    costs no ``__post_init__`` call; it takes exactly the fields in
+    declaration order, which the wire codec's positional decoder needs.
     """
 
     kind: str
     src: str
     dst: str
-    payload: Any = None
-    size_bytes: int = 256
+    payload: Any
+    size_bytes: int
 
-    def __post_init__(self):
-        if self.size_bytes < 0:
+    def __init__(
+        self, kind: str, src: str, dst: str, payload: Any = None, size_bytes: int = 256
+    ):
+        if size_bytes < 0:
             raise ValueError("size_bytes must be >= 0")
+        self.kind = kind
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.size_bytes = size_bytes
 
 
 @dataclass(slots=True)
@@ -310,6 +320,9 @@ class SimNetwork(Transport):
         # Bound once: a fresh bound method per burst would be one more
         # object for the GC while the burst is pending.
         self._on_arrival = self._deliver_burst
+        # Bound once, like _on_arrival: the join test in _arrive is then
+        # one call (Simulator.last_at is itself the queue's method).
+        self._last_at = sim.last_at
         # One block-drawn stream per chaos decision, with send() its only
         # consumer: a draw is a generator resumption, not a numpy call.
         self._jitter_u = sim.draws("net-jitter")
@@ -361,8 +374,10 @@ class SimNetwork(Transport):
             )
 
     def is_online(self, node_id: str) -> bool:
-        self._require(node_id)
-        return self._online[node_id]
+        try:
+            return self._online[node_id]
+        except KeyError:
+            raise NetworkError(f"unknown node {node_id!r}") from None
 
     # -- straggler injection ---------------------------------------------------
     def set_speed_factor(self, node_id: str, factor: float) -> None:
@@ -533,7 +548,7 @@ class SimNetwork(Transport):
                     kind=message.kind, dst=message.dst, chaos=True,
                 )
         # In-flight accounting (read by the telemetry sampler): one copy
-        # per scheduled delivery; _deliver() balances each on arrival.
+        # per scheduled delivery; _deliver_burst() balances each on arrival.
         copies = 2 if duplicated else 1
         stats.in_flight += copies
         stats.in_flight_bytes += size * copies
@@ -570,7 +585,7 @@ class SimNetwork(Transport):
         sim = self.sim
         now = sim.now
         when = now + (at - now)  # the float call_at(at) lands on
-        if when == self._burst_at and sim.last_at(when) is self._burst_event:
+        if when == self._burst_at and self._last_at(when) is self._burst_event:
             self._burst.append(message)
             return
         burst = [message]
@@ -578,11 +593,43 @@ class SimNetwork(Transport):
         self._burst, self._burst_at = burst, when
 
     def _deliver_burst(self, messages: list[Message]) -> None:
-        """Deliver a burst's messages in send order, each by :meth:`_deliver`."""
+        """Arrival of a burst's in-flight copies, in send order: hand each
+        to its destination's handler, unless the destination went offline
+        (or was partitioned away) while it was in flight.
+
+        The tables are read once per burst.  Each is mutated in place, so
+        a handler that takes a node offline or cuts a partition is seen
+        by the rest of the burst.
+        """
+        stats = self.stats
+        tracer = self.sim.tracer
+        traced = tracer.enabled
+        online = self._online
+        cuts = self._cuts
+        handlers = self._handlers
         rest = iter(messages)
         try:
             for message in rest:
-                self._deliver(message)
+                dst = message.dst
+                stats.in_flight -= 1
+                stats.in_flight_bytes -= message.size_bytes
+                if not online.get(dst, False):
+                    stats.dropped_offline += 1
+                    if traced:
+                        self._trace_drop(tracer, message, "offline")
+                    continue
+                if cuts and self.partitioned(message.src, dst):
+                    stats.dropped_partition += 1
+                    if traced:
+                        self._trace_drop(tracer, message, "partition")
+                    continue
+                stats.delivered += 1
+                if traced:
+                    tracer.instant(
+                        "net.recv", category="p2p", track=dst,
+                        kind=message.kind, src=message.src, size=message.size_bytes,
+                    )
+                handlers[dst](message)
         except BaseException:
             # A resumed run delivers the rest first, as the separate
             # arrival events queued ahead of everything else would.
@@ -590,33 +637,6 @@ class SimNetwork(Transport):
             if undelivered:
                 self.sim.call_first(self._on_arrival, undelivered)
             raise
-
-    def _deliver(self, message: Message) -> None:
-        """Arrival of one in-flight copy of ``message``: hand it to the
-        destination's handler, unless the destination went offline (or
-        was partitioned away) while it was in flight."""
-        stats = self.stats
-        tracer = self.sim.tracer
-        dst = message.dst
-        stats.in_flight -= 1
-        stats.in_flight_bytes -= message.size_bytes
-        if not self._online.get(dst, False):
-            stats.dropped_offline += 1
-            if tracer.enabled:
-                self._trace_drop(tracer, message, "offline")
-            return
-        if self._cuts and self.partitioned(message.src, dst):
-            stats.dropped_partition += 1
-            if tracer.enabled:
-                self._trace_drop(tracer, message, "partition")
-            return
-        stats.delivered += 1
-        if tracer.enabled:
-            tracer.instant(
-                "net.recv", category="p2p", track=dst,
-                kind=message.kind, src=message.src, size=message.size_bytes,
-            )
-        self._handlers[dst](message)
 
     def _trace_drop(self, tracer, message: Message, reason: str, chaos: bool = False) -> None:
         """Record a dropped/discarded frame, tagged with why it died."""
@@ -665,4 +685,4 @@ class SimNetwork(Transport):
             yield self.sim.timeout(message.size_bytes / p_dst.down_bps)
         finally:
             down.release(req)
-        self._deliver(message)
+        self._deliver_burst([message])

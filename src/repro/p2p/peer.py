@@ -92,9 +92,7 @@ class Peer:
         """Send a message; offline senders cannot transmit."""
         if not self.network.is_online(self.peer_id):
             raise PeerOfflineError(f"peer {self.peer_id!r} is offline")
-        return self.network.send(
-            Message(kind=kind, src=self.peer_id, dst=dst, payload=payload, size_bytes=size_bytes)
-        )
+        return self.network.send(Message(kind, self.peer_id, dst, payload, size_bytes))
 
     def ask(self, attempt: Callable[[], Event], what: str):
         """``yield from`` this: ``attempt()`` sends a request and returns its

@@ -26,12 +26,13 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..core.engine import LocalEngine, Probe
+from ..core.errors import UnitError
 from ..core.taskgraph import TaskGraph
 from ..p2p.advertisement import ADV_SERVICE, AttrPredicate
 from ..p2p.discovery import DiscoveryService
 from ..p2p.network import Message
 from ..p2p.peer import Peer
-from ..simkernel import Event, Simulator
+from ..simkernel import Event, Interrupt, Simulator
 from .deploy import DeploymentManager
 from .detector import HeartbeatFailureDetector
 from .errors import SchedulingError
@@ -105,8 +106,11 @@ class TrianaController:
         self.adverts: dict[str, dict[str, Any]] = {}
         #: the last local-zone engine of the most recent run
         self.last_downstream: Optional[LocalEngine] = None
+        #: the run in flight, until a unit error fails it
+        self._run: Optional[Event] = None
         peer.on("group-result", self._on_result)
         peer.on("triana-heartbeat", self._on_heartbeat)
+        peer.on("triana-unit-error", self._on_unit_error)
 
     def _next_deployment_id(self) -> str:
         return f"dep-{next(self._dep_ids)}"
@@ -122,6 +126,19 @@ class TrianaController:
         worker, dep_ids = message.payload
         self.detector.observe_heartbeat(worker, self.sim.now)
         self.deployer.release_strays(worker, dep_ids)
+
+    def _on_unit_error(self, message: Message) -> None:
+        """A unit raised on a worker: the run in flight fails at once with
+        a :class:`~repro.core.errors.UnitError` naming where.  Nothing is
+        redispatched: the same inputs would raise again."""
+        dep_id, iteration, error = message.payload
+        run, self._run = self._run, None
+        if run is None or dep_id not in self._ctx_of_dep:
+            return  # a previous run's, or this run failed already
+        run.interrupt(UnitError(
+            f"a unit raised on {message.src!r} in deployment {dep_id!r} at "
+            f"iteration {iteration} (t={self.sim.now:g}): {error}"
+        ))
 
     def _on_result(self, message: Message) -> None:
         dep_id, iteration, outputs = message.payload
@@ -194,12 +211,13 @@ class TrianaController:
             raise SchedulingError("iterations must be >= 1")
         # Fail fast on a bad spec, before the run process exists.
         make_verifier(verification)
-        return self.sim.process(
+        self._run = self.sim.process(
             self._run_proc(
                 graph, iterations, list(workers), probes, dispatch, verification
             ),
             name="triana-run",
         )
+        return self._run
 
     def _run_proc(
         self, graph, iterations, workers, probes, dispatch="round_robin",
@@ -214,7 +232,12 @@ class TrianaController:
             report = yield from self._run_proc_inner(
                 graph, iterations, workers, probes, dispatch, run_span, verification
             )
+        except Interrupt as stop:
+            raise stop.cause from None  # a unit error (_on_unit_error)
         finally:
+            # A failed run's deployments are a previous run's too: their
+            # late results and unit errors must not reach the next run.
+            self._run, self._ctx_of_dep = None, {}
             run_span.end()  # idempotent; closes the span on error paths
             self.deployer.release_all()
         report.tracing = self.sim.tracer.summary()
@@ -343,7 +366,6 @@ class TrianaController:
             ctx.policy.finalize(ctx)
             ctx.result_events = {}
             group_results = results
-        self._ctx_of_dep = {}
 
         redispatches = {
             key: sum(c.counters[key] for c in contexts)

@@ -111,10 +111,12 @@ class DeploymentManager:
 
     def release_strays(self, worker: str, dep_ids) -> None:
         """Answer a beat: release the ids it names that are not held (a
-        lost release, or a deploy that landed after the run gave it up)."""
-        strays = [d for d in dep_ids if d not in self._held]
-        if strays:
-            self._release(worker, strays)
+        lost release, or a deploy that landed after the run gave it up).
+        A beat that names only held ids, the common case, allocates
+        nothing."""
+        held = self._held
+        if not held.issuperset(dep_ids):
+            self._release(worker, [d for d in dep_ids if d not in held])
 
     def _release(self, worker: str, dep_ids: list[str]) -> None:
         if self.peer.online:  # an offline controller's release is lost

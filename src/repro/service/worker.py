@@ -171,6 +171,9 @@ class TrianaService:
         self.result_cache_size = 256
         self._hb_interval = 0.0
         self._hb_running = False
+        #: ``(controller, beat payload)`` per controller this worker holds
+        #: deployments from; None once those change, rebuilt by the next beat
+        self._beats: Optional[list[tuple[str, tuple[str, tuple[str, ...]]]]] = None
         peer.on("triana-deploy", self._on_deploy)
         peer.on("group-exec", self._on_exec)
         peer.on("triana-release", self._on_release)
@@ -224,17 +227,25 @@ class TrianaService:
         yield self._hb_interval
         while self.deployments or self._deploying:
             if self.peer.online:
-                held: dict[str, list[str]] = {}
-                for dep_id, dep in self.deployments.items():
-                    held.setdefault(dep.spec.controller, []).append(dep_id)
-                for controller, dep_ids in sorted(held.items()):
+                beats = self._beats
+                if beats is None:
+                    beats = self._beats = self._beat_payloads()
+                for controller, payload in beats:
                     self.stats.heartbeats_sent += 1
                     self.peer.send(
-                        controller, "triana-heartbeat",
-                        payload=(self.peer.peer_id, tuple(dep_ids)), size_bytes=48,
+                        controller, "triana-heartbeat", payload=payload, size_bytes=48
                     )
             yield self._hb_interval
         self._hb_running = False
+
+    def _beat_payloads(self) -> list[tuple[str, tuple[str, tuple[str, ...]]]]:
+        """``(controller, (worker, deployment ids))`` for each controller
+        this worker holds deployments from, in controller order."""
+        held: dict[str, list[str]] = {}
+        for dep_id, dep in self.deployments.items():
+            held.setdefault(dep.spec.controller, []).append(dep_id)
+        worker = self.peer.peer_id
+        return [(c, (worker, tuple(ids))) for c, ids in sorted(held.items())]
 
     def _on_release(self, message: Message) -> None:
         """Drop the named deployments this controller placed here; work
@@ -243,6 +254,7 @@ class TrianaService:
             dep = self.deployments.get(dep_id)
             if dep is not None and dep.spec.controller == message.src:
                 del self.deployments[dep_id]
+                self._beats = None
 
     # -- deployment --------------------------------------------------------------
     def _on_deploy(self, message: Message) -> None:
@@ -311,6 +323,7 @@ class TrianaService:
             return
         dep = _Deployment(spec=spec, engine=engine)
         self.deployments[spec.deployment_id] = dep
+        self._beats = None
         self.stats.deployments += 1
         span.end(outcome="deployed", units=len(required))
         dep.loop = self._exec_loop(dep)
@@ -370,9 +383,9 @@ class TrianaService:
         ``now + duration``, the instant ``sim.timeout(duration)`` fires
         at; a queued iteration resumes it at the current time; with the
         queue empty it idles until :meth:`_enqueue` wakes it.  A loop
-        that raises (a unit failing on this host) stops this deployment
-        only: its later iterations queue and never execute, and the
-        simulation runs on.
+        that raises (a unit failing on this host, which :meth:`_step`
+        reports to the controller) stops this deployment only: its later
+        iterations queue and never execute, and the simulation runs on.
         """
         try:
             ask = dep.loop.send(item)
@@ -391,7 +404,9 @@ class TrianaService:
         the engine on the boundary inputs and measure the modelled flops.
         Returns ``(outputs, flops, span)``; how the flops are charged is
         the caller's (a modelled sleep in :meth:`_exec_loop`, a kernel
-        process in ``tests/test_exec_loop.py``'s reference loop)."""
+        process in ``tests/test_exec_loop.py``'s reference loop).  A unit
+        that raises is reported to the controller in a
+        ``triana-unit-error`` and the exception propagates."""
         tracer = self.sim.tracer
         span = (
             tracer.begin(
@@ -402,7 +417,18 @@ class TrianaService:
             else None
         )
         flops_before = dep.engine.stats.modelled_flops
-        outputs_map = dep.engine.step(dict(zip(dep.spec.external_inputs, inputs)))
+        try:
+            outputs_map = dep.engine.step(dict(zip(dep.spec.external_inputs, inputs)))
+        except Exception as exc:
+            if span is not None:
+                span.end(error=type(exc).__name__)
+            if self.peer.online:
+                self.peer.send(
+                    dep.spec.controller, "triana-unit-error",
+                    payload=(dep.spec.deployment_id, iteration, f"{type(exc).__name__}: {exc}"),
+                    size_bytes=128,
+                )
+            raise
         flops = dep.engine.stats.modelled_flops - flops_before
         return [outputs_map[t][n] for t, n in dep.spec.output_spec], flops, span
 

@@ -378,9 +378,22 @@ class Simulator:
     def __init__(self, seed: int = 0, tracer=None):
         self.now: float = 0.0
         self._queue = CalendarQueue()
+        #: ``last_at(when)``: the pending event queued last at time
+        #: ``when``, or ``None``.  A caller that keeps an event it
+        #: scheduled at ``when`` learns from ``last_at(when) is event``
+        #: whether adding work to that event is the same as scheduling
+        #: new work at ``when``: nothing else would run in between.  The
+        #: event being processed is no longer pending.  It is the queue's
+        #: own method, so a lookup is one call.
+        self.last_at: Callable[[float], Optional[Event]] = self._queue.last_at
         self._rngs = RngRegistry(seed)
         self.events_executed = 0
         self._last_id = 0
+        # The drive cohort last scheduled (see drive): its loops, its
+        # instant and its kernel event.  -1.0 is no instant.
+        self._cohort: list[Generator] = []
+        self._cohort_at = -1.0
+        self._cohort_event: Optional[Event] = None
         self.tracer = tracer if tracer is not None else NullTracer()
         self.tracer.attach_clock(lambda: self.now)
 
@@ -482,34 +495,60 @@ class Simulator:
         self._queue.push_front(self.now, call)
         return call
 
-    def last_at(self, when: float) -> Optional[Event]:
-        """The pending event queued last at time ``when``, or ``None``.
-
-        A caller that keeps an event it scheduled at ``when`` learns from
-        ``last_at(when) is event`` whether adding work to that event is
-        the same as scheduling new work at ``when``: nothing else would
-        run in between.  The event being processed is no longer pending.
-        """
-        return self._queue.last_at(when)
-
     def drive(self, generator: Generator) -> None:
         """Run a loop that only ever waits for a delay, without a process.
 
         The generator yields delays in simulated seconds where process
         code would ``yield sim.timeout(delay)``.  It starts at the
         current time, in the queue slot a :class:`Process` start takes,
-        and each delay resumes it through one ``call_at`` event at
-        ``now + delay`` — the float that ``Timeout(delay)`` lands on, so
-        times and tie order are a process's.  A negative or NaN delay is
-        refused as ``Timeout`` refuses it: the :class:`SimTimeError` is
-        raised into the generator where it yielded.  Returning ends the
-        loop and schedules nothing; an exception ends this loop only, as
-        it ends a process nobody waits on, and the run goes on.
-        """
-        self._queue.push(self.now, _Call(self, self._drive, (generator,)))
+        and each delay resumes it at ``now + delay`` — the float that
+        ``Timeout(delay)`` lands on, so times and tie order are a
+        process's.  A negative or NaN delay is refused as ``Timeout``
+        refuses it: the :class:`SimTimeError` is raised into the
+        generator where it yielded.  Returning ends the loop and
+        schedules nothing; an exception ends this loop only, as it ends
+        a process nobody waits on, and the run goes on.
 
-    def _drive(self, generator: Generator, error: Optional[BaseException] = None) -> None:
+        Loops are resumed in *cohorts*: one ``call_at`` event resumes
+        every loop of a cohort, in the order they joined.  A loop whose
+        wake-up lands on the instant where a cohort is the last event
+        queued joins that cohort, which is the same as queueing its own
+        event right behind it — nothing could run in between (the
+        argument of :meth:`~repro.p2p.network.SimNetwork._arrive`).
+        Otherwise it starts a new cohort; a lone loop is a cohort of one.
+        So heartbeat loops that beat on the same instants cost one
+        kernel event per round, not one per loop.
+        """
+        self._wake(self.now, generator)
+
+    def _wake(self, when: float, generator: Generator) -> None:
+        """Resume ``generator`` at ``when``: in the cohort queued last
+        there, or in a new one."""
+        if when == self._cohort_at and self._queue.last_at(when) is self._cohort_event:
+            self._cohort.append(generator)
+            return
+        cohort = [generator]
+        call = self._cohort_event = _Call(self, self._resume_cohort, (cohort,))
+        self._queue.push(when, call)
+        self._cohort, self._cohort_at = cohort, when
+
+    def _resume_cohort(self, loops: list[Generator]) -> None:
+        """Resume a cohort's loops in the order they joined."""
+        rest = iter(loops)
+        try:
+            for generator in rest:
+                self._drive(generator)
+        except BaseException:
+            # A resumed run resumes the rest first, as their own events,
+            # queued ahead of everything else at this instant, would.
+            unresumed = list(rest)
+            if unresumed:
+                self.call_first(self._resume_cohort, unresumed)
+            raise
+
+    def _drive(self, generator: Generator) -> None:
         """One resumption of a :meth:`drive` loop."""
+        error = None
         while True:
             try:
                 delay = generator.send(None) if error is None else generator.throw(error)
@@ -518,7 +557,7 @@ class Simulator:
             if delay >= 0:  # False for NaN
                 break
             error = SimTimeError(f"negative or NaN timeout delay {delay!r}")
-        self._queue.push(self.now + float(delay), _Call(self, self._drive, (generator,)))
+        self._wake(self.now + float(delay), generator)
 
     def step(self) -> None:
         """Advance the clock to the next event and run its callbacks."""

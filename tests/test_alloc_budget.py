@@ -1,6 +1,6 @@
 """Deterministic budgets for the message path, an idle peer, a burst, a
-stage hop, a replicated iteration, a heartbeat, a chaos send and a
-traced event.
+stage hop, a replicated iteration, a heartbeat, a heartbeat round, a
+chaos send and a traced event.
 
 Every simulated message and timer crosses ``Simulator.call_at`` and
 ``SimNetwork.send``; on a 10k-peer heap what they *allocate* decides how
@@ -90,6 +90,15 @@ def test_a_heartbeat_allocates_no_timeout(microbench):
     # The loop is driven by one scheduled call per beat, not a Process
     # resumed by a fresh Timeout.
     assert microbench.timeouts_per_beat() <= microbench.ALLOC_BUDGET["timeouts_per_beat"]
+
+
+def test_a_heartbeat_round_is_one_timer_and_one_burst(microbench):
+    # Eight workers beat on the same instants: one drive cohort resumes
+    # every loop, and their beats land in one arrival burst.
+    assert (
+        microbench.events_per_beat_round()
+        <= microbench.ALLOC_BUDGET["events_per_beat_round"]
+    )
 
 
 def test_a_chaos_send_looks_up_no_stream(microbench):

@@ -19,7 +19,7 @@ from repro.apps.database import (
     verify_table,
     visualise_table,
 )
-from repro.core import TableData
+from repro.core import TableData, UnitError
 from repro.service import SchedulingError
 from repro.service.worker import Site
 
@@ -239,3 +239,16 @@ class TestPipeline:
         _, result = run(build_scenario(), spec)
         assert not result.report["ok"]
         assert result.report["rows"] == 0
+
+    def test_a_stage_that_raises_fails_the_run_where_it_raised(self):
+        """The visualisation stage asks for a column the table lacks: the
+        run fails at that instant with a UnitError naming the worker,
+        the deployment and the iteration, not at its horizon."""
+        grid = build_scenario()
+        spec = QuerySpec(table="galaxies", y_column="nope")
+        with pytest.raises(UnitError, match=(
+            r"raised on 'site-1' in deployment 'dep-\d+' at iteration 0 "
+            r"\(t=[0-9.]+\): KeyError: .*no column 'nope'"
+        )):
+            grid.run(database_graph(spec), iterations=1, run_until=3600)
+        assert grid.sim.now < 10.0

@@ -8,7 +8,9 @@ redispatches, counters, results and byte-identical traces, on generated
 deployments with releases, lost releases and offline windows, on
 generated farms with a chaos storm, and on the hostile farm.  What
 differs is the kernel's event count, by exactly one per loop that
-ended: the completion event of a process nobody waits on.
+ended (the completion event of a process nobody waits on) and one per
+wake-up that joined a drive cohort (the timeout a process waits on
+alone).
 """
 
 import hashlib
@@ -27,6 +29,7 @@ from repro.service.worker import DeploymentSpec
 from repro.simkernel import SimTimeError, Simulator
 from repro.transport.wire import result_checksum
 from tests.test_exec_loop import filter_chain
+from tests.test_simkernel_sim import counting_cohort_joins
 
 # -- the reference: a driven loop as a Process on Timeouts -------------------------------
 
@@ -76,14 +79,16 @@ def process_driven():
 
 def assert_same_schedule(build_and_run):
     """Run once on the reference and once driven; everything observed
-    matches and the event counts differ by the loops that ended.
-    Returns what the driven run observed and how many loops ended."""
+    matches and the event counts differ by the loops that ended and the
+    loops that joined a drive cohort.  Returns what the driven run
+    observed and how many loops ended."""
     with process_driven() as reference:
         ref, ref_events = build_and_run()
-    new, new_events = build_and_run()
+    with counting_cohort_joins() as joins:
+        new, new_events = build_and_run()
     for key in ref:
         assert new[key] == ref[key], key
-    assert ref_events - new_events == reference.ended
+    assert ref_events - new_events == reference.ended + joins[0]
     return new, reference.ended
 
 

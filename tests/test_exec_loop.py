@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.grid
 from repro import ConsumerGrid, TaskGraph, chaos
-from repro.core import UnitRegistry
+from repro.core import UnitError, UnitRegistry
 from repro.core.toolbox import Grapher, Wave
 from repro.core.units import Unit
 from repro.observe.export import jsonl_lines
@@ -215,13 +215,24 @@ def assert_stopped_after_failure(grid):
     assert 2 in dep.pending
 
 
-def test_a_unit_raising_stops_its_deployment_and_the_run_times_out():
+#: the UnitError a run fails with when FailsOnThird raises on worker-0
+RAISED_ON_WORKER = (
+    r"a unit raised on 'worker-0' in deployment 'dep-1' at iteration 2 "
+    r"\(t=[0-9.]+\): ValueError: third frame"
+)
+
+
+def test_a_unit_raising_stops_its_deployment_and_fails_the_run():
     def build_and_run():
         graph, registry = failing_farm()
         grid = ConsumerGrid(n_workers=1, seed=4, registry=registry, trace=True)
-        with pytest.raises(TimeoutError):
+        with pytest.raises(UnitError, match=RAISED_ON_WORKER):
             grid.run(graph, 6, run_until=500.0)
-        assert grid.sim.now == 500.0
+        # at the instant the report arrived, not at the horizon
+        assert grid.sim.now < 2.0
+        kinds = grid.transport.stats.by_kind
+        assert kinds["triana-unit-error"] == 1
+        assert kinds["group-exec"] == 6  # one per iteration: none redispatched
         assert_stopped_after_failure(grid)
         return outcome(grid, lambda: None)
 
@@ -229,6 +240,23 @@ def test_a_unit_raising_stops_its_deployment_and_the_run_times_out():
         ref = build_and_run()[0]
     new = build_and_run()[0]
     assert new == ref
+
+
+def test_a_late_unit_error_from_a_failed_run_does_not_fail_the_next():
+    # replicate-3: worker-0 raises first and fails the run; the slowed
+    # worker-2 raises on the same iteration later, while a second run
+    # (two iterations per worker, none raises) is in flight.
+    graph, registry = failing_farm()
+    grid = ConsumerGrid(
+        n_workers=3, seed=4, registry=registry, worker_profile=LAN_PROFILE,
+        controller_profile=LAN_PROFILE, worker_efficiency=1e-5,
+    )
+    grid.transport.set_speed_factor("worker-2", 0.05)
+    with pytest.raises(UnitError, match="'worker-0' in deployment 'dep-1'"):
+        grid.run(graph, 6, run_until=500.0, verification="replicate-3")
+    report = grid.run(failing_farm()[0], 6, run_until=grid.sim.now + 500.0)
+    assert len(report.group_results) == 6
+    assert grid.transport.stats.by_kind["triana-unit-error"] == 3
 
 
 def test_a_unit_raising_over_tcp_stops_its_deployment_only():
@@ -239,9 +267,9 @@ def test_a_unit_raising_over_tcp_stops_its_deployment_only():
     )
     try:
         horizon = grid.sim.now + 3.0
-        with pytest.raises(TimeoutError):
+        with pytest.raises(UnitError, match=RAISED_ON_WORKER):
             grid.run(graph, 6, run_until=horizon)
-        assert grid.sim.now >= horizon  # the clock follows the wall past it
+        assert grid.sim.now < horizon  # the report crossed the socket in time
         assert_stopped_after_failure(grid)
     finally:
         grid.transport.close()

@@ -329,10 +329,11 @@ class TestOverlay:
 
 
 class PerMessageNetwork(SimNetwork):
-    """The reference arrival path: one scheduled call per message."""
+    """The reference arrival path: one scheduled call per message, each
+    a burst of one."""
 
     def _arrive(self, at, message):
-        self.sim.call_at(at, self._deliver, message)
+        self.sim.call_at(at, self._deliver_burst, [message])
 
 
 #: A profile whose 0-byte messages arrive at once and whose 10-byte ones

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -501,14 +503,45 @@ delays = st.lists(
     st.one_of(st.floats(0.0, 5.0), st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0])),
     max_size=12,
 )
+#: a scheduled call: when it runs, whether it puts a call first in line
+#: at its instant, and the delay of the call it schedules behind it
+timers = st.tuples(
+    st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0, 1.3]),
+    st.booleans(),
+    st.sampled_from([0.0, 0.1, 0.2, 1.0]),
+)
 
 
-@given(loops=st.lists(st.tuples(st.booleans(), delays), min_size=1, max_size=4))
-@settings(max_examples=60, deadline=None)
-def test_a_driven_loop_keeps_the_schedule_of_a_process(loops):
-    """Each loop is driven or a process waiting on timeouts; run as
+@contextmanager
+def counting_cohort_joins():
+    """Inside the block, ``joins[0]`` counts the driven loops that were
+    resumed by a cohort another loop started: each saves the kernel event
+    a loop of its own would have taken."""
+    joins = [0]
+    resume = Simulator._resume_cohort
+
+    def counted(sim, loops):
+        joins[0] += len(loops) - 1
+        resume(sim, loops)
+
+    Simulator._resume_cohort = counted
+    try:
+        yield joins
+    finally:
+        Simulator._resume_cohort = resume
+
+
+@given(
+    loops=st.lists(st.tuples(st.booleans(), delays), min_size=1, max_size=6),
+    calls=st.lists(timers, max_size=6),
+)
+@settings(max_examples=100, deadline=None)
+def test_a_driven_loop_keeps_the_schedule_of_a_process(loops, calls):
+    """Each loop is driven or a process waiting on timeouts, among
+    ``call_at`` and ``call_first`` calls on the same instants; run as
     processes only, the log is the same, tie order included.  The
-    processes' completion events are the only extra events."""
+    processes' completion events are extra events, and so is each event
+    a loop of its own takes where a driven loop joined a cohort."""
 
     def run(allow_drive):
         sim = Simulator()
@@ -526,18 +559,64 @@ def test_a_driven_loop_keeps_the_schedule_of_a_process(loops):
                 yield sim.timeout(d)
                 log.append((tag, sim.now))
 
+        def fire(i, first, d):
+            log.append((f"call-{i}", sim.now))
+            if first:
+                sim.call_first(log.append, (f"first-{i}", sim.now))
+            sim.call_at(sim.now + d, log.append, (f"then-{i}", sim.now + d))
+
+        # Half the calls queue before the loops start and half after, so
+        # a call lands both ahead of and behind a cohort on one instant.
+        for i, (when, first, d) in enumerate(calls[: len(calls) // 2]):
+            sim.call_at(when, fire, i, first, d)
         for tag, (drive, ds) in enumerate(loops):
             if drive and allow_drive:
                 sim.drive(driven(tag, ds))
             else:
                 sim.process(process(tag, ds))
+        for i, (when, first, d) in enumerate(calls[len(calls) // 2 :], len(calls) // 2):
+            sim.call_at(when, fire, i, first, d)
         sim.run()
         return log, sim.events_executed
 
-    log, events = run(allow_drive=True)
+    with counting_cohort_joins() as joins:
+        log, events = run(allow_drive=True)
     ref_log, ref_events = run(allow_drive=False)
     assert log == ref_log
-    assert ref_events - events == sum(drive for drive, _ in loops)
+    assert ref_events - events == sum(drive for drive, _ in loops) + joins[0]
+
+
+def test_a_cohort_cut_short_resumes_the_rest_first():
+    """Three loops wait for t=1 in one cohort and the second raises a
+    ``BaseException`` there: the run stops, and a resumed run resumes the
+    third ahead of the call queued at t=1 after them, as their own
+    events would."""
+    sim = Simulator()
+    log = []
+
+    def loop(tag, stop=False):
+        yield 1.0
+        log.append((tag, sim.now))
+        if stop:
+            raise KeyboardInterrupt
+        yield 1.0
+        log.append((tag, sim.now))
+
+    with counting_cohort_joins() as joins:
+        for tag in ("a", "b", "c"):
+            sim.drive(loop(tag, stop=tag == "b"))
+        sim.run(until=0.5)
+        sim.call_at(1.0, log.append, ("call", 1.0))
+        with pytest.raises(KeyboardInterrupt):
+            sim.run()
+        assert log == [("a", 1.0), ("b", 1.0)]
+        sim.run()
+    assert log == [("a", 1.0), ("b", 1.0), ("c", 1.0), ("call", 1.0),
+                   ("a", 2.0), ("c", 2.0)]
+    # cohorts at t=0 (a, b, c), t=1 (a, b, c, then c first in line) and
+    # t=2 (a, c), and the call
+    assert sim.events_executed == 5
+    assert joins[0] == 2 + 2 + 0 + 1
 
 
 def test_a_driven_loop_starts_now_and_ends_without_an_event():

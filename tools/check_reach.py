@@ -165,7 +165,9 @@ KEPT_UNREACHED: dict[str, str] = {
     "repro.simkernel.sim:_Call.callbacks":
         "safety: call_at's event honours appended callbacks like any event",
     "repro.simkernel.sim:Simulator.call_first":
-        "safety: a handler that raises mid-burst leaves the rest of the burst first",
+        "safety: a callback that raises mid-burst or mid-cohort leaves the rest first",
+    "repro.service.controller:TrianaController._on_unit_error":
+        "safety: a unit that raises on a worker fails the run at once; no root's does",
     "repro.simkernel.queues:CalendarQueue.push_front":
         "safety: the queue operation Simulator.call_first makes",
     "repro.transport.runtime:_sleep":
