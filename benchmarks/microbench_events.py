@@ -8,7 +8,8 @@ alive per pending ``Simulator.call_at``, per in-flight ``Peer.send`` and
 per joined, idle peer under each discovery strategy
 (``allocs_per_call_at`` / ``allocs_per_message`` / ``allocs_per_peer``),
 the kernel events 100 sends landing on one instant take
-(``events_per_burst``), the kernel events one stage hop of a p2p
+(``events_per_burst``), the kernel events per message on serialising
+links (``events_per_contended_message``), the kernel events one stage hop of a p2p
 pipeline schedules (``events_per_hop``), the host computations one
 replicated iteration costs (``computes_per_replicated_iteration``),
 what the replica sharing tables still hold after such a run
@@ -66,16 +67,18 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 #: Upper bounds on GC-tracked objects per operation (see
 #: ``docs/performance.md``, "The message path" and "What a peer costs the
 #: collector").  Bounds, not equalities: interpreter versions differ in
-#: what they track.  ``events_per_burst`` and ``events_per_hop`` are
-#: kernel events, exact on any interpreter ("One arrival event per
-#: instant", "A stage hop: what one execution schedules"), and so is
+#: what they track.  ``events_per_burst``, ``events_per_contended_message``
+#: and ``events_per_hop`` are kernel events, exact on any interpreter
+#: ("One arrival event per instant", "The serialising link", "A stage
+#: hop: what one execution schedules"), and so is
 #: ``events_per_beat_round`` ("A heartbeat round is one timer").  The rest
 #: are exact counts too ("A replicated execution is computed once", "A
 #: heartbeat is one scheduled call"); ``tracer_bytes_per_event`` is bytes,
 #: rounded to one decimal, so a per-run constant reads as zero.
 ALLOC_BUDGET = {
     "allocs_per_call_at": 2.0, "allocs_per_message": 5.0, "allocs_per_peer": 5.0,
-    "events_per_burst": 1.0, "events_per_hop": 3.0,
+    "events_per_burst": 1.0, "events_per_contended_message": 2.0,
+    "events_per_hop": 3.0,
     "computes_per_replicated_iteration": 1.0,
     "shared_entries_after_run": 0.0, "timeouts_per_beat": 0.0,
     "events_per_beat_round": 2.0,
@@ -150,6 +153,25 @@ def events_per_burst(n: int = 100) -> float:
     sim.run()
     assert len(got) == n
     return float(sim.events_executed)
+
+
+def events_per_contended_message(nodes: int = 4, rounds: int = 200) -> float:
+    """Kernel events per message on serialising links: ``nodes`` DSL
+    peers in a ring each send ``rounds`` 1 KB messages to the next one at
+    once.  Each uplink queues its messages; an entry into the downlinks
+    and an arrival burst serve every instant the ring shares."""
+    sim = Simulator()
+    net = SimNetwork(sim, contention=True)
+    peers = [Peer(f"p{i}", net) for i in range(nodes)]
+    got = []
+    for peer in peers:
+        peer.on("m", got.append)
+    for _ in range(rounds):
+        for i, peer in enumerate(peers):
+            peer.send(f"p{(i + 1) % nodes}", "m", size_bytes=1024)
+    sim.run()
+    assert len(got) == nodes * rounds
+    return sim.events_executed / (nodes * rounds)
 
 
 def allocs_per_peer(strategy) -> float:
@@ -349,12 +371,13 @@ def main(argv=None) -> int:
                         help="output JSON path")
     args = parser.parse_args(argv)
 
-    result = {"schema": 9}
+    result = {"schema": 10}
     for name, measure, unit in (
         ("allocs_per_call_at", allocs_per_call_at, "GC-tracked objects"),
         ("allocs_per_message", allocs_per_message, "GC-tracked objects"),
         ("allocs_per_peer", allocs_per_peer_worst, "GC-tracked objects"),
         ("events_per_burst", events_per_burst, "kernel events"),
+        ("events_per_contended_message", events_per_contended_message, "kernel events"),
         ("events_per_hop", events_per_hop, "kernel events"),
         ("computes_per_replicated_iteration", computes_per_replicated_iteration,
          "host computations"),

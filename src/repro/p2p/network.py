@@ -9,7 +9,8 @@ This module models exactly that on top of the discrete-event kernel:
 * message delivery time = source access latency + destination access
   latency + serialisation time over the slower of the two directions
   (uplink of the sender, downlink of the receiver), plus deterministic
-  jitter drawn from a named RNG stream;
+  jitter drawn from a named RNG stream; on serialising links each
+  direction carries one message at a time instead;
 * nodes can be taken offline (churn); messages to offline nodes are
   counted and dropped — reliability is the job of higher layers;
 * an optional *overlay graph* restricts which nodes are neighbours, which
@@ -34,10 +35,12 @@ from __future__ import annotations
 
 import abc
 import math
+from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Optional
 
-from ..simkernel import Event, Resource, Simulator
+from ..simkernel import Event, Simulator
 from .errors import NetworkError
 
 __all__ = [
@@ -164,7 +167,7 @@ class Transport(abc.ABC):
         the sabotage seam used by the integrity experiments.  Empty on
         healthy fabrics.
     contention:
-        Whether each node's links serialise, so concurrent sends queue
+        Whether each node's uplink and downlink queue concurrent sends
         (only a :class:`SimNetwork` built with ``contention=True``).
     """
 
@@ -265,9 +268,9 @@ class SimNetwork(Transport):
     With ``contention=False`` (default) transfers are independent: each
     message takes its own :meth:`transfer_time` regardless of concurrent
     traffic.  With ``contention=True`` each node's uplink and downlink
-    are serialised resources — concurrent sends queue, which is how a
-    consumer DSL line actually behaves when a controller blasts frames
-    at a farm.
+    carry one message at a time, on two clocks per node — concurrent
+    sends queue, which is how a consumer DSL line actually behaves when a
+    controller blasts frames at a farm (``docs/p2p.md``).
     """
 
     supported_discovery = ("central", "flooding", "rendezvous")
@@ -295,12 +298,13 @@ class SimNetwork(Transport):
         self._profiles: dict[str, NodeProfile] = {}
         self._handlers: dict[str, Callable[[Message], None]] = {}
         self._online: dict[str, bool] = {}
-        #: node id → how often it went offline; a contended transfer
-        #: compares it across its time on the sender's uplink
-        self._crashes: dict[str, int] = {}
         self._speed_factors: dict[str, float] = {}
-        self._uplinks: dict[str, "object"] = {}
-        self._downlinks: dict[str, "object"] = {}
+        #: Serialising links only: node id → its uploads not yet past the
+        #: uplink, ``[start, end, message]``; node id → when its downlink
+        #: is free; instant → the uploads entering downlinks then.
+        self._uploads: dict[str, deque] = {}
+        self._down_free: dict[str, float] = {}
+        self._entries: dict[float, list[list]] = {}
         self._cuts: dict[int, tuple[frozenset[str], frozenset[str]]] = {}
         self._next_cut_id = 1
         #: node id → overlay neighbours (undirected: both ends list the
@@ -320,6 +324,7 @@ class SimNetwork(Transport):
         # Bound once: a fresh bound method per burst would be one more
         # object for the GC while the burst is pending.
         self._on_arrival = self._deliver_burst
+        self._on_entry = self._enter_downlinks
         # Bound once, like _on_arrival: the join test in _arrive is then
         # one call (Simulator.last_at is itself the queue's method).
         self._last_at = sim.last_at
@@ -362,8 +367,6 @@ class SimNetwork(Transport):
         if self._online[node_id] == online:
             return
         self._online[node_id] = online
-        if not online:
-            self._crashes[node_id] = self._crashes.get(node_id, 0) + 1
         tracer = self.sim.tracer
         if tracer.enabled:
             # Liveness transitions feed the analyzer's per-peer
@@ -372,6 +375,8 @@ class SimNetwork(Transport):
                 "peer.online" if online else "peer.offline",
                 category="p2p", track=node_id,
             )
+        if not online and node_id in self._uploads:
+            self._lose_uploads(node_id)
 
     def is_online(self, node_id: str) -> bool:
         try:
@@ -556,15 +561,9 @@ class SimNetwork(Transport):
             # The links serialise the wire time; jitter and a reorder hold
             # stretch the latency stage in between.
             hold = delay - base
-            crashes = self._crashes.get(src, 0)
-            sim.process(
-                self._contended_delivery(message, hold, crashes), name="net-transfer"
-            )
+            self._upload(message, hold)
             if duplicated:
-                sim.process(
-                    self._contended_delivery(message, hold, crashes),
-                    name="net-transfer-dup",
-                )
+                self._upload(message, hold)
         else:
             now = sim.now
             self._arrive(now + delay, message)
@@ -580,17 +579,15 @@ class SimNetwork(Transport):
         appending to it is then the same as queueing one more arrival
         right behind it, so tie order is what one event per message
         gives.  Otherwise it starts a new burst; a lone message is a
-        burst of one.
+        burst of one.  The burst lands on ``at`` itself: for
+        ``at = now + delay`` that is where ``call_at`` would land it.
         """
-        sim = self.sim
-        now = sim.now
-        when = now + (at - now)  # the float call_at(at) lands on
-        if when == self._burst_at and self._last_at(when) is self._burst_event:
+        if at == self._burst_at and self._last_at(at) is self._burst_event:
             self._burst.append(message)
             return
         burst = [message]
-        self._burst_event = sim.call_at(at, self._on_arrival, burst)
-        self._burst, self._burst_at = burst, when
+        self._burst_event = self.sim.call_exact(at, self._on_arrival, burst)
+        self._burst, self._burst_at = burst, at
 
     def _deliver_burst(self, messages: list[Message]) -> None:
         """Arrival of a burst's in-flight copies, in send order: hand each
@@ -645,44 +642,76 @@ class SimNetwork(Transport):
             attrs["chaos"] = True
         tracer.instant("net.drop", category="p2p", track=message.dst, **attrs)
 
-    def _link(self, table: dict, node_id: str) -> Resource:
-        if node_id not in table:
-            table[node_id] = Resource(self.sim, capacity=1)
-        return table[node_id]
+    # -- serialising links -------------------------------------------------
+    def _upload(self, message: Message, hold: float) -> None:
+        """Queue ``message`` on its sender's uplink; it enters the
+        receiver's downlink both access latencies plus ``hold`` after its
+        last byte left.  Instants are summed as a process waiting on each
+        stage would sum them, and the entries on one instant share one
+        kernel event, whatever else is queued there."""
+        now = self.sim.now
+        src = message.src
+        uploads = self._uploads.get(src)
+        if uploads is None:
+            uploads = self._uploads[src] = deque()
+        while uploads and uploads[0][1] < now:
+            uploads.popleft()  # past its uplink: no crash can lose it now
+        start = uploads[-1][1] if uploads and uploads[-1][1] > now else now
+        p_src, p_dst = self._profiles[src], self._profiles[message.dst]
+        end = start + message.size_bytes / p_src.up_bps
+        upload = [start, end, message]
+        uploads.append(upload)
+        at = end + (p_src.latency_s + p_dst.latency_s + hold)
+        entering = self._entries.get(at)
+        if entering is None:
+            self._entries[at] = [upload]
+            self.sim.call_exact(at, self._on_entry)
+        else:
+            entering.append(upload)
 
-    def _contended_delivery(self, message: Message, hold: float, crashes: int):
-        """Serialise the wire time on the sender's uplink, then the
-        receiver's downlink, with access latency plus ``hold`` in between.
-
-        ``crashes`` is the sender's offline count when it sent.  A sender
-        that went offline before the message's last byte left its uplink
-        never got the message out: it is dropped there, and a message
-        still queued behind it leaves the uplink without using it."""
-        p_src = self.profile(message.src)
-        p_dst = self.profile(message.dst)
-        up = self._link(self._uplinks, message.src)
-        req = up.request()
-        yield req
-        try:
-            if self._crashes.get(message.src, 0) == crashes:
-                yield self.sim.timeout(message.size_bytes / p_src.up_bps)
-        finally:
-            up.release(req)
-        if self._crashes.get(message.src, 0) != crashes:
-            stats = self.stats
+    def _lose_uploads(self, node_id: str) -> None:
+        """``node_id`` went offline: it loses every upload whose last byte
+        has not left (one leaving now too).  The one on the wire holds
+        the uplink to its end; those queued behind it never use it."""
+        now = self.sim.now
+        uploads = self._uploads[node_id]
+        while uploads and uploads[0][1] < now:
+            uploads.popleft()
+        if not uploads:
+            return
+        on_wire = uploads[0]
+        stats = self.stats
+        tracer = self.sim.tracer
+        for upload in uploads:
+            message = upload[2]
+            if message is None:
+                continue  # in its downlink stage, or lost already
+            upload[2] = None
             stats.in_flight -= 1
             stats.in_flight_bytes -= message.size_bytes
             stats.dropped_offline += 1
-            tracer = self.sim.tracer
             if tracer.enabled:
                 self._trace_drop(tracer, message, "offline")
-            return
-        yield self.sim.timeout(p_src.latency_s + p_dst.latency_s + hold)
-        down = self._link(self._downlinks, message.dst)
-        req = down.request()
-        yield req
-        try:
-            yield self.sim.timeout(message.size_bytes / p_dst.down_bps)
-        finally:
-            down.release(req)
-        self._deliver_burst([message])
+        uploads.clear()
+        if on_wire[0] < now:
+            uploads.append(on_wire)
+
+    def _enter_downlinks(self) -> None:
+        """This instant's uploads take their receivers' downlinks in the
+        order they ended (then started), as processes that waited out
+        their latencies would; each arrives when its last byte is in."""
+        now = self.sim.now
+        uploads = self._entries.pop(now)
+        if len(uploads) > 1:
+            uploads.sort(key=itemgetter(1, 0))
+        down_free = self._down_free
+        for upload in uploads:
+            message = upload[2]
+            if message is None:
+                continue  # lost with its sender
+            upload[2] = None  # past its uplink: a later crash spares it
+            dst = message.dst
+            free = down_free.get(dst, now)
+            start = free if free > now else now
+            end = down_free[dst] = start + message.size_bytes / self._profiles[dst].down_bps
+            self._arrive(end, message)

@@ -2,11 +2,11 @@
 
 Public surface::
 
-    from repro.simkernel import Simulator, Store, Resource, Interrupt
+    from repro.simkernel import Simulator, Store, Interrupt
 
 The kernel underpins the simulated P2P network (:mod:`repro.p2p`), the
-volunteer-availability models (:mod:`repro.resources`) and the batch
-gateway.  See ``DESIGN.md`` §2.
+volunteer-availability models (:mod:`repro.resources`) and the
+controller/worker protocol (:mod:`repro.service`).  See ``DESIGN.md`` §2.
 """
 
 from .errors import (
@@ -16,7 +16,7 @@ from .errors import (
     SimError,
     SimTimeError,
 )
-from .queues import CalendarQueue, Resource, Store
+from .queues import CalendarQueue, Store
 from .rng import RngRegistry, stable_hash
 from .sim import AllOf, AnyOf, Event, Process, Simulator, Timeout, check_horizon
 
@@ -29,7 +29,6 @@ __all__ = [
     "Interrupt",
     "Process",
     "ProcessError",
-    "Resource",
     "RngRegistry",
     "SimError",
     "SimTimeError",

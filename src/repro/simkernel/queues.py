@@ -1,17 +1,15 @@
 """Event and waitable queues for the simulation kernel.
 
-Three structures live here:
+Two structures live here:
 
 * :class:`CalendarQueue` — the kernel's pending-event queue: a
   bucket-per-timestamp calendar replacing the global binary heap.  This
   is the hot path of every simulation (see ``docs/performance.md``).
-* :class:`Store` — an unbounded-or-bounded FIFO of arbitrary items;
-* :class:`Resource` — a pool of identical slots (e.g. CPU cores of a
-  batch node).
+* :class:`Store` — an unbounded-or-bounded FIFO of arbitrary items that
+  hands out :class:`~repro.simkernel.sim.Event` objects, so processes
+  can ``yield`` on a ``get`` or a ``put``.
 
-``Store`` and ``Resource`` hand out
-:class:`~repro.simkernel.sim.Event` objects so processes can ``yield``
-on them; :class:`CalendarQueue` is consumed by
+:class:`CalendarQueue` is consumed by
 :class:`~repro.simkernel.sim.Simulator` itself.
 """
 
@@ -21,9 +19,7 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Any
 
-from .errors import ProcessError
-
-__all__ = ["CalendarQueue", "Store", "Resource"]
+__all__ = ["CalendarQueue", "Store"]
 
 _INF = float("inf")
 
@@ -225,49 +221,3 @@ class Store:
             put_ev, item = self._putters.popleft()
             self.items.append(item)
             put_ev.succeed(None)
-
-
-class Resource:
-    """``capacity`` identical slots; processes request and release them.
-
-    Typical use inside a process::
-
-        req = resource.request()
-        yield req
-        try:
-            yield sim.timeout(service_time)
-        finally:
-            resource.release(req)
-    """
-
-    def __init__(self, sim: Simulator, capacity: int = 1):
-        if capacity < 1:
-            raise ValueError("Resource capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self._in_use: set[Event] = set()
-        self._waiting: deque[Event] = deque()
-
-    def request(self) -> Event:
-        """Return an event that succeeds when a slot is granted."""
-        ev = Event(self.sim)
-        if len(self._in_use) < self.capacity:
-            self._in_use.add(ev)
-            ev.succeed(ev)
-        else:
-            self._waiting.append(ev)
-        return ev
-
-    def release(self, request: Event) -> None:
-        """Release a previously granted slot."""
-        if request in self._in_use:
-            self._in_use.remove(request)
-        elif request in self._waiting:
-            self._waiting.remove(request)
-            return
-        else:
-            raise ProcessError("release() of a request that holds no slot")
-        if self._waiting:
-            nxt = self._waiting.popleft()
-            self._in_use.add(nxt)
-            nxt.succeed(nxt)

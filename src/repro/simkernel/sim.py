@@ -1,7 +1,8 @@
 """A deterministic discrete-event simulation kernel.
 
 This module is the foundation every simulated subsystem (the P2P network,
-volunteer churn, batch queues) is built on.  It provides:
+volunteer churn, the controller/worker protocol) is built on.  It
+provides:
 
 * :class:`Simulator` — the event loop with a floating-point clock,
 * :class:`Event` — one-shot triggerable events carrying a value or error,
@@ -484,6 +485,16 @@ class Simulator:
         # delay lands on, so timestamps and tie order match process code.
         call = _Call(self, fn, args)
         self._queue.push(now + float(delay), call)
+        return call
+
+    def call_exact(self, when: float, fn: Callable[..., Any], *args: Any) -> Event:
+        """:meth:`call_at` landing on the float ``when`` itself, not on
+        ``now + (when - now)``: the two differ, by one float, only for a
+        ``when`` summed from an instant other than ``now``."""
+        if not when >= self.now:
+            raise SimTimeError(f"call_exact({when!r}) is in the past or NaN (now={self.now})")
+        call = _Call(self, fn, args)
+        self._queue.push(float(when), call)
         return call
 
     def call_first(self, fn: Callable[..., Any], *args: Any) -> Event:

@@ -1,6 +1,6 @@
 """Deterministic budgets for the message path, an idle peer, a burst, a
-stage hop, a replicated iteration, a heartbeat, a heartbeat round, a
-chaos send and a traced event.
+message on serialising links, a stage hop, a replicated iteration, a
+heartbeat, a heartbeat round, a chaos send and a traced event.
 
 Every simulated message and timer crosses ``Simulator.call_at`` and
 ``SimNetwork.send``; on a 10k-peer heap what they *allocate* decides how
@@ -54,6 +54,15 @@ def test_in_flight_message_stays_within_budget(microbench):
 def test_a_same_instant_burst_is_one_event(microbench):
     # 100 sends onto one instant: one arrival event delivers them all.
     assert microbench.events_per_burst() <= microbench.ALLOC_BUDGET["events_per_burst"]
+
+
+def test_a_serialising_link_schedules_no_process(microbench):
+    # Per instant of the ring: one entry into the downlinks and one
+    # arrival burst, for the four messages that share it.
+    assert (
+        microbench.events_per_contended_message()
+        <= microbench.ALLOC_BUDGET["events_per_contended_message"]
+    )
 
 
 @pytest.mark.parametrize(

@@ -259,7 +259,7 @@ class TestContendedChurn:
     uplink transfer ends: a sender that crashes first never sent it."""
 
     @staticmethod
-    def crash_while_sending(sizes, crash_at, back_at=None):
+    def crash_while_sending(sizes, crash_at, back_at=None, sizes_when_back=()):
         sim = Simulator(seed=1)
         net = SimNetwork(sim, contention=True)
         got = []
@@ -270,6 +270,8 @@ class TestContendedChurn:
         sim.call_at(crash_at, net.set_online, "a", False)
         if back_at is not None:
             sim.call_at(back_at, net.set_online, "a", True)
+        for i, size in enumerate(sizes_when_back, start=len(sizes)):
+            sim.call_at(back_at, net.send, Message("x", "a", "b", i, size))
         sim.run()
         return net.stats, got
 
@@ -287,6 +289,20 @@ class TestContendedChurn:
         stats, got = self.crash_while_sending([32_000, 32_000], crash_at=0.3, back_at=0.6)
         assert got == []
         assert stats.dropped_offline == 2
+        assert (stats.in_flight, stats.in_flight_bytes) == (0, 0)
+
+    def test_a_lost_upload_holds_the_uplink_to_its_scheduled_end(self):
+        # The first upload was on the wire at the crash: the uplink stays
+        # busy until 1.0, when its last byte would have left, and the one
+        # queued behind it never uses it.  Sent at 0.6, the third upload
+        # runs 1.0-2.0 and arrives 0.04 s of latency and 0.256 s of
+        # downlink later.  (Were the uplink free from the crash it would
+        # arrive at 1.896.)
+        stats, got = self.crash_while_sending(
+            [32_000, 32_000], crash_at=0.3, back_at=0.6, sizes_when_back=[32_000]
+        )
+        assert got == [(2, pytest.approx(2.296, abs=1e-9))]
+        assert stats.dropped_offline == 2 and stats.delivered == 1
         assert (stats.in_flight, stats.in_flight_bytes) == (0, 0)
 
     def test_what_left_the_uplink_before_the_crash_arrives(self):

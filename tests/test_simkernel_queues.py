@@ -1,4 +1,4 @@
-"""Tests for CalendarQueue ordering and Store/Resource wait primitives.
+"""Tests for CalendarQueue ordering and the Store wait primitive.
 
 The CalendarQueue section is the determinism contract's regression
 suite: randomized (time, seq) workloads — including heavy
@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.simkernel import CalendarQueue, ProcessError, Resource, Simulator, Store
+from repro.simkernel import CalendarQueue, Simulator, Store
 
 
 class _ReferenceHeap:
@@ -275,80 +275,3 @@ def test_store_len():
     sim.run()
     assert len(store.items) == 2
 
-
-def test_resource_serialises_access():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    spans = []
-
-    def worker(sim, res, tag, dur):
-        req = res.request()
-        yield req
-        start = sim.now
-        yield sim.timeout(dur)
-        res.release(req)
-        spans.append((tag, start, sim.now))
-
-    sim.process(worker(sim, res, "a", 3.0))
-    sim.process(worker(sim, res, "b", 2.0))
-    sim.run()
-    assert spans == [("a", 0.0, 3.0), ("b", 3.0, 5.0)]
-
-
-def test_resource_parallel_slots():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    spans = []
-
-    def worker(sim, res, tag):
-        req = res.request()
-        yield req
-        start = sim.now
-        yield sim.timeout(4.0)
-        res.release(req)
-        spans.append((tag, start))
-
-    for tag in ("a", "b", "c"):
-        sim.process(worker(sim, res, tag))
-    sim.run()
-    starts = dict((t, s) for t, s in spans)
-    assert starts["a"] == 0.0 and starts["b"] == 0.0 and starts["c"] == 4.0
-
-
-def test_resource_counts_and_queue():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    r1 = res.request()
-    r2 = res.request()
-    sim.run()
-    assert len(res._in_use) == 1
-    assert len(res._waiting) == 1
-    res.release(r1)
-    assert len(res._in_use) == 1  # r2 promoted
-    assert len(res._waiting) == 0
-    res.release(r2)
-    assert len(res._in_use) == 0
-
-
-def test_resource_release_waiting_request_cancels_it():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    r1 = res.request()
-    r2 = res.request()
-    res.release(r2)  # cancel while waiting
-    assert len(res._waiting) == 0
-    res.release(r1)
-    assert len(res._in_use) == 0
-
-
-def test_resource_bogus_release_rejected():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    with pytest.raises(ProcessError):
-        res.release(sim.event())
-
-
-def test_resource_invalid_capacity():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Resource(sim, capacity=0)

@@ -183,6 +183,8 @@ KEPT_UNREACHED: dict[str, str] = {
         "fault handling: a forwarded fetch bounced or timed out; ask the portal",
     "repro.mobility.cache:ModuleCache._fail":
         "fault handling: a module fetch that gave up",
+    "repro.p2p.network:SimNetwork._lose_uploads":
+        "fault handling: a sender goes offline mid-upload on a serialising link",
     "repro.transport.link:Link.dial_failed":
         "fault handling: a dial refused; back off and retry",
     "repro.transport.link:Link.timer_fired":
