@@ -656,7 +656,7 @@ class SimNetwork(Transport):
             uploads = self._uploads[src] = deque()
         while uploads and uploads[0][1] < now:
             uploads.popleft()  # past its uplink: no crash can lose it now
-        start = uploads[-1][1] if uploads and uploads[-1][1] > now else now
+        start = max(now, uploads[-1][1]) if uploads else now
         p_src, p_dst = self._profiles[src], self._profiles[message.dst]
         end = start + message.size_bytes / p_src.up_bps
         upload = [start, end, message]
@@ -702,8 +702,7 @@ class SimNetwork(Transport):
         their latencies would; each arrives when its last byte is in."""
         now = self.sim.now
         uploads = self._entries.pop(now)
-        if len(uploads) > 1:
-            uploads.sort(key=itemgetter(1, 0))
+        uploads.sort(key=itemgetter(1, 0))
         down_free = self._down_free
         for upload in uploads:
             message = upload[2]
@@ -711,7 +710,6 @@ class SimNetwork(Transport):
                 continue  # lost with its sender
             upload[2] = None  # past its uplink: a later crash spares it
             dst = message.dst
-            free = down_free.get(dst, now)
-            start = free if free > now else now
+            start = max(now, down_free.get(dst, now))
             end = down_free[dst] = start + message.size_bytes / self._profiles[dst].down_bps
             self._arrive(end, message)
