@@ -300,9 +300,11 @@ class SimNetwork(Transport):
         self._online: dict[str, bool] = {}
         self._speed_factors: dict[str, float] = {}
         #: Serialising links only: node id → its uploads not yet past the
-        #: uplink, ``[start, end, message]``; node id → when its downlink
-        #: is free; instant → the uploads entering downlinks then.
+        #: uplink (see _upload); how many uploads found their uplink free;
+        #: node id → when its downlink is free; instant → the uploads
+        #: entering downlinks then.
         self._uploads: dict[str, deque] = {}
+        self._free_uplinks = 0
         self._down_free: dict[str, float] = {}
         self._entries: dict[float, list[list]] = {}
         self._cuts: dict[int, tuple[frozenset[str], frozenset[str]]] = {}
@@ -643,12 +645,28 @@ class SimNetwork(Transport):
         tracer.instant("net.drop", category="p2p", track=message.dst, **attrs)
 
     # -- serialising links -------------------------------------------------
+    #
+    # An upload is ``[start, end, message, rank, next_round, next_root]``.
+    # ``rank`` is where the process model queued its uplink timer, which
+    # is the order same-instant entries take the downlinks in:
+    # ``(start, round, root)``.  A round counts events deep into the
+    # instant as a FIFO calendar runs them (round 0 was queued before the
+    # instant began); ``root`` orders one round's uploads by what began
+    # their chain: ``(0, n)`` for the n-th upload that found its uplink
+    # free, ``(1, rank)`` for the upload ahead whose timer freed the
+    # uplink in round 0.  ``next_round`` and ``next_root`` are the round
+    # and root the upload queued behind this one is handed the uplink in.
+
     def _upload(self, message: Message, hold: float) -> None:
         """Queue ``message`` on its sender's uplink; it enters the
         receiver's downlink both access latencies plus ``hold`` after its
         last byte left.  Instants are summed as a process waiting on each
         stage would sum them, and the entries on one instant share one
-        kernel event, whatever else is queued there."""
+        kernel event, whatever else is queued there.
+
+        The send is taken to run in round 0: its process would ask for
+        the uplink in round 1 and start in round 2, behind every upload
+        handed an uplink freed in round 0."""
         now = self.sim.now
         src = message.src
         uploads = self._uploads.get(src)
@@ -656,10 +674,19 @@ class SimNetwork(Transport):
             uploads = self._uploads[src] = deque()
         while uploads and uploads[0][1] < now:
             uploads.popleft()  # past its uplink: no crash can lose it now
-        start = max(now, uploads[-1][1]) if uploads else now
+        if uploads and (uploads[-1][1] > now or uploads[-1][4] > 1):
+            # The uplink is not free by round 1: wait for the one ahead.
+            ahead = uploads[-1]
+            start, rank = ahead[1], (ahead[1], ahead[4], ahead[5])
+        else:
+            self._free_uplinks += 1
+            start, rank = now, (now, 2, (0, self._free_uplinks))
         p_src, p_dst = self._profiles[src], self._profiles[message.dst]
         end = start + message.size_bytes / p_src.up_bps
-        upload = [start, end, message]
+        if end > start:  # its timer, queued before ``end``, frees the uplink in round 0
+            upload = [start, end, message, rank, 1, (1, rank)]
+        else:  # its timer runs a round after it starts and frees the uplink
+            upload = [start, end, message, rank, rank[1] + 2, rank[2]]
         uploads.append(upload)
         at = end + (p_src.latency_s + p_dst.latency_s + hold)
         entering = self._entries.get(at)
@@ -672,37 +699,41 @@ class SimNetwork(Transport):
     def _lose_uploads(self, node_id: str) -> None:
         """``node_id`` went offline: it loses every upload whose last byte
         has not left (one leaving now too).  The one on the wire holds
-        the uplink to its end; those queued behind it never use it."""
+        the uplink to its end; each one queued behind it is handed the
+        uplink in turn, a round apart, and frees it in the same round
+        without using it."""
         now = self.sim.now
         uploads = self._uploads[node_id]
         while uploads and uploads[0][1] < now:
             uploads.popleft()
-        if not uploads:
-            return
-        on_wire = uploads[0]
         stats = self.stats
         tracer = self.sim.tracer
+        ahead = None
         for upload in uploads:
             message = upload[2]
-            if message is None:
-                continue  # in its downlink stage, or lost already
-            upload[2] = None
-            stats.in_flight -= 1
-            stats.in_flight_bytes -= message.size_bytes
-            stats.dropped_offline += 1
-            if tracer.enabled:
-                self._trace_drop(tracer, message, "offline")
-        uploads.clear()
-        if on_wire[0] < now:
-            uploads.append(on_wire)
+            if message is not None:
+                upload[2] = None
+                stats.in_flight -= 1
+                stats.in_flight_bytes -= message.size_bytes
+                stats.dropped_offline += 1
+                if tracer.enabled:
+                    self._trace_drop(tracer, message, "offline")
+                if upload[0] >= now:  # not on the wire yet
+                    if ahead is None:
+                        start, round_, root = upload[3]
+                    else:
+                        start, round_, root = ahead[1], ahead[4], ahead[5]
+                    upload[0] = upload[1] = start
+                    upload[4], upload[5] = round_ + 1, root
+            ahead = upload
 
     def _enter_downlinks(self) -> None:
         """This instant's uploads take their receivers' downlinks in the
-        order they ended (then started), as processes that waited out
-        their latencies would; each arrives when its last byte is in."""
+        order their latency timers were queued in the process model: by
+        upload end, then rank; each arrives when its last byte is in."""
         now = self.sim.now
         uploads = self._entries.pop(now)
-        uploads.sort(key=itemgetter(1, 0))
+        uploads.sort(key=itemgetter(1, 3))
         down_free = self._down_free
         for upload in uploads:
             message = upload[2]

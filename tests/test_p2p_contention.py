@@ -291,6 +291,47 @@ class TestSerialisingLink:
         assert (got, _) == run_traffic(ProcessLinkNetwork, profiles, transfers, [],
                                        (0.0, 0.0, 0.0))
 
+    def test_a_zero_time_upload_behind_another_enters_after_a_fresh_one(self):
+        # n0's zero-byte upload to itself waits for n0's first zero-byte
+        # upload to free the uplink, two rounds after n1's upload, sent
+        # later, found its own uplink free: n1's reaches n0 first.
+        profiles = [NodeProfile(up_bps=8e3, down_bps=32e3, latency_s=0.0005),
+                    NodeProfile(up_bps=8e3, down_bps=125e3, latency_s=0.0005),
+                    NodeProfile(up_bps=8e3, down_bps=32e3, latency_s=0.0)]
+        transfers = [(0.0, 0, 0, 0), (0.0, 1, 0, 0)]
+        windows = [(0, 0.0, 0.0, [0])]
+        got, _ = run_traffic(serialising, profiles, transfers, windows, (0.0, 0.0, 0.0))
+        assert got["n0"] == [(0.001, 2), (0.001, 1)]
+        assert (got, _) == run_traffic(ProcessLinkNetwork, profiles, transfers, windows,
+                                       (0.0, 0.0, 0.0))
+
+    def test_uploads_handed_their_uplinks_on_one_instant_go_in_freeing_order(self):
+        # At 1.0 both uplinks free: n0's, taken at 0, before n1's, taken
+        # at 0.5; so n0's second upload, sent after n1's, enters first.
+        profiles = [NodeProfile(up_bps=32e3, down_bps=32e3, latency_s=0.0),
+                    NodeProfile(up_bps=32e3, down_bps=125e3, latency_s=0.0),
+                    NodeProfile(up_bps=8e3, down_bps=32e3, latency_s=0.0)]
+        transfers = [(0.0, 0, 2, 32_000), (0.5, 1, 2, 16_000),
+                     (0.6, 1, 2, 1000), (0.7, 0, 2, 1000)]
+        got, _ = run_traffic(serialising, profiles, transfers, [], (0.0, 0.0, 0.0))
+        assert got["n2"] == [(2.0, 0), (2.5, 1), (2.53125, 3), (2.5625, 2)]
+        assert (got, _) == run_traffic(ProcessLinkNetwork, profiles, transfers, [],
+                                       (0.0, 0.0, 0.0))
+
+    def test_each_lost_upload_hands_the_uplink_on_a_round_later(self):
+        # n0 queues two uploads at 0, is offline 0.3-0.6 and sends again:
+        # at 1.0 the lost one ahead costs that upload a round, so n2's,
+        # sent at 1.0 to an idle uplink, enters n1's downlink first.
+        profiles = [NodeProfile(up_bps=32e3, down_bps=125e3, latency_s=0.0),
+                    NodeProfile(up_bps=32e3, down_bps=32e3, latency_s=0.0),
+                    NodeProfile(up_bps=32e3, down_bps=512e3, latency_s=0.0)]
+        transfers = [(0.0, 0, 1, 32_000), (0.0, 0, 1, 1000), (1.0, 2, 1, 1000)]
+        windows = [(0, 0.3, 0.3, [1000])]
+        got, stats = run_traffic(serialising, profiles, transfers, windows, (0.0, 0.0, 0.0))
+        assert got["n1"] == [(1.0625, 3), (1.09375, 0)] and stats[2] == 2
+        assert (got, stats) == run_traffic(ProcessLinkNetwork, profiles, transfers, windows,
+                                           (0.0, 0.0, 0.0))
+
     def test_two_nodes_served_on_one_instant_in_entry_order(self):
         # d1's downlink is busy to 2.0 when the second message enters it at
         # 1.0, so that one's download runs 2.0-3.0; the message to d2
